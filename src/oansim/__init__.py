@@ -38,14 +38,12 @@ from .waveform import (
     band_power,
     combine,
     downconvert,
-    frequency_shift,
     pad_to,
     psd,
     resample_to,
     scale_db,
     set_power_dbm,
     upconvert_real,
-    with_ref,
 )
 from .ofdm import (
     OfdmConfig,
@@ -121,7 +119,7 @@ from .scenarios import (
     run_scenario,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
@@ -133,14 +131,12 @@ __all__ = [
     "band_power",
     "combine",
     "downconvert",
-    "frequency_shift",
     "pad_to",
     "psd",
     "resample_to",
     "scale_db",
     "set_power_dbm",
     "upconvert_real",
-    "with_ref",
     "OfdmConfig",
     "add_awgn",
     "bandwidth_for_bit_rate",

@@ -8,7 +8,7 @@ of 150 us one-way latency and +/-1.5 us synchronization skew.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import GROUP_DELAY_US_PER_KM, FiberParams
 from .errors import ConfigError
@@ -23,7 +23,6 @@ COMP_MAX_SKEW_US = 1.5
 COUPLING_DB_PER_FACET = {"packaged": 2.5, "bare": 6.0}
 
 DEFAULT_RX_SENSITIVITY_DBM = -20.0
-DEFAULT_ECPRI_QUEUE_DELAY_US = 50.0
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,6 @@ class LinkSpec:
     to_id: str
     fiber: FiberParams
     component_losses: tuple = ()   # (label, dB) pairs
-
-    @property
-    def total_component_loss_db(self) -> float:
-        return sum(db for _, db in self.component_losses)
 
 
 @dataclass

@@ -16,7 +16,6 @@ runtime simulation error.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import sys
@@ -32,8 +31,8 @@ from .budget import (FRONTHAUL_PRESETS, SERVICE_CATALOG, FronthaulSpec,
 from .channel import FiberParams
 from .devices import RingParams, ring_response
 from .errors import ConfigError, SimulationError
-from .scenarios import (DATA_DIR, ScenarioConfig, builtin_config_path,
-                        emit_reports, load_config, run_scenario)
+from .scenarios import (ScenarioConfig, builtin_config_path, emit_reports,
+                        load_config, run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,18 +55,14 @@ def _formats(fmt: str) -> tuple:
 
 def _load_scenario(args) -> ScenarioConfig:
     cfg = load_config(_resolve_config_path(args.config))
-    if args.seed is not None:
-        raw = copy.deepcopy(cfg.raw)
-        raw["seed"] = args.seed
-        cfg = ScenarioConfig(raw)
-    return cfg
+    return cfg if args.seed is None else cfg.with_seed(args.seed)
 
 
 def _out_dir(args, cfg: ScenarioConfig | None = None) -> Path:
     if args.out is not None:
         return Path(args.out)
     if cfg is not None:
-        return Path(cfg.raw["output"])
+        return Path(cfg.output)
     return Path("reports")
 
 
@@ -237,8 +232,8 @@ def _cmd_budget(args) -> int:
 
 def _cmd_devices(args) -> int:
     cfg = _load_scenario(args)
-    kw = cfg.ring_kwargs()
-    center = float(cfg.raw["center_freq"])
+    kw = cfg.ring_kwargs
+    center = cfg.center_freq
     ring = RingParams(resonance_freq=center, fsr=kw["fsr"],
                       self_coupling_t1=kw["coupling"],
                       self_coupling_t2=kw["coupling"],

@@ -346,13 +346,12 @@ def apply_mrm(field: ComplexWaveform, params: RingParams,
         out = _static_filter(field, params, float(detune[0]))
         return field.copy_with(samples=out)
 
-    if method == "auto":
+    if method in ("auto", "block"):
         bw = _drive_bandwidth(v, field.sample_rate)
         block_len = max(1, int(field.sample_rate / (10.0 * bw))) if bw else field.n
-        method = "block" if field.n / block_len <= 50_000 else "tone"
+        if method == "auto":
+            method = "block" if field.n / block_len <= 50_000 else "tone"
     if method == "block":
-        bw = _drive_bandwidth(v, field.sample_rate)
-        block_len = max(1, int(field.sample_rate / (10.0 * bw))) if bw else field.n
         out = _apply_blockwise(field, params, detune, block_len)
     elif method == "tone":
         out = _apply_tone(field, params, detune, tone_window_hz,

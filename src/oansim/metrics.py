@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -35,13 +35,11 @@ class BerReport:
         }
 
 
-def ber_evm_metrics(tx_bits, rx_bits, symbols=None, evm_rms: float | None = None,
+def ber_evm_metrics(tx_bits, rx_bits, evm_rms: float | None = None,
                     fec_threshold: float = DEFAULT_FEC_THRESHOLD) -> BerReport:
-    """Exact bit-error count plus RMS EVM of the decision symbols.
+    """Exact bit-error count, with the demodulator's RMS EVM if given.
 
-    ``passes_fec`` is a strict inequality against the threshold.  EVM can be
-    supplied directly (``evm_rms``) when the demodulator already computed it;
-    otherwise it is derived from ``symbols`` against their hard decisions.
+    ``passes_fec`` is a strict inequality against the threshold.
     """
     tx = np.asarray(tx_bits, dtype=np.int64).ravel()
     rx = np.asarray(rx_bits, dtype=np.int64).ravel()
@@ -49,18 +47,24 @@ def ber_evm_metrics(tx_bits, rx_bits, symbols=None, evm_rms: float | None = None
         raise ConfigError(f"bit sequences differ in length: {tx.size} vs {rx.size}")
     errors = int(np.sum(tx != rx))
     ber = errors / tx.size if tx.size else 0.0
-    if evm_rms is None:
-        if symbols is not None:
-            from .ofdm import qam_decide  # local import avoids a cycle
-            sym = np.asarray(symbols).ravel()
-            order = 4  # decision grid only matters through nearest neighbors
-            dec = qam_decide(sym, order)
-            evm_rms = float(np.sqrt(np.mean(np.abs(sym - dec) ** 2)
-                                    / np.mean(np.abs(dec) ** 2)))
-        else:
-            evm_rms = float("nan")
-    return BerReport(errors, int(tx.size), ber, float(evm_rms),
-                     ber < fec_threshold, fec_threshold)
+    evm = float("nan") if evm_rms is None else float(evm_rms)
+    return BerReport(errors, int(tx.size), ber, evm, ber < fec_threshold,
+                     fec_threshold)
+
+
+def ber_over_sent_bits(tx_bits, rx_bits, evm_rms: float) -> BerReport:
+    """BER over every sent bit, when the demodulator may return fewer.
+
+    Sent bits that were never demodulated count as errors, so a short
+    demodulation cannot make the BER look better than it is.
+    """
+    tx = np.asarray(tx_bits).ravel()
+    rx = np.asarray(rx_bits).ravel()
+    rep = ber_evm_metrics(tx[: rx.size], rx, evm_rms=evm_rms)
+    errors = rep.bit_errors + tx.size - rep.total_bits
+    ber = errors / tx.size if tx.size else 0.0
+    return BerReport(errors, int(tx.size), ber, rep.evm_rms,
+                     ber < rep.fec_threshold)
 
 
 def qfunc(x):

@@ -1,20 +1,24 @@
 """Configuration-driven end-to-end scenario runner.
 
-A scenario executes the full downlink/uplink pipeline
+A scenario runs the downlink/uplink chain
 
     transmitter -> feeder fiber -> smart-edge overlay -> distribution
     fiber -> network unit (drop + detect) -> remodulate -> uplink return
     -> smart-edge intercept -> central-office uplink detection
 
-as a sequence of independent seeded bursts whose bit-error counts are
-accumulated per sweep point until every tracked signal reaches its bit
-target.  Two overlay styles are supported:
+as independent seeded bursts whose bit errors are accumulated per sweep
+point until every signal reaches its bit target.  One burst pipeline
+serves both overlay styles, which differ in two steps only:
 
-* ``subcarrier_tunnels``: radio payloads ride +/-f_s subcarriers
-  generated from the carrier (two tunnels per channel);
-* ``adjacent_rf``: a group of narrow radio channels is modulated
-  single-sideband directly next to the carrier.
+* the overlay: ``subcarrier_tunnels`` puts radio payloads on +/-f_s
+  subcarriers generated from each channel's carrier; ``adjacent_rf``
+  modulates narrow radio channels single-sideband next to the carrier of
+  its single channel;
+* where the uplink is detected: for tunnels the smart edge intercepts the
+  radio uplink, if any, and the central office the digital uplink; under
+  ``adjacent_rf`` the smart edge intercepts the digital uplink.
 
+A :class:`ScenarioConfig` reads and checks the YAML once, when built.
 Reports are plain dicts (JSON/CSV serializable, stable ordering) carrying
 the fully resolved configuration as a reproducibility manifest.
 """
@@ -26,6 +30,7 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -33,7 +38,7 @@ import yaml
 from .channel import (FiberParams, PdParams, amplify_ase, dc_block,
                       photodetect, propagate_fiber)
 from .errors import ConfigError, SimulationError, StageError
-from .metrics import DEFAULT_FEC_THRESHOLD, ber_evm_metrics
+from .metrics import DEFAULT_FEC_THRESHOLD, BerReport, ber_over_sent_bits
 from .ofdm import OfdmConfig, bandwidth_for_bit_rate, demodulate_ofdm, generate_ofdm
 from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                          olt_transmit, onu_receive, onu_remodulate,
@@ -41,7 +46,7 @@ from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                          smart_edge_intercept_uplink, smart_edge_overlay,
                          solve_carrier_tap_filter)
 from .devices import IqMrmConfig, drop_filter, hilbert_pair, iq_mrm_ssb
-from .waveform import (ComplexWaveform, band_power, downconvert, pad_to, psd,
+from .waveform import (ComplexWaveform, combine, downconvert, pad_to, psd,
                        resample_to, set_power_dbm, upconvert_real)
 
 # head-of-frame silence so inter-channel fiber walk-off (a few hundred ps
@@ -137,174 +142,274 @@ def builtin_config_path(name: str) -> Path:
     return path
 
 
+def _get(raw: dict, key: str, convert=float, default=None):
+    """``convert`` of the value at the dotted ``key`` (a number indexes a
+    list); a value that is missing, None or not convertible raises
+    ConfigError naming the key."""
+    val = raw
+    for part in key.split("."):
+        if isinstance(val, list) and part.isdigit():
+            val = val[int(part)]
+        else:
+            val = val.get(part) if isinstance(val, dict) else None
+    if val is None and default is None:
+        raise ConfigError(f"{key} is missing")
+    try:
+        return convert(default if val is None else val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _mapping(val) -> dict:
+    if not isinstance(val, dict):
+        raise ValueError(f"expected a mapping, not {val!r}")
+    return val
+
+
+def _floats(val) -> list:
+    if not isinstance(val, list) or not val:
+        raise ValueError(f"expected a non-empty list of numbers, not {val!r}")
+    return [float(v) for v in val]
+
+
+def _sideband(val) -> str:
+    if val not in ("upper", "lower"):
+        raise ValueError(f"expected 'upper' or 'lower', not {val!r}")
+    return val
+
+
+def _count(val) -> int:
+    return int(float(val))
+
+
+def _is_partition(groups, n: int) -> bool:
+    """Whether ``groups`` is a list of index lists holding 0..n-1 once each."""
+    if not isinstance(groups, list) or not all(isinstance(g, list)
+                                               for g in groups):
+        return False
+    flat = [i for g in groups for i in g]
+    return all(type(i) is int for i in flat) and sorted(flat) == list(range(n))
+
+
+def _ofdm(raw: dict, key: str, seed: int) -> OfdmConfig:
+    """Modem geometry of the signal section at ``key``."""
+    section = _get(raw, key, _mapping)
+    n_sub = _get(raw, f"{key}.n_subcarriers", int, 64)
+    qam = _get(raw, f"{key}.qam_order", int, 4)
+    cp = _get(raw, f"{key}.cp_fraction", float, 1.0 / 16.0)
+    pilots = _get(raw, f"{key}.pilot_spacing", int, 16)
+    oversampling = _get(raw, f"{key}.oversampling", int, 4)
+    if "occupied_bandwidth" not in section and "bit_rate" not in section:
+        raise ConfigError(f"{key} needs occupied_bandwidth or bit_rate")
+    try:
+        bw = (_get(raw, f"{key}.occupied_bandwidth")
+              if "occupied_bandwidth" in section
+              else bandwidth_for_bit_rate(
+                  _get(raw, f"{key}.bit_rate"), qam_order=qam, cp_fraction=cp,
+                  pilot_spacing=pilots, n_subcarriers=n_sub))
+        return OfdmConfig(n_subcarriers=n_sub, qam_order=qam, cp_fraction=cp,
+                          occupied_bandwidth=bw, pilot_spacing=pilots,
+                          oversampling=oversampling, seed=seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+class _Signal(NamedTuple):
+    """One OFDM signal of a burst: its modem, radio IF and symbol count."""
+    ofdm: OfdmConfig
+    if_freq: float
+    symbols: int
+
+    @property
+    def n_bits(self) -> int:
+        return self.symbols * self.ofdm.bits_per_symbol
+
+    def edges(self) -> tuple:
+        """Band edges around the IF that its filters must pass."""
+        half = 0.55 * self.ofdm.occupied_bandwidth
+        return self.if_freq - half, self.if_freq + half
+
+    def wave(self, bits, sample_rate: float) -> ComplexWaveform:
+        """The real electrical signal at its IF on the simulation grid."""
+        return upconvert_real(
+            resample_to(generate_ofdm(self.ofdm, bits), sample_rate),
+            self.if_freq, half_bw=0.55 * self.ofdm.occupied_bandwidth)
+
+
 @dataclass
 class ScenarioConfig:
+    """A scenario, read and checked once.
+
+    ``raw`` is the resolved YAML and the report's manifest.  The other
+    attributes are its values, converted, and what the bursts need that
+    does not depend on the burst seed: the plan, the signals, the fibers,
+    the network unit and the burst geometry.
+    """
     raw: dict
 
-    # ---------------------------------------------------------- validation
     def __post_init__(self):
-        missing = [k for k in _REQUIRED if k not in self.raw]
+        raw = self.raw
+        missing = [k for k in _REQUIRED if k not in raw]
         if missing:
             raise ConfigError(f"config missing required sections: {missing}")
-        if not isinstance(self.raw["seed"], int):
+        if not isinstance(raw["seed"], int):
             raise ConfigError("seed must be an integer (no ambient randomness)")
-        style = self.raw["overlay_style"]
-        if style not in ("subcarrier_tunnels", "adjacent_rf"):
-            raise ConfigError(f"unknown overlay_style '{style}'")
-        if "channel_offsets" not in self.raw["wdm"]:
-            raise ConfigError("wdm section needs channel_offsets")
-        self.plan()           # validates slots
-        self.digital_ofdm()   # validates modem geometry
-        sweep = self.raw["sweep"]
-        if "rx_power_dbm" not in sweep:
-            raise ConfigError("sweep section needs rx_power_dbm values")
-        if style == "adjacent_rf":
-            if not self.raw["rf_channels"]:
-                raise ConfigError("adjacent_rf style needs rf_channels")
-            if not self.raw["rf_groups"]:
-                raise ConfigError("adjacent_rf style needs rf_groups")
-            seen = sorted(i for g in self.raw["rf_groups"] for i in g)
-            if seen != list(range(len(self.raw["rf_channels"]))):
-                raise ConfigError(
-                    "rf_groups must partition the rf_channels indices")
+        self.name = raw["name"]
+        self.seed = raw["seed"]
+        self.style = raw["overlay_style"]
+        if self.style not in ("subcarrier_tunnels", "adjacent_rf"):
+            raise ConfigError(f"unknown overlay_style '{self.style}'")
+        tunnels = self.style == "subcarrier_tunnels"
+        for key in ("rf_channels", "rf_groups") if tunnels else ("tunnels",):
+            if raw[key]:
+                raise ConfigError(f"{key} is not used by {self.style}")
+        self.sample_rate = _get(raw, "sample_rate")
+        if not self.sample_rate > 0:
+            raise ConfigError("sample_rate must be > 0")
+        self.center_freq = _get(raw, "center_freq")
+        self.fec_threshold = _get(raw, "fec_threshold")
+        self.output = _get(raw, "output", str)
 
-    # ---------------------------------------------------------- accessors
-    @property
-    def name(self) -> str:
-        return self.raw["name"]
+        slot = [_get(raw, f"wdm.{key}") for key in
+                ("slot_width", "digital_subband", "rof_subcarrier_offset")]
+        self.plan = WdmPlan([
+            WdmChannel(self.center_freq + off, *slot)
+            for off in _get(raw, "wdm.channel_offsets", _floats)])
+        if not tunnels and self.plan.n_channels != 1:
+            raise ConfigError("wdm.channel_offsets: adjacent_rf expects a "
+                              "single WDM channel")
 
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
+        # burst window: the record that holds burst_symbols digital symbols,
+        # rounded up to a power of two so that the whole-record FFTs along
+        # the chain run on friendly sizes; every signal gets as many
+        # symbols as fit in it
+        burst_symbols = _get(raw, "sweep.burst_symbols", int)
+        if burst_symbols < 0:
+            raise ConfigError("sweep.burst_symbols must be >= 0")
+        frame = _ofdm(raw, "digital", self.seed).frame_duration()
+        self.n_record = 1 << int(np.ceil(np.log2(
+            (1 + burst_symbols) * frame * self.sample_rate)))
+        window = self.n_record / self.sample_rate
 
-    @property
-    def sample_rate(self) -> float:
-        return float(self.raw["sample_rate"])
+        def signal(key: str, seed_offset: int) -> _Signal:
+            ofdm = _ofdm(raw, key, self.seed + seed_offset)
+            return _Signal(ofdm, _get(raw, f"{key}.if_freq"),
+                           max(1, int(window / ofdm.frame_duration()) - 1))
 
-    @property
-    def style(self) -> str:
-        return self.raw["overlay_style"]
-
-    @property
-    def fec_threshold(self) -> float:
-        return float(self.raw["fec_threshold"])
-
-    def plan(self) -> WdmPlan:
-        wdm = self.raw["wdm"]
-        f0 = float(self.raw["center_freq"])
-        return WdmPlan([
-            WdmChannel(f0 + float(off), float(wdm["slot_width"]),
-                       float(wdm["digital_subband"]),
-                       float(wdm["rof_subcarrier_offset"]))
-            for off in wdm["channel_offsets"]
-        ])
-
-    def _ofdm_from(self, section: dict, seed_offset: int) -> OfdmConfig:
-        if "occupied_bandwidth" in section:
-            bw = float(section["occupied_bandwidth"])
-        elif "bit_rate" in section:
-            bw = bandwidth_for_bit_rate(
-                float(section["bit_rate"]),
-                qam_order=int(section.get("qam_order", 4)),
-                cp_fraction=float(section.get("cp_fraction", 1.0 / 16.0)),
-                pilot_spacing=int(section.get("pilot_spacing", 16)),
-                n_subcarriers=int(section.get("n_subcarriers", 64)))
+        self.digital = signal("digital", 1)
+        self.digital_sideband = _get(raw, "digital.sideband", _sideband)
+        key, seed_offset = ("tunnels", 10) if tunnels else ("rf_channels", 30)
+        self.payloads = [signal(f"{key}.{i}", seed_offset + i)
+                         for i in range(len(_get(raw, key, list)))]
+        if tunnels:
+            if len(self.payloads) > 2:
+                raise ConfigError("tunnels: at most two, on the +f_s and "
+                                  "-f_s subcarriers")
+            self.groups = [[k] for k in range(len(self.payloads))]
         else:
-            raise ConfigError(
-                "signal section needs occupied_bandwidth or bit_rate")
-        return OfdmConfig(
-            n_subcarriers=int(section.get("n_subcarriers", 64)),
-            qam_order=int(section.get("qam_order", 4)),
-            cp_fraction=float(section.get("cp_fraction", 1.0 / 16.0)),
-            occupied_bandwidth=bw,
-            pilot_spacing=int(section.get("pilot_spacing", 16)),
-            oversampling=int(section.get("oversampling", 4)),
-            seed=self.seed + seed_offset)
+            self.groups = raw["rf_groups"]
+            if not self.payloads or not _is_partition(self.groups,
+                                                      len(self.payloads)):
+                raise ConfigError("adjacent_rf needs rf_channels and "
+                                  "rf_groups that partition their indices")
 
-    def digital_ofdm(self) -> OfdmConfig:
-        return self._ofdm_from(self.raw["digital"], 1)
+        # the smart edge detects the radio uplink of tunnels, if any, and
+        # the digital uplink under adjacent_rf; the central office detects
+        # the digital uplink of tunnels
+        self.uplink = {"digital": signal("digital", 2)}
+        if _get(raw, "uplink.rof", _mapping, default={}):
+            if not tunnels:
+                raise ConfigError("uplink.rof is not used by adjacent_rf, "
+                                  "whose smart edge detects the digital uplink")
+            self.uplink["rof"] = signal("uplink.rof", 3)
+        self.edge_uplink = ("rof" if "rof" in self.uplink
+                            else None if tunnels else "digital")
+        self.intercept = None
+        if self.edge_uplink is not None:
+            lower = _get(raw, "uplink.sideband", _sideband) == "lower"
+            lo, hi = self.uplink[self.edge_uplink].edges()
+            self.intercept = {
+                "band_offsets": (-hi, -lo) if lower else (lo, hi),
+                "carrier_tap": _get(raw, "uplink.intercept_carrier_tap"),
+                "order": _get(raw, "uplink.intercept_order", int)}
 
-    def tunnel_ofdm(self, index: int) -> OfdmConfig:
-        return self._ofdm_from(self.raw["tunnels"][index], 10 + index)
+        self.ring_kwargs = {key: _get(raw, f"devices.ring.{key}") for key in
+                            ("fsr", "coupling", "amplitude", "mod_efficiency")}
+        self.tx_power_dbm = _get(raw, "devices.tx_power_dbm")
+        self.drive_depth = _get(raw, "devices.drive_depth")
+        self.rf_drive_depth = _get(raw, "devices.rf_drive_depth")
+        self.subcarrier_clock_volt = _get(raw, "devices.subcarrier_clock_volt")
+        self.carrier_retain_fraction = _get(raw,
+                                            "devices.carrier_retain_fraction")
+        loss = (_get(raw, "spans.atten_db_per_km"),
+                _get(raw, "spans.dispersion_ps_nm_km"))
+        self.feeder = FiberParams(_get(raw, "spans.feeder_km"), *loss)
+        self.distribution = FiberParams(_get(raw, "spans.distribution_km"),
+                                        *loss)
+        self.amplifier = None
+        if raw["amplifier"]:
+            self.amplifier = (_get(raw, "amplifier.gain_db"),
+                              _get(raw, "amplifier.nf_db"))
+        self.onu = self._read_onu()
+        self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
+        if self.rx_power_dbm != sorted(self.rx_power_dbm):
+            raise ConfigError("sweep.rx_power_dbm must be ascending")
+        self.bits_per_point = _get(raw, "sweep.bits_per_point", _count)
+        self.top_bits = _get(raw, "sweep.top_bits", _count)
+        self.full_bits = _get(raw, "sweep.full_bits", _count)
 
-    def rf_ofdm(self, index: int) -> OfdmConfig:
-        return self._ofdm_from(self.raw["rf_channels"][index], 30 + index)
-
-    def uplink_digital_ofdm(self) -> OfdmConfig:
-        return self._ofdm_from(self.raw["digital"], 2)
-
-    def uplink_rof_ofdm(self) -> OfdmConfig | None:
-        rof = self.raw["uplink"]["rof"]
-        return self._ofdm_from(rof, 3) if rof else None
-
-    def ring_kwargs(self) -> dict:
-        ring = self.raw["devices"]["ring"]
-        return {"fsr": float(ring["fsr"]), "coupling": float(ring["coupling"]),
-                "amplitude": float(ring["amplitude"]),
-                "mod_efficiency": float(ring["mod_efficiency"])}
-
-    def fiber(self, which: str) -> FiberParams:
-        spans = self.raw["spans"]
-        return FiberParams(float(spans[f"{which}_km"]),
-                           atten_db_per_km=float(spans["atten_db_per_km"]),
-                           dispersion_ps_nm_km=float(spans["dispersion_ps_nm_km"]))
+    def _read_onu(self) -> OnuConfig:
+        """The network unit on channel 0.  Its filters sit relative to the
+        carrier, so :meth:`onu_at` parks it on any channel."""
+        raw = self.raw
+        ch = self.plan.channels[0]
+        order = _get(raw, "onu.rof_filter_order", int)
+        if self.style == "subcarrier_tunnels":
+            bandwidth = _get(raw, "onu.rof_filter_bandwidth")
+            filters = [FilterSpec(sign * ch.rof_subcarrier_offset, bandwidth,
+                                  order)
+                       for sign in (+1.0, -1.0)[:len(self.payloads)]]
+        else:
+            # the radio groups ride the lower sideband next to the carrier
+            # and together tap rof_carrier_tap_db of it
+            tap_db = _get(raw, "onu.rof_carrier_tap_db")
+            tap = 1.0 - 10.0 ** (-tap_db / (10.0 * len(self.groups)))
+            edges = [[e for k in group for e in self.payloads[k].edges()]
+                     for group in self.groups]
+            filters = [solve_carrier_tap_filter(-max(e), -min(e), tap, order)
+                       for e in edges]
+        lo, hi = self.digital.edges()
+        if self.digital_sideband == "lower":
+            lo, hi = -hi, -lo
+        tap_fraction = _get(raw, "onu.carrier_tap_fraction")
+        return OnuConfig(
+            channel_center=ch.center_freq,
+            broadband_filter=solve_carrier_tap_filter(
+                lo, hi, tap_fraction, _get(raw, "onu.broadband_order", int),
+                passband_fraction=_get(raw, "onu.broadband_passband_fraction")),
+            rof_filters=tuple(filters),
+            carrier_tap_fraction=tap_fraction,
+            uplink_sideband=_get(raw, "uplink.sideband", _sideband),
+            uplink_drive_depth=_get(raw, "uplink.drive_depth"),
+            digital_if=self.digital.if_freq,
+            slot_width=ch.slot_width,
+            min_residual_carrier_dbm=_get(raw, "onu.min_residual_carrier_dbm"),
+            pd=PdParams(responsivity=_get(raw, "onu.pd.responsivity"),
+                        thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd"),
+                        include_shot=_get(raw, "onu.pd.include_shot", bool)),
+            ring_kwargs=self.ring_kwargs)
 
     def pd(self, seed: int) -> PdParams:
-        pd = self.raw["onu"]["pd"]
-        return PdParams(responsivity=float(pd["responsivity"]),
-                        thermal_noise_psd=float(pd["thermal_noise_psd"]),
-                        include_shot=bool(pd["include_shot"]), seed=seed)
+        return replace(self.onu.pd, seed=seed)
 
-    def onu_config(self, channel_center: float, seed: int) -> OnuConfig:
-        onu = self.raw["onu"]
-        dig = self.raw["digital"]
-        ofdm = self.digital_ofdm()
-        f_if = float(dig["if_freq"])
-        half = 0.55 * ofdm.occupied_bandwidth
-        lo, hi = f_if - half, f_if + half
-        if dig["sideband"] == "lower":
-            lo, hi = -hi, -lo
-        broadband = solve_carrier_tap_filter(
-            lo, hi, float(onu["carrier_tap_fraction"]),
-            int(onu["broadband_order"]),
-            passband_fraction=float(onu["broadband_passband_fraction"]))
+    def onu_at(self, channel_center: float, seed: int) -> OnuConfig:
+        """The network unit parked on a channel, with its detector seed."""
+        return replace(self.onu, channel_center=channel_center,
+                       pd=self.pd(seed))
 
-        rof_filters = []
-        if self.style == "subcarrier_tunnels":
-            f_s = float(self.raw["wdm"]["rof_subcarrier_offset"])
-            signs = (+1.0, -1.0)
-            for i in range(len(self.raw["tunnels"])):
-                rof_filters.append(FilterSpec(
-                    signs[i] * f_s, float(onu["rof_filter_bandwidth"]),
-                    int(onu["rof_filter_order"])))
-        else:
-            tap_db = float(onu["rof_carrier_tap_db"])
-            groups = self.raw["rf_groups"]
-            tap = 1.0 - 10.0 ** (-tap_db / (10.0 * len(groups)))
-            for group in groups:
-                edges = []
-                for idx in group:
-                    sec = self.raw["rf_channels"][idx]
-                    c = self.rf_ofdm(idx)
-                    edges.append(float(sec["if_freq"]) - 0.55 * c.occupied_bandwidth)
-                    edges.append(float(sec["if_freq"]) + 0.55 * c.occupied_bandwidth)
-                # radio group rides the lower sideband next to the carrier
-                rof_filters.append(solve_carrier_tap_filter(
-                    -max(edges), -min(edges), tap,
-                    int(onu["rof_filter_order"])))
-
-        return OnuConfig(
-            channel_center=channel_center,
-            broadband_filter=broadband,
-            rof_filters=tuple(rof_filters),
-            carrier_tap_fraction=float(onu["carrier_tap_fraction"]),
-            uplink_sideband=self.raw["uplink"]["sideband"],
-            uplink_drive_depth=float(self.raw["uplink"]["drive_depth"]),
-            digital_if=f_if,
-            slot_width=float(self.raw["wdm"]["slot_width"]),
-            min_residual_carrier_dbm=float(onu["min_residual_carrier_dbm"]),
-            pd=self.pd(seed),
-            ring_kwargs=self.ring_kwargs())
+    def with_seed(self, seed: int) -> ScenarioConfig:
+        """The same scenario under another seed."""
+        return ScenarioConfig({**self.raw, "seed": seed})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -336,17 +441,13 @@ class _Accumulator:
         self.evm_sq: dict[str, float] = {}
         self.evm_n: dict[str, int] = {}
 
-    def add_counts(self, name: str, errors: int, bits: int, evm: float):
-        self.errors[name] = self.errors.get(name, 0) + int(errors)
-        self.bits[name] = self.bits.get(name, 0) + int(bits)
+    def add(self, name: str, rep: BerReport):
+        bits, evm = rep.total_bits, rep.evm_rms
+        self.errors[name] = self.errors.get(name, 0) + rep.bit_errors
+        self.bits[name] = self.bits.get(name, 0) + bits
         if np.isfinite(evm):
             self.evm_sq[name] = self.evm_sq.get(name, 0.0) + evm ** 2 * bits
             self.evm_n[name] = self.evm_n.get(name, 0) + bits
-
-    def add(self, name: str, tx_bits, rx_bits, evm: float):
-        tx = np.asarray(tx_bits)[: np.asarray(rx_bits).size]
-        rep = ber_evm_metrics(tx, rx_bits, evm_rms=evm)
-        self.add_counts(name, rep.bit_errors, rep.total_bits, evm)
 
     def min_bits(self) -> int:
         return min(self.bits.values()) if self.bits else 0
@@ -378,265 +479,146 @@ def _stage(name, fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Burst pipelines
+# Burst pipeline
+
+# report names of each style's broadband and radio signals, and the stage
+# that demodulates a radio signal
+_SIGNAL_NAMES = {
+    "subcarrier_tunnels": ("ch{ch}:digital", "ch{ch}:tunnel{k}", "tunnel_demod"),
+    "adjacent_rf": ("broadband", "rf{k}", "rf_demod"),
+}
 
 
-def _payload_plan(cfg: ScenarioConfig):
-    """Burst window and per-signal symbol counts.
+def _detect(acc: _Accumulator, stage: str, name: str, signal: _Signal,
+            electrical: ComplexWaveform, tx_bits) -> None:
+    """Demodulate a detected signal at its IF and count its bit errors."""
+    rx_bits, evm = _stage(stage, demodulate_ofdm, signal.ofdm,
+                          downconvert(electrical, signal.if_freq),
+                          max_symbols=signal.symbols)
+    acc.add(name, ber_over_sent_bits(tx_bits, rx_bits, evm))
 
-    The window is rounded up to a power-of-two sample count (full-length
-    FFTs along the chain then run on friendly sizes) and every signal is
-    given as many OFDM symbols as fit.
-    """
-    dig = cfg.digital_ofdm()
+
+def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
+             payload_bits: list) -> ComplexWaveform:
+    """The smart edge's radio overlay, the first of the two steps where the
+    styles differ.  The payload waveforms are made here so that they are
+    freed before the network units run."""
     fs = cfg.sample_rate
-    requested = (1 + int(cfg.raw["sweep"]["burst_symbols"])) \
-        * dig.frame_duration()
-    n_target = 1 << int(np.ceil(np.log2(requested * fs)))
-    window = n_target / fs
-
-    def count(ofdm: OfdmConfig) -> int:
-        return max(1, int(window / ofdm.frame_duration()) - 1)
-
-    return count(dig), count, n_target
-
-
-def _run_burst_tunnels(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
-                       acc: _Accumulator, want_spectrum: bool):
-    """One burst of the subcarrier-tunnel pipeline (all channels)."""
-    rng = np.random.default_rng(burst_seed)
-    fs = cfg.sample_rate
-    plan = cfg.plan()
-    dev = cfg.raw["devices"]
-    up = cfg.raw["uplink"]
-    dig_cfg = cfg.digital_ofdm()
-    n_sym, count, n_target = _payload_plan(cfg)
-
-    dig_bits = [rng.integers(0, 2, n_sym * dig_cfg.bits_per_symbol)
-                for _ in plan.channels]
-    tunnel_cfgs = [cfg.tunnel_ofdm(i) for i in range(len(cfg.raw["tunnels"]))]
-    tunnel_bits = [[rng.integers(0, 2, count(c) * c.bits_per_symbol)
-                    for c in tunnel_cfgs] for _ in plan.channels]
-
-    tx = _stage("olt_transmit", olt_transmit, plan, dig_bits, dig_cfg,
-                sample_rate=fs,
-                power_per_tone_dbm=float(dev["tx_power_dbm"]),
-                digital_if=float(cfg.raw["digital"]["if_freq"]),
-                sideband=cfg.raw["digital"]["sideband"],
-                drive_depth=float(dev["drive_depth"]),
-                ring_kwargs=cfg.ring_kwargs(),
-                min_duration=n_target / fs, guard_s=_WALKOFF_GUARD_S)
-
-    link = _stage("feeder_fiber", propagate_fiber, tx, cfg.fiber("feeder"))
-    if cfg.raw["amplifier"]:
-        amp = cfg.raw["amplifier"]
-        link = _stage("amplifier", amplify_ase, link, float(amp["gain_db"]),
-                      float(amp["nf_db"]), seed=burst_seed + 17)
-
-    payloads = []
-    for ch_idx in range(plan.n_channels):
-        group = []
-        for t_idx, t_cfg in enumerate(tunnel_cfgs):
-            wf = resample_to(generate_ofdm(t_cfg, tunnel_bits[ch_idx][t_idx]), fs)
-            wf = upconvert_real(wf, float(cfg.raw["tunnels"][t_idx]["if_freq"]),
-                                half_bw=0.55 * t_cfg.occupied_bandwidth)
-            group.append(pad_to(wf, link.n))
-        payloads.append(group)
-    link = _stage("smart_edge_overlay", smart_edge_overlay, link, plan, payloads,
-                  subcarrier_clock_volt=float(dev["subcarrier_clock_volt"]),
-                  carrier_retain_fraction=float(dev["carrier_retain_fraction"]),
-                  drive_depth=float(dev["rf_drive_depth"]),
-                  ring_kwargs=cfg.ring_kwargs())
-    spectrum = psd(link) if want_spectrum else None
-
-    link = _stage("distribution_fiber", propagate_fiber, link,
-                  cfg.fiber("distribution"))
-    link = set_power_dbm(link, rx_power_dbm)
-
-    extras = {}
-    for ch_idx, ch in enumerate(plan.channels):
-        onu_cfg = cfg.onu_config(ch.center_freq, burst_seed + 100 + ch_idx)
-        res = _stage("onu_receive", onu_receive, link, onu_cfg, dig_cfg,
-                     tx_bits=dig_bits[ch_idx], max_symbols=n_sym)
-        acc.add_counts(f"ch{ch_idx}:digital", res.broadband.bit_errors,
-                       res.broadband.total_bits, res.broadband.evm_rms)
-        for t_idx, (item, t_cfg) in enumerate(zip(res.rof, tunnel_cfgs)):
-            f_if = float(cfg.raw["tunnels"][t_idx]["if_freq"])
-            rxb, evm = _stage(
-                "tunnel_demod", demodulate_ofdm, t_cfg,
-                downconvert(item["waveform"], f_if),
-                max_symbols=count(t_cfg))
-            acc.add(f"ch{ch_idx}:tunnel{t_idx + 1}",
-                    tunnel_bits[ch_idx][t_idx], rxb, evm)
-        if ch_idx == 0:
-            extras["onu0"] = (onu_cfg, res)
-
-    # uplink: channel 0's network unit remodulates its residual carrier
-    onu_cfg, res = extras["onu0"]
-    up_dig_cfg = cfg.uplink_digital_ofdm()
-    up_bits = rng.integers(0, 2, n_sym * up_dig_cfg.bits_per_symbol)
-    rof_cfg = cfg.uplink_rof_ofdm()
-    rof_bits = None
-    rof_wave = None
-    if rof_cfg is not None:
-        rof_bits = rng.integers(0, 2, count(rof_cfg) * rof_cfg.bits_per_symbol)
-        rof_wave = upconvert_real(
-            resample_to(generate_ofdm(rof_cfg, rof_bits), fs),
-            float(up["rof"]["if_freq"]),
-            half_bw=0.55 * rof_cfg.occupied_bandwidth)
-        n_guard = int(round(_WALKOFF_GUARD_S * fs))
-        rof_wave = rof_wave.copy_with(samples=np.concatenate(
-            [np.zeros(n_guard, dtype=np.complex128), rof_wave.samples]))
-    rem = _stage("onu_remodulate", onu_remodulate, res.residual, onu_cfg,
-                 uplink_bits=up_bits, uplink_rof=rof_wave, ofdm_cfg=up_dig_cfg,
-                 guard_s=_WALKOFF_GUARD_S)
-
-    back = _stage("uplink_distribution", propagate_fiber, rem.waveform,
-                  cfg.fiber("distribution"))
-    side = -1.0 if up["sideband"] == "lower" else 1.0
-    if rof_cfg is not None:
-        f_if = float(up["rof"]["if_freq"])
-        half = 0.55 * rof_cfg.occupied_bandwidth
-        band = tuple(sorted((side * (f_if - half), side * (f_if + half))))
-        icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
-                       back, plan, 0, band_offsets=band,
-                       carrier_tap=float(up["intercept_carrier_tap"]),
-                       order=int(up["intercept_order"]),
-                       pd=cfg.pd(burst_seed + 300))
-        rxb, evm = _stage("uplink_rof_demod", demodulate_ofdm, rof_cfg,
-                          downconvert(icept.rof_electrical, f_if),
-                          max_symbols=count(rof_cfg))
-        acc.add("uplink:rof", rof_bits, rxb, evm)
-        back = icept.through
-
-    co = _stage("uplink_feeder", propagate_fiber, back, cfg.fiber("feeder"))
-    if plan.n_channels > 1:
-        # central-office demux: select the returning channel so the other
-        # WDM channels' carrier/sideband beats stay out of the uplink IF
-        co, _ = _stage("co_demux", drop_filter, co,
-                       plan.channels[0].center_freq,
-                       0.9 * plan.channels[0].slot_width, 5)
-    co_el = dc_block(_stage("co_detect", photodetect, co,
-                            cfg.pd(burst_seed + 301)))
-    rxb, evm = _stage("uplink_digital_demod", demodulate_ofdm, up_dig_cfg,
-                      downconvert(co_el, float(cfg.raw["digital"]["if_freq"])),
-                      max_symbols=n_sym)
-    acc.add("uplink:digital", up_bits, rxb, evm)
-
-    ledger = {
-        "carrier_in_dbm": res.carrier_in_dbm,
-        "carrier_after_broadband_dbm": res.carrier_after_broadband_dbm,
-        "carrier_residual_dbm": res.carrier_residual_dbm,
-        "rof_tap_cost_db": (res.carrier_after_broadband_dbm
-                            - res.carrier_residual_dbm),
-    }
-    return rem.uplink_to_residual_db, ledger, spectrum
-
-
-def _run_burst_rf(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
-                  acc: _Accumulator, want_spectrum: bool):
-    """One burst of the adjacent-RF pipeline (single channel)."""
-    rng = np.random.default_rng(burst_seed)
-    fs = cfg.sample_rate
-    plan = cfg.plan()
-    if plan.n_channels != 1:
-        raise ConfigError("adjacent_rf style expects a single WDM channel")
-    ch = plan.channels[0]
-    dev = cfg.raw["devices"]
-    up = cfg.raw["uplink"]
-    dig_cfg = cfg.digital_ofdm()
-    n_sym, count, n_target = _payload_plan(cfg)
-
-    dig_bits = rng.integers(0, 2, n_sym * dig_cfg.bits_per_symbol)
-    rf_cfgs = [cfg.rf_ofdm(i) for i in range(len(cfg.raw["rf_channels"]))]
-    rf_bits = [rng.integers(0, 2, count(c) * c.bits_per_symbol)
-               for c in rf_cfgs]
-
-    tx = _stage("olt_transmit", olt_transmit, plan, [dig_bits], dig_cfg,
-                sample_rate=fs,
-                power_per_tone_dbm=float(dev["tx_power_dbm"]),
-                digital_if=float(cfg.raw["digital"]["if_freq"]),
-                sideband=cfg.raw["digital"]["sideband"],
-                drive_depth=float(dev["drive_depth"]),
-                ring_kwargs=cfg.ring_kwargs(),
-                min_duration=n_target / fs, guard_s=_WALKOFF_GUARD_S)
-
-    link = _stage("feeder_fiber", propagate_fiber, tx, cfg.fiber("feeder"))
-    if cfg.raw["amplifier"]:
-        amp = cfg.raw["amplifier"]
-        link = _stage("amplifier", amplify_ase, link, float(amp["gain_db"]),
-                      float(amp["nf_db"]), seed=burst_seed + 17)
-
-    # composite radio drive, placed single-sideband below the carrier
-    drive_samples = np.zeros(link.n, dtype=np.complex128)
-    for sec, c, bits in zip(cfg.raw["rf_channels"], rf_cfgs, rf_bits):
-        wf = upconvert_real(resample_to(generate_ofdm(c, bits), fs),
-                            float(sec["if_freq"]),
-                            half_bw=0.55 * c.occupied_bandwidth)
-        drive_samples[: wf.n] += wf.samples
-    drive = ComplexWaveform(drive_samples, fs, ref_freq=0.0)
-    ring = slope_biased_ring(ch.center_freq, **cfg.ring_kwargs())
-    drive = scale_drive_to_depth(drive, ring, float(dev["rf_drive_depth"]))
-    mrm = IqMrmConfig(ring, ring, sideband="lower")
+    waves = [[pad_to(s.wave(bits, fs), link.n)
+              for s, bits in zip(cfg.payloads, channel_bits)]
+             for channel_bits in payload_bits]
+    if cfg.style == "subcarrier_tunnels":
+        return _stage("smart_edge_overlay", smart_edge_overlay, link,
+                      cfg.plan, waves,
+                      subcarrier_clock_volt=cfg.subcarrier_clock_volt,
+                      carrier_retain_fraction=cfg.carrier_retain_fraction,
+                      drive_depth=cfg.rf_drive_depth,
+                      ring_kwargs=cfg.ring_kwargs)
+    # one composite radio drive, single-sideband below the carrier
+    ch = cfg.plan.channels[0]
+    ring = slope_biased_ring(ch.center_freq, **cfg.ring_kwargs)
+    drive = scale_drive_to_depth(combine(waves[0]), ring, cfg.rf_drive_depth)
     # quasi-static window: cover the carrier (slope_fraction linewidths
     # above the biased resonance) but stop short of the broadband subband,
     # which must see only the static through response
     slope_off = ch.center_freq - ring.effective_resonance
-    dig_edge = (float(cfg.raw["digital"]["if_freq"])
-                - 0.55 * dig_cfg.occupied_bandwidth)
-    window = slope_off + 0.5 * dig_edge
-    link = _stage("smart_edge_overlay", iq_mrm_ssb, link, mrm, drive,
+    window = slope_off + 0.5 * cfg.digital.edges()[0]
+    return _stage("smart_edge_overlay", iq_mrm_ssb, link,
+                  IqMrmConfig(ring, ring, sideband="lower"), drive,
                   hilbert_pair(drive), tone_window_hz=window)
+
+
+def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
+               acc: _Accumulator, want_spectrum: bool):
+    """One burst of the pipeline over all channels.
+
+    Returns the uplink-to-residual ratio, the carrier ledger of channel 0's
+    network unit and, if wanted, the spectrum after the overlay.
+    """
+    rng = np.random.default_rng(burst_seed)
+    fs = cfg.sample_rate
+    plan = cfg.plan
+    dig = cfg.digital
+    dig_bits = [rng.integers(0, 2, dig.n_bits) for _ in plan.channels]
+    payload_bits = [[rng.integers(0, 2, s.n_bits) for s in cfg.payloads]
+                    for _ in plan.channels]
+
+    tx = _stage("olt_transmit", olt_transmit, plan, dig_bits, dig.ofdm,
+                sample_rate=fs,
+                power_per_tone_dbm=cfg.tx_power_dbm,
+                digital_if=dig.if_freq,
+                sideband=cfg.digital_sideband,
+                drive_depth=cfg.drive_depth,
+                ring_kwargs=cfg.ring_kwargs,
+                min_duration=cfg.n_record / fs, guard_s=_WALKOFF_GUARD_S)
+
+    link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder)
+    if cfg.amplifier is not None:
+        link = _stage("amplifier", amplify_ase, link, *cfg.amplifier,
+                      seed=burst_seed + 17)
+
+    link = _overlay(cfg, link, payload_bits)
     spectrum = psd(link) if want_spectrum else None
 
-    link = _stage("distribution_fiber", propagate_fiber, link,
-                  cfg.fiber("distribution"))
+    link = _stage("distribution_fiber", propagate_fiber, link, cfg.distribution)
     link = set_power_dbm(link, rx_power_dbm)
 
-    onu_cfg = cfg.onu_config(ch.center_freq, burst_seed + 100)
-    res = _stage("onu_receive", onu_receive, link, onu_cfg, dig_cfg,
-                 tx_bits=dig_bits, max_symbols=n_sym)
-    acc.add_counts("broadband", res.broadband.bit_errors,
-                   res.broadband.total_bits, res.broadband.evm_rms)
+    broadband_name, radio_name, radio_stage = _SIGNAL_NAMES[cfg.style]
+    for ch_idx, ch in enumerate(plan.channels):
+        onu = cfg.onu_at(ch.center_freq, burst_seed + 100 + ch_idx)
+        res = _stage("onu_receive", onu_receive, link, onu, dig.ofdm,
+                     tx_bits=dig_bits[ch_idx], max_symbols=dig.symbols)
+        acc.add(broadband_name.format(ch=ch_idx), res.broadband)
+        for group, item in zip(cfg.groups, res.rof):
+            for k in group:
+                _detect(acc, radio_stage,
+                        radio_name.format(ch=ch_idx, k=k + 1),
+                        cfg.payloads[k], item["waveform"],
+                        payload_bits[ch_idx][k])
+        if ch_idx == 0:
+            onu0, res0 = onu, res
 
-    for group, item in zip(cfg.raw["rf_groups"], res.rof):
-        for idx in group:
-            sec = cfg.raw["rf_channels"][idx]
-            c = rf_cfgs[idx]
-            rxb, evm = _stage("rf_demod", demodulate_ofdm, c,
-                              downconvert(item["waveform"],
-                                          float(sec["if_freq"])),
-                              max_symbols=count(c))
-            acc.add(f"rf{idx + 1}", rf_bits[idx], rxb, evm)
-
-    up_dig_cfg = cfg.uplink_digital_ofdm()
-    up_bits = rng.integers(0, 2, n_sym * up_dig_cfg.bits_per_symbol)
-    rem = _stage("onu_remodulate", onu_remodulate, res.residual, onu_cfg,
-                 uplink_bits=up_bits, ofdm_cfg=up_dig_cfg,
+    # uplink: channel 0's network unit remodulates its residual carrier
+    up_bits = {"digital": rng.integers(0, 2, cfg.uplink["digital"].n_bits)}
+    rof_wave = None
+    if "rof" in cfg.uplink:
+        up_bits["rof"] = rng.integers(0, 2, cfg.uplink["rof"].n_bits)
+        rof_wave = cfg.uplink["rof"].wave(up_bits["rof"], fs)
+    rem = _stage("onu_remodulate", onu_remodulate, res0.residual, onu0,
+                 uplink_bits=up_bits["digital"], uplink_rof=rof_wave,
+                 ofdm_cfg=cfg.uplink["digital"].ofdm,
                  guard_s=_WALKOFF_GUARD_S)
 
     back = _stage("uplink_distribution", propagate_fiber, rem.waveform,
-                  cfg.fiber("distribution"))
-    f_if = float(cfg.raw["digital"]["if_freq"])
-    half = 0.55 * up_dig_cfg.occupied_bandwidth
-    side = -1.0 if up["sideband"] == "lower" else 1.0
-    band = tuple(sorted((side * (f_if - half), side * (f_if + half))))
-    icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
-                   back, plan, 0, band_offsets=band,
-                   carrier_tap=float(up["intercept_carrier_tap"]),
-                   order=int(up["intercept_order"]),
-                   pd=cfg.pd(burst_seed + 300))
-    rxb, evm = _stage("uplink_digital_demod", demodulate_ofdm, up_dig_cfg,
-                      downconvert(icept.rof_electrical, f_if),
-                      max_symbols=n_sym)
-    acc.add("uplink:digital", up_bits, rxb, evm)
+                  cfg.distribution)
+    # where the uplink is detected, the second step where the styles differ
+    kind = cfg.edge_uplink
+    if kind is not None:
+        icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
+                       back, plan, 0, pd=cfg.pd(burst_seed + 300),
+                       **cfg.intercept)
+        _detect(acc, f"uplink_{kind}_demod", f"uplink:{kind}",
+                cfg.uplink[kind], icept.rof_electrical, up_bits[kind])
+        back = icept.through
+    if kind != "digital":
+        co = _stage("uplink_feeder", propagate_fiber, back, cfg.feeder)
+        if plan.n_channels > 1:
+            # central-office demux: select the returning channel so the other
+            # WDM channels' carrier/sideband beats stay out of the uplink IF
+            co, _ = _stage("co_demux", drop_filter, co,
+                           plan.channels[0].center_freq,
+                           0.9 * plan.channels[0].slot_width, 5)
+        co_el = dc_block(_stage("co_detect", photodetect, co,
+                                cfg.pd(burst_seed + 301)))
+        _detect(acc, "uplink_digital_demod", "uplink:digital",
+                cfg.uplink["digital"], co_el, up_bits["digital"])
 
     ledger = {
-        "carrier_in_dbm": res.carrier_in_dbm,
-        "carrier_after_broadband_dbm": res.carrier_after_broadband_dbm,
-        "carrier_residual_dbm": res.carrier_residual_dbm,
-        "rof_tap_cost_db": (res.carrier_after_broadband_dbm
-                            - res.carrier_residual_dbm),
+        "carrier_in_dbm": res0.carrier_in_dbm,
+        "carrier_after_broadband_dbm": res0.carrier_after_broadband_dbm,
+        "carrier_residual_dbm": res0.carrier_residual_dbm,
+        "rof_tap_cost_db": (res0.carrier_after_broadband_dbm
+                            - res0.carrier_residual_dbm),
     }
     return rem.uplink_to_residual_db, ledger, spectrum
 
@@ -648,28 +630,24 @@ def _run_burst_rf(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
 def run_scenario(cfg: ScenarioConfig, full: bool = False,
                  sweep_override=None) -> dict:
     """Execute the scenario; returns the metrics report (a plain dict)."""
-    sweep = cfg.raw["sweep"]
-    powers = list(sweep_override if sweep_override is not None
-                  else sweep["rx_power_dbm"])
+    powers = (cfg.rx_power_dbm if sweep_override is None
+              else list(sweep_override))
     if powers != sorted(powers):
         raise ConfigError("rx_power_dbm sweep must be ascending")
-    base_bits = int(float(sweep["bits_per_point"]))
-    top_bits = int(float(sweep["full_bits" if full else "top_bits"]))
-    burst_fn = (_run_burst_tunnels if cfg.style == "subcarrier_tunnels"
-                else _run_burst_rf)
+    top_bits = cfg.full_bits if full else cfg.top_bits
 
     points = []
     spectrum = None
     for p_idx, power in enumerate(powers):
         is_top = p_idx == len(powers) - 1
-        target = top_bits if is_top else base_bits
+        target = top_bits if is_top else cfg.bits_per_point
         acc = _Accumulator(cfg.fec_threshold)
         ratios, ledgers = [], []
         burst = 0
         while burst == 0 or acc.min_bits() < target:
             seed = cfg.seed + 100_000 * (p_idx + 1) + burst
             want_spec = is_top and burst == 0
-            ratio, ledger, spec = burst_fn(cfg, power, seed, acc, want_spec)
+            ratio, ledger, spec = _run_burst(cfg, power, seed, acc, want_spec)
             if ratio is not None:
                 ratios.append(ratio)
             ledgers.append(ledger)

@@ -236,7 +236,7 @@ def olt_transmit(plan: WdmPlan, digital_payloads, ofdm_cfg: OfdmConfig,
                  digital_if: float | None = None, sideband: str = "upper",
                  drive_depth: float = 0.25, ring_kwargs: dict | None = None,
                  method: str = "tone", min_duration: float = 0.0,
-                 guard_s: float = 0.0, seed: int = 0) -> ComplexWaveform:
+                 guard_s: float = 0.0) -> ComplexWaveform:
     """Comb source plus one IQ-SSB modulator per WDM channel.
 
     ``digital_payloads`` is one bit array per channel; each is OFDM
@@ -463,7 +463,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     and returned as an electrical waveform.  The residual field (including
     the remaining carrier) is returned for remodulation.
     """
-    from .metrics import ber_evm_metrics
+    from .metrics import ber_evm_metrics, ber_over_sent_bits
     from .ofdm import demodulate_ofdm
     from .waveform import downconvert
 
@@ -488,8 +488,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     base = downconvert(electrical, cfg.digital_if)
     rx_bits, evm = demodulate_ofdm(ofdm_cfg, base, max_symbols=max_symbols)
     if tx_bits is not None:
-        report = ber_evm_metrics(np.asarray(tx_bits)[: rx_bits.size], rx_bits,
-                                 evm_rms=evm)
+        report = ber_over_sent_bits(tx_bits, rx_bits, evm)
     else:
         report = ber_evm_metrics([], [], evm_rms=evm)
 
@@ -530,8 +529,8 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig, uplink_bits=None,
     The uplink drive is the OFDM-modulated ``uplink_bits`` at the digital
     IF plus an optional radio waveform already at its radio IF.  Reports
     the ratio of uplink power to the residual downlink power on the bus.
-    ``guard_s`` delays the uplink frame so return-path fiber walk-off
-    cannot push its preamble out of the record.
+    ``guard_s`` delays the uplink drive so return-path fiber walk-off
+    cannot push a preamble out of the record.
     """
     f_c = cfg.channel_center
     carrier = band_power(residual, f_c - CARRIER_WINDOW_HZ,
@@ -549,13 +548,8 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig, uplink_bits=None,
             raise ConfigError("uplink bits need an OFDM config")
         base = generate_ofdm(ofdm_cfg, np.asarray(uplink_bits))
         wf = resample_to(base, residual.sample_rate)
-        wf = upconvert_real(wf, cfg.digital_if,
-                            half_bw=0.55 * ofdm_cfg.occupied_bandwidth)
-        n_guard = int(round(guard_s * residual.sample_rate))
-        if n_guard:
-            wf = wf.copy_with(samples=np.concatenate(
-                [np.zeros(n_guard, dtype=np.complex128), wf.samples]))
-        parts.append(wf)
+        parts.append(upconvert_real(wf, cfg.digital_if,
+                                    half_bw=0.55 * ofdm_cfg.occupied_bandwidth))
     if uplink_rof is not None:
         if uplink_rof.sample_rate != residual.sample_rate:
             uplink_rof = resample_to(uplink_rof, residual.sample_rate)
@@ -572,10 +566,11 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig, uplink_bits=None,
                                 else "upper")
         return RemodResult(out, None, None, down_c)
 
-    n = max(p.n for p in parts)
-    drive_samples = np.zeros(n, dtype=np.complex128)
+    n_guard = int(round(guard_s * residual.sample_rate))
+    drive_samples = np.zeros(n_guard + max(p.n for p in parts),
+                             dtype=np.complex128)
     for p in parts:
-        drive_samples[: p.n] += p.samples
+        drive_samples[n_guard: n_guard + p.n] += p.samples
     drive = ComplexWaveform(drive_samples, residual.sample_rate, ref_freq=0.0)
     drive = pad_to(scale_drive_to_depth(drive, ring, cfg.uplink_drive_depth),
                    residual.n)

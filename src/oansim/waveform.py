@@ -9,7 +9,7 @@ metadata in ``delay_us`` rather than as a sample shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,13 +26,6 @@ def _cached_fftfreq(n: int, dt: float) -> np.ndarray:
     f = np.fft.fftfreq(n, dt)
     f.setflags(write=False)
     return f
-
-
-@lru_cache(maxsize=32)
-def _cached_times(n: int, dt: float) -> np.ndarray:
-    t = np.arange(n) * dt
-    t.setflags(write=False)
-    return t
 
 
 def _tone_phasor(freq: float, n: int, dt: float) -> np.ndarray:
@@ -77,7 +70,7 @@ class ComplexWaveform:
         return self.n / self.sample_rate
 
     def times(self) -> np.ndarray:
-        return _cached_times(self.n, 1.0 / self.sample_rate)
+        return np.arange(self.n) * (1.0 / self.sample_rate)
 
     def baseband_freqs(self) -> np.ndarray:
         return _cached_fftfreq(self.n, 1.0 / self.sample_rate)
@@ -104,7 +97,7 @@ class ComplexWaveform:
         return replace(self, **kwargs)
 
 
-def psd(wf: ComplexWaveform, nfft: int | None = None):
+def psd(wf: ComplexWaveform):
     """Two-sided periodogram PSD.
 
     Returns (freqs, psd) with freqs absolute (ref_freq added) and psd in
@@ -128,21 +121,6 @@ def band_power(wf: ComplexWaveform, f_lo: float, f_hi: float,
     f = wf.abs_freqs() if absolute else wf.baseband_freqs()
     mask = (f >= f_lo) & (f <= f_hi)
     return float(np.sum(np.abs(spec[mask]) ** 2) / wf.n**2)
-
-
-def frequency_shift(wf: ComplexWaveform, df: float) -> ComplexWaveform:
-    """Shift spectral content by df (ref_freq unchanged)."""
-    rot = _tone_phasor(df, wf.n, 1.0 / wf.sample_rate)
-    return wf.copy_with(samples=wf.samples * rot)
-
-
-def with_ref(wf: ComplexWaveform, new_ref: float) -> ComplexWaveform:
-    """Re-center the complex baseband on a new reference frequency.
-
-    Absolute spectral content is preserved.
-    """
-    rot = _tone_phasor(wf.ref_freq - new_ref, wf.n, 1.0 / wf.sample_rate)
-    return wf.copy_with(samples=wf.samples * rot, ref_freq=new_ref)
 
 
 def scale_db(wf: ComplexWaveform, gain_db: float) -> ComplexWaveform:

@@ -2,12 +2,14 @@
 
 import copy
 import json
+import re
 
 import pytest
 import yaml
 
 from oansim.cli import main
-from oansim.scenarios import DATA_DIR
+from oansim.errors import ConfigError
+from oansim.scenarios import builtin_config_path, load_config
 
 MINI = {
     "name": "cli_mini",
@@ -76,6 +78,50 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(p)]) == 2
+
+
+def _scenario_b_cut():
+    raw = yaml.safe_load(builtin_config_path("scenario_b").read_text())
+    raw["sweep"] = {"rx_power_dbm": [-4.0], "bits_per_point": 100,
+                    "top_bits": 100, "burst_symbols": 50}
+    return raw
+
+
+DELETE = "<delete>"
+
+
+@pytest.mark.parametrize("base, path, value, key", [
+    ("mini", ["tunnels"], [{"occupied_bandwidth": 1e9}], "tunnels.0.if_freq"),
+    ("mini", ["uplink", "rof"], {"occupied_bandwidth": 1e9},
+     "uplink.rof.if_freq"),
+    ("mini", ["amplifier"], {"gain_db": 4.0}, "amplifier.nf_db"),
+    ("mini", ["spans", "feeder_km"], "twenty", "spans.feeder_km"),
+    ("mini", ["sample_rate"], "fast", "sample_rate"),
+    ("mini", ["sweep", "burst_symbols"], "many", "sweep.burst_symbols"),
+    ("mini", ["sweep", "rx_power_dbm"], [], "sweep.rx_power_dbm"),
+    ("mini", ["sweep", "rx_power_dbm"], -3.0, "sweep.rx_power_dbm"),
+    ("adjacent_rf", ["onu", "rof_carrier_tap_db"], DELETE,
+     "onu.rof_carrier_tap_db"),
+    ("adjacent_rf", ["uplink", "rof"],
+     {"if_freq": 2.4e9, "occupied_bandwidth": 2.8e9}, "uplink.rof"),
+])
+def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
+                                                 tmp_path, capsys):
+    raw = copy.deepcopy(MINI) if base == "mini" else _scenario_b_cut()
+    section = raw
+    for name in path[:-1]:
+        section = section.setdefault(name, {})
+    if value == DELETE:
+        del section[path[-1]]
+    else:
+        section[path[-1]] = value
+    p = tmp_path / "malformed.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(p)
+    assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 def test_simulation_error_exits_3(tmp_path, capsys):

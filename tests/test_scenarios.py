@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 import yaml
 
+import oansim.ofdm
+import oansim.scenarios
 from oansim.errors import ConfigError
 from oansim.scenarios import (ScenarioConfig, builtin_config_path,
                               emit_reports, load_config, run_scenario)
@@ -46,7 +48,7 @@ def mini_config(tmp_path, **overrides):
 
 def test_shipped_config_echoes_two_channels_at_100ghz():
     cfg = load_config(builtin_config_path("scenario_a"))
-    plan = cfg.plan()
+    plan = cfg.plan
     assert plan.n_channels == 2
     spacing = plan.channels[1].center_freq - plan.channels[0].center_freq
     assert spacing == pytest.approx(100e9)
@@ -139,6 +141,53 @@ def test_seed_changes_report(tmp_path):
     b = run_scenario(mini_config(tmp_path, seed=78))
     assert json.dumps(a["points"], sort_keys=True) != \
         json.dumps(b["points"], sort_keys=True)
+
+
+def test_undemodulated_bits_count_as_errors(tmp_path, monkeypatch,
+                                            mini_report):
+    # a demodulator one symbol short: every sent bit it never returned
+    # must count as a bit and as an error, the ONU's broadband included
+    real = oansim.ofdm.demodulate_ofdm
+
+    def short(config, waveform, max_symbols=None, track_phase=False):
+        bits, evm = real(config, waveform, max_symbols=max_symbols)
+        return bits[:-config.bits_per_symbol], evm
+
+    monkeypatch.setattr(oansim.ofdm, "demodulate_ofdm", short)
+    monkeypatch.setattr(oansim.scenarios, "demodulate_ofdm", short)
+    cfg = mini_config(tmp_path)
+    per_symbol = cfg.digital.ofdm.bits_per_symbol
+    report = run_scenario(cfg)
+    top, ref = report["points"][-1], mini_report["points"][-1]
+    assert top["bursts"] == ref["bursts"]
+    assert set(top["signals"]) == {"ch0:digital", "uplink:digital"}
+    for name, sig in top["signals"].items():
+        assert ref["signals"][name]["errors"] == 0
+        assert sig["bits"] == ref["signals"][name]["bits"]
+        assert sig["errors"] == top["bursts"] * per_symbol
+
+
+def _shipped_top(name):
+    raw = copy.deepcopy(load_config(builtin_config_path(name)).raw)
+    raw["sweep"].update(rx_power_dbm=raw["sweep"]["rx_power_dbm"][-1:],
+                        burst_symbols=200, top_bits=1000)
+    return ScenarioConfig(raw)
+
+
+@pytest.mark.parametrize("name, signals", [
+    ("scenario_a", {"ch0:digital", "ch0:tunnel1", "ch0:tunnel2",
+                    "ch1:digital", "ch1:tunnel1", "ch1:tunnel2",
+                    "uplink:digital", "uplink:rof"}),
+    ("scenario_b", {"broadband", "rf1", "rf2", "rf3", "rf4", "rf5",
+                    "uplink:digital"}),
+])
+def test_both_overlay_styles_run_reproducibly(name, signals):
+    cfg = _shipped_top(name)
+    first = run_scenario(cfg)
+    assert set(first["points"][0]["signals"]) == signals
+    second = run_scenario(cfg)
+    assert json.dumps(first, sort_keys=True) == \
+        json.dumps(second, sort_keys=True)
 
 
 def test_descending_sweep_rejected(tmp_path):

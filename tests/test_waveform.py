@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from oansim.errors import ConfigError
 from oansim.waveform import (ComplexWaveform, _tone_phasor, band_power,
-                             combine, downconvert, frequency_shift, pad_to,
-                             psd, resample_to, scale_db, set_power_dbm,
-                             upconvert_real, with_ref)
+                             combine, downconvert, pad_to, psd, resample_to,
+                             scale_db, set_power_dbm, upconvert_real)
 
 FS = 16e9
 
@@ -53,22 +52,6 @@ def test_psd_peak_at_tone_frequency():
     wf = tone(2e9, ref=193e12)
     f, p = psd(wf)
     assert f[np.argmax(p)] == pytest.approx(193e12 + 2e9, abs=FS / wf.n)
-
-
-def test_frequency_shift_moves_spectrum():
-    wf = frequency_shift(tone(1e9), 2e9)
-    f, p = psd(wf)
-    assert f[np.argmax(p)] == pytest.approx(3e9, abs=FS / wf.n)
-
-
-def test_with_ref_preserves_absolute_content():
-    wf = tone(1e9, ref=100e9)
-    moved = with_ref(wf, 103e9)
-    assert moved.ref_freq == 103e9
-    # absolute band power at 101 GHz is unchanged
-    before = band_power(wf, 100.9e9, 101.1e9)
-    after = band_power(moved, 100.9e9, 101.1e9)
-    assert after == pytest.approx(before, rel=1e-9)
 
 
 @given(st.floats(-30, 30))
