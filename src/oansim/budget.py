@@ -206,7 +206,10 @@ class LatencyReport:
 
 def latency_budget(topology: TopologySpec, path: list,
                    service: ServiceRequirement) -> LatencyReport:
-    """One-way latency ledger along a node path, checked against a service."""
+    """One-way latency ledger along a node path, checked against a service.
+
+    Passes when the total is at or below the service limit.
+    """
     items = []
     for node_id in path:
         node = topology.node(node_id)
@@ -243,9 +246,10 @@ def comp_feasibility(topology: TopologySpec, ru_ids, controller: str,
                      max_skew_us: float = COMP_MAX_SKEW_US) -> FeasibilityReport:
     """CoMP joint-processing feasibility over a set of remote units.
 
-    Passes iff every RU's one-way latency to the controller is under the
-    limit and either the pairwise differential delay fits the sync window
-    or the controller compensates skew.
+    Passes iff every RU's one-way latency to the controller is at or below
+    the limit, as in :func:`latency_budget`, and either the pairwise
+    differential delay fits the sync window or the controller compensates
+    skew.
     """
     ru_ids = sorted(ru_ids)
     latency = {}
@@ -266,7 +270,7 @@ def comp_feasibility(topology: TopologySpec, ru_ids, controller: str,
             max_skew = max(max_skew, skew)
             if skew > max_skew_us:
                 offending.append((a, b, skew))
-    latency_ok = all(v < max_one_way_us for v in latency.values())
+    latency_ok = all(v <= max_one_way_us for v in latency.values())
     skew_ok = compensated or not offending
     return FeasibilityReport(latency_ok and skew_ok, latency, max_skew,
                              offending, compensated)

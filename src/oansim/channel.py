@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as fftpack
 from scipy.constants import c as C_LIGHT
 from scipy.constants import e as Q_ELECTRON
 from scipy.constants import h as H_PLANCK
@@ -70,8 +69,9 @@ def propagate_fiber(field: ComplexWaveform, params: FiberParams) -> ComplexWavef
         return field.copy_with()
     amp = 10.0 ** (-params.total_loss_db / 20.0)
     h = np.exp(1j * dispersion_phase(params, field.baseband_freqs()))
-    out = fftpack.ifft(fftpack.fft(field.samples) * h) * amp
-    return field.copy_with(samples=out,
+    h *= amp
+    h *= field.spectrum
+    return field.copy_with(spectrum=h,
                            delay_us=field.delay_us + params.one_way_delay_us())
 
 
@@ -94,7 +94,7 @@ def split_power(field: ComplexWaveform, n_ways: int,
     if n_ways < 1:
         raise ConfigError("n_ways must be >= 1")
     loss_db = 10.0 * np.log10(n_ways) + excess_db
-    return field.copy_with(samples=field.samples * 10.0 ** (-loss_db / 20.0))
+    return field.scaled(10.0 ** (-loss_db / 20.0))
 
 
 def amplify_ase(field: ComplexWaveform, gain_db: float, nf_db: float,

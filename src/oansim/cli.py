@@ -31,8 +31,8 @@ from .budget import (FRONTHAUL_PRESETS, SERVICE_CATALOG, FronthaulSpec,
 from .channel import FiberParams
 from .devices import RingParams, ring_response
 from .errors import ConfigError, SimulationError
-from .scenarios import (ScenarioConfig, builtin_config_path, emit_reports,
-                        load_config, run_scenario)
+from .scenarios import (ScenarioConfig, _get, builtin_config_path,
+                        emit_reports, load_config, run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,95 +91,109 @@ def _cmd_sweep(args) -> int:
 # budget subcommand
 
 
+def _reader(raw: dict, key: str):
+    """``get(name, convert=float, default=None)``: the value at key.name."""
+    return lambda name, convert=float, default=None: _get(
+        raw, f"{key}.{name}", convert, default)
+
+
+def _entries(raw: dict, key: str) -> list:
+    """A reader of each item of the optional list at ``key``."""
+    return [_reader(raw, f"{key}.{i}")
+            for i in range(len(_get(raw, key, list, [])))]
+
+
+def _components(val) -> tuple:
+    return tuple((str(label), float(db)) for label, db in val)
+
+
 def _budget_topology(raw: dict) -> TopologySpec:
-    nodes = [NodeSpec(n["id"], n["kind"],
-                      processing_delay_us=float(n.get("processing_delay_us", 0.0)),
-                      sync_compensation=bool(n.get("sync_compensation", False)))
-             for n in raw.get("nodes", [])]
-    links = []
-    for ln in raw.get("links", []):
-        fiber = FiberParams(
-            float(ln["length_km"]),
-            atten_db_per_km=float(ln.get("atten_db_per_km", 0.2)),
-            dispersion_ps_nm_km=float(ln.get("dispersion_ps_nm_km", 17.0)))
-        comps = tuple((str(label), float(db))
-                      for label, db in ln.get("components", []))
-        links.append(LinkSpec(ln["from"], ln["to"], fiber, comps))
+    nodes = [NodeSpec(get("id", str), get("kind", str),
+                      get("processing_delay_us", float, 0.0),
+                      get("sync_compensation", bool, False))
+             for get in _entries(raw, "nodes")]
+    links = [LinkSpec(get("from", str), get("to", str),
+                      FiberParams(get("length_km"),
+                                  get("atten_db_per_km", float, 0.2),
+                                  get("dispersion_ps_nm_km", float, 17.0)),
+                      get("components", _components, ()))
+             for get in _entries(raw, "links")]
     return TopologySpec(nodes, links)
 
 
-def _budget_service(entry) -> ServiceRequirement:
+def _budget_service(get) -> ServiceRequirement:
+    entry = get("service", lambda v: v)
     if isinstance(entry, str):
         if entry not in SERVICE_CATALOG:
             raise ConfigError(
                 f"unknown service '{entry}'; catalog: {sorted(SERVICE_CATALOG)}")
         return SERVICE_CATALOG[entry]
     return ServiceRequirement(
-        entry["name"], float(entry["one_way_latency_limit_ms"]),
-        dl_rate_bps=float(entry.get("dl_rate_bps", 0.0)),
-        ul_rate_bps=float(entry.get("ul_rate_bps", 0.0)))
+        get("service.name", str), get("service.one_way_latency_limit_ms"),
+        get("service.dl_rate_bps", float, 0.0),
+        get("service.ul_rate_bps", float, 0.0))
 
 
-def _budget_fronthaul(entry) -> FronthaulSpec:
+def _budget_fronthaul(entry, get) -> FronthaulSpec:
     if isinstance(entry, str):
         if entry not in FRONTHAUL_PRESETS:
             raise ConfigError(f"unknown fronthaul preset '{entry}'; "
                               f"presets: {sorted(FRONTHAUL_PRESETS)}")
         return FRONTHAUL_PRESETS[entry]
     return FronthaulSpec(
-        entry["kind"], float(entry["rf_bandwidth"]),
-        sample_rate=float(entry.get("sample_rate", 0.0)),
-        bit_width=int(entry.get("bit_width", 0)),
-        n_antenna_streams=int(entry.get("n_antenna_streams", 1)),
-        ecpri_split_factor=float(entry.get("ecpri_split_factor", 1.0)),
-        guard=float(entry.get("guard", 0.0)))
+        get("kind", str), get("rf_bandwidth"),
+        sample_rate=get("sample_rate", float, 0.0),
+        bit_width=get("bit_width", int, 0),
+        n_antenna_streams=get("n_antenna_streams", int, 1),
+        ecpri_split_factor=get("ecpri_split_factor", float, 1.0),
+        guard=get("guard", float, 0.0))
 
 
 def run_budget(raw: dict) -> dict:
-    """Evaluate every budget request in a topology config; returns a dict."""
+    """Evaluate every budget request in a topology config; returns a dict.
+
+    A missing or malformed value raises ConfigError naming its dotted key.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("budget config is empty or not a mapping")
     topo = _budget_topology(raw)
-    report: dict = {"name": raw.get("name", "budget")}
+    report: dict = {"name": _get(raw, "name", str, "budget")}
 
-    latency = []
-    for req in raw.get("latency", []):
-        svc = _budget_service(req["service"])
-        rep = latency_budget(topo, list(req["path"]), svc)
-        latency.append({"path": list(req["path"]), "service": svc.name,
-                        **rep.to_dict()})
-    report["latency"] = latency
+    report["latency"] = []
+    for get in _entries(raw, "latency"):
+        svc, path = _budget_service(get), get("path", list)
+        report["latency"].append({"path": path, "service": svc.name,
+                                  **latency_budget(topo, path, svc).to_dict()})
 
-    comp = []
-    for req in raw.get("comp", []):
+    report["comp"] = []
+    for get in _entries(raw, "comp"):
         rep = comp_feasibility(
-            topo, list(req["rus"]), req["controller"],
-            max_one_way_us=float(req.get("max_one_way_us", 150.0)),
-            max_skew_us=float(req.get("max_skew_us", 1.5)))
-        comp.append({"controller": req["controller"],
-                     "rus": sorted(req["rus"]), **rep.to_dict()})
-    report["comp"] = comp
+            topo, get("rus", list), get("controller", str),
+            max_one_way_us=get("max_one_way_us", float, 150.0),
+            max_skew_us=get("max_skew_us", float, 1.5))
+        report["comp"].append({"controller": get("controller", str),
+                               "rus": sorted(get("rus", list)),
+                               **rep.to_dict()})
 
-    fronthaul = []
-    for entry in raw.get("fronthaul", []):
-        spec = _budget_fronthaul(entry)
+    report["fronthaul"] = []
+    for i, get in enumerate(_entries(raw, "fronthaul")):
+        entry = raw["fronthaul"][i]
+        spec = _budget_fronthaul(entry, get)
         dim = fronthaul_dimension(spec)
         dim["preset"] = entry if isinstance(entry, str) else spec.kind
-        fronthaul.append(dim)
-    report["fronthaul"] = fronthaul
+        report["fronthaul"].append(dim)
 
-    power = []
-    for req in raw.get("power", []):
+    report["power"] = []
+    for get in _entries(raw, "power"):
         rep = power_budget(
-            topo, list(req["path"]),
-            tx_power_dbm=float(req.get("tx_power_dbm", 0.0)),
-            coupling=req.get("coupling", "packaged"),
-            n_facets=int(req.get("n_facets", 2)),
-            bus_stages=int(req.get("bus_stages", 0)),
-            bus_loss_db_per_stage=float(req.get("bus_loss_db_per_stage", 0.1)),
-            rx_sensitivity_dbm=float(req.get("rx_sensitivity_dbm", -20.0)))
-        power.append({"path": list(req["path"]), **rep.to_dict()})
-    report["power"] = power
+            topo, get("path", list),
+            tx_power_dbm=get("tx_power_dbm", float, 0.0),
+            coupling=get("coupling", str, "packaged"),
+            n_facets=get("n_facets", int, 2),
+            bus_stages=get("bus_stages", int, 0),
+            bus_loss_db_per_stage=get("bus_loss_db_per_stage", float, 0.1),
+            rx_sensitivity_dbm=get("rx_sensitivity_dbm", float, -20.0))
+        report["power"].append({"path": get("path", list), **rep.to_dict()})
     return report
 
 

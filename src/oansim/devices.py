@@ -248,9 +248,9 @@ def _memory_samples(params: RingParams, fs: float) -> int:
 
 
 def _static_filter(field: ComplexWaveform, params: RingParams,
-                   detune: float) -> np.ndarray:
+                   detune: float) -> ComplexWaveform:
     h = _through_static_grid(params, field, detune)
-    return fftpack.ifft(fftpack.fft(field.samples) * h)
+    return field.copy_with(spectrum=field.spectrum * h)
 
 
 def _apply_blockwise(field: ComplexWaveform, params: RingParams,
@@ -297,29 +297,32 @@ def _apply_blockwise(field: ComplexWaveform, params: RingParams,
 
 
 def _apply_tone(field: ComplexWaveform, params: RingParams,
-                detune: np.ndarray, window_hz: float,
-                field_spec: np.ndarray | None = None) -> np.ndarray:
-    spec = fftpack.fft(field.samples) if field_spec is None else field_spec
+                detune: np.ndarray, window_hz: float) -> ComplexWaveform:
+    spec = field.spectrum
     f_abs = field.abs_freqs()
-    center = params.effective_resonance + float(np.mean(detune))
-    mask = np.abs(f_abs - center) <= window_hz
-    p_res = np.sum(np.abs(spec[mask]) ** 2)
     bias_detune = float(np.mean(detune))
+    mask = np.abs(f_abs - (params.effective_resonance + bias_detune)) \
+        <= window_hz
+    p_res = np.sum(np.abs(spec[mask]) ** 2)
     if p_res <= 1e-15 * np.sum(np.abs(spec) ** 2):
         # nothing resonant: purely static filtering
         return _static_filter(field, params, bias_detune)
     f_tone = float(np.sum(f_abs[mask] * np.abs(spec[mask]) ** 2) / p_res)
+    # the resonant line sees the instantaneous response in time, the rest
+    # the static response in frequency
     x_res = fftpack.ifft(np.where(mask, spec, 0.0))
-    h_off = _through_static_grid(params, field, bias_detune)
-    x_off = fftpack.ifft(np.where(mask, 0.0, spec) * h_off)
-    h_t = _through_detuned(params, f_tone, detune)
-    return x_off + h_t * x_res
+    x_res *= _through_detuned(params, f_tone, detune)
+    out = fftpack.fft(x_res)
+    del x_res
+    off = spec * _through_static_grid(params, field, bias_detune)
+    off[mask] = 0.0
+    out += off
+    return field.copy_with(spectrum=out)
 
 
 def apply_mrm(field: ComplexWaveform, params: RingParams,
               drive: ComplexWaveform, method: str = "auto",
-              tone_window_hz: float | None = None,
-              field_spec: np.ndarray | None = None) -> ComplexWaveform:
+              tone_window_hz: float | None = None) -> ComplexWaveform:
     """Modulate an optical field with one microring modulator.
 
     The resonance is shifted by ``mod_efficiency * (bias_volt + drive(t))``
@@ -343,8 +346,7 @@ def apply_mrm(field: ComplexWaveform, params: RingParams,
         tone_window_hz = 3.0 * params.fwhm + float(np.ptp(detune)) / 2.0
 
     if np.ptp(detune) == 0.0:
-        out = _static_filter(field, params, float(detune[0]))
-        return field.copy_with(samples=out)
+        return _static_filter(field, params, float(detune[0]))
 
     if method in ("auto", "block"):
         bw = _drive_bandwidth(v, field.sample_rate)
@@ -352,13 +354,11 @@ def apply_mrm(field: ComplexWaveform, params: RingParams,
         if method == "auto":
             method = "block" if field.n / block_len <= 50_000 else "tone"
     if method == "block":
-        out = _apply_blockwise(field, params, detune, block_len)
-    elif method == "tone":
-        out = _apply_tone(field, params, detune, tone_window_hz,
-                          field_spec=field_spec)
-    else:
-        raise ConfigError(f"unknown apply_mrm method '{method}'")
-    return field.copy_with(samples=out)
+        return field.copy_with(
+            samples=_apply_blockwise(field, params, detune, block_len))
+    if method == "tone":
+        return _apply_tone(field, params, detune, tone_window_hz)
+    raise ConfigError(f"unknown apply_mrm method '{method}'")
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +387,12 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
     phase = config.branch_phase
     if config.sideband == "lower":
         phase = -phase
-    spec = fftpack.fft(field.samples) if method == "tone" else None
     out_i = apply_mrm(field, config.ring_i, i_drive, method=method,
-                      tone_window_hz=tone_window_hz, field_spec=spec)
+                      tone_window_hz=tone_window_hz)
     out_q = apply_mrm(field, config.ring_q, q_drive, method=method,
-                      tone_window_hz=tone_window_hz, field_spec=spec)
-    combined = 0.5 * (out_i.samples + np.exp(1j * phase) * out_q.samples)
-    return field.copy_with(samples=combined)
+                      tone_window_hz=tone_window_hz)
+    return field.copy_with(spectrum=0.5 * (
+        out_i.spectrum + np.exp(1j * phase) * out_q.spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +413,7 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     if clock_freq >= field.sample_rate / 2.0:
         raise ConfigError("clock frequency beyond Nyquist")
     # verify a tone is present near the biased resonance
-    spec = fftpack.fft(field.samples)
-    spec2 = np.abs(spec) ** 2
+    spec2 = np.abs(field.spectrum) ** 2
     f_abs = field.abs_freqs()
     near = np.abs(f_abs - params.bias_resonance) <= max(params.fwhm, 1.0)
     if not np.any(near) or np.sum(spec2[near]) < 1e-9 * np.sum(spec2):
@@ -424,7 +422,7 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
         )
     if clock_amplitude_volt == 0.0:
         bias = params.mod_efficiency * params.bias_volt
-        return field.copy_with(samples=_static_filter(field, params, bias))
+        return _static_filter(field, params, bias)
     tone = _tone_phasor(clock_freq, field.n, 1.0 / field.sample_rate)
     drive = field.copy_with(
         samples=(clock_amplitude_volt
@@ -435,7 +433,7 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     if tone_window_hz is None:
         tone_window_hz = max(3.0 * params.fwhm, 0.4 * clock_freq)
     return apply_mrm(field, params, drive, method="tone",
-                     tone_window_hz=tone_window_hz, field_spec=spec)
+                     tone_window_hz=tone_window_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +472,9 @@ def drop_filter(field: ComplexWaveform, center: float, bandwidth: float,
     h_drop, h_thru = _cached_drop_pair(
         field.n, 1.0 / field.sample_rate, field.ref_freq,
         float(center), float(bandwidth), int(order))
-    spec = fftpack.fft(field.samples)
-    dropped = field.copy_with(samples=fftpack.ifft(spec * h_drop))
-    through = field.copy_with(samples=fftpack.ifft(spec * h_thru))
-    return dropped, through
+    spec = field.spectrum
+    return (field.copy_with(spectrum=spec * h_drop),
+            field.copy_with(spectrum=spec * h_thru))
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +491,5 @@ def cascade_bus(field: ComplexWaveform, stages,
     out = field
     loss = 10.0 ** (-passband_loss_db / 20.0)
     for stage in stages:
-        out = stage(out)
-        out = out.copy_with(samples=out.samples * loss)
+        out = stage(out).scaled(loss)
     return out

@@ -272,12 +272,16 @@ class ScenarioConfig:
 
         slot = [_get(raw, f"wdm.{key}") for key in
                 ("slot_width", "digital_subband", "rof_subcarrier_offset")]
-        self.plan = WdmPlan([
-            WdmChannel(self.center_freq + off, *slot)
-            for off in _get(raw, "wdm.channel_offsets", _floats)])
+        slot_width, subband, f_s = slot
+        offsets = _get(raw, "wdm.channel_offsets", _floats)
+        self.plan = WdmPlan([WdmChannel(self.center_freq + off, *slot)
+                             for off in offsets])
         if not tunnels and self.plan.n_channels != 1:
             raise ConfigError("wdm.channel_offsets: adjacent_rf expects a "
                               "single WDM channel")
+        if max(offsets) - min(offsets) + slot_width > self.sample_rate:
+            raise ConfigError("wdm.channel_offsets: the simulation bandwidth "
+                              "(sample_rate) does not cover the plan")
 
         # burst window: the record that holds burst_symbols digital symbols,
         # rounded up to a power of two so that the whole-record FFTs along
@@ -297,6 +301,10 @@ class ScenarioConfig:
                            max(1, int(window / ofdm.frame_duration()) - 1))
 
         self.digital = signal("digital", 1)
+        if (self.digital.if_freq + self.digital.ofdm.occupied_bandwidth / 2.0
+                > subband / 2.0):
+            raise ConfigError("digital.if_freq: the digital payload does not "
+                              "fit in the digital subband")
         self.digital_sideband = _get(raw, "digital.sideband", _sideband)
         key, seed_offset = ("tunnels", 10) if tunnels else ("rf_channels", 30)
         self.payloads = [signal(f"{key}.{i}", seed_offset + i)
@@ -305,6 +313,13 @@ class ScenarioConfig:
             if len(self.payloads) > 2:
                 raise ConfigError("tunnels: at most two, on the +f_s and "
                                   "-f_s subcarriers")
+            # a tunnel must fit between the digital subband and slot edges
+            extent = min(slot_width / 2.0 - f_s, f_s - subband / 2.0)
+            for i, tunnel in enumerate(self.payloads):
+                if tunnel.edges()[1] > extent:
+                    raise ConfigError(
+                        f"tunnels.{i}: the radio payload spills past "
+                        f"+/-{extent/1e9:.2f} GHz around the subcarrier")
             self.groups = [[k] for k in range(len(self.payloads))]
         else:
             self.groups = raw["rf_groups"]
@@ -350,6 +365,8 @@ class ScenarioConfig:
         if raw["amplifier"]:
             self.amplifier = (_get(raw, "amplifier.gain_db"),
                               _get(raw, "amplifier.nf_db"))
+            if self.amplifier[0] < 0:
+                raise ConfigError("amplifier.gain_db must be >= 0 dB")
         self.onu = self._read_onu()
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):

@@ -5,11 +5,18 @@ Samples are complex amplitudes in sqrt(W), so ``|s|**2`` is instantaneous
 power in W.  ``ref_freq`` is the absolute frequency of the complex-baseband
 origin (0 for electrical signals).  Bulk propagation delay is carried as
 metadata in ``delay_us`` rather than as a sample shift.
+
+A waveform holds its samples, their spectrum (the unnormalized DFT in
+``scipy.fft`` bin order) or both.  The missing one is computed through
+``scipy.fft`` on first read and kept, so linear stages multiply the
+spectrum and the stages after them read it without a fresh transform.
+Both arrays are read-only: a stage makes a new waveform through
+``copy_with(samples=...)`` or ``copy_with(spectrum=...)``, which drops the
+other, now stale, representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,27 +54,50 @@ def _tone_phasor(freq: float, n: int, dt: float) -> np.ndarray:
     return np.exp(2j * np.pi * freq * np.arange(n) * dt)
 
 
-@dataclass
-class ComplexWaveform:
-    samples: np.ndarray
-    sample_rate: float
-    ref_freq: float = 0.0
-    delay_us: float = 0.0
+def _read_only(values) -> np.ndarray:
+    a = np.asarray(values, dtype=np.complex128).view()
+    a.flags.writeable = False
+    return a
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+
+class ComplexWaveform:
+    """A signal on a uniform grid, as samples, spectrum or both.
+
+    Give ``samples``, ``spectrum`` or both; when both are given they must
+    be each other's transform.  The arrays are held, not copied, so the
+    caller must not write to them afterwards.
+    """
+
+    def __init__(self, samples, sample_rate: float, ref_freq: float = 0.0,
+                 delay_us: float = 0.0, spectrum=None):
+        if samples is None and spectrum is None:
+            raise ConfigError("waveform needs samples or a spectrum")
+        self._samples = None if samples is None else _read_only(samples)
+        self._spectrum = None if spectrum is None else _read_only(spectrum)
+        self.sample_rate = sample_rate
+        self.ref_freq = ref_freq
+        self.delay_us = delay_us
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be > 0")
-        if self.samples.size == 0:
+        if self.n == 0:
             raise ConfigError("waveform must contain at least one sample")
 
     @property
-    def n(self) -> int:
-        return self.samples.size
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            self._samples = _read_only(fftpack.ifft(self._spectrum))
+        return self._samples
 
     @property
-    def duration(self) -> float:
-        return self.n / self.sample_rate
+    def spectrum(self) -> np.ndarray:
+        """DFT of the samples, unnormalized, in ``scipy.fft`` bin order."""
+        if self._spectrum is None:
+            self._spectrum = _read_only(fftpack.fft(self._samples))
+        return self._spectrum
+
+    @property
+    def n(self) -> int:
+        return (self._spectrum if self._samples is None else self._samples).size
 
     def times(self) -> np.ndarray:
         return np.arange(self.n) * (1.0 / self.sample_rate)
@@ -79,8 +109,10 @@ class ComplexWaveform:
         return self.baseband_freqs() + self.ref_freq
 
     def power(self) -> float:
-        """Mean power in W."""
-        return float(np.mean(np.abs(self.samples) ** 2))
+        """Mean power in W (by Parseval when only the spectrum is held)."""
+        if self._samples is None:
+            return float(np.sum(np.abs(self._spectrum) ** 2) / self.n**2)
+        return float(np.mean(np.abs(self._samples) ** 2))
 
     def power_dbm(self) -> float:
         return 10.0 * np.log10(self.power() * 1e3)
@@ -93,21 +125,35 @@ class ComplexWaveform:
         scale = np.max(np.abs(self.samples)) or 1.0
         return bool(np.max(np.abs(self.samples.imag)) <= tol * scale)
 
-    def copy_with(self, **kwargs) -> "ComplexWaveform":
-        return replace(self, **kwargs)
+    def copy_with(self, samples=None, spectrum=None,
+                  **attrs) -> ComplexWaveform:
+        """A copy with new content or attributes.
+
+        New ``samples`` or a new ``spectrum`` replace both representations;
+        without either the copy shares this waveform's arrays.
+        """
+        if samples is None and spectrum is None:
+            samples, spectrum = self._samples, self._spectrum
+        kwargs = {"sample_rate": self.sample_rate, "ref_freq": self.ref_freq,
+                  "delay_us": self.delay_us, **attrs}
+        return ComplexWaveform(samples, spectrum=spectrum, **kwargs)
+
+    def scaled(self, gain: float) -> ComplexWaveform:
+        """This waveform times ``gain``, in each representation it holds."""
+        return self.copy_with(
+            samples=None if self._samples is None else self._samples * gain,
+            spectrum=None if self._spectrum is None else self._spectrum * gain)
 
 
 def psd(wf: ComplexWaveform):
-    """Two-sided periodogram PSD.
+    """Two-sided periodogram PSD, |X|^2 / (sample_rate n).
 
     Returns (freqs, psd) with freqs absolute (ref_freq added) and psd in
     W/Hz, both sorted by frequency.
     """
-    f, p = sig.periodogram(
-        wf.samples, fs=wf.sample_rate, return_onesided=False, detrend=False
-    )
-    order = np.argsort(f)
-    return f[order] + wf.ref_freq, p[order]
+    p = np.abs(wf.spectrum) ** 2 / (wf.sample_rate * wf.n)
+    return (np.fft.fftshift(wf.baseband_freqs()) + wf.ref_freq,
+            np.fft.fftshift(p))
 
 
 def band_power(wf: ComplexWaveform, f_lo: float, f_hi: float,
@@ -117,14 +163,13 @@ def band_power(wf: ComplexWaveform, f_lo: float, f_hi: float,
     ``absolute`` selects absolute frequencies (ref_freq included) versus
     baseband offsets.
     """
-    spec = fftpack.fft(wf.samples)
     f = wf.abs_freqs() if absolute else wf.baseband_freqs()
     mask = (f >= f_lo) & (f <= f_hi)
-    return float(np.sum(np.abs(spec[mask]) ** 2) / wf.n**2)
+    return float(np.sum(np.abs(wf.spectrum[mask]) ** 2) / wf.n**2)
 
 
 def scale_db(wf: ComplexWaveform, gain_db: float) -> ComplexWaveform:
-    return wf.copy_with(samples=wf.samples * 10.0 ** (gain_db / 20.0))
+    return wf.scaled(10.0 ** (gain_db / 20.0))
 
 
 def set_power_dbm(wf: ComplexWaveform, target_dbm: float) -> ComplexWaveform:
@@ -155,7 +200,7 @@ def upconvert_real(wf: ComplexWaveform, f_rf: float,
     if half_bw is None:
         # occupied half-bandwidth: 99.9%-power spectral extent
         f = np.abs(wf.baseband_freqs())
-        spec2 = np.abs(fftpack.fft(wf.samples)) ** 2
+        spec2 = np.abs(wf.spectrum) ** 2
         order = np.argsort(f)
         cum = np.cumsum(spec2[order])
         if cum[-1] > 0:

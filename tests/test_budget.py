@@ -78,6 +78,20 @@ def test_latency_budget_ledger():
     assert rep.passes
 
 
+def test_latency_at_the_limit_passes():
+    # 10 km + 20 km at 5 us/km is exactly the 150 us CoMP limit
+    topo = tree(ru1_km=30.0, ru2_km=30.0)
+    svc = ServiceRequirement("at_limit", 0.15)
+    rep = latency_budget(topo, ["co", "edge", "ru1"], svc)
+    assert rep.total_us == rep.limit_us == 150.0
+    assert rep.passes
+    comp = comp_feasibility(topo, ["ru1", "ru2"], "co")
+    assert comp.per_ru_latency_us["ru1"] == 150.0
+    assert comp.passes
+    assert not comp_feasibility(topo, ["ru1", "ru2"], "co",
+                                max_one_way_us=149.999).passes
+
+
 def test_latency_budget_fail_case():
     topo = tree(ru1_km=150.0)
     svc = ServiceRequirement("tight", 0.5)  # 500 us limit

@@ -69,6 +69,16 @@ def test_dispersion_composition():
     assert np.max(np.abs(once.samples - twice.samples)) < 1e-9 * num
 
 
+def test_propagation_matches_the_fft_round_trip():
+    wf = noise_field()
+    fiber = FiberParams(20.0)
+    h = np.exp(1j * dispersion_phase(fiber, np.fft.fftfreq(wf.n, 1 / FS)))
+    want = np.fft.ifft(np.fft.fft(wf.samples) * h) \
+        * 10.0 ** (-fiber.total_loss_db / 20.0)
+    got = propagate_fiber(wf, fiber).samples
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_dispersion_phase_quadratic():
     fiber = FiberParams(20.0)
     f = np.array([0.0, 1e9, 2e9])

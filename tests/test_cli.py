@@ -156,6 +156,23 @@ def test_budget_bad_service_exits_2(tmp_path):
     assert main(["budget", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize("link, key", [
+    ({"from": "a", "to": "b"}, "links.0.length_km"),
+    ({"from": "a", "to": "b", "length_km": "far"}, "links.0.length_km"),
+])
+def test_malformed_budget_exits_2_naming_the_key(link, key, tmp_path, capsys):
+    p = tmp_path / "bad_budget.yaml"
+    p.write_text(yaml.safe_dump({
+        "name": "x",
+        "nodes": [{"id": "a", "kind": "central_office"},
+                  {"id": "b", "kind": "onu"}],
+        "links": [link],
+    }))
+    assert main(["budget", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 def test_devices_csv(tmp_path):
     out = tmp_path / "dev"
     assert main(["devices", "--config", "scenario_a", "--out", str(out),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oansim.devices import (CombSpec, IqMrmConfig, RingParams, apply_mrm,
+from oansim.devices import (CombSpec, IqMrmConfig, RingParams,
+                            _through_detuned, _through_static_grid, apply_mrm,
                             cascade_bus, comb_source, drop_filter,
                             generate_subcarriers, hilbert_pair, iq_mrm_ssb,
                             ring_response, thermal_tune)
@@ -329,3 +330,86 @@ def test_cascade_bus_fold_equivalence(n_stages):
     out = cascade_bus(field, stages, passband_loss_db=0.0)
     assert out.power() == pytest.approx(field.power() * 0.81 ** n_stages,
                                         rel=1e-9)
+
+
+# ------------------------------------------- spectrum stages vs FFT round trips
+#
+# The linear stages multiply the field's cached spectrum.  Each must match
+# the round trip ifft(fft(x) * H) it replaced to FFT round-off; the ring
+# responses come from the same helpers on both sides.
+
+
+def two_tone_field(n=65536):
+    """Carrier plus a weak line at +15 GHz, outside any tone window."""
+    t = np.arange(n) / FS
+    x = np.sqrt(1e-3) * (1.0 + 0.1 * np.exp(2j * np.pi * 15e9 * t))
+    return ComplexWaveform(x, FS, ref_freq=F0)
+
+
+def cos_drive(field, f_m=5e9, depth=0.05):
+    return field.copy_with(
+        samples=(depth * np.cos(2 * np.pi * f_m * field.times())
+                 ).astype(np.complex128), ref_freq=0.0)
+
+
+def assert_round_off(got, want):
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def round_trip_tone(field, ring, drive, window):
+    """The tone path as a pair of inverse transforms and a time-domain sum."""
+    detune = ring.mod_efficiency * (ring.bias_volt + drive.samples.real)
+    spec = np.fft.fft(field.samples)
+    f_abs = np.fft.fftfreq(field.n, 1 / field.sample_rate) + field.ref_freq
+    bias = float(np.mean(detune))
+    mask = np.abs(f_abs - (ring.effective_resonance + bias)) <= window
+    p2 = np.abs(spec[mask]) ** 2
+    f_tone = float(np.sum(f_abs[mask] * p2) / np.sum(p2))
+    x_res = np.fft.ifft(np.where(mask, spec, 0.0))
+    x_off = np.fft.ifft(np.where(mask, 0.0, spec)
+                        * _through_static_grid(ring, field, bias))
+    return x_off + _through_detuned(ring, f_tone, detune) * x_res
+
+
+def test_drop_filter_matches_the_fft_round_trip():
+    field = two_tone_field()
+    center, bandwidth, order = F0 + 12e9, 10e9, 3
+    u = 2.0 * (np.fft.fftfreq(field.n, 1 / FS) + F0 - center) / bandwidth
+    mag2 = 1.0 / (1.0 + u ** (2 * order))
+    spec = np.fft.fft(field.samples)
+    dropped, through = drop_filter(field, center, bandwidth, order)
+    assert_round_off(dropped.samples, np.fft.ifft(spec * np.sqrt(mag2)))
+    assert_round_off(through.samples, np.fft.ifft(spec * np.sqrt(1 - mag2)))
+
+
+def test_static_ring_filter_matches_the_fft_round_trip():
+    ring = slope_biased_ring(F0)
+    field = two_tone_field()
+    zero = cos_drive(field, depth=0.0)
+    h = _through_static_grid(ring, field, ring.mod_efficiency * ring.bias_volt)
+    assert_round_off(apply_mrm(field, ring, zero).samples,
+                     np.fft.ifft(np.fft.fft(field.samples) * h))
+
+
+def test_tone_mrm_matches_the_fft_round_trip():
+    ring = slope_biased_ring(F0)
+    field = two_tone_field()
+    drive = cos_drive(field)
+    window = 3.0 * ring.fwhm + ring.mod_efficiency * np.ptp(
+        drive.samples.real) / 2.0
+    got = apply_mrm(field, ring, drive, method="tone")
+    assert_round_off(got.samples, round_trip_tone(field, ring, drive, window))
+
+
+def test_iq_ssb_matches_the_fft_round_trip():
+    ring = slope_biased_ring(F0)
+    field = two_tone_field()
+    i = cos_drive(field)
+    q = hilbert_pair(i)
+    window = 8e9
+    cfg = IqMrmConfig(ring, ring, sideband="lower")
+    got = iq_mrm_ssb(field, cfg, i, q, method="tone", tone_window_hz=window)
+    want = 0.5 * (round_trip_tone(field, ring, i, window)
+                  + np.exp(-1j * np.pi / 2)
+                  * round_trip_tone(field, ring, q, window))
+    assert_round_off(got.samples, want)

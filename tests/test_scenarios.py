@@ -2,9 +2,12 @@
 
 import copy
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.fft
 import yaml
 
 import oansim.ofdm
@@ -94,6 +97,22 @@ def test_seed_must_be_integer(tmp_path):
 def test_unknown_overlay_style_rejected(tmp_path):
     with pytest.raises(ConfigError, match="overlay_style"):
         mini_config(tmp_path, overlay_style="mesh")
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"amplifier": {"gain_db": -1.0, "nf_db": 4.0}}, "amplifier.gain_db"),
+    # 9.5 GHz + 1 GHz half-bandwidth runs past the 10 GHz subband edge
+    ({"digital": {**MINI["digital"], "if_freq": 9.5e9}}, "digital.if_freq"),
+    # two 50 GHz slots 50 GHz apart need more than 64 GS/s
+    ({"wdm": {"channel_offsets": [0.0, 50.0e9]}}, "wdm.channel_offsets"),
+    # 3 GHz + 0.55 x 4 GHz passes the 5 GHz between subcarrier and slot edge
+    ({"tunnels": [{"if_freq": 3.0e9, "occupied_bandwidth": 4.0e9,
+                   "qam_order": 16}]}, "tunnels.0"),
+])
+def test_values_checked_in_bursts_are_rejected_at_load(tmp_path, overrides,
+                                                       key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        mini_config(tmp_path, **overrides)
 
 
 def test_defaults_echoed_into_manifest(tmp_path):
@@ -188,6 +207,38 @@ def test_both_overlay_styles_run_reproducibly(name, signals):
     second = run_scenario(cfg)
     assert json.dumps(first, sort_keys=True) == \
         json.dumps(second, sort_keys=True)
+
+
+_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2",
+               "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.mark.parametrize("name, most", [("scenario_a", 43),
+                                        ("scenario_b", 29)])
+def test_whole_record_transforms_per_burst(name, most, monkeypatch):
+    """Linear stages multiply the cached field spectrum, so one burst runs
+    at most ``most`` transforms as long as its record (93 and 54, spectrum
+    snapshot included, when each stage made its own round trip)."""
+    lengths = []
+
+    def counted(transform):
+        def wrapper(x, *args, **kwargs):
+            out = transform(x, *args, **kwargs)
+            lengths.append(max(np.shape(x)[-1], np.shape(out)[-1]))
+            return out
+        return wrapper
+
+    for module in (scipy.fft, np.fft):
+        for fn in _TRANSFORMS:
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, counted(getattr(module, fn)))
+    cfg = _shipped_top(name)
+    report = run_scenario(cfg)
+    assert report["points"][0]["bursts"] == 1
+    whole = [n for n in lengths if n >= cfg.n_record]
+    # every whole-record transform runs at the record's own length
+    assert len(set(whole)) == 1
+    assert len(whole) <= most
 
 
 def test_descending_sweep_rejected(tmp_path):

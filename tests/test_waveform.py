@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sig
 
 from oansim.errors import ConfigError
 from oansim.waveform import (ComplexWaveform, _tone_phasor, band_power,
@@ -30,6 +31,63 @@ def test_empty_and_bad_rate_rejected():
         ComplexWaveform(np.array([]), FS)
     with pytest.raises(ConfigError):
         ComplexWaveform(np.ones(4), 0.0)
+
+
+def rel_err(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def noise(n=4096, seed=1):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def test_samples_spectrum_samples_round_trip():
+    x = noise()
+    spec = ComplexWaveform(x, FS).spectrum
+    assert rel_err(spec, np.fft.fft(x)) <= 1e-12
+    back = ComplexWaveform(None, FS, spectrum=spec)
+    assert back.n == x.size
+    assert rel_err(back.samples, x) <= 1e-12
+    # Parseval on a spectrum-only waveform
+    assert ComplexWaveform(None, FS, spectrum=spec).power() == pytest.approx(
+        np.mean(np.abs(x) ** 2), rel=1e-12)
+
+
+def test_copy_with_never_returns_a_stale_spectrum():
+    wf = ComplexWaveform(noise(), FS)
+    wf.spectrum  # both representations held from here on
+    new = noise(seed=2)
+    assert rel_err(wf.copy_with(samples=new).spectrum, np.fft.fft(new)) <= 1e-12
+    spec = np.fft.fft(new)
+    assert rel_err(wf.copy_with(spectrum=spec).samples, new) <= 1e-12
+    moved = wf.copy_with(ref_freq=1e9, delay_us=2.0)
+    assert np.shares_memory(moved.samples, wf.samples)
+    assert np.shares_memory(moved.spectrum, wf.spectrum)
+    half = wf.scaled(0.5)
+    assert rel_err(half.spectrum, 0.5 * np.fft.fft(wf.samples)) <= 1e-12
+    assert rel_err(half.samples, 0.5 * wf.samples) <= 1e-12
+
+
+def test_writing_in_place_to_a_cached_array_raises():
+    x = noise(n=16)
+    wf = ComplexWaveform(x, FS)
+    for arr in (wf.samples, wf.spectrum,
+                ComplexWaveform(None, FS, spectrum=x).samples):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(ConfigError):
+        ComplexWaveform(None, FS)
+
+
+def test_psd_matches_the_boxcar_periodogram():
+    wf = ComplexWaveform(noise(), FS, ref_freq=193e12)
+    f_ref, p_ref = sig.periodogram(wf.samples, fs=FS, return_onesided=False,
+                                   detrend=False)
+    order = np.argsort(f_ref)
+    f, p = psd(wf)
+    assert np.array_equal(f, f_ref[order] + 193e12)
+    assert rel_err(p, p_ref[order]) <= 1e-12
 
 
 def test_tone_phasor_matches_direct_exponential():
