@@ -31,8 +31,9 @@ from .budget import (FRONTHAUL_PRESETS, SERVICE_CATALOG, FronthaulSpec,
 from .channel import FiberParams
 from .devices import RingParams, ring_response
 from .errors import ConfigError, SimulationError
-from .scenarios import (ScenarioConfig, _get, builtin_config_path,
-                        emit_reports, load_config, run_scenario)
+from .scenarios import (ScenarioConfig, _flag, _get, _whole,
+                        builtin_config_path, emit_reports, load_config,
+                        run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,7 +111,7 @@ def _components(val) -> tuple:
 def _budget_topology(raw: dict) -> TopologySpec:
     nodes = [NodeSpec(get("id", str), get("kind", str),
                       get("processing_delay_us", float, 0.0),
-                      get("sync_compensation", bool, False))
+                      get("sync_compensation", _flag, False))
              for get in _entries(raw, "nodes")]
     links = [LinkSpec(get("from", str), get("to", str),
                       FiberParams(get("length_km"),
@@ -143,8 +144,8 @@ def _budget_fronthaul(entry, get) -> FronthaulSpec:
     return FronthaulSpec(
         get("kind", str), get("rf_bandwidth"),
         sample_rate=get("sample_rate", float, 0.0),
-        bit_width=get("bit_width", int, 0),
-        n_antenna_streams=get("n_antenna_streams", int, 1),
+        bit_width=get("bit_width", _whole, 0),
+        n_antenna_streams=get("n_antenna_streams", _whole, 1),
         ecpri_split_factor=get("ecpri_split_factor", float, 1.0),
         guard=get("guard", float, 0.0))
 
@@ -189,8 +190,8 @@ def run_budget(raw: dict) -> dict:
             topo, get("path", list),
             tx_power_dbm=get("tx_power_dbm", float, 0.0),
             coupling=get("coupling", str, "packaged"),
-            n_facets=get("n_facets", int, 2),
-            bus_stages=get("bus_stages", int, 0),
+            n_facets=get("n_facets", _whole, 2),
+            bus_stages=get("bus_stages", _whole, 0),
             bus_loss_db_per_stage=get("bus_loss_db_per_stage", float, 0.1),
             rx_sensitivity_dbm=get("rx_sensitivity_dbm", float, -20.0))
         report["power"].append({"path": get("path", list), **rep.to_dict()})

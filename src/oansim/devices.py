@@ -18,14 +18,16 @@ Two evaluation schemes for the quasi-static model are provided:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import fft as fftpack
 
 from .errors import ConfigError, SimulationError
-from .waveform import ComplexWaveform, _tone_phasor
+from .forkjoin import fork
+from .waveform import ComplexWaveform, _cached_fftfreq, _tone_phasor
 
 # ---------------------------------------------------------------------------
 # Parameter records
@@ -131,22 +133,35 @@ def _through_detuned(params: RingParams, freq, detune):
                          - np.asarray(detune)) / params.fsr
     if phi.ndim and phi.size > 4096 and np.ptp(phi) < 0.05:
         # small-angle fast path: third-order expansion around the mean
-        # phase (error < ptp^4/384 ~ 2e-8), twice as fast as the full exp
+        # phase (error < ptp^4/384 ~ 2e-8), twice as fast as the full exp;
+        # in place where a buffer is dead, in the same operations and order
         phi0 = float(np.mean(phi))
-        d = phi - phi0
+        d = np.subtract(phi, phi0, out=phi)
         d2 = d * d
-        e = np.exp(1j * phi0) * ((1.0 - 0.5 * d2) + 1j * (d - d2 * d / 6.0))
+        re = 1.0 - 0.5 * d2
+        im = np.multiply(d2, d, out=d2)
+        im = np.subtract(d, np.divide(im, 6.0, out=im), out=im)
+        e = re + 1j * im
+        del phi, d, d2, re, im
+        np.multiply(np.exp(1j * phi0), e, out=e)
     else:
         e = np.exp(1j * phi)
-    return (t1 - t2 * a * e) / (1.0 - t1 * t2 * a * e)
+    num = np.multiply(t2 * a, e)
+    np.subtract(t1, num, out=num)
+    den = np.multiply(t1 * t2 * a, e, out=e)
+    np.subtract(1.0, den, out=den)
+    return np.divide(num, den, out=num)
 
 
 @lru_cache(maxsize=16)
 def _cached_unit_phasor(n: int, dt: float, ref: float, fsr: float):
-    f = np.fft.fftfreq(n, dt) + ref
+    f = _cached_fftfreq(n, dt) + ref
     e = np.exp(2j * np.pi * f / fsr)
     e.setflags(write=False)
     return e
+
+
+_RESPONSE_FILL = threading.Lock()
 
 
 @lru_cache(maxsize=24)
@@ -170,10 +185,13 @@ def _through_static_grid(params: RingParams, field: ComplexWaveform,
     # quantize the bias point to 1 MHz (<< any ring linewidth here) so the
     # data-dependent part of a drive's mean does not defeat the cache
     shift = 1e6 * round((params.effective_resonance + detune) / 1e6)
-    return _cached_static_through(
-        field.n, 1.0 / field.sample_rate, field.ref_freq, params.fsr,
-        params.self_coupling_t1, params.self_coupling_t2,
-        params.roundtrip_amplitude_a, shift)
+    # the two arms of an IQ modulator, run side by side, share responses:
+    # the second one to ask for a response waits for the first to fill it
+    with _RESPONSE_FILL:
+        return _cached_static_through(
+            field.n, 1.0 / field.sample_rate, field.ref_freq, params.fsr,
+            params.self_coupling_t1, params.self_coupling_t2,
+            params.roundtrip_amplitude_a, shift)
 
 
 def thermal_tune(params: RingParams, target_freq: float) -> RingParams:
@@ -301,19 +319,19 @@ def _apply_tone(field: ComplexWaveform, params: RingParams,
     spec = field.spectrum
     f_abs = field.abs_freqs()
     bias_detune = float(np.mean(detune))
-    mask = np.abs(f_abs - (params.effective_resonance + bias_detune)) \
-        <= window_hz
+    dist = np.subtract(f_abs, params.effective_resonance + bias_detune)
+    mask = np.abs(dist, out=dist) <= window_hz
+    del dist
     p_res = np.sum(np.abs(spec[mask]) ** 2)
     if p_res <= 1e-15 * np.sum(np.abs(spec) ** 2):
         # nothing resonant: purely static filtering
         return _static_filter(field, params, bias_detune)
     f_tone = float(np.sum(f_abs[mask] * np.abs(spec[mask]) ** 2) / p_res)
     # the resonant line sees the instantaneous response in time, the rest
-    # the static response in frequency
-    x_res = fftpack.ifft(np.where(mask, spec, 0.0))
+    # the static response in frequency; each transform reuses its input
+    x_res = fftpack.ifft(np.where(mask, spec, 0.0), overwrite_x=True)
     x_res *= _through_detuned(params, f_tone, detune)
-    out = fftpack.fft(x_res)
-    del x_res
+    out = fftpack.fft(x_res, overwrite_x=True)
     off = spec * _through_static_grid(params, field, bias_detune)
     off[mask] = 0.0
     out += off
@@ -387,10 +405,12 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
     phase = config.branch_phase
     if config.sideband == "lower":
         phase = -phase
-    out_i = apply_mrm(field, config.ring_i, i_drive, method=method,
-                      tone_window_hz=tone_window_hz)
-    out_q = apply_mrm(field, config.ring_q, q_drive, method=method,
-                      tone_window_hz=tone_window_hz)
+    # both arms read the field's spectrum and frequency grid: fill them once
+    field.spectrum, field.baseband_freqs()
+    out_i, out_q = fork(*(
+        partial(apply_mrm, field, ring, drive, method=method,
+                tone_window_hz=tone_window_hz)
+        for ring, drive in ((config.ring_i, i_drive), (config.ring_q, q_drive))))
     return field.copy_with(spectrum=0.5 * (
         out_i.spectrum + np.exp(1j * phase) * out_q.spectrum))
 
@@ -443,11 +463,10 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
 @lru_cache(maxsize=16)
 def _cached_drop_pair(n: int, dt: float, ref: float, center: float,
                       bandwidth: float, order: int):
-    f_abs = np.fft.fftfreq(n, dt) + ref
-    u = 2.0 * (f_abs - center) / bandwidth
+    u = 2.0 * (_cached_fftfreq(n, dt) + ref - center) / bandwidth
     mag2 = 1.0 / (1.0 + u ** (2 * order))
     h_drop = np.sqrt(mag2)
-    h_thru = np.sqrt(1.0 - mag2)
+    h_thru = np.sqrt(np.subtract(1.0, mag2, out=u), out=u)
     h_drop.setflags(write=False)
     h_thru.setflags(write=False)
     return h_drop, h_thru

@@ -29,6 +29,7 @@ import copy
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,6 +39,7 @@ import yaml
 from .channel import (FiberParams, PdParams, amplify_ase, dc_block,
                       photodetect, propagate_fiber)
 from .errors import ConfigError, SimulationError, StageError
+from .forkjoin import branch_threads, fork
 from .metrics import DEFAULT_FEC_THRESHOLD, BerReport, ber_over_sent_bits
 from .ofdm import OfdmConfig, bandwidth_for_bit_rate, demodulate_ofdm, generate_ofdm
 from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
@@ -178,8 +180,17 @@ def _sideband(val) -> str:
     return val
 
 
-def _count(val) -> int:
-    return int(float(val))
+def _flag(val) -> bool:
+    if not isinstance(val, bool):
+        raise ValueError(f"expected true or false, not {val!r}")
+    return val
+
+
+def _whole(val) -> int:
+    num = float(val)
+    if isinstance(val, bool) or not num.is_integer():
+        raise ValueError(f"expected a whole number, not {val!r}")
+    return int(num)
 
 
 def _is_partition(groups, n: int) -> bool:
@@ -194,11 +205,11 @@ def _is_partition(groups, n: int) -> bool:
 def _ofdm(raw: dict, key: str, seed: int) -> OfdmConfig:
     """Modem geometry of the signal section at ``key``."""
     section = _get(raw, key, _mapping)
-    n_sub = _get(raw, f"{key}.n_subcarriers", int, 64)
-    qam = _get(raw, f"{key}.qam_order", int, 4)
+    n_sub = _get(raw, f"{key}.n_subcarriers", _whole, 64)
+    qam = _get(raw, f"{key}.qam_order", _whole, 4)
     cp = _get(raw, f"{key}.cp_fraction", float, 1.0 / 16.0)
-    pilots = _get(raw, f"{key}.pilot_spacing", int, 16)
-    oversampling = _get(raw, f"{key}.oversampling", int, 4)
+    pilots = _get(raw, f"{key}.pilot_spacing", _whole, 16)
+    oversampling = _get(raw, f"{key}.oversampling", _whole, 4)
     if "occupied_bandwidth" not in section and "bit_rate" not in section:
         raise ConfigError(f"{key} needs occupied_bandwidth or bit_rate")
     try:
@@ -287,7 +298,7 @@ class ScenarioConfig:
         # rounded up to a power of two so that the whole-record FFTs along
         # the chain run on friendly sizes; every signal gets as many
         # symbols as fit in it
-        burst_symbols = _get(raw, "sweep.burst_symbols", int)
+        burst_symbols = _get(raw, "sweep.burst_symbols", _whole)
         if burst_symbols < 0:
             raise ConfigError("sweep.burst_symbols must be >= 0")
         frame = _ofdm(raw, "digital", self.seed).frame_duration()
@@ -346,7 +357,7 @@ class ScenarioConfig:
             self.intercept = {
                 "band_offsets": (-hi, -lo) if lower else (lo, hi),
                 "carrier_tap": _get(raw, "uplink.intercept_carrier_tap"),
-                "order": _get(raw, "uplink.intercept_order", int)}
+                "order": _get(raw, "uplink.intercept_order", _whole)}
 
         self.ring_kwargs = {key: _get(raw, f"devices.ring.{key}") for key in
                             ("fsr", "coupling", "amplitude", "mod_efficiency")}
@@ -371,16 +382,16 @@ class ScenarioConfig:
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):
             raise ConfigError("sweep.rx_power_dbm must be ascending")
-        self.bits_per_point = _get(raw, "sweep.bits_per_point", _count)
-        self.top_bits = _get(raw, "sweep.top_bits", _count)
-        self.full_bits = _get(raw, "sweep.full_bits", _count)
+        self.bits_per_point = _get(raw, "sweep.bits_per_point", _whole)
+        self.top_bits = _get(raw, "sweep.top_bits", _whole)
+        self.full_bits = _get(raw, "sweep.full_bits", _whole)
 
     def _read_onu(self) -> OnuConfig:
         """The network unit on channel 0.  Its filters sit relative to the
         carrier, so :meth:`onu_at` parks it on any channel."""
         raw = self.raw
         ch = self.plan.channels[0]
-        order = _get(raw, "onu.rof_filter_order", int)
+        order = _get(raw, "onu.rof_filter_order", _whole)
         if self.style == "subcarrier_tunnels":
             bandwidth = _get(raw, "onu.rof_filter_bandwidth")
             filters = [FilterSpec(sign * ch.rof_subcarrier_offset, bandwidth,
@@ -402,7 +413,7 @@ class ScenarioConfig:
         return OnuConfig(
             channel_center=ch.center_freq,
             broadband_filter=solve_carrier_tap_filter(
-                lo, hi, tap_fraction, _get(raw, "onu.broadband_order", int),
+                lo, hi, tap_fraction, _get(raw, "onu.broadband_order", _whole),
                 passband_fraction=_get(raw, "onu.broadband_passband_fraction")),
             rof_filters=tuple(filters),
             carrier_tap_fraction=tap_fraction,
@@ -413,7 +424,7 @@ class ScenarioConfig:
             min_residual_carrier_dbm=_get(raw, "onu.min_residual_carrier_dbm"),
             pd=PdParams(responsivity=_get(raw, "onu.pd.responsivity"),
                         thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd"),
-                        include_shot=_get(raw, "onu.pd.include_shot", bool)),
+                        include_shot=_get(raw, "onu.pd.include_shot", _flag)),
             ring_kwargs=self.ring_kwargs)
 
     def pd(self, seed: int) -> PdParams:
@@ -506,13 +517,14 @@ _SIGNAL_NAMES = {
 }
 
 
-def _detect(acc: _Accumulator, stage: str, name: str, signal: _Signal,
-            electrical: ComplexWaveform, tx_bits) -> None:
-    """Demodulate a detected signal at its IF and count its bit errors."""
+def _detect(stage: str, name: str, signal: _Signal,
+            electrical: ComplexWaveform, tx_bits) -> tuple:
+    """Demodulate a detected signal at its IF; its name and its report of
+    bit errors."""
     rx_bits, evm = _stage(stage, demodulate_ofdm, signal.ofdm,
                           downconvert(electrical, signal.if_freq),
                           max_symbols=signal.symbols)
-    acc.add(name, ber_over_sent_bits(tx_bits, rx_bits, evm))
+    return name, ber_over_sent_bits(tx_bits, rx_bits, evm)
 
 
 def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
@@ -520,9 +532,10 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
     """The smart edge's radio overlay, the first of the two steps where the
     styles differ.  The payload waveforms are made here so that they are
     freed before the network units run."""
-    fs = cfg.sample_rate
-    waves = [[pad_to(s.wave(bits, fs), link.n)
-              for s, bits in zip(cfg.payloads, channel_bits)]
+    made = iter(fork(*(partial(s.wave, bits, cfg.sample_rate)
+                       for channel_bits in payload_bits
+                       for s, bits in zip(cfg.payloads, channel_bits))))
+    waves = [[pad_to(next(made), link.n) for _ in channel_bits]
              for channel_bits in payload_bits]
     if cfg.style == "subcarrier_tunnels":
         return _stage("smart_edge_overlay", smart_edge_overlay, link,
@@ -550,7 +563,8 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     """One burst of the pipeline over all channels.
 
     Returns the uplink-to-residual ratio, the carrier ledger of channel 0's
-    network unit and, if wanted, the spectrum after the overlay.
+    network unit and, if wanted, the report's spectrum after the overlay.
+    Each whole-record waveform is let go after its last reader.
     """
     rng = np.random.default_rng(burst_seed)
     fs = cfg.sample_rate
@@ -570,30 +584,49 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                 min_duration=cfg.n_record / fs, guard_s=_WALKOFF_GUARD_S)
 
     link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder)
+    del tx
     if cfg.amplifier is not None:
         link = _stage("amplifier", amplify_ase, link, *cfg.amplifier,
                       seed=burst_seed + 17)
 
     link = _overlay(cfg, link, payload_bits)
-    spectrum = psd(link) if want_spectrum else None
+    spectrum = _spectrum(link) if want_spectrum else None
 
     link = _stage("distribution_fiber", propagate_fiber, link, cfg.distribution)
     link = set_power_dbm(link, rx_power_dbm)
 
     broadband_name, radio_name, radio_stage = _SIGNAL_NAMES[cfg.style]
-    for ch_idx, ch in enumerate(plan.channels):
-        onu = cfg.onu_at(ch.center_freq, burst_seed + 100 + ch_idx)
+
+    def network_unit(ch_idx: int):
+        """The reports of one channel's network unit, its residual field
+        if the uplink needs it, and its carrier ledger."""
+        onu = cfg.onu_at(plan.channels[ch_idx].center_freq,
+                         burst_seed + 100 + ch_idx)
         res = _stage("onu_receive", onu_receive, link, onu, dig.ofdm,
                      tx_bits=dig_bits[ch_idx], max_symbols=dig.symbols)
-        acc.add(broadband_name.format(ch=ch_idx), res.broadband)
-        for group, item in zip(cfg.groups, res.rof):
-            for k in group:
-                _detect(acc, radio_stage,
-                        radio_name.format(ch=ch_idx, k=k + 1),
-                        cfg.payloads[k], item["waveform"],
-                        payload_bits[ch_idx][k])
-        if ch_idx == 0:
-            onu0, res0 = onu, res
+        reports = [(broadband_name.format(ch=ch_idx), res.broadband),
+                   *fork(*(partial(_detect, radio_stage,
+                                   radio_name.format(ch=ch_idx, k=k + 1),
+                                   cfg.payloads[k], item["waveform"],
+                                   payload_bits[ch_idx][k])
+                           for group, item in zip(cfg.groups, res.rof)
+                           for k in group))]
+        ledger = {
+            "carrier_in_dbm": res.carrier_in_dbm,
+            "carrier_after_broadband_dbm": res.carrier_after_broadband_dbm,
+            "carrier_residual_dbm": res.carrier_residual_dbm,
+            "rof_tap_cost_db": (res.carrier_after_broadband_dbm
+                                - res.carrier_residual_dbm),
+        }
+        return reports, res.residual if ch_idx == 0 else None, ledger
+
+    units = fork(*(partial(network_unit, i) for i in range(plan.n_channels)))
+    del link
+    for reports, _, _ in units:
+        for name, report in reports:
+            acc.add(name, report)
+    _, residual, ledger = units[0]
+    del units
 
     # uplink: channel 0's network unit remodulates its residual carrier
     up_bits = {"digital": rng.integers(0, 2, cfg.uplink["digital"].n_bits)}
@@ -601,22 +634,27 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     if "rof" in cfg.uplink:
         up_bits["rof"] = rng.integers(0, 2, cfg.uplink["rof"].n_bits)
         rof_wave = cfg.uplink["rof"].wave(up_bits["rof"], fs)
-    rem = _stage("onu_remodulate", onu_remodulate, res0.residual, onu0,
+    rem = _stage("onu_remodulate", onu_remodulate, residual,
+                 cfg.onu_at(plan.channels[0].center_freq, burst_seed + 100),
                  uplink_bits=up_bits["digital"], uplink_rof=rof_wave,
                  ofdm_cfg=cfg.uplink["digital"].ofdm,
                  guard_s=_WALKOFF_GUARD_S)
+    del residual, rof_wave
 
     back = _stage("uplink_distribution", propagate_fiber, rem.waveform,
                   cfg.distribution)
+    ratio = rem.uplink_to_residual_db
+    del rem
     # where the uplink is detected, the second step where the styles differ
     kind = cfg.edge_uplink
     if kind is not None:
         icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
                        back, plan, 0, pd=cfg.pd(burst_seed + 300),
                        **cfg.intercept)
-        _detect(acc, f"uplink_{kind}_demod", f"uplink:{kind}",
-                cfg.uplink[kind], icept.rof_electrical, up_bits[kind])
+        acc.add(*_detect(f"uplink_{kind}_demod", f"uplink:{kind}",
+                         cfg.uplink[kind], icept.rof_electrical, up_bits[kind]))
         back = icept.through
+        del icept
     if kind != "digital":
         co = _stage("uplink_feeder", propagate_fiber, back, cfg.feeder)
         if plan.n_channels > 1:
@@ -627,17 +665,20 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                            0.9 * plan.channels[0].slot_width, 5)
         co_el = dc_block(_stage("co_detect", photodetect, co,
                                 cfg.pd(burst_seed + 301)))
-        _detect(acc, "uplink_digital_demod", "uplink:digital",
-                cfg.uplink["digital"], co_el, up_bits["digital"])
+        acc.add(*_detect("uplink_digital_demod", "uplink:digital",
+                         cfg.uplink["digital"], co_el, up_bits["digital"]))
+    return ratio, ledger, spectrum
 
-    ledger = {
-        "carrier_in_dbm": res0.carrier_in_dbm,
-        "carrier_after_broadband_dbm": res0.carrier_after_broadband_dbm,
-        "carrier_residual_dbm": res0.carrier_residual_dbm,
-        "rof_tap_cost_db": (res0.carrier_after_broadband_dbm
-                            - res0.carrier_residual_dbm),
+
+def _spectrum(link: ComplexWaveform) -> dict:
+    """The report's spectrum: at most 8,192 points of the PSD of ``link``."""
+    freqs, vals = psd(link)
+    step = max(1, freqs.size // 4096)
+    return {
+        "freq_hz": [float(f) for f in freqs[::step]],
+        "psd_dbm_per_hz": [float(10 * np.log10(max(v, 1e-300) * 1e3))
+                           for v in vals[::step]],
     }
-    return rem.uplink_to_residual_db, ledger, spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +705,9 @@ def run_scenario(cfg: ScenarioConfig, full: bool = False,
         while burst == 0 or acc.min_bits() < target:
             seed = cfg.seed + 100_000 * (p_idx + 1) + burst
             want_spec = is_top and burst == 0
-            ratio, ledger, spec = _run_burst(cfg, power, seed, acc, want_spec)
+            with branch_threads():
+                ratio, ledger, spec = _run_burst(cfg, power, seed, acc,
+                                                 want_spec)
             if ratio is not None:
                 ratios.append(ratio)
             ledgers.append(ledger)
@@ -689,13 +732,7 @@ def run_scenario(cfg: ScenarioConfig, full: bool = False,
         "points": points,
     }
     if spectrum is not None:
-        freqs, vals = spectrum
-        step = max(1, freqs.size // 4096)
-        report["spectrum"] = {
-            "freq_hz": [float(f) for f in freqs[::step]],
-            "psd_dbm_per_hz": [float(10 * np.log10(max(v, 1e-300) * 1e3))
-                               for v in vals[::step]],
-        }
+        report["spectrum"] = spectrum
     return report
 
 

@@ -19,6 +19,7 @@ spectral centroids) are computed here so scenarios only orchestrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy import fft as fftpack
@@ -28,6 +29,7 @@ from .devices import (IqMrmConfig, RingParams, apply_mrm, drop_filter,
                       generate_subcarriers, hilbert_pair, iq_mrm_ssb,
                       thermal_tune)
 from .errors import ConfigError, SimulationError
+from .forkjoin import fork
 from .ofdm import OfdmConfig, generate_ofdm
 from .waveform import (ComplexWaveform, _tone_phasor, band_power, pad_to,
                        resample_to, upconvert_real)
@@ -257,8 +259,7 @@ def olt_transmit(plan: WdmPlan, digital_payloads, ofdm_cfg: OfdmConfig,
             raise ConfigError("simulation bandwidth does not cover the plan")
 
     # per-channel electrical IF drives on the common grid
-    drives = []
-    for ch, bits in zip(plan.channels, digital_payloads):
+    def drive(ch: WdmChannel, bits) -> ComplexWaveform:
         f_if = digital_if if digital_if is not None else 0.35 * ch.digital_subband
         if f_if + ofdm_cfg.occupied_bandwidth / 2.0 > ch.digital_subband / 2.0:
             raise ConfigError("digital payload does not fit in the subband")
@@ -270,7 +271,10 @@ def olt_transmit(plan: WdmPlan, digital_payloads, ofdm_cfg: OfdmConfig,
         if n_guard:
             wf = wf.copy_with(samples=np.concatenate(
                 [np.zeros(n_guard, dtype=np.complex128), wf.samples]))
-        drives.append(wf)
+        return wf
+
+    drives = fork(*(partial(drive, ch, bits)
+                    for ch, bits in zip(plan.channels, digital_payloads)))
     n = max(d.n for d in drives)
     n = max(n, int(round(min_duration * sample_rate)))
     # tail silence up to an FFT-friendly length: every later stage runs

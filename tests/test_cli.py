@@ -104,6 +104,10 @@ DELETE = "<delete>"
      "onu.rof_carrier_tap_db"),
     ("adjacent_rf", ["uplink", "rof"],
      {"if_freq": 2.4e9, "occupied_bandwidth": 2.8e9}, "uplink.rof"),
+    # a string is not a YAML boolean: bool("false") would turn shot noise on
+    ("mini", ["onu", "pd", "include_shot"], "false", "onu.pd.include_shot"),
+    # a count is a whole number: int(64.9) would run 64 subcarriers
+    ("mini", ["digital", "n_subcarriers"], 64.9, "digital.n_subcarriers"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):
@@ -171,6 +175,20 @@ def test_malformed_budget_exits_2_naming_the_key(link, key, tmp_path, capsys):
     assert main(["budget", "--config", str(p), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+def test_budget_flag_must_be_a_yaml_boolean(tmp_path, capsys):
+    p = tmp_path / "bad_budget.yaml"
+    p.write_text(yaml.safe_dump({
+        "name": "x",
+        "nodes": [{"id": "a", "kind": "central_office",
+                   "sync_compensation": "false"},
+                  {"id": "b", "kind": "onu"}],
+        "links": [{"from": "a", "to": "b", "length_km": 1.0}],
+    }))
+    assert main(["budget", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "nodes.0.sync_compensation" in err and "Traceback" not in err
 
 
 def test_devices_csv(tmp_path):

@@ -1,0 +1,134 @@
+"""Fork-join inside a burst: a threaded run reports exactly what a serial
+one does, a branch's error reaches the caller naming its stage, nested
+forks complete, and ring responses shared by branches are computed once."""
+
+import json
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+import yaml
+
+import oansim.scenarios
+from oansim.cli import main
+from oansim.devices import (RingParams, _cached_static_through,
+                            _through_static_grid)
+from oansim.errors import SimulationError, StageError
+from oansim.forkjoin import branch_threads, fork
+from oansim.scenarios import run_scenario
+from oansim.waveform import ComplexWaveform
+from test_scenarios import _shipped_top, mini_config
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _in_thread(fn, timeout=60.0):
+    """``fn()`` on a fresh thread that must end within ``timeout``."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def test_fork_uses_two_threads_only_inside_the_block(two_cores):
+    def idents():
+        return fork(threading.get_ident, threading.get_ident,
+                    threading.get_ident)
+
+    assert len(set(idents())) == 1
+
+    def threaded():
+        with branch_threads():
+            return idents()
+
+    assert len(set(_in_thread(threaded))) == 2
+
+
+def test_fork_is_serial_on_one_core(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    with branch_threads():
+        assert len(set(fork(threading.get_ident, threading.get_ident))) == 1
+
+
+def test_nested_fork_completes(two_cores):
+    def nested():
+        with branch_threads():
+            return fork(lambda: fork(lambda: 1, lambda: 2),
+                        lambda: fork(lambda: 3, lambda: 4), lambda: 5)
+
+    assert _in_thread(nested) == [[1, 2], [3, 4], 5]
+
+
+def test_first_error_in_order_reaches_the_caller(two_cores):
+    def fail(i):
+        def branch():
+            raise SimulationError(f"branch {i}")
+        return branch
+
+    with branch_threads():
+        with pytest.raises(SimulationError, match="branch 1"):
+            fork(lambda: 0, fail(1), fail(2), fail(3))
+
+
+@pytest.mark.parametrize("name", ["mini", "scenario_a", "scenario_b"])
+def test_threaded_and_serial_runs_give_identical_reports(name, tmp_path,
+                                                         monkeypatch):
+    cfg = mini_config(tmp_path) if name == "mini" else _shipped_top(name)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threaded = json.dumps(run_scenario(cfg), sort_keys=True)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert json.dumps(run_scenario(cfg), sort_keys=True) == threaded
+
+
+def test_branch_error_names_its_stage(tmp_path, monkeypatch, capsys,
+                                      two_cores):
+    cfg = _shipped_top("scenario_a")
+    second = cfg.plan.channels[1].center_freq
+    receive = oansim.scenarios.onu_receive
+
+    def dark_second_channel(field, onu, *args, **kwargs):
+        if onu.channel_center == second:
+            raise SimulationError("no light on channel 1")
+        return receive(field, onu, *args, **kwargs)
+
+    monkeypatch.setattr(oansim.scenarios, "onu_receive", dark_second_channel)
+    with pytest.raises(StageError, match="no light") as info:
+        run_scenario(cfg)
+    assert info.value.stage == "onu_receive"
+    path = tmp_path / "scenario_a.yaml"
+    path.write_text(yaml.safe_dump(cfg.raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "onu_receive" in capsys.readouterr().err
+
+
+def test_branches_sharing_a_ring_response_compute_it_once():
+    field = ComplexWaveform(np.ones(1 << 16, dtype=np.complex128), 160e9,
+                            ref_freq=193.4e12)
+    ring = RingParams(193.4e12, 5e12, 0.9987, 1.0, 0.9987)
+    _cached_static_through.cache_clear()
+    results = []
+
+    def read():
+        results.append(_through_static_grid(ring, field, 0.0))
+
+    threads = [threading.Thread(target=read, daemon=True) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    assert all(r is results[0] for r in results)
+    assert _cached_static_through.cache_info().misses == 1

@@ -1,8 +1,12 @@
-"""Package-level checks: version agreement and a guard against unused
-imports (no linter is a dependency of the package)."""
+"""Package-level checks: version agreement, an import that starts no
+thread, and a guard against unused imports (no linter is a dependency of
+the package)."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,16 @@ def test_version_matches_pyproject():
     declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert declared is not None
     assert oansim.__version__ == declared.group(1)
+
+
+def test_import_starts_no_thread():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import threading, oansim; print(threading.active_count())"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "1"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
