@@ -5,15 +5,10 @@ functions.  Modulation is quasi-static: the electrical drive shifts the
 resonance linearly and the field sees the instantaneous through response.
 Cavity-lifetime dynamics are out of scope.
 
-Two evaluation schemes for the quasi-static model are provided:
-
-* ``block``: short-block overlap-save with a per-block frequency response,
-  block length bounded by 1/(10 x drive bandwidth);
-* ``tone``: exact limit of the block scheme when the near-resonance content
-  is a single spectral line -- the line is multiplied by the per-sample
-  instantaneous response while the off-resonance remainder sees the static
-  bias-point response.  This is the fast path used when modulating a bare
-  carrier or subcarrier.
+Modulation follows the exact limit of a short-block evaluation when the
+near-resonance content is a single spectral line: the line is multiplied
+by the per-sample instantaneous response while the off-resonance
+remainder sees the static bias-point response.
 """
 
 from __future__ import annotations
@@ -246,72 +241,10 @@ def comb_source(spec: CombSpec, duration: float, sample_rate: float,
 # Microring modulator
 
 
-def _drive_bandwidth(drive: np.ndarray, fs: float) -> float:
-    """99%-power spectral extent of the AC part of the drive."""
-    ac = drive - np.mean(drive)
-    if np.max(np.abs(ac)) == 0:
-        return 0.0
-    spec = np.abs(np.fft.rfft(ac)) ** 2
-    f = np.fft.rfftfreq(ac.size, 1.0 / fs)
-    cum = np.cumsum(spec)
-    k = int(np.searchsorted(cum, 0.99 * cum[-1]))
-    return float(f[min(k, f.size - 1)])
-
-
-def _memory_samples(params: RingParams, fs: float) -> int:
-    r = (params.self_coupling_t1 * params.self_coupling_t2
-         * params.roundtrip_amplitude_a)
-    tau = -1.0 / (params.fsr * np.log(r)) if r < 1.0 else 0.0
-    return int(min(max(32, np.ceil(10.0 * tau * fs)), 1 << 14))
-
-
 def _static_filter(field: ComplexWaveform, params: RingParams,
                    detune: float) -> ComplexWaveform:
     h = _through_static_grid(params, field, detune)
     return field.copy_with(spectrum=field.spectrum * h)
-
-
-def _apply_blockwise(field: ComplexWaveform, params: RingParams,
-                     detune: np.ndarray, block_len: int) -> np.ndarray:
-    fs = field.sample_rate
-    n = field.n
-    # the sampled ring response has tails on both time sides (sub-sample
-    # roundtrip delay), so each block carries context before and after
-    mem = _memory_samples(params, fs)
-    nfft = 1 << int(np.ceil(np.log2(block_len + 2 * mem)))
-    f_abs = np.fft.fftfreq(nfft, 1.0 / fs) + field.ref_freq
-
-    x = np.concatenate([
-        np.zeros(mem, dtype=np.complex128),
-        field.samples,
-        np.zeros(mem + block_len, dtype=np.complex128),
-    ])
-    out = np.empty(n, dtype=np.complex128)
-    # quantize per-block detuning so responses can be cached
-    n_blocks = int(np.ceil(n / block_len))
-    block_detune = np.array([
-        np.mean(detune[i * block_len: (i + 1) * block_len])
-        for i in range(n_blocks)
-    ])
-    span = np.ptp(block_detune)
-    step = max(span / 1024.0, 1e-6)
-    keys = np.round(block_detune / step).astype(np.int64)
-    cache: dict[int, np.ndarray] = {}
-    for i in range(n_blocks):
-        k = keys[i]
-        h = cache.get(k)
-        if h is None:
-            h = _through_detuned(params, f_abs, k * step)
-            cache[k] = h
-        lo = i * block_len
-        hi = min(lo + block_len, n)
-        seg = x[lo: lo + 2 * mem + block_len]
-        if seg.size < nfft:
-            seg = np.concatenate([seg, np.zeros(nfft - seg.size,
-                                                dtype=np.complex128)])
-        y = fftpack.ifft(fftpack.fft(seg) * h)
-        out[lo:hi] = y[mem: mem + (hi - lo)]
-    return out
 
 
 def _apply_tone(field: ComplexWaveform, params: RingParams,
@@ -339,7 +272,7 @@ def _apply_tone(field: ComplexWaveform, params: RingParams,
 
 
 def apply_mrm(field: ComplexWaveform, params: RingParams,
-              drive: ComplexWaveform, method: str = "auto",
+              drive: ComplexWaveform,
               tone_window_hz: float | None = None) -> ComplexWaveform:
     """Modulate an optical field with one microring modulator.
 
@@ -366,17 +299,7 @@ def apply_mrm(field: ComplexWaveform, params: RingParams,
     if np.ptp(detune) == 0.0:
         return _static_filter(field, params, float(detune[0]))
 
-    if method in ("auto", "block"):
-        bw = _drive_bandwidth(v, field.sample_rate)
-        block_len = max(1, int(field.sample_rate / (10.0 * bw))) if bw else field.n
-        if method == "auto":
-            method = "block" if field.n / block_len <= 50_000 else "tone"
-    if method == "block":
-        return field.copy_with(
-            samples=_apply_blockwise(field, params, detune, block_len))
-    if method == "tone":
-        return _apply_tone(field, params, detune, tone_window_hz)
-    raise ConfigError(f"unknown apply_mrm method '{method}'")
+    return _apply_tone(field, params, detune, tone_window_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +316,6 @@ def hilbert_pair(drive: ComplexWaveform) -> ComplexWaveform:
 
 def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
                i_drive: ComplexWaveform, q_drive: ComplexWaveform,
-               method: str = "auto",
                tone_window_hz: float | None = None) -> ComplexWaveform:
     """Two-branch microring IQ modulator with interferometric combining.
 
@@ -408,8 +330,7 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
     # both arms read the field's spectrum and frequency grid: fill them once
     field.spectrum, field.baseband_freqs()
     out_i, out_q = fork(*(
-        partial(apply_mrm, field, ring, drive, method=method,
-                tone_window_hz=tone_window_hz)
+        partial(apply_mrm, field, ring, drive, tone_window_hz=tone_window_hz)
         for ring, drive in ((config.ring_i, i_drive), (config.ring_q, q_drive))))
     return field.copy_with(spectrum=0.5 * (
         out_i.spectrum + np.exp(1j * phase) * out_q.spectrum))
@@ -452,8 +373,7 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     )
     if tone_window_hz is None:
         tone_window_hz = max(3.0 * params.fwhm, 0.4 * clock_freq)
-    return apply_mrm(field, params, drive, method="tone",
-                     tone_window_hz=tone_window_hz)
+    return apply_mrm(field, params, drive, tone_window_hz=tone_window_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def olt_transmit(plan: WdmPlan, digital_payloads, ofdm_cfg: OfdmConfig,
                  sample_rate: float, power_per_tone_dbm: float = 0.0,
                  digital_if: float | None = None, sideband: str = "upper",
                  drive_depth: float = 0.25, ring_kwargs: dict | None = None,
-                 method: str = "tone", min_duration: float = 0.0,
+                 min_duration: float = 0.0,
                  guard_s: float = 0.0) -> ComplexWaveform:
     """Comb source plus one IQ-SSB modulator per WDM channel.
 
@@ -296,8 +296,7 @@ def olt_transmit(plan: WdmPlan, digital_payloads, ofdm_cfg: OfdmConfig,
         ring = slope_biased_ring(ch.center_freq, **ring_kwargs)
         cfg = IqMrmConfig(ring, ring, sideband=sideband)
         i_drive, q_drive = _ssb_drives(drive, ring, drive_depth)
-        out = iq_mrm_ssb(out, cfg, i_drive, q_drive,
-                         method=method).scaled(loss)
+        out = iq_mrm_ssb(out, cfg, i_drive, q_drive).scaled(loss)
     return out
 
 
@@ -364,7 +363,7 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
                 ring_off = abs(ch.center_freq + sign * f_s
                                - ring.effective_resonance)
                 window = ring_off + 0.5 * (gap - ring_off)
-                out = apply_mrm(out, ring, drive, method="tone",
+                out = apply_mrm(out, ring, drive,
                                 tone_window_hz=window).scaled(loss)
         else:
             # undriven stages still cost bus insertion loss
