@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oansim.devices import (CombSpec, IqMrmConfig, RingParams,
-                            _through_detuned, _through_static_grid, apply_mrm,
+                            _cached_drop_pair, _through_detuned, _through_static_grid, apply_mrm,
                             cascade_bus, comb_source, drop_filter,
                             generate_subcarriers, hilbert_pair, iq_mrm_ssb,
                             ring_response, thermal_tune)
@@ -337,6 +337,18 @@ def test_drop_filter_order_sharpens_skirts():
     d1, _ = drop_filter(field, F0 + 4e9, 4e9, order=1)
     d4, _ = drop_filter(field, F0 + 4e9, 4e9, order=4)
     assert d4.power() < d1.power()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_drop_pair_by_multiplies_matches_the_pow_form(order):
+    n, dt, center, bandwidth = 1 << 14, 1.0 / FS, F0 + 7e9, 9e9
+    u = 2.0 * (np.fft.fftfreq(n, dt) + F0 - center) / bandwidth
+    p = u ** (2 * order)
+    h_drop, h_thru = _cached_drop_pair(n, dt, F0, center, bandwidth, order)
+    np.testing.assert_allclose(h_drop, np.sqrt(1.0 / (1.0 + p)),
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(h_thru, np.sqrt(p / (1.0 + p)),
+                               rtol=1e-14, atol=0)
 
 
 def test_drop_filter_validation():
