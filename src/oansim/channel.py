@@ -120,8 +120,10 @@ def amplify_ase(field: ComplexWaveform, gain_db: float, nf_db: float,
 def photodetect(field: ComplexWaveform, params: PdParams) -> ComplexWaveform:
     """Square-law detection: i(t) = R |E(t)|^2 plus shot and thermal noise.
 
-    Output is a real electrical waveform at the same sample rate; the
-    effective noise bandwidth is sample_rate / 2.
+    Output is a real electrical waveform at the same sample rate.  The
+    noise bandwidth is sample_rate / 2, so it follows the rate at which a
+    receiver detects while the shot and thermal noise densities stay the
+    same.
     """
     if field.ref_freq <= 0:
         raise ConfigError("photodetect expects an optical field (ref_freq > 0)")

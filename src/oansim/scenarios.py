@@ -43,7 +43,7 @@ from .forkjoin import branch_threads, fork
 from .metrics import DEFAULT_FEC_THRESHOLD, BerReport, ber_over_sent_bits
 from .ofdm import OfdmConfig, bandwidth_for_bit_rate, demodulate_ofdm, generate_ofdm
 from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
-                         olt_transmit, onu_receive, onu_remodulate,
+                         detect_drop, olt_transmit, onu_receive, onu_remodulate,
                          scale_drive_to_depth, slope_biased_ring,
                          smart_edge_intercept_uplink, smart_edge_overlay,
                          solve_carrier_tap_filter)
@@ -607,9 +607,9 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         reports = [(broadband_name.format(ch=ch_idx), res.broadband),
                    *fork(*(partial(_detect, radio_stage,
                                    radio_name.format(ch=ch_idx, k=k + 1),
-                                   cfg.payloads[k], item["waveform"],
+                                   cfg.payloads[k], rof,
                                    payload_bits[ch_idx][k])
-                           for group, item in zip(cfg.groups, res.rof)
+                           for group, rof in zip(cfg.groups, res.rof)
                            for k in group))]
         ledger = {
             "carrier_in_dbm": res.carrier_in_dbm,
@@ -657,14 +657,18 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         del icept
     if kind != "digital":
         co = _stage("uplink_feeder", propagate_fiber, back, cfg.feeder)
+        pd = cfg.pd(burst_seed + 301)
         if plan.n_channels > 1:
             # central-office demux: select the returning channel so the other
             # WDM channels' carrier/sideband beats stay out of the uplink IF
-            co, _ = _stage("co_demux", drop_filter, co,
-                           plan.channels[0].center_freq,
-                           0.9 * plan.channels[0].slot_width, 5)
-        co_el = dc_block(_stage("co_detect", photodetect, co,
-                                cfg.pd(burst_seed + 301)))
+            ch = plan.channels[0]
+            demux = FilterSpec(0.0, 0.9 * ch.slot_width, 5)
+            co, _ = _stage("co_demux", drop_filter, co, ch.center_freq,
+                           demux.bandwidth, demux.order)
+            co_el = _stage("co_detect", detect_drop, co, ch.center_freq,
+                           demux, pd)
+        else:
+            co_el = dc_block(_stage("co_detect", photodetect, co, pd))
         acc.add(*_detect("uplink_digital_demod", "uplink:digital",
                          cfg.uplink["digital"], co_el, up_bits["digital"]))
     return ratio, ledger, spectrum

@@ -12,6 +12,11 @@
   the radio subcarriers, then remodulates the residual carrier with the
   uplink on the spectral side opposite the downlink.
 
+Every receiver detects its drop at the rate of its band
+(:func:`detect_drop`): the dropped field keeps the carrier and one filter
+bandwidth on each side of the filter centre, at the lowest power-of-two
+fraction of the simulation rate that holds it.
+
 All figures of merit (carrier apportioning, uplink-to-residual ratio,
 spectral centroids) are computed here so scenarios only orchestrate.
 """
@@ -31,8 +36,8 @@ from .devices import (IqMrmConfig, RingParams, apply_mrm, drop_filter,
 from .errors import ConfigError, SimulationError
 from .forkjoin import fork
 from .ofdm import OfdmConfig, generate_ofdm
-from .waveform import (ComplexWaveform, _tone_phasor, band_power, pad_to,
-                       resample_to, upconvert_real)
+from .waveform import (ComplexWaveform, _tone_phasor, band_power,
+                       crop_to_band, pad_to, resample_to, upconvert_real)
 
 #: Per-device passband insertion loss along an add/drop bus (dB).
 BUS_LOSS_DB_PER_STAGE = 0.1
@@ -382,6 +387,22 @@ def _null_offset_fraction(retain: float) -> float:
     return 0.5 * np.sqrt(retain / (1.0 - retain))
 
 
+def detect_drop(dropped: ComplexWaveform, f_c: float, spec: FilterSpec,
+                pd: PdParams) -> ComplexWaveform:
+    """Photocurrent of the drop port of ``spec``, detected at its band's rate.
+
+    The dropped field is cropped to the carrier at ``f_c`` plus one filter
+    bandwidth on each side of the filter centre, at the lowest
+    power-of-two fraction of the rate that holds it
+    (:func:`~oansim.waveform.crop_to_band`), then photodetected and
+    dc-blocked.
+    """
+    center = f_c + spec.center_offset
+    band = crop_to_band(dropped, min(f_c, center - spec.bandwidth),
+                        max(f_c, center + spec.bandwidth))
+    return dc_block(photodetect(band, pd))
+
+
 @dataclass
 class InterceptResult:
     rof_electrical: ComplexWaveform
@@ -414,7 +435,7 @@ def smart_edge_intercept_uplink(field_in: ComplexWaveform, plan: WdmPlan,
                                     carrier_tap, order)
     dropped, through = drop_filter(field_in, ch.center_freq + spec.center_offset,
                                    spec.bandwidth, spec.order)
-    rof = dc_block(photodetect(dropped, pd or PdParams()))
+    rof = detect_drop(dropped, ch.center_freq, spec, pd or PdParams())
     return InterceptResult(rof, through, dropped.power_dbm())
 
 
@@ -425,7 +446,7 @@ def smart_edge_intercept_uplink(field_in: ComplexWaveform, plan: WdmPlan,
 @dataclass
 class OnuReceiveResult:
     broadband: object                # BerReport
-    rof: list                        # dicts: waveform, power_dbm, center_offset
+    rof: list                        # photocurrent of each radio drop
     residual: ComplexWaveform
     carrier_in_dbm: float
     carrier_after_broadband_dbm: float
@@ -439,7 +460,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
 
     The broadband drop carries ``carrier_tap_fraction`` of the carrier and
     is direct-detected and demodulated; each radio drop is direct-detected
-    and returned as an electrical waveform.  The residual field (including
+    and its photocurrent returned.  The residual field (including
     the remaining carrier) is returned for remodulation.
     """
     from .metrics import ber_evm_metrics, ber_over_sent_bits
@@ -462,7 +483,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     # direct detection beats the SSB content against the tapped carrier,
     # recovering the real IF signal regardless of which optical sideband
     # carried it, so no spectral flip is ever needed here
-    electrical = dc_block(photodetect(dropped, cfg.pd))
+    electrical = detect_drop(dropped, f_c, spec, cfg.pd)
     base = downconvert(electrical, cfg.digital_if)
     rx_bits, evm = demodulate_ofdm(ofdm_cfg, base, max_symbols=max_symbols)
     if tx_bits is not None:
@@ -476,11 +497,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
         rdrop, bus = drop_filter(bus, f_c + rspec.center_offset,
                                  rspec.bandwidth, rspec.order)
         bus = bus.scaled(loss)
-        rof_out.append({
-            "waveform": dc_block(photodetect(rdrop, cfg.pd)),
-            "power_dbm": rdrop.power_dbm(),
-            "center_offset": rspec.center_offset,
-        })
+        rof_out.append(detect_drop(rdrop, f_c, rspec, cfg.pd))
     carrier_res = _carrier_dbm(bus, f_c)
     return OnuReceiveResult(report, rof_out, bus, carrier_in, carrier_bb,
                             carrier_res)

@@ -185,6 +185,42 @@ def resample_to(wf: ComplexWaveform, new_rate: float) -> ComplexWaveform:
     return wf.copy_with(samples=out, sample_rate=new_rate)
 
 
+def crop_to_band(wf: ComplexWaveform, f_lo: float,
+                 f_hi: float) -> ComplexWaveform:
+    """The content of [f_lo, f_hi] (absolute Hz) at a power-of-two fraction
+    of the rate.
+
+    The rate falls to ``sample_rate / d``, with ``d`` the largest power of
+    two that divides the record length and whose window of
+    ``sample_rate / (2 d)``, centred on the bin nearest the band's middle,
+    holds the band.  That bin's frequency becomes the new ``ref_freq``.
+    The window's bins, scaled by 1/d so that the samples keep their
+    amplitude, fill the middle half of the shorter record's band; the
+    empty outer half leaves room for a square law, which doubles the
+    span, not to alias.  Without such a ``d`` of at least 2 the waveform
+    is returned as it is.
+    """
+    n, df = wf.n, wf.sample_rate / wf.n
+    k0 = int(round(((f_lo + f_hi) / 2.0 - wf.ref_freq) / df))
+
+    def holds(d: int) -> bool:
+        w = n // (2 * d)
+        first = wf.ref_freq + (k0 - w // 2) * df
+        return first <= f_lo and f_hi <= first + (w - 1) * df
+
+    d = 1
+    while n % (2 * d) == 0 and holds(2 * d):
+        d *= 2
+    if d == 1:
+        return wf.copy_with()
+    m = n // d
+    offsets = np.arange(-(m // 4), m // 2 - m // 4)
+    spec = np.zeros(m, dtype=np.complex128)
+    spec[offsets % m] = wf.spectrum[(k0 + offsets) % n] * (1.0 / d)
+    return wf.copy_with(spectrum=spec, sample_rate=wf.sample_rate / d,
+                        ref_freq=wf.ref_freq + k0 * df)
+
+
 def upconvert_real(wf: ComplexWaveform, f_rf: float,
                    half_bw: float | None = None) -> ComplexWaveform:
     """Mix a complex baseband signal onto a real RF carrier at f_rf.

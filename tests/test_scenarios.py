@@ -12,9 +12,12 @@ import yaml
 
 import oansim.ofdm
 import oansim.scenarios
+import oansim.subsystems
+from oansim.channel import PdParams
 from oansim.errors import ConfigError
 from oansim.scenarios import (ScenarioConfig, builtin_config_path,
                               emit_reports, load_config, run_scenario)
+from oansim.subsystems import FilterSpec, solve_carrier_tap_filter
 
 MINI = {
     "name": "mini",
@@ -213,12 +216,14 @@ _TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2",
                "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
 
 
-@pytest.mark.parametrize("name, most", [("scenario_a", 43),
-                                        ("scenario_b", 29)])
+@pytest.mark.parametrize("name, most", [("scenario_a", 34),
+                                        ("scenario_b", 22)])
 def test_whole_record_transforms_per_burst(name, most, monkeypatch):
-    """Linear stages multiply the cached field spectrum, so one burst runs
-    at most ``most`` transforms as long as its record (93 and 54, spectrum
-    snapshot included, when each stage made its own round trip)."""
+    """Linear stages multiply the cached field spectrum and receivers that
+    can detect at a fraction of the rate do, so one burst runs at most
+    ``most`` transforms as long as its record (93 and 54, spectrum
+    snapshot included, when each stage made its own round trip; 41 and 25
+    with every receiver at the full rate)."""
     lengths = []
 
     def counted(transform):
@@ -239,6 +244,62 @@ def test_whole_record_transforms_per_burst(name, most, monkeypatch):
     # every whole-record transform runs at the record's own length
     assert len(set(whole)) == 1
     assert len(whole) <= most
+
+
+def _demodulated_bands(cfg):
+    """The IF bands each receiver of a burst demodulates, by drop filter."""
+    bands = {cfg.onu.broadband_filter: [cfg.digital.edges()]}
+    for spec, group in zip(cfg.onu.rof_filters, cfg.groups):
+        bands[spec] = [cfg.payloads[k].edges() for k in group]
+    if cfg.intercept is not None:
+        spec = solve_carrier_tap_filter(*cfg.intercept["band_offsets"],
+                                        cfg.intercept["carrier_tap"],
+                                        cfg.intercept["order"])
+        bands[spec] = [cfg.uplink[cfg.edge_uplink].edges()]
+    slot = cfg.plan.channels[0].slot_width
+    bands[FilterSpec(0.0, 0.9 * slot, 5)] = [cfg.uplink["digital"].edges()]
+    return bands
+
+
+@pytest.mark.parametrize("name, divisors", [
+    ("scenario_a", [1, 2, 2, 2, 2, 2, 2, 8]),
+    ("scenario_b", [1, 2, 8, 8]),
+])
+def test_receivers_match_full_rate_detection(name, divisors, monkeypatch):
+    """With detector noise off, each receiver's photocurrent in the bands
+    it demodulates matches full-rate detection to within -40 dB."""
+    cfg = _shipped_top(name)
+    calls = []
+    detect = oansim.subsystems.detect_drop
+
+    def recorded(dropped, f_c, spec, pd):
+        calls.append((dropped, f_c, spec))
+        return detect(dropped, f_c, spec, pd)
+
+    monkeypatch.setattr(oansim.subsystems, "detect_drop", recorded)
+    monkeypatch.setattr(oansim.scenarios, "detect_drop", recorded)
+    run_scenario(cfg)
+    bands = _demodulated_bands(cfg)
+    quiet = PdParams()
+    found = []
+    for dropped, f_c, spec in calls:
+        fast = detect(dropped, f_c, spec, quiet)
+        with monkeypatch.context() as m:
+            m.setattr(oansim.subsystems, "crop_to_band",
+                      lambda wf, f_lo, f_hi: wf)
+            full = detect(dropped, f_c, spec, quiet)
+        d = full.n // fast.n
+        found.append(d)
+        for lo, hi in bands[spec]:
+            # both grids share one bin spacing; the rate fell by d, and so
+            # did the unnormalized spectrum
+            want = full.spectrum[(full.baseband_freqs() >= lo)
+                                 & (full.baseband_freqs() <= hi)]
+            got = d * fast.spectrum[(fast.baseband_freqs() >= lo)
+                                    & (fast.baseband_freqs() <= hi)]
+            err = np.sum(np.abs(got - want) ** 2) / np.sum(np.abs(want) ** 2)
+            assert err <= 1e-4, (spec, d, err)
+    assert sorted(found) == divisors
 
 
 def test_descending_sweep_rejected(tmp_path):

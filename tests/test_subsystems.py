@@ -7,12 +7,13 @@ from oansim.channel import FiberParams, PdParams, propagate_fiber
 from oansim.errors import ConfigError, SimulationError
 from oansim.metrics import ber_evm_metrics
 from oansim.ofdm import OfdmConfig, generate_ofdm
+import oansim.subsystems
 from oansim.subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
-                               filter_drop_fraction, olt_transmit,
+                               detect_drop, filter_drop_fraction, olt_transmit,
                                onu_receive, onu_remodulate, slope_biased_ring,
                                smart_edge_intercept_uplink,
                                smart_edge_overlay, solve_carrier_tap_filter)
-from oansim.waveform import band_power, upconvert_real
+from oansim.waveform import ComplexWaveform, band_power, upconvert_real
 
 F0 = 193.4e12
 FS = 64e9
@@ -244,6 +245,37 @@ def test_intercept_rejects_missing_channel():
     plan, cfg, ocfg, res = uplink_setup(n_symbols=10)
     with pytest.raises(ConfigError):
         smart_edge_intercept_uplink(res.residual, plan, 5)
+
+
+@pytest.mark.parametrize("offset", [-20e9, -3e9, 0.0, 5e9, 12e9])
+@pytest.mark.parametrize("bandwidth", [1e9, 4e9, 10e9])
+def test_detection_window_holds_carrier_and_passband(offset, bandwidth,
+                                                     monkeypatch):
+    crops = []
+    crop = oansim.subsystems.crop_to_band
+
+    def recorded(wf, f_lo, f_hi):
+        crops.append(crop(wf, f_lo, f_hi))
+        return crops[-1]
+
+    monkeypatch.setattr(oansim.subsystems, "crop_to_band", recorded)
+    n = 5 << 13
+    rng = np.random.default_rng(5)
+    field = ComplexWaveform(rng.normal(size=n) + 1j * rng.normal(size=n), FS,
+                            ref_freq=F0 - 2e9)
+    spec = FilterSpec(offset, bandwidth, 3)
+    electrical = detect_drop(field, F0, spec, PdParams())
+    band = crops[0]
+    assert electrical.sample_rate == band.sample_rate
+    m, df = band.n, band.sample_rate / band.n
+    if m < n:
+        lo = band.ref_freq - (m // 4) * df
+        hi = band.ref_freq + (m // 2 - m // 4 - 1) * df
+        assert lo <= min(F0, F0 + offset - bandwidth / 2.0)
+        assert max(F0, F0 + offset + bandwidth / 2.0) <= hi
+    # a band near the carrier is detected at a fraction of the rate
+    if abs(offset) + bandwidth <= 6e9:
+        assert m < n
 
 
 # ---------------------------------------------------------------- colorless

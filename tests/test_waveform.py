@@ -8,7 +8,7 @@ from scipy import signal as sig
 
 from oansim.errors import ConfigError
 from oansim.waveform import (ComplexWaveform, _tone_phasor, band_power,
-                             combine, downconvert, pad_to, psd, resample_to,
+                             combine, crop_to_band, downconvert, pad_to, psd, resample_to,
                              scale_db, set_power_dbm, upconvert_real)
 
 FS = 16e9
@@ -199,3 +199,32 @@ def test_pad_to_extends_truncates_identity():
     shorter = pad_to(wf, 60)
     assert shorter.n == 60
     assert np.array_equal(shorter.samples, wf.samples[:60])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 11), st.integers(0, 4), st.floats(-1.0, 1.0),
+       st.floats(0.0, 0.9))
+def test_cropped_window_holds_the_band(twos, odd, where, width):
+    n = (2 * odd + 1) << twos
+    ref = 193.4e12
+    rng = np.random.default_rng(n)
+    wf = ComplexWaveform(None, FS, ref_freq=ref, spectrum=rng.normal(size=n)
+                         + 1j * rng.normal(size=n))
+    mid = ref + where * (0.45 - width / 2.0) * FS
+    lo, hi = mid - width * FS / 2.0, mid + width * FS / 2.0
+    out = crop_to_band(wf, lo, hi)
+    d = n // out.n
+    df = FS / n
+    assert d * out.n == n and d & (d - 1) == 0
+    assert out.sample_rate == FS / d
+    # every bin of the band reappears at its frequency, scaled by 1/d
+    f_in = wf.abs_freqs()
+    band = np.flatnonzero((f_in >= lo) & (f_in <= hi))
+    k = np.round((f_in[band] - out.ref_freq) / df).astype(int) % out.n
+    assert np.array_equal(out.spectrum[k], wf.spectrum[band] / d)
+    if d > 1:
+        # only the middle half of the new band holds content
+        held = np.flatnonzero(out.spectrum)
+        assert np.all(np.abs(out.baseband_freqs()[held]) <= FS / d / 4.0)
+    # and a window half as wide would not surely hold the band
+    assert not (n % (2 * d) == 0 and hi - lo <= (n // (4 * d) - 3) * df)
