@@ -10,7 +10,11 @@ seeds; per sweep point and per signal:
 * errors, pooled over the seeds, must pass a two-sided conditional
   binomial test: given their sum, the change's share follows
   Binomial(sum, bits_change / (bits_parent + bits_change)) when both
-  sides share one error rate; the p-value must be at least ``ALPHA``;
+  sides share one error rate; the p-value must be at least ``ALPHA``.
+  Bits of one burst are not independent: one-burst error counts of
+  scenario B's digital uplink spread 5.5 times wider than binomial over
+  seeds 1-5.  So the test's variance is widened by the dispersion of the
+  parent's per-seed error counts (:func:`error_p_value`);
 * the pooled EVM, every carrier-ledger entry and the uplink-to-residual
   ratio must agree within a tolerance computed by :func:`tolerance`
   from the parent's per-seed values alone, never from the change's.
@@ -18,7 +22,7 @@ seeds; per sweep point and per signal:
 Run as a script it writes reference reports at a checkout and compares
 two such sets::
 
-    python3 tests/gate.py reference OUT [--checkout DIR] [--seeds 1-5] [--cut]
+    python3 tests/gate.py reference OUT [--checkout DIR] [--seeds 1-5[:step]] [--cut]
     python3 tests/gate.py compare PARENT_DIR CHANGE_DIR
 
 ``reference`` runs scenarios A and B at their top sweep point, each
@@ -27,7 +31,11 @@ scenario into OUT; ``--cut`` also cuts the burst to 200 symbols and one
 burst, as the tier-1 test does.  ``compare`` gates every scenario file
 of CHANGE_DIR against the file of the same name in PARENT_DIR and exits
 1 if any check fails.  A null check compares two seed sets of one
-checkout, e.g. seeds 1-5 against 6-10, which must pass.
+checkout, which must pass.  The seeds of one set must be independent:
+``run_scenario`` seeds burst ``k`` of a sweep point with the config
+seed plus ``k``, so seeds closer than the bursts a run needs share
+bursts.  Space them with ``--seeds first-last:step``, e.g.
+``--seeds 1000-5000:1000`` against ``--seeds 6000-10000:1000``.
 """
 
 from __future__ import annotations
@@ -77,14 +85,41 @@ def tolerance(parent_values) -> float:
     return max(t * s * math.sqrt(2.0 / m), ROUND_OFF)
 
 
-def error_p_value(errors_parent: int, errors_change: int,
-                  bits_parent: int, bits_change: int) -> float:
-    """Two-sided p-value of the change's share of the pooled errors."""
-    total = errors_parent + errors_change
+def dispersion(errors, bits) -> float:
+    """Pearson dispersion of per-seed error counts about their pooled
+    rate: the factor by which their variance exceeds the binomial one,
+    and never below 1."""
+    errors = np.asarray(errors, dtype=float)
+    bits = np.asarray(bits, dtype=float)
+    rate = errors.sum() / bits.sum()
+    if errors.size < 2 or not 0.0 < rate < 1.0:
+        return 1.0
+    chi2 = np.sum((errors - bits * rate) ** 2 / (bits * rate * (1.0 - rate)))
+    return max(1.0, float(chi2) / (errors.size - 1))
+
+
+def error_p_value(errors_parent, bits_parent, errors_change,
+                  bits_change) -> float:
+    """Two-sided p-value of the change's share of the pooled errors.
+
+    Arguments are per-seed counts.  When the parent's counts spread no
+    wider than binomial this is the exact conditional binomial test.
+    Otherwise the binomial variance is widened by the parent's
+    :func:`dispersion`, which is estimated from ``m`` seeds, and the
+    standardized share is referred to Student's t with ``m - 1`` degrees
+    of freedom (a quasi-binomial test).
+    """
+    e_p, e_c = int(np.sum(errors_parent)), int(np.sum(errors_change))
+    b_p, b_c = int(np.sum(bits_parent)), int(np.sum(bits_change))
+    total = e_p + e_c
     if total == 0:
         return 1.0
-    share = bits_change / (bits_parent + bits_change)
-    return float(stats.binomtest(errors_change, total, share).pvalue)
+    share = b_c / (b_p + b_c)
+    phi = dispersion(errors_parent, bits_parent)
+    if phi == 1.0:
+        return float(stats.binomtest(e_c, total, share).pvalue)
+    z = (e_c - total * share) / math.sqrt(phi * total * share * (1 - share))
+    return float(2.0 * stats.t.sf(abs(z), len(errors_parent) - 1))
 
 
 def _pooled_evm(reports, p_idx: int, name: str) -> float:
@@ -140,12 +175,15 @@ def compare(parent_reports, change_reports) -> list:
             if bits_p != bits_c:
                 failures.append(f"{label}: bits {bits_p} != {bits_c}")
                 continue
-            err_p = sum(pt["signals"][name]["errors"] for pt in points_p)
-            err_c = sum(pt["signals"][name]["errors"] for pt in points_c)
-            p = error_p_value(err_p, err_c, bits_p, bits_c)
+            err_p = [pt["signals"][name]["errors"] for pt in points_p]
+            err_c = [pt["signals"][name]["errors"] for pt in points_c]
+            p = error_p_value(
+                err_p, [pt["signals"][name]["bits"] for pt in points_p],
+                err_c, [pt["signals"][name]["bits"] for pt in points_c])
             if p < ALPHA:
-                failures.append(f"{label}: errors {err_p} -> {err_c} "
-                                f"over {bits_p} bits, p = {p:.2g}")
+                failures.append(f"{label}: errors {sum(err_p)} -> "
+                                f"{sum(err_c)} over {bits_p} bits, "
+                                f"p = {p:.2g}")
             evm_p = [pt["signals"][name]["evm_rms"] for pt in points_p]
             if np.all(np.isfinite(evm_p)):
                 gap = abs(_pooled_evm(change_reports, p_idx, name)
@@ -201,8 +239,10 @@ def run_points(name: str, seed: int, cut: bool) -> dict:
 
 
 def _seeds(text: str) -> list:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """Seeds from ``first-last`` or ``first-last:step``."""
+    span, _, step = text.partition(":")
+    lo, _, hi = span.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1, int(step or 1)))
 
 
 def _reference(args) -> int:
