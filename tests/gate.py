@@ -10,7 +10,7 @@ seeds; per sweep point and per signal:
 * errors, pooled over the seeds, must pass a two-sided conditional
   binomial test: given their sum, the change's share follows
   Binomial(sum, bits_change / (bits_parent + bits_change)) when both
-  sides share one error rate; the p-value must be at least ``ALPHA``.
+  sides share one error rate; the p-value must reach the check's level.
   Bits of one burst are not independent: one-burst error counts of
   scenario B's digital uplink spread 5.5 times wider than binomial over
   seeds 1-5.  So the test's variance is widened by the dispersion of the
@@ -18,6 +18,11 @@ seeds; per sweep point and per signal:
 * the pooled EVM, every carrier-ledger entry and the uplink-to-residual
   ratio must agree within a tolerance computed by :func:`tolerance`
   from the parent's per-seed values alone, never from the change's.
+
+All checks of one scenario together fail a change drawn from the
+parent's own statistics with probability at most ``ALPHA``: with some
+twenty checks a comparison, a level of ``ALPHA`` per check would fail
+about one such change in five.
 
 Run as a script it writes reference reports at a checkout and compares
 two such sets::
@@ -51,8 +56,10 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-#: Significance level of every check: the error test's smallest passing
-#: p-value, and the two-sided level of each tolerance.
+#: Family-wise significance level of one comparison: the chance that a
+#: change drawn from the parent's own statistics fails any check of one
+#: scenario.  Each of its ``n`` checks runs at ``ALPHA / n`` (Bonferroni;
+#: see :func:`check_level`).
 ALPHA = 0.01
 
 #: Smallest tolerance, in the unit of the quantity (dB or EVM fraction):
@@ -66,14 +73,23 @@ SCENARIOS = ("scenario_a", "scenario_b")
 CUT = {"burst_symbols": 200, "top_bits": 1000}
 
 
-def tolerance(parent_values) -> float:
+def check_level(reports) -> float:
+    """The level of each check in a comparison of these reports: ALPHA
+    over the number of checks (errors and EVM per signal, every ledger
+    entry and the uplink ratio, per sweep point)."""
+    n = sum(2 * len(pt["signals"]) + len(pt["carrier_ledger"]) + 1
+            for pt in reports[0]["points"])
+    return ALPHA / n
+
+
+def tolerance(parent_values, level: float = ALPHA) -> float:
     """Largest allowed gap between the parent's and the change's pooled
     means of a quantity, from the parent's per-seed values.
 
     With ``m`` seeds on each side and ``s`` the parent's per-seed sample
     standard deviation, the gap of two pooled means has standard error
     ``s * sqrt(2 / m)``; the tolerance is that times the two-sided
-    Student-t quantile at ``ALPHA`` with ``m - 1`` degrees of freedom,
+    Student-t quantile at ``level`` with ``m - 1`` degrees of freedom,
     since ``s`` itself is estimated from ``m`` values.
     """
     values = np.asarray(parent_values, dtype=float)
@@ -81,7 +97,7 @@ def tolerance(parent_values) -> float:
     if m < 2:
         raise ValueError("a tolerance needs at least two parent seeds")
     s = float(np.std(values, ddof=1))
-    t = float(stats.t.ppf(1.0 - ALPHA / 2.0, m - 1))
+    t = float(stats.t.ppf(1.0 - level / 2.0, m - 1))
     return max(t * s * math.sqrt(2.0 / m), ROUND_OFF)
 
 
@@ -132,11 +148,12 @@ def _pooled_evm(reports, p_idx: int, name: str) -> float:
     return math.sqrt(sq / bits) if bits else float("nan")
 
 
-def _within(label: str, parent_values, change_values) -> str | None:
+def _within(label: str, parent_values, change_values,
+            level: float) -> str | None:
     """A failure message when the pooled means differ by more than the
     parent's tolerance, else None."""
     gap = abs(float(np.mean(change_values)) - float(np.mean(parent_values)))
-    tol = tolerance(parent_values)
+    tol = tolerance(parent_values, level)
     if not gap <= tol:
         return (f"{label}: parent {np.mean(parent_values):.6g}, change "
                 f"{np.mean(change_values):.6g}, gap {gap:.3g} > "
@@ -159,6 +176,7 @@ def compare(parent_reports, change_reports) -> list:
     if any(len(r["points"]) != n_points
            for r in (*parent_reports, *change_reports)):
         return ["the reports differ in their number of sweep points"]
+    level = check_level(parent_reports)
     failures = []
     for p_idx in range(n_points):
         points_p = [r["points"][p_idx] for r in parent_reports]
@@ -180,7 +198,7 @@ def compare(parent_reports, change_reports) -> list:
             p = error_p_value(
                 err_p, [pt["signals"][name]["bits"] for pt in points_p],
                 err_c, [pt["signals"][name]["bits"] for pt in points_c])
-            if p < ALPHA:
+            if p < level:
                 failures.append(f"{label}: errors {sum(err_p)} -> "
                                 f"{sum(err_c)} over {bits_p} bits, "
                                 f"p = {p:.2g}")
@@ -188,14 +206,15 @@ def compare(parent_reports, change_reports) -> list:
             if np.all(np.isfinite(evm_p)):
                 gap = abs(_pooled_evm(change_reports, p_idx, name)
                           - _pooled_evm(parent_reports, p_idx, name))
-                tol = tolerance(evm_p)
+                tol = tolerance(evm_p, level)
                 if not gap <= tol:
                     failures.append(f"{label}: pooled EVM gap {gap:.3g} > "
                                     f"tolerance {tol:.3g}")
         for key in sorted(points_p[0]["carrier_ledger"]):
             msg = _within(f"{where} carrier_ledger.{key}",
                           [pt["carrier_ledger"][key] for pt in points_p],
-                          [pt["carrier_ledger"][key] for pt in points_c])
+                          [pt["carrier_ledger"][key] for pt in points_c],
+                          level)
             if msg:
                 failures.append(msg)
         ratios_p = [pt["uplink_to_residual_db"] for pt in points_p]
@@ -204,7 +223,8 @@ def compare(parent_reports, change_reports) -> list:
             failures.append(f"{where}: uplink_to_residual_db is missing "
                             f"on one side")
         elif None not in ratios_p:
-            msg = _within(f"{where} uplink_to_residual_db", ratios_p, ratios_c)
+            msg = _within(f"{where} uplink_to_residual_db", ratios_p,
+                          ratios_c, level)
             if msg:
                 failures.append(msg)
     return failures

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from scipy import stats
 
-from gate import (ALPHA, compare, dispersion, error_p_value, run_points,
-                  tolerance)
+from gate import (ALPHA, check_level, compare, dispersion, error_p_value,
+                  run_points, tolerance)
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,6 +52,11 @@ def test_errors_scaled_on_one_signal_fail():
     assert len(failures) == 1 and "ch0:tunnel2: errors" in failures[0]
 
 
+def test_each_check_runs_at_a_share_of_the_family_level():
+    # scenario B: 7 signals (errors and EVM), 4 ledger entries, 1 ratio
+    assert check_level(_reference("scenario_b")) == pytest.approx(ALPHA / 19)
+
+
 def test_overdispersed_errors_widen_the_error_test():
     # per-seed counts no wider than binomial keep the exact binomial test
     assert dispersion([84, 67, 81, 66, 71], [34320] * 5) == 1.0
@@ -67,7 +72,8 @@ def test_overdispersed_errors_widen_the_error_test():
 def test_a_shift_beyond_the_parents_spread_fails():
     parent = _reference("scenario_b")
     points = [rep["points"][0] for rep in parent]
-    tol = tolerance([pt["uplink_to_residual_db"] for pt in points])
+    tol = tolerance([pt["uplink_to_residual_db"] for pt in points],
+                    check_level(parent))
     change = copy.deepcopy(parent)
     for rep in change:
         rep["points"][0]["uplink_to_residual_db"] += 0.9 * tol
