@@ -82,7 +82,7 @@ def check_level(reports) -> float:
     return ALPHA / n
 
 
-def tolerance(parent_values, level: float = ALPHA) -> float:
+def tolerance(parent_values, level: float) -> float:
     """Largest allowed gap between the parent's and the change's pooled
     means of a quantity, from the parent's per-seed values.
 
