@@ -11,18 +11,19 @@ The package is organized in layers:
   analytic AWGN references.
 - :mod:`oansim.devices` — microring resonator models: through/drop
   response, modulators (intensity and IQ single-sideband), optical
-  subcarrier generation, drop filters, and bus cascades.
+  subcarrier generation and drop filters.
 - :mod:`oansim.channel` — fiber propagation (loss, chromatic dispersion,
-  group delay), power splitters, amplified-spontaneous-emission loading,
-  and square-law photodetection.
+  group delay), amplified-spontaneous-emission loading, and square-law
+  photodetection.
 - :mod:`oansim.subsystems` — composition of the above into the three
   network sites: central-office transmitter, smart-edge overlay/intercept,
   and the colorless optical network unit with carrier-reuse uplink.
+  Electrical drives go in, fields and photocurrents come out.
 - :mod:`oansim.budget` — network-level latency, coordination-feasibility,
   fronthaul-dimensioning, and optical power budgets (no waveform
   simulation).
 - :mod:`oansim.scenarios` — YAML-configured end-to-end scenario runner
-  with JSON/CSV report emission.
+  with JSON/CSV report emission; it makes and reads every OFDM signal.
 - :mod:`oansim.cli` — ``oansim`` command-line entry point.
 """
 
@@ -62,12 +63,9 @@ from .metrics import (
     qfunc,
 )
 from .devices import (
-    CombSpec,
     IqMrmConfig,
     RingParams,
     apply_mrm,
-    cascade_bus,
-    comb_source,
     drop_filter,
     generate_subcarriers,
     hilbert_pair,
@@ -83,8 +81,6 @@ from .channel import (
     dispersion_phase,
     photodetect,
     propagate_fiber,
-    rf_fading_power,
-    split_power,
 )
 from .subsystems import (
     OnuConfig,
@@ -149,12 +145,9 @@ __all__ = [
     "analytic_awgn_ber",
     "ber_evm_metrics",
     "qfunc",
-    "CombSpec",
     "IqMrmConfig",
     "RingParams",
     "apply_mrm",
-    "cascade_bus",
-    "comb_source",
     "drop_filter",
     "generate_subcarriers",
     "hilbert_pair",
@@ -168,8 +161,6 @@ __all__ = [
     "dispersion_phase",
     "photodetect",
     "propagate_fiber",
-    "rf_fading_power",
-    "split_power",
     "OnuConfig",
     "WdmChannel",
     "WdmPlan",

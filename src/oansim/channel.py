@@ -1,4 +1,4 @@
-"""Fiber propagation, splitting, amplification, and photodetection."""
+"""Fiber propagation, amplification, and photodetection."""
 
 from __future__ import annotations
 
@@ -73,28 +73,6 @@ def propagate_fiber(field: ComplexWaveform, params: FiberParams) -> ComplexWavef
     h *= field.spectrum
     return field.copy_with(spectrum=h,
                            delay_us=field.delay_us + params.one_way_delay_us())
-
-
-def rf_fading_power(fiber: FiberParams, f_rf) -> np.ndarray:
-    """Analytic double-sideband dispersion-fading envelope, cos^2 form.
-
-    Power transfer of a direct-detected DSB RF subcarrier after the fiber;
-    the first null sits at f = sqrt(c / (2 lambda^2 D L)).
-    """
-    lam = fiber.ref_wavelength_nm * 1e-9
-    d = fiber.dispersion_ps_nm_km * 1e-6
-    length = fiber.length_km * 1e3
-    return np.cos(np.pi * lam**2 * d * length
-                  * np.asarray(f_rf, dtype=float) ** 2 / C_LIGHT) ** 2
-
-
-def split_power(field: ComplexWaveform, n_ways: int,
-                excess_db: float = 0.0) -> ComplexWaveform:
-    """One branch of a 1:N power splitter with optional excess loss."""
-    if n_ways < 1:
-        raise ConfigError("n_ways must be >= 1")
-    loss_db = 10.0 * np.log10(n_ways) + excess_db
-    return field.scaled(10.0 ** (-loss_db / 20.0))
 
 
 def amplify_ase(field: ComplexWaveform, gain_db: float, nf_db: float,

@@ -77,25 +77,6 @@ class IqMrmConfig:
             raise ConfigError("sideband must be 'upper' or 'lower'")
 
 
-@dataclass(frozen=True)
-class CombSpec:
-    n_tones: int
-    start_freq: float
-    spacing: float
-    power_per_tone: float = 1e-3
-    linewidth: float = 0.0
-
-    def __post_init__(self):
-        if self.n_tones < 1:
-            raise ConfigError("n_tones must be >= 1")
-        if self.spacing <= 0:
-            raise ConfigError("comb spacing must be > 0")
-
-    @property
-    def tone_freqs(self) -> np.ndarray:
-        return self.start_freq + self.spacing * np.arange(self.n_tones)
-
-
 # ---------------------------------------------------------------------------
 # Elementary responses
 
@@ -201,43 +182,6 @@ def thermal_tune(params: RingParams, target_freq: float) -> RingParams:
 
 
 # ---------------------------------------------------------------------------
-# Sources
-
-
-def comb_source(spec: CombSpec, duration: float, sample_rate: float,
-                ref_freq: float | None = None, seed: int = 0) -> ComplexWaveform:
-    """Multi-tone laser comb as a complex envelope around ref_freq.
-
-    ``linewidth`` > 0 adds a per-tone Wiener phase walk (seeded).
-    """
-    freqs = spec.tone_freqs
-    if ref_freq is None:
-        ref_freq = float((freqs[0] + freqs[-1]) / 2.0)
-    offsets = freqs - ref_freq
-    if np.any(np.abs(offsets) >= sample_rate / 2.0):
-        worst = offsets[np.argmax(np.abs(offsets))] + ref_freq
-        raise ConfigError(
-            f"comb tone at {worst/1e12:.4f} THz falls outside the Nyquist "
-            f"band around ref_freq"
-        )
-    n = int(round(duration * sample_rate))
-    if n < 1:
-        raise ConfigError("duration too short for one sample")
-    t = np.arange(n) / sample_rate
-    amp = np.sqrt(spec.power_per_tone)
-    rng = np.random.default_rng(seed)
-    out = np.zeros(n, dtype=np.complex128)
-    for off in offsets:
-        phase = 2.0 * np.pi * off * t
-        if spec.linewidth > 0:
-            steps = rng.normal(
-                scale=np.sqrt(2.0 * np.pi * spec.linewidth / sample_rate), size=n)
-            phase = phase + np.cumsum(steps)
-        out += amp * np.exp(1j * phase)
-    return ComplexWaveform(out, sample_rate, ref_freq=ref_freq)
-
-
-# ---------------------------------------------------------------------------
 # Microring modulator
 
 
@@ -315,11 +259,12 @@ def hilbert_pair(drive: ComplexWaveform) -> ComplexWaveform:
 
 
 def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
-               i_drive: ComplexWaveform, q_drive: ComplexWaveform,
+               drive: ComplexWaveform,
                tone_window_hz: float | None = None) -> ComplexWaveform:
     """Two-branch microring IQ modulator with interferometric combining.
 
-    With ``q_drive`` the Hilbert pair of ``i_drive`` the data sidebands land
+    The I ring is driven by the real ``drive`` and the Q ring by its
+    Hilbert pair, formed in the Q branch, so the data sidebands land
     predominantly on ``config.sideband``; the carrier is partially retained
     per the ring bias points.  The 50/50 split/combine carries the inherent
     3 dB loss of single-output IQ recombination.
@@ -329,9 +274,9 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
         phase = -phase
     # both arms read the field's spectrum and frequency grid: fill them once
     field.spectrum, field.baseband_freqs()
-    out_i, out_q = fork(*(
-        partial(apply_mrm, field, ring, drive, tone_window_hz=tone_window_hz)
-        for ring, drive in ((config.ring_i, i_drive), (config.ring_q, q_drive))))
+    arm = partial(apply_mrm, field, tone_window_hz=tone_window_hz)
+    out_i, out_q = fork(partial(arm, config.ring_i, drive),
+                        lambda: arm(config.ring_q, hilbert_pair(drive)))
     return field.copy_with(spectrum=0.5 * (
         out_i.spectrum + np.exp(1j * phase) * out_q.spectrum))
 
@@ -342,7 +287,6 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
 
 def generate_subcarriers(field: ComplexWaveform, params: RingParams,
                          clock_freq: float, clock_amplitude_volt: float = 1.0,
-                         clock_phase: float = 0.0,
                          tone_window_hz: float | None = None) -> ComplexWaveform:
     """Drive a ring with a sinusoidal clock to split a tone into +/-f_s lines.
 
@@ -366,9 +310,7 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
         return _static_filter(field, params, bias)
     tone = _tone_phasor(clock_freq, field.n, 1.0 / field.sample_rate)
     drive = field.copy_with(
-        samples=(clock_amplitude_volt
-                 * np.real(np.exp(1j * clock_phase) * tone)
-                 ).astype(np.complex128),
+        samples=(clock_amplitude_volt * np.real(tone)).astype(np.complex128),
         ref_freq=0.0,
     )
     if tone_window_hz is None:
@@ -429,20 +371,3 @@ def drop_filter(field: ComplexWaveform, center: float, bandwidth: float,
     return (field.copy_with(spectrum=spec * h_drop),
             field.copy_with(spectrum=spec * h_thru))
 
-
-# ---------------------------------------------------------------------------
-# Bus cascade
-
-
-def cascade_bus(field: ComplexWaveform, stages,
-                passband_loss_db: float = 0.1) -> ComplexWaveform:
-    """Left-fold a list of device applications with per-stage bus loss.
-
-    Each stage is a callable waveform -> waveform.  The per-stage passband
-    insertion loss models waveguide/coupler loss along the bus.
-    """
-    out = field
-    loss = 10.0 ** (-passband_loss_db / 20.0)
-    for stage in stages:
-        out = stage(out).scaled(loss)
-    return out

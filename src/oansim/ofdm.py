@@ -234,8 +234,7 @@ def _synchronize(cfg: OfdmConfig, rx: np.ndarray) -> int:
 
 
 def demodulate_ofdm(config: OfdmConfig, waveform: ComplexWaveform,
-                    max_symbols: int | None = None,
-                    track_phase: bool = False):
+                    max_symbols: int | None = None):
     """Detect an OFDM waveform; returns (bits, evm_rms).
 
     The waveform may be at any sample rate >= the occupied bandwidth times
@@ -281,12 +280,6 @@ def demodulate_ofdm(config: OfdmConfig, waveform: ComplexWaveform,
              / np.convolve(wgt, win, mode="same"))
 
     eq = payload / h_est[np.newaxis, :]
-    if track_phase:
-        # per-symbol common phase from pilots (laser drift, if modeled)
-        ref = pilots * h_est[ppos]
-        phase = np.angle(np.sum(payload[:, ppos] * np.conj(ref), axis=1))
-        eq = eq * np.exp(-1j * phase)[:, np.newaxis]
-
     data = eq[:, dpos].ravel()
     bits = qam_demodulate(data, config.qam_order)
     decided = qam_decide(data, config.qam_order)

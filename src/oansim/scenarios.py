@@ -47,7 +47,7 @@ from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                          scale_drive_to_depth, slope_biased_ring,
                          smart_edge_intercept_uplink, smart_edge_overlay,
                          solve_carrier_tap_filter)
-from .devices import IqMrmConfig, drop_filter, hilbert_pair, iq_mrm_ssb
+from .devices import IqMrmConfig, drop_filter, iq_mrm_ssb
 from .waveform import (ComplexWaveform, combine, downconvert, pad_to, psd,
                        resample_to, set_power_dbm, upconvert_real)
 
@@ -235,16 +235,20 @@ class _Signal(NamedTuple):
     def n_bits(self) -> int:
         return self.symbols * self.ofdm.bits_per_symbol
 
+    @property
+    def half_bw(self) -> float:
+        """Half-width of the band around the IF that its filters must pass."""
+        return 0.55 * self.ofdm.occupied_bandwidth
+
     def edges(self) -> tuple:
         """Band edges around the IF that its filters must pass."""
-        half = 0.55 * self.ofdm.occupied_bandwidth
-        return self.if_freq - half, self.if_freq + half
+        return self.if_freq - self.half_bw, self.if_freq + self.half_bw
 
     def wave(self, bits, sample_rate: float) -> ComplexWaveform:
         """The real electrical signal at its IF on the simulation grid."""
         return upconvert_real(
             resample_to(generate_ofdm(self.ofdm, bits), sample_rate),
-            self.if_freq, half_bw=0.55 * self.ofdm.occupied_bandwidth)
+            self.if_freq, self.half_bw)
 
 
 @dataclass
@@ -419,7 +423,6 @@ class ScenarioConfig:
             carrier_tap_fraction=tap_fraction,
             uplink_sideband=_get(raw, "uplink.sideband", _sideband),
             uplink_drive_depth=_get(raw, "uplink.drive_depth"),
-            digital_if=self.digital.if_freq,
             slot_width=ch.slot_width,
             min_residual_carrier_dbm=_get(raw, "onu.min_residual_carrier_dbm"),
             pd=PdParams(responsivity=_get(raw, "onu.pd.responsivity"),
@@ -555,7 +558,7 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
     window = slope_off + 0.5 * cfg.digital.edges()[0]
     return _stage("smart_edge_overlay", iq_mrm_ssb, link,
                   IqMrmConfig(ring, ring, sideband="lower"), drive,
-                  hilbert_pair(drive), tone_window_hz=window)
+                  tone_window_hz=window)
 
 
 def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
@@ -574,14 +577,14 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     payload_bits = [[rng.integers(0, 2, s.n_bits) for s in cfg.payloads]
                     for _ in plan.channels]
 
-    tx = _stage("olt_transmit", olt_transmit, plan, dig_bits, dig.ofdm,
-                sample_rate=fs,
+    drives = fork(*(partial(dig.wave, bits, fs) for bits in dig_bits))
+    tx = _stage("olt_transmit", olt_transmit, plan, drives,
                 power_per_tone_dbm=cfg.tx_power_dbm,
-                digital_if=dig.if_freq,
                 sideband=cfg.digital_sideband,
                 drive_depth=cfg.drive_depth,
                 ring_kwargs=cfg.ring_kwargs,
                 min_duration=cfg.n_record / fs, guard_s=_WALKOFF_GUARD_S)
+    del drives
 
     link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder)
     del tx
@@ -602,15 +605,15 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         if the uplink needs it, and its carrier ledger."""
         onu = cfg.onu_at(plan.channels[ch_idx].center_freq,
                          burst_seed + 100 + ch_idx)
-        res = _stage("onu_receive", onu_receive, link, onu, dig.ofdm,
-                     tx_bits=dig_bits[ch_idx], max_symbols=dig.symbols)
-        reports = [(broadband_name.format(ch=ch_idx), res.broadband),
-                   *fork(*(partial(_detect, radio_stage,
-                                   radio_name.format(ch=ch_idx, k=k + 1),
-                                   cfg.payloads[k], rof,
-                                   payload_bits[ch_idx][k])
-                           for group, rof in zip(cfg.groups, res.rof)
-                           for k in group))]
+        res = _stage("onu_receive", onu_receive, link, onu)
+        reports = fork(
+            partial(_detect, "broadband_demod",
+                    broadband_name.format(ch=ch_idx), dig, res.broadband,
+                    dig_bits[ch_idx]),
+            *(partial(_detect, radio_stage,
+                      radio_name.format(ch=ch_idx, k=k + 1),
+                      cfg.payloads[k], rof, payload_bits[ch_idx][k])
+              for group, rof in zip(cfg.groups, res.rof) for k in group))
         ledger = {
             "carrier_in_dbm": res.carrier_in_dbm,
             "carrier_after_broadband_dbm": res.carrier_after_broadband_dbm,
@@ -629,17 +632,15 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     del units
 
     # uplink: channel 0's network unit remodulates its residual carrier
-    up_bits = {"digital": rng.integers(0, 2, cfg.uplink["digital"].n_bits)}
-    rof_wave = None
-    if "rof" in cfg.uplink:
-        up_bits["rof"] = rng.integers(0, 2, cfg.uplink["rof"].n_bits)
-        rof_wave = cfg.uplink["rof"].wave(up_bits["rof"], fs)
+    # with the digital drive, then the radio drive if any
+    up_bits = {kind: rng.integers(0, 2, signal.n_bits)
+               for kind, signal in cfg.uplink.items()}
+    drives = fork(*(partial(cfg.uplink[kind].wave, bits, fs)
+                    for kind, bits in up_bits.items()))
     rem = _stage("onu_remodulate", onu_remodulate, residual,
                  cfg.onu_at(plan.channels[0].center_freq, burst_seed + 100),
-                 uplink_bits=up_bits["digital"], uplink_rof=rof_wave,
-                 ofdm_cfg=cfg.uplink["digital"].ofdm,
-                 guard_s=_WALKOFF_GUARD_S)
-    del residual, rof_wave
+                 drives, guard_s=_WALKOFF_GUARD_S)
+    del residual, drives
 
     back = _stage("uplink_distribution", propagate_fiber, rem.waveform,
                   cfg.distribution)

@@ -1,7 +1,12 @@
 """Composition of the photonic devices into the three network blocks.
 
+Drives in, fields and photocurrents out: every block takes real
+electrical drives on the simulation grid and returns optical fields or
+detected photocurrents; :mod:`oansim.scenarios` makes and reads every
+OFDM signal.
+
 * central-office transmitter: comb source + one IQ microring modulator
-  per WDM channel, single-sideband digital payload inside each channel's
+  per WDM channel, single-sideband digital drive inside each channel's
   reserved digital subband;
 * smart-edge overlay unit: per channel, one ring splits the carrier into
   +/-f_s subcarriers and two further rings modulate those subcarriers
@@ -17,33 +22,33 @@ Every receiver detects its drop at the rate of its band
 bandwidth on each side of the filter centre, at the lowest power-of-two
 fraction of the simulation rate that holds it.
 
-All figures of merit (carrier apportioning, uplink-to-residual ratio,
-spectral centroids) are computed here so scenarios only orchestrate.
+The optical figures of merit (carrier apportioning, uplink-to-residual
+ratio, spectral centroids) are computed here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as fftpack
 
 from .channel import PdParams, dc_block, photodetect
 from .devices import (IqMrmConfig, RingParams, apply_mrm, drop_filter,
-                      generate_subcarriers, hilbert_pair, iq_mrm_ssb,
-                      thermal_tune)
+                      generate_subcarriers, iq_mrm_ssb, thermal_tune)
 from .errors import ConfigError, SimulationError
-from .forkjoin import fork
-from .ofdm import OfdmConfig, generate_ofdm
-from .waveform import (ComplexWaveform, _tone_phasor, band_power,
-                       crop_to_band, pad_to, resample_to, upconvert_real)
+from .waveform import (ComplexWaveform, _tone_phasor, band_power, combine,
+                       crop_to_band, pad_to)
 
 #: Per-device passband insertion loss along an add/drop bus (dB).
 BUS_LOSS_DB_PER_STAGE = 0.1
 
 #: Half-width of the spectral window treated as "the carrier" (Hz).
 CARRIER_WINDOW_HZ = 0.5e9
+
+#: Uplink-to-residual-downlink ratio that each ONU drop filter's downlink
+#: suppression must support (dB).
+UPLINK_RATIO_TARGET_DB = 13.0
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +128,6 @@ def scale_drive_to_depth(drive: ComplexWaveform, ring: RingParams,
     return drive.scaled(target_volt / peak)
 
 
-def _ssb_drives(payload: ComplexWaveform, ring: RingParams, depth: float):
-    """In-phase and Hilbert-pair quadrature drives from a real payload."""
-    i_drive = scale_drive_to_depth(payload, ring, depth)
-    return i_drive, hilbert_pair(i_drive)
-
-
 # ---------------------------------------------------------------------------
 # Carrier-tap drop filter solver
 
@@ -169,12 +168,6 @@ def solve_carrier_tap_filter(band_lo: float, band_hi: float, tap: float,
     return FilterSpec(sign * u_tap * bandwidth / 2.0, bandwidth, order)
 
 
-def filter_drop_fraction(spec: FilterSpec, offset: float) -> float:
-    """|H_drop|^2 of a filter at a given carrier offset."""
-    u = 2.0 * (offset - spec.center_offset) / spec.bandwidth
-    return 1.0 / (1.0 + u ** (2 * spec.order))
-
-
 # ---------------------------------------------------------------------------
 # ONU configuration
 
@@ -187,10 +180,8 @@ class OnuConfig:
     carrier_tap_fraction: float = 0.25
     uplink_sideband: str = "upper"
     uplink_drive_depth: float = 0.2
-    digital_if: float = 7e9
     slot_width: float = 50e9
     min_residual_carrier_dbm: float = -35.0
-    uplink_ratio_target_db: float = 13.0
     pd: PdParams = field(default_factory=PdParams)
     ring_kwargs: dict = field(default_factory=dict)
 
@@ -216,7 +207,7 @@ class OnuConfig:
         below the uplink target with margin, otherwise residual downlink
         power would mask the remodulated uplink.
         """
-        required = self.uplink_ratio_target_db
+        required = UPLINK_RATIO_TARGET_DB
         for spec in (self.broadband_filter, *self.rof_filters):
             u_edge = 0.5  # signal assumed concentrated in the central half
             leak = 1.0 - 1.0 / (1.0 + u_edge ** (2 * spec.order))
@@ -229,64 +220,42 @@ class OnuConfig:
                     f"{required:.1f} dB"
                 )
 
-    def retuned(self, new_center: float) -> "OnuConfig":
-        """Same ONU parked on another channel (colorless retune)."""
-        return replace(self, channel_center=new_center)
-
 
 # ---------------------------------------------------------------------------
 # Central office
 
 
-def olt_transmit(plan: WdmPlan, digital_payloads, ofdm_cfg: OfdmConfig,
-                 sample_rate: float, power_per_tone_dbm: float = 0.0,
-                 digital_if: float | None = None, sideband: str = "upper",
-                 drive_depth: float = 0.25, ring_kwargs: dict | None = None,
-                 min_duration: float = 0.0,
+def olt_transmit(plan: WdmPlan, drives, power_per_tone_dbm: float = 0.0,
+                 sideband: str = "upper", drive_depth: float = 0.25,
+                 ring_kwargs: dict | None = None, min_duration: float = 0.0,
                  guard_s: float = 0.0) -> ComplexWaveform:
     """Comb source plus one IQ-SSB modulator per WDM channel.
 
-    ``digital_payloads`` is one bit array per channel; each is OFDM
-    modulated, upconverted to ``digital_if`` inside the digital subband,
-    and placed single-sideband next to its channel's carrier.
-    ``guard_s`` inserts silence before each frame so that channels whose
-    envelope is advanced by fiber walk-off keep their preamble inside the
-    record.
+    ``drives`` is one real electrical drive per channel, at its IF on the
+    simulation grid; each is scaled to ``drive_depth`` and placed
+    single-sideband next to its channel's carrier.  ``guard_s`` inserts
+    silence before each drive so that channels whose envelope is advanced
+    by fiber walk-off keep their preamble inside the record.  Returns the
+    transmitted field.
     """
-    if len(digital_payloads) != plan.n_channels:
+    if len(drives) != plan.n_channels:
         raise ConfigError(
-            f"{len(digital_payloads)} payloads for {plan.n_channels} channels"
+            f"{len(drives)} drives for {plan.n_channels} channels"
         )
+    sample_rate = drives[0].sample_rate
     ring_kwargs = ring_kwargs or {}
     ref = plan.ref_freq()
     for ch in plan.channels:
         if abs(ch.center_freq - ref) + ch.slot_width / 2.0 > sample_rate / 2.0:
             raise ConfigError("simulation bandwidth does not cover the plan")
 
-    # per-channel electrical IF drives on the common grid
-    def drive(ch: WdmChannel, bits) -> ComplexWaveform:
-        f_if = digital_if if digital_if is not None else 0.35 * ch.digital_subband
-        if f_if + ofdm_cfg.occupied_bandwidth / 2.0 > ch.digital_subband / 2.0:
-            raise ConfigError("digital payload does not fit in the subband")
-        base = generate_ofdm(ofdm_cfg, np.asarray(bits))
-        wf = resample_to(base, sample_rate)
-        wf = upconvert_real(wf, f_if,
-                            half_bw=0.55 * ofdm_cfg.occupied_bandwidth)
-        n_guard = int(round(guard_s * sample_rate))
-        if n_guard:
-            wf = wf.copy_with(samples=np.concatenate(
-                [np.zeros(n_guard, dtype=np.complex128), wf.samples]))
-        return wf
-
-    drives = fork(*(partial(drive, ch, bits)
-                    for ch, bits in zip(plan.channels, digital_payloads)))
-    n = max(d.n for d in drives)
+    n_guard = int(round(guard_s * sample_rate))
+    n = max(n_guard + d.n for d in drives)
     n = max(n, int(round(min_duration * sample_rate)))
     # tail silence up to an FFT-friendly length: every later stage runs
     # whole-record transforms, and a poorly factorable length is severalfold
     # slower
     n = fftpack.next_fast_len(n)
-    drives = [pad_to(d, n) for d in drives]
 
     # carrier comb at the channel centers
     amp = np.sqrt(10.0 ** (power_per_tone_dbm / 10.0) * 1e-3)
@@ -300,8 +269,9 @@ def olt_transmit(plan: WdmPlan, digital_payloads, ofdm_cfg: OfdmConfig,
     for ch, drive in zip(plan.channels, drives):
         ring = slope_biased_ring(ch.center_freq, **ring_kwargs)
         cfg = IqMrmConfig(ring, ring, sideband=sideband)
-        i_drive, q_drive = _ssb_drives(drive, ring, drive_depth)
-        out = iq_mrm_ssb(out, cfg, i_drive, q_drive).scaled(loss)
+        drive = scale_drive_to_depth(pad_to(drive, n, n_guard), ring,
+                                     drive_depth)
+        out = iq_mrm_ssb(out, cfg, drive).scaled(loss)
     return out
 
 
@@ -407,7 +377,6 @@ def detect_drop(dropped: ComplexWaveform, f_c: float, spec: FilterSpec,
 class InterceptResult:
     rof_electrical: ComplexWaveform
     through: ComplexWaveform
-    dropped_power_dbm: float
 
 
 def smart_edge_intercept_uplink(field_in: ComplexWaveform, plan: WdmPlan,
@@ -436,7 +405,7 @@ def smart_edge_intercept_uplink(field_in: ComplexWaveform, plan: WdmPlan,
     dropped, through = drop_filter(field_in, ch.center_freq + spec.center_offset,
                                    spec.bandwidth, spec.order)
     rof = detect_drop(dropped, ch.center_freq, spec, pd or PdParams())
-    return InterceptResult(rof, through, dropped.power_dbm())
+    return InterceptResult(rof, through)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +414,7 @@ def smart_edge_intercept_uplink(field_in: ComplexWaveform, plan: WdmPlan,
 
 @dataclass
 class OnuReceiveResult:
-    broadband: object                # BerReport
+    broadband: ComplexWaveform       # photocurrent of the broadband drop
     rof: list                        # photocurrent of each radio drop
     residual: ComplexWaveform
     carrier_in_dbm: float
@@ -453,20 +422,14 @@ class OnuReceiveResult:
     carrier_residual_dbm: float
 
 
-def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
-                ofdm_cfg: OfdmConfig, tx_bits=None,
-                max_symbols: int | None = None) -> OnuReceiveResult:
+def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
     """Strip the broadband subband and radio tunnels off the bus.
 
-    The broadband drop carries ``carrier_tap_fraction`` of the carrier and
-    is direct-detected and demodulated; each radio drop is direct-detected
-    and its photocurrent returned.  The residual field (including
-    the remaining carrier) is returned for remodulation.
+    The broadband drop carries ``carrier_tap_fraction`` of the carrier;
+    it and each radio drop are direct-detected and their photocurrents
+    returned.  The residual field (including the remaining carrier) is
+    returned for remodulation.
     """
-    from .metrics import ber_evm_metrics, ber_over_sent_bits
-    from .ofdm import demodulate_ofdm
-    from .waveform import downconvert
-
     f_c = cfg.channel_center
     slot_lo = f_c - cfg.slot_width / 2.0
     slot_hi = f_c + cfg.slot_width / 2.0
@@ -483,13 +446,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     # direct detection beats the SSB content against the tapped carrier,
     # recovering the real IF signal regardless of which optical sideband
     # carried it, so no spectral flip is ever needed here
-    electrical = detect_drop(dropped, f_c, spec, cfg.pd)
-    base = downconvert(electrical, cfg.digital_if)
-    rx_bits, evm = demodulate_ofdm(ofdm_cfg, base, max_symbols=max_symbols)
-    if tx_bits is not None:
-        report = ber_over_sent_bits(tx_bits, rx_bits, evm)
-    else:
-        report = ber_evm_metrics([], [], evm_rms=evm)
+    broadband = detect_drop(dropped, f_c, spec, cfg.pd)
 
     carrier_bb = _carrier_dbm(bus, f_c)
     rof_out = []
@@ -499,7 +456,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
         bus = bus.scaled(loss)
         rof_out.append(detect_drop(rdrop, f_c, rspec, cfg.pd))
     carrier_res = _carrier_dbm(bus, f_c)
-    return OnuReceiveResult(report, rof_out, bus, carrier_in, carrier_bb,
+    return OnuReceiveResult(broadband, rof_out, bus, carrier_in, carrier_bb,
                             carrier_res)
 
 
@@ -511,17 +468,15 @@ class RemodResult:
     downlink_centroid_offset: float | None
 
 
-def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig, uplink_bits=None,
-                   uplink_rof: ComplexWaveform | None = None,
-                   ofdm_cfg: OfdmConfig | None = None,
+def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig, drives,
                    guard_s: float = 0.0) -> RemodResult:
     """Remodulate the residual carrier with the uplink, opposite sideband.
 
-    The uplink drive is the OFDM-modulated ``uplink_bits`` at the digital
-    IF plus an optional radio waveform already at its radio IF.  Reports
-    the ratio of uplink power to the residual downlink power on the bus.
-    ``guard_s`` delays the uplink drive so return-path fiber walk-off
-    cannot push a preamble out of the record.
+    The uplink drive is the sum of ``drives``, real electrical waveforms
+    at their IFs on the residual's grid (none leaves the carrier
+    unmodulated).  Reports the ratio of uplink power to the residual
+    downlink power on the bus.  ``guard_s`` delays the uplink drive so
+    return-path fiber walk-off cannot push a preamble out of the record.
     """
     f_c = cfg.channel_center
     carrier_dbm = _carrier_dbm(residual, f_c)
@@ -531,39 +486,21 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig, uplink_bits=None,
             f"{cfg.min_residual_carrier_dbm:.1f} dBm remodulation minimum"
         )
 
-    parts = []
-    if uplink_bits is not None:
-        if ofdm_cfg is None:
-            raise ConfigError("uplink bits need an OFDM config")
-        base = generate_ofdm(ofdm_cfg, np.asarray(uplink_bits))
-        wf = resample_to(base, residual.sample_rate)
-        parts.append(upconvert_real(wf, cfg.digital_if,
-                                    half_bw=0.55 * ofdm_cfg.occupied_bandwidth))
-    if uplink_rof is not None:
-        if uplink_rof.sample_rate != residual.sample_rate:
-            uplink_rof = resample_to(uplink_rof, residual.sample_rate)
-        parts.append(uplink_rof)
-
     up_side = cfg.uplink_sideband
     down_side = "lower" if up_side == "upper" else "upper"
     _, down_c = _side(residual, f_c, cfg.slot_width, down_side)
     ring = slope_biased_ring(f_c, **cfg.ring_kwargs)
     mrm = IqMrmConfig(ring, ring, sideband=up_side)
-    if not parts or cfg.uplink_drive_depth == 0.0:
+    if not drives or cfg.uplink_drive_depth == 0.0:
         zero = residual.copy_with(
             samples=np.zeros(residual.n, dtype=np.complex128), ref_freq=0.0)
-        out = iq_mrm_ssb(residual, mrm, zero, zero)
+        out = iq_mrm_ssb(residual, mrm, zero)
         return RemodResult(out, None, None, down_c)
 
     n_guard = int(round(guard_s * residual.sample_rate))
-    drive_samples = np.zeros(n_guard + max(p.n for p in parts),
-                             dtype=np.complex128)
-    for p in parts:
-        drive_samples[n_guard: n_guard + p.n] += p.samples
-    drive = ComplexWaveform(drive_samples, residual.sample_rate, ref_freq=0.0)
-    drive = pad_to(scale_drive_to_depth(drive, ring, cfg.uplink_drive_depth),
-                   residual.n)
-    out = iq_mrm_ssb(residual, mrm, drive, hilbert_pair(drive))
+    drive = combine([pad_to(d, residual.n, n_guard) for d in drives])
+    drive = scale_drive_to_depth(drive, ring, cfg.uplink_drive_depth)
+    out = iq_mrm_ssb(residual, mrm, drive)
 
     p_up, up_c = _side(out, f_c, cfg.slot_width, up_side)
     p_down, _ = _side(out, f_c, cfg.slot_width, down_side)

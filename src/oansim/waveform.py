@@ -222,28 +222,17 @@ def crop_to_band(wf: ComplexWaveform, f_lo: float,
 
 
 def upconvert_real(wf: ComplexWaveform, f_rf: float,
-                   half_bw: float | None = None) -> ComplexWaveform:
+                   half_bw: float) -> ComplexWaveform:
     """Mix a complex baseband signal onto a real RF carrier at f_rf.
 
     Output is a real-valued passband signal centered at f_rf with the
-    input power preserved (sqrt(2) carrier convention).  ``f_rf == 0`` is
-    the degenerate no-op case and returns the input unchanged.  When the
-    caller already knows the occupied half-bandwidth it can pass
-    ``half_bw`` and skip the spectral estimate.
+    input power preserved (sqrt(2) carrier convention).  ``half_bw`` is
+    the occupied half-bandwidth, which must stay below Nyquist once
+    mixed up.  ``f_rf == 0`` is the degenerate no-op case and returns the
+    input unchanged.
     """
     if f_rf == 0.0:
         return wf.copy_with()
-    if half_bw is None:
-        # occupied half-bandwidth: 99.9%-power spectral extent
-        f = np.abs(wf.baseband_freqs())
-        spec2 = np.abs(wf.spectrum) ** 2
-        order = np.argsort(f)
-        cum = np.cumsum(spec2[order])
-        if cum[-1] > 0:
-            k = int(np.searchsorted(cum, 0.999 * cum[-1]))
-            half_bw = float(f[order][min(k, f.size - 1)])
-        else:
-            half_bw = 0.0
     if f_rf + half_bw >= wf.sample_rate / 2:
         raise ConfigError(
             f"upconversion to {f_rf/1e9:.3f} GHz aliases: need f_rf + bw/2 "
@@ -254,19 +243,14 @@ def upconvert_real(wf: ComplexWaveform, f_rf: float,
     return wf.copy_with(samples=out.astype(np.complex128))
 
 
-def downconvert(wf: ComplexWaveform, f_rf: float,
-                conjugate: bool = False) -> ComplexWaveform:
+def downconvert(wf: ComplexWaveform, f_rf: float) -> ComplexWaveform:
     """Digitally downconvert a real passband signal from f_rf to baseband.
 
     Inverse of :func:`upconvert_real` up to the low-pass filtering done by
-    a subsequent resample.  ``conjugate`` flips the spectrum, needed when
-    the signal of interest rides a lower sideband.
+    a subsequent resample.
     """
     rot = _tone_phasor(-f_rf, wf.n, 1.0 / wf.sample_rate)
-    out = np.sqrt(2.0) * wf.samples * rot
-    if conjugate:
-        out = np.conj(out)
-    return wf.copy_with(samples=out)
+    return wf.copy_with(samples=np.sqrt(2.0) * wf.samples * rot)
 
 
 def combine(waveforms: list[ComplexWaveform]) -> ComplexWaveform:
@@ -282,11 +266,10 @@ def combine(waveforms: list[ComplexWaveform]) -> ComplexWaveform:
     return first.copy_with(samples=acc)
 
 
-def pad_to(wf: ComplexWaveform, n: int) -> ComplexWaveform:
-    if wf.n > n:
-        return wf.copy_with(samples=wf.samples[:n])
-    if wf.n == n:
-        return wf.copy_with()
+def pad_to(wf: ComplexWaveform, n: int, lead: int = 0) -> ComplexWaveform:
+    """``wf`` after ``lead`` zeros, cut or zero-padded to ``n`` samples."""
+    if lead == 0 and wf.n >= n:
+        return wf.copy_with(samples=wf.samples[:n] if wf.n > n else None)
     out = np.zeros(n, dtype=np.complex128)
-    out[: wf.n] = wf.samples
+    out[lead:lead + wf.n] = wf.samples[:max(n - lead, 0)]
     return wf.copy_with(samples=out)

@@ -32,20 +32,22 @@ two such sets::
 
 ``reference`` runs scenarios A and B at their top sweep point, each
 seed in a fresh process on ``DIR/src``, and writes one JSON file per
-scenario into OUT; ``--cut`` also cuts the burst to 200 symbols and one
-burst, as the tier-1 test does.  ``compare`` gates every scenario file
-of CHANGE_DIR against the file of the same name in PARENT_DIR and exits
-1 if any check fails.  A null check compares two seed sets of one
-checkout, which must pass.  The seeds of one set must be independent:
-``run_scenario`` seeds burst ``k`` of a sweep point with the config
-seed plus ``k``, so seeds closer than the bursts a run needs share
-bursts.  Space them with ``--seeds first-last:step``, e.g.
+scenario into OUT, with the SHA-256 of each full report; ``--cut`` also
+cuts the burst to 200 symbols and one burst, as the tier-1 test does.
+``compare`` gates every scenario file of CHANGE_DIR against the file of
+the same name in PARENT_DIR, exits 1 if any check fails, and adds
+``byte-identical`` to a verdict whose report hashes all match.  A null
+check compares two seed sets of one checkout, which must pass.  The
+seeds of one set must be independent: ``run_scenario`` seeds burst ``k``
+of a sweep point with the config seed plus ``k``, so seeds closer than
+the bursts a run needs share bursts.  Space them with ``--seeds first-last:step``, e.g.
 ``--seeds 1000-5000:1000`` against ``--seeds 6000-10000:1000``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -251,11 +253,22 @@ def scenario_config(name: str, seed: int, cut: bool):
 
 
 def run_points(name: str, seed: int, cut: bool) -> dict:
-    """The gated part of one report: its seed and sweep points."""
+    """The gated part of one report, its seed and sweep points, and the
+    SHA-256 of the whole report as ``json.dumps(report, sort_keys=True)``."""
     from oansim.scenarios import run_scenario
 
     report = run_scenario(scenario_config(name, seed, cut))
-    return {"seed": seed, "points": report["points"]}
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    return {"seed": seed, "points": report["points"],
+            "sha256": digest.hexdigest()}
+
+
+def byte_identical(parent_reports, change_reports) -> bool:
+    """Whether every report on both sides carries a hash and the change's
+    hashes equal the parent's, seed by seed."""
+    hashes = [[r.get("sha256") for r in side]
+              for side in (parent_reports, change_reports)]
+    return None not in hashes[0] and hashes[0] == hashes[1]
 
 
 def _seeds(text: str) -> list:
@@ -296,8 +309,9 @@ def _compare(args) -> int:
         change = json.loads(change_path.read_text())["reports"]
         failures = compare(parent, change)
         seeds = [[r["seed"] for r in side] for side in (parent, change)]
+        same = ", byte-identical" if byte_identical(parent, change) else ""
         print(f"{change_path.stem}: parent seeds {seeds[0]}, change seeds "
-              f"{seeds[1]}: {'FAIL' if failures else 'pass'}")
+              f"{seeds[1]}: {'FAIL' if failures else 'pass'}{same}")
         for msg in failures:
             print(f"  {msg}")
         verdict |= bool(failures)

@@ -20,8 +20,8 @@ from oansim.budget import LinkSpec, NodeSpec, TopologySpec
 from oansim.channel import (FiberParams, PdParams, dc_block, photodetect,
                             propagate_fiber)
 from oansim.devices import (IqMrmConfig, RingParams, apply_mrm,
-                            drop_filter, generate_subcarriers, hilbert_pair,
-                            iq_mrm_ssb, ring_response)
+                            drop_filter, generate_subcarriers, iq_mrm_ssb,
+                            ring_response)
 from oansim.metrics import analytic_awgn_ber, ber_evm_metrics
 from oansim.ofdm import OfdmConfig, add_awgn, demodulate_ofdm, generate_ofdm
 from oansim.scenarios import builtin_config_path, load_config, run_scenario
@@ -108,7 +108,7 @@ def _irr_db(branch_phase):
         samples=(0.05 * np.cos(2 * np.pi * f_m * t)).astype(np.complex128),
         ref_freq=0.0)
     cfg = IqMrmConfig(ring, ring, branch_phase=branch_phase, sideband="upper")
-    out = iq_mrm_ssb(field, cfg, i_drive, hilbert_pair(i_drive))
+    out = iq_mrm_ssb(field, cfg, i_drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
     dn = band_power(out, F0 - f_m - 1e9, F0 - f_m + 1e9)
     return 10.0 * np.log10(up / dn)
@@ -151,7 +151,7 @@ def test_criterion_4_ssb_quality():
         samples=(0.05 * np.cos(2 * np.pi * null * t)).astype(np.complex128),
         ref_freq=0.0)
     ssb = iq_mrm_ssb(field, IqMrmConfig(ring, ring, sideband="upper"),
-                     i_drive, hilbert_pair(i_drive))
+                     i_drive)
     faded = propagate_fiber(ssb, fiber).copy_with(delay_us=0.0)
     dip = 10.0 * np.log10(_rf_power_after(faded, null)
                           / _rf_power_after(ssb, null))

@@ -1,4 +1,4 @@
-"""Fiber, splitter, amplifier, and photodetector tests."""
+"""Fiber, amplifier, and photodetector tests."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from oansim.channel import (GROUP_DELAY_US_PER_KM, FiberParams, PdParams,
                             amplify_ase, dc_block, dispersion_phase,
-                            photodetect, propagate_fiber, rf_fading_power,
-                            split_power)
+                            photodetect, propagate_fiber)
 from oansim.errors import ConfigError
 from oansim.waveform import ComplexWaveform, band_power
 
@@ -90,38 +89,6 @@ def test_dispersion_phase_quadratic():
 def test_negative_length_rejected():
     with pytest.raises(ConfigError):
         FiberParams(-1.0)
-
-
-# ---------------------------------------------------------------- RF fading
-
-
-def test_double_sideband_fading_null_location():
-    fiber = FiberParams(20.0)
-    f = np.linspace(1e9, 20e9, 5001)
-    fade = rf_fading_power(fiber, f)
-    null = f[np.argmin(fade)]
-    assert null == pytest.approx(13.6e9, abs=0.5e9)
-    assert np.min(fade) < 1e-3
-
-
-def test_fading_is_unity_at_dc():
-    fiber = FiberParams(20.0)
-    assert rf_fading_power(fiber, np.array([0.0]))[0] == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------- splitter
-
-
-def test_split_power_fraction():
-    wf = carrier()
-    out = split_power(wf, 4)
-    assert wf.power_dbm() - out.power_dbm() == pytest.approx(
-        10 * np.log10(4), abs=1e-9)
-    lossy = split_power(wf, 4, excess_db=1.0)
-    assert wf.power_dbm() - lossy.power_dbm() == pytest.approx(
-        10 * np.log10(4) + 1.0, abs=1e-9)
-    with pytest.raises(ConfigError):
-        split_power(wf, 0)
 
 
 # ---------------------------------------------------------------- amplifier

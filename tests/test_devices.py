@@ -1,15 +1,14 @@
-"""Microring device model tests: responses, modulators, filters, buses."""
+"""Microring device model tests: responses, modulators, filters."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oansim.devices import (CombSpec, IqMrmConfig, RingParams,
-                            _cached_drop_pair, _through_detuned, _through_static_grid, apply_mrm,
-                            cascade_bus, comb_source, drop_filter,
-                            generate_subcarriers, hilbert_pair, iq_mrm_ssb,
-                            ring_response, thermal_tune)
+from oansim.devices import (IqMrmConfig, RingParams, _cached_drop_pair,
+                            _through_detuned, _through_static_grid, apply_mrm,
+                            drop_filter, generate_subcarriers, hilbert_pair,
+                            iq_mrm_ssb, ring_response, thermal_tune)
 from oansim.errors import ConfigError, SimulationError
 from oansim.subsystems import slope_biased_ring
 from oansim.waveform import ComplexWaveform, band_power, psd
@@ -108,32 +107,6 @@ def test_thermal_tune_idempotent():
     ring = thermal_tune(add_drop_ring(), F0 + 1e11)
     again = thermal_tune(ring, F0 + 1e11)
     assert again.tuning_offset == pytest.approx(ring.tuning_offset, abs=1e-6)
-
-
-# ---------------------------------------------------------------- sources
-
-
-def test_comb_source_tones_and_power():
-    spec = CombSpec(n_tones=4, start_freq=F0, spacing=100e9,
-                    power_per_tone=1e-3)
-    wf = comb_source(spec, 2e-7, 1e12)
-    assert wf.power() == pytest.approx(4e-3, rel=0.05)
-    for k in range(4):
-        p = band_power(wf, F0 + k * 100e9 - 5e9, F0 + k * 100e9 + 5e9)
-        assert p == pytest.approx(1e-3, rel=0.05)
-
-
-def test_comb_source_nyquist_guard():
-    spec = CombSpec(n_tones=8, start_freq=F0, spacing=100e9)
-    with pytest.raises(ConfigError):
-        comb_source(spec, 1e-7, 0.5e12, ref_freq=F0)
-
-
-def test_comb_source_seeded_linewidth_reproducible():
-    spec = CombSpec(n_tones=2, start_freq=F0, spacing=100e9, linewidth=1e6)
-    a = comb_source(spec, 1e-7, 1e12, seed=5)
-    b = comb_source(spec, 1e-7, 1e12, seed=5)
-    assert np.array_equal(a.samples, b.samples)
 
 
 # ---------------------------------------------------------------- modulator
@@ -259,8 +232,7 @@ def ssb_setup(branch_phase=np.pi / 2, f_m=5e9, depth=0.05):
     i = field.copy_with(
         samples=(depth * np.cos(2 * np.pi * f_m * field.times())
                  ).astype(np.complex128), ref_freq=0.0)
-    q = hilbert_pair(i)
-    out = iq_mrm_ssb(field, cfg, i, q)
+    out = iq_mrm_ssb(field, cfg, i)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
     dn = band_power(out, F0 - f_m - 1e9, F0 - f_m + 1e9)
     return 10 * np.log10(up / dn)
@@ -361,31 +333,6 @@ def test_drop_filter_validation():
         drop_filter(field, F0, 1e9, order=0)
 
 
-# ---------------------------------------------------------------- bus
-
-
-def test_cascade_bus_loss_accumulates():
-    field = carrier(n=4096)
-    out = cascade_bus(field, [lambda w: w] * 12, passband_loss_db=0.1)
-    assert field.power_dbm() - out.power_dbm() == pytest.approx(1.2, abs=0.01)
-
-
-def test_cascade_bus_empty_is_identity():
-    field = carrier(n=4096)
-    out = cascade_bus(field, [])
-    assert np.array_equal(out.samples, field.samples)
-
-
-@given(st.integers(1, 8))
-@settings(max_examples=8, deadline=None)
-def test_cascade_bus_fold_equivalence(n_stages):
-    field = carrier(n=2048)
-    stages = [lambda w: w.copy_with(samples=w.samples * 0.9)] * n_stages
-    out = cascade_bus(field, stages, passband_loss_db=0.0)
-    assert out.power() == pytest.approx(field.power() * 0.81 ** n_stages,
-                                        rel=1e-9)
-
-
 # ------------------------------------------- spectrum stages vs FFT round trips
 #
 # The linear stages multiply the field's cached spectrum.  Each must match
@@ -462,7 +409,7 @@ def test_iq_ssb_matches_the_fft_round_trip():
     q = hilbert_pair(i)
     window = 8e9
     cfg = IqMrmConfig(ring, ring, sideband="lower")
-    got = iq_mrm_ssb(field, cfg, i, q, tone_window_hz=window)
+    got = iq_mrm_ssb(field, cfg, i, tone_window_hz=window)
     want = 0.5 * (round_trip_tone(field, ring, i, window)
                   + np.exp(-1j * np.pi / 2)
                   * round_trip_tone(field, ring, q, window))

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from scipy import stats
 
-from gate import (ALPHA, check_level, compare, dispersion, error_p_value,
-                  run_points, tolerance)
+from gate import (ALPHA, byte_identical, check_level, compare, dispersion,
+                  error_p_value, main, run_points, tolerance)
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,3 +94,27 @@ def test_tolerance_comes_from_the_parent_alone():
         rep["points"][0]["carrier_ledger"]["x"] = 1.0 + 0.5 * (-1) ** k
     assert compare(parent, change) != []
     assert compare(change, change) == []
+
+
+def test_compare_names_byte_identical_report_sets(tmp_path, capsys):
+    reports = _reference("scenario_b")
+    for k, rep in enumerate(reports):
+        rep["sha256"] = f"{k:064x}"
+    assert byte_identical(reports, copy.deepcopy(reports))
+    other = copy.deepcopy(reports)
+    other[-1]["sha256"] = "f" * 64
+    assert not byte_identical(reports, other)
+    # reports written without hashes are never called byte-identical
+    assert not byte_identical(_reference("scenario_b"),
+                              _reference("scenario_b"))
+    for side, reps in (("parent", reports), ("change", reports),
+                       ("other", other)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "scenario_b.json").write_text(
+            json.dumps({"reports": reps}))
+    assert main(["compare", str(tmp_path / "parent"),
+                 str(tmp_path / "change")]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(": pass, byte-identical")
+    assert main(["compare", str(tmp_path / "parent"),
+                 str(tmp_path / "other")]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(": pass")

@@ -1,6 +1,6 @@
 """Package-level checks: version agreement, an import that starts no
-thread, and a guard against unused imports (no linter is a dependency of
-the package)."""
+thread, a guard against unused imports (no linter is a dependency of
+the package) and the layering of the modem against the optical layers."""
 
 import ast
 import os
@@ -46,3 +46,30 @@ def test_module_imports_are_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+#: Modules that carry fields and electrical drives only: the OFDM modem and
+#: its metrics belong to the scenario runner.
+OPTICAL_LAYERS = ("subsystems", "devices", "channel", "waveform")
+
+
+def _imported_modules(tree: ast.Module, package: str) -> set:
+    """Absolute names of the modules that ``tree`` imports anywhere, at
+    module level or inside a function."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join([package, base] if base else [package])
+            names |= {base} | {f"{base}.{a.name}" for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("layer", OPTICAL_LAYERS)
+def test_optical_layers_import_no_modem(layer):
+    tree = ast.parse((ROOT / "src" / "oansim" / f"{layer}.py").read_text())
+    imported = _imported_modules(tree, "oansim")
+    assert sorted(imported & {"oansim.ofdm", "oansim.metrics"}) == []

@@ -171,7 +171,7 @@ def test_undemodulated_bits_count_as_errors(tmp_path, monkeypatch,
     # must count as a bit and as an error, the ONU's broadband included
     real = oansim.ofdm.demodulate_ofdm
 
-    def short(config, waveform, max_symbols=None, track_phase=False):
+    def short(config, waveform, max_symbols=None):
         bits, evm = real(config, waveform, max_symbols=max_symbols)
         return bits[:-config.bits_per_symbol], evm
 
