@@ -13,7 +13,6 @@ remainder sees the static bias-point response.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -102,9 +101,6 @@ def ring_response(params: RingParams, freq):
 
 def _through_detuned(params: RingParams, freq, detune):
     """Through response at frequency ``freq`` with an extra resonance shift."""
-    t1 = params.self_coupling_t1
-    t2 = params.self_coupling_t2
-    a = params.roundtrip_amplitude_a
     phi = 2.0 * np.pi * (freq - params.effective_resonance
                          - np.asarray(detune)) / params.fsr
     if phi.ndim and phi.size > 4096 and np.ptp(phi) < 0.05:
@@ -122,52 +118,45 @@ def _through_detuned(params: RingParams, freq, detune):
         np.multiply(np.exp(1j * phi0), e, out=e)
     else:
         e = np.exp(1j * phi)
+    return _through_from_phasor(params, e)
+
+
+def _through_from_phasor(params: RingParams, e: np.ndarray) -> np.ndarray:
+    """Through response (t1 - t2 a e) / (1 - t1 t2 a e) for the round-trip
+    phasor ``e``, written over ``e`` with one more whole-grid buffer."""
+    t1 = params.self_coupling_t1
+    t2 = params.self_coupling_t2
+    a = params.roundtrip_amplitude_a
     num = np.multiply(t2 * a, e)
     np.subtract(t1, num, out=num)
     den = np.multiply(t1 * t2 * a, e, out=e)
     np.subtract(1.0, den, out=den)
-    return np.divide(num, den, out=num)
+    return np.divide(num, den, out=den)
 
 
 @lru_cache(maxsize=16)
 def _cached_unit_phasor(n: int, dt: float, ref: float, fsr: float):
-    f = _cached_fftfreq(n, dt) + ref
+    # whole FSRs off the reference leave the phasor as it is and would
+    # only cost phase round-off
+    f = _cached_fftfreq(n, dt) + ref % fsr
     e = np.exp(2j * np.pi * f / fsr)
     e.setflags(write=False)
     return e
 
 
-_RESPONSE_FILL = threading.Lock()
-
-
-@lru_cache(maxsize=24)
-def _cached_static_through(n: int, dt: float, ref: float, fsr: float,
-                           t1: float, t2: float, a: float, shift: float):
-    e = _cached_unit_phasor(n, dt, ref, fsr) \
-        * np.exp(-2j * np.pi * shift / fsr)
-    h = (t1 - t2 * a * e) / (1.0 - t1 * t2 * a * e)
-    h.setflags(write=False)
-    return h
-
-
 def _through_static_grid(params: RingParams, field: ComplexWaveform,
-                         detune: float):
-    """Static through response on a waveform's frequency grid.
+                         detune: float) -> np.ndarray:
+    """Static through response on a waveform's frequency grid: that of
+    :func:`_through_detuned` on ``field.abs_freqs()``, in a new array.
 
-    Same result as :func:`_through_detuned` on ``field.abs_freqs()``, but
-    the full response is cached so repeated calls with equal grids and
-    bias points cost nothing.
+    The grid's unit phasor is shared by every ring of its FSR; the bias
+    point turns it by one scalar phasor.
     """
-    # quantize the bias point to 1 MHz (<< any ring linewidth here) so the
-    # data-dependent part of a drive's mean does not defeat the cache
-    shift = 1e6 * round((params.effective_resonance + detune) / 1e6)
-    # the two arms of an IQ modulator, run side by side, share responses:
-    # the second one to ask for a response waits for the first to fill it
-    with _RESPONSE_FILL:
-        return _cached_static_through(
-            field.n, 1.0 / field.sample_rate, field.ref_freq, params.fsr,
-            params.self_coupling_t1, params.self_coupling_t2,
-            params.roundtrip_amplitude_a, shift)
+    shift = (params.effective_resonance + detune) % params.fsr
+    e = _cached_unit_phasor(field.n, 1.0 / field.sample_rate,
+                            field.ref_freq, params.fsr) \
+        * np.exp(-2j * np.pi * shift / params.fsr)
+    return _through_from_phasor(params, e)
 
 
 def thermal_tune(params: RingParams, target_freq: float) -> RingParams:
@@ -188,7 +177,7 @@ def thermal_tune(params: RingParams, target_freq: float) -> RingParams:
 def _static_filter(field: ComplexWaveform, params: RingParams,
                    detune: float) -> ComplexWaveform:
     h = _through_static_grid(params, field, detune)
-    return field.copy_with(spectrum=field.spectrum * h)
+    return field.copy_with(spectrum=np.multiply(field.spectrum, h, out=h))
 
 
 def _apply_tone(field: ComplexWaveform, params: RingParams,
@@ -209,7 +198,8 @@ def _apply_tone(field: ComplexWaveform, params: RingParams,
     x_res = fftpack.ifft(np.where(mask, spec, 0.0), overwrite_x=True)
     x_res *= _through_detuned(params, f_tone, detune)
     out = fftpack.fft(x_res, overwrite_x=True)
-    off = spec * _through_static_grid(params, field, bias_detune)
+    off = _through_static_grid(params, field, bias_detune)
+    np.multiply(spec, off, out=off)
     off[mask] = 0.0
     out += off
     return field.copy_with(spectrum=out)
@@ -322,10 +312,10 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
 # Higher-order drop filter
 
 
-@lru_cache(maxsize=16)
-def _cached_drop_pair(n: int, dt: float, ref: float, center: float,
-                      bandwidth: float, order: int):
-    u = _cached_fftfreq(n, dt) + ref
+def _drop_pair(field: ComplexWaveform, center: float, bandwidth: float,
+               order: int):
+    """Drop and through magnitude responses on a waveform's grid."""
+    u = field.abs_freqs()
     u -= center
     u *= 2.0
     u /= bandwidth
@@ -343,8 +333,6 @@ def _cached_drop_pair(n: int, dt: float, ref: float, center: float,
     np.divide(1.0, mag2, out=mag2)
     h_thru = np.sqrt(np.multiply(power, mag2, out=power), out=power)
     h_drop = np.sqrt(mag2, out=mag2)
-    h_drop.setflags(write=False)
-    h_thru.setflags(write=False)
     return h_drop, h_thru
 
 
@@ -364,9 +352,7 @@ def drop_filter(field: ComplexWaveform, center: float, bandwidth: float,
             f"drop band at {center/1e12:.4f} THz falls outside the simulated "
             f"bandwidth"
         )
-    h_drop, h_thru = _cached_drop_pair(
-        field.n, 1.0 / field.sample_rate, field.ref_freq,
-        float(center), float(bandwidth), int(order))
+    h_drop, h_thru = _drop_pair(field, center, bandwidth, int(order))
     spec = field.spectrum
     return (field.copy_with(spectrum=spec * h_drop),
             field.copy_with(spectrum=spec * h_thru))

@@ -1,14 +1,16 @@
 """Microring device model tests: responses, modulators, filters."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oansim.devices import (IqMrmConfig, RingParams, _cached_drop_pair,
-                            _through_detuned, _through_static_grid, apply_mrm,
-                            drop_filter, generate_subcarriers, hilbert_pair,
-                            iq_mrm_ssb, ring_response, thermal_tune)
+from oansim.devices import (IqMrmConfig, RingParams, _drop_pair,
+                            _through_detuned, apply_mrm, drop_filter,
+                            generate_subcarriers, hilbert_pair, iq_mrm_ssb,
+                            ring_response, thermal_tune)
 from oansim.errors import ConfigError, SimulationError
 from oansim.subsystems import slope_biased_ring
 from oansim.waveform import ComplexWaveform, band_power, psd
@@ -316,7 +318,8 @@ def test_drop_pair_by_multiplies_matches_the_pow_form(order):
     n, dt, center, bandwidth = 1 << 14, 1.0 / FS, F0 + 7e9, 9e9
     u = 2.0 * (np.fft.fftfreq(n, dt) + F0 - center) / bandwidth
     p = u ** (2 * order)
-    h_drop, h_thru = _cached_drop_pair(n, dt, F0, center, bandwidth, order)
+    field = ComplexWaveform(np.zeros(n, dtype=np.complex128), FS, ref_freq=F0)
+    h_drop, h_thru = _drop_pair(field, center, bandwidth, order)
     np.testing.assert_allclose(h_drop, np.sqrt(1.0 / (1.0 + p)),
                                rtol=1e-14, atol=0)
     np.testing.assert_allclose(h_thru, np.sqrt(p / (1.0 + p)),
@@ -336,8 +339,9 @@ def test_drop_filter_validation():
 # ------------------------------------------- spectrum stages vs FFT round trips
 #
 # The linear stages multiply the field's cached spectrum.  Each must match
-# the round trip ifft(fft(x) * H) it replaced to FFT round-off; the ring
-# responses come from the same helpers on both sides.
+# the round trip ifft(fft(x) * H) it replaced to FFT round-off.  The static
+# ring response on the expected side is the public closed form
+# ring_response, detuned by the drive's mean.
 
 
 def two_tone_field(n=65536):
@@ -347,14 +351,21 @@ def two_tone_field(n=65536):
     return ComplexWaveform(x, FS, ref_freq=F0)
 
 
-def cos_drive(field, f_m=5e9, depth=0.05):
+def cos_drive(field, f_m=5e9, depth=0.05, mean=0.0):
     return field.copy_with(
-        samples=(depth * np.cos(2 * np.pi * f_m * field.times())
+        samples=(mean + depth * np.cos(2 * np.pi * f_m * field.times())
                  ).astype(np.complex128), ref_freq=0.0)
 
 
 def assert_round_off(got, want):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def static_through(ring, field, bias):
+    """Closed-form through response on the field's grid at the bias point."""
+    f_abs = np.fft.fftfreq(field.n, 1 / field.sample_rate) + field.ref_freq
+    shifted = replace(ring, tuning_offset=ring.tuning_offset + bias)
+    return ring_response(shifted, f_abs)[0]
 
 
 def round_trip_tone(field, ring, drive, window):
@@ -368,7 +379,7 @@ def round_trip_tone(field, ring, drive, window):
     f_tone = float(np.sum(f_abs[mask] * p2) / np.sum(p2))
     x_res = np.fft.ifft(np.where(mask, spec, 0.0))
     x_off = np.fft.ifft(np.where(mask, 0.0, spec)
-                        * _through_static_grid(ring, field, bias))
+                        * static_through(ring, field, bias))
     return x_off + _through_detuned(ring, f_tone, detune) * x_res
 
 
@@ -383,19 +394,22 @@ def test_drop_filter_matches_the_fft_round_trip():
     assert_round_off(through.samples, np.fft.ifft(spec * np.sqrt(1 - mag2)))
 
 
-def test_static_ring_filter_matches_the_fft_round_trip():
+@pytest.mark.parametrize("volt", [0.0, 0.3])
+def test_static_ring_filter_matches_the_fft_round_trip(volt):
     ring = slope_biased_ring(F0)
     field = two_tone_field()
-    zero = cos_drive(field, depth=0.0)
-    h = _through_static_grid(ring, field, ring.mod_efficiency * ring.bias_volt)
-    assert_round_off(apply_mrm(field, ring, zero).samples,
+    flat = cos_drive(field, depth=0.0, mean=volt)
+    h = static_through(ring, field,
+                       ring.mod_efficiency * (ring.bias_volt + volt))
+    assert_round_off(apply_mrm(field, ring, flat).samples,
                      np.fft.ifft(np.fft.fft(field.samples) * h))
 
 
-def test_tone_mrm_matches_the_fft_round_trip():
+@pytest.mark.parametrize("mean", [0.0, 0.02])
+def test_tone_mrm_matches_the_fft_round_trip(mean):
     ring = slope_biased_ring(F0)
     field = two_tone_field()
-    drive = cos_drive(field)
+    drive = cos_drive(field, mean=mean)
     window = 3.0 * ring.fwhm + ring.mod_efficiency * np.ptp(
         drive.samples.real) / 2.0
     got = apply_mrm(field, ring, drive)

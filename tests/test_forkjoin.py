@@ -1,24 +1,19 @@
 """Fork-join inside a burst: a threaded run reports exactly what a serial
-one does, a branch's error reaches the caller naming its stage, nested
-forks complete, and ring responses shared by branches are computed once."""
+one does, a branch's error reaches the caller naming its stage, and nested
+forks complete."""
 
 import json
 import os
-import sys
 import threading
 
-import numpy as np
 import pytest
 import yaml
 
 import oansim.scenarios
 from oansim.cli import main
-from oansim.devices import (RingParams, _cached_static_through,
-                            _through_static_grid)
 from oansim.errors import SimulationError, StageError
 from oansim.forkjoin import branch_threads, fork
 from oansim.scenarios import run_scenario
-from oansim.waveform import ComplexWaveform
 from test_scenarios import _shipped_top, mini_config
 
 
@@ -107,28 +102,3 @@ def test_branch_error_names_its_stage(tmp_path, monkeypatch, capsys,
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "onu_receive" in capsys.readouterr().err
 
-
-def test_branches_sharing_a_ring_response_compute_it_once():
-    field = ComplexWaveform(np.ones(1 << 16, dtype=np.complex128), 160e9,
-                            ref_freq=193.4e12)
-    ring = RingParams(193.4e12, 5e12, 0.9987, 1.0, 0.9987)
-    _cached_static_through.cache_clear()
-    results = []
-
-    def read():
-        results.append(_through_static_grid(ring, field, 0.0))
-
-    threads = [threading.Thread(target=read, daemon=True) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(results) == 8
-    assert all(r is results[0] for r in results)
-    assert _cached_static_through.cache_info().misses == 1
