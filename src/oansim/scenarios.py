@@ -193,6 +193,22 @@ def _whole(val) -> int:
     return int(num)
 
 
+def _ranged(convert, accept, expected: str):
+    """A converter: ``convert`` of the value, which ``accept`` must pass."""
+    def checked(val):
+        num = convert(val)
+        if not accept(num):
+            raise ValueError(f"expected {expected}, not {val!r}")
+        return num
+    return checked
+
+
+_fraction = _ranged(float, lambda x: 0.0 < x < 1.0, "a fraction in (0, 1)")
+_order = _ranged(_whole, lambda x: x >= 1, "a whole number >= 1")
+_positive = _ranged(float, lambda x: x > 0.0, "a number > 0")
+_non_negative = _ranged(float, lambda x: x >= 0.0, "a number >= 0")
+
+
 def _is_partition(groups, n: int) -> bool:
     """Whether ``groups`` is a list of index lists holding 0..n-1 once each."""
     if not isinstance(groups, list) or not all(isinstance(g, list)
@@ -278,9 +294,7 @@ class ScenarioConfig:
         for key in ("rf_channels", "rf_groups") if tunnels else ("tunnels",):
             if raw[key]:
                 raise ConfigError(f"{key} is not used by {self.style}")
-        self.sample_rate = _get(raw, "sample_rate")
-        if not self.sample_rate > 0:
-            raise ConfigError("sample_rate must be > 0")
+        self.sample_rate = _get(raw, "sample_rate", _positive)
         self.center_freq = _get(raw, "center_freq")
         self.fec_threshold = _get(raw, "fec_threshold")
         self.output = _get(raw, "output", str)
@@ -360,8 +374,9 @@ class ScenarioConfig:
             lo, hi = self.uplink[self.edge_uplink].edges()
             self.intercept = {
                 "band_offsets": (-hi, -lo) if lower else (lo, hi),
-                "carrier_tap": _get(raw, "uplink.intercept_carrier_tap"),
-                "order": _get(raw, "uplink.intercept_order", _whole)}
+                "carrier_tap": _get(raw, "uplink.intercept_carrier_tap",
+                                    _fraction),
+                "order": _get(raw, "uplink.intercept_order", _order)}
 
         self.ring_kwargs = {key: _get(raw, f"devices.ring.{key}") for key in
                             ("fsr", "coupling", "amplitude", "mod_efficiency")}
@@ -371,17 +386,16 @@ class ScenarioConfig:
         self.subcarrier_clock_volt = _get(raw, "devices.subcarrier_clock_volt")
         self.carrier_retain_fraction = _get(raw,
                                             "devices.carrier_retain_fraction")
-        loss = (_get(raw, "spans.atten_db_per_km"),
+        loss = (_get(raw, "spans.atten_db_per_km", _non_negative),
                 _get(raw, "spans.dispersion_ps_nm_km"))
-        self.feeder = FiberParams(_get(raw, "spans.feeder_km"), *loss)
-        self.distribution = FiberParams(_get(raw, "spans.distribution_km"),
-                                        *loss)
+        self.feeder = FiberParams(
+            _get(raw, "spans.feeder_km", _non_negative), *loss)
+        self.distribution = FiberParams(
+            _get(raw, "spans.distribution_km", _non_negative), *loss)
         self.amplifier = None
         if raw["amplifier"]:
-            self.amplifier = (_get(raw, "amplifier.gain_db"),
+            self.amplifier = (_get(raw, "amplifier.gain_db", _non_negative),
                               _get(raw, "amplifier.nf_db"))
-            if self.amplifier[0] < 0:
-                raise ConfigError("amplifier.gain_db must be >= 0 dB")
         self.onu = self._read_onu()
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):
@@ -395,16 +409,16 @@ class ScenarioConfig:
         carrier, so :meth:`onu_at` parks it on any channel."""
         raw = self.raw
         ch = self.plan.channels[0]
-        order = _get(raw, "onu.rof_filter_order", _whole)
+        order = _get(raw, "onu.rof_filter_order", _order)
         if self.style == "subcarrier_tunnels":
-            bandwidth = _get(raw, "onu.rof_filter_bandwidth")
+            bandwidth = _get(raw, "onu.rof_filter_bandwidth", _positive)
             filters = [FilterSpec(sign * ch.rof_subcarrier_offset, bandwidth,
                                   order)
                        for sign in (+1.0, -1.0)[:len(self.payloads)]]
         else:
             # the radio groups ride the lower sideband next to the carrier
             # and together tap rof_carrier_tap_db of it
-            tap_db = _get(raw, "onu.rof_carrier_tap_db")
+            tap_db = _get(raw, "onu.rof_carrier_tap_db", _positive)
             tap = 1.0 - 10.0 ** (-tap_db / (10.0 * len(self.groups)))
             edges = [[e for k in group for e in self.payloads[k].edges()]
                      for group in self.groups]
@@ -413,20 +427,20 @@ class ScenarioConfig:
         lo, hi = self.digital.edges()
         if self.digital_sideband == "lower":
             lo, hi = -hi, -lo
-        tap_fraction = _get(raw, "onu.carrier_tap_fraction")
         return OnuConfig(
             channel_center=ch.center_freq,
             broadband_filter=solve_carrier_tap_filter(
-                lo, hi, tap_fraction, _get(raw, "onu.broadband_order", _whole),
-                passband_fraction=_get(raw, "onu.broadband_passband_fraction")),
+                lo, hi, _get(raw, "onu.carrier_tap_fraction", _fraction),
+                _get(raw, "onu.broadband_order", _order),
+                _get(raw, "onu.broadband_passband_fraction", _fraction)),
             rof_filters=tuple(filters),
-            carrier_tap_fraction=tap_fraction,
             uplink_sideband=_get(raw, "uplink.sideband", _sideband),
             uplink_drive_depth=_get(raw, "uplink.drive_depth"),
             slot_width=ch.slot_width,
             min_residual_carrier_dbm=_get(raw, "onu.min_residual_carrier_dbm"),
             pd=PdParams(responsivity=_get(raw, "onu.pd.responsivity"),
-                        thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd"),
+                        thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd",
+                                               _non_negative),
                         include_shot=_get(raw, "onu.pd.include_shot", _flag)),
             ring_kwargs=self.ring_kwargs)
 

@@ -156,8 +156,10 @@ def solve_carrier_tap_filter(band_lo: float, band_hi: float, tap: float,
     across the far band edge while its skirt at the carrier drops exactly
     ``tap`` of the carrier power.
     """
-    if not 0.0 < tap < 1.0:
-        raise ConfigError("tap must be in (0, 1)")
+    if not 0.0 < tap < 1.0 or not 0.0 < passband_fraction < 1.0:
+        raise ConfigError("tap and passband fraction must be in (0, 1)")
+    if order < 1:
+        raise ConfigError("filter order must be >= 1")
     if band_lo * band_hi <= 0 or band_lo >= band_hi:
         raise ConfigError("band edges must be ordered and on one carrier side")
     sign = 1.0 if band_lo > 0 else -1.0
@@ -177,7 +179,6 @@ class OnuConfig:
     channel_center: float
     broadband_filter: FilterSpec
     rof_filters: tuple = ()
-    carrier_tap_fraction: float = 0.25
     uplink_sideband: str = "upper"
     uplink_drive_depth: float = 0.2
     slot_width: float = 50e9
@@ -186,8 +187,6 @@ class OnuConfig:
     ring_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 < self.carrier_tap_fraction < 1.0:
-            raise ConfigError("carrier_tap_fraction must be in (0, 1)")
         if self.uplink_sideband not in ("upper", "lower"):
             raise ConfigError("uplink_sideband must be 'upper' or 'lower'")
         half = self.slot_width / 2.0
@@ -425,8 +424,8 @@ class OnuReceiveResult:
 def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
     """Strip the broadband subband and radio tunnels off the bus.
 
-    The broadband drop carries ``carrier_tap_fraction`` of the carrier;
-    it and each radio drop are direct-detected and their photocurrents
+    The broadband drop taps the share of the carrier its filter was solved
+    for (:func:`solve_carrier_tap_filter`); it and each radio drop are direct-detected and their photocurrents
     returned.  The residual field (including the remaining carrier) is
     returned for remodulation.
     """

@@ -108,6 +108,19 @@ DELETE = "<delete>"
     ("mini", ["onu", "pd", "include_shot"], "false", "onu.pd.include_shot"),
     # a count is a whole number: int(64.9) would run 64 subcarriers
     ("mini", ["digital", "n_subcarriers"], 64.9, "digital.n_subcarriers"),
+    # out of range: each ended in a traceback, ran silently or named no key
+    ("mini", ["onu", "broadband_order"], 0, "onu.broadband_order"),
+    ("adjacent_rf", ["uplink", "intercept_order"], 0, "uplink.intercept_order"),
+    ("mini", ["onu", "broadband_passband_fraction"], 1.5,
+     "onu.broadband_passband_fraction"),
+    ("mini", ["onu", "carrier_tap_fraction"], 1.5, "onu.carrier_tap_fraction"),
+    ("adjacent_rf", ["uplink", "intercept_carrier_tap"], 2,
+     "uplink.intercept_carrier_tap"),
+    ("mini", ["onu", "rof_filter_order"], 0, "onu.rof_filter_order"),
+    ("mini", ["onu", "rof_filter_bandwidth"], -1, "onu.rof_filter_bandwidth"),
+    ("mini", ["spans", "feeder_km"], -1, "spans.feeder_km"),
+    ("mini", ["onu", "pd", "thermal_noise_psd"], -1,
+     "onu.pd.thermal_noise_psd"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):

@@ -118,6 +118,10 @@ def test_carrier_tap_filter_validation():
         solve_carrier_tap_filter(-1e9, 4e9, 0.25)  # straddles the carrier
     with pytest.raises(ConfigError):
         solve_carrier_tap_filter(4e9, 10e9, 1.5)
+    with pytest.raises(ConfigError):
+        solve_carrier_tap_filter(4e9, 10e9, 0.25, order=0)
+    with pytest.raises(ConfigError):
+        solve_carrier_tap_filter(4e9, 10e9, 0.25, passband_fraction=1.5)
 
 
 # ---------------------------------------------------------------- ONU config
@@ -125,7 +129,7 @@ def test_carrier_tap_filter_validation():
 
 def test_onu_config_validation():
     with pytest.raises(ConfigError):
-        onu_cfg(carrier_tap_fraction=1.5)
+        onu_cfg(uplink_sideband="both")
     with pytest.raises(ConfigError):  # filter beyond the slot
         onu_cfg(broadband_filter=FilterSpec(24e9, 5e9, 3))
     with pytest.raises(ConfigError):  # order-1 skirt cannot hold 13 dB
