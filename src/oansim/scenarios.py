@@ -283,8 +283,9 @@ class ScenarioConfig:
         missing = [k for k in _REQUIRED if k not in raw]
         if missing:
             raise ConfigError(f"config missing required sections: {missing}")
-        if not isinstance(raw["seed"], int):
-            raise ConfigError("seed must be an integer (no ambient randomness)")
+        if not isinstance(raw["seed"], int) or raw["seed"] < 0:
+            raise ConfigError("seed must be an integer >= 0 (no ambient "
+                              "randomness)")
         self.name = raw["name"]
         self.seed = raw["seed"]
         self.style = raw["overlay_style"]
@@ -722,7 +723,8 @@ def run_scenario(cfg: ScenarioConfig, full: bool = False,
         ratios, ledgers = [], []
         burst = 0
         while burst == 0 or acc.min_bits() < target:
-            seed = cfg.seed + 100_000 * (p_idx + 1) + burst
+            seed = int(np.random.SeedSequence([cfg.seed, p_idx, burst])
+                       .generate_state(1, np.uint64)[0])
             want_spec = is_top and burst == 0
             with branch_threads():
                 ratio, ledger, spec = _run_burst(cfg, power, seed, acc,

@@ -37,11 +37,10 @@ cuts the burst to 200 symbols and one burst, as the tier-1 test does.
 ``compare`` gates every scenario file of CHANGE_DIR against the file of
 the same name in PARENT_DIR, exits 1 if any check fails, and adds
 ``byte-identical`` to a verdict whose report hashes all match.  A null
-check compares two seed sets of one checkout, which must pass.  The
-seeds of one set must be independent: ``run_scenario`` seeds burst ``k``
-of a sweep point with the config seed plus ``k``, so seeds closer than
-the bursts a run needs share bursts.  Space them with ``--seeds first-last:step``, e.g.
-``--seeds 1000-5000:1000`` against ``--seeds 6000-10000:1000``.
+check compares two seed sets of one checkout, which must pass, e.g.
+``--seeds 1-5`` against ``--seeds 6-10``: ``run_scenario`` derives each
+burst's seed from the config seed, the sweep point and the burst index
+together, so distinct config seeds share no burst.
 """
 
 from __future__ import annotations

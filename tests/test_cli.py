@@ -121,6 +121,8 @@ DELETE = "<delete>"
     ("mini", ["spans", "feeder_km"], -1, "spans.feeder_km"),
     ("mini", ["onu", "pd", "thermal_noise_psd"], -1,
      "onu.pd.thermal_noise_psd"),
+    # burst seeds are drawn from the config seed, which must be >= 0
+    ("mini", ["seed"], -1_000_000, "seed"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):

@@ -15,6 +15,7 @@ import oansim.scenarios
 import oansim.subsystems
 from oansim.channel import PdParams
 from oansim.errors import ConfigError
+from oansim.metrics import BerReport
 from oansim.scenarios import (ScenarioConfig, builtin_config_path,
                               emit_reports, load_config, run_scenario)
 from oansim.subsystems import FilterSpec, solve_carrier_tap_filter
@@ -163,6 +164,21 @@ def test_seed_changes_report(tmp_path):
     b = run_scenario(mini_config(tmp_path, seed=78))
     assert json.dumps(a["points"], sort_keys=True) != \
         json.dumps(b["points"], sort_keys=True)
+
+
+def test_neighbouring_config_seeds_share_no_burst(tmp_path, monkeypatch):
+    seeds = []
+
+    def recorded(cfg, power, burst_seed, acc, want_spectrum):
+        seeds.append(burst_seed)
+        acc.add("digital", BerReport(0, 1000, 0.0, 0.0, True))
+        return None, {"carrier": 0.0}, None
+
+    monkeypatch.setattr(oansim.scenarios, "_run_burst", recorded)
+    cfg = mini_config(tmp_path)  # four bursts at each of two points
+    for seed in (1, 2):
+        run_scenario(cfg.with_seed(seed))
+    assert len(seeds) == 16 and len(set(seeds)) == 16
 
 
 def test_undemodulated_bits_count_as_errors(tmp_path, monkeypatch,
