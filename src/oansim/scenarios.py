@@ -284,8 +284,7 @@ class ScenarioConfig:
         if missing:
             raise ConfigError(f"config missing required sections: {missing}")
         if not isinstance(raw["seed"], int) or raw["seed"] < 0:
-            raise ConfigError("seed must be an integer >= 0 (no ambient "
-                              "randomness)")
+            raise ConfigError("seed must be a whole number >= 0")
         self.name = raw["name"]
         self.seed = raw["seed"]
         self.style = raw["overlay_style"]
@@ -389,10 +388,9 @@ class ScenarioConfig:
                                             "devices.carrier_retain_fraction")
         loss = (_get(raw, "spans.atten_db_per_km", _non_negative),
                 _get(raw, "spans.dispersion_ps_nm_km"))
-        self.feeder = FiberParams(
-            _get(raw, "spans.feeder_km", _non_negative), *loss)
-        self.distribution = FiberParams(
-            _get(raw, "spans.distribution_km", _non_negative), *loss)
+        self.feeder, self.distribution = (
+            FiberParams(_get(raw, f"spans.{span}_km", _non_negative), *loss)
+            for span in ("feeder", "distribution"))
         self.amplifier = None
         if raw["amplifier"]:
             self.amplifier = (_get(raw, "amplifier.gain_db", _non_negative),

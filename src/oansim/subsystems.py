@@ -424,8 +424,8 @@ class OnuReceiveResult:
 def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
     """Strip the broadband subband and radio tunnels off the bus.
 
-    The broadband drop taps the share of the carrier its filter was solved
-    for (:func:`solve_carrier_tap_filter`); it and each radio drop are direct-detected and their photocurrents
+    The broadband drop taps the carrier share its filter was solved for;
+    it and each radio drop are direct-detected and their photocurrents
     returned.  The residual field (including the remaining carrier) is
     returned for remodulation.
     """
