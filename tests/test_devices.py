@@ -394,26 +394,27 @@ def test_drop_filter_matches_the_fft_round_trip():
     assert_round_off(through.samples, np.fft.ifft(spec * np.sqrt(1 - mag2)))
 
 
-@pytest.mark.parametrize("volt", [0.0, 0.3])
-def test_static_ring_filter_matches_the_fft_round_trip(volt):
+def test_static_ring_filter_matches_the_fft_round_trip():
     ring = slope_biased_ring(F0)
     field = two_tone_field()
-    flat = cos_drive(field, depth=0.0, mean=volt)
-    h = static_through(ring, field,
-                       ring.mod_efficiency * (ring.bias_volt + volt))
-    assert_round_off(apply_mrm(field, ring, flat).samples,
-                     np.fft.ifft(np.fft.fft(field.samples) * h))
+    for volt in (0.0, 0.3):
+        flat = cos_drive(field, depth=0.0, mean=volt)
+        h = static_through(ring, field,
+                           ring.mod_efficiency * (ring.bias_volt + volt))
+        assert_round_off(apply_mrm(field, ring, flat).samples,
+                         np.fft.ifft(np.fft.fft(field.samples) * h))
 
 
-@pytest.mark.parametrize("mean", [0.0, 0.02])
-def test_tone_mrm_matches_the_fft_round_trip(mean):
+def test_tone_mrm_matches_the_fft_round_trip():
     ring = slope_biased_ring(F0)
     field = two_tone_field()
-    drive = cos_drive(field, mean=mean)
-    window = 3.0 * ring.fwhm + ring.mod_efficiency * np.ptp(
-        drive.samples.real) / 2.0
-    got = apply_mrm(field, ring, drive)
-    assert_round_off(got.samples, round_trip_tone(field, ring, drive, window))
+    for mean in (0.0, 0.02):
+        drive = cos_drive(field, mean=mean)
+        window = 3.0 * ring.fwhm + ring.mod_efficiency * np.ptp(
+            drive.samples.real) / 2.0
+        got = apply_mrm(field, ring, drive)
+        assert_round_off(got.samples,
+                         round_trip_tone(field, ring, drive, window))
 
 
 def test_iq_ssb_matches_the_fft_round_trip():
