@@ -101,4 +101,3 @@ def test_branch_error_names_its_stage(tmp_path, monkeypatch, capsys,
     path.write_text(yaml.safe_dump(cfg.raw))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "onu_receive" in capsys.readouterr().err
-
