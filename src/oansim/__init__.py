@@ -7,13 +7,13 @@ The package is organized in layers:
   spectral helpers shared by every other module.
 - :mod:`oansim.ofdm` — OFDM modem (QAM mapping, framing, pilot-assisted
   equalization) and AWGN loading.
-- :mod:`oansim.metrics` — BER/EVM reporting against an FEC threshold and
-  analytic AWGN references.
+- :mod:`oansim.metrics` — bit-error and EVM counting and analytic AWGN
+  references.
 - :mod:`oansim.devices` — microring resonator models: through/drop
   response, modulators (intensity and IQ single-sideband), optical
   subcarrier generation and drop filters.
-- :mod:`oansim.channel` — fiber propagation (loss, chromatic dispersion,
-  group delay), amplified-spontaneous-emission loading, and square-law
+- :mod:`oansim.channel` — fiber propagation (loss and chromatic
+  dispersion), amplified-spontaneous-emission loading, and square-law
   photodetection.
 - :mod:`oansim.subsystems` — composition of the above into the three
   network sites: central-office transmitter, smart-edge overlay/intercept,

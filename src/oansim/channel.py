@@ -59,11 +59,12 @@ def dispersion_phase(fiber: FiberParams, freq_offsets: np.ndarray) -> np.ndarray
 
 
 def propagate_fiber(field: ComplexWaveform, params: FiberParams) -> ComplexWaveform:
-    """Apply loss and chromatic dispersion; delay is recorded as metadata.
+    """Apply loss and chromatic dispersion.
 
     The dispersion operator is exactly all-pass (|H| = 1), so relative
-    intra-band delay is fully captured in the phase while the bulk group
-    delay accumulates in ``delay_us``.
+    intra-band delay is fully captured in the phase.  The bulk group delay
+    is left out; :meth:`FiberParams.one_way_delay_us` gives it to the
+    latency budget.
     """
     if params.length_km == 0:
         return field.copy_with()
@@ -71,8 +72,7 @@ def propagate_fiber(field: ComplexWaveform, params: FiberParams) -> ComplexWavef
     h = np.exp(1j * dispersion_phase(params, field.baseband_freqs()))
     h *= amp
     h *= field.spectrum
-    return field.copy_with(spectrum=h,
-                           delay_us=field.delay_us + params.one_way_delay_us())
+    return field.copy_with(spectrum=h)
 
 
 def amplify_ase(field: ComplexWaveform, gain_db: float, nf_db: float,
@@ -114,8 +114,7 @@ def photodetect(field: ComplexWaveform, params: PdParams) -> ComplexWaveform:
     if params.thermal_noise_psd > 0:
         sigma = np.sqrt(params.thermal_noise_psd * bandwidth)
         current = current + rng.normal(scale=sigma, size=field.n)
-    return ComplexWaveform(current.astype(np.complex128), field.sample_rate,
-                           ref_freq=0.0, delay_us=field.delay_us)
+    return ComplexWaveform(current.astype(np.complex128), field.sample_rate)
 
 
 def dc_block(wf: ComplexWaveform) -> ComplexWaveform:

@@ -36,7 +36,6 @@ class RingParams:
     roundtrip_amplitude_a: float = 0.99
     tuning_offset: float = 0.0     # Hz, thermal shift of the resonance
     mod_efficiency: float = 1e9    # Hz of resonance shift per volt
-    bias_volt: float = 0.0
 
     def __post_init__(self):
         for name in ("self_coupling_t1", "self_coupling_t2",
@@ -53,11 +52,6 @@ class RingParams:
         return self.resonance_freq + self.tuning_offset
 
     @property
-    def bias_resonance(self) -> float:
-        """Resonance including thermal tuning and the DC bias shift."""
-        return self.effective_resonance + self.mod_efficiency * self.bias_volt
-
-    @property
     def fwhm(self) -> float:
         """Loaded linewidth (full width at half maximum) estimate."""
         r = self.self_coupling_t1 * self.self_coupling_t2 * self.roundtrip_amplitude_a
@@ -66,8 +60,7 @@ class RingParams:
 
 @dataclass(frozen=True)
 class IqMrmConfig:
-    ring_i: RingParams
-    ring_q: RingParams
+    ring: RingParams               # the same ring in both branches
     branch_phase: float = np.pi / 2
     sideband: str = "upper"
 
@@ -210,22 +203,18 @@ def apply_mrm(field: ComplexWaveform, params: RingParams,
               tone_window_hz: float | None = None) -> ComplexWaveform:
     """Modulate an optical field with one microring modulator.
 
-    The resonance is shifted by ``mod_efficiency * (bias_volt + drive(t))``
-    and the field is filtered by the time-varying through response.  The
-    drive must be a real electrical waveform on the same sample grid.
+    The resonance is shifted by ``mod_efficiency * drive(t)`` and the field
+    is filtered by the time-varying through response.  The drive must be a
+    real electrical waveform on the same sample grid and of the same length.
     """
-    if drive.sample_rate != field.sample_rate:
+    if drive.sample_rate != field.sample_rate or drive.n != field.n:
         raise ConfigError(
-            f"drive sample rate {drive.sample_rate:g} != field rate "
-            f"{field.sample_rate:g}"
+            f"drive of {drive.n} samples at {drive.sample_rate:g} S/s does "
+            f"not match the field's {field.n} at {field.sample_rate:g} S/s"
         )
     if not drive.is_real(tol=1e-6):
         raise ConfigError("MRM drive must be a real electrical waveform")
-    v = drive.samples.real
-    if v.size < field.n:
-        v = np.concatenate([v, np.zeros(field.n - v.size)])
-    v = v[: field.n]
-    detune = params.mod_efficiency * (params.bias_volt + v)
+    detune = params.mod_efficiency * drive.samples.real
 
     if tone_window_hz is None:
         tone_window_hz = 3.0 * params.fwhm + float(np.ptp(detune)) / 2.0
@@ -265,8 +254,8 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
     # both arms read the field's spectrum and frequency grid: fill them once
     field.spectrum, field.baseband_freqs()
     arm = partial(apply_mrm, field, tone_window_hz=tone_window_hz)
-    out_i, out_q = fork(partial(arm, config.ring_i, drive),
-                        lambda: arm(config.ring_q, hilbert_pair(drive)))
+    out_i, out_q = fork(partial(arm, config.ring, drive),
+                        lambda: arm(config.ring, hilbert_pair(drive)))
     return field.copy_with(spectrum=0.5 * (
         out_i.spectrum + np.exp(1j * phase) * out_q.spectrum))
 
@@ -290,14 +279,11 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     # verify a tone is present near the biased resonance
     spec2 = np.abs(field.spectrum) ** 2
     f_abs = field.abs_freqs()
-    near = np.abs(f_abs - params.bias_resonance) <= max(params.fwhm, 1.0)
+    near = np.abs(f_abs - params.effective_resonance) <= max(params.fwhm, 1.0)
     if not np.any(near) or np.sum(spec2[near]) < 1e-9 * np.sum(spec2):
         raise SimulationError(
             "no tone found within one linewidth of the ring resonance"
         )
-    if clock_amplitude_volt == 0.0:
-        bias = params.mod_efficiency * params.bias_volt
-        return _static_filter(field, params, bias)
     tone = _tone_phasor(clock_freq, field.n, 1.0 / field.sample_rate)
     drive = field.copy_with(
         samples=(clock_amplitude_volt * np.real(tone)).astype(np.complex128),

@@ -9,7 +9,7 @@ from scipy import special
 
 from .errors import ConfigError
 
-#: Hard-decision FEC limit for 7%-overhead codes; configurable per call.
+#: Hard-decision FEC limit for 7%-overhead codes; a scenario's default.
 DEFAULT_FEC_THRESHOLD = 3.8e-3
 
 _SQUARE_QAM = (4, 16, 64)
@@ -17,39 +17,22 @@ _SQUARE_QAM = (4, 16, 64)
 
 @dataclass
 class BerReport:
+    """Bit errors over bits counted, and the RMS EVM; the scenario report
+    pools these and judges FEC."""
     bit_errors: int
     total_bits: int
-    ber: float
     evm_rms: float
-    passes_fec: bool
-    fec_threshold: float = DEFAULT_FEC_THRESHOLD
-
-    def to_dict(self) -> dict:
-        return {
-            "bit_errors": self.bit_errors,
-            "total_bits": self.total_bits,
-            "ber": self.ber,
-            "evm_rms": self.evm_rms,
-            "passes_fec": self.passes_fec,
-            "fec_threshold": self.fec_threshold,
-        }
 
 
-def ber_evm_metrics(tx_bits, rx_bits, evm_rms: float | None = None,
-                    fec_threshold: float = DEFAULT_FEC_THRESHOLD) -> BerReport:
-    """Exact bit-error count, with the demodulator's RMS EVM if given.
-
-    ``passes_fec`` is a strict inequality against the threshold.
-    """
+def ber_evm_metrics(tx_bits, rx_bits,
+                    evm_rms: float | None = None) -> BerReport:
+    """Exact bit-error count, with the demodulator's RMS EVM if given."""
     tx = np.asarray(tx_bits, dtype=np.int64).ravel()
     rx = np.asarray(rx_bits, dtype=np.int64).ravel()
     if tx.size != rx.size:
         raise ConfigError(f"bit sequences differ in length: {tx.size} vs {rx.size}")
-    errors = int(np.sum(tx != rx))
-    ber = errors / tx.size if tx.size else 0.0
     evm = float("nan") if evm_rms is None else float(evm_rms)
-    return BerReport(errors, int(tx.size), ber, evm, ber < fec_threshold,
-                     fec_threshold)
+    return BerReport(int(np.sum(tx != rx)), int(tx.size), evm)
 
 
 def ber_over_sent_bits(tx_bits, rx_bits, evm_rms: float) -> BerReport:
@@ -61,10 +44,8 @@ def ber_over_sent_bits(tx_bits, rx_bits, evm_rms: float) -> BerReport:
     tx = np.asarray(tx_bits).ravel()
     rx = np.asarray(rx_bits).ravel()
     rep = ber_evm_metrics(tx[: rx.size], rx, evm_rms=evm_rms)
-    errors = rep.bit_errors + tx.size - rep.total_bits
-    ber = errors / tx.size if tx.size else 0.0
-    return BerReport(errors, int(tx.size), ber, rep.evm_rms,
-                     ber < rep.fec_threshold)
+    return BerReport(rep.bit_errors + tx.size - rep.total_bits, int(tx.size),
+                     rep.evm_rms)
 
 
 def qfunc(x):

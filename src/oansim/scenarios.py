@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 import yaml
+from scipy.fft import next_fast_len
 
 from .channel import (FiberParams, PdParams, amplify_ase, dc_block,
                       photodetect, propagate_fiber)
@@ -144,7 +145,13 @@ def builtin_config_path(name: str) -> Path:
     return path
 
 
-def _get(raw: dict, key: str, convert=float, default=None):
+def _number(val) -> float:
+    if isinstance(val, bool):
+        raise ValueError(f"expected a number, not {val!r}")
+    return float(val)
+
+
+def _get(raw: dict, key: str, convert=_number, default=None):
     """``convert`` of the value at the dotted ``key`` (a number indexes a
     list); a value that is missing, None or not convertible raises
     ConfigError naming the key."""
@@ -171,7 +178,7 @@ def _mapping(val) -> dict:
 def _floats(val) -> list:
     if not isinstance(val, list) or not val:
         raise ValueError(f"expected a non-empty list of numbers, not {val!r}")
-    return [float(v) for v in val]
+    return [_number(v) for v in val]
 
 
 def _sideband(val) -> str:
@@ -203,10 +210,12 @@ def _ranged(convert, accept, expected: str):
     return checked
 
 
-_fraction = _ranged(float, lambda x: 0.0 < x < 1.0, "a fraction in (0, 1)")
+_fraction = _ranged(_number, lambda x: 0.0 < x < 1.0, "a fraction in (0, 1)")
+_unit = _ranged(_number, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
 _order = _ranged(_whole, lambda x: x >= 1, "a whole number >= 1")
-_positive = _ranged(float, lambda x: x > 0.0, "a number > 0")
-_non_negative = _ranged(float, lambda x: x >= 0.0, "a number >= 0")
+_count = _ranged(_whole, lambda x: x >= 0, "a whole number >= 0")
+_positive = _ranged(_number, lambda x: x > 0.0, "a number > 0")
+_non_negative = _ranged(_number, lambda x: x >= 0.0, "a number >= 0")
 
 
 def _is_partition(groups, n: int) -> bool:
@@ -223,7 +232,7 @@ def _ofdm(raw: dict, key: str, seed: int) -> OfdmConfig:
     section = _get(raw, key, _mapping)
     n_sub = _get(raw, f"{key}.n_subcarriers", _whole, 64)
     qam = _get(raw, f"{key}.qam_order", _whole, 4)
-    cp = _get(raw, f"{key}.cp_fraction", float, 1.0 / 16.0)
+    cp = _get(raw, f"{key}.cp_fraction", _number, 1.0 / 16.0)
     pilots = _get(raw, f"{key}.pilot_spacing", _whole, 16)
     oversampling = _get(raw, f"{key}.oversampling", _whole, 4)
     if "occupied_bandwidth" not in section and "bit_rate" not in section:
@@ -283,7 +292,7 @@ class ScenarioConfig:
         missing = [k for k in _REQUIRED if k not in raw]
         if missing:
             raise ConfigError(f"config missing required sections: {missing}")
-        if not isinstance(raw["seed"], int) or raw["seed"] < 0:
+        if type(raw["seed"]) is not int or raw["seed"] < 0:
             raise ConfigError("seed must be a whole number >= 0")
         self.name = raw["name"]
         self.seed = raw["seed"]
@@ -295,8 +304,8 @@ class ScenarioConfig:
             if raw[key]:
                 raise ConfigError(f"{key} is not used by {self.style}")
         self.sample_rate = _get(raw, "sample_rate", _positive)
-        self.center_freq = _get(raw, "center_freq")
-        self.fec_threshold = _get(raw, "fec_threshold")
+        self.center_freq = _get(raw, "center_freq", _positive)
+        self.fec_threshold = _get(raw, "fec_threshold", _fraction)
         self.output = _get(raw, "output", str)
 
         slot = [_get(raw, f"wdm.{key}") for key in
@@ -315,10 +324,10 @@ class ScenarioConfig:
         # burst window: the record that holds burst_symbols digital symbols,
         # rounded up to a power of two so that the whole-record FFTs along
         # the chain run on friendly sizes; every signal gets as many
-        # symbols as fit in it
-        burst_symbols = _get(raw, "sweep.burst_symbols", _whole)
-        if burst_symbols < 0:
-            raise ConfigError("sweep.burst_symbols must be >= 0")
+        # symbols as fit in it.  _run_burst grows a burst's record past
+        # this, to the next FFT-friendly length, when the walk-off guard
+        # and the digital drive do not fit in it (both cut shipped configs)
+        burst_symbols = _get(raw, "sweep.burst_symbols", _count)
         frame = _ofdm(raw, "digital", self.seed).frame_duration()
         self.n_record = 1 << int(np.ceil(np.log2(
             (1 + burst_symbols) * frame * self.sample_rate)))
@@ -326,8 +335,13 @@ class ScenarioConfig:
 
         def signal(key: str, seed_offset: int) -> _Signal:
             ofdm = _ofdm(raw, key, self.seed + seed_offset)
-            return _Signal(ofdm, _get(raw, f"{key}.if_freq"),
-                           max(1, int(window / ofdm.frame_duration()) - 1))
+            sig = _Signal(ofdm, _get(raw, f"{key}.if_freq"),
+                          max(1, int(window / ofdm.frame_duration()) - 1))
+            if sig.edges()[0] <= 0.0:
+                raise ConfigError(
+                    f"{key}.if_freq: the band reaches {sig.edges()[0]/1e9:.2f}"
+                    f" GHz; it must lie above 0 Hz")
+            return sig
 
         self.digital = signal("digital", 1)
         if (self.digital.if_freq + self.digital.ofdm.occupied_bandwidth / 2.0
@@ -378,14 +392,17 @@ class ScenarioConfig:
                                     _fraction),
                 "order": _get(raw, "uplink.intercept_order", _order)}
 
-        self.ring_kwargs = {key: _get(raw, f"devices.ring.{key}") for key in
-                            ("fsr", "coupling", "amplitude", "mod_efficiency")}
+        self.ring_kwargs = {key: _get(raw, f"devices.ring.{key}", convert)
+                            for key, convert in (
+                                ("fsr", _positive), ("coupling", _unit),
+                                ("amplitude", _unit),
+                                ("mod_efficiency", _positive))}
         self.tx_power_dbm = _get(raw, "devices.tx_power_dbm")
-        self.drive_depth = _get(raw, "devices.drive_depth")
-        self.rf_drive_depth = _get(raw, "devices.rf_drive_depth")
+        self.drive_depth = _get(raw, "devices.drive_depth", _positive)
+        self.rf_drive_depth = _get(raw, "devices.rf_drive_depth", _positive)
         self.subcarrier_clock_volt = _get(raw, "devices.subcarrier_clock_volt")
-        self.carrier_retain_fraction = _get(raw,
-                                            "devices.carrier_retain_fraction")
+        self.carrier_retain_fraction = _get(
+            raw, "devices.carrier_retain_fraction", _fraction)
         loss = (_get(raw, "spans.atten_db_per_km", _non_negative),
                 _get(raw, "spans.dispersion_ps_nm_km"))
         self.feeder, self.distribution = (
@@ -399,9 +416,9 @@ class ScenarioConfig:
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):
             raise ConfigError("sweep.rx_power_dbm must be ascending")
-        self.bits_per_point = _get(raw, "sweep.bits_per_point", _whole)
-        self.top_bits = _get(raw, "sweep.top_bits", _whole)
-        self.full_bits = _get(raw, "sweep.full_bits", _whole)
+        self.bits_per_point = _get(raw, "sweep.bits_per_point", _count)
+        self.top_bits = _get(raw, "sweep.top_bits", _count)
+        self.full_bits = _get(raw, "sweep.full_bits", _count)
 
     def _read_onu(self) -> OnuConfig:
         """The network unit on channel 0.  Its filters sit relative to the
@@ -434,10 +451,11 @@ class ScenarioConfig:
                 _get(raw, "onu.broadband_passband_fraction", _fraction)),
             rof_filters=tuple(filters),
             uplink_sideband=_get(raw, "uplink.sideband", _sideband),
-            uplink_drive_depth=_get(raw, "uplink.drive_depth"),
+            uplink_drive_depth=_get(raw, "uplink.drive_depth", _positive),
             slot_width=ch.slot_width,
             min_residual_carrier_dbm=_get(raw, "onu.min_residual_carrier_dbm"),
-            pd=PdParams(responsivity=_get(raw, "onu.pd.responsivity"),
+            pd=PdParams(responsivity=_get(raw, "onu.pd.responsivity",
+                                          _positive),
                         thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd",
                                                _non_negative),
                         include_shot=_get(raw, "onu.pd.include_shot", _flag)),
@@ -570,7 +588,7 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
     slope_off = ch.center_freq - ring.effective_resonance
     window = slope_off + 0.5 * cfg.digital.edges()[0]
     return _stage("smart_edge_overlay", iq_mrm_ssb, link,
-                  IqMrmConfig(ring, ring, sideband="lower"), drive,
+                  IqMrmConfig(ring, sideband="lower"), drive,
                   tone_window_hz=window)
 
 
@@ -591,12 +609,17 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                     for _ in plan.channels]
 
     drives = fork(*(partial(dig.wave, bits, fs) for bits in dig_bits))
+    # the record: n_record, grown to hold the walk-off guard and the
+    # longest digital drive, at an FFT-friendly length; every drive is
+    # padded to it, the digital and uplink ones after the guard
+    guard = int(round(_WALKOFF_GUARD_S * fs))
+    n = next_fast_len(max(cfg.n_record, guard + max(d.n for d in drives)))
+    drives = [pad_to(d, n, guard) for d in drives]
     tx = _stage("olt_transmit", olt_transmit, plan, drives,
                 power_per_tone_dbm=cfg.tx_power_dbm,
                 sideband=cfg.digital_sideband,
                 drive_depth=cfg.drive_depth,
-                ring_kwargs=cfg.ring_kwargs,
-                min_duration=cfg.n_record / fs, guard_s=_WALKOFF_GUARD_S)
+                ring_kwargs=cfg.ring_kwargs)
     del drives
 
     link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder)
@@ -652,7 +675,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                     for kind, bits in up_bits.items()))
     rem = _stage("onu_remodulate", onu_remodulate, residual,
                  cfg.onu_at(plan.channels[0].center_freq, burst_seed + 100),
-                 drives, guard_s=_WALKOFF_GUARD_S)
+                 [pad_to(d, n, guard) for d in drives])
     del residual, drives
 
     back = _stage("uplink_distribution", propagate_fiber, rem.waveform,
@@ -663,7 +686,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     kind = cfg.edge_uplink
     if kind is not None:
         icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
-                       back, plan, 0, pd=cfg.pd(burst_seed + 300),
+                       back, plan.channels[0], pd=cfg.pd(burst_seed + 300),
                        **cfg.intercept)
         acc.add(*_detect(f"uplink_{kind}_demod", f"uplink:{kind}",
                          cfg.uplink[kind], icept.rof_electrical, up_bits[kind]))
@@ -727,8 +750,7 @@ def run_scenario(cfg: ScenarioConfig, full: bool = False,
             with branch_threads():
                 ratio, ledger, spec = _run_burst(cfg, power, seed, acc,
                                                  want_spec)
-            if ratio is not None:
-                ratios.append(ratio)
+            ratios.append(ratio)
             ledgers.append(ledger)
             if spec is not None:
                 spectrum = spec
@@ -737,7 +759,7 @@ def run_scenario(cfg: ScenarioConfig, full: bool = False,
             "rx_power_dbm": float(power),
             "bursts": burst,
             "signals": acc.summary(),
-            "uplink_to_residual_db": float(np.mean(ratios)) if ratios else None,
+            "uplink_to_residual_db": float(np.mean(ratios)),
             "carrier_ledger": {k: float(np.mean([ld[k] for ld in ledgers]))
                                for k in ledgers[0]},
         }

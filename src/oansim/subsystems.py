@@ -23,7 +23,7 @@ bandwidth on each side of the filter centre, at the lowest power-of-two
 fraction of the simulation rate that holds it.
 
 The optical figures of merit (carrier apportioning, uplink-to-residual
-ratio, spectral centroids) are computed here.
+ratio) are computed here.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as fftpack
 
 from .channel import PdParams, dc_block, photodetect
 from .devices import (IqMrmConfig, RingParams, apply_mrm, drop_filter,
                       generate_subcarriers, iq_mrm_ssb, thermal_tune)
 from .errors import ConfigError, SimulationError
 from .waveform import (ComplexWaveform, _tone_phasor, band_power, combine,
-                       crop_to_band, pad_to)
+                       crop_to_band)
 
 #: Per-device passband insertion loss along an add/drop bus (dB).
 BUS_LOSS_DB_PER_STAGE = 0.1
@@ -226,16 +225,13 @@ class OnuConfig:
 
 def olt_transmit(plan: WdmPlan, drives, power_per_tone_dbm: float = 0.0,
                  sideband: str = "upper", drive_depth: float = 0.25,
-                 ring_kwargs: dict | None = None, min_duration: float = 0.0,
-                 guard_s: float = 0.0) -> ComplexWaveform:
+                 ring_kwargs: dict | None = None) -> ComplexWaveform:
     """Comb source plus one IQ-SSB modulator per WDM channel.
 
     ``drives`` is one real electrical drive per channel, at its IF on the
-    simulation grid; each is scaled to ``drive_depth`` and placed
-    single-sideband next to its channel's carrier.  ``guard_s`` inserts
-    silence before each drive so that channels whose envelope is advanced
-    by fiber walk-off keep their preamble inside the record.  Returns the
-    transmitted field.
+    simulation grid and as long as the record; each is scaled to
+    ``drive_depth`` and placed single-sideband next to its channel's
+    carrier.  Returns the transmitted field, of the drives' length.
     """
     if len(drives) != plan.n_channels:
         raise ConfigError(
@@ -248,16 +244,9 @@ def olt_transmit(plan: WdmPlan, drives, power_per_tone_dbm: float = 0.0,
         if abs(ch.center_freq - ref) + ch.slot_width / 2.0 > sample_rate / 2.0:
             raise ConfigError("simulation bandwidth does not cover the plan")
 
-    n_guard = int(round(guard_s * sample_rate))
-    n = max(n_guard + d.n for d in drives)
-    n = max(n, int(round(min_duration * sample_rate)))
-    # tail silence up to an FFT-friendly length: every later stage runs
-    # whole-record transforms, and a poorly factorable length is severalfold
-    # slower
-    n = fftpack.next_fast_len(n)
-
     # carrier comb at the channel centers
     amp = np.sqrt(10.0 ** (power_per_tone_dbm / 10.0) * 1e-3)
+    n = drives[0].n
     carriers = np.zeros(n, dtype=np.complex128)
     for ch in plan.channels:
         carriers += amp * _tone_phasor(ch.center_freq - ref, n,
@@ -267,10 +256,9 @@ def olt_transmit(plan: WdmPlan, drives, power_per_tone_dbm: float = 0.0,
     loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
     for ch, drive in zip(plan.channels, drives):
         ring = slope_biased_ring(ch.center_freq, **ring_kwargs)
-        cfg = IqMrmConfig(ring, ring, sideband=sideband)
-        drive = scale_drive_to_depth(pad_to(drive, n, n_guard), ring,
-                                     drive_depth)
-        out = iq_mrm_ssb(out, cfg, drive).scaled(loss)
+        drive = scale_drive_to_depth(drive, ring, drive_depth)
+        out = iq_mrm_ssb(out, IqMrmConfig(ring, sideband=sideband),
+                         drive).scaled(loss)
     return out
 
 
@@ -290,7 +278,7 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
     left for the digital subband), then one slope-biased ring per tunnel
     modulates the +f_s and -f_s subcarriers with the radio payloads.
     ``rof_payloads`` holds, per channel, up to two real electrical
-    waveforms already centered at their radio IF.
+    waveforms already centered at their radio IF, as long as the field.
     """
     if len(rof_payloads) != plan.n_channels:
         raise ConfigError(
@@ -331,7 +319,6 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
                 ring = slope_biased_ring(ch.center_freq + sign * f_s,
                                          **ring_kwargs)
                 drive = scale_drive_to_depth(payload, ring, drive_depth)
-                drive = pad_to(drive, out.n)
                 # cover the subcarrier line but stay clear of the digital
                 # subband edge on the carrier side
                 ring_off = abs(ch.center_freq + sign * f_s
@@ -378,26 +365,22 @@ class InterceptResult:
     through: ComplexWaveform
 
 
-def smart_edge_intercept_uplink(field_in: ComplexWaveform, plan: WdmPlan,
-                                channel_index: int,
+def smart_edge_intercept_uplink(field_in: ComplexWaveform, ch: WdmChannel,
                                 band_offsets: tuple = (-3e9, -1e9),
                                 carrier_tap: float = 0.25, order: int = 4,
                                 pd: PdParams | None = None) -> InterceptResult:
-    """Drop and detect the radio uplink subband of one channel.
+    """Drop and detect the radio uplink subband of channel ``ch``.
 
     The drop ring is solved so it passes the uplink band and taps
     ``carrier_tap`` of the carrier for direct detection, leaving the rest
     of the carrier and the digital uplink on the through path.
     """
-    try:
-        ch = plan.channels[channel_index]
-    except IndexError:
-        raise ConfigError(f"no channel {channel_index} in the plan") from None
     slot_lo = ch.center_freq - ch.slot_width / 2.0
     slot_hi = ch.center_freq + ch.slot_width / 2.0
     if band_power(field_in, slot_lo, slot_hi) <= 0.0:
         raise SimulationError(
-            f"channel {channel_index} carries no power; nothing to intercept"
+            f"channel at {ch.center_freq/1e12:.4f} THz carries no power; "
+            f"nothing to intercept"
         )
     spec = solve_carrier_tap_filter(band_offsets[0], band_offsets[1],
                                     carrier_tap, order)
@@ -462,21 +445,19 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
 @dataclass
 class RemodResult:
     waveform: ComplexWaveform
-    uplink_to_residual_db: float | None
-    uplink_centroid_offset: float | None
-    downlink_centroid_offset: float | None
+    uplink_to_residual_db: float
 
 
-def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig, drives,
-                   guard_s: float = 0.0) -> RemodResult:
+def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
+                   drives) -> RemodResult:
     """Remodulate the residual carrier with the uplink, opposite sideband.
 
-    The uplink drive is the sum of ``drives``, real electrical waveforms
-    at their IFs on the residual's grid (none leaves the carrier
-    unmodulated).  Reports the ratio of uplink power to the residual
-    downlink power on the bus.  ``guard_s`` delays the uplink drive so
-    return-path fiber walk-off cannot push a preamble out of the record.
+    The uplink drive is the sum of ``drives``, at least one real electrical
+    waveform at its IF on the residual's grid and of its length.  Reports
+    the ratio of uplink power to the residual downlink power on the bus.
     """
+    if not drives:
+        raise ConfigError("the uplink needs at least one drive")
     f_c = cfg.channel_center
     carrier_dbm = _carrier_dbm(residual, f_c)
     if carrier_dbm < cfg.min_residual_carrier_dbm:
@@ -487,24 +468,14 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig, drives,
 
     up_side = cfg.uplink_sideband
     down_side = "lower" if up_side == "upper" else "upper"
-    _, down_c = _side(residual, f_c, cfg.slot_width, down_side)
     ring = slope_biased_ring(f_c, **cfg.ring_kwargs)
-    mrm = IqMrmConfig(ring, ring, sideband=up_side)
-    if not drives or cfg.uplink_drive_depth == 0.0:
-        zero = residual.copy_with(
-            samples=np.zeros(residual.n, dtype=np.complex128), ref_freq=0.0)
-        out = iq_mrm_ssb(residual, mrm, zero)
-        return RemodResult(out, None, None, down_c)
+    drive = scale_drive_to_depth(combine(drives), ring, cfg.uplink_drive_depth)
+    out = iq_mrm_ssb(residual, IqMrmConfig(ring, sideband=up_side), drive)
 
-    n_guard = int(round(guard_s * residual.sample_rate))
-    drive = combine([pad_to(d, residual.n, n_guard) for d in drives])
-    drive = scale_drive_to_depth(drive, ring, cfg.uplink_drive_depth)
-    out = iq_mrm_ssb(residual, mrm, drive)
-
-    p_up, up_c = _side(out, f_c, cfg.slot_width, up_side)
-    p_down, _ = _side(out, f_c, cfg.slot_width, down_side)
+    p_up = _side(out, f_c, cfg.slot_width, up_side)
+    p_down = _side(out, f_c, cfg.slot_width, down_side)
     ratio = 10.0 * np.log10(p_up / p_down) if p_down > 0 else np.inf
-    return RemodResult(out, float(ratio), up_c, down_c)
+    return RemodResult(out, float(ratio))
 
 
 def _carrier_dbm(wf: ComplexWaveform, f_c: float) -> float:
@@ -514,13 +485,9 @@ def _carrier_dbm(wf: ComplexWaveform, f_c: float) -> float:
 
 
 def _side(wf: ComplexWaveform, center: float, slot_width: float,
-          side: str) -> tuple:
-    """Power (W) in one side of a slot, outside the carrier window, and its
-    spectral centroid offset from ``center`` (None when it is empty)."""
+          side: str) -> float:
+    """Power (W) in one side of a slot, outside the carrier window."""
     off = wf.abs_freqs() - center
     outward = -off if side == "lower" else off
     mask = (outward >= CARRIER_WINDOW_HZ) & (outward <= slot_width / 2.0)
-    spec2 = np.abs(wf.spectrum[mask]) ** 2
-    total = np.sum(spec2)
-    centroid = float(np.sum(off[mask] * spec2) / total) if total > 0 else None
-    return float(total / wf.n ** 2), centroid
+    return float(np.sum(np.abs(wf.spectrum[mask]) ** 2) / wf.n ** 2)

@@ -3,8 +3,8 @@
 A :class:`ComplexWaveform` carries both electrical and optical signals.
 Samples are complex amplitudes in sqrt(W), so ``|s|**2`` is instantaneous
 power in W.  ``ref_freq`` is the absolute frequency of the complex-baseband
-origin (0 for electrical signals).  Bulk propagation delay is carried as
-metadata in ``delay_us`` rather than as a sample shift.
+origin (0 for electrical signals).  A record is one burst on its own time
+axis: bulk propagation delay is not carried.
 
 A waveform holds its samples, their spectrum (the unnormalized DFT in
 ``scipy.fft`` bin order) or both.  The missing one is computed through
@@ -69,14 +69,13 @@ class ComplexWaveform:
     """
 
     def __init__(self, samples, sample_rate: float, ref_freq: float = 0.0,
-                 delay_us: float = 0.0, spectrum=None):
+                 spectrum=None):
         if samples is None and spectrum is None:
             raise ConfigError("waveform needs samples or a spectrum")
         self._samples = None if samples is None else _read_only(samples)
         self._spectrum = None if spectrum is None else _read_only(spectrum)
         self.sample_rate = sample_rate
         self.ref_freq = ref_freq
-        self.delay_us = delay_us
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be > 0")
         if self.n == 0:
@@ -135,7 +134,7 @@ class ComplexWaveform:
         if samples is None and spectrum is None:
             samples, spectrum = self._samples, self._spectrum
         kwargs = {"sample_rate": self.sample_rate, "ref_freq": self.ref_freq,
-                  "delay_us": self.delay_us, **attrs}
+                  **attrs}
         return ComplexWaveform(samples, spectrum=spectrum, **kwargs)
 
     def scaled(self, gain: float) -> ComplexWaveform:
@@ -156,14 +155,9 @@ def psd(wf: ComplexWaveform):
             np.fft.fftshift(p))
 
 
-def band_power(wf: ComplexWaveform, f_lo: float, f_hi: float,
-               absolute: bool = True) -> float:
-    """Mean power (W) contained in [f_lo, f_hi].
-
-    ``absolute`` selects absolute frequencies (ref_freq included) versus
-    baseband offsets.
-    """
-    f = wf.abs_freqs() if absolute else wf.baseband_freqs()
+def band_power(wf: ComplexWaveform, f_lo: float, f_hi: float) -> float:
+    """Mean power (W) contained in [f_lo, f_hi], absolute frequencies."""
+    f = wf.abs_freqs()
     mask = (f >= f_lo) & (f <= f_hi)
     return float(np.sum(np.abs(wf.spectrum[mask]) ** 2) / wf.n**2)
 

@@ -123,6 +123,36 @@ DELETE = "<delete>"
      "onu.pd.thermal_noise_psd"),
     # burst seeds are drawn from the config seed, which must be >= 0
     ("mini", ["seed"], -1_000_000, "seed"),
+    # a YAML boolean is not a number, though float(True) is 1.0
+    ("mini", ["spans", "feeder_km"], True, "spans.feeder_km"),
+    ("mini", ["seed"], True, "seed"),
+    ("mini", ["sample_rate"], True, "sample_rate"),
+    # counts, depths and device values out of range
+    ("mini", ["sweep", "bits_per_point"], -5, "sweep.bits_per_point"),
+    ("mini", ["sweep", "top_bits"], -5, "sweep.top_bits"),
+    ("mini", ["sweep", "full_bits"], -5, "sweep.full_bits"),
+    ("mini", ["sweep", "burst_symbols"], -1, "sweep.burst_symbols"),
+    ("mini", ["devices", "drive_depth"], -0.1, "devices.drive_depth"),
+    ("mini", ["devices", "rf_drive_depth"], -0.1, "devices.rf_drive_depth"),
+    ("mini", ["uplink", "drive_depth"], 0, "uplink.drive_depth"),
+    ("mini", ["devices", "ring", "coupling"], 1.5, "devices.ring.coupling"),
+    ("mini", ["devices", "ring", "amplitude"], 0, "devices.ring.amplitude"),
+    ("mini", ["devices", "ring", "fsr"], -1, "devices.ring.fsr"),
+    ("mini", ["onu", "pd", "responsivity"], -1, "onu.pd.responsivity"),
+    ("mini", ["devices", "ring", "mod_efficiency"], 0,
+     "devices.ring.mod_efficiency"),
+    ("mini", ["devices", "carrier_retain_fraction"], 1.5,
+     "devices.carrier_retain_fraction"),
+    ("mini", ["fec_threshold"], -1, "fec_threshold"),
+    ("mini", ["center_freq"], -1e12, "center_freq"),
+    # a signal band must lie above 0 Hz
+    ("mini", ["tunnels"], [{"if_freq": 1e9, "occupied_bandwidth": 3e9}],
+     "tunnels.0.if_freq"),
+    ("mini", ["tunnels"], [{"if_freq": 0, "occupied_bandwidth": 1e9}],
+     "tunnels.0.if_freq"),
+    ("mini", ["digital", "if_freq"], 0.5e9, "digital.if_freq"),
+    ("mini", ["uplink", "rof"], {"if_freq": 1e9, "occupied_bandwidth": 3e9},
+     "uplink.rof.if_freq"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):

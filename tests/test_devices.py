@@ -164,6 +164,11 @@ def test_mrm_rejects_bad_drive():
                                  sample_rate=2 * FS, ref_freq=0.0)
     with pytest.raises(ConfigError):
         apply_mrm(field, ring, wrong_rate)
+    # a drive of another length is neither padded nor cut
+    for n in (field.n - 1, field.n + 1):
+        short = ComplexWaveform(np.zeros(n, dtype=complex), FS)
+        with pytest.raises(ConfigError, match="samples"):
+            apply_mrm(field, ring, short)
 
 
 def _drive_bandwidth(drive, fs):
@@ -189,7 +194,7 @@ def block_mrm(field, params, drive):
     mean detuning.  The oracle of the tone path."""
     fs = field.sample_rate
     n = field.n
-    detune = params.mod_efficiency * (params.bias_volt + drive.samples.real)
+    detune = params.mod_efficiency * drive.samples.real
     block_len = max(1, int(fs / (10.0 * _drive_bandwidth(detune, fs))))
     # the sampled ring response has tails on both time sides (sub-sample
     # roundtrip delay), so each block carries context before and after
@@ -229,8 +234,7 @@ def test_block_and_tone_methods_agree():
 def ssb_setup(branch_phase=np.pi / 2, f_m=5e9, depth=0.05):
     field = carrier()
     ring = slope_biased_ring(F0)
-    cfg = IqMrmConfig(ring_i=ring, ring_q=ring, branch_phase=branch_phase,
-                      sideband="upper")
+    cfg = IqMrmConfig(ring=ring, branch_phase=branch_phase, sideband="upper")
     i = field.copy_with(
         samples=(depth * np.cos(2 * np.pi * f_m * field.times())
                  ).astype(np.complex128), ref_freq=0.0)
@@ -370,7 +374,7 @@ def static_through(ring, field, bias):
 
 def round_trip_tone(field, ring, drive, window):
     """The tone path as a pair of inverse transforms and a time-domain sum."""
-    detune = ring.mod_efficiency * (ring.bias_volt + drive.samples.real)
+    detune = ring.mod_efficiency * drive.samples.real
     spec = np.fft.fft(field.samples)
     f_abs = np.fft.fftfreq(field.n, 1 / field.sample_rate) + field.ref_freq
     bias = float(np.mean(detune))
@@ -399,8 +403,7 @@ def test_static_ring_filter_matches_the_fft_round_trip():
     field = two_tone_field()
     for volt in (0.0, 0.3):
         flat = cos_drive(field, depth=0.0, mean=volt)
-        h = static_through(ring, field,
-                           ring.mod_efficiency * (ring.bias_volt + volt))
+        h = static_through(ring, field, ring.mod_efficiency * volt)
         assert_round_off(apply_mrm(field, ring, flat).samples,
                          np.fft.ifft(np.fft.fft(field.samples) * h))
 
@@ -423,7 +426,7 @@ def test_iq_ssb_matches_the_fft_round_trip():
     i = cos_drive(field)
     q = hilbert_pair(i)
     window = 8e9
-    cfg = IqMrmConfig(ring, ring, sideband="lower")
+    cfg = IqMrmConfig(ring, sideband="lower")
     got = iq_mrm_ssb(field, cfg, i, tone_window_hz=window)
     want = 0.5 * (round_trip_tone(field, ring, i, window)
                   + np.exp(-1j * np.pi / 2)

@@ -15,7 +15,7 @@ import oansim.scenarios
 import oansim.subsystems
 from oansim.channel import PdParams
 from oansim.errors import ConfigError
-from oansim.metrics import BerReport
+from oansim.metrics import DEFAULT_FEC_THRESHOLD, BerReport
 from oansim.scenarios import (ScenarioConfig, builtin_config_path,
                               emit_reports, load_config, run_scenario)
 from oansim.subsystems import FilterSpec, solve_carrier_tap_filter
@@ -159,6 +159,18 @@ def test_run_deterministic_byte_identical(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_fec_verdict_is_strict_at_the_threshold():
+    n = 10_000
+    k = int(DEFAULT_FEC_THRESHOLD * n)  # 38 errors -> exactly at threshold
+    acc = oansim.scenarios._Accumulator(DEFAULT_FEC_THRESHOLD)
+    acc.add("at", BerReport(k, n, 0.1))
+    acc.add("below", BerReport(k - 1, n, 0.1))
+    summary = acc.summary()
+    assert summary["at"]["ber"] == DEFAULT_FEC_THRESHOLD
+    assert not summary["at"]["passes_fec"]  # strict less-than
+    assert summary["below"]["passes_fec"]
+
+
 def test_seed_changes_report(tmp_path):
     a = run_scenario(mini_config(tmp_path))
     b = run_scenario(mini_config(tmp_path, seed=78))
@@ -171,8 +183,8 @@ def test_neighbouring_config_seeds_share_no_burst(tmp_path, monkeypatch):
 
     def recorded(cfg, power, burst_seed, acc, want_spectrum):
         seeds.append(burst_seed)
-        acc.add("digital", BerReport(0, 1000, 0.0, 0.0, True))
-        return None, {"carrier": 0.0}, None
+        acc.add("digital", BerReport(0, 1000, 0.0))
+        return 0.0, {"carrier": 0.0}, None
 
     monkeypatch.setattr(oansim.scenarios, "_run_burst", recorded)
     cfg = mini_config(tmp_path)  # four bursts at each of two points
@@ -226,6 +238,26 @@ def test_both_overlay_styles_run_reproducibly(name, signals):
     second = run_scenario(cfg)
     assert json.dumps(first, sort_keys=True) == \
         json.dumps(second, sort_keys=True)
+
+
+@pytest.mark.parametrize("name, n", [("scenario_a", 524_880),
+                                     ("scenario_b", 262_440)])
+def test_burst_sizes_the_record(name, n, monkeypatch):
+    """The burst grows the power-of-two window to hold the walk-off guard
+    and the digital drive at an FFT-friendly length, and pads every drive
+    to it before the central office sees them."""
+    class Sized(Exception):
+        pass
+
+    def sized(plan, drives, **kwargs):
+        raise Sized([d.n for d in drives])
+
+    monkeypatch.setattr(oansim.scenarios, "olt_transmit", sized)
+    cfg = _shipped_top(name)
+    with pytest.raises(Sized) as caught:
+        run_scenario(cfg)
+    assert caught.value.args[0] == [n] * cfg.plan.n_channels
+    assert cfg.n_record < n
 
 
 _TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2",
