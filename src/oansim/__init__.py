@@ -27,6 +27,8 @@ The package is organized in layers:
 - :mod:`oansim.cli` — ``oansim`` command-line entry point.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     OansimError,
@@ -36,15 +38,14 @@ from .errors import (
 )
 from .waveform import (
     ComplexWaveform,
+    analytic,
     band_power,
     combine,
-    downconvert,
-    pad_to,
+    from_if,
+    if_spectrum,
     psd,
-    resample_to,
     scale_db,
     set_power_dbm,
-    upconvert_real,
 )
 from .ofdm import (
     OfdmConfig,
@@ -68,7 +69,6 @@ from .devices import (
     apply_mrm,
     drop_filter,
     generate_subcarriers,
-    hilbert_pair,
     iq_mrm_ssb,
     ring_response,
     thermal_tune,
@@ -117,75 +117,7 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "OansimError",
-    "SimulationError",
-    "StageError",
-    "SyncError",
-    "ComplexWaveform",
-    "band_power",
-    "combine",
-    "downconvert",
-    "pad_to",
-    "psd",
-    "resample_to",
-    "scale_db",
-    "set_power_dbm",
-    "upconvert_real",
-    "OfdmConfig",
-    "add_awgn",
-    "bandwidth_for_bit_rate",
-    "demodulate_ofdm",
-    "generate_ofdm",
-    "qam_demodulate",
-    "qam_modulate",
-    "DEFAULT_FEC_THRESHOLD",
-    "BerReport",
-    "analytic_awgn_ber",
-    "ber_evm_metrics",
-    "qfunc",
-    "IqMrmConfig",
-    "RingParams",
-    "apply_mrm",
-    "drop_filter",
-    "generate_subcarriers",
-    "hilbert_pair",
-    "iq_mrm_ssb",
-    "ring_response",
-    "thermal_tune",
-    "FiberParams",
-    "PdParams",
-    "amplify_ase",
-    "dc_block",
-    "dispersion_phase",
-    "photodetect",
-    "propagate_fiber",
-    "OnuConfig",
-    "WdmChannel",
-    "WdmPlan",
-    "olt_transmit",
-    "onu_receive",
-    "onu_remodulate",
-    "slope_biased_ring",
-    "smart_edge_intercept_uplink",
-    "smart_edge_overlay",
-    "FRONTHAUL_PRESETS",
-    "SERVICE_CATALOG",
-    "FronthaulSpec",
-    "LinkSpec",
-    "NodeSpec",
-    "ServiceRequirement",
-    "TopologySpec",
-    "comp_feasibility",
-    "fronthaul_dimension",
-    "latency_budget",
-    "power_budget",
-    "propagation_delay",
-    "ScenarioConfig",
-    "builtin_config_path",
-    "emit_reports",
-    "load_config",
-    "run_scenario",
-    "__version__",
-]
+# the public API is every name imported above
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -114,7 +114,7 @@ def photodetect(field: ComplexWaveform, params: PdParams) -> ComplexWaveform:
     if params.thermal_noise_psd > 0:
         sigma = np.sqrt(params.thermal_noise_psd * bandwidth)
         current = current + rng.normal(scale=sigma, size=field.n)
-    return ComplexWaveform(current.astype(np.complex128), field.sample_rate)
+    return ComplexWaveform(current, field.sample_rate)
 
 
 def dc_block(wf: ComplexWaveform) -> ComplexWaveform:

@@ -31,7 +31,7 @@ from .budget import (FRONTHAUL_PRESETS, SERVICE_CATALOG, FronthaulSpec,
 from .channel import FiberParams
 from .devices import RingParams, ring_response
 from .errors import ConfigError, SimulationError
-from .scenarios import (ScenarioConfig, _flag, _get, _whole,
+from .scenarios import (ScenarioConfig, _flag, _get, _number, _whole,
                         builtin_config_path, emit_reports, load_config,
                         run_scenario)
 
@@ -93,8 +93,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _reader(raw: dict, key: str):
-    """``get(name, convert=float, default=None)``: the value at key.name."""
-    return lambda name, convert=float, default=None: _get(
+    """``get(name, convert=_number, default=None)``: the value at
+    key.name."""
+    return lambda name, convert=_number, default=None: _get(
         raw, f"{key}.{name}", convert, default)
 
 
@@ -105,18 +106,18 @@ def _entries(raw: dict, key: str) -> list:
 
 
 def _components(val) -> tuple:
-    return tuple((str(label), float(db)) for label, db in val)
+    return tuple((str(label), _number(db)) for label, db in val)
 
 
 def _budget_topology(raw: dict) -> TopologySpec:
     nodes = [NodeSpec(get("id", str), get("kind", str),
-                      get("processing_delay_us", float, 0.0),
+                      get("processing_delay_us", default=0.0),
                       get("sync_compensation", _flag, False))
              for get in _entries(raw, "nodes")]
     links = [LinkSpec(get("from", str), get("to", str),
                       FiberParams(get("length_km"),
-                                  get("atten_db_per_km", float, 0.2),
-                                  get("dispersion_ps_nm_km", float, 17.0)),
+                                  get("atten_db_per_km", default=0.2),
+                                  get("dispersion_ps_nm_km", default=17.0)),
                       get("components", _components, ()))
              for get in _entries(raw, "links")]
     return TopologySpec(nodes, links)
@@ -131,8 +132,8 @@ def _budget_service(get) -> ServiceRequirement:
         return SERVICE_CATALOG[entry]
     return ServiceRequirement(
         get("service.name", str), get("service.one_way_latency_limit_ms"),
-        get("service.dl_rate_bps", float, 0.0),
-        get("service.ul_rate_bps", float, 0.0))
+        get("service.dl_rate_bps", default=0.0),
+        get("service.ul_rate_bps", default=0.0))
 
 
 def _budget_fronthaul(entry, get) -> FronthaulSpec:
@@ -143,11 +144,11 @@ def _budget_fronthaul(entry, get) -> FronthaulSpec:
         return FRONTHAUL_PRESETS[entry]
     return FronthaulSpec(
         get("kind", str), get("rf_bandwidth"),
-        sample_rate=get("sample_rate", float, 0.0),
+        sample_rate=get("sample_rate", default=0.0),
         bit_width=get("bit_width", _whole, 0),
         n_antenna_streams=get("n_antenna_streams", _whole, 1),
-        ecpri_split_factor=get("ecpri_split_factor", float, 1.0),
-        guard=get("guard", float, 0.0))
+        ecpri_split_factor=get("ecpri_split_factor", default=1.0),
+        guard=get("guard", default=0.0))
 
 
 def run_budget(raw: dict) -> dict:
@@ -170,8 +171,8 @@ def run_budget(raw: dict) -> dict:
     for get in _entries(raw, "comp"):
         rep = comp_feasibility(
             topo, get("rus", list), get("controller", str),
-            max_one_way_us=get("max_one_way_us", float, 150.0),
-            max_skew_us=get("max_skew_us", float, 1.5))
+            max_one_way_us=get("max_one_way_us", default=150.0),
+            max_skew_us=get("max_skew_us", default=1.5))
         report["comp"].append({"controller": get("controller", str),
                                "rus": sorted(get("rus", list)),
                                **rep.to_dict()})
@@ -188,12 +189,12 @@ def run_budget(raw: dict) -> dict:
     for get in _entries(raw, "power"):
         rep = power_budget(
             topo, get("path", list),
-            tx_power_dbm=get("tx_power_dbm", float, 0.0),
+            tx_power_dbm=get("tx_power_dbm", default=0.0),
             coupling=get("coupling", str, "packaged"),
             n_facets=get("n_facets", _whole, 2),
             bus_stages=get("bus_stages", _whole, 0),
-            bus_loss_db_per_stage=get("bus_loss_db_per_stage", float, 0.1),
-            rx_sensitivity_dbm=get("rx_sensitivity_dbm", float, -20.0))
+            bus_loss_db_per_stage=get("bus_loss_db_per_stage", default=0.1),
+            rx_sensitivity_dbm=get("rx_sensitivity_dbm", default=-20.0))
         report["power"].append({"path": get("path", list), **rep.to_dict()})
     return report
 

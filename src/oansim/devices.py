@@ -14,7 +14,8 @@ remainder sees the static bias-point response.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import iadd
 
 import numpy as np
 from scipy import fft as fftpack
@@ -167,35 +168,62 @@ def thermal_tune(params: RingParams, target_freq: float) -> RingParams:
 # Microring modulator
 
 
-def _static_filter(field: ComplexWaveform, params: RingParams,
-                   detune: float) -> ComplexWaveform:
-    h = _through_static_grid(params, field, detune)
-    return field.copy_with(spectrum=np.multiply(field.spectrum, h, out=h))
-
-
-def _apply_tone(field: ComplexWaveform, params: RingParams,
-                detune: np.ndarray, window_hz: float) -> ComplexWaveform:
+def _modulate(field: ComplexWaveform, params: RingParams, detunes,
+              weights, window_hz: float | None) -> ComplexWaveform:
+    """The sum over arms of ``weight`` times the field through the ring
+    shifted by the arm's ``detune``.  The arms share one tone window at
+    their mean bias (by default 3 linewidths plus half the larger
+    peak-to-peak detuning): its line sees each arm's instantaneous response,
+    through one inverse transform and one transform of the weighted sum,
+    and the rest each arm's static response at its bias, as does all of
+    the field under constant drives or when the window holds no power."""
     spec = field.spectrum
     f_abs = field.abs_freqs()
-    bias_detune = float(np.mean(detune))
-    dist = np.subtract(f_abs, params.effective_resonance + bias_detune)
+    biases = [float(np.mean(d)) for d in detunes]
+    ptp = max(map(np.ptp, detunes))
+    if window_hz is None:
+        window_hz = 3.0 * params.fwhm + ptp / 2.0
+    dist = np.subtract(f_abs, params.effective_resonance + np.mean(biases))
     mask = np.abs(dist, out=dist) <= window_hz
     del dist
-    p_res = np.sum(np.abs(spec[mask]) ** 2)
-    if p_res <= 1e-15 * np.sum(np.abs(spec) ** 2):
-        # nothing resonant: purely static filtering
-        return _static_filter(field, params, bias_detune)
-    f_tone = float(np.sum(f_abs[mask] * np.abs(spec[mask]) ** 2) / p_res)
-    # the resonant line sees the instantaneous response in time, the rest
-    # the static response in frequency; each transform reuses its input
-    x_res = fftpack.ifft(np.where(mask, spec, 0.0), overwrite_x=True)
-    x_res *= _through_detuned(params, f_tone, detune)
-    out = fftpack.fft(x_res, overwrite_x=True)
-    off = _through_static_grid(params, field, bias_detune)
+    p_line = np.abs(spec[mask]) ** 2
+    p_res = np.sum(p_line)
+    static = ptp == 0.0 or p_res <= 1e-15 * np.sum(np.abs(spec) ** 2)
+    f_tone = 0.0 if static else float(np.sum(f_abs[mask] * p_line) / p_res)
+
+    def weighted(weight, response, *args):
+        out = response(*args)
+        return out if weight == 1.0 else np.multiply(out, weight, out=out)
+
+    # each arm's responses and the resonant line, built in a fork; the
+    # line's inverse transform, like the transform back, reuses its input
+    branches = [partial(weighted, w, _through_static_grid, params, field, b)
+                for w, b in zip(weights, biases)]
+    if not static:
+        branches += [partial(weighted, w, _through_detuned, params, f_tone, d)
+                     for w, d in zip(weights, detunes)]
+        branches.append(lambda: fftpack.ifft(np.where(mask, spec, 0.0),
+                                             overwrite_x=True))
+    parts = fork(*branches)
+    arms = len(weights)
+    off = reduce(iadd, parts[1:arms], parts[0])
     np.multiply(spec, off, out=off)
+    if static:
+        return field.copy_with(spectrum=off)
+    x_res = parts[-1]
+    x_res *= reduce(iadd, parts[arms + 1:-1], parts[arms])
+    out = fftpack.fft(x_res, overwrite_x=True)
     off[mask] = 0.0
     out += off
     return field.copy_with(spectrum=out)
+
+
+def _check_grid(field: ComplexWaveform, drive: ComplexWaveform) -> None:
+    if drive.sample_rate != field.sample_rate or drive.n != field.n:
+        raise ConfigError(
+            f"drive of {drive.n} samples at {drive.sample_rate:g} S/s does "
+            f"not match the field's {field.n} at {field.sample_rate:g} S/s"
+        )
 
 
 def apply_mrm(field: ComplexWaveform, params: RingParams,
@@ -207,34 +235,15 @@ def apply_mrm(field: ComplexWaveform, params: RingParams,
     is filtered by the time-varying through response.  The drive must be a
     real electrical waveform on the same sample grid and of the same length.
     """
-    if drive.sample_rate != field.sample_rate or drive.n != field.n:
-        raise ConfigError(
-            f"drive of {drive.n} samples at {drive.sample_rate:g} S/s does "
-            f"not match the field's {field.n} at {field.sample_rate:g} S/s"
-        )
-    if not drive.is_real(tol=1e-6):
+    _check_grid(field, drive)
+    if not drive.is_real():
         raise ConfigError("MRM drive must be a real electrical waveform")
-    detune = params.mod_efficiency * drive.samples.real
-
-    if tone_window_hz is None:
-        tone_window_hz = 3.0 * params.fwhm + float(np.ptp(detune)) / 2.0
-
-    if np.ptp(detune) == 0.0:
-        return _static_filter(field, params, float(detune[0]))
-
-    return _apply_tone(field, params, detune, tone_window_hz)
+    return _modulate(field, params, [params.mod_efficiency * drive.samples],
+                     [1.0], tone_window_hz)
 
 
 # ---------------------------------------------------------------------------
 # IQ single-sideband modulator
-
-
-def hilbert_pair(drive: ComplexWaveform) -> ComplexWaveform:
-    """Hilbert transform of a real drive (the quadrature branch for SSB)."""
-    from scipy.signal import hilbert
-
-    analytic = hilbert(drive.samples.real)
-    return drive.copy_with(samples=np.imag(analytic).astype(np.complex128))
 
 
 def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
@@ -242,22 +251,24 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
                tone_window_hz: float | None = None) -> ComplexWaveform:
     """Two-branch microring IQ modulator with interferometric combining.
 
-    The I ring is driven by the real ``drive`` and the Q ring by its
-    Hilbert pair, formed in the Q branch, so the data sidebands land
-    predominantly on ``config.sideband``; the carrier is partially retained
-    per the ring bias points.  The 50/50 split/combine carries the inherent
+    ``drive`` is analytic: its real part drives the I ring and its
+    imaginary part, the Hilbert transform of the real part, the Q ring, so
+    the data sidebands land predominantly on ``config.sideband``; the
+    carrier is partially retained per the ring bias points.  The rings
+    share one tone window.  The 50/50 split/combine carries the inherent
     3 dB loss of single-output IQ recombination.
     """
+    _check_grid(field, drive)
+    x = drive.samples
+    if drive.is_real() or not np.any(x.imag) and np.any(x.real):
+        raise ConfigError("IQ drive must be analytic: a real part and its "
+                          "Hilbert transform as the imaginary part")
     phase = config.branch_phase
     if config.sideband == "lower":
         phase = -phase
-    # both arms read the field's spectrum and frequency grid: fill them once
-    field.spectrum, field.baseband_freqs()
-    arm = partial(apply_mrm, field, tone_window_hz=tone_window_hz)
-    out_i, out_q = fork(partial(arm, config.ring, drive),
-                        lambda: arm(config.ring, hilbert_pair(drive)))
-    return field.copy_with(spectrum=0.5 * (
-        out_i.spectrum + np.exp(1j * phase) * out_q.spectrum))
+    eff = config.ring.mod_efficiency
+    return _modulate(field, config.ring, (eff * x.real, eff * x.imag),
+                     (0.5, 0.5 * np.exp(1j * phase)), tone_window_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +296,8 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
             "no tone found within one linewidth of the ring resonance"
         )
     tone = _tone_phasor(clock_freq, field.n, 1.0 / field.sample_rate)
-    drive = field.copy_with(
-        samples=(clock_amplitude_volt * np.real(tone)).astype(np.complex128),
-        ref_freq=0.0,
-    )
+    drive = ComplexWaveform(clock_amplitude_volt * tone.real,
+                            field.sample_rate)
     if tone_window_hz is None:
         tone_window_hz = max(3.0 * params.fwhm, 0.4 * clock_freq)
     return apply_mrm(field, params, drive, tone_window_hz=tone_window_hz)

@@ -16,7 +16,7 @@ from scipy import fft as fftpack
 from scipy import signal as sig
 
 from .errors import ConfigError, SyncError
-from .waveform import ComplexWaveform, resample_to
+from .waveform import ComplexWaveform
 
 _SQUARE_QAM = (4, 16, 64)
 
@@ -237,14 +237,15 @@ def demodulate_ofdm(config: OfdmConfig, waveform: ComplexWaveform,
                     max_symbols: int | None = None):
     """Detect an OFDM waveform; returns (bits, evm_rms).
 
-    The waveform may be at any sample rate >= the occupied bandwidth times
-    the configured oversampling; it is resampled onto the modem grid.
-    Synchronization is by preamble correlation.
+    The waveform must be at the modem rate ``config.sample_rate``; a
+    signal carried at an IF is brought there by
+    :func:`~oansim.waveform.from_if`.  Synchronization is by preamble
+    correlation.
     """
-    if waveform.sample_rate < config.occupied_bandwidth:
-        raise ConfigError("waveform sample rate below occupied bandwidth")
     if waveform.sample_rate != config.sample_rate:
-        waveform = resample_to(waveform, config.sample_rate)
+        raise ConfigError(
+            f"waveform at {waveform.sample_rate:g} S/s is not at the modem "
+            f"rate {config.sample_rate:g} S/s")
     rx = waveform.samples
     start = _synchronize(config, rx)
 

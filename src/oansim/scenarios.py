@@ -29,13 +29,14 @@ import copy
 import csv
 import json
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import yaml
-from scipy.fft import next_fast_len
+from scipy import fft as fftpack
 
 from .channel import (FiberParams, PdParams, amplify_ase, dc_block,
                       photodetect, propagate_fiber)
@@ -49,8 +50,8 @@ from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                          smart_edge_intercept_uplink, smart_edge_overlay,
                          solve_carrier_tap_filter)
 from .devices import IqMrmConfig, drop_filter, iq_mrm_ssb
-from .waveform import (ComplexWaveform, combine, downconvert, pad_to, psd,
-                       resample_to, set_power_dbm, upconvert_real)
+from .waveform import (ComplexWaveform, analytic, from_if, if_spectrum, psd,
+                       set_power_dbm)
 
 # head-of-frame silence so inter-channel fiber walk-off (a few hundred ps
 # for +/-50 GHz channels over tens of km) cannot advance a preamble past
@@ -146,9 +147,10 @@ def builtin_config_path(name: str) -> Path:
 
 
 def _number(val) -> float:
-    if isinstance(val, bool):
-        raise ValueError(f"expected a number, not {val!r}")
-    return float(val)
+    num = float(val)
+    if isinstance(val, bool) or not np.isfinite(num):
+        raise ValueError(f"expected a finite number, not {val!r}")
+    return num
 
 
 def _get(raw: dict, key: str, convert=_number, default=None):
@@ -251,7 +253,9 @@ def _ofdm(raw: dict, key: str, seed: int) -> OfdmConfig:
 
 
 class _Signal(NamedTuple):
-    """One OFDM signal of a burst: its modem, radio IF and symbol count."""
+    """One OFDM signal of a burst: its modem, radio IF and symbol count.
+    Its drives are made from its modem-rate spectrum on the record's bins,
+    and :func:`_detect` reads it back from the same bins."""
     ofdm: OfdmConfig
     if_freq: float
     symbols: int
@@ -260,20 +264,29 @@ class _Signal(NamedTuple):
     def n_bits(self) -> int:
         return self.symbols * self.ofdm.bits_per_symbol
 
-    @property
-    def half_bw(self) -> float:
-        """Half-width of the band around the IF that its filters must pass."""
-        return 0.55 * self.ofdm.occupied_bandwidth
-
     def edges(self) -> tuple:
         """Band edges around the IF that its filters must pass."""
-        return self.if_freq - self.half_bw, self.if_freq + self.half_bw
+        half_bw = 0.55 * self.ofdm.occupied_bandwidth
+        return self.if_freq - half_bw, self.if_freq + half_bw
 
-    def wave(self, bits, sample_rate: float) -> ComplexWaveform:
-        """The real electrical signal at its IF on the simulation grid."""
-        return upconvert_real(
-            resample_to(generate_ofdm(self.ofdm, bits), sample_rate),
-            self.if_freq, self.half_bw)
+    def record_samples(self, sample_rate: float) -> int:
+        """Samples the signal, preamble included, spans at ``sample_rate``."""
+        ratio = Fraction(sample_rate / self.ofdm.sample_rate)
+        ratio = ratio.limit_denominator(1_000_000)
+        modem = (self.symbols + 1) * (self.ofdm.nfft + self.ofdm.n_cp)
+        return -(-modem * ratio.numerator // ratio.denominator)
+
+    def spectrum(self, bits, n: int, sample_rate: float,
+                 lead: int = 0) -> np.ndarray:
+        """``rfft`` bins of the real signal of ``bits`` at its IF on a
+        record of ``n`` samples at ``sample_rate``, ``lead`` samples late."""
+        return if_spectrum(generate_ofdm(self.ofdm, bits), self.if_freq, n,
+                           sample_rate, lead)
+
+    def drive(self, bits, n: int, sample_rate: float) -> ComplexWaveform:
+        """The real signal of ``bits`` at its IF on the record."""
+        return ComplexWaveform(
+            fftpack.irfft(self.spectrum(bits, n, sample_rate), n), sample_rate)
 
 
 @dataclass
@@ -382,12 +395,20 @@ class ScenarioConfig:
             self.uplink["rof"] = signal("uplink.rof", 3)
         self.edge_uplink = ("rof" if "rof" in self.uplink
                             else None if tunnels else "digital")
+        lower = _get(raw, "uplink.sideband", _sideband) == "lower"
+
+        def sided(sig: _Signal) -> tuple:  # carrier offsets of its band
+            lo, hi = sig.edges()
+            return (-hi, -lo) if lower else (lo, hi)
+
+        # the central office's demux passes the returning channel; its drop
+        # is demodulated over the digital uplink's band
+        self.demux = FilterSpec(0.0, 0.9 * slot_width, 5,
+                                sided(self.uplink["digital"]))
         self.intercept = None
         if self.edge_uplink is not None:
-            lower = _get(raw, "uplink.sideband", _sideband) == "lower"
-            lo, hi = self.uplink[self.edge_uplink].edges()
             self.intercept = {
-                "band_offsets": (-hi, -lo) if lower else (lo, hi),
+                "band_offsets": sided(self.uplink[self.edge_uplink]),
                 "carrier_tap": _get(raw, "uplink.intercept_carrier_tap",
                                     _fraction),
                 "order": _get(raw, "uplink.intercept_order", _order)}
@@ -556,24 +577,31 @@ def _detect(stage: str, name: str, signal: _Signal,
     """Demodulate a detected signal at its IF; its name and its report of
     bit errors."""
     rx_bits, evm = _stage(stage, demodulate_ofdm, signal.ofdm,
-                          downconvert(electrical, signal.if_freq),
+                          from_if(electrical, signal.if_freq,
+                                  signal.ofdm.sample_rate),
                           max_symbols=signal.symbols)
     return name, ber_over_sent_bits(tx_bits, rx_bits, evm)
 
 
+def _analytic_drive(signals, n: int, sample_rate: float,
+                    lead: int = 0) -> ComplexWaveform:
+    """The analytic drive of each ``(signal, bits)`` of ``signals`` at its
+    IF, ``lead`` samples late: their spectra, made in a fork and summed."""
+    spectra = fork(*(partial(s.spectrum, bits, n, sample_rate, lead)
+                     for s, bits in signals))
+    return analytic(sum(spectra[1:], spectra[0]), n, sample_rate)
+
+
 def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
-             payload_bits: list) -> ComplexWaveform:
+             drives: list) -> ComplexWaveform:
     """The smart edge's radio overlay, the first of the two steps where the
-    styles differ.  The payload waveforms are made here so that they are
-    freed before the network units run."""
-    made = iter(fork(*(partial(s.wave, bits, cfg.sample_rate)
-                       for channel_bits in payload_bits
-                       for s, bits in zip(cfg.payloads, channel_bits))))
-    waves = [[pad_to(next(made), link.n) for _ in channel_bits]
-             for channel_bits in payload_bits]
+    styles differ: one real drive per channel and tunnel, or one composite
+    analytic drive of the radio channels."""
     if cfg.style == "subcarrier_tunnels":
+        k = len(cfg.payloads)
         return _stage("smart_edge_overlay", smart_edge_overlay, link,
-                      cfg.plan, waves,
+                      cfg.plan, [drives[i * k:(i + 1) * k]
+                                 for i in range(cfg.plan.n_channels)],
                       subcarrier_clock_volt=cfg.subcarrier_clock_volt,
                       carrier_retain_fraction=cfg.carrier_retain_fraction,
                       drive_depth=cfg.rf_drive_depth,
@@ -581,7 +609,7 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
     # one composite radio drive, single-sideband below the carrier
     ch = cfg.plan.channels[0]
     ring = slope_biased_ring(ch.center_freq, **cfg.ring_kwargs)
-    drive = scale_drive_to_depth(combine(waves[0]), ring, cfg.rf_drive_depth)
+    drive = scale_drive_to_depth(drives[0], ring, cfg.rf_drive_depth)
     # quasi-static window: cover the carrier (slope_fraction linewidths
     # above the biased resonance) but stop short of the broadband subband,
     # which must see only the static through response
@@ -598,7 +626,8 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
 
     Returns the uplink-to-residual ratio, the carrier ledger of channel 0's
     network unit and, if wanted, the report's spectrum after the overlay.
-    Each whole-record waveform is let go after its last reader.
+    Whole-record waveforms are let go after their last reader, the network
+    units' residual fields at the end of the burst.
     """
     rng = np.random.default_rng(burst_seed)
     fs = cfg.sample_rate
@@ -607,14 +636,29 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     dig_bits = [rng.integers(0, 2, dig.n_bits) for _ in plan.channels]
     payload_bits = [[rng.integers(0, 2, s.n_bits) for s in cfg.payloads]
                     for _ in plan.channels]
+    up_bits = {kind: rng.integers(0, 2, signal.n_bits)
+               for kind, signal in cfg.uplink.items()}
 
-    drives = fork(*(partial(dig.wave, bits, fs) for bits in dig_bits))
     # the record: n_record, grown to hold the walk-off guard and the
-    # longest digital drive, at an FFT-friendly length; every drive is
-    # padded to it, the digital and uplink ones after the guard
+    # digital drive, at an FFT-friendly length; every drive of the burst
+    # is made at that length in one fork, the digital and uplink ones
+    # after the guard
     guard = int(round(_WALKOFF_GUARD_S * fs))
-    n = next_fast_len(max(cfg.n_record, guard + max(d.n for d in drives)))
-    drives = [pad_to(d, n, guard) for d in drives]
+    n = fftpack.next_fast_len(max(cfg.n_record,
+                                  guard + dig.record_samples(fs)))
+    payload = ([partial(s.drive, bits, n, fs) for channel_bits in payload_bits
+                for s, bits in zip(cfg.payloads, channel_bits)]
+               if cfg.style == "subcarrier_tunnels" else
+               [partial(_analytic_drive, zip(cfg.payloads, payload_bits[0]), n,
+                        fs)])
+    made = fork(*(partial(_analytic_drive, [(dig, bits)], n, fs, guard)
+                  for bits in dig_bits),
+                partial(_analytic_drive, [(cfg.uplink[kind], bits)
+                                          for kind, bits in up_bits.items()],
+                        n, fs, guard), *payload)
+    drives, up_drive = made[:plan.n_channels], made[plan.n_channels]
+    payload_drives = made[plan.n_channels + 1:]
+    del made
     tx = _stage("olt_transmit", olt_transmit, plan, drives,
                 power_per_tone_dbm=cfg.tx_power_dbm,
                 sideband=cfg.digital_sideband,
@@ -628,7 +672,8 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         link = _stage("amplifier", amplify_ase, link, *cfg.amplifier,
                       seed=burst_seed + 17)
 
-    link = _overlay(cfg, link, payload_bits)
+    link = _overlay(cfg, link, payload_drives)
+    del payload_drives
     spectrum = _spectrum(link) if want_spectrum else None
 
     link = _stage("distribution_fiber", propagate_fiber, link, cfg.distribution)
@@ -636,60 +681,58 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
 
     broadband_name, radio_name, radio_stage = _SIGNAL_NAMES[cfg.style]
 
-    def network_unit(ch_idx: int):
-        """The reports of one channel's network unit, its residual field
-        if the uplink needs it, and its carrier ledger."""
-        onu = cfg.onu_at(plan.channels[ch_idx].center_freq,
-                         burst_seed + 100 + ch_idx)
-        res = _stage("onu_receive", onu_receive, link, onu)
-        reports = fork(
-            partial(_detect, "broadband_demod",
-                    broadband_name.format(ch=ch_idx), dig, res.broadband,
-                    dig_bits[ch_idx]),
-            *(partial(_detect, radio_stage,
-                      radio_name.format(ch=ch_idx, k=k + 1),
-                      cfg.payloads[k], rof, payload_bits[ch_idx][k])
-              for group, rof in zip(cfg.groups, res.rof) for k in group))
-        ledger = {
-            "carrier_in_dbm": res.carrier_in_dbm,
-            "carrier_after_broadband_dbm": res.carrier_after_broadband_dbm,
-            "carrier_residual_dbm": res.carrier_residual_dbm,
-            "rof_tap_cost_db": (res.carrier_after_broadband_dbm
-                                - res.carrier_residual_dbm),
-        }
-        return reports, res.residual if ch_idx == 0 else None, ledger
-
-    units = fork(*(partial(network_unit, i) for i in range(plan.n_channels)))
+    received = fork(*(partial(_stage, "onu_receive", onu_receive, link,
+                              cfg.onu_at(ch.center_freq, burst_seed + 100 + i))
+                      for i, ch in enumerate(plan.channels)))
     del link
-    for reports, _, _ in units:
-        for name, report in reports:
-            acc.add(name, report)
-    _, residual, ledger = units[0]
-    del units
+    res = received[0]
+    ledger = {
+        "carrier_in_dbm": res.carrier_in_dbm,
+        "carrier_after_broadband_dbm": res.carrier_after_broadband_dbm,
+        "carrier_residual_dbm": res.carrier_residual_dbm,
+        "rof_tap_cost_db": (res.carrier_after_broadband_dbm
+                            - res.carrier_residual_dbm),
+    }
+    demods = [partial(_detect, "broadband_demod", broadband_name.format(ch=i),
+                      dig, unit.broadband, dig_bits[i])
+              for i, unit in enumerate(received)]
+    demods += [partial(_detect, radio_stage,
+                       radio_name.format(ch=i, k=k + 1), cfg.payloads[k], rof,
+                       payload_bits[i][k])
+               for i, unit in enumerate(received)
+               for group, rof in zip(cfg.groups, unit.rof) for k in group]
+    # the downlink is demodulated beside the whole uplink
+    reports, (ratio, up_reports) = fork(
+        partial(fork, *demods),
+        partial(_uplink, cfg, res.residual, up_drive, up_bits, burst_seed))
+    for name, report in reports + up_reports:
+        acc.add(name, report)
+    return ratio, ledger, spectrum
 
-    # uplink: channel 0's network unit remodulates its residual carrier
-    # with the digital drive, then the radio drive if any
-    up_bits = {kind: rng.integers(0, 2, signal.n_bits)
-               for kind, signal in cfg.uplink.items()}
-    drives = fork(*(partial(cfg.uplink[kind].wave, bits, fs)
-                    for kind, bits in up_bits.items()))
+
+def _uplink(cfg: ScenarioConfig, residual: ComplexWaveform,
+            drive: ComplexWaveform, up_bits: dict, burst_seed: int) -> tuple:
+    """The uplink-to-residual ratio and the uplink signals' reports, once
+    channel 0's network unit remodulates its residual carrier with the
+    uplink drive (the digital signal and the radio one if any)."""
+    plan = cfg.plan
     rem = _stage("onu_remodulate", onu_remodulate, residual,
                  cfg.onu_at(plan.channels[0].center_freq, burst_seed + 100),
-                 [pad_to(d, n, guard) for d in drives])
-    del residual, drives
-
+                 [drive])
     back = _stage("uplink_distribution", propagate_fiber, rem.waveform,
                   cfg.distribution)
     ratio = rem.uplink_to_residual_db
     del rem
+    reports = []
     # where the uplink is detected, the second step where the styles differ
     kind = cfg.edge_uplink
     if kind is not None:
         icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
                        back, plan.channels[0], pd=cfg.pd(burst_seed + 300),
                        **cfg.intercept)
-        acc.add(*_detect(f"uplink_{kind}_demod", f"uplink:{kind}",
-                         cfg.uplink[kind], icept.rof_electrical, up_bits[kind]))
+        reports.append(_detect(f"uplink_{kind}_demod", f"uplink:{kind}",
+                               cfg.uplink[kind], icept.rof_electrical,
+                               up_bits[kind]))
         back = icept.through
         del icept
     if kind != "digital":
@@ -699,16 +742,16 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
             # central-office demux: select the returning channel so the other
             # WDM channels' carrier/sideband beats stay out of the uplink IF
             ch = plan.channels[0]
-            demux = FilterSpec(0.0, 0.9 * ch.slot_width, 5)
             co, _ = _stage("co_demux", drop_filter, co, ch.center_freq,
-                           demux.bandwidth, demux.order)
+                           cfg.demux.bandwidth, cfg.demux.order)
             co_el = _stage("co_detect", detect_drop, co, ch.center_freq,
-                           demux, pd)
+                           cfg.demux, pd)
         else:
             co_el = dc_block(_stage("co_detect", photodetect, co, pd))
-        acc.add(*_detect("uplink_digital_demod", "uplink:digital",
-                         cfg.uplink["digital"], co_el, up_bits["digital"]))
-    return ratio, ledger, spectrum
+        reports.append(_detect("uplink_digital_demod", "uplink:digital",
+                               cfg.uplink["digital"], co_el,
+                               up_bits["digital"]))
+    return ratio, reports
 
 
 def _spectrum(link: ComplexWaveform) -> dict:

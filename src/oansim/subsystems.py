@@ -1,9 +1,9 @@
 """Composition of the photonic devices into the three network blocks.
 
-Drives in, fields and photocurrents out: every block takes real
-electrical drives on the simulation grid and returns optical fields or
-detected photocurrents; :mod:`oansim.scenarios` makes and reads every
-OFDM signal.
+Drives in, fields and photocurrents out: every block takes electrical
+drives on the simulation grid (real for a single ring, analytic for an
+IQ modulator) and returns optical fields or real detected photocurrents;
+:mod:`oansim.scenarios` makes and reads every OFDM signal.
 
 * central-office transmitter: comb source + one IQ microring modulator
   per WDM channel, single-sideband digital drive inside each channel's
@@ -18,8 +18,8 @@ OFDM signal.
   uplink on the spectral side opposite the downlink.
 
 Every receiver detects its drop at the rate of its band
-(:func:`detect_drop`): the dropped field keeps the carrier and one filter
-bandwidth on each side of the filter centre, at the lowest power-of-two
+(:func:`detect_drop`): the dropped field keeps the carrier and what the
+filter passes near its demodulated band, at the lowest power-of-two
 fraction of the simulation rate that holds it.
 
 The optical figures of merit (carrier apportioning, uplink-to-residual
@@ -119,7 +119,8 @@ def slope_biased_ring(carrier_freq: float, fsr: float = 5e12,
 
 def scale_drive_to_depth(drive: ComplexWaveform, ring: RingParams,
                          depth: float) -> ComplexWaveform:
-    """Scale a real drive so its peak resonance excursion is depth x FWHM."""
+    """Scale a drive so the peak resonance excursion of its real part is
+    depth x FWHM; an analytic drive's imaginary part scales with it."""
     peak = float(np.max(np.abs(drive.samples.real)))
     if peak == 0.0:
         return drive.copy_with()
@@ -133,10 +134,13 @@ def scale_drive_to_depth(drive: ComplexWaveform, ring: RingParams,
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One drop filter, positioned relative to its channel carrier."""
+    """One drop filter, positioned relative to its channel carrier;
+    ``band`` holds the carrier offsets of the band its drop is demodulated
+    over, unbounded by default."""
     center_offset: float
     bandwidth: float
     order: int = 3
+    band: tuple = (-np.inf, np.inf)
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -166,7 +170,8 @@ def solve_carrier_tap_filter(band_lo: float, band_hi: float, tap: float,
     u_tap = ((1.0 - tap) / tap) ** (1.0 / (2 * order))
     u_pass = ((1.0 - passband_fraction) / passband_fraction) ** (1.0 / (2 * order))
     bandwidth = 2.0 * far / (u_tap + u_pass)
-    return FilterSpec(sign * u_tap * bandwidth / 2.0, bandwidth, order)
+    return FilterSpec(sign * u_tap * bandwidth / 2.0, bandwidth, order,
+                      (band_lo, band_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +233,11 @@ def olt_transmit(plan: WdmPlan, drives, power_per_tone_dbm: float = 0.0,
                  ring_kwargs: dict | None = None) -> ComplexWaveform:
     """Comb source plus one IQ-SSB modulator per WDM channel.
 
-    ``drives`` is one real electrical drive per channel, at its IF on the
-    simulation grid and as long as the record; each is scaled to
-    ``drive_depth`` and placed single-sideband next to its channel's
-    carrier.  Returns the transmitted field, of the drives' length.
+    ``drives`` is one analytic electrical drive per channel (see
+    :func:`~oansim.devices.iq_mrm_ssb`), at its IF on the simulation grid
+    and as long as the record; each is scaled to ``drive_depth`` and
+    placed single-sideband next to its channel's carrier.  Returns the
+    transmitted field, of the drives' length.
     """
     if len(drives) != plan.n_channels:
         raise ConfigError(
@@ -348,14 +354,18 @@ def detect_drop(dropped: ComplexWaveform, f_c: float, spec: FilterSpec,
     """Photocurrent of the drop port of ``spec``, detected at its band's rate.
 
     The dropped field is cropped to the carrier at ``f_c`` plus one filter
-    bandwidth on each side of the filter centre, at the lowest
-    power-of-two fraction of the rate that holds it
+    bandwidth on each side of the filter centre, no farther from the
+    carrier than the far edge of ``spec.band`` plus its width, at the
+    lowest power-of-two fraction of the rate that holds it
     (:func:`~oansim.waveform.crop_to_band`), then photodetected and
     dc-blocked.
     """
     center = f_c + spec.center_offset
-    band = crop_to_band(dropped, min(f_c, center - spec.bandwidth),
-                        max(f_c, center + spec.bandwidth))
+    lo, hi = spec.band
+    reach = max(abs(lo), abs(hi)) + hi - lo
+    band = crop_to_band(dropped,
+                        max(f_c - reach, min(f_c, center - spec.bandwidth)),
+                        min(f_c + reach, max(f_c, center + spec.bandwidth)))
     return dc_block(photodetect(band, pd))
 
 
@@ -452,8 +462,9 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
                    drives) -> RemodResult:
     """Remodulate the residual carrier with the uplink, opposite sideband.
 
-    The uplink drive is the sum of ``drives``, at least one real electrical
-    waveform at its IF on the residual's grid and of its length.  Reports
+    The uplink drive is the sum of ``drives``, at least one analytic
+    electrical waveform at its IF on the residual's grid and of its length
+    (see :func:`~oansim.devices.iq_mrm_ssb`).  Reports
     the ratio of uplink power to the residual downlink power on the bus.
     """
     if not drives:

@@ -4,7 +4,8 @@ A :class:`ComplexWaveform` carries both electrical and optical signals.
 Samples are complex amplitudes in sqrt(W), so ``|s|**2`` is instantaneous
 power in W.  ``ref_freq`` is the absolute frequency of the complex-baseband
 origin (0 for electrical signals).  A record is one burst on its own time
-axis: bulk propagation delay is not carried.
+axis: bulk propagation delay is not carried.  Real signals (drives,
+clocks, photocurrents) are held as real float64 samples and stay real.
 
 A waveform holds its samples, their spectrum (the unnormalized DFT in
 ``scipy.fft`` bin order) or both.  The missing one is computed through
@@ -13,17 +14,18 @@ spectrum and the stages after them read it without a fresh transform.
 Both arrays are read-only: a stage makes a new waveform through
 ``copy_with(samples=...)`` or ``copy_with(spectrum=...)``, which drops the
 other, now stale, representation.
+
+Nothing is resampled: modem bin ``j`` of a signal at its IF is record
+bin ``k_IF + j`` (:func:`if_spectrum`, :func:`from_if`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 from functools import lru_cache
 
+import numpy as np
 from scipy import fft as fftpack
-from scipy import signal as sig
 
 from .errors import ConfigError
 
@@ -55,7 +57,8 @@ def _tone_phasor(freq: float, n: int, dt: float) -> np.ndarray:
 
 
 def _read_only(values) -> np.ndarray:
-    a = np.asarray(values, dtype=np.complex128).view()
+    real = not np.iscomplexobj(values)
+    a = np.asarray(values, dtype=np.float64 if real else np.complex128).view()
     a.flags.writeable = False
     return a
 
@@ -120,9 +123,9 @@ class ComplexWaveform:
         """Total energy in J: sum |s|^2 / sample_rate."""
         return float(np.sum(np.abs(self.samples) ** 2) / self.sample_rate)
 
-    def is_real(self, tol: float = 1e-9) -> bool:
-        scale = np.max(np.abs(self.samples)) or 1.0
-        return bool(np.max(np.abs(self.samples.imag)) <= tol * scale)
+    def is_real(self) -> bool:
+        """Whether the samples are held as real numbers."""
+        return self.samples.dtype == np.float64
 
     def copy_with(self, samples=None, spectrum=None,
                   **attrs) -> ComplexWaveform:
@@ -170,15 +173,6 @@ def set_power_dbm(wf: ComplexWaveform, target_dbm: float) -> ComplexWaveform:
     return scale_db(wf, target_dbm - wf.power_dbm())
 
 
-def resample_to(wf: ComplexWaveform, new_rate: float) -> ComplexWaveform:
-    """Polyphase resampling to a new sample rate (rational ratio)."""
-    if new_rate == wf.sample_rate:
-        return wf.copy_with()
-    frac = Fraction(new_rate / wf.sample_rate).limit_denominator(1_000_000)
-    out = sig.resample_poly(wf.samples, frac.numerator, frac.denominator)
-    return wf.copy_with(samples=out, sample_rate=new_rate)
-
-
 def crop_to_band(wf: ComplexWaveform, f_lo: float,
                  f_hi: float) -> ComplexWaveform:
     """The content of [f_lo, f_hi] (absolute Hz) at a power-of-two fraction
@@ -215,55 +209,61 @@ def crop_to_band(wf: ComplexWaveform, f_lo: float,
                         ref_freq=wf.ref_freq + k0 * df)
 
 
-def upconvert_real(wf: ComplexWaveform, f_rf: float,
-                   half_bw: float) -> ComplexWaveform:
-    """Mix a complex baseband signal onto a real RF carrier at f_rf.
-
-    Output is a real-valued passband signal centered at f_rf with the
-    input power preserved (sqrt(2) carrier convention).  ``half_bw`` is
-    the occupied half-bandwidth, which must stay below Nyquist once
-    mixed up.  ``f_rf == 0`` is the degenerate no-op case and returns the
-    input unchanged.
-    """
-    if f_rf == 0.0:
-        return wf.copy_with()
-    if f_rf + half_bw >= wf.sample_rate / 2:
-        raise ConfigError(
-            f"upconversion to {f_rf/1e9:.3f} GHz aliases: need f_rf + bw/2 "
-            f"< sample_rate/2 = {wf.sample_rate/2e9:.3f} GHz"
-        )
-    rot = _tone_phasor(f_rf, wf.n, 1.0 / wf.sample_rate)
-    out = np.sqrt(2.0) * np.real(wf.samples * rot)
-    return wf.copy_with(samples=out.astype(np.complex128))
+def _if_bins(n: int, sample_rate: float, rate: float, if_freq: float):
+    """The modem grid of ``L = round(n rate / sample_rate)`` samples of a
+    signal at ``if_freq`` on a record of ``n`` samples, and the modem bins
+    ``j`` it keeps with their record bins ``k_IF + j``: those above 0 Hz
+    (``|j| < k_IF``) and below the record's Nyquist frequency."""
+    length = int(round(n * rate / sample_rate))
+    k_if = int(round(if_freq * n / sample_rate))
+    j = np.arange(-(length // 2), (length + 1) // 2)
+    j = j[(np.abs(j) < k_if) & (k_if + j < (n + 1) // 2)]
+    return length, j, k_if + j
 
 
-def downconvert(wf: ComplexWaveform, f_rf: float) -> ComplexWaveform:
-    """Digitally downconvert a real passband signal from f_rf to baseband.
+def if_spectrum(modem: ComplexWaveform, if_freq: float, n: int,
+                sample_rate: float, lead: int = 0) -> np.ndarray:
+    """``rfft`` bins of sqrt(2) Re(x(t) exp(2 pi i f_IF t)) on a record of
+    ``n`` samples, x being the modem waveform on the bins of
+    :func:`_if_bins`, delayed by ``lead`` samples through a phase ramp.
+    Spectra of one record add; ``irfft`` makes their real signal and
+    :func:`analytic` their analytic one."""
+    length, j, k = _if_bins(n, sample_rate, modem.sample_rate, if_freq)
+    if modem.n > length:
+        raise ConfigError(f"{modem.n} modem samples overrun a record of {n}")
+    half = np.zeros(n // 2 + 1, dtype=np.complex128)
+    half[k] = fftpack.fft(modem.samples, length)[j] * (
+        n / (np.sqrt(2.0) * length) * np.exp(-2j * np.pi * lead / n * k))
+    return half
 
-    Inverse of :func:`upconvert_real` up to the low-pass filtering done by
-    a subsequent resample.
-    """
-    rot = _tone_phasor(-f_rf, wf.n, 1.0 / wf.sample_rate)
-    return wf.copy_with(samples=np.sqrt(2.0) * wf.samples * rot)
+
+def analytic(half: np.ndarray, n: int, sample_rate: float) -> ComplexWaveform:
+    """The analytic signal of ``irfft(half, n)`` (its imaginary part is the
+    Hilbert transform of its real part), by one inverse transform; ``half``
+    holds nothing at 0 Hz or at the Nyquist frequency."""
+    spec = np.zeros(n, dtype=np.complex128)
+    np.multiply(half, 2.0, out=spec[:half.size])
+    return ComplexWaveform(fftpack.ifft(spec, overwrite_x=True), sample_rate)
+
+
+def from_if(wf: ComplexWaveform, if_freq: float,
+            rate: float) -> ComplexWaveform:
+    """The modem waveform at ``rate`` that the real signal ``wf`` carries
+    at ``if_freq``: the inverse of :func:`if_spectrum` on the grid of
+    ``wf``, by one ``rfft`` and one inverse transform on the modem grid."""
+    length, j, k = _if_bins(wf.n, wf.sample_rate, rate, if_freq)
+    x = np.zeros(length, dtype=np.complex128)
+    x[j] = fftpack.rfft(wf.samples)[k] * (np.sqrt(2.0) * length / wf.n)
+    return ComplexWaveform(fftpack.ifft(x, overwrite_x=True), rate)
 
 
 def combine(waveforms: list[ComplexWaveform]) -> ComplexWaveform:
     """Sum waveforms sharing the same grid (rate, ref_freq, length)."""
     first = waveforms[0]
-    acc = np.zeros(first.n, dtype=np.complex128)
     for wf in waveforms:
         if wf.sample_rate != first.sample_rate or wf.ref_freq != first.ref_freq:
             raise ConfigError("combine: waveform grids differ")
         if wf.n != first.n:
             raise ConfigError("combine: waveform lengths differ")
-        acc += wf.samples
-    return first.copy_with(samples=acc)
-
-
-def pad_to(wf: ComplexWaveform, n: int, lead: int = 0) -> ComplexWaveform:
-    """``wf`` after ``lead`` zeros, cut or zero-padded to ``n`` samples."""
-    if lead == 0 and wf.n >= n:
-        return wf.copy_with(samples=wf.samples[:n] if wf.n > n else None)
-    out = np.zeros(n, dtype=np.complex128)
-    out[lead:lead + wf.n] = wf.samples[:max(n - lead, 0)]
-    return wf.copy_with(samples=out)
+    return first.copy_with(samples=sum((wf.samples for wf in waveforms[1:]),
+                                       first.samples))

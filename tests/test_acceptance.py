@@ -104,11 +104,10 @@ def _irr_db(branch_phase):
     ring = slope_biased_ring(F0)
     f_m = 5e9
     t = np.arange(N) / FS
-    i_drive = field.copy_with(
-        samples=(0.05 * np.cos(2 * np.pi * f_m * t)).astype(np.complex128),
-        ref_freq=0.0)
+    # the analytic drive: cosine on the I ring, its Hilbert pair on the Q
+    drive = ComplexWaveform(0.05 * np.exp(2j * np.pi * f_m * t), FS)
     cfg = IqMrmConfig(ring, branch_phase=branch_phase, sideband="upper")
-    out = iq_mrm_ssb(field, cfg, i_drive)
+    out = iq_mrm_ssb(field, cfg, drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
     dn = band_power(out, F0 - f_m - 1e9, F0 - f_m + 1e9)
     return 10.0 * np.log10(up / dn)
@@ -147,10 +146,8 @@ def test_criterion_4_ssb_quality():
 
     field = carrier()
     ring = slope_biased_ring(F0)
-    i_drive = field.copy_with(
-        samples=(0.05 * np.cos(2 * np.pi * null * t)).astype(np.complex128),
-        ref_freq=0.0)
-    ssb = iq_mrm_ssb(field, IqMrmConfig(ring, sideband="upper"), i_drive)
+    drive = ComplexWaveform(0.05 * np.exp(2j * np.pi * null * t), FS)
+    ssb = iq_mrm_ssb(field, IqMrmConfig(ring, sideband="upper"), drive)
     faded = propagate_fiber(ssb, fiber)
     dip = 10.0 * np.log10(_rf_power_after(faded, null)
                           / _rf_power_after(ssb, null))

@@ -88,6 +88,7 @@ def _scenario_b_cut():
 
 
 DELETE = "<delete>"
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("base, path, value, key", [
@@ -153,6 +154,25 @@ DELETE = "<delete>"
     ("mini", ["digital", "if_freq"], 0.5e9, "digital.if_freq"),
     ("mini", ["uplink", "rof"], {"if_freq": 1e9, "occupied_bandwidth": 3e9},
      "uplink.rof.if_freq"),
+    # not a finite number: each ended in a traceback, ran with a check
+    # turned off or exited 2 naming no key
+    ("mini", ["devices", "tx_power_dbm"], NAN, "devices.tx_power_dbm"),
+    ("mini", ["spans", "dispersion_ps_nm_km"], NAN,
+     "spans.dispersion_ps_nm_km"),
+    ("mini", ["spans", "feeder_km"], INF, "spans.feeder_km"),
+    ("mini", ["sweep", "rx_power_dbm"], [NAN], "sweep.rx_power_dbm"),
+    ("mini", ["amplifier"], {"gain_db": 4.0, "nf_db": NAN}, "amplifier.nf_db"),
+    ("mini", ["digital", "if_freq"], NAN, "digital.if_freq"),
+    ("mini", ["center_freq"], INF, "center_freq"),
+    ("mini", ["sample_rate"], INF, "sample_rate"),
+    ("mini", ["digital", "occupied_bandwidth"], INF,
+     "digital.occupied_bandwidth"),
+    ("mini", ["onu", "min_residual_carrier_dbm"], NAN,
+     "onu.min_residual_carrier_dbm"),
+    ("mini", ["wdm", "slot_width"], NAN, "wdm.slot_width"),
+    ("mini", ["devices", "drive_depth"], INF, "devices.drive_depth"),
+    ("mini", ["devices", "subcarrier_clock_volt"], INF,
+     "devices.subcarrier_clock_volt"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):
@@ -208,6 +228,7 @@ def test_budget_bad_service_exits_2(tmp_path):
 @pytest.mark.parametrize("link, key", [
     ({"from": "a", "to": "b"}, "links.0.length_km"),
     ({"from": "a", "to": "b", "length_km": "far"}, "links.0.length_km"),
+    ({"from": "a", "to": "b", "length_km": NAN}, "links.0.length_km"),
 ])
 def test_malformed_budget_exits_2_naming_the_key(link, key, tmp_path, capsys):
     p = tmp_path / "bad_budget.yaml"

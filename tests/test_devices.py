@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import hilbert
 
 from oansim.devices import (IqMrmConfig, RingParams, _drop_pair,
                             _through_detuned, apply_mrm, drop_filter,
-                            generate_subcarriers, hilbert_pair, iq_mrm_ssb,
+                            generate_subcarriers, iq_mrm_ssb,
                             ring_response, thermal_tune)
 from oansim.errors import ConfigError, SimulationError
 from oansim.subsystems import slope_biased_ring
-from oansim.waveform import ComplexWaveform, band_power, psd
+from oansim.waveform import (ComplexWaveform, analytic, band_power,
+                             if_spectrum, psd)
 
 F0 = 193.4e12
 FS = 64e9
@@ -117,22 +119,19 @@ def test_thermal_tune_idempotent():
 def test_mrm_zero_drive_is_static_filter():
     ring = slope_biased_ring(F0)
     field = carrier()
-    drive = field.copy_with(samples=np.zeros(field.n, dtype=np.complex128),
-                            ref_freq=0.0)
+    drive = ComplexWaveform(np.zeros(field.n), FS)
     out = apply_mrm(field, ring, drive)
     expected, _ = ring_response(ring, F0)
-    # the static path quantizes the resonance shift to 1 MHz (far below the
-    # multi-GHz linewidth), so agreement is to ~1e-3 in power on the slope
+    # the static path meets the closed form to round-off (2.3e-13 here)
     assert out.power() == pytest.approx(abs(expected) ** 2 * field.power(),
-                                        rel=1e-3)
+                                        rel=1e-12)
 
 
 def test_mrm_far_detuned_carrier_passes():
     ring = thermal_tune(add_drop_ring(), F0 + 2.4e12)
     field = carrier()
-    drive = field.copy_with(
-        samples=(0.05 * np.cos(2 * np.pi * 2e9 * field.times())
-                 ).astype(np.complex128), ref_freq=0.0)
+    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2e9 * field.times()),
+                            FS)
     out = apply_mrm(field, ring, drive)
     loss_db = field.power_dbm() - out.power_dbm()
     assert loss_db < 0.1
@@ -142,9 +141,8 @@ def test_mrm_creates_symmetric_sidebands():
     ring = slope_biased_ring(F0)
     field = carrier()
     f_m = 5e9
-    drive = field.copy_with(
-        samples=(0.05 * np.cos(2 * np.pi * f_m * field.times())
-                 ).astype(np.complex128), ref_freq=0.0)
+    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * f_m * field.times()),
+                            FS)
     out = apply_mrm(field, ring, drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
     dn = band_power(out, F0 - f_m - 1e9, F0 - f_m + 1e9)
@@ -217,9 +215,8 @@ def block_mrm(field, params, drive):
 def test_block_and_tone_methods_agree():
     ring = slope_biased_ring(F0)
     field = carrier(n=32768)
-    drive = field.copy_with(
-        samples=(0.05 * np.cos(2 * np.pi * 2.5e9 * field.times())
-                 ).astype(np.complex128), ref_freq=0.0)
+    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2.5e9 * field.times()),
+                            FS)
     a = block_mrm(field, ring, drive)
     b = apply_mrm(field, ring, drive, tone_window_hz=20e9)
     # compare in the modulated band only
@@ -235,10 +232,9 @@ def ssb_setup(branch_phase=np.pi / 2, f_m=5e9, depth=0.05):
     field = carrier()
     ring = slope_biased_ring(F0)
     cfg = IqMrmConfig(ring=ring, branch_phase=branch_phase, sideband="upper")
-    i = field.copy_with(
-        samples=(depth * np.cos(2 * np.pi * f_m * field.times())
-                 ).astype(np.complex128), ref_freq=0.0)
-    out = iq_mrm_ssb(field, cfg, i)
+    drive = ComplexWaveform(
+        depth * np.exp(2j * np.pi * f_m * field.times()), FS)
+    out = iq_mrm_ssb(field, cfg, drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
     dn = band_power(out, F0 - f_m - 1e9, F0 - f_m + 1e9)
     return 10 * np.log10(up / dn)
@@ -253,10 +249,25 @@ def test_ssb_degrades_to_dsb_without_quadrature():
 
 
 def test_hilbert_pair_quadrature():
-    t = np.arange(8192) / FS
-    drive = ComplexWaveform(np.cos(2 * np.pi * 3e9 * t), FS)
-    h = hilbert_pair(drive)
-    assert np.max(np.abs(h.samples.real - np.sin(2 * np.pi * 3e9 * t))) < 0.02
+    """An IQ modulator's analytic drive: its imaginary part, on the Q ring,
+    is the Hilbert transform of its real part, on the I ring."""
+    n, rate = 8192, 1e9
+    rng = np.random.default_rng(4)
+    modem = ComplexWaveform(rng.normal(size=n // 64)
+                            + 1j * rng.normal(size=n // 64), rate)
+    half = if_spectrum(modem, 3e9, n, FS)
+    drive = analytic(half, n, FS)
+    i, q = np.fft.irfft(half, n), hilbert(np.fft.irfft(half, n)).imag
+    assert np.linalg.norm(drive.samples.real - i) <= 1e-12 * np.linalg.norm(i)
+    assert np.linalg.norm(drive.samples.imag - q) <= 1e-12 * np.linalg.norm(q)
+
+
+def test_iq_ssb_needs_an_analytic_drive():
+    field = carrier(n=4096)
+    cfg = IqMrmConfig(ring=slope_biased_ring(F0))
+    for samples in (np.zeros(field.n), np.ones(field.n, dtype=complex)):
+        with pytest.raises(ConfigError, match="analytic"):
+            iq_mrm_ssb(field, cfg, ComplexWaveform(samples, FS))
 
 
 # ---------------------------------------------------------------- subcarriers
@@ -356,9 +367,8 @@ def two_tone_field(n=65536):
 
 
 def cos_drive(field, f_m=5e9, depth=0.05, mean=0.0):
-    return field.copy_with(
-        samples=(mean + depth * np.cos(2 * np.pi * f_m * field.times())
-                 ).astype(np.complex128), ref_freq=0.0)
+    return ComplexWaveform(
+        mean + depth * np.cos(2 * np.pi * f_m * field.times()), FS)
 
 
 def assert_round_off(got, want):
@@ -421,14 +431,21 @@ def test_tone_mrm_matches_the_fft_round_trip():
 
 
 def test_iq_ssb_matches_the_fft_round_trip():
+    """Both arms share one tone window: the given one, or by default 3
+    linewidths plus half the larger peak-to-peak detuning."""
     ring = slope_biased_ring(F0)
     field = two_tone_field()
     i = cos_drive(field)
-    q = hilbert_pair(i)
-    window = 8e9
+    q = cos_drive(field, depth=0.08).copy_with(
+        samples=0.08 * np.sin(2 * np.pi * 5e9 * field.times()))
+    drive = ComplexWaveform(i.samples + 1j * q.samples, FS)
     cfg = IqMrmConfig(ring, sideband="lower")
-    got = iq_mrm_ssb(field, cfg, i, tone_window_hz=window)
-    want = 0.5 * (round_trip_tone(field, ring, i, window)
-                  + np.exp(-1j * np.pi / 2)
-                  * round_trip_tone(field, ring, q, window))
-    assert_round_off(got.samples, want)
+    for window in (8e9, None):
+        got = iq_mrm_ssb(field, cfg, drive, tone_window_hz=window)
+        if window is None:
+            window = 3.0 * ring.fwhm + ring.mod_efficiency * np.ptp(
+                q.samples) / 2.0
+        want = 0.5 * (round_trip_tone(field, ring, i, window)
+                      + np.exp(-1j * np.pi / 2)
+                      * round_trip_tone(field, ring, q, window))
+        assert_round_off(got.samples, want)

@@ -16,8 +16,8 @@ from oansim.subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                                onu_remodulate, slope_biased_ring,
                                smart_edge_intercept_uplink,
                                smart_edge_overlay, solve_carrier_tap_filter)
-from oansim.waveform import (ComplexWaveform, band_power, downconvert,
-                             resample_to, upconvert_real)
+from oansim.waveform import (ComplexWaveform, analytic, band_power, from_if,
+                             if_spectrum)
 
 F0 = 193.4e12
 FS = 64e9
@@ -45,10 +45,24 @@ def bits_for(cfg, n_symbols, seed=0):
     return rng.integers(0, 2, n_symbols * cfg.bits_per_symbol)
 
 
+def if_drive(cfg, bits, f_if, fs):
+    """``rfft`` bins of the OFDM signal of ``bits`` at ``f_if`` on a record
+    of its own duration at ``fs``, and that record's length."""
+    modem = generate_ofdm(cfg, bits)
+    n = int(round(modem.n * fs / cfg.sample_rate))
+    return if_spectrum(modem, f_if, n, fs), n
+
+
 def drive_for(cfg, bits, f_if=7e9, fs=FS):
-    """The real OFDM drive of ``bits`` at ``f_if`` on the simulation grid."""
-    return upconvert_real(resample_to(generate_ofdm(cfg, bits), fs), f_if,
-                          0.55 * cfg.occupied_bandwidth)
+    """The analytic OFDM drive of ``bits`` at ``f_if`` on the simulation
+    grid, for an IQ modulator."""
+    return analytic(*if_drive(cfg, bits, f_if, fs), fs)
+
+
+def payload_for(cfg, bits, f_if, fs=FS):
+    """The real OFDM drive of ``bits`` at ``f_if``, for a single ring."""
+    half, n = if_drive(cfg, bits, f_if, fs)
+    return ComplexWaveform(np.fft.irfft(half, n), fs)
 
 
 def transmit(plan, cfg, payloads, fs=FS, **kw):
@@ -59,7 +73,8 @@ def transmit(plan, cfg, payloads, fs=FS, **kw):
 
 def demodulated(cfg, photocurrent, tx, f_if=7e9):
     """The bit-error report of a photocurrent carrying ``tx`` at ``f_if``."""
-    rx, evm = demodulate_ofdm(cfg, downconvert(photocurrent, f_if),
+    rx, evm = demodulate_ofdm(cfg, from_if(photocurrent, f_if,
+                                           cfg.sample_rate),
                               max_symbols=tx.size // cfg.bits_per_symbol)
     return ber_over_sent_bits(tx, rx, evm)
 
@@ -183,8 +198,8 @@ def test_overlay_creates_subcarriers():
                      drive_depth=0.12)
     rof_cfg = OfdmConfig(occupied_bandwidth=2e9, qam_order=4, pilot_spacing=16,
                          seed=9)
-    payload = drive_for(rof_cfg, bits_for(rof_cfg, 10, 5), f_if=3e9)
-    payload = payload.copy_with(samples=payload.samples * 0.1)
+    payload = payload_for(rof_cfg, bits_for(rof_cfg, 10, 5), f_if=3e9)
+    payload = payload.scaled(0.1)
     out = smart_edge_overlay(field, plan, [[payload]],
                              subcarrier_clock_volt=1.2, drive_depth=0.25)
     up = band_power(out, F0 + 15e9, F0 + 25e9)

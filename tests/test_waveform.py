@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy import signal as sig
 
 from oansim.errors import ConfigError
-from oansim.waveform import (ComplexWaveform, _tone_phasor, band_power,
-                             combine, crop_to_band, downconvert, pad_to, psd, resample_to,
-                             scale_db, set_power_dbm, upconvert_real)
+from oansim.waveform import (ComplexWaveform, _if_bins, _tone_phasor,
+                             band_power, combine, crop_to_band,
+                             from_if, if_spectrum, psd, scale_db,
+                             set_power_dbm)
 
 FS = 16e9
 
@@ -125,51 +126,75 @@ def test_set_power_dbm_exact():
     assert wf.power_dbm() == pytest.approx(-3.0, abs=1e-9)
 
 
-def test_resample_identity_and_rate_change():
-    wf = tone(1e9)
-    same = resample_to(wf, FS)
-    assert np.array_equal(same.samples, wf.samples)
-    up = resample_to(wf, 2 * FS)
-    assert up.sample_rate == 2 * FS
-    assert up.n == 2 * wf.n
-    assert up.power() == pytest.approx(wf.power(), rel=1e-2)
+def test_real_samples_stay_real():
+    wf = ComplexWaveform(np.cos(np.arange(64.0)), FS)
+    assert wf.samples.dtype == np.float64 and wf.is_real()
+    assert wf.scaled(2.0).is_real()
+    assert combine([wf, wf]).is_real()
+    assert not ComplexWaveform(np.exp(1j * np.arange(64.0)), FS).is_real()
+    # a spectrum alone says nothing of realness: its samples are complex
+    assert not ComplexWaveform(None, FS, spectrum=wf.spectrum).is_real()
+
+
+RATE = 1e9  # modem rate: 256 modem samples per 4096 record samples at FS
+
+
+def modem_noise(n=256, rate=RATE, seed=3):
+    return ComplexWaveform(noise(n, seed), rate)
 
 
 def test_upconvert_power_preserved_and_real():
-    base = tone(0.2e9, amp=0.3)
-    rf = upconvert_real(base, 3e9, half_bw=0.2e9)
-    assert rf.is_real(tol=1e-9)
-    assert rf.power() == pytest.approx(base.power(), rel=1e-2)
-
-
-def test_upconvert_zero_is_noop():
-    base = tone(0.2e9)
-    out = upconvert_real(base, 0.0, half_bw=0.2e9)
-    assert np.array_equal(out.samples, base.samples)
-
-
-def test_upconvert_alias_guard():
-    with pytest.raises(ConfigError):
-        upconvert_real(tone(0.5e9), 7.9e9, half_bw=0.5e9)
+    # a modem tone on the modem grid at 3 GHz: sqrt(2) Re(x e^(2 pi i f t))
+    # keeps the modem's unit power and is real
+    n = 4096
+    x = np.exp(2j * np.pi * 0.125 * np.arange(256))
+    half = if_spectrum(ComplexWaveform(x, RATE), 3e9, n, FS)
+    drive = ComplexWaveform(np.fft.irfft(half, n), FS)
+    assert drive.is_real()
+    assert drive.power() == pytest.approx(1.0, rel=1e-12)
+    t = np.arange(n) / FS
+    want = np.sqrt(2.0) * np.cos(2 * np.pi * (3e9 + 0.125e9) * t)
+    assert rel_err(drive.samples, want) <= 1e-12
 
 
 def test_up_down_conversion_roundtrip():
-    rng = np.random.default_rng(0)
-    x = (rng.normal(size=4096) + 1j * rng.normal(size=4096)) * 0.1
-    base = ComplexWaveform(x, FS)
-    # band-limit to +/-0.5 GHz first so the image is separable
-    spec = np.fft.fft(base.samples)
-    f = base.baseband_freqs()
-    spec[np.abs(f) > 0.5e9] = 0.0
-    base = base.copy_with(samples=np.fft.ifft(spec))
-    rf = upconvert_real(base, 4e9, half_bw=0.5e9)
-    down = downconvert(rf, 4e9)
-    # remove the residual image at -8 GHz
-    spec = np.fft.fft(down.samples)
-    spec[np.abs(f + 8e9) < 1e9] = 0.0
-    spec[np.abs(f - 8e9) < 1e9] = 0.0
-    rec = np.fft.ifft(spec)
-    assert np.max(np.abs(rec - base.samples)) < 1e-6 * np.max(np.abs(base.samples)) + 1e-9
+    n = 4096
+    x = modem_noise()
+    # every modem bin lies above 0 Hz at a 1 GHz IF: the round trip is exact
+    half = if_spectrum(x, 1e9, n, FS)
+    drive = ComplexWaveform(np.fft.irfft(half, n), FS)
+    back = from_if(drive, 1e9, RATE)
+    assert back.sample_rate == RATE and back.n == x.n
+    assert rel_err(back.samples, x.samples) <= 1e-10
+    # a 2 ns lead at 1 GS/s delays the modem samples by two, circularly
+    late = from_if(ComplexWaveform(
+        np.fft.irfft(if_spectrum(x, 1e9, n, FS, lead=32), n), FS), 1e9, RATE)
+    assert rel_err(late.samples, np.roll(x.samples, 2)) <= 1e-10
+    # the same bins of the signal detected at half the rate
+    half_rate = ComplexWaveform(np.fft.irfft(half[:n // 4 + 1], n // 2) / 2,
+                                FS / 2)
+    assert rel_err(from_if(half_rate, 1e9, RATE).samples, x.samples) <= 1e-10
+    # at a 0.25 GHz IF only the modem bins above 0 Hz come back
+    length, j, _ = _if_bins(n, FS, RATE, 0.25e9)
+    assert length == 256 and list(j) == list(range(-63, 64))
+    spec = np.zeros(256, dtype=np.complex128)
+    spec[j] = np.fft.fft(x.samples)[j]
+    low = from_if(ComplexWaveform(
+        np.fft.irfft(if_spectrum(x, 0.25e9, n, FS), n), FS), 0.25e9, RATE)
+    assert rel_err(low.samples, np.fft.ifft(spec)) <= 1e-10
+
+
+def test_upconvert_alias_guard():
+    n = 4096
+    for f_if in (0.25e9, 1e9, 7.9e9):
+        length, j, k = _if_bins(n, FS, RATE, f_if)
+        assert length == 256
+        assert np.all(k >= 1) and np.all(k < n // 2)
+        assert np.array_equal(k - j, np.full(j.size, round(f_if * n / FS)))
+    # at 7.9 GHz the upper modem bins would pass the 8 GHz Nyquist frequency
+    assert _if_bins(n, FS, RATE, 7.9e9)[1].max() < 127
+    with pytest.raises(ConfigError, match="overrun"):
+        if_spectrum(modem_noise(300), 1e9, n, FS)
 
 
 def test_combine_adds_and_validates():
@@ -180,25 +205,6 @@ def test_combine_adds_and_validates():
         combine([a, b.copy_with(sample_rate=2 * FS)])
     with pytest.raises(ConfigError):
         combine([a, b.copy_with(samples=b.samples[:-1])])
-
-
-def test_pad_to_extends_truncates_identity():
-    wf = tone(1e9, n=100)
-    assert pad_to(wf, 100).n == 100
-    longer = pad_to(wf, 150)
-    assert longer.n == 150 and np.all(longer.samples[100:] == 0)
-    shorter = pad_to(wf, 60)
-    assert shorter.n == 60
-    assert np.array_equal(shorter.samples, wf.samples[:60])
-
-
-def test_pad_to_leads_with_silence():
-    wf = tone(1e9, n=100)
-    late = pad_to(wf, 150, lead=20)
-    assert np.all(late.samples[:20] == 0) and np.all(late.samples[120:] == 0)
-    assert np.array_equal(late.samples[20:120], wf.samples)
-    cut = pad_to(wf, 90, lead=20)
-    assert np.array_equal(cut.samples[20:], wf.samples[:70])
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,0 +1,137 @@
+"""Time the pipeline's primitives at fixed record sizes.
+
+    PYTHONPATH=src python3 tools/bench_primitives.py [--sizes 20 22]
+        [--repeat 3] [--label change] [--out BENCH_primitives.json]
+
+Each primitive runs on a record of 2^k samples (k from ``--sizes``) at
+scenario A's 160 GS/s, with inputs built once outside the timing and
+holding their spectrum, as a field does between the pipeline's stages;
+the best of ``--repeat`` wall times is kept.  The results are merged into
+the JSON file under ``--label``, next to the other labels already there,
+so that one file holds the figures of two trees measured on one machine.
+A primitive that the imported package does not have is recorded as null.
+
+Primitives:
+
+* ``apply_mrm``: one ring on the tone path, a carrier driven by a 5 GHz
+  tone;
+* ``drop_filter``: a third-order 12 GHz drop of a noise field;
+* ``propagate_fiber``: 20 km of loss and dispersion;
+* ``photodetect``: square law with shot and thermal noise;
+* ``demodulate_ofdm``: a 10 Gb/s QPSK OFDM waveform of 2^k modem samples;
+* ``iq_drive``: one analytic drive of that signal at a 7 GHz IF, from a
+  modem-rate waveform as long as the record (``if_spectrum`` and
+  ``analytic``);
+* ``real_drive``: the same signal as a real drive (``if_spectrum`` and
+  ``irfft``);
+* ``receive``: the modem waveform read back from a photocurrent at half
+  the record's rate (``from_if``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+from scipy import fft as fftpack
+
+FS = 160e9
+F0 = 193.4e12
+IF = 7e9
+
+
+def primitives(n: int) -> dict:
+    """Zero-argument callables, by name, each timing one primitive on a
+    record of ``n`` samples; None where the package lacks it."""
+    import oansim
+    from oansim import waveform
+    from oansim.channel import FiberParams, PdParams
+    from oansim.ofdm import OfdmConfig, bandwidth_for_bit_rate
+    from oansim.subsystems import slope_biased_ring
+
+    rng = np.random.default_rng(1)
+    t = np.arange(n) / FS
+    carrier = oansim.ComplexWaveform(np.full(n, 1e-2, dtype=np.complex128),
+                                     FS, ref_freq=F0)
+    tone = oansim.ComplexWaveform(0.05 * np.cos(2 * np.pi * 5e9 * t), FS)
+    ring = slope_biased_ring(F0)
+    noise = oansim.ComplexWaveform(
+        1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n)), FS,
+        ref_freq=F0)
+    ofdm = OfdmConfig(occupied_bandwidth=bandwidth_for_bit_rate(10e9),
+                      pilot_spacing=16)
+
+    def modem(samples: int):
+        """A waveform of at most ``samples`` modem samples."""
+        symbols = samples // (ofdm.nfft + ofdm.n_cp) - 1
+        return oansim.generate_ofdm(
+            ofdm, rng.integers(0, 2, symbols * ofdm.bits_per_symbol))
+
+    long = modem(n)
+    drive = modem(int(n * ofdm.sample_rate / FS))
+    carrier.spectrum, noise.spectrum
+    fiber = FiberParams(20.0)
+    pd = PdParams(thermal_noise_psd=5e-24, include_shot=True, seed=3)
+    found = {
+        "apply_mrm": lambda: oansim.apply_mrm(carrier, ring, tone),
+        "drop_filter": lambda: oansim.drop_filter(noise, F0 + IF, 12e9, 3),
+        "propagate_fiber": lambda: oansim.propagate_fiber(noise, fiber),
+        "photodetect": lambda: oansim.photodetect(noise, pd),
+        "demodulate_ofdm": lambda: oansim.demodulate_ofdm(ofdm, long),
+        "iq_drive": None, "real_drive": None, "receive": None,
+    }
+    if hasattr(waveform, "if_spectrum"):
+        current = oansim.ComplexWaveform(np.fft.irfft(
+            waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2), FS / 2)
+        found.update(
+            iq_drive=lambda: waveform.analytic(
+                waveform.if_spectrum(drive, IF, n, FS), n, FS),
+            real_drive=lambda: fftpack.irfft(
+                waveform.if_spectrum(drive, IF, n, FS), n),
+            receive=lambda: waveform.from_if(current, IF, ofdm.sample_rate))
+    return found
+
+
+def best_of(fn, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[20, 22],
+                        help="record sizes as powers of two")
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out", default="BENCH_primitives.json")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    report = json.loads(out.read_text()) if out.exists() else {"runs": {}}
+    seconds = {}
+    for k in args.sizes:
+        fns = primitives(1 << k)
+        seconds[f"2^{k}"] = {name: None if fn is None
+                             else round(best_of(fn, args.repeat), 4)
+                             for name, fn in fns.items()}
+        print(f"2^{k}: {seconds[f'2^{k}']}", flush=True)
+    report["runs"][args.label] = {
+        "seconds_best_of": args.repeat, "sample_rate": FS,
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "scipy": scipy.__version__},
+        "seconds": seconds}
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
