@@ -626,8 +626,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
 
     Returns the uplink-to-residual ratio, the carrier ledger of channel 0's
     network unit and, if wanted, the report's spectrum after the overlay.
-    Whole-record waveforms are let go after their last reader, the network
-    units' residual fields at the end of the burst.
+    Each whole-record waveform is let go after its last reader.
     """
     rng = np.random.default_rng(burst_seed)
     fs = cfg.sample_rate
@@ -701,28 +700,27 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                        payload_bits[i][k])
                for i, unit in enumerate(received)
                for group, rof in zip(cfg.groups, unit.rof) for k in group]
-    # the downlink is demodulated beside the whole uplink
-    reports, (ratio, up_reports) = fork(
+    # uplink: channel 0's network unit remodulates its residual carrier
+    # with the uplink drive, the digital signal and the radio one if any;
+    # the downlink is demodulated beside the rest of the uplink
+    rem = _stage("onu_remodulate", onu_remodulate, res.residual,
+                 cfg.onu_at(plan.channels[0].center_freq, burst_seed + 100),
+                 [up_drive])
+    del res, received, up_drive
+    reports, up_reports = fork(
         partial(fork, *demods),
-        partial(_uplink, cfg, res.residual, up_drive, up_bits, burst_seed))
+        partial(_uplink, cfg, rem.waveform, up_bits, burst_seed))
     for name, report in reports + up_reports:
         acc.add(name, report)
-    return ratio, ledger, spectrum
+    return rem.uplink_to_residual_db, ledger, spectrum
 
 
-def _uplink(cfg: ScenarioConfig, residual: ComplexWaveform,
-            drive: ComplexWaveform, up_bits: dict, burst_seed: int) -> tuple:
-    """The uplink-to-residual ratio and the uplink signals' reports, once
-    channel 0's network unit remodulates its residual carrier with the
-    uplink drive (the digital signal and the radio one if any)."""
+def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
+            up_bits: dict, burst_seed: int) -> list:
+    """The reports of the uplink signals in the remodulated field."""
     plan = cfg.plan
-    rem = _stage("onu_remodulate", onu_remodulate, residual,
-                 cfg.onu_at(plan.channels[0].center_freq, burst_seed + 100),
-                 [drive])
-    back = _stage("uplink_distribution", propagate_fiber, rem.waveform,
+    back = _stage("uplink_distribution", propagate_fiber, remodulated,
                   cfg.distribution)
-    ratio = rem.uplink_to_residual_db
-    del rem
     reports = []
     # where the uplink is detected, the second step where the styles differ
     kind = cfg.edge_uplink
@@ -751,7 +749,7 @@ def _uplink(cfg: ScenarioConfig, residual: ComplexWaveform,
         reports.append(_detect("uplink_digital_demod", "uplink:digital",
                                cfg.uplink["digital"], co_el,
                                up_bits["digital"]))
-    return ratio, reports
+    return reports
 
 
 def _spectrum(link: ComplexWaveform) -> dict:
