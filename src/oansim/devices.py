@@ -8,7 +8,12 @@ Cavity-lifetime dynamics are out of scope.
 Modulation follows the exact limit of a short-block evaluation when the
 near-resonance content is a single spectral line: the line is multiplied
 by the per-sample instantaneous response while the off-resonance
-remainder sees the static bias-point response.
+remainder sees the static bias-point response.  The product is taken at
+its band's rate, or as a spectrum for a clock whose sampled period
+divides the record; like the full-rate product it is circular, so a
+clock harmonic past the Nyquist frequency folds back into the record.
+In scenario A each channel's generator folds its 2nd harmonic onto the
+other channel's subcarrier (-21.7 dBc), a known defect.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from scipy import fft as fftpack
 
 from .errors import ConfigError, SimulationError
 from .forkjoin import fork
-from .waveform import ComplexWaveform, _cached_fftfreq, _tone_phasor
+from .waveform import (ComplexWaveform, _bins, _cached_fftfreq, _period,
+                       _spans, _tone_phasor, band_power)
 
 # ---------------------------------------------------------------------------
 # Parameter records
@@ -168,28 +174,78 @@ def thermal_tune(params: RingParams, target_freq: float) -> RingParams:
 # Microring modulator
 
 
+def _crop(n: int, window: range, band_edge: float | None,
+          step: float) -> tuple:
+    """The largest power of two ``d`` dividing ``n`` whose record of
+    ``n/d`` bins, centred on bin ``k0`` in the tone window, holds the
+    window plus twice the drives' ``band_edge`` on each side; ``(d, k0)``,
+    or ``(1, 0)`` when there is none or the edge is unknown."""
+    if band_edge is None:
+        return 1, 0
+    reach = int(np.ceil(2.0 * band_edge / step))
+    k0 = (window.start + window.stop) // 2
+    d = 1
+    while n % (2 * d) == 0:
+        lo, m = k0 - n // (4 * d), n // (2 * d)
+        if window.start - reach < lo or window.stop + reach > lo + m:
+            break
+        d *= 2
+    return (d, k0) if d > 1 else (1, 0)
+
+
+def _runs(bins: range, n: int, m: int, shift: int):
+    """Slice pairs that take each signed bin ``k`` of ``bins`` to index
+    ``k % n`` of one spectrum and ``(k - shift) % m`` of another."""
+    k = bins.start
+    while k < bins.stop:
+        i, j = k % n, (k - shift) % m
+        size = min(bins.stop - k, n - i, m - j)
+        yield slice(i, i + size), slice(j, j + size)
+        k += size
+
+
+def _line(spec: np.ndarray, window: range, m: int, k0: int) -> np.ndarray:
+    """The window's bins of ``spec``, moved down by ``k0`` bins into a
+    spectrum of ``m`` bins, as samples (written over that spectrum)."""
+    line = np.zeros(m, dtype=np.complex128)
+    for i, j in _runs(window, spec.size, m, k0):
+        line[j] = spec[i]
+    return fftpack.ifft(line, overwrite_x=True)
+
+
 def _modulate(field: ComplexWaveform, params: RingParams, detunes,
-              weights, window_hz: float | None) -> ComplexWaveform:
+              weights, window_hz: float | None,
+              band_edge: float | None = None) -> ComplexWaveform:
     """The sum over arms of ``weight`` times the field through the ring
     shifted by the arm's ``detune``.  The arms share one tone window at
     their mean bias (by default 3 linewidths plus half the larger
-    peak-to-peak detuning): its line sees each arm's instantaneous response,
-    through one inverse transform and one transform of the weighted sum,
+    peak-to-peak detuning): its line sees each arm's instantaneous response
     and the rest each arm's static response at its bias, as does all of
-    the field under constant drives or when the window holds no power."""
+    the field under constant drives or when the window holds no power.
+
+    ``detunes`` cover the record, whose drives reach ``band_edge`` (None
+    if unknown), or one period of ``Q`` samples that divides it.  Over the
+    record, the line's inverse transform at ``1/d`` of the rate
+    (:func:`_crop`) meets the responses on every ``d``-th sample, and the
+    transform of the product fills its bins.  Over a period, the DFT of
+    the period's response gives coefficients ``c_j``, and the line shifted
+    by ``j n/Q`` bins is added times ``c_j``.
+    """
+    n = field.n
     spec = field.spectrum
-    f_abs = field.abs_freqs()
     biases = [float(np.mean(d)) for d in detunes]
     ptp = max(map(np.ptp, detunes))
     if window_hz is None:
         window_hz = 3.0 * params.fwhm + ptp / 2.0
-    dist = np.subtract(f_abs, params.effective_resonance + np.mean(biases))
-    mask = np.abs(dist, out=dist) <= window_hz
-    del dist
-    p_line = np.abs(spec[mask]) ** 2
+    centre = params.effective_resonance + np.mean(biases)
+    window = _bins(field, centre - window_hz, centre + window_hz)
+    spans = _spans(window, n)
+    p_line = np.abs(np.concatenate([spec[s] for s in spans])) ** 2
     p_res = np.sum(p_line)
     static = ptp == 0.0 or p_res <= 1e-15 * np.sum(np.abs(spec) ** 2)
-    f_tone = 0.0 if static else float(np.sum(f_abs[mask] * p_line) / p_res)
+    q = detunes[0].size
+    d, k0 = _crop(n, window, band_edge if q == n else None,
+                  field.sample_rate / n)
 
     def weighted(weight, response, *args):
         out = response(*args)
@@ -200,22 +256,36 @@ def _modulate(field: ComplexWaveform, params: RingParams, detunes,
     branches = [partial(weighted, w, _through_static_grid, params, field, b)
                 for w, b in zip(weights, biases)]
     if not static:
-        branches += [partial(weighted, w, _through_detuned, params, f_tone, d)
-                     for w, d in zip(weights, detunes)]
-        branches.append(lambda: fftpack.ifft(np.where(mask, spec, 0.0),
-                                             overwrite_x=True))
+        f = np.concatenate([field.baseband_freqs()[s] for s in spans])
+        f_tone = float(np.sum((f + field.ref_freq) * p_line) / p_res)
+        branches += [partial(weighted, w, _through_detuned, params, f_tone,
+                             det[::d]) for w, det in zip(weights, detunes)]
+        if q == n:
+            branches.append(partial(_line, spec, window, n // d, k0))
     parts = fork(*branches)
     arms = len(weights)
     off = reduce(iadd, parts[1:arms], parts[0])
     np.multiply(spec, off, out=off)
     if static:
         return field.copy_with(spectrum=off)
+    for s in spans:
+        off[s] = 0.0
+    h = reduce(iadd, parts[arms + 1:2 * arms], parts[arms])
+    if q < n:
+        k = np.arange(window.start, window.stop)
+        line = spec[k]
+        for j, c_j in enumerate(fftpack.fft(h) / q):
+            # harmonic j lifts the line by j n/Q bins, modulo n: what passes
+            # the Nyquist bin folds, as in the sampled product
+            off[(k + j * n // q) % n] += c_j * line
+        return field.copy_with(spectrum=off)
     x_res = parts[-1]
-    x_res *= reduce(iadd, parts[arms + 1:-1], parts[arms])
-    out = fftpack.fft(x_res, overwrite_x=True)
-    off[mask] = 0.0
-    out += off
-    return field.copy_with(spectrum=out)
+    x_res *= h
+    prod = fftpack.fft(x_res, overwrite_x=True)
+    m = n // d
+    for i, j in _runs(range(k0 - m // 2, k0 - m // 2 + m), n, m, k0):
+        off[i] += prod[j]
+    return field.copy_with(spectrum=off)
 
 
 def _check_grid(field: ComplexWaveform, drive: ComplexWaveform) -> None:
@@ -239,7 +309,7 @@ def apply_mrm(field: ComplexWaveform, params: RingParams,
     if not drive.is_real():
         raise ConfigError("MRM drive must be a real electrical waveform")
     return _modulate(field, params, [params.mod_efficiency * drive.samples],
-                     [1.0], tone_window_hz)
+                     [1.0], tone_window_hz, drive.band_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +338,8 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
         phase = -phase
     eff = config.ring.mod_efficiency
     return _modulate(field, config.ring, (eff * x.real, eff * x.imag),
-                     (0.5, 0.5 * np.exp(1j * phase)), tone_window_hz)
+                     (0.5, 0.5 * np.exp(1j * phase)), tone_window_hz,
+                     drive.band_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +355,27 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     resonance.  Biased at the through-port null (critically coupled ring
     tuned onto the tone) the carrier is suppressed and the clock harmonics
     at +/-f_s dominate; an off-null bias retains part of the carrier.
+
+    When the clock's sampled period divides the record, the output is
+    built as a spectrum from one period (:func:`_modulate`); any other
+    clock drives the ring over the whole record.
     """
     if clock_freq >= field.sample_rate / 2.0:
         raise ConfigError("clock frequency beyond Nyquist")
     # verify a tone is present near the biased resonance
-    spec2 = np.abs(field.spectrum) ** 2
-    f_abs = field.abs_freqs()
-    near = np.abs(f_abs - params.effective_resonance) <= max(params.fwhm, 1.0)
-    if not np.any(near) or np.sum(spec2[near]) < 1e-9 * np.sum(spec2):
+    res, near = params.effective_resonance, max(params.fwhm, 1.0)
+    if band_power(field, res - near, res + near) <= 1e-9 * field.power():
         raise SimulationError(
             "no tone found within one linewidth of the ring resonance"
         )
-    tone = _tone_phasor(clock_freq, field.n, 1.0 / field.sample_rate)
-    drive = ComplexWaveform(clock_amplitude_volt * tone.real,
-                            field.sample_rate)
     if tone_window_hz is None:
         tone_window_hz = max(3.0 * params.fwhm, 0.4 * clock_freq)
-    return apply_mrm(field, params, drive, tone_window_hz=tone_window_hz)
+    n, dt = field.n, 1.0 / field.sample_rate
+    q = _period(clock_freq, n, dt)
+    q = q if q is not None and n % q == 0 else n
+    clock = clock_amplitude_volt * _tone_phasor(clock_freq, q, dt).real
+    return _modulate(field, params, [params.mod_efficiency * clock], [1.0],
+                     tone_window_hz, clock_freq)
 
 
 # ---------------------------------------------------------------------------

@@ -284,9 +284,12 @@ class _Signal(NamedTuple):
                            sample_rate, lead)
 
     def drive(self, bits, n: int, sample_rate: float) -> ComplexWaveform:
-        """The real signal of ``bits`` at its IF on the record."""
+        """The real signal of ``bits`` at its IF on the record, whose band
+        edge is the upper one of :meth:`edges`: past it the signal holds
+        only its sidelobes, some 27 dB down."""
         return ComplexWaveform(
-            fftpack.irfft(self.spectrum(bits, n, sample_rate), n), sample_rate)
+            fftpack.irfft(self.spectrum(bits, n, sample_rate), n), sample_rate,
+            band_edge=self.edges()[1])
 
 
 @dataclass
@@ -586,10 +589,13 @@ def _detect(stage: str, name: str, signal: _Signal,
 def _analytic_drive(signals, n: int, sample_rate: float,
                     lead: int = 0) -> ComplexWaveform:
     """The analytic drive of each ``(signal, bits)`` of ``signals`` at its
-    IF, ``lead`` samples late: their spectra, made in a fork and summed."""
+    IF, ``lead`` samples late: their spectra, made in a fork and summed.
+    Its band edge is the highest of theirs."""
+    signals = list(signals)
     spectra = fork(*(partial(s.spectrum, bits, n, sample_rate, lead)
                      for s, bits in signals))
-    return analytic(sum(spectra[1:], spectra[0]), n, sample_rate)
+    return analytic(sum(spectra[1:], spectra[0]), n, sample_rate).copy_with(
+        band_edge=max(s.edges()[1] for s, _ in signals))
 
 
 def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,

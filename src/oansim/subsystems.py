@@ -36,8 +36,7 @@ from .channel import PdParams, dc_block, photodetect
 from .devices import (IqMrmConfig, RingParams, apply_mrm, drop_filter,
                       generate_subcarriers, iq_mrm_ssb, thermal_tune)
 from .errors import ConfigError, SimulationError
-from .waveform import (ComplexWaveform, _tone_phasor, band_power, combine,
-                       crop_to_band)
+from .waveform import ComplexWaveform, band_power, combine, crop_to_band
 
 #: Per-device passband insertion loss along an add/drop bus (dB).
 BUS_LOSS_DB_PER_STAGE = 0.1
@@ -250,14 +249,15 @@ def olt_transmit(plan: WdmPlan, drives, power_per_tone_dbm: float = 0.0,
         if abs(ch.center_freq - ref) + ch.slot_width / 2.0 > sample_rate / 2.0:
             raise ConfigError("simulation bandwidth does not cover the plan")
 
-    # carrier comb at the channel centers
+    # carrier comb at the channel centers, as its spectrum: each line on
+    # its record bin, the nearest one where a center falls between bins
     amp = np.sqrt(10.0 ** (power_per_tone_dbm / 10.0) * 1e-3)
     n = drives[0].n
     carriers = np.zeros(n, dtype=np.complex128)
     for ch in plan.channels:
-        carriers += amp * _tone_phasor(ch.center_freq - ref, n,
-                                       1.0 / sample_rate)
-    out = ComplexWaveform(carriers, sample_rate, ref_freq=ref)
+        k = round((ch.center_freq - ref) * n / sample_rate)
+        carriers[k % n] += amp * n
+    out = ComplexWaveform(None, sample_rate, ref_freq=ref, spectrum=carriers)
 
     loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
     for ch, drive in zip(plan.channels, drives):
@@ -498,7 +498,8 @@ def _carrier_dbm(wf: ComplexWaveform, f_c: float) -> float:
 def _side(wf: ComplexWaveform, center: float, slot_width: float,
           side: str) -> float:
     """Power (W) in one side of a slot, outside the carrier window."""
-    off = wf.abs_freqs() - center
-    outward = -off if side == "lower" else off
-    mask = (outward >= CARRIER_WINDOW_HZ) & (outward <= slot_width / 2.0)
-    return float(np.sum(np.abs(wf.spectrum[mask]) ** 2) / wf.n ** 2)
+    if side == "lower":
+        return band_power(wf, center - slot_width / 2.0,
+                          center - CARRIER_WINDOW_HZ)
+    return band_power(wf, center + CARRIER_WINDOW_HZ,
+                      center + slot_width / 2.0)

@@ -21,6 +21,7 @@ bin ``k_IF + j`` (:func:`if_spectrum`, :func:`from_if`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,20 +38,28 @@ def _cached_fftfreq(n: int, dt: float) -> np.ndarray:
     return f
 
 
-def _tone_phasor(freq: float, n: int, dt: float) -> np.ndarray:
-    """exp(2j*pi*freq*t) on the sample grid.
-
-    When freq*dt is a small-denominator rational — true for every carrier,
-    IF, and channel offset on the grids used here — one period is evaluated
-    and tiled, which is ~20x cheaper than the full-length exponential.  The
-    tiling phase error is bounded by 2*pi*1e-12*(freq*n*dt) radians.
-    """
-    if freq == 0.0:
-        return np.ones(n, dtype=np.complex128)
+def _period(freq: float, n: int, dt: float) -> int | None:
+    """The ``p < n`` samples of one period of exp(2j*pi*freq*t) on the
+    sample grid, when freq*dt is a small-denominator rational (true for
+    every carrier, IF, clock and channel offset on the grids used here);
+    None otherwise.  When ``p`` divides ``n`` the tone sits on record bin
+    ``freq*dt*n``."""
     cyc = freq * dt
     frac = Fraction(cyc).limit_denominator(8192)
     p = frac.denominator
-    if p < n and abs(float(frac) - cyc) <= 1e-12 * abs(cyc):
+    return p if p < n and abs(float(frac) - cyc) <= 1e-12 * abs(cyc) else None
+
+
+def _tone_phasor(freq: float, n: int, dt: float) -> np.ndarray:
+    """exp(2j*pi*freq*t) on the sample grid.
+
+    When the tone has a period of ``p`` samples (:func:`_period`), one
+    period is evaluated and tiled, which is ~20x cheaper than the
+    full-length exponential.  The tiling phase error is bounded by
+    2*pi*1e-12*(freq*n*dt) radians.
+    """
+    p = _period(freq, n, dt)
+    if p is not None:
         base = np.exp(2j * np.pi * freq * np.arange(p) * dt)
         return np.tile(base, n // p + 1)[:n]
     return np.exp(2j * np.pi * freq * np.arange(n) * dt)
@@ -68,17 +77,20 @@ class ComplexWaveform:
 
     Give ``samples``, ``spectrum`` or both; when both are given they must
     be each other's transform.  The arrays are held, not copied, so the
-    caller must not write to them afterwards.
+    caller must not write to them afterwards.  ``band_edge`` is the highest
+    frequency (Hz) of a drive's band where its maker knows it (an OFDM
+    signal's band, a clock's frequency), None where it does not.
     """
 
     def __init__(self, samples, sample_rate: float, ref_freq: float = 0.0,
-                 spectrum=None):
+                 spectrum=None, band_edge: float | None = None):
         if samples is None and spectrum is None:
             raise ConfigError("waveform needs samples or a spectrum")
         self._samples = None if samples is None else _read_only(samples)
         self._spectrum = None if spectrum is None else _read_only(spectrum)
         self.sample_rate = sample_rate
         self.ref_freq = ref_freq
+        self.band_edge = band_edge
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be > 0")
         if self.n == 0:
@@ -132,10 +144,11 @@ class ComplexWaveform:
         """A copy with new content or attributes.
 
         New ``samples`` or a new ``spectrum`` replace both representations;
-        without either the copy shares this waveform's arrays.
+        without either the copy shares this waveform's arrays and band edge.
         """
         if samples is None and spectrum is None:
             samples, spectrum = self._samples, self._spectrum
+            attrs.setdefault("band_edge", self.band_edge)
         kwargs = {"sample_rate": self.sample_rate, "ref_freq": self.ref_freq,
                   **attrs}
         return ComplexWaveform(samples, spectrum=spectrum, **kwargs)
@@ -144,7 +157,8 @@ class ComplexWaveform:
         """This waveform times ``gain``, in each representation it holds."""
         return self.copy_with(
             samples=None if self._samples is None else self._samples * gain,
-            spectrum=None if self._spectrum is None else self._spectrum * gain)
+            spectrum=None if self._spectrum is None else self._spectrum * gain,
+            band_edge=self.band_edge)
 
 
 def psd(wf: ComplexWaveform):
@@ -158,11 +172,34 @@ def psd(wf: ComplexWaveform):
             np.fft.fftshift(p))
 
 
+def _bins(wf: ComplexWaveform, f_lo: float, f_hi: float) -> range:
+    """The signed bins ``k`` (spectrum index ``k % n``) whose absolute
+    frequency, as :meth:`ComplexWaveform.abs_freqs` computes it, lies in
+    [f_lo, f_hi]: a band is one contiguous range of them."""
+    step = 1.0 / (wf.n * (1.0 / wf.sample_rate))  # np.fft.fftfreq's spacing
+    bins = range(-(wf.n // 2), (wf.n + 1) // 2)
+
+    def freq(k):
+        return k * step + wf.ref_freq
+
+    lo = bisect_left(bins, f_lo, key=freq)
+    return bins[lo:max(lo, bisect_right(bins, f_hi, key=freq))]
+
+
+def _spans(bins: range, n: int) -> list:
+    """Slices of a spectrum of ``n`` bins that hold the signed ``bins``, in
+    ascending index order, as a boolean mask would take them."""
+    if bins.start >= 0 or bins.stop <= 0:
+        return [slice(bins.start % n, bins.start % n + len(bins))]
+    return [slice(0, bins.stop), slice(bins.start + n, n)]
+
+
 def band_power(wf: ComplexWaveform, f_lo: float, f_hi: float) -> float:
     """Mean power (W) contained in [f_lo, f_hi], absolute frequencies."""
-    f = wf.abs_freqs()
-    mask = (f >= f_lo) & (f <= f_hi)
-    return float(np.sum(np.abs(wf.spectrum[mask]) ** 2) / wf.n**2)
+    spec = wf.spectrum
+    line = np.concatenate([spec[s] for s in _spans(_bins(wf, f_lo, f_hi),
+                                                   wf.n)])
+    return float(np.sum(np.abs(line) ** 2) / wf.n**2)
 
 
 def scale_db(wf: ComplexWaveform, gain_db: float) -> ComplexWaveform:
@@ -265,5 +302,7 @@ def combine(waveforms: list[ComplexWaveform]) -> ComplexWaveform:
             raise ConfigError("combine: waveform grids differ")
         if wf.n != first.n:
             raise ConfigError("combine: waveform lengths differ")
+    edges = [wf.band_edge for wf in waveforms]
     return first.copy_with(samples=sum((wf.samples for wf in waveforms[1:]),
-                                       first.samples))
+                                       first.samples),
+                           band_edge=None if None in edges else max(edges))

@@ -21,5 +21,6 @@ def test_bench_primitives_times_every_primitive(tmp_path):
     seconds = runs["second"]["seconds"]["2^12"]
     assert set(seconds) == {"apply_mrm", "drop_filter", "propagate_fiber",
                             "photodetect", "demodulate_ofdm", "iq_drive",
-                            "real_drive", "receive"}
+                            "real_drive", "receive", "iq_mrm_ssb",
+                            "generate_subcarriers"}
     assert all(s is not None and s >= 0 for s in seconds.values())

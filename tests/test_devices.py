@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
+import oansim.devices
 from oansim.devices import (IqMrmConfig, RingParams, _drop_pair,
                             _through_detuned, apply_mrm, drop_filter,
                             generate_subcarriers, iq_mrm_ssb,
                             ring_response, thermal_tune)
 from oansim.errors import ConfigError, SimulationError
-from oansim.subsystems import slope_biased_ring
-from oansim.waveform import (ComplexWaveform, analytic, band_power,
-                             if_spectrum, psd)
+from oansim.scenarios import _analytic_drive, builtin_config_path, load_config
+from oansim.subsystems import scale_drive_to_depth, slope_biased_ring
+from oansim.waveform import (ComplexWaveform, _tone_phasor, analytic,
+                             band_power, if_spectrum, psd)
 
 F0 = 193.4e12
 FS = 64e9
@@ -382,8 +384,9 @@ def static_through(ring, field, bias):
     return ring_response(shifted, f_abs)[0]
 
 
-def round_trip_tone(field, ring, drive, window):
-    """The tone path as a pair of inverse transforms and a time-domain sum."""
+def round_trip_tone(field, ring, drive, window, through=_through_detuned):
+    """The tone path as a pair of inverse transforms and a time-domain sum;
+    ``through(ring, f, detune)`` is the per-sample response."""
     detune = ring.mod_efficiency * drive.samples.real
     spec = np.fft.fft(field.samples)
     f_abs = np.fft.fftfreq(field.n, 1 / field.sample_rate) + field.ref_freq
@@ -394,7 +397,7 @@ def round_trip_tone(field, ring, drive, window):
     x_res = np.fft.ifft(np.where(mask, spec, 0.0))
     x_off = np.fft.ifft(np.where(mask, 0.0, spec)
                         * static_through(ring, field, bias))
-    return x_off + _through_detuned(ring, f_tone, detune) * x_res
+    return x_off + through(ring, f_tone, detune) * x_res
 
 
 def test_drop_filter_matches_the_fft_round_trip():
@@ -449,3 +452,142 @@ def test_iq_ssb_matches_the_fft_round_trip():
                       + np.exp(-1j * np.pi / 2)
                       * round_trip_tone(field, ring, q, window))
         assert_round_off(got.samples, want)
+
+
+# ------------------------------------------- band-rate and spectral products
+#
+# A drive that knows its band edge has its line's product taken at a
+# fraction of the rate; a clock whose sampled period divides the record has
+# it taken as a spectrum.  Both are checked against the full-rate
+# round_trip_tone.
+
+
+def line_lengths(monkeypatch):
+    """The spectrum length of each line transform the modulators take."""
+    lengths = []
+    line = oansim.devices._line
+
+    def recorded(spec, window, m, k0):
+        lengths.append(m)
+        return line(spec, window, m, k0)
+
+    monkeypatch.setattr(oansim.devices, "_line", recorded)
+    return lengths
+
+
+def relative_error(got, want):
+    return np.sum(np.abs(got - want) ** 2) / np.sum(np.abs(want) ** 2)
+
+
+@pytest.mark.parametrize("case", ["transmitter", "uplink", "tunnel"])
+def test_band_rate_product_matches_the_full_rate_tone(case, monkeypatch):
+    """Scenario A's modulators on its 160 GS/s grid, each with a drive the
+    pipeline makes: the digital transmitter at depth 0.12, the uplink at
+    depth 0.5 and a tunnel ring.  With the drive's band edge the product is
+    taken at a fraction of the rate within -60 dB of the full-rate tone
+    path; with the edge unknown it is that path, to round-off."""
+    cfg = load_config(builtin_config_path("scenario_a"))
+    fs, n = cfg.sample_rate, 1 << 16
+    rng = np.random.default_rng(5)
+    t = np.arange(n) / fs
+    signals = {"transmitter": [cfg.digital], "uplink": cfg.uplink.values(),
+               "tunnel": cfg.payloads[:1]}[case]
+    signals = [(s._replace(symbols=10),
+                rng.integers(0, 2, 10 * s.ofdm.bits_per_symbol))
+               for s in signals]
+    if case == "tunnel":
+        f_ring = F0 + cfg.plan.channels[0].rof_subcarrier_offset
+        ring = slope_biased_ring(f_ring, **cfg.ring_kwargs)
+        ((signal, bits),) = signals
+        drive = scale_drive_to_depth(signal.drive(bits, n, fs), ring,
+                                     cfg.rf_drive_depth)
+        # the overlay's window: the subcarrier, clear of the digital band
+        off = f_ring - ring.effective_resonance
+        window = off + 0.5 * (10e9 - off)
+        field = ComplexWaveform(1e-2 * (1.0 + np.exp(2j * np.pi * 20e9 * t)),
+                                fs, ref_freq=F0)
+
+        def modulate(drive):
+            return apply_mrm(field, ring, drive, tone_window_hz=window)
+
+        want = round_trip_tone(field, ring, drive, window)
+    else:
+        ring = slope_biased_ring(F0, **cfg.ring_kwargs)
+        depth, side, phase = (
+            (cfg.drive_depth, "upper", np.pi / 2) if case == "transmitter"
+            else (cfg.onu.uplink_drive_depth, "lower", -np.pi / 2))
+        drive = scale_drive_to_depth(_analytic_drive(signals, n, fs), ring,
+                                     depth)
+        field = ComplexWaveform(
+            1e-2 * (1.0 + 0.1 * np.exp(2j * np.pi * 25e9 * t)), fs,
+            ref_freq=F0)
+        i = ComplexWaveform(drive.samples.real, fs)
+        q = ComplexWaveform(drive.samples.imag, fs)
+        window = 3.0 * ring.fwhm + ring.mod_efficiency * max(
+            np.ptp(i.samples), np.ptp(q.samples)) / 2.0
+
+        def modulate(drive):
+            return iq_mrm_ssb(field, IqMrmConfig(ring, sideband=side), drive)
+
+        want = 0.5 * (round_trip_tone(field, ring, i, window)
+                      + np.exp(1j * phase) * round_trip_tone(field, ring, q,
+                                                             window))
+    assert drive.band_edge == max(s.edges()[1] for s, _ in signals)
+    lengths = line_lengths(monkeypatch)
+    assert relative_error(modulate(drive).samples, want) < 1e-6
+    assert lengths[-1] < n
+    assert_round_off(modulate(drive.copy_with(band_edge=None)).samples, want)
+    assert lengths[-1] == n
+
+
+def criterion_5_ring():
+    """Criterion 5's generator: null bias, resonance on the tone."""
+    return RingParams(resonance_freq=F0, fsr=5e12, self_coupling_t1=0.995,
+                      self_coupling_t2=1.0, roundtrip_amplitude_a=0.995,
+                      mod_efficiency=2e9)
+
+
+def exact_through(ring, f, detune):
+    """The closed-form through response at ``f`` of the ring shifted by
+    ``detune``, in the phase order of the pipeline's: the small-angle
+    expansion of long records is off by 7e-12 at null bias."""
+    e = np.exp(2j * np.pi * (f - ring.effective_resonance - detune)
+               / ring.fsr)
+    t1, t2a = ring.self_coupling_t1, (ring.self_coupling_t2
+                                      * ring.roundtrip_amplitude_a)
+    return (t1 - t2a * e) / (1.0 - t1 * t2a * e)
+
+
+def sampled_clock_product(field, ring, f_clk, through=exact_through):
+    """The generator's product on every sample of the record, its 0.25 V
+    clock sampled as the pipeline samples tones (``np.cos`` of the
+    full-record phase is off by 1e-11 rad at its end)."""
+    clock = ComplexWaveform(
+        0.25 * _tone_phasor(f_clk, field.n, 1.0 / field.sample_rate).real,
+        field.sample_rate)
+    window = max(3.0 * ring.fwhm, 0.4 * f_clk)
+    return round_trip_tone(field, ring, clock, window, through)
+
+
+@pytest.mark.parametrize("f_clk", [10e9, 15e9, 20e9])
+def test_spectral_generator_equals_the_sampled_product(f_clk, monkeypatch):
+    """Criterion 5's clocks sit on record bins: one period of the ring's
+    response gives the output as a spectrum, with no line transform."""
+    ring = criterion_5_ring()
+    field = two_tone_field()
+    lengths = line_lengths(monkeypatch)
+    got = generate_subcarriers(field, ring, f_clk, clock_amplitude_volt=0.25)
+    assert lengths == []
+    assert_round_off(got.samples, sampled_clock_product(field, ring, f_clk))
+
+
+def test_off_bin_clock_takes_the_general_path(monkeypatch):
+    """A clock whose period (640 samples) does not divide the record drives
+    the ring over the whole record."""
+    ring = criterion_5_ring()
+    field = two_tone_field()
+    lengths = line_lengths(monkeypatch)
+    got = generate_subcarriers(field, ring, 9.9e9, clock_amplitude_volt=0.25)
+    assert lengths == [field.n]
+    assert_round_off(got.samples, sampled_clock_product(field, ring, 9.9e9,
+                                                        _through_detuned))

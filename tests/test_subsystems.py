@@ -178,6 +178,29 @@ def test_olt_spectral_containment():
     assert 10 * np.log10(out_slot / in_slot) < -30.0
 
 
+@pytest.mark.parametrize("n, k", [(1 << 14, 5120), (10001, 3125)])
+def test_comb_lines_sit_on_their_record_bins(n, k, monkeypatch):
+    """The comb is made as its spectrum, each line on its record bin:
+    +/-50 GHz at 160 GS/s is bin +/-5,120 of 2^14 samples, where it equals
+    the sampled comb to round-off, and lies nearest bin +/-3,125 of
+    10,001."""
+    fs = 160e9
+    plan = WdmPlan([WdmChannel(F0 - 50e9), WdmChannel(F0 + 50e9)])
+    seen = []
+    monkeypatch.setattr(oansim.subsystems, "iq_mrm_ssb",
+                        lambda field, config, drive: seen.append(field)
+                        or field)
+    drives = [ComplexWaveform(np.zeros(n, dtype=complex), fs)] * 2
+    olt_transmit(plan, drives, power_per_tone_dbm=0.0)
+    comb = seen[0].spectrum
+    assert list(np.flatnonzero(comb)) == [k, n - k]
+    assert np.all(comb[[k, -k]] == np.sqrt(1e-3) * n)
+    if n == 1 << 14:
+        t = np.arange(n) / fs
+        want = np.fft.fft(np.sqrt(1e-3) * 2.0 * np.cos(2 * np.pi * 50e9 * t))
+        assert np.linalg.norm(comb - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_olt_payload_count_mismatch():
     with pytest.raises(ConfigError):
         olt_transmit(single_plan(), [])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import signal as sig
 
 from oansim.errors import ConfigError
-from oansim.waveform import (ComplexWaveform, _if_bins, _tone_phasor,
-                             band_power, combine, crop_to_band,
+from oansim.waveform import (ComplexWaveform, _bins, _if_bins, _spans,
+                             _tone_phasor, band_power, combine, crop_to_band,
                              from_if, if_spectrum, psd, scale_db,
                              set_power_dbm)
 
@@ -105,6 +105,26 @@ def test_band_power_parseval():
     assert total == pytest.approx(wf.power(), rel=1e-9)
     inband = band_power(wf, 0.9e9, 1.1e9)
     assert inband == pytest.approx(wf.power(), rel=1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 300), fs=st.sampled_from([1.0, 64e9, 160e9]),
+       ref=st.sampled_from([0.0, 1e9, 193.4e12]),
+       edges=st.tuples(*[st.one_of(st.integers(-400, 400),
+                                   st.floats(-1.5, 1.5),
+                                   st.sampled_from([-np.inf, np.inf]))] * 2))
+def test_band_bins_take_what_the_boolean_mask_takes(n, fs, ref, edges):
+    """A band's bin range holds, in the mask's order, the bins whose
+    ``abs_freqs`` lie in [f_lo, f_hi]; an integer edge falls exactly on a
+    bin's frequency, a float one anywhere on or off the grid."""
+    wf = ComplexWaveform(np.zeros(n, dtype=complex), fs, ref_freq=ref)
+    f = wf.abs_freqs()
+    f_lo, f_hi = (f[e % n] if isinstance(e, int) else ref + e * fs
+                  for e in edges)
+    got = np.concatenate([np.arange(n)[s]
+                          for s in _spans(_bins(wf, f_lo, f_hi), n)])
+    np.testing.assert_array_equal(got, np.flatnonzero((f >= f_lo)
+                                                      & (f <= f_hi)))
 
 
 def test_psd_peak_at_tone_frequency():

@@ -15,6 +15,8 @@ Primitives:
 
 * ``apply_mrm``: one ring on the tone path, a carrier driven by a 5 GHz
   tone;
+* ``generate_subcarriers``: the overlay's clock-driven ring splitting a
+  carrier with a 20 GHz clock, its tone window the carrier line;
 * ``drop_filter``: a third-order 12 GHz drop of a noise field;
 * ``propagate_fiber``: 20 km of loss and dispersion;
 * ``photodetect``: square law with shot and thermal noise;
@@ -24,6 +26,9 @@ Primitives:
   ``analytic``);
 * ``real_drive``: the same signal as a real drive (``if_spectrum`` and
   ``irfft``);
+* ``iq_mrm_ssb``: the transmitter's IQ modulator on a carrier, driven at
+  depth 0.12 by the analytic drive of ``iq_drive``, which carries the
+  band edge a pipeline drive of that signal carries;
 * ``receive``: the modem waveform read back from a photocurrent at half
   the record's rate (``from_if``).
 """
@@ -53,7 +58,7 @@ def primitives(n: int) -> dict:
     from oansim import waveform
     from oansim.channel import FiberParams, PdParams
     from oansim.ofdm import OfdmConfig, bandwidth_for_bit_rate
-    from oansim.subsystems import slope_biased_ring
+    from oansim.subsystems import scale_drive_to_depth, slope_biased_ring
 
     rng = np.random.default_rng(1)
     t = np.arange(n) / FS
@@ -61,6 +66,7 @@ def primitives(n: int) -> dict:
                                      FS, ref_freq=F0)
     tone = oansim.ComplexWaveform(0.05 * np.cos(2 * np.pi * 5e9 * t), FS)
     ring = slope_biased_ring(F0)
+    gen = slope_biased_ring(F0, slope_fraction=0.6)
     noise = oansim.ComplexWaveform(
         1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n)), FS,
         ref_freq=F0)
@@ -84,12 +90,23 @@ def primitives(n: int) -> dict:
         "propagate_fiber": lambda: oansim.propagate_fiber(noise, fiber),
         "photodetect": lambda: oansim.photodetect(noise, pd),
         "demodulate_ofdm": lambda: oansim.demodulate_ofdm(ofdm, long),
+        "generate_subcarriers": lambda: oansim.generate_subcarriers(
+            carrier, gen, 20e9, clock_amplitude_volt=1.2,
+            tone_window_hz=F0 - gen.effective_resonance + 0.5e9),
         "iq_drive": None, "real_drive": None, "receive": None,
+        "iq_mrm_ssb": None,
     }
     if hasattr(waveform, "if_spectrum"):
         current = oansim.ComplexWaveform(np.fft.irfft(
             waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2), FS / 2)
+        iq = waveform.analytic(waveform.if_spectrum(drive, IF, n, FS), n, FS)
+        # the upper edge of the signal's band; a tree without band edges
+        # ignores it
+        iq.band_edge = IF + 0.55 * ofdm.occupied_bandwidth
+        iq = scale_drive_to_depth(iq, ring, 0.12)
         found.update(
+            iq_mrm_ssb=lambda: oansim.iq_mrm_ssb(carrier,
+                                                 oansim.IqMrmConfig(ring), iq),
             iq_drive=lambda: waveform.analytic(
                 waveform.if_spectrum(drive, IF, n, FS), n, FS),
             real_drive=lambda: fftpack.irfft(
