@@ -9,11 +9,9 @@ Modulation follows the exact limit of a short-block evaluation when the
 near-resonance content is a single spectral line: the line is multiplied
 by the per-sample instantaneous response while the off-resonance
 remainder sees the static bias-point response.  The product is taken at
-its band's rate, or as a spectrum for a clock whose sampled period
-divides the record; like the full-rate product it is circular, so a
-clock harmonic past the Nyquist frequency folds back into the record.
-In scenario A each channel's generator folds its 2nd harmonic onto the
-other channel's subcarrier (-21.7 dBc), a known defect.
+its band's rate, or, for a clock on a record bin, as a spectrum: each
+harmonic of the clock cycle's response lifts the line by its multiple of
+the clock, and lands only where it falls inside the record.
 """
 
 from __future__ import annotations
@@ -213,9 +211,28 @@ def _line(spec: np.ndarray, window: range, m: int, k0: int) -> np.ndarray:
     return fftpack.ifft(line, overwrite_x=True)
 
 
+def _harmonics(params: RingParams, f_tone: float, weights, cycle):
+    """The orders ``j`` and coefficients ``c_j`` of the arms' weighted
+    response over one clock cycle, whose detunes at ``m`` points
+    ``cycle(m)`` gives.  ``m`` doubles from 16 until the upper half of the
+    orders holds under 1e-6 of the response's power, so that the aliases
+    in the ``c_j`` sit below -60 dBc whatever the record's rate."""
+    m = 16
+    while True:
+        h = sum(w * _through_detuned(params, f_tone, det)
+                for w, det in zip(weights, cycle(m)))
+        c = fftpack.fft(h) / m
+        p = np.abs(c) ** 2
+        if np.sum(p[m // 4:m - m // 4 + 1]) <= 1e-6 * np.sum(p) or m >= 1 << 16:
+            return zip(range(-(m // 2), m // 2),
+                       np.concatenate([c[m // 2:], c[:m // 2]]))
+        m *= 2
+
+
 def _modulate(field: ComplexWaveform, params: RingParams, detunes,
               weights, window_hz: float | None,
-              band_edge: float | None = None) -> ComplexWaveform:
+              band_edge: float | None = None,
+              clock=None) -> ComplexWaveform:
     """The sum over arms of ``weight`` times the field through the ring
     shifted by the arm's ``detune``.  The arms share one tone window at
     their mean bias (by default 3 linewidths plus half the larger
@@ -224,12 +241,13 @@ def _modulate(field: ComplexWaveform, params: RingParams, detunes,
     the field under constant drives or when the window holds no power.
 
     ``detunes`` cover the record, whose drives reach ``band_edge`` (None
-    if unknown), or one period of ``Q`` samples that divides it.  Over the
-    record, the line's inverse transform at ``1/d`` of the rate
+    if unknown): the line's inverse transform at ``1/d`` of the rate
     (:func:`_crop`) meets the responses on every ``d``-th sample, and the
-    transform of the product fills its bins.  Over a period, the DFT of
-    the period's response gives coefficients ``c_j``, and the line shifted
-    by ``j n/Q`` bins is added times ``c_j``.
+    transform of the product fills its bins.  A ``clock`` of ``(step,
+    cycle)`` instead drives the arms with a periodic detune whose cycle
+    ``cycle(m)`` samples at ``m`` points (``detunes`` is one such cycle),
+    ``step`` record bins apart: the line lifted by ``j`` steps is added
+    times the ``c_j`` of :func:`_harmonics` where it lands in the record.
     """
     n = field.n
     spec = field.spectrum
@@ -243,8 +261,7 @@ def _modulate(field: ComplexWaveform, params: RingParams, detunes,
     p_line = np.abs(np.concatenate([spec[s] for s in spans])) ** 2
     p_res = np.sum(p_line)
     static = ptp == 0.0 or p_res <= 1e-15 * np.sum(np.abs(spec) ** 2)
-    q = detunes[0].size
-    d, k0 = _crop(n, window, band_edge if q == n else None,
+    d, k0 = _crop(n, window, None if clock else band_edge,
                   field.sample_rate / n)
 
     def weighted(weight, response, *args):
@@ -258,9 +275,10 @@ def _modulate(field: ComplexWaveform, params: RingParams, detunes,
     if not static:
         f = np.concatenate([field.baseband_freqs()[s] for s in spans])
         f_tone = float(np.sum((f + field.ref_freq) * p_line) / p_res)
-        branches += [partial(weighted, w, _through_detuned, params, f_tone,
-                             det[::d]) for w, det in zip(weights, detunes)]
-        if q == n:
+        if clock is None:
+            branches += [partial(weighted, w, _through_detuned, params,
+                                 f_tone, det[::d])
+                         for w, det in zip(weights, detunes)]
             branches.append(partial(_line, spec, window, n // d, k0))
     parts = fork(*branches)
     arms = len(weights)
@@ -270,15 +288,20 @@ def _modulate(field: ComplexWaveform, params: RingParams, detunes,
         return field.copy_with(spectrum=off)
     for s in spans:
         off[s] = 0.0
-    h = reduce(iadd, parts[arms + 1:2 * arms], parts[arms])
-    if q < n:
-        k = np.arange(window.start, window.stop)
-        line = spec[k]
-        for j, c_j in enumerate(fftpack.fft(h) / q):
-            # harmonic j lifts the line by j n/Q bins, modulo n: what passes
-            # the Nyquist bin folds, as in the sampled product
-            off[(k + j * n // q) % n] += c_j * line
+    if clock is not None:
+        step, cycle = clock
+        line = spec[np.arange(window.start, window.stop)]
+        lo, hi = -(n // 2) - window.start, (n + 1) // 2 - window.start
+        for j, c_j in _harmonics(params, f_tone, weights, cycle):
+            # the line lifted by j steps, as far as it lands in the record
+            i0, i1 = max(0, lo - j * step), min(len(window), hi - j * step)
+            if i0 < i1:
+                first = window.start + j * step + i0
+                for i, k in _runs(range(first, first + i1 - i0), n, i1 - i0,
+                                  first):
+                    off[i] += c_j * line[i0:i1][k]
         return field.copy_with(spectrum=off)
+    h = reduce(iadd, parts[arms + 1:2 * arms], parts[arms])
     x_res = parts[-1]
     x_res *= h
     prod = fftpack.fft(x_res, overwrite_x=True)
@@ -356,9 +379,12 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     tuned onto the tone) the carrier is suppressed and the clock harmonics
     at +/-f_s dominate; an off-null bias retains part of the carrier.
 
-    When the clock's sampled period divides the record, the output is
-    built as a spectrum from one period (:func:`_modulate`); any other
-    clock drives the ring over the whole record.
+    When the clock sits on a record bin (its sampled period divides the
+    record), the output is built as a spectrum from one clock cycle
+    sampled finely enough that aliased harmonics sit below -60 dBc, and
+    each harmonic lands only where it falls inside the record
+    (:func:`_modulate`); any other clock drives the ring over the whole
+    record at its band's rate.
     """
     if clock_freq >= field.sample_rate / 2.0:
         raise ConfigError("clock frequency beyond Nyquist")
@@ -371,11 +397,18 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     if tone_window_hz is None:
         tone_window_hz = max(3.0 * params.fwhm, 0.4 * clock_freq)
     n, dt = field.n, 1.0 / field.sample_rate
+    amplitude = params.mod_efficiency * clock_amplitude_volt
     q = _period(clock_freq, n, dt)
-    q = q if q is not None and n % q == 0 else n
-    clock = clock_amplitude_volt * _tone_phasor(clock_freq, q, dt).real
-    return _modulate(field, params, [params.mod_efficiency * clock], [1.0],
-                     tone_window_hz, clock_freq)
+    if q is None or n % q:
+        clock = amplitude * _tone_phasor(clock_freq, n, dt).real
+        return _modulate(field, params, [clock], [1.0], tone_window_hz,
+                         clock_freq)
+
+    def cycle(m):
+        return [amplitude * np.cos(2.0 * np.pi / m * np.arange(m))]
+
+    return _modulate(field, params, cycle(16), [1.0], tone_window_hz,
+                     clock=(round(clock_freq * dt * n), cycle))
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                          smart_edge_intercept_uplink, smart_edge_overlay,
                          solve_carrier_tap_filter)
 from .devices import IqMrmConfig, drop_filter, iq_mrm_ssb
-from .waveform import (ComplexWaveform, analytic, from_if, if_spectrum, psd,
-                       set_power_dbm)
+from .waveform import (ComplexWaveform, analytic, band_power, from_if,
+                       if_spectrum, psd, scale_db)
 
 # head-of-frame silence so inter-channel fiber walk-off (a few hundred ps
 # for +/-50 GHz channels over tens of km) cannot advance a preamble past
@@ -682,7 +682,13 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     spectrum = _spectrum(link) if want_spectrum else None
 
     link = _stage("distribution_fiber", propagate_fiber, link, cfg.distribution)
-    link = set_power_dbm(link, rx_power_dbm)
+    # the received power is that of the WDM slots: what the simulated
+    # bandwidth holds between and past them (ASE, far clock harmonics) is
+    # left out
+    slots = sum(band_power(link, ch.center_freq - ch.slot_width / 2.0,
+                           ch.center_freq + ch.slot_width / 2.0)
+                for ch in plan.channels)
+    link = scale_db(link, rx_power_dbm - 10.0 * np.log10(slots * 1e3))
 
     broadband_name, radio_name, radio_stage = _SIGNAL_NAMES[cfg.style]
 

@@ -15,7 +15,8 @@ from oansim.devices import (IqMrmConfig, RingParams, _drop_pair,
                             ring_response, thermal_tune)
 from oansim.errors import ConfigError, SimulationError
 from oansim.scenarios import _analytic_drive, builtin_config_path, load_config
-from oansim.subsystems import scale_drive_to_depth, slope_biased_ring
+from oansim.subsystems import (_null_offset_fraction, scale_drive_to_depth,
+                               slope_biased_ring)
 from oansim.waveform import (ComplexWaveform, _tone_phasor, analytic,
                              band_power, if_spectrum, psd)
 
@@ -558,27 +559,73 @@ def exact_through(ring, f, detune):
     return (t1 - t2a * e) / (1.0 - t1 * t2a * e)
 
 
-def sampled_clock_product(field, ring, f_clk, through=exact_through):
-    """The generator's product on every sample of the record, its 0.25 V
-    clock sampled as the pipeline samples tones (``np.cos`` of the
-    full-record phase is off by 1e-11 rad at its end)."""
+def sampled_clock_product(field, ring, f_clk, through=exact_through,
+                          volt=0.25):
+    """The generator's product on every sample of the record, its clock
+    sampled as the pipeline samples tones (``np.cos`` of the full-record
+    phase is off by 1e-11 rad at its end)."""
     clock = ComplexWaveform(
-        0.25 * _tone_phasor(f_clk, field.n, 1.0 / field.sample_rate).real,
+        volt * _tone_phasor(f_clk, field.n, 1.0 / field.sample_rate).real,
         field.sample_rate)
     window = max(3.0 * ring.fwhm, 0.4 * f_clk)
     return round_trip_tone(field, ring, clock, window, through)
 
 
+def oversampled_clock_product(field, ring, f_clk, volt, up=8):
+    """The product sampled at ``up`` times the rate, on the record's
+    spectrum padded with zeros, then cut back to the record's bins: what
+    lands outside the record is dropped, not folded."""
+    n, big = field.n, field.n * up
+    k = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    spec = np.zeros(big, dtype=np.complex128)
+    spec[k % big] = field.spectrum * up
+    fine = ComplexWaveform(None, field.sample_rate * up,
+                           ref_freq=field.ref_freq, spectrum=spec)
+    out = np.fft.fft(sampled_clock_product(fine, ring, f_clk, volt=volt))
+    return np.fft.ifft(out[k % big] / up)
+
+
 @pytest.mark.parametrize("f_clk", [10e9, 15e9, 20e9])
 def test_spectral_generator_equals_the_sampled_product(f_clk, monkeypatch):
-    """Criterion 5's clocks sit on record bins: one period of the ring's
-    response gives the output as a spectrum, with no line transform."""
+    """Criterion 5's clocks sit on record bins: one clock cycle of the
+    ring's response gives the output as a spectrum, with no line
+    transform.  It equals the product sampled at 8 times the rate and cut
+    back to the record, where the harmonics past the record's Nyquist
+    frequency (the 2nd of 20 GHz at 64 GS/s) are dropped, to -60 dB: the
+    generator's aliases sit below it.  So does scenario A's generator at
+    its off-null bias and 1.2 V clock, whose harmonics fall 9 dB an order."""
+    gen = slope_biased_ring(F0, slope_fraction=_null_offset_fraction(0.6))
+    for ring, volt in ((criterion_5_ring(), 0.25), (gen, 1.2)):
+        field = two_tone_field(1 << 14)
+        lengths = line_lengths(monkeypatch)
+        got = generate_subcarriers(field, ring, f_clk,
+                                   clock_amplitude_volt=volt)
+        assert lengths == []
+        want = oversampled_clock_product(field, ring, f_clk, volt)
+        assert relative_error(got.samples, want) < 1e-6
+
+
+def test_clock_cycle_is_sampled_until_its_harmonics_fade(monkeypatch):
+    """A clock that swings the ring over many linewidths needs more points
+    per cycle than 16: the cycle doubles until the upper half of its
+    orders holds under 1e-6 of the response's power."""
     ring = criterion_5_ring()
-    field = two_tone_field()
-    lengths = line_lengths(monkeypatch)
-    got = generate_subcarriers(field, ring, f_clk, clock_amplitude_volt=0.25)
-    assert lengths == []
-    assert_round_off(got.samples, sampled_clock_product(field, ring, f_clk))
+    sizes = []
+    through = oansim.devices._through_detuned
+
+    def recorded(params, f, detune):
+        sizes.append(np.size(detune))
+        return through(params, f, detune)
+
+    monkeypatch.setattr(oansim.devices, "_through_detuned", recorded)
+    for volt in (0.25, 20.0):
+        sizes.clear()
+        field = two_tone_field(1 << 14)
+        got = generate_subcarriers(field, ring, 1e9, clock_amplitude_volt=volt)
+        assert sizes[0] == 16 and sizes == [16 << i for i in range(len(sizes))]
+        want = oversampled_clock_product(field, ring, 1e9, volt, up=2)
+        assert relative_error(got.samples, want) < 1e-6
+    assert sizes[-1] >= 128
 
 
 def test_off_bin_clock_takes_the_general_path(monkeypatch):
