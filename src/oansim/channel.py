@@ -58,10 +58,14 @@ def dispersion_phase(fiber: FiberParams, freq_offsets: np.ndarray) -> np.ndarray
     return -np.pi * lam**2 * d * length * freq_offsets**2 / C_LIGHT
 
 
-def propagate_fiber(field: ComplexWaveform, params: FiberParams) -> ComplexWaveform:
+def propagate_fiber(field: ComplexWaveform, params: FiberParams,
+                    centre: float | None = None) -> ComplexWaveform:
     """Apply loss and chromatic dispersion.
 
-    The dispersion operator is exactly all-pass (|H| = 1), so relative
+    The dispersion phase is taken about the absolute frequency ``centre``
+    (the field's ``ref_freq`` by default), so that a slot record centred on
+    its channel sees the phase, and the walk-off, that the plan's centre
+    gives it.  The operator is exactly all-pass (|H| = 1), so relative
     intra-band delay is fully captured in the phase.  The bulk group delay
     is left out; :meth:`FiberParams.one_way_delay_us` gives it to the
     latency budget.
@@ -69,18 +73,22 @@ def propagate_fiber(field: ComplexWaveform, params: FiberParams) -> ComplexWavef
     if params.length_km == 0:
         return field.copy_with()
     amp = 10.0 ** (-params.total_loss_db / 20.0)
-    h = np.exp(1j * dispersion_phase(params, field.baseband_freqs()))
+    offset = 0.0 if centre is None else field.ref_freq - centre
+    h = np.exp(1j * dispersion_phase(params, field.baseband_freqs() + offset))
     h *= amp
     h *= field.spectrum
     return field.copy_with(spectrum=h)
 
 
 def amplify_ase(field: ComplexWaveform, gain_db: float, nf_db: float,
-                seed: int = 0) -> ComplexWaveform:
+                seed=0) -> ComplexWaveform:
     """Flat-gain optical amplifier with seeded ASE noise.
 
     ASE power spectral density is (G-1) h nu NF / 2 per quadrature, added
-    over the full simulation bandwidth.
+    over the record's bandwidth.  It is drawn as a spectrum: each bin's
+    quadratures are Gaussian with variance ``n sigma^2``, the distribution
+    of the DFT of white noise of variance ``sigma^2`` per sample
+    quadrature.  ``seed`` is anything ``numpy.random.default_rng`` takes.
     """
     if gain_db < 0:
         raise ConfigError("amplifier gain must be >= 0 dB")
@@ -88,11 +96,12 @@ def amplify_ase(field: ComplexWaveform, gain_db: float, nf_db: float,
     nf = 10.0 ** (nf_db / 10.0)
     nu = field.ref_freq if field.ref_freq > 0 else C_LIGHT / 1550e-9
     psd_per_quad = (g - 1.0) * H_PLANCK * nu * nf / 2.0
-    sigma2 = psd_per_quad * field.sample_rate
+    scale = np.sqrt(psd_per_quad * field.sample_rate * field.n)
     rng = np.random.default_rng(seed)
-    noise = (rng.normal(scale=np.sqrt(sigma2), size=field.n)
-             + 1j * rng.normal(scale=np.sqrt(sigma2), size=field.n))
-    return field.copy_with(samples=field.samples * np.sqrt(g) + noise)
+    # each row one bin's two quadratures
+    noise = rng.normal(scale=scale, size=(field.n, 2)).view(np.complex128)[:, 0]
+    noise += field.spectrum * np.sqrt(g)
+    return field.copy_with(spectrum=noise)
 
 
 def photodetect(field: ComplexWaveform, params: PdParams) -> ComplexWaveform:

@@ -25,8 +25,8 @@ from scipy import fft as fftpack
 
 from .errors import ConfigError, SimulationError
 from .forkjoin import fork
-from .waveform import (ComplexWaveform, _bins, _cached_fftfreq, _period,
-                       _spans, _tone_phasor, band_power)
+from .waveform import (ComplexWaveform, _bins, _cached_fftfreq, _spans,
+                       _tone_phasor, band_power)
 
 # ---------------------------------------------------------------------------
 # Parameter records
@@ -72,6 +72,15 @@ class IqMrmConfig:
     def __post_init__(self):
         if self.sideband not in ("upper", "lower"):
             raise ConfigError("sideband must be 'upper' or 'lower'")
+
+    @property
+    def weights(self) -> tuple:
+        """The I and Q arms' combining weights: half each, the Q arm's
+        turned by the branch phase, whose sign the sideband sets."""
+        phase = self.branch_phase
+        if self.sideband == "lower":
+            phase = -phase
+        return 0.5, 0.5 * np.exp(1j * phase)
 
 
 # ---------------------------------------------------------------------------
@@ -213,54 +222,86 @@ def _line(spec: np.ndarray, window: range, m: int, k0: int) -> np.ndarray:
 
 def _harmonics(params: RingParams, f_tone: float, weights, cycle):
     """The orders ``j`` and coefficients ``c_j`` of the arms' weighted
-    response over one clock cycle, whose detunes at ``m`` points
+    response over one clock cycle, whose drives (V) at ``m`` points
     ``cycle(m)`` gives.  ``m`` doubles from 16 until the upper half of the
     orders holds under 1e-6 of the response's power, so that the aliases
     in the ``c_j`` sit below -60 dBc whatever the record's rate."""
     m = 16
     while True:
-        h = sum(w * _through_detuned(params, f_tone, det)
-                for w, det in zip(weights, cycle(m)))
+        h = sum(w * _through_detuned(params, f_tone,
+                                     params.mod_efficiency * x)
+                for w, x in zip(weights, cycle(m)))
         c = fftpack.fft(h) / m
         p = np.abs(c) ** 2
         if np.sum(p[m // 4:m - m // 4 + 1]) <= 1e-6 * np.sum(p) or m >= 1 << 16:
-            return zip(range(-(m // 2), m // 2),
-                       np.concatenate([c[m // 2:], c[:m // 2]]))
+            return list(zip(range(-(m // 2), m // 2),
+                            np.concatenate([c[m // 2:], c[:m // 2]])))
         m *= 2
 
 
-def _modulate(field: ComplexWaveform, params: RingParams, detunes,
+def _land(out: np.ndarray, line: np.ndarray, first: int, step: int,
+          harmonics) -> None:
+    """Add to the spectrum ``out`` each ``c_j`` of ``harmonics`` times
+    ``line``, whose signed bins start at ``first``, lifted by ``j`` steps
+    of ``step`` bins, as far as it lands inside the record."""
+    n = out.size
+    lo, hi = -(n // 2) - first, (n + 1) // 2 - first
+    for j, c_j in harmonics:
+        i0, i1 = max(0, lo - j * step), min(line.size, hi - j * step)
+        if i0 < i1:
+            start = first + j * step + i0
+            for i, k in _runs(range(start, start + i1 - i0), n, i1 - i0,
+                              start):
+                out[i] += c_j * line[i0:i1][k]
+
+
+def _tone(field: ComplexWaveform, centre: float, window_hz: float):
+    """The tone window's signed bins around ``centre``, their slices, their
+    powers, and the power-weighted mean frequency (nan if they hold
+    none)."""
+    spec = field.spectrum
+    window = _bins(field, centre - window_hz, centre + window_hz)
+    spans = _spans(window, field.n)
+    p_line = np.abs(np.concatenate([spec[s] for s in spans])) ** 2
+    p_res = np.sum(p_line)
+    f = np.concatenate([field.baseband_freqs()[s] for s in spans])
+    f_tone = (float(np.sum((f + field.ref_freq) * p_line) / p_res)
+              if p_res > 0 else float("nan"))
+    return window, spans, p_res, f_tone
+
+
+def _modulate(field: ComplexWaveform, params: RingParams, drives,
               weights, window_hz: float | None,
               band_edge: float | None = None,
               clock=None) -> ComplexWaveform:
     """The sum over arms of ``weight`` times the field through the ring
-    shifted by the arm's ``detune``.  The arms share one tone window at
-    their mean bias (by default 3 linewidths plus half the larger
-    peak-to-peak detuning): its line sees each arm's instantaneous response
-    and the rest each arm's static response at its bias, as does all of
-    the field under constant drives or when the window holds no power.
+    shifted by ``mod_efficiency`` times the arm's drive (V).  The arms
+    share one tone window at their mean bias (by default 3 linewidths plus
+    half the larger peak-to-peak detuning): its line sees each arm's
+    instantaneous response and the rest each arm's static response at its
+    bias, as does all of the field under constant drives or when the
+    window holds no power.
 
-    ``detunes`` cover the record, whose drives reach ``band_edge`` (None
-    if unknown): the line's inverse transform at ``1/d`` of the rate
+    ``drives`` cover the record and reach ``band_edge`` (None if
+    unknown): the line's inverse transform at ``1/d`` of the rate
     (:func:`_crop`) meets the responses on every ``d``-th sample, and the
     transform of the product fills its bins.  A ``clock`` of ``(step,
-    cycle)`` instead drives the arms with a periodic detune whose cycle
-    ``cycle(m)`` samples at ``m`` points (``detunes`` is one such cycle),
-    ``step`` record bins apart: the line lifted by ``j`` steps is added
-    times the ``c_j`` of :func:`_harmonics` where it lands in the record.
+    cycle)`` instead drives the arms with a cosine whose cycle ``cycle(m)``
+    samples at ``m`` points (``drives`` is one such cycle), ``step``
+    record bins apart: the line lifted by ``j`` steps is added times the
+    ``c_j`` of :func:`_harmonics` where it lands in the record.
     """
     n = field.n
     spec = field.spectrum
-    biases = [float(np.mean(d)) for d in detunes]
-    ptp = max(map(np.ptp, detunes))
+    eff = params.mod_efficiency
+    # a cosine's cycle has zero mean
+    biases = [0.0 if clock else eff * float(np.mean(x)) for x in drives]
+    ptp = eff * max(map(np.ptp, drives))
     if window_hz is None:
         window_hz = 3.0 * params.fwhm + ptp / 2.0
-    centre = params.effective_resonance + np.mean(biases)
-    window = _bins(field, centre - window_hz, centre + window_hz)
-    spans = _spans(window, n)
-    p_line = np.abs(np.concatenate([spec[s] for s in spans])) ** 2
-    p_res = np.sum(p_line)
-    static = ptp == 0.0 or p_res <= 1e-15 * np.sum(np.abs(spec) ** 2)
+    window, spans, p_res, f_tone = _tone(
+        field, params.effective_resonance + np.mean(biases), window_hz)
+    static = ptp == 0.0 or p_res <= 1e-15 * n**2 * field.power()
     d, k0 = _crop(n, window, None if clock else band_edge,
                   field.sample_rate / n)
 
@@ -269,17 +310,15 @@ def _modulate(field: ComplexWaveform, params: RingParams, detunes,
         return out if weight == 1.0 else np.multiply(out, weight, out=out)
 
     # each arm's responses and the resonant line, built in a fork; the
-    # line's inverse transform, like the transform back, reuses its input
+    # line's inverse transform, like the transform back, reuses its input;
+    # only the drive samples the product meets are scaled to detunings
     branches = [partial(weighted, w, _through_static_grid, params, field, b)
                 for w, b in zip(weights, biases)]
-    if not static:
-        f = np.concatenate([field.baseband_freqs()[s] for s in spans])
-        f_tone = float(np.sum((f + field.ref_freq) * p_line) / p_res)
-        if clock is None:
-            branches += [partial(weighted, w, _through_detuned, params,
-                                 f_tone, det[::d])
-                         for w, det in zip(weights, detunes)]
-            branches.append(partial(_line, spec, window, n // d, k0))
+    if not static and clock is None:
+        branches += [partial(weighted, w, _through_detuned, params, f_tone,
+                             eff * x[::d])
+                     for w, x in zip(weights, drives)]
+        branches.append(partial(_line, spec, window, n // d, k0))
     parts = fork(*branches)
     arms = len(weights)
     off = reduce(iadd, parts[1:arms], parts[0])
@@ -290,16 +329,8 @@ def _modulate(field: ComplexWaveform, params: RingParams, detunes,
         off[s] = 0.0
     if clock is not None:
         step, cycle = clock
-        line = spec[np.arange(window.start, window.stop)]
-        lo, hi = -(n // 2) - window.start, (n + 1) // 2 - window.start
-        for j, c_j in _harmonics(params, f_tone, weights, cycle):
-            # the line lifted by j steps, as far as it lands in the record
-            i0, i1 = max(0, lo - j * step), min(len(window), hi - j * step)
-            if i0 < i1:
-                first = window.start + j * step + i0
-                for i, k in _runs(range(first, first + i1 - i0), n, i1 - i0,
-                                  first):
-                    off[i] += c_j * line[i0:i1][k]
+        _land(off, spec[np.arange(window.start, window.stop)], window.start,
+              step, _harmonics(params, f_tone, weights, cycle))
         return field.copy_with(spectrum=off)
     h = reduce(iadd, parts[arms + 1:2 * arms], parts[arms])
     x_res = parts[-1]
@@ -331,8 +362,21 @@ def apply_mrm(field: ComplexWaveform, params: RingParams,
     _check_grid(field, drive)
     if not drive.is_real():
         raise ConfigError("MRM drive must be a real electrical waveform")
-    return _modulate(field, params, [params.mod_efficiency * drive.samples],
-                     [1.0], tone_window_hz, drive.band_edge)
+    return _modulate(field, params, [drive.samples], [1.0], tone_window_hz,
+                     drive.band_edge)
+
+
+def undriven_mrm(field: ComplexWaveform, params: RingParams,
+                 gain: complex = 1.0) -> ComplexWaveform:
+    """The field through a modulator ring at zero drive: its static
+    response times ``gain``, the sum of its arms' weights (see
+    :attr:`IqMrmConfig.weights`).  This is what a modulator does to a
+    record that holds none of its tone window."""
+    h = _through_static_grid(params, field, 0.0)
+    if gain != 1.0:
+        h *= gain
+    h *= field.spectrum
+    return field.copy_with(spectrum=h)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +400,8 @@ def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
     if drive.is_real() or not np.any(x.imag) and np.any(x.real):
         raise ConfigError("IQ drive must be analytic: a real part and its "
                           "Hilbert transform as the imaginary part")
-    phase = config.branch_phase
-    if config.sideband == "lower":
-        phase = -phase
-    eff = config.ring.mod_efficiency
-    return _modulate(field, config.ring, (eff * x.real, eff * x.imag),
-                     (0.5, 0.5 * np.exp(1j * phase)), tone_window_hz,
-                     drive.band_edge)
+    return _modulate(field, config.ring, (x.real, x.imag), config.weights,
+                     tone_window_hz, drive.band_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +418,11 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     tuned onto the tone) the carrier is suppressed and the clock harmonics
     at +/-f_s dominate; an off-null bias retains part of the carrier.
 
-    When the clock sits on a record bin (its sampled period divides the
-    record), the output is built as a spectrum from one clock cycle
-    sampled finely enough that aliased harmonics sit below -60 dBc, and
-    each harmonic lands only where it falls inside the record
-    (:func:`_modulate`); any other clock drives the ring over the whole
-    record at its band's rate.
+    When the clock sits on a record bin, the output is built as a
+    spectrum from one clock cycle sampled finely enough that aliased
+    harmonics sit below -60 dBc, and each harmonic lands only where it
+    falls inside the record (:func:`_modulate`); any other clock drives
+    the ring over the whole record at its band's rate.
     """
     if clock_freq >= field.sample_rate / 2.0:
         raise ConfigError("clock frequency beyond Nyquist")
@@ -396,19 +434,52 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
         )
     if tone_window_hz is None:
         tone_window_hz = max(3.0 * params.fwhm, 0.4 * clock_freq)
-    n, dt = field.n, 1.0 / field.sample_rate
-    amplitude = params.mod_efficiency * clock_amplitude_volt
-    q = _period(clock_freq, n, dt)
-    if q is None or n % q:
-        clock = amplitude * _tone_phasor(clock_freq, n, dt).real
+    step = _clock_step(clock_freq, field)
+    if step is None:
+        n, dt = field.n, 1.0 / field.sample_rate
+        clock = clock_amplitude_volt * _tone_phasor(clock_freq, n, dt).real
         return _modulate(field, params, [clock], [1.0], tone_window_hz,
                          clock_freq)
-
-    def cycle(m):
-        return [amplitude * np.cos(2.0 * np.pi / m * np.arange(m))]
-
+    cycle = partial(_cosine, clock_amplitude_volt)
     return _modulate(field, params, cycle(16), [1.0], tone_window_hz,
-                     clock=(round(clock_freq * dt * n), cycle))
+                     clock=(step, cycle))
+
+
+def _cosine(amplitude: float, m: int) -> list:
+    """One cycle of a cosine of ``amplitude`` at ``m`` points, as the
+    drives of a one-arm modulator."""
+    return [amplitude * np.cos(2.0 * np.pi / m * np.arange(m))]
+
+
+def _clock_step(clock_freq: float, field: ComplexWaveform) -> int | None:
+    """The clock in record bins, if it sits on one; None otherwise."""
+    k = clock_freq * field.n / field.sample_rate
+    return round(k) if abs(k - round(k)) <= 1e-9 * k else None
+
+
+def subcarrier_lines(field: ComplexWaveform, params: RingParams,
+                     clock_freq: float, clock_amplitude_volt: float,
+                     tone_window_hz: float,
+                     grid: ComplexWaveform) -> np.ndarray:
+    """The spectrum, on the bins of ``grid``'s record, of the harmonic
+    lines that :func:`generate_subcarriers` lifts from ``field``'s tone
+    window when they land there: ``grid`` is another record of the same
+    bin spacing, whose bins lie a whole number of bins off ``field``'s (the
+    nearest, if not).  Zero where the clock is off-bin, still, or finds no
+    tone."""
+    out = np.zeros(grid.n, dtype=np.complex128)
+    window, _, p_res, f_tone = _tone(field, params.effective_resonance,
+                                     tone_window_hz)
+    step = _clock_step(clock_freq, field)
+    if step is None or p_res == 0.0 or clock_amplitude_volt == 0.0:
+        return out
+    shift = round((field.ref_freq - grid.ref_freq) * field.n
+                  / field.sample_rate)
+    line = field.spectrum[np.arange(window.start, window.stop)]
+    _land(out, line * (grid.n / field.n), window.start + shift, step,
+          _harmonics(params, f_tone, [1.0],
+                     partial(_cosine, clock_amplitude_volt)))
+    return out
 
 
 # ---------------------------------------------------------------------------

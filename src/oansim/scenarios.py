@@ -7,7 +7,18 @@ A scenario runs the downlink/uplink chain
     -> smart-edge intercept -> central-office uplink detection
 
 as independent seeded bursts whose bit errors are accumulated per sweep
-point until every signal reaches its bit target.  One burst pipeline
+point until every signal reaches its bit target.  A burst holds the bus
+as one slot record per WDM channel, at ``sample_rate / d_slot`` and
+centred on the channel's carrier, ``d_slot`` being the largest power of
+two whose record still holds the slot, its rings' tone windows and its
+receivers' crops (2 for scenario A, 1 for a single channel).  Each slot
+runs in its own fork branch from its comb line to its network unit: a
+device on its channel acts by its time-varying response, every other
+channel's by its static one, and the fiber's dispersion is taken about
+the plan's centre.  The slots meet twice: the clock generators hand each
+other the harmonics they lift into other slots, and the received power
+is set over the slots' summed power, the one join before the network
+units.  Channel 0's slot alone carries the uplink.  One burst pipeline
 serves both overlay styles, which differ in two steps only:
 
 * the overlay: ``subcarrier_tunnels`` puts radio payloads on +/-f_s
@@ -45,13 +56,14 @@ from .forkjoin import branch_threads, fork
 from .metrics import DEFAULT_FEC_THRESHOLD, BerReport, ber_over_sent_bits
 from .ofdm import OfdmConfig, bandwidth_for_bit_rate, demodulate_ofdm, generate_ofdm
 from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
-                         detect_drop, olt_transmit, onu_receive, onu_remodulate,
-                         scale_drive_to_depth, slope_biased_ring,
-                         smart_edge_intercept_uplink, smart_edge_overlay,
-                         solve_carrier_tap_filter)
+                         detect_band, detect_drop, olt_transmit, onu_receive,
+                         onu_remodulate, overlay_rings, scale_drive_to_depth,
+                         slope_biased_ring, smart_edge_intercept_uplink,
+                         smart_edge_overlay, solve_carrier_tap_filter,
+                         subcarrier_spill)
 from .devices import IqMrmConfig, drop_filter, iq_mrm_ssb
-from .waveform import (ComplexWaveform, analytic, band_power, from_if,
-                       if_spectrum, psd, scale_db)
+from .waveform import (ComplexWaveform, analytic, band_power, crop_window,
+                       from_if, if_spectrum, psd, scale_db)
 
 # head-of-frame silence so inter-channel fiber walk-off (a few hundred ps
 # for +/-50 GHz channels over tens of km) cannot advance a preamble past
@@ -437,6 +449,13 @@ class ScenarioConfig:
             self.amplifier = (_get(raw, "amplifier.gain_db", _non_negative),
                               _get(raw, "amplifier.nf_db"))
         self.onu = self._read_onu()
+        # the burst's record: n_record, grown to hold the walk-off guard
+        # and the digital drive at an FFT-friendly length (both cut shipped
+        # configs grow); it is carried as one slot record per channel
+        guard = int(round(_WALKOFF_GUARD_S * self.sample_rate))
+        self.n_burst = fftpack.next_fast_len(max(
+            self.n_record, guard + self.digital.record_samples(self.sample_rate)))
+        self.d_slot = self._slot_division()
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):
             raise ConfigError("sweep.rx_power_dbm must be ascending")
@@ -484,6 +503,85 @@ class ScenarioConfig:
                                                _non_negative),
                         include_shot=_get(raw, "onu.pd.include_shot", _flag)),
             ring_kwargs=self.ring_kwargs)
+
+    def _slot_spans(self, k: int) -> list:
+        """The absolute bands ``(lo, hi, most)`` channel ``k``'s slot
+        record must hold, each with the largest slot division it allows
+        (None for any): the slot, the tone window of each of its rings (an
+        IQ modulator's at 3 linewidths plus twice its depth), the
+        generator's window lifted to each subcarrier, and the crop window
+        each of its receivers takes on the plan's record at
+        ``sample_rate``, whose division it must not undercut (the whole
+        record for a single channel's central office)."""
+        ch = self.plan.channels[k]
+        f_c, half = ch.center_freq, ch.slot_width / 2.0
+        spans = [(f_c - half, f_c + half, None)]
+        ring = slope_biased_ring(f_c, **self.ring_kwargs)
+        depths = (self.drive_depth, self.onu.uplink_drive_depth)
+        windows = [(ring, (3.0 + 2.0 * depth) * ring.fwhm)
+                   for depth in depths[:2 if k == 0 else 1]]
+        if self.style == "subcarrier_tunnels" and self.payloads:
+            gen, gen_window, rings = overlay_rings(
+                ch, len(self.payloads), self.carrier_retain_fraction,
+                self.ring_kwargs)
+            windows += [(gen, gen_window), *rings]
+            spans += [(gen.effective_resonance + f - gen_window,
+                       gen.effective_resonance + f + gen_window, None)
+                      for f in (-ch.rof_subcarrier_offset,
+                                ch.rof_subcarrier_offset)]
+        elif self.style == "adjacent_rf":
+            windows.append((ring, f_c - ring.effective_resonance
+                            + 0.5 * self.digital.edges()[0]))
+        spans += [(r.effective_resonance - w, r.effective_resonance + w, None)
+                  for r, w in windows]
+        specs = [self.onu.broadband_filter, *self.onu.rof_filters]
+        if k == 0 and self.intercept is not None:
+            specs.append(solve_carrier_tap_filter(
+                *self.intercept["band_offsets"], self.intercept["carrier_tap"],
+                self.intercept["order"]))
+        if k == 0:
+            specs.append(self.demux if self.plan.n_channels > 1 else None)
+        n, fs, ref = self.n_burst, self.sample_rate, self.plan.ref_freq()
+        for spec in specs:
+            lo, hi = (f_c, f_c) if spec is None else detect_band(f_c, spec)
+            found = None if spec is None else crop_window(n, fs, ref, lo, hi)
+            if found is None:
+                spans.append((lo, hi, 1))
+                continue
+            (d, k0), w = found, n // (2 * found[0])
+            lo = ref + (k0 - w // 2) * fs / n
+            spans.append((lo, lo + (w - 1) * fs / n, d))
+        return spans
+
+    def _slot_division(self) -> int:
+        """The largest power of two ``d`` dividing the burst's record whose
+        slot records, ``n_burst / d`` samples at ``sample_rate / d``
+        centred on each carrier, hold every band of :meth:`_slot_spans`.
+        Each receiver's crop then takes the bins the plan's record would
+        give it, and what lands outside every slot record reaches none."""
+        n, fs = self.n_burst, self.sample_rate
+        spans = [self._slot_spans(k) for k in range(self.plan.n_channels)]
+
+        def holds(d: int) -> bool:
+            m, df = n // d, fs / n
+            for ch, bands in zip(self.plan.channels, spans):
+                first = ch.center_freq - (m // 2) * df
+                last = ch.center_freq + ((m + 1) // 2 - 1) * df
+                if not all(first <= lo and hi <= last
+                           and (most is None or d <= most)
+                           for lo, hi, most in bands):
+                    return False
+            return True
+
+        if not holds(1):
+            raise ConfigError(
+                "sample_rate: a slot record at the full rate does not hold "
+                "its channel's slot, tone windows, subcarriers and receiver "
+                "crops (see wdm.channel_offsets and wdm.slot_width)")
+        d = 1
+        while n % (2 * d) == 0 and holds(2 * d):
+            d *= 2
+        return d
 
     def pd(self, seed: int) -> PdParams:
         return replace(self.onu.pd, seed=seed)
@@ -598,16 +696,17 @@ def _analytic_drive(signals, n: int, sample_rate: float,
         band_edge=max(s.edges()[1] for s, _ in signals))
 
 
-def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
-             drives: list) -> ComplexWaveform:
-    """The smart edge's radio overlay, the first of the two steps where the
-    styles differ: one real drive per channel and tunnel, or one composite
-    analytic drive of the radio channels."""
+def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
+             drives: list, spill) -> ComplexWaveform:
+    """The smart edge's radio overlay on slot ``k``, the first of the two
+    steps where the styles differ: one real drive per tunnel of the slot's
+    channel, or one composite analytic drive of the radio channels."""
     if cfg.style == "subcarrier_tunnels":
-        k = len(cfg.payloads)
+        tunnels = [None] * len(cfg.payloads)
         return _stage("smart_edge_overlay", smart_edge_overlay, link,
-                      cfg.plan, [drives[i * k:(i + 1) * k]
-                                 for i in range(cfg.plan.n_channels)],
+                      cfg.plan, [drives if j == k else tunnels
+                                 for j in range(cfg.plan.n_channels)],
+                      channel=k, spill=spill,
                       subcarrier_clock_volt=cfg.subcarrier_clock_volt,
                       carrier_retain_fraction=cfg.carrier_retain_fraction,
                       drive_depth=cfg.rf_drive_depth,
@@ -628,14 +727,23 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform,
 
 def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                acc: _Accumulator, want_spectrum: bool):
-    """One burst of the pipeline over all channels.
+    """One burst of the pipeline, carried as one slot record per channel.
+
+    Each slot, ``n_burst / d_slot`` samples at ``sample_rate / d_slot``
+    centred on its carrier, runs in its own fork branch from its comb line
+    through the central office, the feeder, the amplifier, the smart edge
+    and the distribution fiber; between the amplifier and the smart edge
+    the slots hand each other the lines their clock generators lift into
+    them (:func:`subcarrier_spill`).  The received power is then set over
+    the slots' summed WDM slot power, the one join before the network
+    units, and each slot's network unit receives in its own branch;
+    channel 0's slot alone carries the uplink.
 
     Returns the uplink-to-residual ratio, the carrier ledger of channel 0's
     network unit and, if wanted, the report's spectrum after the overlay.
-    Each whole-record waveform is let go after its last reader.
+    Each slot record is let go after its last reader.
     """
     rng = np.random.default_rng(burst_seed)
-    fs = cfg.sample_rate
     plan = cfg.plan
     dig = cfg.digital
     dig_bits = [rng.integers(0, 2, dig.n_bits) for _ in plan.channels]
@@ -644,59 +752,93 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     up_bits = {kind: rng.integers(0, 2, signal.n_bits)
                for kind, signal in cfg.uplink.items()}
 
-    # the record: n_record, grown to hold the walk-off guard and the
-    # digital drive, at an FFT-friendly length; every drive of the burst
-    # is made at that length in one fork, the digital and uplink ones
-    # after the guard
-    guard = int(round(_WALKOFF_GUARD_S * fs))
-    n = fftpack.next_fast_len(max(cfg.n_record,
-                                  guard + dig.record_samples(fs)))
-    payload = ([partial(s.drive, bits, n, fs) for channel_bits in payload_bits
-                for s, bits in zip(cfg.payloads, channel_bits)]
-               if cfg.style == "subcarrier_tunnels" else
-               [partial(_analytic_drive, zip(cfg.payloads, payload_bits[0]), n,
-                        fs)])
-    made = fork(*(partial(_analytic_drive, [(dig, bits)], n, fs, guard)
-                  for bits in dig_bits),
-                partial(_analytic_drive, [(cfg.uplink[kind], bits)
-                                          for kind, bits in up_bits.items()],
-                        n, fs, guard), *payload)
-    drives, up_drive = made[:plan.n_channels], made[plan.n_channels]
-    payload_drives = made[plan.n_channels + 1:]
-    del made
-    tx = _stage("olt_transmit", olt_transmit, plan, drives,
-                power_per_tone_dbm=cfg.tx_power_dbm,
-                sideband=cfg.digital_sideband,
-                drive_depth=cfg.drive_depth,
-                ring_kwargs=cfg.ring_kwargs)
-    del drives
+    # every drive is made on the slot record, the digital and uplink ones
+    # after the walk-off guard; the last slot makes the uplink's
+    rate = cfg.sample_rate / cfg.d_slot
+    n = cfg.n_burst // cfg.d_slot
+    guard = int(round(_WALKOFF_GUARD_S * rate))
+    centre = plan.ref_freq()
+    last = plan.n_channels - 1
 
-    link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder)
-    del tx
-    if cfg.amplifier is not None:
-        link = _stage("amplifier", amplify_ase, link, *cfg.amplifier,
-                      seed=burst_seed + 17)
+    def launch(k: int):
+        payload = ([partial(s.drive, bits, n, rate)
+                    for s, bits in zip(cfg.payloads, payload_bits[k])]
+                   if cfg.style == "subcarrier_tunnels" else
+                   [partial(_analytic_drive, zip(cfg.payloads, payload_bits[0]),
+                            n, rate)])
+        uplink = ([partial(_analytic_drive,
+                           [(cfg.uplink[kind], bits)
+                            for kind, bits in up_bits.items()], n, rate, guard)]
+                  if k == last else [])
+        made = fork(partial(_analytic_drive, [(dig, dig_bits[k])], n, rate,
+                            guard), *payload, *uplink)
+        tx = _stage("olt_transmit", olt_transmit, plan, made[0], k,
+                    power_per_tone_dbm=cfg.tx_power_dbm,
+                    sideband=cfg.digital_sideband,
+                    drive_depth=cfg.drive_depth,
+                    ring_kwargs=cfg.ring_kwargs)
+        link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder, centre)
+        if cfg.amplifier is not None:
+            link = _stage("amplifier", amplify_ase, link, *cfg.amplifier,
+                          seed=[burst_seed + 17, k])
+        return link, made[1:1 + len(payload)], made[1 + len(payload):]
 
-    link = _overlay(cfg, link, payload_drives)
-    del payload_drives
-    spectrum = _spectrum(link) if want_spectrum else None
+    launched = fork(*(partial(launch, k) for k in range(plan.n_channels)))
+    fields = [link for link, _, _ in launched]
+    up_drive = launched[-1][2][0]
+    spill = [None] * plan.n_channels
+    if cfg.style == "subcarrier_tunnels" and cfg.payloads:
+        spill = subcarrier_spill(fields, plan, len(cfg.payloads),
+                                 cfg.subcarrier_clock_volt,
+                                 cfg.carrier_retain_fraction, cfg.ring_kwargs)
 
-    link = _stage("distribution_fiber", propagate_fiber, link, cfg.distribution)
-    # the received power is that of the WDM slots: what the simulated
-    # bandwidth holds between and past them (ASE, far clock harmonics) is
-    # left out
+    def edge(k: int, link: ComplexWaveform, drives: list):
+        link = _overlay(cfg, link, k, drives, spill[k])
+        overlaid = link if want_spectrum else None
+        link = _stage("distribution_fiber", propagate_fiber, link,
+                      cfg.distribution, centre)
+        return link, overlaid
+
+    edged = fork(*(partial(edge, k, fields[k], launched[k][1])
+                   for k in range(plan.n_channels)))
+    del launched, fields, spill
+    spectrum = _spectrum([wf for _, wf in edged]) if want_spectrum else None
+    # the received power is that of the WDM slots: what the records hold
+    # between and past them (ASE, far clock harmonics) is left out
     slots = sum(band_power(link, ch.center_freq - ch.slot_width / 2.0,
                            ch.center_freq + ch.slot_width / 2.0)
-                for ch in plan.channels)
-    link = scale_db(link, rx_power_dbm - 10.0 * np.log10(slots * 1e3))
+                for (link, _), ch in zip(edged, plan.channels))
+    gain_db = rx_power_dbm - 10.0 * np.log10(slots * 1e3)
+    links = [scale_db(link, gain_db) for link, _ in edged]
+    del edged
 
     broadband_name, radio_name, radio_stage = _SIGNAL_NAMES[cfg.style]
 
-    received = fork(*(partial(_stage, "onu_receive", onu_receive, link,
-                              cfg.onu_at(ch.center_freq, burst_seed + 100 + i))
-                      for i, ch in enumerate(plan.channels)))
-    del link
-    res = received[0]
+    def demods(k: int, unit) -> list:
+        """The downlink demodulations of slot ``k``'s network unit."""
+        return [partial(_detect, "broadband_demod",
+                        broadband_name.format(ch=k), dig, unit.broadband,
+                        dig_bits[k])] + [
+            partial(_detect, radio_stage, radio_name.format(ch=k, k=i + 1),
+                    cfg.payloads[i], rof, payload_bits[k][i])
+            for group, rof in zip(cfg.groups, unit.rof) for i in group]
+
+    def receive(k: int, link: ComplexWaveform):
+        """Slot ``k``'s network unit; channel 0's remodulates its residual
+        carrier with the uplink drive, the digital signal and the radio
+        one if any, and every other one demodulates its downlink."""
+        unit = _stage("onu_receive", onu_receive, link,
+                      cfg.onu_at(plan.channels[k].center_freq,
+                                 burst_seed + 100 + k))
+        if k:
+            return fork(*demods(k, unit))
+        return unit, _stage("onu_remodulate", onu_remodulate, unit.residual,
+                            cfg.onu_at(plan.channels[0].center_freq,
+                                       burst_seed + 100), [up_drive])
+
+    (res, rem), *received = fork(*(partial(receive, k, link)
+                                   for k, link in enumerate(links)))
+    del links, up_drive
     ledger = {
         "carrier_in_dbm": res.carrier_in_dbm,
         "carrier_after_broadband_dbm": res.carrier_after_broadband_dbm,
@@ -704,25 +846,13 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         "rof_tap_cost_db": (res.carrier_after_broadband_dbm
                             - res.carrier_residual_dbm),
     }
-    demods = [partial(_detect, "broadband_demod", broadband_name.format(ch=i),
-                      dig, unit.broadband, dig_bits[i])
-              for i, unit in enumerate(received)]
-    demods += [partial(_detect, radio_stage,
-                       radio_name.format(ch=i, k=k + 1), cfg.payloads[k], rof,
-                       payload_bits[i][k])
-               for i, unit in enumerate(received)
-               for group, rof in zip(cfg.groups, unit.rof) for k in group]
-    # uplink: channel 0's network unit remodulates its residual carrier
-    # with the uplink drive, the digital signal and the radio one if any;
-    # the downlink is demodulated beside the rest of the uplink
-    rem = _stage("onu_remodulate", onu_remodulate, res.residual,
-                 cfg.onu_at(plan.channels[0].center_freq, burst_seed + 100),
-                 [up_drive])
-    del res, received, up_drive
+    # channel 0's downlink is demodulated beside the rest of the uplink
     reports, up_reports = fork(
-        partial(fork, *demods),
+        partial(fork, *demods(0, res)),
         partial(_uplink, cfg, rem.waveform, up_bits, burst_seed))
-    for name, report in reports + up_reports:
+    del res
+    for name, report in [*reports, *up_reports,
+                         *(r for done in received for r in done)]:
         acc.add(name, report)
     return rem.uplink_to_residual_db, ledger, spectrum
 
@@ -732,7 +862,7 @@ def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
     """The reports of the uplink signals in the remodulated field."""
     plan = cfg.plan
     back = _stage("uplink_distribution", propagate_fiber, remodulated,
-                  cfg.distribution)
+                  cfg.distribution, plan.ref_freq())
     reports = []
     # where the uplink is detected, the second step where the styles differ
     kind = cfg.edge_uplink
@@ -746,7 +876,8 @@ def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
         back = icept.through
         del icept
     if kind != "digital":
-        co = _stage("uplink_feeder", propagate_fiber, back, cfg.feeder)
+        co = _stage("uplink_feeder", propagate_fiber, back, cfg.feeder,
+                    plan.ref_freq())
         pd = cfg.pd(burst_seed + 301)
         if plan.n_channels > 1:
             # central-office demux: select the returning channel so the other
@@ -764,9 +895,13 @@ def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
     return reports
 
 
-def _spectrum(link: ComplexWaveform) -> dict:
-    """The report's spectrum: at most 8,192 points of the PSD of ``link``."""
-    freqs, vals = psd(link)
+def _spectrum(slots: list) -> dict:
+    """The report's spectrum: at most 8,192 points of the PSD of the slot
+    records side by side."""
+    parts = [psd(wf) for wf in slots]
+    freqs = np.concatenate([f for f, _ in parts])
+    order = np.argsort(freqs, kind="stable")
+    freqs, vals = freqs[order], np.concatenate([v for _, v in parts])[order]
     step = max(1, freqs.size // 4096)
     return {
         "freq_hz": [float(f) for f in freqs[::step]],

@@ -3,7 +3,10 @@
 Drives in, fields and photocurrents out: every block takes electrical
 drives on the simulation grid (real for a single ring, analytic for an
 IQ modulator) and returns optical fields or real detected photocurrents;
-:mod:`oansim.scenarios` makes and reads every OFDM signal.
+:mod:`oansim.scenarios` makes and reads every OFDM signal.  A field is one
+WDM channel's slot record, centred on its carrier: the central office and
+the smart edge act on it with the channel's own devices' time-varying
+responses and every other channel's devices' static ones.
 
 * central-office transmitter: comb source + one IQ microring modulator
   per WDM channel, single-sideband digital drive inside each channel's
@@ -29,12 +32,14 @@ ratio) are computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .channel import PdParams, dc_block, photodetect
 from .devices import (IqMrmConfig, RingParams, apply_mrm, drop_filter,
-                      generate_subcarriers, iq_mrm_ssb, thermal_tune)
+                      generate_subcarriers, iq_mrm_ssb, subcarrier_lines,
+                      thermal_tune, undriven_mrm)
 from .errors import ConfigError, SimulationError
 from .waveform import ComplexWaveform, band_power, combine, crop_to_band
 
@@ -227,44 +232,44 @@ class OnuConfig:
 # Central office
 
 
-def olt_transmit(plan: WdmPlan, drives, power_per_tone_dbm: float = 0.0,
-                 sideband: str = "upper", drive_depth: float = 0.25,
+def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int = 0,
+                 power_per_tone_dbm: float = 0.0, sideband: str = "upper",
+                 drive_depth: float = 0.25,
                  ring_kwargs: dict | None = None) -> ComplexWaveform:
-    """Comb source plus one IQ-SSB modulator per WDM channel.
+    """The central office's output in the slot of ``plan.channels[channel]``.
 
-    ``drives`` is one analytic electrical drive per channel (see
-    :func:`~oansim.devices.iq_mrm_ssb`), at its IF on the simulation grid
-    and as long as the record; each is scaled to ``drive_depth`` and
-    placed single-sideband next to its channel's carrier.  Returns the
-    transmitted field, of the drives' length.
+    The slot record is the grid of ``drive``, centred on the channel's
+    carrier: its comb line sits on bin 0.  ``drive`` is the channel's
+    analytic electrical drive (see :func:`~oansim.devices.iq_mrm_ssb`) at
+    its IF; it is scaled to ``drive_depth`` and placed single-sideband next
+    to the carrier.  Every other channel's IQ modulator acts on the slot
+    by its static response (:func:`~oansim.devices.undriven_mrm`), in the
+    order of the plan.  Returns the slot's field, of the drive's length.
     """
-    if len(drives) != plan.n_channels:
+    if not 0 <= channel < plan.n_channels:
         raise ConfigError(
-            f"{len(drives)} drives for {plan.n_channels} channels"
-        )
-    sample_rate = drives[0].sample_rate
+            f"a drive for channel {channel} of a {plan.n_channels}-channel "
+            f"plan")
+    ch = plan.channels[channel]
+    if ch.slot_width > drive.sample_rate:
+        raise ConfigError("the slot record does not hold the slot")
     ring_kwargs = ring_kwargs or {}
-    ref = plan.ref_freq()
-    for ch in plan.channels:
-        if abs(ch.center_freq - ref) + ch.slot_width / 2.0 > sample_rate / 2.0:
-            raise ConfigError("simulation bandwidth does not cover the plan")
-
-    # carrier comb at the channel centers, as its spectrum: each line on
-    # its record bin, the nearest one where a center falls between bins
-    amp = np.sqrt(10.0 ** (power_per_tone_dbm / 10.0) * 1e-3)
-    n = drives[0].n
-    carriers = np.zeros(n, dtype=np.complex128)
-    for ch in plan.channels:
-        k = round((ch.center_freq - ref) * n / sample_rate)
-        carriers[k % n] += amp * n
-    out = ComplexWaveform(None, sample_rate, ref_freq=ref, spectrum=carriers)
-
+    n = drive.n
+    comb = np.zeros(n, dtype=np.complex128)
+    comb[0] = np.sqrt(10.0 ** (power_per_tone_dbm / 10.0) * 1e-3) * n
+    out = ComplexWaveform(None, drive.sample_rate, ref_freq=ch.center_freq,
+                          spectrum=comb)
     loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
-    for ch, drive in zip(plan.channels, drives):
-        ring = slope_biased_ring(ch.center_freq, **ring_kwargs)
-        drive = scale_drive_to_depth(drive, ring, drive_depth)
-        out = iq_mrm_ssb(out, IqMrmConfig(ring, sideband=sideband),
-                         drive).scaled(loss)
+    for j, other in enumerate(plan.channels):
+        config = IqMrmConfig(slope_biased_ring(other.center_freq,
+                                               **ring_kwargs),
+                             sideband=sideband)
+        if j == channel:
+            out = iq_mrm_ssb(out, config, scale_drive_to_depth(
+                drive, config.ring, drive_depth))
+        else:
+            out = undriven_mrm(out, config.ring, sum(config.weights))
+        out = out.scaled(loss)
     return out
 
 
@@ -272,34 +277,73 @@ def olt_transmit(plan: WdmPlan, drives, power_per_tone_dbm: float = 0.0,
 # Smart edge
 
 
+def overlay_rings(ch: WdmChannel, tunnels: int,
+                  carrier_retain_fraction: float = 0.6,
+                  ring_kwargs: dict | None = None) -> tuple:
+    """The smart edge's rings on channel ``ch`` with ``tunnels`` radio
+    tunnels, each with the half-width of its tone window around its
+    resonance: the clock-driven generator, biased off the null so that
+    ``carrier_retain_fraction`` of the carrier survives for the digital
+    subband, and one slope-biased ring per tunnel on the +f_s, then the
+    -f_s subcarrier.  Returns ``(generator, window, [(ring, window)])``.
+    """
+    ring_kwargs = ring_kwargs or {}
+    f_s = ch.rof_subcarrier_offset
+    gen = slope_biased_ring(ch.center_freq,
+                            slope_fraction=_null_offset_fraction(
+                                carrier_retain_fraction),
+                            **ring_kwargs)
+    # quasi-static window: just the carrier line; anything wider would
+    # pull the digital subband into the time-varying path
+    gen_window = ch.center_freq - gen.effective_resonance + CARRIER_WINDOW_HZ
+    gap = f_s - ch.digital_subband / 2.0
+    rings = []
+    for sign in (+1.0, -1.0)[:tunnels]:
+        ring = slope_biased_ring(ch.center_freq + sign * f_s, **ring_kwargs)
+        # cover the subcarrier line but stay clear of the digital subband
+        # edge on the carrier side
+        ring_off = abs(ch.center_freq + sign * f_s - ring.effective_resonance)
+        rings.append((ring, ring_off + 0.5 * (gap - ring_off)))
+    return gen, gen_window, rings
+
+
 def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
+                       channel: int = 0, spill=None,
                        subcarrier_clock_volt: float = 0.4,
                        carrier_retain_fraction: float = 0.6,
                        drive_depth: float = 0.25,
                        ring_kwargs: dict | None = None) -> ComplexWaveform:
-    """Overlay analog radio tunnels onto each WDM channel.
+    """Overlay analog radio tunnels on the slot of ``plan.channels[channel]``.
 
-    Per channel: a clock-driven ring splits part of the carrier into
-    +/-f_s subcarriers (``carrier_retain_fraction`` of the carrier power is
-    left for the digital subband), then one slope-biased ring per tunnel
-    modulates the +f_s and -f_s subcarriers with the radio payloads.
-    ``rof_payloads`` holds, per channel, up to two real electrical
-    waveforms already centered at their radio IF, as long as the field.
+    Per channel of the plan, in order: a clock-driven ring splits part of
+    the carrier into +/-f_s subcarriers (``carrier_retain_fraction`` of the
+    carrier power is left for the digital subband), then one slope-biased
+    ring per tunnel modulates the +f_s and -f_s subcarriers with the radio
+    payloads.  ``rof_payloads`` holds, per channel, up to two real
+    electrical waveforms already centered at their radio IF, as long as
+    the field; only the slot's own channel's are read, the others' count.
+    The other channels' rings act by their static responses, and after
+    each other generator its lines in this slot, ``spill[j]`` of
+    :func:`subcarrier_spill`, are added.
     """
     if len(rof_payloads) != plan.n_channels:
         raise ConfigError(
             f"{len(rof_payloads)} payload groups for {plan.n_channels} channels"
         )
-    ring_kwargs = ring_kwargs or {}
     out = field_in
     loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
-    for ch, payloads in zip(plan.channels, rof_payloads):
+    for j, (ch, payloads) in enumerate(zip(plan.channels, rof_payloads)):
         payloads = list(payloads or [])
         if len(payloads) > 2:
             raise ConfigError("at most two radio tunnels per channel")
-        f_s = ch.rof_subcarrier_offset
-        gap = f_s - ch.digital_subband / 2.0
-        if payloads:
+        if not payloads:
+            # undriven stages still cost bus insertion loss
+            out = out.scaled(loss ** 3)
+            continue
+        gen, gen_window, rings = overlay_rings(ch, len(payloads),
+                                               carrier_retain_fraction,
+                                               ring_kwargs)
+        if j == channel:
             carrier_ok = band_power(
                 out, ch.center_freq - CARRIER_WINDOW_HZ,
                 ch.center_freq + CARRIER_WINDOW_HZ)
@@ -307,35 +351,61 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
                 raise SimulationError(
                     f"no carrier found at {ch.center_freq/1e12:.4f} THz"
                 )
-            # subcarrier generator: biased off the null so part of the
-            # carrier survives for the digital subband
-            gen = slope_biased_ring(ch.center_freq,
-                                    slope_fraction=_null_offset_fraction(
-                                        carrier_retain_fraction),
-                                    **ring_kwargs)
-            # quasi-static window: just the carrier line; anything wider
-            # would pull the digital subband into the time-varying path
-            gen_off = ch.center_freq - gen.effective_resonance
             out = generate_subcarriers(
-                out, gen, clock_freq=f_s,
+                out, gen, clock_freq=ch.rof_subcarrier_offset,
                 clock_amplitude_volt=subcarrier_clock_volt,
-                tone_window_hz=gen_off + CARRIER_WINDOW_HZ)
-            out = out.scaled(loss)
-            for sign, payload in zip((+1.0, -1.0), payloads):
-                ring = slope_biased_ring(ch.center_freq + sign * f_s,
-                                         **ring_kwargs)
-                drive = scale_drive_to_depth(payload, ring, drive_depth)
-                # cover the subcarrier line but stay clear of the digital
-                # subband edge on the carrier side
-                ring_off = abs(ch.center_freq + sign * f_s
-                               - ring.effective_resonance)
-                window = ring_off + 0.5 * (gap - ring_off)
-                out = apply_mrm(out, ring, drive,
-                                tone_window_hz=window).scaled(loss)
+                tone_window_hz=gen_window)
         else:
-            # undriven stages still cost bus insertion loss
-            out = out.scaled(loss ** 3)
+            out = undriven_mrm(out, gen)
+            if spill is not None and spill[j] is not None:
+                out = out.copy_with(spectrum=out.spectrum + spill[j])
+        out = out.scaled(loss)
+        for (ring, window), payload in zip(rings, payloads):
+            if j == channel:
+                drive = scale_drive_to_depth(payload, ring, drive_depth)
+                out = apply_mrm(out, ring, drive, tone_window_hz=window)
+            else:
+                out = undriven_mrm(out, ring)
+            out = out.scaled(loss)
     return out
+
+
+def subcarrier_spill(fields, plan: WdmPlan, tunnels: int,
+                     subcarrier_clock_volt: float = 0.4,
+                     carrier_retain_fraction: float = 0.6,
+                     ring_kwargs: dict | None = None) -> list:
+    """The lines each channel's clock generator lifts into the other slots.
+
+    ``fields`` are the slot records, one per channel, as they enter the
+    smart edge.  Returns ``spill[k][j]``: the spectrum, on slot ``k``'s
+    bins, of the harmonics of channel ``j``'s generator that land in slot
+    ``k``'s record (None for ``j == k``), for
+    :func:`smart_edge_overlay`.  Each generator's input, its tone window
+    cut from its slot (:func:`~oansim.waveform.crop_to_band`), first
+    passes the earlier channels' rings by their static responses and
+    gains their generators' lines, as in the overlay.
+    """
+    edges = [overlay_rings(ch, tunnels, carrier_retain_fraction, ring_kwargs)
+             for ch in plan.channels]
+    inputs = [crop_to_band(f, gen.effective_resonance - w,
+                           gen.effective_resonance + w)
+              for f, (gen, w, _) in zip(fields, edges)]
+    loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
+    spill = [[None] * plan.n_channels for _ in fields]
+    for j, (ch, (gen, window, rings)) in enumerate(zip(plan.channels, edges)):
+        lines = partial(subcarrier_lines, inputs[j], gen,
+                        ch.rof_subcarrier_offset, subcarrier_clock_volt,
+                        window)
+        for k, field in enumerate(fields):
+            if k != j:
+                spill[k][j] = lines(field)
+        for i in range(j + 1, plan.n_channels):
+            x = undriven_mrm(inputs[i], gen)
+            x = x.copy_with(spectrum=x.spectrum + lines(x)).scaled(loss)
+            for ring, _ in rings:
+                x = undriven_mrm(x, ring).scaled(loss)
+            inputs[i] = x
+    return spill
 
 
 def _null_offset_fraction(retain: float) -> float:
@@ -360,13 +430,17 @@ def detect_drop(dropped: ComplexWaveform, f_c: float, spec: FilterSpec,
     (:func:`~oansim.waveform.crop_to_band`), then photodetected and
     dc-blocked.
     """
+    return dc_block(photodetect(crop_to_band(dropped,
+                                             *detect_band(f_c, spec)), pd))
+
+
+def detect_band(f_c: float, spec: FilterSpec) -> tuple:
+    """The absolute band [f_lo, f_hi] that :func:`detect_drop` crops to."""
     center = f_c + spec.center_offset
     lo, hi = spec.band
     reach = max(abs(lo), abs(hi)) + hi - lo
-    band = crop_to_band(dropped,
-                        max(f_c - reach, min(f_c, center - spec.bandwidth)),
-                        min(f_c + reach, max(f_c, center + spec.bandwidth)))
-    return dc_block(photodetect(band, pd))
+    return (max(f_c - reach, min(f_c, center - spec.bandwidth)),
+            min(f_c + reach, max(f_c, center + spec.bandwidth)))
 
 
 @dataclass

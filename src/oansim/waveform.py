@@ -91,6 +91,7 @@ class ComplexWaveform:
         self.sample_rate = sample_rate
         self.ref_freq = ref_freq
         self.band_edge = band_edge
+        self._power = None
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be > 0")
         if self.n == 0:
@@ -123,10 +124,14 @@ class ComplexWaveform:
         return self.baseband_freqs() + self.ref_freq
 
     def power(self) -> float:
-        """Mean power in W (by Parseval when only the spectrum is held)."""
-        if self._samples is None:
-            return float(np.sum(np.abs(self._spectrum) ** 2) / self.n**2)
-        return float(np.mean(np.abs(self._samples) ** 2))
+        """Mean power in W (by Parseval when only the spectrum is held),
+        summed once per waveform."""
+        if self._power is None:
+            self._power = float(
+                np.sum(np.abs(self._spectrum) ** 2) / self.n**2
+                if self._samples is None
+                else np.mean(np.abs(self._samples) ** 2))
+        return self._power
 
     def power_dbm(self) -> float:
         return 10.0 * np.log10(self.power() * 1e3)
@@ -210,40 +215,51 @@ def set_power_dbm(wf: ComplexWaveform, target_dbm: float) -> ComplexWaveform:
     return scale_db(wf, target_dbm - wf.power_dbm())
 
 
+def crop_window(n: int, sample_rate: float, ref_freq: float, f_lo: float,
+                f_hi: float):
+    """``(d, k0)`` of :func:`crop_to_band` on a record of ``n`` samples:
+    the largest power of two ``d`` dividing ``n`` whose window of
+    ``n / (2 d)`` bins, centred on signed bin ``k0`` nearest the band's
+    middle, holds [f_lo, f_hi]; None when even half the record does not."""
+    df = sample_rate / n
+    k0 = int(round(((f_lo + f_hi) / 2.0 - ref_freq) / df))
+
+    def holds(d: int) -> bool:
+        w = n // (2 * d)
+        first = ref_freq + (k0 - w // 2) * df
+        return first <= f_lo and f_hi <= first + (w - 1) * df
+
+    if not holds(1):
+        return None
+    d = 1
+    while n % (2 * d) == 0 and holds(2 * d):
+        d *= 2
+    return d, k0
+
+
 def crop_to_band(wf: ComplexWaveform, f_lo: float,
                  f_hi: float) -> ComplexWaveform:
     """The content of [f_lo, f_hi] (absolute Hz) at a power-of-two fraction
     of the rate.
 
-    The rate falls to ``sample_rate / d``, with ``d`` the largest power of
-    two that divides the record length and whose window of
-    ``sample_rate / (2 d)``, centred on the bin nearest the band's middle,
-    holds the band.  That bin's frequency becomes the new ``ref_freq``.
-    The window's bins, scaled by 1/d so that the samples keep their
+    The rate falls to ``sample_rate / d`` (:func:`crop_window`).  The bin
+    nearest the band's middle becomes the new ``ref_freq``.  The window's
+    ``n / (2 d)`` bins, scaled by 1/d so that the samples keep their
     amplitude, fill the middle half of the shorter record's band; the
     empty outer half leaves room for a square law, which doubles the
-    span, not to alias.  Without such a ``d`` of at least 2 the waveform
-    is returned as it is.
+    span, not to alias.  When even half the record cannot hold the band
+    the waveform is returned as it is.
     """
-    n, df = wf.n, wf.sample_rate / wf.n
-    k0 = int(round(((f_lo + f_hi) / 2.0 - wf.ref_freq) / df))
-
-    def holds(d: int) -> bool:
-        w = n // (2 * d)
-        first = wf.ref_freq + (k0 - w // 2) * df
-        return first <= f_lo and f_hi <= first + (w - 1) * df
-
-    d = 1
-    while n % (2 * d) == 0 and holds(2 * d):
-        d *= 2
-    if d == 1:
+    found = crop_window(wf.n, wf.sample_rate, wf.ref_freq, f_lo, f_hi)
+    if found is None:
         return wf.copy_with()
+    (d, k0), n = found, wf.n
     m = n // d
     offsets = np.arange(-(m // 4), m // 2 - m // 4)
     spec = np.zeros(m, dtype=np.complex128)
     spec[offsets % m] = wf.spectrum[(k0 + offsets) % n] * (1.0 / d)
     return wf.copy_with(spectrum=spec, sample_rate=wf.sample_rate / d,
-                        ref_freq=wf.ref_freq + k0 * df)
+                        ref_freq=wf.ref_freq + k0 * (wf.sample_rate / n))
 
 
 def _if_bins(n: int, sample_rate: float, rate: float, if_freq: float):

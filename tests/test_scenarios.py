@@ -12,9 +12,11 @@ import scipy.fft
 import yaml
 from scipy.signal import resample_poly
 
+import oansim.devices
 import oansim.ofdm
 import oansim.scenarios
 import oansim.subsystems
+import oansim.waveform
 from oansim.channel import PdParams
 from oansim.errors import ConfigError
 from oansim.metrics import DEFAULT_FEC_THRESHOLD, BerReport
@@ -116,6 +118,15 @@ def test_unknown_overlay_style_rejected(tmp_path):
     # 3 GHz + 0.55 x 4 GHz passes the 5 GHz between subcarrier and slot edge
     ({"tunnels": [{"if_freq": 3.0e9, "occupied_bandwidth": 4.0e9,
                    "qam_order": 16}]}, "tunnels.0"),
+    # a ring 18 GHz wide: the transmitter's tone window, 3 linewidths and
+    # more, does not fit in the slot record at 64 GS/s
+    ({"devices": {**MINI["devices"], "ring": {"coupling": 0.99}}},
+     "sample_rate"),
+    # at 50 GS/s the generator's -f_s line, with its 3 GHz tone window,
+    # runs past the record's edge
+    ({"sample_rate": 50.0e9,
+      "tunnels": [{"if_freq": 2.0e9, "occupied_bandwidth": 1.0e9}]},
+     "sample_rate"),
 ])
 def test_values_checked_in_bursts_are_rejected_at_load(tmp_path, overrides,
                                                        key):
@@ -248,19 +259,23 @@ def test_both_overlay_styles_run_reproducibly(name, signals):
                                      ("scenario_b", 262_440)])
 def test_burst_sizes_the_record(name, n, monkeypatch):
     """The burst grows the power-of-two window to hold the walk-off guard
-    and the digital drive at an FFT-friendly length, and pads every drive
-    to it before the central office sees them."""
+    and the digital drive at an FFT-friendly length, and carries it as one
+    slot record per channel: every drive reaches the central office at
+    ``1/d_slot`` of that length, 2 for scenario A's two 50 GHz slots at
+    160 GS/s and 1 for B's single one."""
     class Sized(Exception):
         pass
 
-    def sized(plan, drives, **kwargs):
-        raise Sized([d.n for d in drives])
+    def sized(plan, drive, channel, **kwargs):
+        raise Sized(drive.n, drive.sample_rate)
 
     monkeypatch.setattr(oansim.scenarios, "olt_transmit", sized)
     cfg = _shipped_top(name)
     with pytest.raises(Sized) as caught:
         run_scenario(cfg)
-    assert caught.value.args[0] == [n] * cfg.plan.n_channels
+    d = {"scenario_a": 2, "scenario_b": 1}[name]
+    assert cfg.n_burst == n and cfg.d_slot == d
+    assert caught.value.args == (n // d, cfg.sample_rate / d)
     assert cfg.n_record < n
 
 
@@ -340,21 +355,20 @@ _TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2",
                "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
 
 
-@pytest.mark.parametrize("name, most", [("scenario_a", 9),
-                                        ("scenario_b", 9)])
+@pytest.mark.parametrize("name, most", [("scenario_a", 13.52),
+                                        ("scenario_b", 7.01)])
 def test_whole_record_transforms_per_burst(name, most, monkeypatch):
     """Linear stages multiply the cached field spectrum, every receiver
     detects at a fraction of the rate, each drive is one inverse transform
     of its spectrum, the comb and the clock-driven generator are made as
-    spectra, and each modulator takes its time-varying product at its
-    band's rate (only B's transmitter and uplink IQ modulators stay at the
-    full rate, one transform pair each), so one burst runs at most
-    ``most`` transforms as long as its record: the drives' and the
-    amplifier's, plus B's two pairs (93 and 54, spectrum snapshot
-    included, when each stage made its own round trip; 34 and 22 with
-    drives resampled, mixed and Hilbert-transformed in time and two
-    transform pairs per IQ modulator; 28 and 12 with every modulator at
-    the full rate and the comb made as samples)."""
+    spectra, each modulator takes its time-varying product at its band's
+    rate, the amplifier draws its noise as a spectrum, and scenario A runs
+    as two slot records at half its rate.  The transforms at least one
+    slot record long, summed by length in units of ``n_record``, stay
+    within ``most``; none is longer than a slot record, so A runs none of
+    its whole record's length.  (19 and 11 with one record for both of A's
+    channels and the amplifier's transform pair; 93 and 54 transforms of
+    the whole record when each stage made its own round trip.)"""
     lengths = []
 
     def counted(transform):
@@ -371,10 +385,10 @@ def test_whole_record_transforms_per_burst(name, most, monkeypatch):
     cfg = _shipped_top(name)
     report = run_scenario(cfg)
     assert report["points"][0]["bursts"] == 1
-    whole = [n for n in lengths if n >= cfg.n_record]
-    # every whole-record transform runs at the record's own length
-    assert len(set(whole)) == 1
-    assert len(whole) <= most
+    slot = cfg.n_burst // cfg.d_slot
+    whole = [n for n in lengths if n >= slot]
+    assert max(whole) == slot
+    assert sum(whole) / cfg.n_record <= most
 
 
 def _demodulated_bands(cfg):
@@ -392,7 +406,7 @@ def _demodulated_bands(cfg):
 
 
 @pytest.mark.parametrize("name, divisors", [
-    ("scenario_a", [2, 2, 2, 2, 2, 2, 2, 8]),
+    ("scenario_a", [1, 1, 1, 1, 1, 1, 1, 4]),
     ("scenario_b", [2, 2, 8, 8]),
 ])
 def test_receivers_match_full_rate_detection(name, divisors, monkeypatch):
@@ -430,6 +444,53 @@ def test_receivers_match_full_rate_detection(name, divisors, monkeypatch):
             err = np.sum(np.abs(got - want) ** 2) / np.sum(np.abs(want) ** 2)
             assert err <= 1e-4, (spec, d, err)
     assert sorted(found) == divisors
+
+
+def test_crops_lie_inside_their_slot_records(monkeypatch):
+    """Every receiver of scenario A crops a window inside its slot record,
+    never one that wraps past its edge: clock harmonics that land in no
+    slot record (and so are dropped), and the ASE a slot record holds
+    past the plan's record or lacks between the slots, reach no crop."""
+    cfg = _shipped_top("scenario_a")
+    crops = []
+    crop = oansim.subsystems.crop_to_band
+
+    def recorded(wf, f_lo, f_hi):
+        crops.append(oansim.waveform.crop_window(wf.n, wf.sample_rate,
+                                                  wf.ref_freq, f_lo, f_hi)
+                     + (wf.n,))
+        return crop(wf, f_lo, f_hi)
+
+    monkeypatch.setattr(oansim.subsystems, "crop_to_band", recorded)
+    run_scenario(cfg)
+    assert len(crops) == 10  # eight receivers and two generators' inputs
+    for d, k0, n in crops:
+        w = n // (2 * d)
+        assert -(n // 2) <= k0 - w // 2 and k0 - w // 2 + w <= (n + 1) // 2
+
+
+def test_neighbour_slot_leaks_through_an_onu_drop_below_its_bound():
+    """What the slot records leave out of each network unit: the other
+    channel's slot, 100 GHz off, through scenario A's 10 GHz third-order
+    radio drops.  The neighbour's same subcarrier, 100 GHz from the drop's
+    centre, leaks at 1/(1 + 20^6), -78 dB, and nothing of its slot at more
+    than -62 dB."""
+    cfg = load_config(builtin_config_path("scenario_a"))
+    fs, n = 400e9, 1 << 14
+    ch0, ch1 = cfg.plan.channels
+    for spec in cfg.onu.rof_filters:
+        centre = ch0.center_freq + spec.center_offset
+        probe = ComplexWaveform(None, fs, ref_freq=centre,
+                                spectrum=np.ones(n, dtype=np.complex128))
+        dropped, _ = oansim.devices.drop_filter(probe, centre, spec.bandwidth,
+                                                spec.order)
+        f = dropped.abs_freqs()
+        leak = np.abs(dropped.spectrum) ** 2
+        same = np.argmin(np.abs(f - (centre + 100e9)))
+        assert 10 * np.log10(leak[same]) == pytest.approx(
+            -10 * np.log10(1 + 20.0 ** 6), abs=0.01)
+        slot = np.abs(f - ch1.center_freq) <= ch1.slot_width / 2
+        assert 10 * np.log10(leak[slot].max()) < -62.0
 
 
 def test_descending_sweep_rejected(tmp_path):

@@ -66,9 +66,9 @@ def payload_for(cfg, bits, f_if, fs=FS):
 
 
 def transmit(plan, cfg, payloads, fs=FS, **kw):
-    """The central office's field for one bit array per channel."""
-    drives = [drive_for(cfg, bits, fs=fs) for bits in payloads]
-    return olt_transmit(plan, drives, **kw)
+    """The central office's slot fields for one bit array per channel."""
+    return [olt_transmit(plan, drive_for(cfg, bits, fs=fs), k, **kw)
+            for k, bits in enumerate(payloads)]
 
 
 def demodulated(cfg, photocurrent, tx, f_if=7e9):
@@ -158,8 +158,8 @@ def test_olt_to_onu_loopback_error_free():
     plan = single_plan()
     cfg = ofdm_cfg()
     tx = bits_for(cfg, 30)
-    field = transmit(plan, cfg, [tx], power_per_tone_dbm=3.0,
-                     drive_depth=0.12)
+    (field,) = transmit(plan, cfg, [tx], power_per_tone_dbm=3.0,
+                        drive_depth=0.12)
     res = onu_receive(field, onu_cfg())
     report = demodulated(cfg, res.broadband, tx)
     assert report.bit_errors == 0
@@ -171,8 +171,8 @@ def test_olt_to_onu_loopback_error_free():
 def test_olt_spectral_containment():
     plan = single_plan()
     cfg = ofdm_cfg()
-    field = transmit(plan, cfg, [bits_for(cfg, 20)], power_per_tone_dbm=0.0,
-                     drive_depth=0.12)
+    (field,) = transmit(plan, cfg, [bits_for(cfg, 20)],
+                        power_per_tone_dbm=0.0, drive_depth=0.12)
     in_slot = band_power(field, F0 - 25e9, F0 + 25e9)
     out_slot = field.power() - in_slot
     assert 10 * np.log10(out_slot / in_slot) < -30.0
@@ -180,36 +180,43 @@ def test_olt_spectral_containment():
 
 @pytest.mark.parametrize("n, k", [(1 << 14, 5120), (10001, 3125)])
 def test_comb_lines_sit_on_their_record_bins(n, k, monkeypatch):
-    """The comb is made as its spectrum, each line on its record bin:
-    +/-50 GHz at 160 GS/s is bin +/-5,120 of 2^14 samples, where it equals
-    the sampled comb to round-off, and lies nearest bin +/-3,125 of
-    10,001."""
+    """Each slot record is centred on its channel's carrier, whose comb
+    line it holds on bin 0: +/-50 GHz at 160 GS/s is +/-5,120 bins of a
+    2^14-sample record of the plan, and falls between bins of one of
+    10,001, where the slot's carrier stays exact."""
     fs = 160e9
     plan = WdmPlan([WdmChannel(F0 - 50e9), WdmChannel(F0 + 50e9)])
     seen = []
     monkeypatch.setattr(oansim.subsystems, "iq_mrm_ssb",
                         lambda field, config, drive: seen.append(field)
                         or field)
-    drives = [ComplexWaveform(np.zeros(n, dtype=complex), fs)] * 2
-    olt_transmit(plan, drives, power_per_tone_dbm=0.0)
-    comb = seen[0].spectrum
-    assert list(np.flatnonzero(comb)) == [k, n - k]
-    assert np.all(comb[[k, -k]] == np.sqrt(1e-3) * n)
-    if n == 1 << 14:
-        t = np.arange(n) / fs
-        want = np.fft.fft(np.sqrt(1e-3) * 2.0 * np.cos(2 * np.pi * 50e9 * t))
-        assert np.linalg.norm(comb - want) <= 1e-10 * np.linalg.norm(want)
+    monkeypatch.setattr(oansim.subsystems, "scale_drive_to_depth",
+                        lambda drive, ring, depth: drive)
+    monkeypatch.setattr(oansim.subsystems, "undriven_mrm",
+                        lambda field, ring, gain=1.0: field)
+    drive = ComplexWaveform(np.zeros(n, dtype=complex), fs)
+    for channel in range(2):
+        olt_transmit(plan, drive, channel, power_per_tone_dbm=0.0)
+    for j, (field, ch) in enumerate(zip(seen, plan.channels)):
+        assert field.ref_freq == ch.center_freq
+        assert list(np.flatnonzero(field.spectrum)) == [0]
+        # after the bus loss of the modulators before it
+        assert field.spectrum[0] == pytest.approx(
+            np.sqrt(1e-3) * n * 10.0 ** (-0.1 * j / 20.0), rel=1e-12)
+    apart = (seen[1].ref_freq - seen[0].ref_freq) * n / fs
+    assert abs(apart - 2 * k) < 1.0
 
 
 def test_olt_payload_count_mismatch():
-    with pytest.raises(ConfigError):
-        olt_transmit(single_plan(), [])
+    cfg = ofdm_cfg()
+    with pytest.raises(ConfigError, match="channel 1"):
+        olt_transmit(single_plan(), drive_for(cfg, bits_for(cfg, 5)), 1)
 
 
 def test_overlay_empty_payloads_only_insertion_loss():
     plan = single_plan()
     cfg = ofdm_cfg()
-    field = transmit(plan, cfg, [bits_for(cfg, 10)], drive_depth=0.12)
+    (field,) = transmit(plan, cfg, [bits_for(cfg, 10)], drive_depth=0.12)
     out = smart_edge_overlay(field, plan, [[]])
     assert field.power_dbm() - out.power_dbm() == pytest.approx(0.3, abs=0.02)
 
@@ -217,8 +224,8 @@ def test_overlay_empty_payloads_only_insertion_loss():
 def test_overlay_creates_subcarriers():
     plan = single_plan()
     cfg = ofdm_cfg()
-    field = transmit(plan, cfg, [bits_for(cfg, 10)], power_per_tone_dbm=3.0,
-                     drive_depth=0.12)
+    (field,) = transmit(plan, cfg, [bits_for(cfg, 10)],
+                        power_per_tone_dbm=3.0, drive_depth=0.12)
     rof_cfg = OfdmConfig(occupied_bandwidth=2e9, qam_order=4, pilot_spacing=16,
                          seed=9)
     payload = payload_for(rof_cfg, bits_for(rof_cfg, 10, 5), f_if=3e9)
@@ -235,7 +242,7 @@ def test_overlay_creates_subcarriers():
 def test_overlay_rejects_three_tunnels():
     plan = single_plan()
     cfg = ofdm_cfg()
-    field = transmit(plan, cfg, [bits_for(cfg, 5)])
+    field = transmit(plan, cfg, [bits_for(cfg, 5)])[0]
     with pytest.raises(ConfigError):
         smart_edge_overlay(field, plan, [[field, field, field]])
 
@@ -246,8 +253,8 @@ def test_overlay_rejects_three_tunnels():
 def uplink_setup(n_symbols=25):
     plan = single_plan()
     cfg = ofdm_cfg()
-    field = transmit(plan, cfg, [bits_for(cfg, n_symbols)],
-                     power_per_tone_dbm=3.0, drive_depth=0.12)
+    (field,) = transmit(plan, cfg, [bits_for(cfg, n_symbols)],
+                        power_per_tone_dbm=3.0, drive_depth=0.12)
     ocfg = onu_cfg(uplink_drive_depth=0.5)
     res = onu_receive(field, ocfg)
     return plan, cfg, ocfg, res
@@ -323,10 +330,10 @@ def test_colorless_onu_retunes_across_channels():
     plan = WdmPlan([WdmChannel(F0 - 50e9), WdmChannel(F0 + 50e9)])
     cfg = ofdm_cfg()
     tx0, tx1 = bits_for(cfg, 20, 1), bits_for(cfg, 20, 2)
-    field = transmit(plan, cfg, [tx0, tx1], fs=160e9, power_per_tone_dbm=3.0,
-                     drive_depth=0.12)
+    fields = transmit(plan, cfg, [tx0, tx1], fs=160e9, power_per_tone_dbm=3.0,
+                      drive_depth=0.12)
     base = onu_cfg(center=F0 - 50e9)
-    for center, tx in ((F0 - 50e9, tx0), (F0 + 50e9, tx1)):
+    for field, center, tx in zip(fields, (F0 - 50e9, F0 + 50e9), (tx0, tx1)):
         ch_field, _ = drop_filter(field, center, 45e9, order=4)
         res = onu_receive(ch_field, replace(base, channel_center=center))
         assert demodulated(cfg, res.broadband, tx).bit_errors == 0
@@ -335,7 +342,7 @@ def test_colorless_onu_retunes_across_channels():
 def test_onu_receive_needs_power_in_slot():
     cfg = ofdm_cfg()
     plan = single_plan()
-    field = transmit(plan, cfg, [bits_for(cfg, 5)])
+    field = transmit(plan, cfg, [bits_for(cfg, 5)])[0]
     empty = field.copy_with(samples=np.zeros(field.n, dtype=np.complex128))
     with pytest.raises(SimulationError):
         onu_receive(empty, onu_cfg())

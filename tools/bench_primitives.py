@@ -19,6 +19,7 @@ Primitives:
   carrier with a 20 GHz clock, its tone window the carrier line;
 * ``drop_filter``: a third-order 12 GHz drop of a noise field;
 * ``propagate_fiber``: 20 km of loss and dispersion;
+* ``amplify_ase``: 4 dB of gain with ASE at a 4.5 dB noise figure;
 * ``photodetect``: square law with shot and thermal noise;
 * ``demodulate_ofdm``: a 10 Gb/s QPSK OFDM waveform of 2^k modem samples;
 * ``iq_drive``: one analytic drive of that signal at a 7 GHz IF, from a
@@ -88,6 +89,7 @@ def primitives(n: int) -> dict:
         "apply_mrm": lambda: oansim.apply_mrm(carrier, ring, tone),
         "drop_filter": lambda: oansim.drop_filter(noise, F0 + IF, 12e9, 3),
         "propagate_fiber": lambda: oansim.propagate_fiber(noise, fiber),
+        "amplify_ase": lambda: oansim.amplify_ase(noise, 4.0, 4.5, seed=2),
         "photodetect": lambda: oansim.photodetect(noise, pd),
         "demodulate_ofdm": lambda: oansim.demodulate_ofdm(ofdm, long),
         "generate_subcarriers": lambda: oansim.generate_subcarriers(
