@@ -99,7 +99,8 @@ def amplify_ase(field: ComplexWaveform, gain_db: float, nf_db: float,
     scale = np.sqrt(psd_per_quad * field.sample_rate * field.n)
     rng = np.random.default_rng(seed)
     # each row one bin's two quadratures
-    noise = rng.normal(scale=scale, size=(field.n, 2)).view(np.complex128)[:, 0]
+    noise = rng.normal(scale=scale, size=(field.n, 2))
+    noise = noise.view(np.complex128)[:, 0]
     noise += field.spectrum * np.sqrt(g)
     return field.copy_with(spectrum=noise)
 

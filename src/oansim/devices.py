@@ -233,7 +233,8 @@ def _harmonics(params: RingParams, f_tone: float, weights, cycle):
                 for w, x in zip(weights, cycle(m)))
         c = fftpack.fft(h) / m
         p = np.abs(c) ** 2
-        if np.sum(p[m // 4:m - m // 4 + 1]) <= 1e-6 * np.sum(p) or m >= 1 << 16:
+        tail = np.sum(p[m // 4:m - m // 4 + 1])
+        if tail <= 1e-6 * np.sum(p) or m >= 1 << 16:
             return list(zip(range(-(m // 2), m // 2),
                             np.concatenate([c[m // 2:], c[:m // 2]])))
         m *= 2

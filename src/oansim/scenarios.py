@@ -454,7 +454,8 @@ class ScenarioConfig:
         # configs grow); it is carried as one slot record per channel
         guard = int(round(_WALKOFF_GUARD_S * self.sample_rate))
         self.n_burst = fftpack.next_fast_len(max(
-            self.n_record, guard + self.digital.record_samples(self.sample_rate)))
+            self.n_record,
+            guard + self.digital.record_samples(self.sample_rate)))
         self.d_slot = self._slot_division()
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):
@@ -530,8 +531,7 @@ class ScenarioConfig:
                       for f in (-ch.rof_subcarrier_offset,
                                 ch.rof_subcarrier_offset)]
         elif self.style == "adjacent_rf":
-            windows.append((ring, f_c - ring.effective_resonance
-                            + 0.5 * self.digital.edges()[0]))
+            windows.append(self.rf_ring())
         spans += [(r.effective_resonance - w, r.effective_resonance + w, None)
                   for r, w in windows]
         specs = [self.onu.broadband_filter, *self.onu.rof_filters]
@@ -552,6 +552,17 @@ class ScenarioConfig:
             lo = ref + (k0 - w // 2) * fs / n
             spans.append((lo, lo + (w - 1) * fs / n, d))
         return spans
+
+    def rf_ring(self) -> tuple:
+        """The ring that modulates the ``adjacent_rf`` radio channels onto
+        channel 0, and the half-width of its tone window: it covers the
+        carrier (slope_fraction linewidths above the biased resonance) but
+        stops short of the broadband subband, which must see only the
+        static through response."""
+        f_c = self.plan.channels[0].center_freq
+        ring = slope_biased_ring(f_c, **self.ring_kwargs)
+        slope_off = f_c - ring.effective_resonance
+        return ring, slope_off + 0.5 * self.digital.edges()[0]
 
     def _slot_division(self) -> int:
         """The largest power of two ``d`` dividing the burst's record whose
@@ -712,14 +723,8 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
                       drive_depth=cfg.rf_drive_depth,
                       ring_kwargs=cfg.ring_kwargs)
     # one composite radio drive, single-sideband below the carrier
-    ch = cfg.plan.channels[0]
-    ring = slope_biased_ring(ch.center_freq, **cfg.ring_kwargs)
+    ring, window = cfg.rf_ring()
     drive = scale_drive_to_depth(drives[0], ring, cfg.rf_drive_depth)
-    # quasi-static window: cover the carrier (slope_fraction linewidths
-    # above the biased resonance) but stop short of the broadband subband,
-    # which must see only the static through response
-    slope_off = ch.center_freq - ring.effective_resonance
-    window = slope_off + 0.5 * cfg.digital.edges()[0]
     return _stage("smart_edge_overlay", iq_mrm_ssb, link,
                   IqMrmConfig(ring, sideband="lower"), drive,
                   tone_window_hz=window)
@@ -764,11 +769,12 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         payload = ([partial(s.drive, bits, n, rate)
                     for s, bits in zip(cfg.payloads, payload_bits[k])]
                    if cfg.style == "subcarrier_tunnels" else
-                   [partial(_analytic_drive, zip(cfg.payloads, payload_bits[0]),
-                            n, rate)])
+                   [partial(_analytic_drive,
+                            zip(cfg.payloads, payload_bits[0]), n, rate)])
         uplink = ([partial(_analytic_drive,
                            [(cfg.uplink[kind], bits)
-                            for kind, bits in up_bits.items()], n, rate, guard)]
+                            for kind, bits in up_bits.items()],
+                           n, rate, guard)]
                   if k == last else [])
         made = fork(partial(_analytic_drive, [(dig, dig_bits[k])], n, rate,
                             guard), *payload, *uplink)

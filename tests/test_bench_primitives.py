@@ -20,7 +20,7 @@ def test_bench_primitives_times_every_primitive(tmp_path):
     assert set(runs) == {"first", "second"}
     seconds = runs["second"]["seconds"]["2^12"]
     assert set(seconds) == {"apply_mrm", "drop_filter", "propagate_fiber",
-                            "amplify_ase", "photodetect", "demodulate_ofdm", "iq_drive",
-                            "real_drive", "receive", "iq_mrm_ssb",
+                            "amplify_ase", "photodetect", "demodulate_ofdm",
+                            "iq_drive", "real_drive", "receive", "iq_mrm_ssb",
                             "generate_subcarriers"}
     assert all(s is not None and s >= 0 for s in seconds.values())

@@ -366,9 +366,7 @@ def test_whole_record_transforms_per_burst(name, most, monkeypatch):
     as two slot records at half its rate.  The transforms at least one
     slot record long, summed by length in units of ``n_record``, stay
     within ``most``; none is longer than a slot record, so A runs none of
-    its whole record's length.  (19 and 11 with one record for both of A's
-    channels and the amplifier's transform pair; 93 and 54 transforms of
-    the whole record when each stage made its own round trip.)"""
+    its whole record's length."""
     lengths = []
 
     def counted(transform):
