@@ -589,6 +589,16 @@ class ScenarioConfig:
                 "sample_rate: a slot record at the full rate does not hold "
                 "its channel's slot, tone windows, subcarriers and receiver "
                 "crops (see wdm.channel_offsets and wdm.slot_width)")
+        # a slot record leaves the other channels out, so none of its
+        # tone windows or crops may reach into another channel's slot
+        for k, bands in enumerate(spans):
+            for j, other in enumerate(self.plan.channels):
+                lo = other.center_freq - other.slot_width / 2.0
+                hi = other.center_freq + other.slot_width / 2.0
+                if j != k and any(a < hi and b > lo for a, b, _ in bands):
+                    raise ConfigError(
+                        f"wdm.channel_offsets: channel {k}'s tone windows or "
+                        f"receiver crops reach into channel {j}'s slot")
         d = 1
         while n % (2 * d) == 0 and holds(2 * d):
             d *= 2

@@ -127,6 +127,11 @@ def test_unknown_overlay_style_rejected(tmp_path):
     ({"sample_rate": 50.0e9,
       "tunnels": [{"if_freq": 2.0e9, "occupied_bandwidth": 1.0e9}]},
      "sample_rate"),
+    # a ring 10 GHz wide: channel 0's transmitter window reaches into the
+    # neighbouring slot, which channel 0's slot record leaves out
+    ({"sample_rate": 160.0e9, "wdm": {"channel_offsets": [0.0, 50.0e9]},
+      "devices": {**MINI["devices"], "ring": {"coupling": 0.995}}},
+     "wdm.channel_offsets"),
 ])
 def test_values_checked_in_bursts_are_rejected_at_load(tmp_path, overrides,
                                                        key):
