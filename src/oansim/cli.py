@@ -247,6 +247,10 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_devices(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    if args.span is not None and not 0.0 < args.span < np.inf:
+        raise ConfigError(f"--span must be finite and > 0, got {args.span}")
     cfg = _load_scenario(args)
     kw = cfg.ring_kwargs
     center = cfg.center_freq

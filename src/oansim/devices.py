@@ -8,10 +8,11 @@ Cavity-lifetime dynamics are out of scope.
 Modulation follows the exact limit of a short-block evaluation when the
 near-resonance content is a single spectral line: the line is multiplied
 by the per-sample instantaneous response while the off-resonance
-remainder sees the static bias-point response.  The product is taken at
-its band's rate, or, for a clock on a record bin, as a spectrum: each
-harmonic of the clock cycle's response lifts the line by its multiple of
-the clock, and lands only where it falls inside the record.
+remainder sees the static bias-point response.  A modulator's product is
+taken at its band's rate.  A clock-driven generator is built as a
+spectrum, its clock on the nearest record bin: each harmonic of the
+clock cycle's response lifts the line by its multiple of the clock, and
+lands only where it falls inside the record.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from scipy import fft as fftpack
 from .errors import ConfigError, SimulationError
 from .forkjoin import fork
 from .waveform import (ComplexWaveform, _bins, _cached_fftfreq, _spans,
-                       _tone_phasor, band_power)
+                       band_power)
 
 # ---------------------------------------------------------------------------
 # Parameter records
@@ -220,17 +221,16 @@ def _line(spec: np.ndarray, window: range, m: int, k0: int) -> np.ndarray:
     return fftpack.ifft(line, overwrite_x=True)
 
 
-def _harmonics(params: RingParams, f_tone: float, weights, cycle):
-    """The orders ``j`` and coefficients ``c_j`` of the arms' weighted
-    response over one clock cycle, whose drives (V) at ``m`` points
-    ``cycle(m)`` gives.  ``m`` doubles from 16 until the upper half of the
-    orders holds under 1e-6 of the response's power, so that the aliases
-    in the ``c_j`` sit below -60 dBc whatever the record's rate."""
+def _harmonics(params: RingParams, f_tone: float, volt: float):
+    """The orders ``j`` and coefficients ``c_j`` of the ring's response
+    over one cycle of a cosine clock of ``volt`` amplitude.  The cycle's
+    ``m`` points double from 16 until the upper half of the orders holds
+    under 1e-6 of the response's power, so that the aliases in the
+    ``c_j`` sit below -60 dBc whatever the record's rate."""
     m = 16
     while True:
-        h = sum(w * _through_detuned(params, f_tone,
-                                     params.mod_efficiency * x)
-                for w, x in zip(weights, cycle(m)))
+        x = volt * np.cos(2.0 * np.pi / m * np.arange(m))
+        h = _through_detuned(params, f_tone, params.mod_efficiency * x)
         c = fftpack.fft(h) / m
         p = np.abs(c) ** 2
         tail = np.sum(p[m // 4:m - m // 4 + 1])
@@ -273,8 +273,7 @@ def _tone(field: ComplexWaveform, centre: float, window_hz: float):
 
 def _modulate(field: ComplexWaveform, params: RingParams, drives,
               weights, window_hz: float | None,
-              band_edge: float | None = None,
-              clock=None) -> ComplexWaveform:
+              band_edge: float | None = None) -> ComplexWaveform:
     """The sum over arms of ``weight`` times the field through the ring
     shifted by ``mod_efficiency`` times the arm's drive (V).  The arms
     share one tone window at their mean bias (by default 3 linewidths plus
@@ -286,25 +285,19 @@ def _modulate(field: ComplexWaveform, params: RingParams, drives,
     ``drives`` cover the record and reach ``band_edge`` (None if
     unknown): the line's inverse transform at ``1/d`` of the rate
     (:func:`_crop`) meets the responses on every ``d``-th sample, and the
-    transform of the product fills its bins.  A ``clock`` of ``(step,
-    cycle)`` instead drives the arms with a cosine whose cycle ``cycle(m)``
-    samples at ``m`` points (``drives`` is one such cycle), ``step``
-    record bins apart: the line lifted by ``j`` steps is added times the
-    ``c_j`` of :func:`_harmonics` where it lands in the record.
+    transform of the product fills its bins.
     """
     n = field.n
     spec = field.spectrum
     eff = params.mod_efficiency
-    # a cosine's cycle has zero mean
-    biases = [0.0 if clock else eff * float(np.mean(x)) for x in drives]
+    biases = [eff * float(np.mean(x)) for x in drives]
     ptp = eff * max(map(np.ptp, drives))
     if window_hz is None:
         window_hz = 3.0 * params.fwhm + ptp / 2.0
     window, spans, p_res, f_tone = _tone(
         field, params.effective_resonance + np.mean(biases), window_hz)
     static = ptp == 0.0 or p_res <= 1e-15 * n**2 * field.power()
-    d, k0 = _crop(n, window, None if clock else band_edge,
-                  field.sample_rate / n)
+    d, k0 = _crop(n, window, band_edge, field.sample_rate / n)
 
     def weighted(weight, response, *args):
         out = response(*args)
@@ -315,7 +308,7 @@ def _modulate(field: ComplexWaveform, params: RingParams, drives,
     # only the drive samples the product meets are scaled to detunings
     branches = [partial(weighted, w, _through_static_grid, params, field, b)
                 for w, b in zip(weights, biases)]
-    if not static and clock is None:
+    if not static:
         branches += [partial(weighted, w, _through_detuned, params, f_tone,
                              eff * x[::d])
                      for w, x in zip(weights, drives)]
@@ -328,11 +321,6 @@ def _modulate(field: ComplexWaveform, params: RingParams, drives,
         return field.copy_with(spectrum=off)
     for s in spans:
         off[s] = 0.0
-    if clock is not None:
-        step, cycle = clock
-        _land(off, spec[np.arange(window.start, window.stop)], window.start,
-              step, _harmonics(params, f_tone, weights, cycle))
-        return field.copy_with(spectrum=off)
     h = reduce(iadd, parts[arms + 1:2 * arms], parts[arms])
     x_res = parts[-1]
     x_res *= h
@@ -419,11 +407,10 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     tuned onto the tone) the carrier is suppressed and the clock harmonics
     at +/-f_s dominate; an off-null bias retains part of the carrier.
 
-    When the clock sits on a record bin, the output is built as a
-    spectrum from one clock cycle sampled finely enough that aliased
-    harmonics sit below -60 dBc, and each harmonic lands only where it
-    falls inside the record (:func:`_modulate`); any other clock drives
-    the ring over the whole record at its band's rate.
+    The output is built as a spectrum, with the clock on its nearest
+    record bin: the field outside the tone window sees the ring's static
+    response, and the window's line is replaced by the harmonic lines of
+    :func:`_clock_lines`.
     """
     if clock_freq >= field.sample_rate / 2.0:
         raise ConfigError("clock frequency beyond Nyquist")
@@ -435,27 +422,31 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
         )
     if tone_window_hz is None:
         tone_window_hz = max(3.0 * params.fwhm, 0.4 * clock_freq)
-    step = _clock_step(clock_freq, field)
-    if step is None:
-        n, dt = field.n, 1.0 / field.sample_rate
-        clock = clock_amplitude_volt * _tone_phasor(clock_freq, n, dt).real
-        return _modulate(field, params, [clock], [1.0], tone_window_hz,
-                         clock_freq)
-    cycle = partial(_cosine, clock_amplitude_volt)
-    return _modulate(field, params, cycle(16), [1.0], tone_window_hz,
-                     clock=(step, cycle))
+    window, spans, _, f_tone = _tone(field, res, tone_window_hz)
+    out = _through_static_grid(params, field, 0.0)
+    np.multiply(field.spectrum, out, out=out)
+    for s in spans:
+        out[s] = 0.0
+    _clock_lines(out, field, params, clock_freq, clock_amplitude_volt,
+                 window, f_tone)
+    return field.copy_with(spectrum=out)
 
 
-def _cosine(amplitude: float, m: int) -> list:
-    """One cycle of a cosine of ``amplitude`` at ``m`` points, as the
-    drives of a one-arm modulator."""
-    return [amplitude * np.cos(2.0 * np.pi / m * np.arange(m))]
-
-
-def _clock_step(clock_freq: float, field: ComplexWaveform) -> int | None:
-    """The clock in record bins, if it sits on one; None otherwise."""
-    k = clock_freq * field.n / field.sample_rate
-    return round(k) if abs(k - round(k)) <= 1e-9 * k else None
+def _clock_lines(out: np.ndarray, field: ComplexWaveform,
+                 params: RingParams, clock_freq: float, volt: float,
+                 window: range, f_tone: float, shift: int = 0) -> None:
+    """Add to the spectrum ``out``, a record of ``field``'s bin spacing
+    whose bins lie ``shift`` bins below ``field``'s, the lines that a
+    cosine clock of ``volt`` amplitude on the ring lifts from the line in
+    ``window`` (at ``f_tone``; none if the window is empty): the line
+    times each ``c_j`` of :func:`_harmonics`, moved by ``j`` clocks on the
+    nearest record bin, where it lands in ``out``'s record."""
+    line = field.spectrum[np.arange(window.start, window.stop)]
+    if not line.any():
+        return
+    step = round(clock_freq * field.n / field.sample_rate)
+    _land(out, line * (out.size / field.n), window.start + shift, step,
+          _harmonics(params, f_tone, volt))
 
 
 def subcarrier_lines(field: ComplexWaveform, params: RingParams,
@@ -466,20 +457,14 @@ def subcarrier_lines(field: ComplexWaveform, params: RingParams,
     lines that :func:`generate_subcarriers` lifts from ``field``'s tone
     window when they land there: ``grid`` is another record of the same
     bin spacing, whose bins lie a whole number of bins off ``field``'s (the
-    nearest, if not).  Zero where the clock is off-bin, still, or finds no
-    tone."""
+    nearest, if not)."""
     out = np.zeros(grid.n, dtype=np.complex128)
-    window, _, p_res, f_tone = _tone(field, params.effective_resonance,
-                                     tone_window_hz)
-    step = _clock_step(clock_freq, field)
-    if step is None or p_res == 0.0 or clock_amplitude_volt == 0.0:
-        return out
+    window, _, _, f_tone = _tone(field, params.effective_resonance,
+                                 tone_window_hz)
     shift = round((field.ref_freq - grid.ref_freq) * field.n
                   / field.sample_rate)
-    line = field.spectrum[np.arange(window.start, window.stop)]
-    _land(out, line * (grid.n / field.n), window.start + shift, step,
-          _harmonics(params, f_tone, [1.0],
-                     partial(_cosine, clock_amplitude_volt)))
+    _clock_lines(out, field, params, clock_freq, clock_amplitude_volt,
+                 window, f_tone, shift)
     return out
 
 

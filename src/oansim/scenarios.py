@@ -723,11 +723,8 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
     steps where the styles differ: one real drive per tunnel of the slot's
     channel, or one composite analytic drive of the radio channels."""
     if cfg.style == "subcarrier_tunnels":
-        tunnels = [None] * len(cfg.payloads)
         return _stage("smart_edge_overlay", smart_edge_overlay, link,
-                      cfg.plan, [drives if j == k else tunnels
-                                 for j in range(cfg.plan.n_channels)],
-                      channel=k, spill=spill,
+                      cfg.plan, drives, channel=k, spill=spill,
                       subcarrier_clock_volt=cfg.subcarrier_clock_volt,
                       carrier_retain_fraction=cfg.carrier_retain_fraction,
                       drive_depth=cfg.rf_drive_depth,
@@ -934,7 +931,8 @@ def run_scenario(cfg: ScenarioConfig, full: bool = False,
                  sweep_override=None) -> dict:
     """Execute the scenario; returns the metrics report (a plain dict)."""
     powers = (cfg.rx_power_dbm if sweep_override is None
-              else list(sweep_override))
+              else _get({"--rx-power": list(sweep_override)}, "--rx-power",
+                        _floats))
     if powers != sorted(powers):
         raise ConfigError("rx_power_dbm sweep must be ascending")
     top_bits = cfg.full_bits if full else cfg.top_bits

@@ -319,28 +319,23 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
     the carrier into +/-f_s subcarriers (``carrier_retain_fraction`` of the
     carrier power is left for the digital subband), then one slope-biased
     ring per tunnel modulates the +f_s and -f_s subcarriers with the radio
-    payloads.  ``rof_payloads`` holds, per channel, up to two real
-    electrical waveforms already centered at their radio IF, as long as
-    the field; only the slot's own channel's are read, the others' count.
-    The other channels' rings act by their static responses, and after
-    each other generator its lines in this slot, ``spill[j]`` of
-    :func:`subcarrier_spill`, are added.
+    payloads.  ``rof_payloads`` holds the slot's own channel's up to two
+    real electrical waveforms, already centered at their radio IF, as long
+    as the field; every channel has as many tunnels.  The other channels'
+    rings act by their static responses, and after each other generator
+    its lines in this slot, ``spill[j]`` of :func:`subcarrier_spill`, are
+    added.
     """
-    if len(rof_payloads) != plan.n_channels:
-        raise ConfigError(
-            f"{len(rof_payloads)} payload groups for {plan.n_channels} channels"
-        )
+    if len(rof_payloads) > 2:
+        raise ConfigError("at most two radio tunnels per channel")
     out = field_in
     loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
-    for j, (ch, payloads) in enumerate(zip(plan.channels, rof_payloads)):
-        payloads = list(payloads or [])
-        if len(payloads) > 2:
-            raise ConfigError("at most two radio tunnels per channel")
-        if not payloads:
+    for j, ch in enumerate(plan.channels):
+        if not rof_payloads:
             # undriven stages still cost bus insertion loss
             out = out.scaled(loss ** 3)
             continue
-        gen, gen_window, rings = overlay_rings(ch, len(payloads),
+        gen, gen_window, rings = overlay_rings(ch, len(rof_payloads),
                                                carrier_retain_fraction,
                                                ring_kwargs)
         if j == channel:
@@ -360,7 +355,7 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
             if spill is not None and spill[j] is not None:
                 out = out.copy_with(spectrum=out.spectrum + spill[j])
         out = out.scaled(loss)
-        for (ring, window), payload in zip(rings, payloads):
+        for (ring, window), payload in zip(rings, rof_payloads):
             if j == channel:
                 drive = scale_drive_to_depth(payload, ring, drive_depth)
                 out = apply_mrm(out, ring, drive, tone_window_hz=window)

@@ -22,7 +22,6 @@ bin ``k_IF + j`` (:func:`if_spectrum`, :func:`from_if`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,33 +35,6 @@ def _cached_fftfreq(n: int, dt: float) -> np.ndarray:
     f = np.fft.fftfreq(n, dt)
     f.setflags(write=False)
     return f
-
-
-def _period(freq: float, n: int, dt: float) -> int | None:
-    """The ``p < n`` samples of one period of exp(2j*pi*freq*t) on the
-    sample grid, when freq*dt is a small-denominator rational (true for
-    every carrier, IF, clock and channel offset on the grids used here);
-    None otherwise.  When ``p`` divides ``n`` the tone sits on record bin
-    ``freq*dt*n``."""
-    cyc = freq * dt
-    frac = Fraction(cyc).limit_denominator(8192)
-    p = frac.denominator
-    return p if p < n and abs(float(frac) - cyc) <= 1e-12 * abs(cyc) else None
-
-
-def _tone_phasor(freq: float, n: int, dt: float) -> np.ndarray:
-    """exp(2j*pi*freq*t) on the sample grid.
-
-    When the tone has a period of ``p`` samples (:func:`_period`), one
-    period is evaluated and tiled, which is ~20x cheaper than the
-    full-length exponential.  The tiling phase error is bounded by
-    2*pi*1e-12*(freq*n*dt) radians.
-    """
-    p = _period(freq, n, dt)
-    if p is not None:
-        base = np.exp(2j * np.pi * freq * np.arange(p) * dt)
-        return np.tile(base, n // p + 1)[:n]
-    return np.exp(2j * np.pi * freq * np.arange(n) * dt)
 
 
 def _read_only(values) -> np.ndarray:

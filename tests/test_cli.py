@@ -67,6 +67,15 @@ def test_sweep_overrides_power_axis(mini_path, tmp_path):
     assert [p["rx_power_dbm"] for p in report["points"]] == [-2.0]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sweep_rejects_a_non_finite_power(value, mini_path, tmp_path,
+                                          capsys):
+    assert main(["sweep", "--config", str(mini_path), "--out",
+                 str(tmp_path), "--rx-power", "-2", value]) == 2
+    err = capsys.readouterr().err
+    assert "--rx-power" in err and "Traceback" not in err
+
+
 def test_missing_config_exits_2(capsys):
     assert main(["run", "--config", "/no/such/file.yaml"]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -268,6 +277,19 @@ def test_devices_csv(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     through = [float(r[1]) for r in rows]
     assert 40 <= through.index(min(through)) <= 60
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--points", "-1"), ("--points", "0"), ("--span", "nan"),
+    ("--span", "inf"), ("--span", "0"), ("--span", "-1e9"),
+])
+def test_devices_rejects_a_bad_sweep(flag, value, tmp_path, capsys):
+    out = tmp_path / "dev"
+    assert main(["devices", "--config", "scenario_a", "--out", str(out),
+                 f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_builtin_name_resolution(tmp_path):

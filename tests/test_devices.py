@@ -12,13 +12,13 @@ import oansim.devices
 from oansim.devices import (IqMrmConfig, RingParams, _drop_pair,
                             _through_detuned, apply_mrm, drop_filter,
                             generate_subcarriers, iq_mrm_ssb,
-                            ring_response, thermal_tune)
+                            ring_response, subcarrier_lines, thermal_tune)
 from oansim.errors import ConfigError, SimulationError
 from oansim.scenarios import _analytic_drive, builtin_config_path, load_config
 from oansim.subsystems import (_null_offset_fraction, scale_drive_to_depth,
                                slope_biased_ring)
-from oansim.waveform import (ComplexWaveform, _tone_phasor, analytic,
-                             band_power, if_spectrum, psd)
+from oansim.waveform import (ComplexWaveform, analytic, band_power,
+                             if_spectrum, psd)
 
 F0 = 193.4e12
 FS = 64e9
@@ -561,11 +561,10 @@ def exact_through(ring, f, detune):
 
 def sampled_clock_product(field, ring, f_clk, through=exact_through,
                           volt=0.25):
-    """The generator's product on every sample of the record, its clock
-    sampled as the pipeline samples tones (``np.cos`` of the full-record
-    phase is off by 1e-11 rad at its end)."""
+    """The generator's product on every sample of the record."""
     clock = ComplexWaveform(
-        volt * _tone_phasor(f_clk, field.n, 1.0 / field.sample_rate).real,
+        volt * np.cos(2.0 * np.pi * f_clk / field.sample_rate
+                      * np.arange(field.n)),
         field.sample_rate)
     window = max(3.0 * ring.fwhm, 0.4 * f_clk)
     return round_trip_tone(field, ring, clock, window, through)
@@ -628,13 +627,38 @@ def test_clock_cycle_is_sampled_until_its_harmonics_fade(monkeypatch):
     assert sizes[-1] >= 128
 
 
-def test_off_bin_clock_takes_the_general_path(monkeypatch):
-    """A clock whose period (640 samples) does not divide the record drives
-    the ring over the whole record."""
+def test_off_bin_clock_sits_on_its_nearest_bin():
+    """A clock between record bins (9.9 GHz is bin 2534.4 of 2^14 at
+    64 GS/s) drives the ring as the clock on its nearest bin does: the
+    output equals that clock's product sampled at 8 times the rate and cut
+    back to the record."""
     ring = criterion_5_ring()
-    field = two_tone_field()
-    lengths = line_lengths(monkeypatch)
+    field = two_tone_field(1 << 14)
+    f_bin = round(9.9e9 * field.n / FS) * FS / field.n
     got = generate_subcarriers(field, ring, 9.9e9, clock_amplitude_volt=0.25)
-    assert lengths == [field.n]
-    assert_round_off(got.samples, sampled_clock_product(field, ring, 9.9e9,
-                                                        _through_detuned))
+    want = oversampled_clock_product(field, ring, f_bin, 0.25)
+    assert relative_error(got.samples, want) < 1e-6
+
+
+@pytest.mark.parametrize("f_clk", [20e9, 19.9e9])
+def test_lines_lifted_into_the_next_slot_match_one_wide_record(f_clk):
+    """Channel 0's generator on its own slot record (64 GS/s about
+    F0 - 32 GHz) lifts its 2nd to 4th harmonics into the next slot's
+    record (64 GS/s about F0 + 32 GHz).  They equal, to -60 dB, what one
+    record spanning both slots at the same bin spacing holds at that
+    slot's bins, with the clock on its nearest bin."""
+    n, fs, half, volt = 1 << 13, 64e9, 32e9, 1.2
+    gen = slope_biased_ring(F0 - half,
+                            slope_fraction=_null_offset_fraction(0.6))
+    window = max(3.0 * gen.fwhm, 0.4 * f_clk)
+    slot = carrier(n=n, fs=fs, ref=F0 - half)
+    neighbour = carrier(n=n, fs=fs, ref=F0 + half)
+    lines = subcarrier_lines(slot, gen, f_clk, volt, window, neighbour)
+    # the wide record's carrier sits on its bin -n/2, the next slot's
+    # bins -n/2 .. n/2 - 1 are its bins 0 .. n - 1
+    spec = np.zeros(2 * n, dtype=np.complex128)
+    spec[-n // 2] = np.sqrt(1e-3) * 2 * n
+    wide = ComplexWaveform(None, 2 * fs, ref_freq=F0, spectrum=spec)
+    f_bin = round(f_clk * n / fs) * fs / n
+    want = np.fft.fft(oversampled_clock_product(wide, gen, f_bin, volt))
+    assert relative_error(np.fft.fftshift(lines), want[:n] / 2) < 1e-6

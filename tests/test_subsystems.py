@@ -217,7 +217,7 @@ def test_overlay_empty_payloads_only_insertion_loss():
     plan = single_plan()
     cfg = ofdm_cfg()
     (field,) = transmit(plan, cfg, [bits_for(cfg, 10)], drive_depth=0.12)
-    out = smart_edge_overlay(field, plan, [[]])
+    out = smart_edge_overlay(field, plan, [])
     assert field.power_dbm() - out.power_dbm() == pytest.approx(0.3, abs=0.02)
 
 
@@ -230,7 +230,7 @@ def test_overlay_creates_subcarriers():
                          seed=9)
     payload = payload_for(rof_cfg, bits_for(rof_cfg, 10, 5), f_if=3e9)
     payload = payload.scaled(0.1)
-    out = smart_edge_overlay(field, plan, [[payload]],
+    out = smart_edge_overlay(field, plan, [payload],
                              subcarrier_clock_volt=1.2, drive_depth=0.25)
     up = band_power(out, F0 + 15e9, F0 + 25e9)
     dn = band_power(out, F0 - 25e9, F0 - 15e9)
@@ -244,7 +244,7 @@ def test_overlay_rejects_three_tunnels():
     cfg = ofdm_cfg()
     field = transmit(plan, cfg, [bits_for(cfg, 5)])[0]
     with pytest.raises(ConfigError):
-        smart_edge_overlay(field, plan, [[field, field, field]])
+        smart_edge_overlay(field, plan, [field, field, field])
 
 
 # ---------------------------------------------------------------- uplink

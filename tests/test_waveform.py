@@ -8,9 +8,8 @@ from scipy import signal as sig
 
 from oansim.errors import ConfigError
 from oansim.waveform import (ComplexWaveform, _bins, _if_bins, _spans,
-                             _tone_phasor, band_power, combine, crop_to_band,
-                             from_if, if_spectrum, psd, scale_db,
-                             set_power_dbm)
+                             band_power, combine, crop_to_band, from_if,
+                             if_spectrum, psd, scale_db, set_power_dbm)
 
 FS = 16e9
 
@@ -89,14 +88,6 @@ def test_psd_matches_the_boxcar_periodogram():
     f, p = psd(wf)
     assert np.array_equal(f, f_ref[order] + 193e12)
     assert rel_err(p, p_ref[order]) <= 1e-12
-
-
-def test_tone_phasor_matches_direct_exponential():
-    n, dt = 200_000, 1.0 / FS
-    for freq in (0.0, 1e9, 2.5e9, -3.2e9, 1.234567e9):
-        ref = np.exp(2j * np.pi * freq * np.arange(n) * dt)
-        got = _tone_phasor(freq, n, dt)
-        assert np.max(np.abs(got - ref)) < 1e-7
 
 
 def test_band_power_parseval():
