@@ -251,7 +251,7 @@ def _cmd_devices(args) -> int:
         raise ConfigError(f"--points must be >= 1, got {args.points}")
     if args.span is not None and not 0.0 < args.span < np.inf:
         raise ConfigError(f"--span must be finite and > 0, got {args.span}")
-    cfg = _load_scenario(args)
+    cfg = load_config(_resolve_config_path(args.config))
     kw = cfg.ring_kwargs
     center = cfg.center_freq
     ring = RingParams(resonance_freq=center, fsr=kw["fsr"],
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dev = sub.add_parser(
         "devices", help="export a microring frequency-response sweep")
-    common(p_dev)
+    common(p_dev, seed=False)
     p_dev.add_argument("--span", type=float, default=None,
                        help="sweep span in Hz (default 10 linewidths)")
     p_dev.add_argument("--points", type=int, default=2001)

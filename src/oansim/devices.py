@@ -26,8 +26,8 @@ from scipy import fft as fftpack
 
 from .errors import ConfigError, SimulationError
 from .forkjoin import fork
-from .waveform import (ComplexWaveform, _bins, _cached_fftfreq, _spans,
-                       band_power)
+from .waveform import (ComplexWaveform, _bins, _cached_fftfreq, _division,
+                       _runs, _spans, band_power)
 
 # ---------------------------------------------------------------------------
 # Parameter records
@@ -182,36 +182,6 @@ def thermal_tune(params: RingParams, target_freq: float) -> RingParams:
 # Microring modulator
 
 
-def _crop(n: int, window: range, band_edge: float | None,
-          step: float) -> tuple:
-    """The largest power of two ``d`` dividing ``n`` whose record of
-    ``n/d`` bins, centred on bin ``k0`` in the tone window, holds the
-    window plus twice the drives' ``band_edge`` on each side; ``(d, k0)``,
-    or ``(1, 0)`` when there is none or the edge is unknown."""
-    if band_edge is None:
-        return 1, 0
-    reach = int(np.ceil(2.0 * band_edge / step))
-    k0 = (window.start + window.stop) // 2
-    d = 1
-    while n % (2 * d) == 0:
-        lo, m = k0 - n // (4 * d), n // (2 * d)
-        if window.start - reach < lo or window.stop + reach > lo + m:
-            break
-        d *= 2
-    return (d, k0) if d > 1 else (1, 0)
-
-
-def _runs(bins: range, n: int, m: int, shift: int):
-    """Slice pairs that take each signed bin ``k`` of ``bins`` to index
-    ``k % n`` of one spectrum and ``(k - shift) % m`` of another."""
-    k = bins.start
-    while k < bins.stop:
-        i, j = k % n, (k - shift) % m
-        size = min(bins.stop - k, n - i, m - j)
-        yield slice(i, i + size), slice(j, j + size)
-        k += size
-
-
 def _line(spec: np.ndarray, window: range, m: int, k0: int) -> np.ndarray:
     """The window's bins of ``spec``, moved down by ``k0`` bins into a
     spectrum of ``m`` bins, as samples (written over that spectrum)."""
@@ -283,9 +253,14 @@ def _modulate(field: ComplexWaveform, params: RingParams, drives,
     window holds no power.
 
     ``drives`` cover the record and reach ``band_edge`` (None if
-    unknown): the line's inverse transform at ``1/d`` of the rate
-    (:func:`_crop`) meets the responses on every ``d``-th sample, and the
-    transform of the product fills its bins.
+    unknown).  The product is taken on ``n/d`` bins centred on bin ``k0``
+    mid-window, ``d`` the division of
+    :func:`~oansim.waveform._division` whose whole window holds the tone
+    window plus twice ``band_edge`` on each side, in whole bins (``d =
+    1`` and ``k0 = 0`` when there is none or the edge is unknown): the
+    line's inverse transform at ``1/d`` of the rate meets the responses on
+    every ``d``-th sample, and the transform of the product fills its
+    bins.
     """
     n = field.n
     spec = field.spectrum
@@ -297,7 +272,13 @@ def _modulate(field: ComplexWaveform, params: RingParams, drives,
     window, spans, p_res, f_tone = _tone(
         field, params.effective_resonance + np.mean(biases), window_hz)
     static = ptp == 0.0 or p_res <= 1e-15 * n**2 * field.power()
-    d, k0 = _crop(n, window, band_edge, field.sample_rate / n)
+    d, k0, step = 0, (window.start + window.stop) // 2, field.sample_rate / n
+    if band_edge is not None:
+        reach = int(np.ceil(2.0 * band_edge / step))
+        d = _division(n, step, k0, (window.start - reach) * step,
+                      (window.stop + reach - 1) * step, 1)
+    if d < 2:
+        d, k0 = 1, 0
 
     def weighted(weight, response, *args):
         out = response(*args)

@@ -62,8 +62,8 @@ from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                          smart_edge_overlay, solve_carrier_tap_filter,
                          subcarrier_spill)
 from .devices import IqMrmConfig, drop_filter, iq_mrm_ssb
-from .waveform import (ComplexWaveform, analytic, band_power, crop_window,
-                       from_if, if_spectrum, psd, scale_db)
+from .waveform import (ComplexWaveform, _division, analytic, band_power,
+                       crop_window, from_if, if_spectrum, psd, scale_db)
 
 # head-of-frame silence so inter-channel fiber walk-off (a few hundred ps
 # for +/-50 GHz channels over tens of km) cannot advance a preamble past
@@ -207,6 +207,12 @@ def _flag(val) -> bool:
     return val
 
 
+def _file_name(val):
+    if Path(str(val)).name != str(val):
+        raise ValueError(f"expected a bare file name, not {val!r}")
+    return val
+
+
 def _whole(val) -> int:
     num = float(val)
     if isinstance(val, bool) or not num.is_integer():
@@ -311,7 +317,8 @@ class ScenarioConfig:
     ``raw`` is the resolved YAML and the report's manifest.  The other
     attributes are its values, converted, and what the bursts need that
     does not depend on the burst seed: the plan, the signals, the fibers,
-    the network unit and the burst geometry.
+    the smart edge's rings and uplink drop, the network unit and the burst
+    geometry.
     """
     raw: dict
 
@@ -322,7 +329,7 @@ class ScenarioConfig:
             raise ConfigError(f"config missing required sections: {missing}")
         if type(raw["seed"]) is not int or raw["seed"] < 0:
             raise ConfigError("seed must be a whole number >= 0")
-        self.name = raw["name"]
+        self.name = _get(raw, "name", _file_name)
         self.seed = raw["seed"]
         self.style = raw["overlay_style"]
         if self.style not in ("subcarrier_tunnels", "adjacent_rf"):
@@ -420,13 +427,13 @@ class ScenarioConfig:
         # is demodulated over the digital uplink's band
         self.demux = FilterSpec(0.0, 0.9 * slot_width, 5,
                                 sided(self.uplink["digital"]))
+        # the smart edge's uplink drop, solved once
         self.intercept = None
         if self.edge_uplink is not None:
-            self.intercept = {
-                "band_offsets": sided(self.uplink[self.edge_uplink]),
-                "carrier_tap": _get(raw, "uplink.intercept_carrier_tap",
-                                    _fraction),
-                "order": _get(raw, "uplink.intercept_order", _order)}
+            self.intercept = solve_carrier_tap_filter(
+                *sided(self.uplink[self.edge_uplink]),
+                _get(raw, "uplink.intercept_carrier_tap", _fraction),
+                _get(raw, "uplink.intercept_order", _order))
 
         self.ring_kwargs = {key: _get(raw, f"devices.ring.{key}", convert)
                             for key, convert in (
@@ -437,8 +444,12 @@ class ScenarioConfig:
         self.drive_depth = _get(raw, "devices.drive_depth", _positive)
         self.rf_drive_depth = _get(raw, "devices.rf_drive_depth", _positive)
         self.subcarrier_clock_volt = _get(raw, "devices.subcarrier_clock_volt")
-        self.carrier_retain_fraction = _get(
-            raw, "devices.carrier_retain_fraction", _fraction)
+        # each channel's smart-edge rings, built once for the slot check
+        # and every burst's overlay
+        retain = _get(raw, "devices.carrier_retain_fraction", _fraction)
+        self.edge_rings = [overlay_rings(ch, len(self.payloads), retain,
+                                         self.ring_kwargs)
+                           for ch in self.plan.channels] if tunnels else []
         loss = (_get(raw, "spans.atten_db_per_km", _non_negative),
                 _get(raw, "spans.dispersion_ps_nm_km"))
         self.feeder, self.distribution = (
@@ -522,9 +533,7 @@ class ScenarioConfig:
         windows = [(ring, (3.0 + 2.0 * depth) * ring.fwhm)
                    for depth in depths[:2 if k == 0 else 1]]
         if self.style == "subcarrier_tunnels" and self.payloads:
-            gen, gen_window, rings = overlay_rings(
-                ch, len(self.payloads), self.carrier_retain_fraction,
-                self.ring_kwargs)
+            gen, gen_window, rings = self.edge_rings[k]
             windows += [(gen, gen_window), *rings]
             spans += [(gen.effective_resonance + f - gen_window,
                        gen.effective_resonance + f + gen_window, None)
@@ -536,9 +545,7 @@ class ScenarioConfig:
                   for r, w in windows]
         specs = [self.onu.broadband_filter, *self.onu.rof_filters]
         if k == 0 and self.intercept is not None:
-            specs.append(solve_carrier_tap_filter(
-                *self.intercept["band_offsets"], self.intercept["carrier_tap"],
-                self.intercept["order"]))
+            specs.append(self.intercept)
         if k == 0:
             specs.append(self.demux if self.plan.n_channels > 1 else None)
         n, fs, ref = self.n_burst, self.sample_rate, self.plan.ref_freq()
@@ -567,24 +574,18 @@ class ScenarioConfig:
     def _slot_division(self) -> int:
         """The largest power of two ``d`` dividing the burst's record whose
         slot records, ``n_burst / d`` samples at ``sample_rate / d``
-        centred on each carrier, hold every band of :meth:`_slot_spans`.
-        Each receiver's crop then takes the bins the plan's record would
-        give it, and what lands outside every slot record reaches none."""
-        n, fs = self.n_burst, self.sample_rate
+        centred on each carrier, hold every band of :meth:`_slot_spans`
+        (:func:`~oansim.waveform._division`), and no larger than any
+        band's ``most``.  Each receiver's crop then takes the bins the
+        plan's record would give it, and what lands outside every slot
+        record reaches none."""
+        n, df = self.n_burst, self.sample_rate / self.n_burst
         spans = [self._slot_spans(k) for k in range(self.plan.n_channels)]
-
-        def holds(d: int) -> bool:
-            m, df = n // d, fs / n
-            for ch, bands in zip(self.plan.channels, spans):
-                first = ch.center_freq - (m // 2) * df
-                last = ch.center_freq + ((m + 1) // 2 - 1) * df
-                if not all(first <= lo and hi <= last
-                           and (most is None or d <= most)
-                           for lo, hi, most in bands):
-                    return False
-            return True
-
-        if not holds(1):
+        d = min(min(_division(n, df, 0, lo - ch.center_freq,
+                              hi - ch.center_freq, 1), most or n)
+                for ch, bands in zip(self.plan.channels, spans)
+                for lo, hi, most in bands)
+        if not d:
             raise ConfigError(
                 "sample_rate: a slot record at the full rate does not hold "
                 "its channel's slot, tone windows, subcarriers and receiver "
@@ -599,9 +600,6 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"wdm.channel_offsets: channel {k}'s tone windows or "
                         f"receiver crops reach into channel {j}'s slot")
-        d = 1
-        while n % (2 * d) == 0 and holds(2 * d):
-            d *= 2
         return d
 
     def pd(self, seed: int) -> PdParams:
@@ -724,11 +722,10 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
     channel, or one composite analytic drive of the radio channels."""
     if cfg.style == "subcarrier_tunnels":
         return _stage("smart_edge_overlay", smart_edge_overlay, link,
-                      cfg.plan, drives, channel=k, spill=spill,
+                      cfg.plan, cfg.edge_rings, drives, channel=k,
+                      spill=spill,
                       subcarrier_clock_volt=cfg.subcarrier_clock_volt,
-                      carrier_retain_fraction=cfg.carrier_retain_fraction,
-                      drive_depth=cfg.rf_drive_depth,
-                      ring_kwargs=cfg.ring_kwargs)
+                      drive_depth=cfg.rf_drive_depth)
     # one composite radio drive, single-sideband below the carrier
     ring, window = cfg.rf_ring()
     drive = scale_drive_to_depth(drives[0], ring, cfg.rf_drive_depth)
@@ -801,9 +798,8 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     up_drive = launched[-1][2][0]
     spill = [None] * plan.n_channels
     if cfg.style == "subcarrier_tunnels" and cfg.payloads:
-        spill = subcarrier_spill(fields, plan, len(cfg.payloads),
-                                 cfg.subcarrier_clock_volt,
-                                 cfg.carrier_retain_fraction, cfg.ring_kwargs)
+        spill = subcarrier_spill(fields, plan, cfg.edge_rings,
+                                 cfg.subcarrier_clock_volt)
 
     def edge(k: int, link: ComplexWaveform, drives: list):
         link = _overlay(cfg, link, k, drives, spill[k])
@@ -821,6 +817,9 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     slots = sum(band_power(link, ch.center_freq - ch.slot_width / 2.0,
                            ch.center_freq + ch.slot_width / 2.0)
                 for (link, _), ch in zip(edged, plan.channels))
+    if not slots > 0.0:
+        raise SimulationError("the WDM slots reach the network units without "
+                              "power (see spans and amplifier)")
     gain_db = rx_power_dbm - 10.0 * np.log10(slots * 1e3)
     links = [scale_db(link, gain_db) for link, _ in edged]
     del edged
@@ -881,8 +880,8 @@ def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
     kind = cfg.edge_uplink
     if kind is not None:
         icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
-                       back, plan.channels[0], pd=cfg.pd(burst_seed + 300),
-                       **cfg.intercept)
+                       back, plan.channels[0], cfg.intercept,
+                       pd=cfg.pd(burst_seed + 300))
         reports.append(_detect(f"uplink_{kind}_demod", f"uplink:{kind}",
                                cfg.uplink[kind], icept.rof_electrical,
                                up_bits[kind]))

@@ -307,21 +307,20 @@ def overlay_rings(ch: WdmChannel, tunnels: int,
     return gen, gen_window, rings
 
 
-def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
-                       channel: int = 0, spill=None,
+def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
+                       rof_payloads, channel: int = 0, spill=None,
                        subcarrier_clock_volt: float = 0.4,
-                       carrier_retain_fraction: float = 0.6,
-                       drive_depth: float = 0.25,
-                       ring_kwargs: dict | None = None) -> ComplexWaveform:
+                       drive_depth: float = 0.25) -> ComplexWaveform:
     """Overlay analog radio tunnels on the slot of ``plan.channels[channel]``.
 
-    Per channel of the plan, in order: a clock-driven ring splits part of
-    the carrier into +/-f_s subcarriers (``carrier_retain_fraction`` of the
-    carrier power is left for the digital subband), then one slope-biased
-    ring per tunnel modulates the +f_s and -f_s subcarriers with the radio
-    payloads.  ``rof_payloads`` holds the slot's own channel's up to two
-    real electrical waveforms, already centered at their radio IF, as long
-    as the field; every channel has as many tunnels.  The other channels'
+    ``rings`` holds, per channel of the plan, its smart edge's rings as
+    :func:`overlay_rings` builds them (read only when there are payloads).
+    Per channel, in order: the clock-driven generator splits part of the
+    carrier into +/-f_s subcarriers, then one slope-biased ring per tunnel
+    modulates the +f_s and -f_s subcarriers with the radio payloads.
+    ``rof_payloads`` holds the slot's own channel's up to two real
+    electrical waveforms, already centered at their radio IF, as long as
+    the field; every channel has as many tunnels.  The other channels'
     rings act by their static responses, and after each other generator
     its lines in this slot, ``spill[j]`` of :func:`subcarrier_spill`, are
     added.
@@ -335,9 +334,7 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
             # undriven stages still cost bus insertion loss
             out = out.scaled(loss ** 3)
             continue
-        gen, gen_window, rings = overlay_rings(ch, len(rof_payloads),
-                                               carrier_retain_fraction,
-                                               ring_kwargs)
+        gen, gen_window, tunnels = rings[j]
         if j == channel:
             carrier_ok = band_power(
                 out, ch.center_freq - CARRIER_WINDOW_HZ,
@@ -355,7 +352,7 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
             if spill is not None and spill[j] is not None:
                 out = out.copy_with(spectrum=out.spectrum + spill[j])
         out = out.scaled(loss)
-        for (ring, window), payload in zip(rings, rof_payloads):
+        for (ring, window), payload in zip(tunnels, rof_payloads):
             if j == channel:
                 drive = scale_drive_to_depth(payload, ring, drive_depth)
                 out = apply_mrm(out, ring, drive, tone_window_hz=window)
@@ -365,29 +362,27 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rof_payloads,
     return out
 
 
-def subcarrier_spill(fields, plan: WdmPlan, tunnels: int,
-                     subcarrier_clock_volt: float = 0.4,
-                     carrier_retain_fraction: float = 0.6,
-                     ring_kwargs: dict | None = None) -> list:
+def subcarrier_spill(fields, plan: WdmPlan, rings,
+                     subcarrier_clock_volt: float = 0.4) -> list:
     """The lines each channel's clock generator lifts into the other slots.
 
     ``fields`` are the slot records, one per channel, as they enter the
-    smart edge.  Returns ``spill[k][j]``: the spectrum, on slot ``k``'s
-    bins, of the harmonics of channel ``j``'s generator that land in slot
-    ``k``'s record (None for ``j == k``), for
+    smart edge, and ``rings`` each channel's rings, as for
+    :func:`smart_edge_overlay`.  Returns ``spill[k][j]``: the spectrum, on
+    slot ``k``'s bins, of the harmonics of channel ``j``'s generator that
+    land in slot ``k``'s record (None for ``j == k``), for
     :func:`smart_edge_overlay`.  Each generator's input, its tone window
     cut from its slot (:func:`~oansim.waveform.crop_to_band`), first
     passes the earlier channels' rings by their static responses and
     gains their generators' lines, as in the overlay.
     """
-    edges = [overlay_rings(ch, tunnels, carrier_retain_fraction, ring_kwargs)
-             for ch in plan.channels]
     inputs = [crop_to_band(f, gen.effective_resonance - w,
                            gen.effective_resonance + w)
-              for f, (gen, w, _) in zip(fields, edges)]
+              for f, (gen, w, _) in zip(fields, rings)]
     loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
     spill = [[None] * plan.n_channels for _ in fields]
-    for j, (ch, (gen, window, rings)) in enumerate(zip(plan.channels, edges)):
+    for j, (ch, (gen, window, tunnels)) in enumerate(zip(plan.channels,
+                                                         rings)):
         lines = partial(subcarrier_lines, inputs[j], gen,
                         ch.rof_subcarrier_offset, subcarrier_clock_volt,
                         window)
@@ -397,7 +392,7 @@ def subcarrier_spill(fields, plan: WdmPlan, tunnels: int,
         for i in range(j + 1, plan.n_channels):
             x = undriven_mrm(inputs[i], gen)
             x = x.copy_with(spectrum=x.spectrum + lines(x)).scaled(loss)
-            for ring, _ in rings:
+            for ring, _ in tunnels:
                 x = undriven_mrm(x, ring).scaled(loss)
             inputs[i] = x
     return spill
@@ -445,14 +440,14 @@ class InterceptResult:
 
 
 def smart_edge_intercept_uplink(field_in: ComplexWaveform, ch: WdmChannel,
-                                band_offsets: tuple = (-3e9, -1e9),
-                                carrier_tap: float = 0.25, order: int = 4,
+                                spec: FilterSpec,
                                 pd: PdParams | None = None) -> InterceptResult:
     """Drop and detect the radio uplink subband of channel ``ch``.
 
-    The drop ring is solved so it passes the uplink band and taps
-    ``carrier_tap`` of the carrier for direct detection, leaving the rest
-    of the carrier and the digital uplink on the through path.
+    ``spec`` is the drop ring, solved (:func:`solve_carrier_tap_filter`)
+    so that it passes the uplink band and taps a share of the carrier for
+    direct detection, leaving the rest of the carrier and the digital
+    uplink on the through path.
     """
     slot_lo = ch.center_freq - ch.slot_width / 2.0
     slot_hi = ch.center_freq + ch.slot_width / 2.0
@@ -461,8 +456,6 @@ def smart_edge_intercept_uplink(field_in: ComplexWaveform, ch: WdmChannel,
             f"channel at {ch.center_freq/1e12:.4f} THz carries no power; "
             f"nothing to intercept"
         )
-    spec = solve_carrier_tap_filter(band_offsets[0], band_offsets[1],
-                                    carrier_tap, order)
     dropped, through = drop_filter(field_in, ch.center_freq + spec.center_offset,
                                    spec.bandwidth, spec.order)
     rof = detect_drop(dropped, ch.center_freq, spec, pd or PdParams())

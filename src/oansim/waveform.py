@@ -187,26 +187,46 @@ def set_power_dbm(wf: ComplexWaveform, target_dbm: float) -> ComplexWaveform:
     return scale_db(wf, target_dbm - wf.power_dbm())
 
 
-def crop_window(n: int, sample_rate: float, ref_freq: float, f_lo: float,
-                f_hi: float):
-    """``(d, k0)`` of :func:`crop_to_band` on a record of ``n`` samples:
-    the largest power of two ``d`` dividing ``n`` whose window of
-    ``n / (2 d)`` bins, centred on signed bin ``k0`` nearest the band's
-    middle, holds [f_lo, f_hi]; None when even half the record does not."""
-    df = sample_rate / n
-    k0 = int(round(((f_lo + f_hi) / 2.0 - ref_freq) / df))
-
+def _division(n: int, df: float, k0: int, f_lo: float, f_hi: float,
+              fill: int) -> int:
+    """The largest power of two ``d`` dividing ``n`` whose window of
+    ``n / (fill d)`` bins of ``df``, centred on bin ``k0``, holds [f_lo,
+    f_hi] (Hz from bin 0); 0 when none does."""
     def holds(d: int) -> bool:
-        w = n // (2 * d)
-        first = ref_freq + (k0 - w // 2) * df
-        return first <= f_lo and f_hi <= first + (w - 1) * df
+        w = n // (fill * d)
+        first = k0 - w // 2
+        return first * df <= f_lo and f_hi <= (first + w - 1) * df
 
     if not holds(1):
-        return None
+        return 0
     d = 1
     while n % (2 * d) == 0 and holds(2 * d):
         d *= 2
-    return d, k0
+    return d
+
+
+def _runs(bins: range, n: int, m: int, shift: int):
+    """Slice pairs that take each signed bin ``k`` of ``bins`` to index
+    ``k % n`` of one spectrum and ``(k - shift) % m`` of another."""
+    k = bins.start
+    while k < bins.stop:
+        i, j = k % n, (k - shift) % m
+        size = min(bins.stop - k, n - i, m - j)
+        yield slice(i, i + size), slice(j, j + size)
+        k += size
+
+
+def crop_window(n: int, sample_rate: float, ref_freq: float, f_lo: float,
+                f_hi: float):
+    """``(d, k0)`` of :func:`crop_to_band` on a record of ``n`` samples:
+    ``k0`` the signed bin nearest the band's middle and ``d`` the
+    division of :func:`_division` whose half window, ``n / (2 d)`` bins
+    centred on ``k0``, holds [f_lo, f_hi]; None when even half the record
+    does not."""
+    df = sample_rate / n
+    k0 = int(round(((f_lo + f_hi) / 2.0 - ref_freq) / df))
+    d = _division(n, df, k0, f_lo - ref_freq, f_hi - ref_freq, 2)
+    return (d, k0) if d else None
 
 
 def crop_to_band(wf: ComplexWaveform, f_lo: float,
@@ -227,9 +247,9 @@ def crop_to_band(wf: ComplexWaveform, f_lo: float,
         return wf.copy_with()
     (d, k0), n = found, wf.n
     m = n // d
-    offsets = np.arange(-(m // 4), m // 2 - m // 4)
     spec = np.zeros(m, dtype=np.complex128)
-    spec[offsets % m] = wf.spectrum[(k0 + offsets) % n] * (1.0 / d)
+    for i, j in _runs(range(k0 - m // 4, k0 - m // 4 + m // 2), n, m, k0):
+        np.multiply(wf.spectrum[i], 1.0 / d, out=spec[j])
     return wf.copy_with(spectrum=spec, sample_rate=wf.sample_rate / d,
                         ref_freq=wf.ref_freq + k0 * (wf.sample_rate / n))
 

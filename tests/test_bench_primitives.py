@@ -22,5 +22,5 @@ def test_bench_primitives_times_every_primitive(tmp_path):
     assert set(seconds) == {"apply_mrm", "drop_filter", "propagate_fiber",
                             "amplify_ase", "photodetect", "demodulate_ofdm",
                             "iq_drive", "real_drive", "receive", "iq_mrm_ssb",
-                            "generate_subcarriers"}
+                            "generate_subcarriers", "crop_to_band"}
     assert all(s is not None and s >= 0 for s in seconds.values())

@@ -7,7 +7,7 @@ import re
 import pytest
 import yaml
 
-from oansim.cli import main
+from oansim.cli import build_parser, main
 from oansim.errors import ConfigError
 from oansim.scenarios import builtin_config_path, load_config
 
@@ -182,6 +182,8 @@ NAN, INF = float("nan"), float("inf")
     ("mini", ["devices", "drive_depth"], INF, "devices.drive_depth"),
     ("mini", ["devices", "subcarrier_clock_volt"], INF,
      "devices.subcarrier_clock_volt"),
+    # the reports are written as <name>_metrics.json in the output folder
+    ("mini", ["name"], "a/b", "name"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):
@@ -210,6 +212,23 @@ def test_simulation_error_exits_3(tmp_path, capsys):
     p.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(p)]) == 3
     assert "simulation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("feeder_km, message", [
+    # the uplink's preamble drowns in the return loss
+    (3000.0, "preamble not found"),
+    # 200,000 dB of feeder loss leaves nothing at the network units
+    (1e6, "without power"),
+])
+def test_a_link_too_long_exits_3(feeder_km, message, tmp_path, capsys):
+    raw = copy.deepcopy(MINI)
+    raw["spans"] = dict(raw["spans"], feeder_km=feeder_km)
+    p = tmp_path / "long.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "simulation error" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_budget_builtin_example(tmp_path, capsys):
@@ -290,6 +309,19 @@ def test_devices_rejects_a_bad_sweep(flag, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_seed_is_an_option_of_run_and_sweep_only(tmp_path, capsys):
+    # the ring sweep draws no random numbers
+    with pytest.raises(SystemExit) as exc:
+        main(["devices", "--config", "scenario_a", "--out", str(tmp_path),
+              "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    parser = build_parser()
+    assert parser.parse_args(["run", "--config", "x", "--seed", "1"]).seed == 1
+    assert parser.parse_args(["sweep", "--config", "x", "--rx-power", "0",
+                              "--seed", "2"]).seed == 2
 
 
 def test_builtin_name_resolution(tmp_path):

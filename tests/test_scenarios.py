@@ -23,7 +23,6 @@ from oansim.metrics import DEFAULT_FEC_THRESHOLD, BerReport
 from oansim.ofdm import generate_ofdm
 from oansim.scenarios import (ScenarioConfig, builtin_config_path,
                               emit_reports, load_config, run_scenario)
-from oansim.subsystems import solve_carrier_tap_filter
 from oansim.waveform import ComplexWaveform, _if_bins, from_if
 
 MINI = {
@@ -260,6 +259,21 @@ def test_both_overlay_styles_run_reproducibly(name, signals):
         json.dumps(second, sort_keys=True)
 
 
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_bursts_reuse_the_smart_edge_built_at_load(name, monkeypatch):
+    """The smart edge's rings and its uplink drop filter are built once,
+    with the config: a burst builds neither again."""
+    cfg = _shipped_top(name)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("smart-edge geometry built during a burst")
+
+    monkeypatch.setattr(oansim.subsystems, "overlay_rings", refused)
+    monkeypatch.setattr(oansim.subsystems, "solve_carrier_tap_filter",
+                        refused)
+    assert run_scenario(cfg)["points"][0]["bursts"] == 1
+
+
 @pytest.mark.parametrize("name, n", [("scenario_a", 524_880),
                                      ("scenario_b", 262_440)])
 def test_burst_sizes_the_record(name, n, monkeypatch):
@@ -400,10 +414,7 @@ def _demodulated_bands(cfg):
     for spec, group in zip(cfg.onu.rof_filters, cfg.groups):
         bands[spec] = [cfg.payloads[k].edges() for k in group]
     if cfg.intercept is not None:
-        spec = solve_carrier_tap_filter(*cfg.intercept["band_offsets"],
-                                        cfg.intercept["carrier_tap"],
-                                        cfg.intercept["order"])
-        bands[spec] = [cfg.uplink[cfg.edge_uplink].edges()]
+        bands[cfg.intercept] = [cfg.uplink[cfg.edge_uplink].edges()]
     bands[cfg.demux] = [cfg.uplink["digital"].edges()]
     return bands
 

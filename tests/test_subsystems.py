@@ -13,8 +13,8 @@ from oansim.ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 import oansim.subsystems
 from oansim.subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                                detect_drop, olt_transmit, onu_receive,
-                               onu_remodulate, slope_biased_ring,
-                               smart_edge_intercept_uplink,
+                               onu_remodulate, overlay_rings,
+                               slope_biased_ring, smart_edge_intercept_uplink,
                                smart_edge_overlay, solve_carrier_tap_filter)
 from oansim.waveform import (ComplexWaveform, analytic, band_power, from_if,
                              if_spectrum)
@@ -217,7 +217,7 @@ def test_overlay_empty_payloads_only_insertion_loss():
     plan = single_plan()
     cfg = ofdm_cfg()
     (field,) = transmit(plan, cfg, [bits_for(cfg, 10)], drive_depth=0.12)
-    out = smart_edge_overlay(field, plan, [])
+    out = smart_edge_overlay(field, plan, [], [])
     assert field.power_dbm() - out.power_dbm() == pytest.approx(0.3, abs=0.02)
 
 
@@ -230,7 +230,8 @@ def test_overlay_creates_subcarriers():
                          seed=9)
     payload = payload_for(rof_cfg, bits_for(rof_cfg, 10, 5), f_if=3e9)
     payload = payload.scaled(0.1)
-    out = smart_edge_overlay(field, plan, [payload],
+    rings = [overlay_rings(ch, 1) for ch in plan.channels]
+    out = smart_edge_overlay(field, plan, rings, [payload],
                              subcarrier_clock_volt=1.2, drive_depth=0.25)
     up = band_power(out, F0 + 15e9, F0 + 25e9)
     dn = band_power(out, F0 - 25e9, F0 - 15e9)
@@ -244,7 +245,8 @@ def test_overlay_rejects_three_tunnels():
     cfg = ofdm_cfg()
     field = transmit(plan, cfg, [bits_for(cfg, 5)])[0]
     with pytest.raises(ConfigError):
-        smart_edge_overlay(field, plan, [field, field, field])
+        smart_edge_overlay(field, plan, [overlay_rings(plan.channels[0], 2)],
+                           [field, field, field])
 
 
 # ---------------------------------------------------------------- uplink
@@ -286,8 +288,9 @@ def test_intercept_returns_uplink_band():
     remod = onu_remodulate(res.residual, ocfg,
                            [drive_for(cfg, bits_for(cfg, 25, seed=7))])
     # uplink is on the upper sideband here, so intercept the upper band
+    spec = solve_carrier_tap_filter(1e9, 3e9, 0.25, order=4)
     result = smart_edge_intercept_uplink(remod.waveform, plan.channels[0],
-                                         band_offsets=(1e9, 3e9))
+                                         spec)
     assert result.rof_electrical.ref_freq == 0.0
     assert result.through.power() < remod.waveform.power()
 

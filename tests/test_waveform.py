@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy import signal as sig
 
 from oansim.errors import ConfigError
-from oansim.waveform import (ComplexWaveform, _bins, _if_bins, _spans,
-                             band_power, combine, crop_to_band, from_if,
-                             if_spectrum, psd, scale_db, set_power_dbm)
+from oansim.waveform import (ComplexWaveform, _bins, _division, _if_bins,
+                             _spans, band_power, combine, crop_to_band,
+                             from_if, if_spectrum, psd, scale_db,
+                             set_power_dbm)
 
 FS = 16e9
 
@@ -245,3 +246,28 @@ def test_cropped_window_holds_the_band(twos, odd, where, width):
         assert np.all(np.abs(out.baseband_freqs()[held]) <= FS / d / 4.0)
     # and a window half as wide would not surely hold the band
     assert not (n % (2 * d) == 0 and hi - lo <= (n // (4 * d) - 3) * df)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 3), st.integers(0, 2),
+       st.sampled_from([1, 2]), st.data())
+def test_division_is_the_largest_power_of_two_whose_window_holds(
+        twos, threes, fives, fill, data):
+    """Against a search over every power of two dividing ``n``, in exact
+    bin arithmetic, with band edges on bins and between them."""
+    n = 2**twos * 3**threes * 5**fives
+    df = 160e9 / n
+    k0 = data.draw(st.integers(-(n // 2), n // 2))
+    lo = k0 + data.draw(st.integers(-n // 2, n // 2))
+    hi = lo + data.draw(st.integers(0, n))
+    lo_frac, hi_frac = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]),
+                                          min_size=2, max_size=2))
+    want, d = 0, 1
+    while n % d == 0:
+        w = n // (fill * d)
+        first = k0 - w // 2
+        if first <= lo + lo_frac and hi + hi_frac <= first + w - 1:
+            want = d
+        d *= 2
+    assert _division(n, df, k0, (lo + lo_frac) * df, (hi + hi_frac) * df,
+                     fill) == want

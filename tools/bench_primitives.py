@@ -31,7 +31,9 @@ Primitives:
   depth 0.12 by the analytic drive of ``iq_drive``, which carries the
   band edge a pipeline drive of that signal carries;
 * ``receive``: the modem waveform read back from a photocurrent at half
-  the record's rate (``from_if``).
+  the record's rate (``from_if``);
+* ``crop_to_band``: a receiver's crop of the noise field to the carrier
+  and 15 GHz above it, which falls to a quarter of the rate.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ def primitives(n: int) -> dict:
         "amplify_ase": lambda: oansim.amplify_ase(noise, 4.0, 4.5, seed=2),
         "photodetect": lambda: oansim.photodetect(noise, pd),
         "demodulate_ofdm": lambda: oansim.demodulate_ofdm(ofdm, long),
+        "crop_to_band": lambda: waveform.crop_to_band(noise, F0, F0 + 15e9),
         "generate_subcarriers": lambda: oansim.generate_subcarriers(
             carrier, gen, 20e9, clock_amplitude_volt=1.2,
             tone_window_hz=F0 - gen.effective_resonance + 0.5e9),
