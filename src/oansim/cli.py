@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .budget import (FRONTHAUL_PRESETS, SERVICE_CATALOG, FronthaulSpec,
                      comp_feasibility, fronthaul_dimension, latency_budget,
                      power_budget)
 from .channel import FiberParams
-from .devices import RingParams, ring_response
+from .devices import ring_response
 from .errors import ConfigError, SimulationError
 from .scenarios import (ScenarioConfig, _flag, _get, _number, _whole,
                         builtin_config_path, emit_reports, load_config,
@@ -252,13 +253,12 @@ def _cmd_devices(args) -> int:
     if args.span is not None and not 0.0 < args.span < np.inf:
         raise ConfigError(f"--span must be finite and > 0, got {args.span}")
     cfg = load_config(_resolve_config_path(args.config))
-    kw = cfg.ring_kwargs
     center = cfg.center_freq
-    ring = RingParams(resonance_freq=center, fsr=kw["fsr"],
-                      self_coupling_t1=kw["coupling"],
-                      self_coupling_t2=kw["coupling"],
-                      roundtrip_amplitude_a=kw["amplitude"],
-                      mod_efficiency=kw["mod_efficiency"])
+    # channel 0's modulator ring, untuned and on the plan's centre, with
+    # a drop coupler like its bus coupler so that both ports are swept
+    ring = cfg.transmitters[0].ring
+    ring = replace(ring, resonance_freq=center, tuning_offset=0.0,
+                   self_coupling_t2=ring.self_coupling_t1)
     span = args.span if args.span is not None else 10.0 * ring.fwhm
     freqs = center + np.linspace(-span / 2, span / 2, args.points)
     through, drop = ring_response(ring, freqs)

@@ -232,10 +232,15 @@ def _ranged(convert, accept, expected: str):
 
 _fraction = _ranged(_number, lambda x: 0.0 < x < 1.0, "a fraction in (0, 1)")
 _unit = _ranged(_number, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
-_order = _ranged(_whole, lambda x: x >= 1, "a whole number >= 1")
+# an order counts the multiplies raising a filter's skirt u^(2 order) in
+# devices._drop_pair; 16 keeps u^32 finite, the shipped filters take 3-5
+_order = _ranged(_whole, lambda x: 1 <= x <= 16, "a whole number in [1, 16]")
 _count = _ranged(_whole, lambda x: x >= 0, "a whole number >= 0")
 _positive = _ranged(_number, lambda x: x > 0.0, "a number > 0")
 _non_negative = _ranged(_number, lambda x: x >= 0.0, "a number >= 0")
+# the config keys of a ring's linewidth, which sizes its tone windows
+_LINEWIDTH = ("devices.ring.fsr", "devices.ring.coupling",
+              "devices.ring.amplitude")
 
 
 def _is_partition(groups, n: int) -> bool:
@@ -316,9 +321,14 @@ class ScenarioConfig:
 
     ``raw`` is the resolved YAML and the report's manifest.  The other
     attributes are its values, converted, and what the bursts need that
-    does not depend on the burst seed: the plan, the signals, the fibers,
-    the smart edge's rings and uplink drop, the network unit and the burst
-    geometry.
+    does not depend on the burst seed, built once: the plan, the signals,
+    the fibers, the burst geometry and every device.  Per channel,
+    ``transmitters`` holds its central-office IQ modulator, ``edge_rings``
+    its smart-edge rings and their tone windows (tunnels) and ``onus`` its
+    network unit, whose remodulator shares the transmitter's ring;
+    ``rf_modulator`` is the radio channels' IQ modulator and its tone
+    window (``adjacent_rf``, else None); ``intercept`` and ``demux`` are
+    the uplink drops.
     """
     raw: dict
 
@@ -343,18 +353,23 @@ class ScenarioConfig:
         self.fec_threshold = _get(raw, "fec_threshold", _fraction)
         self.output = _get(raw, "output", str)
 
-        slot = [_get(raw, f"wdm.{key}") for key in
-                ("slot_width", "digital_subband", "rof_subcarrier_offset")]
+        keys = [f"wdm.{key}" for key in ("channel_offsets", "slot_width",
+                                         "digital_subband", "rof_subcarrier_offset")]
+        offsets = _get(raw, keys[0], _floats)
+        slot = [_get(raw, key, _positive) for key in keys[1:]]
         slot_width, subband, f_s = slot
-        offsets = _get(raw, "wdm.channel_offsets", _floats)
-        self.plan = WdmPlan([WdmChannel(self.center_freq + off, *slot)
-                             for off in offsets])
+        try:
+            self.plan = WdmPlan([WdmChannel(self.center_freq + off, *slot)
+                                 for off in offsets])
+        except ConfigError as exc:
+            raise ConfigError(f"{', '.join(keys)}: {exc}") from None
         if not tunnels and self.plan.n_channels != 1:
             raise ConfigError("wdm.channel_offsets: adjacent_rf expects a "
                               "single WDM channel")
         if max(offsets) - min(offsets) + slot_width > self.sample_rate:
-            raise ConfigError("wdm.channel_offsets: the simulation bandwidth "
-                              "(sample_rate) does not cover the plan")
+            raise ConfigError("wdm.channel_offsets, wdm.slot_width: the "
+                              "simulation bandwidth (sample_rate) does not "
+                              "cover the plan")
 
         # burst window: the record that holds burst_symbols digital symbols,
         # rounded up to a power of two so that the whole-record FFTs along
@@ -383,7 +398,7 @@ class ScenarioConfig:
                 > subband / 2.0):
             raise ConfigError("digital.if_freq: the digital payload does not "
                               "fit in the digital subband")
-        self.digital_sideband = _get(raw, "digital.sideband", _sideband)
+        digital_sideband = _get(raw, "digital.sideband", _sideband)
         key, seed_offset = ("tunnels", 10) if tunnels else ("rf_channels", 30)
         self.payloads = [signal(f"{key}.{i}", seed_offset + i)
                          for i in range(len(_get(raw, key, list)))]
@@ -417,11 +432,11 @@ class ScenarioConfig:
             self.uplink["rof"] = signal("uplink.rof", 3)
         self.edge_uplink = ("rof" if "rof" in self.uplink
                             else None if tunnels else "digital")
-        lower = _get(raw, "uplink.sideband", _sideband) == "lower"
+        uplink_sideband = _get(raw, "uplink.sideband", _sideband)
 
         def sided(sig: _Signal) -> tuple:  # carrier offsets of its band
             lo, hi = sig.edges()
-            return (-hi, -lo) if lower else (lo, hi)
+            return (-hi, -lo) if uplink_sideband == "lower" else (lo, hi)
 
         # the central office's demux passes the returning channel; its drop
         # is demodulated over the digital uplink's band
@@ -435,20 +450,30 @@ class ScenarioConfig:
                 _get(raw, "uplink.intercept_carrier_tap", _fraction),
                 _get(raw, "uplink.intercept_order", _order))
 
-        self.ring_kwargs = {key: _get(raw, f"devices.ring.{key}", convert)
-                            for key, convert in (
-                                ("fsr", _positive), ("coupling", _unit),
-                                ("amplitude", _unit),
-                                ("mod_efficiency", _positive))}
+        ring = {key: _get(raw, f"devices.ring.{key}", convert)
+                for key, convert in (("fsr", _positive), ("coupling", _unit),
+                                     ("amplitude", _unit),
+                                     ("mod_efficiency", _positive))}
         self.tx_power_dbm = _get(raw, "devices.tx_power_dbm")
         self.drive_depth = _get(raw, "devices.drive_depth", _positive)
         self.rf_drive_depth = _get(raw, "devices.rf_drive_depth", _positive)
         self.subcarrier_clock_volt = _get(raw, "devices.subcarrier_clock_volt")
-        # each channel's smart-edge rings, built once for the slot check
-        # and every burst's overlay
+        # every device is built here once, for the slot check and every
+        # burst: each channel's modulator ring, under its transmitter and
+        # its network unit's remodulator
+        rings = [slope_biased_ring(ch.center_freq, **ring)
+                 for ch in self.plan.channels]
+        self.transmitters = [IqMrmConfig(r, sideband=digital_sideband)
+                             for r in rings]
+        # the radio channels' ring, like channel 0's; its tone window covers
+        # the carrier but stops short of the broadband subband
+        self.rf_modulator = None if tunnels else (
+            IqMrmConfig(rings[0], sideband="lower"),
+            self.plan.channels[0].center_freq - rings[0].effective_resonance
+            + 0.5 * self.digital.edges()[0])
         retain = _get(raw, "devices.carrier_retain_fraction", _fraction)
         self.edge_rings = [overlay_rings(ch, len(self.payloads), retain,
-                                         self.ring_kwargs)
+                                         **ring)
                            for ch in self.plan.channels] if tunnels else []
         loss = (_get(raw, "spans.atten_db_per_km", _non_negative),
                 _get(raw, "spans.dispersion_ps_nm_km"))
@@ -459,7 +484,8 @@ class ScenarioConfig:
         if raw["amplifier"]:
             self.amplifier = (_get(raw, "amplifier.gain_db", _non_negative),
                               _get(raw, "amplifier.nf_db"))
-        self.onu = self._read_onu()
+        self.onus = self._read_onus(
+            [IqMrmConfig(r, sideband=uplink_sideband) for r in rings])
         # the burst's record: n_record, grown to hold the walk-off guard
         # and the digital drive at an FFT-friendly length (both cut shipped
         # configs grow); it is carried as one slot record per channel
@@ -475,16 +501,15 @@ class ScenarioConfig:
         self.top_bits = _get(raw, "sweep.top_bits", _count)
         self.full_bits = _get(raw, "sweep.full_bits", _count)
 
-    def _read_onu(self) -> OnuConfig:
-        """The network unit on channel 0.  Its filters sit relative to the
-        carrier, so :meth:`onu_at` parks it on any channel."""
+    def _read_onus(self, remodulators: list) -> list:
+        """Each channel's network unit with its remodulator: the same
+        filters, which sit relative to the carrier."""
         raw = self.raw
-        ch = self.plan.channels[0]
+        f_s = self.plan.channels[0].rof_subcarrier_offset
         order = _get(raw, "onu.rof_filter_order", _order)
         if self.style == "subcarrier_tunnels":
             bandwidth = _get(raw, "onu.rof_filter_bandwidth", _positive)
-            filters = [FilterSpec(sign * ch.rof_subcarrier_offset, bandwidth,
-                                  order)
+            filters = [FilterSpec(sign * f_s, bandwidth, order)
                        for sign in (+1.0, -1.0)[:len(self.payloads)]]
         else:
             # the radio groups ride the lower sideband next to the carrier
@@ -496,80 +521,79 @@ class ScenarioConfig:
             filters = [solve_carrier_tap_filter(-max(e), -min(e), tap, order)
                        for e in edges]
         lo, hi = self.digital.edges()
-        if self.digital_sideband == "lower":
+        if self.transmitters[0].sideband == "lower":
             lo, hi = -hi, -lo
-        return OnuConfig(
-            channel_center=ch.center_freq,
+        unit = dict(
             broadband_filter=solve_carrier_tap_filter(
                 lo, hi, _get(raw, "onu.carrier_tap_fraction", _fraction),
                 _get(raw, "onu.broadband_order", _order),
                 _get(raw, "onu.broadband_passband_fraction", _fraction)),
             rof_filters=tuple(filters),
-            uplink_sideband=_get(raw, "uplink.sideband", _sideband),
             uplink_drive_depth=_get(raw, "uplink.drive_depth", _positive),
-            slot_width=ch.slot_width,
             min_residual_carrier_dbm=_get(raw, "onu.min_residual_carrier_dbm"),
             pd=PdParams(responsivity=_get(raw, "onu.pd.responsivity",
                                           _positive),
                         thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd",
                                                _non_negative),
-                        include_shot=_get(raw, "onu.pd.include_shot", _flag)),
-            ring_kwargs=self.ring_kwargs)
+                        include_shot=_get(raw, "onu.pd.include_shot", _flag)))
+        return [OnuConfig(channel=c, modulator=m, **unit)
+                for c, m in zip(self.plan.channels, remodulators)]
 
     def _slot_spans(self, k: int) -> list:
-        """The absolute bands ``(lo, hi, most)`` channel ``k``'s slot
+        """The absolute bands ``(lo, hi, most, keys)`` channel ``k``'s slot
         record must hold, each with the largest slot division it allows
-        (None for any): the slot, the tone window of each of its rings (an
-        IQ modulator's at 3 linewidths plus twice its depth), the
-        generator's window lifted to each subcarrier, and the crop window
-        each of its receivers takes on the plan's record at
-        ``sample_rate``, whose division it must not undercut (the whole
-        record for a single channel's central office)."""
-        ch = self.plan.channels[k]
-        f_c, half = ch.center_freq, ch.slot_width / 2.0
-        spans = [(f_c - half, f_c + half, None)]
-        ring = slope_biased_ring(f_c, **self.ring_kwargs)
-        depths = (self.drive_depth, self.onu.uplink_drive_depth)
-        windows = [(ring, (3.0 + 2.0 * depth) * ring.fwhm)
-                   for depth in depths[:2 if k == 0 else 1]]
+        (None for any) and the config keys that size it: the slot, the tone
+        window of each of its rings (an IQ modulator's at 3 linewidths plus
+        twice its depth), the generator's window lifted to each subcarrier,
+        and the crop window each of its receivers takes on the plan's
+        record at ``sample_rate``, whose division it must not undercut (the
+        whole record for a single channel's central office)."""
+        ch, onu = self.plan.channels[k], self.onus[k]
+        f_c, f_s = ch.center_freq, ch.rof_subcarrier_offset
+        spans = [(*ch.slot_edges, None, ("wdm.slot_width",))]
+        windows = [(m.ring, (3.0 + 2.0 * depth) * m.ring.fwhm, (key,))
+                   for m, depth, key in [
+                       (self.transmitters[k], self.drive_depth,
+                        "devices.drive_depth"),
+                       (onu.modulator, onu.uplink_drive_depth,
+                        "uplink.drive_depth")][:2 if k == 0 else 1]]
         if self.style == "subcarrier_tunnels" and self.payloads:
             gen, gen_window, rings = self.edge_rings[k]
-            windows += [(gen, gen_window), *rings]
+            retain = ("devices.carrier_retain_fraction",)
+            windows += [(gen, gen_window, retain), *(
+                (r, w, ("wdm.rof_subcarrier_offset", "wdm.digital_subband"))
+                for r, w in rings)]
             spans += [(gen.effective_resonance + f - gen_window,
-                       gen.effective_resonance + f + gen_window, None)
-                      for f in (-ch.rof_subcarrier_offset,
-                                ch.rof_subcarrier_offset)]
+                       gen.effective_resonance + f + gen_window, None,
+                       ("wdm.rof_subcarrier_offset", *retain, *_LINEWIDTH))
+                      for f in (-f_s, f_s)]
         elif self.style == "adjacent_rf":
-            windows.append(self.rf_ring())
-        spans += [(r.effective_resonance - w, r.effective_resonance + w, None)
-                  for r, w in windows]
-        specs = [self.onu.broadband_filter, *self.onu.rof_filters]
+            windows.append((self.rf_modulator[0].ring, self.rf_modulator[1],
+                            ("digital.if_freq",)))
+        spans += [(r.effective_resonance - w, r.effective_resonance + w, None,
+                   keys + _LINEWIDTH) for r, w, keys in windows]
+        rof = ("onu.rof_filter_bandwidth" if self.style == "subcarrier_tunnels"
+               else "onu.rof_carrier_tap_db", "onu.rof_filter_order")
+        receivers = [(onu.broadband_filter, ("onu.carrier_tap_fraction",
+                                             "onu.broadband_order",
+                                             "onu.broadband_passband_fraction")),
+                     *((spec, rof) for spec in onu.rof_filters)]
         if k == 0 and self.intercept is not None:
-            specs.append(self.intercept)
+            receivers.append((self.intercept, ("uplink.intercept_carrier_tap",
+                                               "uplink.intercept_order")))
         if k == 0:
-            specs.append(self.demux if self.plan.n_channels > 1 else None)
+            receivers.append((self.demux if self.plan.n_channels > 1
+                              else None, ("wdm.channel_offsets",)))
         n, fs, ref = self.n_burst, self.sample_rate, self.plan.ref_freq()
-        for spec in specs:
+        for spec, keys in receivers:
             lo, hi = (f_c, f_c) if spec is None else detect_band(f_c, spec)
             found = None if spec is None else crop_window(n, fs, ref, lo, hi)
-            if found is None:
-                spans.append((lo, hi, 1))
-                continue
-            (d, k0), w = found, n // (2 * found[0])
-            lo = ref + (k0 - w // 2) * fs / n
-            spans.append((lo, lo + (w - 1) * fs / n, d))
+            if found is not None:
+                (most, k0), w = found, n // (2 * found[0])
+                lo = ref + (k0 - w // 2) * fs / n
+                hi = lo + (w - 1) * fs / n
+            spans.append((lo, hi, 1 if found is None else most, keys))
         return spans
-
-    def rf_ring(self) -> tuple:
-        """The ring that modulates the ``adjacent_rf`` radio channels onto
-        channel 0, and the half-width of its tone window: it covers the
-        carrier (slope_fraction linewidths above the biased resonance) but
-        stops short of the broadband subband, which must see only the
-        static through response."""
-        f_c = self.plan.channels[0].center_freq
-        ring = slope_biased_ring(f_c, **self.ring_kwargs)
-        slope_off = f_c - ring.effective_resonance
-        return ring, slope_off + 0.5 * self.digital.edges()[0]
 
     def _slot_division(self) -> int:
         """The largest power of two ``d`` dividing the burst's record whose
@@ -581,34 +605,36 @@ class ScenarioConfig:
         record reaches none."""
         n, df = self.n_burst, self.sample_rate / self.n_burst
         spans = [self._slot_spans(k) for k in range(self.plan.n_channels)]
-        d = min(min(_division(n, df, 0, lo - ch.center_freq,
-                              hi - ch.center_freq, 1), most or n)
+        held = [(_division(n, df, 0, lo - ch.center_freq, hi - ch.center_freq,
+                           1), most, keys)
                 for ch, bands in zip(self.plan.channels, spans)
-                for lo, hi, most in bands)
-        if not d:
+                for lo, hi, most, keys in bands]
+        unheld = sorted({key for d, _, keys in held if not d for key in keys})
+        if unheld:
             raise ConfigError(
-                "sample_rate: a slot record at the full rate does not hold "
-                "its channel's slot, tone windows, subcarriers and receiver "
-                "crops (see wdm.channel_offsets and wdm.slot_width)")
+                f"{', '.join(unheld)}: a slot record at the full rate "
+                f"(sample_rate) does not hold the tone windows, subcarriers or "
+                f"receiver crops these size")
         # a slot record leaves the other channels out, so none of its
         # tone windows or crops may reach into another channel's slot
         for k, bands in enumerate(spans):
             for j, other in enumerate(self.plan.channels):
-                lo = other.center_freq - other.slot_width / 2.0
-                hi = other.center_freq + other.slot_width / 2.0
-                if j != k and any(a < hi and b > lo for a, b, _ in bands):
+                lo, hi = other.slot_edges
+                reach = sorted({key for a, b, _, keys in bands
+                                if a < hi and b > lo for key in keys})
+                if j != k and reach:
                     raise ConfigError(
                         f"wdm.channel_offsets: channel {k}'s tone windows or "
-                        f"receiver crops reach into channel {j}'s slot")
-        return d
+                        f"receiver crops, sized by {', '.join(reach)}, reach "
+                        f"into channel {j}'s slot")
+        return min(min(d, most or n) for d, most, _ in held)
 
     def pd(self, seed: int) -> PdParams:
-        return replace(self.onu.pd, seed=seed)
+        return replace(self.onus[0].pd, seed=seed)
 
-    def onu_at(self, channel_center: float, seed: int) -> OnuConfig:
-        """The network unit parked on a channel, with its detector seed."""
-        return replace(self.onu, channel_center=channel_center,
-                       pd=self.pd(seed))
+    def onu_at(self, k: int, seed: int) -> OnuConfig:
+        """Channel ``k``'s network unit, with its detector seed."""
+        return replace(self.onus[k], pd=self.pd(seed))
 
     def with_seed(self, seed: int) -> ScenarioConfig:
         """The same scenario under another seed."""
@@ -727,10 +753,9 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
                       subcarrier_clock_volt=cfg.subcarrier_clock_volt,
                       drive_depth=cfg.rf_drive_depth)
     # one composite radio drive, single-sideband below the carrier
-    ring, window = cfg.rf_ring()
-    drive = scale_drive_to_depth(drives[0], ring, cfg.rf_drive_depth)
-    return _stage("smart_edge_overlay", iq_mrm_ssb, link,
-                  IqMrmConfig(ring, sideband="lower"), drive,
+    modulator, window = cfg.rf_modulator
+    drive = scale_drive_to_depth(drives[0], modulator.ring, cfg.rf_drive_depth)
+    return _stage("smart_edge_overlay", iq_mrm_ssb, link, modulator, drive,
                   tone_window_hz=window)
 
 
@@ -783,10 +808,9 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         made = fork(partial(_analytic_drive, [(dig, dig_bits[k])], n, rate,
                             guard), *payload, *uplink)
         tx = _stage("olt_transmit", olt_transmit, plan, made[0], k,
+                    modulators=cfg.transmitters,
                     power_per_tone_dbm=cfg.tx_power_dbm,
-                    sideband=cfg.digital_sideband,
-                    drive_depth=cfg.drive_depth,
-                    ring_kwargs=cfg.ring_kwargs)
+                    drive_depth=cfg.drive_depth)
         link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder, centre)
         if cfg.amplifier is not None:
             link = _stage("amplifier", amplify_ase, link, *cfg.amplifier,
@@ -814,8 +838,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     spectrum = _spectrum([wf for _, wf in edged]) if want_spectrum else None
     # the received power is that of the WDM slots: what the records hold
     # between and past them (ASE, far clock harmonics) is left out
-    slots = sum(band_power(link, ch.center_freq - ch.slot_width / 2.0,
-                           ch.center_freq + ch.slot_width / 2.0)
+    slots = sum(band_power(link, *ch.slot_edges)
                 for (link, _), ch in zip(edged, plan.channels))
     if not slots > 0.0:
         raise SimulationError("the WDM slots reach the network units without "
@@ -839,14 +862,12 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         """Slot ``k``'s network unit; channel 0's remodulates its residual
         carrier with the uplink drive, the digital signal and the radio
         one if any, and every other one demodulates its downlink."""
-        unit = _stage("onu_receive", onu_receive, link,
-                      cfg.onu_at(plan.channels[k].center_freq,
-                                 burst_seed + 100 + k))
+        onu = cfg.onu_at(k, burst_seed + 100 + k)
+        unit = _stage("onu_receive", onu_receive, link, onu)
         if k:
             return fork(*demods(k, unit))
         return unit, _stage("onu_remodulate", onu_remodulate, unit.residual,
-                            cfg.onu_at(plan.channels[0].center_freq,
-                                       burst_seed + 100), [up_drive])
+                            onu, [up_drive])
 
     (res, rem), *received = fork(*(partial(receive, k, link)
                                    for k, link in enumerate(links)))

@@ -45,6 +45,7 @@ from .waveform import ComplexWaveform, band_power, combine, crop_to_band
 
 #: Per-device passband insertion loss along an add/drop bus (dB).
 BUS_LOSS_DB_PER_STAGE = 0.1
+_BUS_GAIN = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
 
 #: Half-width of the spectral window treated as "the carrier" (Hz).
 CARRIER_WINDOW_HZ = 0.5e9
@@ -75,6 +76,12 @@ class WdmChannel:
                 "edge and the slot edge"
             )
 
+    @property
+    def slot_edges(self) -> tuple:
+        """The slot's lowest and highest absolute frequency (Hz)."""
+        return (self.center_freq - self.slot_width / 2.0,
+                self.center_freq + self.slot_width / 2.0)
+
 
 @dataclass
 class WdmPlan:
@@ -83,9 +90,7 @@ class WdmPlan:
     def __post_init__(self):
         if not self.channels:
             raise ConfigError("plan needs at least one channel")
-        spans = sorted((c.center_freq - c.slot_width / 2.0,
-                        c.center_freq + c.slot_width / 2.0)
-                       for c in self.channels)
+        spans = sorted(c.slot_edges for c in self.channels)
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             if lo < hi:
                 raise ConfigError("WDM slots overlap")
@@ -184,92 +189,73 @@ def solve_carrier_tap_filter(band_lo: float, band_hi: float, tap: float,
 
 @dataclass
 class OnuConfig:
-    channel_center: float
+    """The network unit on ``channel``: its drop filters, relative to the
+    carrier, and ``modulator``, which puts the uplink on its sideband."""
+    channel: WdmChannel
     broadband_filter: FilterSpec
+    modulator: IqMrmConfig
     rof_filters: tuple = ()
-    uplink_sideband: str = "upper"
     uplink_drive_depth: float = 0.2
-    slot_width: float = 50e9
     min_residual_carrier_dbm: float = -35.0
     pd: PdParams = field(default_factory=PdParams)
-    ring_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.uplink_sideband not in ("upper", "lower"):
-            raise ConfigError("uplink_sideband must be 'upper' or 'lower'")
-        half = self.slot_width / 2.0
         for spec in (self.broadband_filter, *self.rof_filters):
-            if abs(spec.center_offset) + spec.bandwidth / 2.0 > half:
+            if abs(spec.center_offset) + spec.bandwidth / 2.0 \
+                    > self.channel.slot_width / 2.0:
                 raise ConfigError(
                     f"filter at offset {spec.center_offset/1e9:+.2f} GHz "
-                    f"extends beyond the ONU slot"
-                )
-        self._validate_extinction()
-
-    def _validate_extinction(self):
-        """Downlink suppression on the bus must support the uplink ratio.
-
-        Each dropped downlink signal leaks through its filter's complement;
-        the worst leakage over the central half of each drop band must sit
-        below the uplink target with margin, otherwise residual downlink
-        power would mask the remodulated uplink.
-        """
-        required = UPLINK_RATIO_TARGET_DB
-        for spec in (self.broadband_filter, *self.rof_filters):
-            u_edge = 0.5  # signal assumed concentrated in the central half
-            leak = 1.0 - 1.0 / (1.0 + u_edge ** (2 * spec.order))
-            suppression_db = -10.0 * np.log10(leak)
-            if suppression_db < required:
+                    f"extends beyond the ONU slot")
+            # downlink left on the bus masks the uplink: a signal in its band's
+            # central half leaks by at most 1 / (1 + 4^order), at u = 1/2
+            suppression_db = 10.0 * (spec.order * np.log10(4.0)
+                                     + np.log10(1.0 + 0.25 ** spec.order))
+            if suppression_db < UPLINK_RATIO_TARGET_DB:
                 raise ConfigError(
                     f"drop filter at {spec.center_offset/1e9:+.2f} GHz "
                     f"(order {spec.order}) suppresses the downlink by only "
                     f"{suppression_db:.1f} dB; uplink target is "
-                    f"{required:.1f} dB"
-                )
+                    f"{UPLINK_RATIO_TARGET_DB:.1f} dB")
 
 
 # ---------------------------------------------------------------------------
 # Central office
 
 
-def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int = 0,
-                 power_per_tone_dbm: float = 0.0, sideband: str = "upper",
-                 drive_depth: float = 0.25,
-                 ring_kwargs: dict | None = None) -> ComplexWaveform:
+def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
+                 modulators, power_per_tone_dbm: float = 0.0,
+                 drive_depth: float = 0.25) -> ComplexWaveform:
     """The central office's output in the slot of ``plan.channels[channel]``.
 
     The slot record is the grid of ``drive``, centred on the channel's
     carrier: its comb line sits on bin 0.  ``drive`` is the channel's
     analytic electrical drive (see :func:`~oansim.devices.iq_mrm_ssb`) at
-    its IF; it is scaled to ``drive_depth`` and placed single-sideband next
-    to the carrier.  Every other channel's IQ modulator acts on the slot
-    by its static response (:func:`~oansim.devices.undriven_mrm`), in the
-    order of the plan.  Returns the slot's field, of the drive's length.
+    its IF; it is scaled to ``drive_depth`` and placed next to the carrier
+    on the sideband of the channel's IQ modulator in ``modulators``, which
+    holds one per channel of the plan.  Every other channel's modulator
+    acts on the slot by its static response
+    (:func:`~oansim.devices.undriven_mrm`), in the order of the plan.
+    Returns the slot's field, of the drive's length.
     """
-    if not 0 <= channel < plan.n_channels:
+    if not 0 <= channel < plan.n_channels == len(modulators):
         raise ConfigError(
             f"a drive for channel {channel} of a {plan.n_channels}-channel "
-            f"plan")
+            f"plan with {len(modulators)} modulators")
     ch = plan.channels[channel]
     if ch.slot_width > drive.sample_rate:
         raise ConfigError("the slot record does not hold the slot")
-    ring_kwargs = ring_kwargs or {}
     n = drive.n
     comb = np.zeros(n, dtype=np.complex128)
     comb[0] = np.sqrt(10.0 ** (power_per_tone_dbm / 10.0) * 1e-3) * n
     out = ComplexWaveform(None, drive.sample_rate, ref_freq=ch.center_freq,
                           spectrum=comb)
-    loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
-    for j, other in enumerate(plan.channels):
-        config = IqMrmConfig(slope_biased_ring(other.center_freq,
-                                               **ring_kwargs),
-                             sideband=sideband)
+    for j, config in enumerate(modulators):
         if j == channel:
             out = iq_mrm_ssb(out, config, scale_drive_to_depth(
                 drive, config.ring, drive_depth))
         else:
             out = undriven_mrm(out, config.ring, sum(config.weights))
-        out = out.scaled(loss)
+        out = out.scaled(_BUS_GAIN)
     return out
 
 
@@ -278,32 +264,31 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int = 0,
 
 
 def overlay_rings(ch: WdmChannel, tunnels: int,
-                  carrier_retain_fraction: float = 0.6,
-                  ring_kwargs: dict | None = None) -> tuple:
+                  carrier_retain_fraction: float = 0.6, **ring) -> tuple:
     """The smart edge's rings on channel ``ch`` with ``tunnels`` radio
     tunnels, each with the half-width of its tone window around its
     resonance: the clock-driven generator, biased off the null so that
     ``carrier_retain_fraction`` of the carrier survives for the digital
     subband, and one slope-biased ring per tunnel on the +f_s, then the
-    -f_s subcarrier.  Returns ``(generator, window, [(ring, window)])``.
-    """
-    ring_kwargs = ring_kwargs or {}
+    -f_s subcarrier, each of the ``ring`` values of
+    :func:`slope_biased_ring`.  Returns ``(generator, window, [(ring,
+    window)])``."""
     f_s = ch.rof_subcarrier_offset
     gen = slope_biased_ring(ch.center_freq,
                             slope_fraction=_null_offset_fraction(
                                 carrier_retain_fraction),
-                            **ring_kwargs)
+                            **ring)
     # quasi-static window: just the carrier line; anything wider would
     # pull the digital subband into the time-varying path
     gen_window = ch.center_freq - gen.effective_resonance + CARRIER_WINDOW_HZ
     gap = f_s - ch.digital_subband / 2.0
     rings = []
     for sign in (+1.0, -1.0)[:tunnels]:
-        ring = slope_biased_ring(ch.center_freq + sign * f_s, **ring_kwargs)
+        tuned = slope_biased_ring(ch.center_freq + sign * f_s, **ring)
         # cover the subcarrier line but stay clear of the digital subband
         # edge on the carrier side
-        ring_off = abs(ch.center_freq + sign * f_s - ring.effective_resonance)
-        rings.append((ring, ring_off + 0.5 * (gap - ring_off)))
+        ring_off = abs(ch.center_freq + sign * f_s - tuned.effective_resonance)
+        rings.append((tuned, ring_off + 0.5 * (gap - ring_off)))
     return gen, gen_window, rings
 
 
@@ -328,11 +313,10 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
     if len(rof_payloads) > 2:
         raise ConfigError("at most two radio tunnels per channel")
     out = field_in
-    loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
     for j, ch in enumerate(plan.channels):
         if not rof_payloads:
             # undriven stages still cost bus insertion loss
-            out = out.scaled(loss ** 3)
+            out = out.scaled(_BUS_GAIN ** 3)
             continue
         gen, gen_window, tunnels = rings[j]
         if j == channel:
@@ -351,14 +335,14 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
             out = undriven_mrm(out, gen)
             if spill is not None and spill[j] is not None:
                 out = out.copy_with(spectrum=out.spectrum + spill[j])
-        out = out.scaled(loss)
+        out = out.scaled(_BUS_GAIN)
         for (ring, window), payload in zip(tunnels, rof_payloads):
             if j == channel:
                 drive = scale_drive_to_depth(payload, ring, drive_depth)
                 out = apply_mrm(out, ring, drive, tone_window_hz=window)
             else:
                 out = undriven_mrm(out, ring)
-            out = out.scaled(loss)
+            out = out.scaled(_BUS_GAIN)
     return out
 
 
@@ -379,7 +363,6 @@ def subcarrier_spill(fields, plan: WdmPlan, rings,
     inputs = [crop_to_band(f, gen.effective_resonance - w,
                            gen.effective_resonance + w)
               for f, (gen, w, _) in zip(fields, rings)]
-    loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
     spill = [[None] * plan.n_channels for _ in fields]
     for j, (ch, (gen, window, tunnels)) in enumerate(zip(plan.channels,
                                                          rings)):
@@ -391,9 +374,9 @@ def subcarrier_spill(fields, plan: WdmPlan, rings,
                 spill[k][j] = lines(field)
         for i in range(j + 1, plan.n_channels):
             x = undriven_mrm(inputs[i], gen)
-            x = x.copy_with(spectrum=x.spectrum + lines(x)).scaled(loss)
+            x = x.copy_with(spectrum=x.spectrum + lines(x)).scaled(_BUS_GAIN)
             for ring, _ in tunnels:
-                x = undriven_mrm(x, ring).scaled(loss)
+                x = undriven_mrm(x, ring).scaled(_BUS_GAIN)
             inputs[i] = x
     return spill
 
@@ -449,9 +432,7 @@ def smart_edge_intercept_uplink(field_in: ComplexWaveform, ch: WdmChannel,
     direct detection, leaving the rest of the carrier and the digital
     uplink on the through path.
     """
-    slot_lo = ch.center_freq - ch.slot_width / 2.0
-    slot_hi = ch.center_freq + ch.slot_width / 2.0
-    if band_power(field_in, slot_lo, slot_hi) <= 0.0:
+    if band_power(field_in, *ch.slot_edges) <= 0.0:
         raise SimulationError(
             f"channel at {ch.center_freq/1e12:.4f} THz carries no power; "
             f"nothing to intercept"
@@ -484,18 +465,15 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
     returned.  The residual field (including the remaining carrier) is
     returned for remodulation.
     """
-    f_c = cfg.channel_center
-    slot_lo = f_c - cfg.slot_width / 2.0
-    slot_hi = f_c + cfg.slot_width / 2.0
-    if band_power(field_in, slot_lo, slot_hi) <= 0.0:
+    f_c = cfg.channel.center_freq
+    if band_power(field_in, *cfg.channel.slot_edges) <= 0.0:
         raise SimulationError("ONU slot not present in the input field")
     carrier_in = _carrier_dbm(field_in, f_c)
 
-    loss = 10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0)
     spec = cfg.broadband_filter
     dropped, bus = drop_filter(field_in, f_c + spec.center_offset,
                                spec.bandwidth, spec.order)
-    bus = bus.scaled(loss)
+    bus = bus.scaled(_BUS_GAIN)
 
     # direct detection beats the SSB content against the tapped carrier,
     # recovering the real IF signal regardless of which optical sideband
@@ -507,7 +485,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
     for rspec in cfg.rof_filters:
         rdrop, bus = drop_filter(bus, f_c + rspec.center_offset,
                                  rspec.bandwidth, rspec.order)
-        bus = bus.scaled(loss)
+        bus = bus.scaled(_BUS_GAIN)
         rof_out.append(detect_drop(rdrop, f_c, rspec, cfg.pd))
     carrier_res = _carrier_dbm(bus, f_c)
     return OnuReceiveResult(broadband, rof_out, bus, carrier_in, carrier_bb,
@@ -526,12 +504,13 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
 
     The uplink drive is the sum of ``drives``, at least one analytic
     electrical waveform at its IF on the residual's grid and of its length
-    (see :func:`~oansim.devices.iq_mrm_ssb`).  Reports
-    the ratio of uplink power to the residual downlink power on the bus.
+    (see :func:`~oansim.devices.iq_mrm_ssb`), which ``cfg.modulator``
+    puts on its sideband.  Reports the ratio of uplink power to the
+    residual downlink power on the bus.
     """
     if not drives:
         raise ConfigError("the uplink needs at least one drive")
-    f_c = cfg.channel_center
+    f_c = cfg.channel.center_freq
     carrier_dbm = _carrier_dbm(residual, f_c)
     if carrier_dbm < cfg.min_residual_carrier_dbm:
         raise SimulationError(
@@ -539,14 +518,14 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
             f"{cfg.min_residual_carrier_dbm:.1f} dBm remodulation minimum"
         )
 
-    up_side = cfg.uplink_sideband
+    up_side = cfg.modulator.sideband
     down_side = "lower" if up_side == "upper" else "upper"
-    ring = slope_biased_ring(f_c, **cfg.ring_kwargs)
-    drive = scale_drive_to_depth(combine(drives), ring, cfg.uplink_drive_depth)
-    out = iq_mrm_ssb(residual, IqMrmConfig(ring, sideband=up_side), drive)
+    drive = scale_drive_to_depth(combine(drives), cfg.modulator.ring,
+                                 cfg.uplink_drive_depth)
+    out = iq_mrm_ssb(residual, cfg.modulator, drive)
 
-    p_up = _side(out, f_c, cfg.slot_width, up_side)
-    p_down = _side(out, f_c, cfg.slot_width, down_side)
+    p_up = _side(out, cfg.channel, up_side)
+    p_down = _side(out, cfg.channel, down_side)
     ratio = 10.0 * np.log10(p_up / p_down) if p_down > 0 else np.inf
     return RemodResult(out, float(ratio))
 
@@ -557,11 +536,9 @@ def _carrier_dbm(wf: ComplexWaveform, f_c: float) -> float:
     return 10.0 * np.log10(max(p, 1e-30) * 1e3)
 
 
-def _side(wf: ComplexWaveform, center: float, slot_width: float,
-          side: str) -> float:
+def _side(wf: ComplexWaveform, ch: WdmChannel, side: str) -> float:
     """Power (W) in one side of a slot, outside the carrier window."""
+    lo, hi = ch.slot_edges
     if side == "lower":
-        return band_power(wf, center - slot_width / 2.0,
-                          center - CARRIER_WINDOW_HZ)
-    return band_power(wf, center + CARRIER_WINDOW_HZ,
-                      center + slot_width / 2.0)
+        return band_power(wf, lo, ch.center_freq - CARRIER_WINDOW_HZ)
+    return band_power(wf, ch.center_freq + CARRIER_WINDOW_HZ, hi)

@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, outputs, exit codes."""
 
 import copy
+import hashlib
 import json
 import re
 
@@ -184,6 +185,19 @@ NAN, INF = float("nan"), float("inf")
      "devices.subcarrier_clock_volt"),
     # the reports are written as <name>_metrics.json in the output folder
     ("mini", ["name"], "a/b", "name"),
+    # a filter order is a loop count and an exponent: 1000 overflowed to a
+    # traceback and 1e30 never ended
+    ("mini", ["onu", "broadband_order"], 1000, "onu.broadband_order"),
+    ("mini", ["onu", "broadband_order"], 1e30, "onu.broadband_order"),
+    ("mini", ["onu", "rof_filter_order"], 1e30, "onu.rof_filter_order"),
+    ("adjacent_rf", ["uplink", "intercept_order"], 1e30,
+     "uplink.intercept_order"),
+    # plan and slot errors that named another key
+    ("mini", ["wdm", "slot_width"], 1e30, "wdm.slot_width"),
+    ("mini", ["wdm", "digital_subband"], 1e30, "wdm.digital_subband"),
+    ("mini", ["devices", "drive_depth"], 1e30, "devices.drive_depth"),
+    ("mini", ["uplink", "drive_depth"], 1e30, "uplink.drive_depth"),
+    ("mini", ["devices", "ring", "fsr"], 1e30, "devices.ring.fsr"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):
@@ -205,7 +219,8 @@ def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
 
 
 def test_simulation_error_exits_3(tmp_path, capsys):
-    # an amplifier config this absurd starves the network unit of carrier
+    # no residual carrier reaches a +100 dBm floor, so the network unit
+    # refuses to remodulate
     raw = copy.deepcopy(MINI)
     raw["onu"] = dict(raw["onu"], min_residual_carrier_dbm=100.0)
     p = tmp_path / "starved.yaml"
@@ -296,6 +311,13 @@ def test_devices_csv(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     through = [float(r[1]) for r in rows]
     assert 40 <= through.index(min(through)) <= 60
+    # both shipped rings, byte for byte as their table was first written
+    want = "21fefa91df1db31d553191752f9b800ee16fc8eb2e60d7945164639af692ff19"
+    for name in ("scenario_a", "scenario_b"):
+        assert main(["devices", "--config", name, "--out", str(out),
+                     "--points", "101"]) == 0
+        table = (out / f"{name}_ring_response.csv").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == want, name
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -482,13 +482,15 @@ def relative_error(got, want):
 
 @pytest.mark.parametrize("case", ["transmitter", "uplink", "tunnel"])
 def test_band_rate_product_matches_the_full_rate_tone(case, monkeypatch):
-    """Scenario A's modulators on its 160 GS/s grid, each with a drive the
-    pipeline makes: the digital transmitter at depth 0.12, the uplink at
-    depth 0.5 and a tunnel ring.  With the drive's band edge the product is
-    taken at a fraction of the rate within -60 dB of the full-rate tone
-    path; with the edge unknown it is that path, to round-off."""
+    """Scenario A's modulators on channel 0, as its config builds them, on
+    its 160 GS/s grid, each with a drive the pipeline makes: the digital
+    transmitter at depth 0.12, the uplink at depth 0.5 and a tunnel ring
+    with its tone window.  With the drive's band edge the product is taken
+    at a fraction of the rate within -60 dB of the full-rate tone path;
+    with the edge unknown it is that path, to round-off."""
     cfg = load_config(builtin_config_path("scenario_a"))
     fs, n = cfg.sample_rate, 1 << 16
+    f0 = cfg.plan.channels[0].center_freq
     rng = np.random.default_rng(5)
     t = np.arange(n) / fs
     signals = {"transmitter": [cfg.digital], "uplink": cfg.uplink.values(),
@@ -497,38 +499,38 @@ def test_band_rate_product_matches_the_full_rate_tone(case, monkeypatch):
                 rng.integers(0, 2, 10 * s.ofdm.bits_per_symbol))
                for s in signals]
     if case == "tunnel":
-        f_ring = F0 + cfg.plan.channels[0].rof_subcarrier_offset
-        ring = slope_biased_ring(f_ring, **cfg.ring_kwargs)
+        # the +f_s ring and the overlay's window: the subcarrier, clear of
+        # the digital band
+        _, _, ((ring, window), _) = cfg.edge_rings[0]
         ((signal, bits),) = signals
         drive = scale_drive_to_depth(signal.drive(bits, n, fs), ring,
                                      cfg.rf_drive_depth)
-        # the overlay's window: the subcarrier, clear of the digital band
-        off = f_ring - ring.effective_resonance
-        window = off + 0.5 * (10e9 - off)
         field = ComplexWaveform(1e-2 * (1.0 + np.exp(2j * np.pi * 20e9 * t)),
-                                fs, ref_freq=F0)
+                                fs, ref_freq=f0)
 
         def modulate(drive):
             return apply_mrm(field, ring, drive, tone_window_hz=window)
 
         want = round_trip_tone(field, ring, drive, window)
     else:
-        ring = slope_biased_ring(F0, **cfg.ring_kwargs)
-        depth, side, phase = (
-            (cfg.drive_depth, "upper", np.pi / 2) if case == "transmitter"
-            else (cfg.onu.uplink_drive_depth, "lower", -np.pi / 2))
+        modulator, depth, phase = (
+            (cfg.transmitters[0], cfg.drive_depth, np.pi / 2)
+            if case == "transmitter" else
+            (cfg.onus[0].modulator, cfg.onus[0].uplink_drive_depth,
+             -np.pi / 2))
+        ring = modulator.ring
         drive = scale_drive_to_depth(_analytic_drive(signals, n, fs), ring,
                                      depth)
         field = ComplexWaveform(
             1e-2 * (1.0 + 0.1 * np.exp(2j * np.pi * 25e9 * t)), fs,
-            ref_freq=F0)
+            ref_freq=f0)
         i = ComplexWaveform(drive.samples.real, fs)
         q = ComplexWaveform(drive.samples.imag, fs)
         window = 3.0 * ring.fwhm + ring.mod_efficiency * max(
             np.ptp(i.samples), np.ptp(q.samples)) / 2.0
 
         def modulate(drive):
-            return iq_mrm_ssb(field, IqMrmConfig(ring, sideband=side), drive)
+            return iq_mrm_ssb(field, modulator, drive)
 
         want = 0.5 * (round_trip_tone(field, ring, i, window)
                       + np.exp(1j * phase) * round_trip_tone(field, ring, q,

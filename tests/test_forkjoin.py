@@ -89,7 +89,7 @@ def test_branch_error_names_its_stage(tmp_path, monkeypatch, capsys,
     receive = oansim.scenarios.onu_receive
 
     def dark_second_channel(field, onu, *args, **kwargs):
-        if onu.channel_center == second:
+        if onu.channel.center_freq == second:
             raise SimulationError("no light on channel 1")
         return receive(field, onu, *args, **kwargs)
 

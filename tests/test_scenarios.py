@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -261,16 +262,27 @@ def test_both_overlay_styles_run_reproducibly(name, signals):
 
 @pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
 def test_bursts_reuse_the_smart_edge_built_at_load(name, monkeypatch):
-    """The smart edge's rings and its uplink drop filter are built once,
-    with the config: a burst builds neither again."""
+    """Every device is built once, with the config: the transmitters, the
+    smart edge's rings and uplink drop, and the network units with their
+    remodulators.  A burst builds none again: each device constructor is
+    refused in every module of the package that binds it."""
     cfg = _shipped_top(name)
 
     def refused(*args, **kwargs):
-        raise AssertionError("smart-edge geometry built during a burst")
+        raise AssertionError("a device built during a burst")
 
-    monkeypatch.setattr(oansim.subsystems, "overlay_rings", refused)
-    monkeypatch.setattr(oansim.subsystems, "solve_carrier_tap_filter",
-                        refused)
+    bound = set()
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] != "oansim":
+            continue
+        for constructor in ("slope_biased_ring", "overlay_rings",
+                            "solve_carrier_tap_filter", "IqMrmConfig"):
+            if hasattr(module, constructor):
+                monkeypatch.setattr(module, constructor, refused)
+                bound.add((module.__name__, constructor))
+    assert {("oansim.scenarios", "slope_biased_ring"),
+            ("oansim.subsystems", "IqMrmConfig"),
+            ("oansim.devices", "IqMrmConfig")} <= bound
     assert run_scenario(cfg)["points"][0]["bursts"] == 1
 
 
@@ -410,8 +422,8 @@ def test_whole_record_transforms_per_burst(name, most, monkeypatch):
 
 def _demodulated_bands(cfg):
     """The IF bands each receiver of a burst demodulates, by drop filter."""
-    bands = {cfg.onu.broadband_filter: [cfg.digital.edges()]}
-    for spec, group in zip(cfg.onu.rof_filters, cfg.groups):
+    bands = {cfg.onus[0].broadband_filter: [cfg.digital.edges()]}
+    for spec, group in zip(cfg.onus[0].rof_filters, cfg.groups):
         bands[spec] = [cfg.payloads[k].edges() for k in group]
     if cfg.intercept is not None:
         bands[cfg.intercept] = [cfg.uplink[cfg.edge_uplink].edges()]
@@ -492,7 +504,7 @@ def test_neighbour_slot_leaks_through_an_onu_drop_below_its_bound():
     cfg = load_config(builtin_config_path("scenario_a"))
     fs, n = 400e9, 1 << 14
     ch0, ch1 = cfg.plan.channels
-    for spec in cfg.onu.rof_filters:
+    for spec in cfg.onus[0].rof_filters:
         centre = ch0.center_freq + spec.center_offset
         probe = ComplexWaveform(None, fs, ref_freq=centre,
                                 spectrum=np.ones(n, dtype=np.complex128))

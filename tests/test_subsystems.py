@@ -1,12 +1,13 @@
 """Site-level composition tests: transmitter, overlay, network unit."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oansim.channel import PdParams
-from oansim.devices import drop_filter, ring_response
+from oansim.devices import IqMrmConfig, drop_filter, ring_response
 from oansim.errors import ConfigError, SimulationError
 from oansim.metrics import ber_over_sent_bits
 from oansim.ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
@@ -32,10 +33,17 @@ def ofdm_cfg(seed=1):
                       seed=seed)
 
 
+def modulators(plan):
+    """One upper-sideband IQ modulator per channel of ``plan``."""
+    return [IqMrmConfig(slope_biased_ring(ch.center_freq))
+            for ch in plan.channels]
+
+
 def onu_cfg(center=F0, **kw):
     broadband = solve_carrier_tap_filter(4e9, 10e9, 0.25, order=3,
                                          passband_fraction=0.995)
-    defaults = dict(channel_center=center, broadband_filter=broadband)
+    defaults = dict(channel=WdmChannel(center), broadband_filter=broadband,
+                    modulator=modulators(single_plan(center))[0])
     defaults.update(kw)
     return OnuConfig(**defaults)
 
@@ -67,7 +75,8 @@ def payload_for(cfg, bits, f_if, fs=FS):
 
 def transmit(plan, cfg, payloads, fs=FS, **kw):
     """The central office's slot fields for one bit array per channel."""
-    return [olt_transmit(plan, drive_for(cfg, bits, fs=fs), k, **kw)
+    return [olt_transmit(plan, drive_for(cfg, bits, fs=fs), k,
+                         modulators(plan), **kw)
             for k, bits in enumerate(payloads)]
 
 
@@ -143,12 +152,23 @@ def test_carrier_tap_filter_validation():
 
 
 def test_onu_config_validation():
-    with pytest.raises(ConfigError):
-        onu_cfg(uplink_sideband="both")
+    with pytest.raises(ConfigError):  # no such sideband
+        onu_cfg(modulator=IqMrmConfig(slope_biased_ring(F0), sideband="both"))
     with pytest.raises(ConfigError):  # filter beyond the slot
         onu_cfg(broadband_filter=FilterSpec(24e9, 5e9, 3))
     with pytest.raises(ConfigError):  # order-1 skirt cannot hold 13 dB
         onu_cfg(broadband_filter=FilterSpec(7e9, 8e9, 1))
+
+
+@pytest.mark.parametrize("order", [3, 16, 30, 1000])
+def test_steep_filter_passes_the_extinction_check_quietly(order):
+    """A skirt leaks 1 / (1 + 4^order) at u = 1/2.  Taken as 1 - 1 / (1 +
+    4^-order), that rounds to 0 from order 27 on, and 4^order overflows a
+    float past order 511; the check, as order log10(4) + log10(1 +
+    4^-order) in dB, neither warns nor fails at any order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        onu_cfg(broadband_filter=FilterSpec(7e9, 8e9, order))
 
 
 # ---------------------------------------------------------------- downlink
@@ -196,7 +216,8 @@ def test_comb_lines_sit_on_their_record_bins(n, k, monkeypatch):
                         lambda field, ring, gain=1.0: field)
     drive = ComplexWaveform(np.zeros(n, dtype=complex), fs)
     for channel in range(2):
-        olt_transmit(plan, drive, channel, power_per_tone_dbm=0.0)
+        olt_transmit(plan, drive, channel, modulators(plan),
+                     power_per_tone_dbm=0.0)
     for j, (field, ch) in enumerate(zip(seen, plan.channels)):
         assert field.ref_freq == ch.center_freq
         assert list(np.flatnonzero(field.spectrum)) == [0]
@@ -210,7 +231,8 @@ def test_comb_lines_sit_on_their_record_bins(n, k, monkeypatch):
 def test_olt_payload_count_mismatch():
     cfg = ofdm_cfg()
     with pytest.raises(ConfigError, match="channel 1"):
-        olt_transmit(single_plan(), drive_for(cfg, bits_for(cfg, 5)), 1)
+        olt_transmit(single_plan(), drive_for(cfg, bits_for(cfg, 5)), 1,
+                     modulators(single_plan()))
 
 
 def test_overlay_empty_payloads_only_insertion_loss():
@@ -338,7 +360,7 @@ def test_colorless_onu_retunes_across_channels():
     base = onu_cfg(center=F0 - 50e9)
     for field, center, tx in zip(fields, (F0 - 50e9, F0 + 50e9), (tx0, tx1)):
         ch_field, _ = drop_filter(field, center, 45e9, order=4)
-        res = onu_receive(ch_field, replace(base, channel_center=center))
+        res = onu_receive(ch_field, replace(base, channel=WdmChannel(center)))
         assert demodulated(cfg, res.broadband, tx).bit_errors == 0
 
 
