@@ -64,11 +64,13 @@ from .metrics import (
     qfunc,
 )
 from .devices import (
-    IqMrmConfig,
+    ClockGenerator,
+    Modulator,
     RingParams,
     apply_mrm,
     drop_filter,
     generate_subcarriers,
+    iq_arms,
     iq_mrm_ssb,
     ring_response,
     thermal_tune,

@@ -5,11 +5,15 @@ functions.  Modulation is quasi-static: the electrical drive shifts the
 resonance linearly and the field sees the instantaneous through response.
 Cavity-lifetime dynamics are out of scope.
 
+A modulator is one record (:class:`Modulator`, :class:`ClockGenerator`)
+that alone decides what it does to a field; the drive carries the signal.
+
 Modulation follows the exact limit of a short-block evaluation when the
-near-resonance content is a single spectral line: the line is multiplied
-by the per-sample instantaneous response while the off-resonance
-remainder sees the static bias-point response.  A modulator's product is
-taken at its band's rate.  A clock-driven generator is built as a
+near-resonance content is a single spectral line: the line in the
+record's tone window is multiplied by the per-sample instantaneous
+response while the off-resonance remainder sees the static bias-point
+response.  A modulator's product is taken at the rate of its window plus
+its record's band edge.  A clock-driven generator is built as a
 spectrum, its clock on the nearest record bin: each harmonic of the
 clock cycle's response lifts the line by its multiple of the clock, and
 lands only where it falls inside the record.
@@ -65,23 +69,44 @@ class RingParams:
 
 
 @dataclass(frozen=True)
-class IqMrmConfig:
-    ring: RingParams               # the same ring in both branches
-    branch_phase: float = np.pi / 2
-    sideband: str = "upper"
-
-    def __post_init__(self):
-        if self.sideband not in ("upper", "lower"):
-            raise ConfigError("sideband must be 'upper' or 'lower'")
+class Modulator:
+    """A ring modulator: its ring, the drive depth (peak resonance
+    excursion of the drive's real part, in linewidths), the half-width
+    (Hz) of its tone window about the biased resonance, the top (Hz) of
+    its drive's band (None where unknown) and each arm's combining weight:
+    one for a payload ring, two for an IQ pair (:func:`iq_arms`)."""
+    ring: RingParams
+    depth: float
+    window: float | None
+    band_edge: float | None = None
+    arms: tuple = (1.0,)
 
     @property
-    def weights(self) -> tuple:
-        """The I and Q arms' combining weights: half each, the Q arm's
-        turned by the branch phase, whose sign the sideband sets."""
-        phase = self.branch_phase
-        if self.sideband == "lower":
-            phase = -phase
-        return 0.5, 0.5 * np.exp(1j * phase)
+    def sideband(self) -> str:
+        """The sideband an IQ pair puts its drive on: the upper one where
+        its Q arm leads its I arm."""
+        return "upper" if np.angle(self.arms[-1] / self.arms[0]) > 0 else \
+            "lower"
+
+
+def iq_arms(sideband: str = "upper", branch_phase: float = np.pi / 2):
+    """The I and Q arms' combining weights of an IQ pair: half each, the Q
+    arm's turned by the branch phase, whose sign the sideband sets."""
+    if sideband not in ("upper", "lower"):
+        raise ConfigError("sideband must be 'upper' or 'lower'")
+    phase = branch_phase if sideband == "upper" else -branch_phase
+    return 0.5, 0.5 * np.exp(1j * phase)
+
+
+@dataclass(frozen=True)
+class ClockGenerator:
+    """A ring driven by a cosine clock: its ring, the half-width (Hz) of
+    its tone window about the biased resonance, and the clock's frequency
+    (Hz) and amplitude (V)."""
+    ring: RingParams
+    window: float
+    clock_freq: float
+    clock_volt: float
 
 
 # ---------------------------------------------------------------------------
@@ -241,40 +266,44 @@ def _tone(field: ComplexWaveform, centre: float, window_hz: float):
     return window, spans, p_res, f_tone
 
 
-def _modulate(field: ComplexWaveform, params: RingParams, drives,
-              weights, window_hz: float | None,
-              band_edge: float | None = None) -> ComplexWaveform:
-    """The sum over arms of ``weight`` times the field through the ring
-    shifted by ``mod_efficiency`` times the arm's drive (V).  The arms
-    share one tone window at their mean bias (by default 3 linewidths plus
-    half the larger peak-to-peak detuning): its line sees each arm's
-    instantaneous response and the rest each arm's static response at its
-    bias, as does all of the field under constant drives or when the
-    window holds no power.
+def _modulate(field: ComplexWaveform, modulator: Modulator,
+              drives) -> ComplexWaveform:
+    """The sum over the modulator's arms of the arm's weight times the
+    field through its ring shifted by ``mod_efficiency`` times the arm's
+    drive (V).  The arms share the record's tone window at their mean bias
+    (where the record has none, 3 linewidths plus half the larger
+    peak-to-peak detuning): its line sees each arm's instantaneous
+    response and the rest each arm's static response at its bias, as does
+    all of the field under constant drives or when the window holds no
+    power.
 
-    ``drives`` cover the record and reach ``band_edge`` (None if
-    unknown).  The product is taken on ``n/d`` bins centred on bin ``k0``
-    mid-window, ``d`` the division of
+    ``drives`` cover the record.  The product is taken on ``n/d`` bins
+    centred on bin ``k0`` mid-window, ``d`` the division of
     :func:`~oansim.waveform._division` whose whole window holds the tone
-    window plus twice ``band_edge`` on each side, in whole bins (``d =
-    1`` and ``k0 = 0`` when there is none or the edge is unknown): the
-    line's inverse transform at ``1/d`` of the rate meets the responses on
-    every ``d``-th sample, and the transform of the product fills its
-    bins.
+    window plus twice the record's band edge on each side, in whole bins
+    (``d = 1`` and ``k0 = 0`` when there is none or the edge is unknown):
+    the line's inverse transform at ``1/d`` of the rate meets the
+    responses on every ``d``-th sample, and the transform of the product
+    fills its bins.
     """
+    params, weights = modulator.ring, modulator.arms
+    if len(drives) != len(weights):
+        raise ConfigError(f"{len(drives)} drives for a modulator of "
+                          f"{len(weights)} arms")
     n = field.n
     spec = field.spectrum
     eff = params.mod_efficiency
     biases = [eff * float(np.mean(x)) for x in drives]
     ptp = eff * max(map(np.ptp, drives))
+    window_hz = modulator.window
     if window_hz is None:
         window_hz = 3.0 * params.fwhm + ptp / 2.0
     window, spans, p_res, f_tone = _tone(
         field, params.effective_resonance + np.mean(biases), window_hz)
     static = ptp == 0.0 or p_res <= 1e-15 * n**2 * field.power()
     d, k0, step = 0, (window.start + window.stop) // 2, field.sample_rate / n
-    if band_edge is not None:
-        reach = int(np.ceil(2.0 * band_edge / step))
+    if modulator.band_edge is not None:
+        reach = int(np.ceil(2.0 * modulator.band_edge / step))
         d = _division(n, step, k0, (window.start - reach) * step,
                       (window.stop + reach - 1) * step, 1)
     if d < 2:
@@ -320,28 +349,27 @@ def _check_grid(field: ComplexWaveform, drive: ComplexWaveform) -> None:
         )
 
 
-def apply_mrm(field: ComplexWaveform, params: RingParams,
-              drive: ComplexWaveform,
-              tone_window_hz: float | None = None) -> ComplexWaveform:
+def apply_mrm(field: ComplexWaveform, modulator: Modulator,
+              drive: ComplexWaveform) -> ComplexWaveform:
     """Modulate an optical field with one microring modulator.
 
     The resonance is shifted by ``mod_efficiency * drive(t)`` and the field
-    is filtered by the time-varying through response.  The drive must be a
-    real electrical waveform on the same sample grid and of the same length.
+    is filtered by the time-varying through response, inside the tone
+    window that ``modulator`` sets.  The drive must be a real electrical
+    waveform on the same sample grid and of the same length.
     """
     _check_grid(field, drive)
     if not drive.is_real():
         raise ConfigError("MRM drive must be a real electrical waveform")
-    return _modulate(field, params, [drive.samples], [1.0], tone_window_hz,
-                     drive.band_edge)
+    return _modulate(field, modulator, [drive.samples])
 
 
 def undriven_mrm(field: ComplexWaveform, params: RingParams,
                  gain: complex = 1.0) -> ComplexWaveform:
     """The field through a modulator ring at zero drive: its static
     response times ``gain``, the sum of its arms' weights (see
-    :attr:`IqMrmConfig.weights`).  This is what a modulator does to a
-    record that holds none of its tone window."""
+    :attr:`Modulator.arms`).  This is what a modulator does to a record
+    that holds none of its tone window."""
     h = _through_static_grid(params, field, 0.0)
     if gain != 1.0:
         h *= gain
@@ -353,34 +381,31 @@ def undriven_mrm(field: ComplexWaveform, params: RingParams,
 # IQ single-sideband modulator
 
 
-def iq_mrm_ssb(field: ComplexWaveform, config: IqMrmConfig,
-               drive: ComplexWaveform,
-               tone_window_hz: float | None = None) -> ComplexWaveform:
+def iq_mrm_ssb(field: ComplexWaveform, modulator: Modulator,
+               drive: ComplexWaveform) -> ComplexWaveform:
     """Two-branch microring IQ modulator with interferometric combining.
 
     ``drive`` is analytic: its real part drives the I ring and its
     imaginary part, the Hilbert transform of the real part, the Q ring, so
-    the data sidebands land predominantly on ``config.sideband``; the
+    the data sidebands land predominantly on ``modulator.sideband``; the
     carrier is partially retained per the ring bias points.  The rings
-    share one tone window.  The 50/50 split/combine carries the inherent
-    3 dB loss of single-output IQ recombination.
+    share the record's tone window.  The 50/50 split/combine carries the
+    inherent 3 dB loss of single-output IQ recombination.
     """
     _check_grid(field, drive)
     x = drive.samples
     if drive.is_real() or not np.any(x.imag) and np.any(x.real):
         raise ConfigError("IQ drive must be analytic: a real part and its "
                           "Hilbert transform as the imaginary part")
-    return _modulate(field, config.ring, (x.real, x.imag), config.weights,
-                     tone_window_hz, drive.band_edge)
+    return _modulate(field, modulator, (x.real, x.imag))
 
 
 # ---------------------------------------------------------------------------
 # Subcarrier generation
 
 
-def generate_subcarriers(field: ComplexWaveform, params: RingParams,
-                         clock_freq: float, clock_amplitude_volt: float = 1.0,
-                         tone_window_hz: float | None = None) -> ComplexWaveform:
+def generate_subcarriers(field: ComplexWaveform,
+                         generator: ClockGenerator) -> ComplexWaveform:
     """Drive a ring with a sinusoidal clock to split a tone into +/-f_s lines.
 
     The target tone must lie within one linewidth of the ring's biased
@@ -389,11 +414,12 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
     at +/-f_s dominate; an off-null bias retains part of the carrier.
 
     The output is built as a spectrum, with the clock on its nearest
-    record bin: the field outside the tone window sees the ring's static
-    response, and the window's line is replaced by the harmonic lines of
-    :func:`_clock_lines`.
+    record bin: the field outside the record's tone window sees the ring's
+    static response, and the window's line is replaced by the harmonic
+    lines of :func:`_clock_lines`.
     """
-    if clock_freq >= field.sample_rate / 2.0:
+    params = generator.ring
+    if generator.clock_freq >= field.sample_rate / 2.0:
         raise ConfigError("clock frequency beyond Nyquist")
     # verify a tone is present near the biased resonance
     res, near = params.effective_resonance, max(params.fwhm, 1.0)
@@ -401,38 +427,33 @@ def generate_subcarriers(field: ComplexWaveform, params: RingParams,
         raise SimulationError(
             "no tone found within one linewidth of the ring resonance"
         )
-    if tone_window_hz is None:
-        tone_window_hz = max(3.0 * params.fwhm, 0.4 * clock_freq)
-    window, spans, _, f_tone = _tone(field, res, tone_window_hz)
+    window, spans, _, f_tone = _tone(field, res, generator.window)
     out = _through_static_grid(params, field, 0.0)
     np.multiply(field.spectrum, out, out=out)
     for s in spans:
         out[s] = 0.0
-    _clock_lines(out, field, params, clock_freq, clock_amplitude_volt,
-                 window, f_tone)
+    _clock_lines(out, field, generator, window, f_tone)
     return field.copy_with(spectrum=out)
 
 
 def _clock_lines(out: np.ndarray, field: ComplexWaveform,
-                 params: RingParams, clock_freq: float, volt: float,
-                 window: range, f_tone: float, shift: int = 0) -> None:
+                 generator: ClockGenerator, window: range, f_tone: float,
+                 shift: int = 0) -> None:
     """Add to the spectrum ``out``, a record of ``field``'s bin spacing
-    whose bins lie ``shift`` bins below ``field``'s, the lines that a
-    cosine clock of ``volt`` amplitude on the ring lifts from the line in
-    ``window`` (at ``f_tone``; none if the window is empty): the line
-    times each ``c_j`` of :func:`_harmonics`, moved by ``j`` clocks on the
-    nearest record bin, where it lands in ``out``'s record."""
+    whose bins lie ``shift`` bins below ``field``'s, the lines that the
+    generator's clock lifts from the line in ``window`` (at ``f_tone``;
+    none if the window is empty): the line times each ``c_j`` of
+    :func:`_harmonics`, moved by ``j`` clocks on the nearest record bin,
+    where it lands in ``out``'s record."""
     line = field.spectrum[np.arange(window.start, window.stop)]
     if not line.any():
         return
-    step = round(clock_freq * field.n / field.sample_rate)
+    step = round(generator.clock_freq * field.n / field.sample_rate)
     _land(out, line * (out.size / field.n), window.start + shift, step,
-          _harmonics(params, f_tone, volt))
+          _harmonics(generator.ring, f_tone, generator.clock_volt))
 
 
-def subcarrier_lines(field: ComplexWaveform, params: RingParams,
-                     clock_freq: float, clock_amplitude_volt: float,
-                     tone_window_hz: float,
+def subcarrier_lines(field: ComplexWaveform, generator: ClockGenerator,
                      grid: ComplexWaveform) -> np.ndarray:
     """The spectrum, on the bins of ``grid``'s record, of the harmonic
     lines that :func:`generate_subcarriers` lifts from ``field``'s tone
@@ -440,12 +461,11 @@ def subcarrier_lines(field: ComplexWaveform, params: RingParams,
     bin spacing, whose bins lie a whole number of bins off ``field``'s (the
     nearest, if not)."""
     out = np.zeros(grid.n, dtype=np.complex128)
-    window, _, _, f_tone = _tone(field, params.effective_resonance,
-                                 tone_window_hz)
+    window, _, _, f_tone = _tone(field, generator.ring.effective_resonance,
+                                 generator.window)
     shift = round((field.ref_freq - grid.ref_freq) * field.n
                   / field.sample_rate)
-    _clock_lines(out, field, params, clock_freq, clock_amplitude_volt,
-                 window, f_tone, shift)
+    _clock_lines(out, field, generator, window, f_tone, shift)
     return out
 
 

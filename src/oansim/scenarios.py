@@ -56,12 +56,12 @@ from .forkjoin import branch_threads, fork
 from .metrics import DEFAULT_FEC_THRESHOLD, BerReport, ber_over_sent_bits
 from .ofdm import OfdmConfig, bandwidth_for_bit_rate, demodulate_ofdm, generate_ofdm
 from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
-                         detect_band, detect_drop, olt_transmit, onu_receive,
-                         onu_remodulate, overlay_rings, scale_drive_to_depth,
-                         slope_biased_ring, smart_edge_intercept_uplink,
-                         smart_edge_overlay, solve_carrier_tap_filter,
-                         subcarrier_spill)
-from .devices import IqMrmConfig, drop_filter, iq_mrm_ssb
+                         check_drop, detect_band, detect_drop, olt_transmit,
+                         onu_receive, onu_remodulate, overlay_rings,
+                         scale_drive_to_depth, slope_biased_ring,
+                         smart_edge_intercept_uplink, smart_edge_overlay,
+                         solve_carrier_tap_filter, subcarrier_spill)
+from .devices import Modulator, drop_filter, iq_arms, iq_mrm_ssb
 from .waveform import (ComplexWaveform, _division, analytic, band_power,
                        crop_window, from_if, if_spectrum, psd, scale_db)
 
@@ -237,6 +237,13 @@ _unit = _ranged(_number, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
 _order = _ranged(_whole, lambda x: 1 <= x <= 16, "a whole number in [1, 16]")
 _count = _ranged(_whole, lambda x: x >= 0, "a whole number >= 0")
 _positive = _ranged(_number, lambda x: x > 0.0, "a number > 0")
+# ceilings of what the arithmetic holds: rates and symbol counts size the
+# burst's record, modem counts its arrays, and a level is exponentiated
+_rate = _ranged(_number, lambda x: 0 < x <= 1e13, "a number in (0, 1e13]")
+_burst = _ranged(_whole, lambda x: 0 <= x <= 1e6, "a whole number in [0, 1e6]")
+_modem = _ranged(_whole, lambda x: 2 <= x <= 1024,
+                 "a whole number in [2, 1024]")
+_level = _ranged(_number, lambda x: abs(x) <= 100, "a level in [-100, 100] dB")
 _non_negative = _ranged(_number, lambda x: x >= 0.0, "a number >= 0")
 # the config keys of a ring's linewidth, which sizes its tone windows
 _LINEWIDTH = ("devices.ring.fsr", "devices.ring.coupling",
@@ -258,16 +265,16 @@ def _ofdm(raw: dict, key: str, seed: int) -> OfdmConfig:
     n_sub = _get(raw, f"{key}.n_subcarriers", _whole, 64)
     qam = _get(raw, f"{key}.qam_order", _whole, 4)
     cp = _get(raw, f"{key}.cp_fraction", _number, 1.0 / 16.0)
-    pilots = _get(raw, f"{key}.pilot_spacing", _whole, 16)
-    oversampling = _get(raw, f"{key}.oversampling", _whole, 4)
+    pilots = _get(raw, f"{key}.pilot_spacing", _modem, 16)
+    oversampling = _get(raw, f"{key}.oversampling", _modem, 4)
     if "occupied_bandwidth" not in section and "bit_rate" not in section:
         raise ConfigError(f"{key} needs occupied_bandwidth or bit_rate")
     try:
-        bw = (_get(raw, f"{key}.occupied_bandwidth")
+        bw = (_get(raw, f"{key}.occupied_bandwidth", _rate)
               if "occupied_bandwidth" in section
               else bandwidth_for_bit_rate(
-                  _get(raw, f"{key}.bit_rate"), qam_order=qam, cp_fraction=cp,
-                  pilot_spacing=pilots, n_subcarriers=n_sub))
+                  _get(raw, f"{key}.bit_rate", _rate), qam_order=qam,
+                  cp_fraction=cp, pilot_spacing=pilots, n_subcarriers=n_sub))
         return OfdmConfig(n_subcarriers=n_sub, qam_order=qam, cp_fraction=cp,
                           occupied_bandwidth=bw, pilot_spacing=pilots,
                           oversampling=oversampling, seed=seed)
@@ -288,7 +295,9 @@ class _Signal(NamedTuple):
         return self.symbols * self.ofdm.bits_per_symbol
 
     def edges(self) -> tuple:
-        """Band edges around the IF that its filters must pass."""
+        """Band edges around the IF that its filters must pass; past the
+        upper one, where a drive's band ends, the signal holds only its
+        sidelobes, some 27 dB down."""
         half_bw = 0.55 * self.ofdm.occupied_bandwidth
         return self.if_freq - half_bw, self.if_freq + half_bw
 
@@ -307,12 +316,9 @@ class _Signal(NamedTuple):
                            sample_rate, lead)
 
     def drive(self, bits, n: int, sample_rate: float) -> ComplexWaveform:
-        """The real signal of ``bits`` at its IF on the record, whose band
-        edge is the upper one of :meth:`edges`: past it the signal holds
-        only its sidelobes, some 27 dB down."""
+        """The real signal of ``bits`` at its IF on the record."""
         return ComplexWaveform(
-            fftpack.irfft(self.spectrum(bits, n, sample_rate), n), sample_rate,
-            band_edge=self.edges()[1])
+            fftpack.irfft(self.spectrum(bits, n, sample_rate), n), sample_rate)
 
 
 @dataclass
@@ -348,7 +354,7 @@ class ScenarioConfig:
         for key in ("rf_channels", "rf_groups") if tunnels else ("tunnels",):
             if raw[key]:
                 raise ConfigError(f"{key} is not used by {self.style}")
-        self.sample_rate = _get(raw, "sample_rate", _positive)
+        self.sample_rate = _get(raw, "sample_rate", _rate)
         self.center_freq = _get(raw, "center_freq", _positive)
         self.fec_threshold = _get(raw, "fec_threshold", _fraction)
         self.output = _get(raw, "output", str)
@@ -377,7 +383,7 @@ class ScenarioConfig:
         # symbols as fit in it.  _run_burst grows a burst's record past
         # this, to the next FFT-friendly length, when the walk-off guard
         # and the digital drive do not fit in it (both cut shipped configs)
-        burst_symbols = _get(raw, "sweep.burst_symbols", _count)
+        burst_symbols = _get(raw, "sweep.burst_symbols", _burst)
         frame = _ofdm(raw, "digital", self.seed).frame_duration()
         self.n_record = 1 << int(np.ceil(np.log2(
             (1 + burst_symbols) * frame * self.sample_rate)))
@@ -454,27 +460,33 @@ class ScenarioConfig:
                 for key, convert in (("fsr", _positive), ("coupling", _unit),
                                      ("amplitude", _unit),
                                      ("mod_efficiency", _positive))}
-        self.tx_power_dbm = _get(raw, "devices.tx_power_dbm")
-        self.drive_depth = _get(raw, "devices.drive_depth", _positive)
-        self.rf_drive_depth = _get(raw, "devices.rf_drive_depth", _positive)
-        self.subcarrier_clock_volt = _get(raw, "devices.subcarrier_clock_volt")
+        self.tx_power_dbm = _get(raw, "devices.tx_power_dbm", _level)
+        depth, rf_depth, up_depth = (
+            _get(raw, key, _positive) for key in (
+                "devices.drive_depth", "devices.rf_drive_depth",
+                "uplink.drive_depth"))
+        clock_volt = _get(raw, "devices.subcarrier_clock_volt")
         # every device is built here once, for the slot check and every
-        # burst: each channel's modulator ring, under its transmitter and
-        # its network unit's remodulator
+        # burst, as a record that fixes its drive depth, tone window and
+        # band edge: each channel's modulator ring, under its transmitter
+        # and its network unit's remodulator
         rings = [slope_biased_ring(ch.center_freq, **ring)
                  for ch in self.plan.channels]
-        self.transmitters = [IqMrmConfig(r, sideband=digital_sideband)
-                             for r in rings]
-        # the radio channels' ring, like channel 0's; its tone window covers
-        # the carrier but stops short of the broadband subband
-        self.rf_modulator = None if tunnels else (
-            IqMrmConfig(rings[0], sideband="lower"),
+        self.transmitters = [
+            Modulator(r, depth, None, self.digital.edges()[1],
+                      iq_arms(digital_sideband)) for r in rings]
+        # the radio channels' IQ pair, on a ring like channel 0's; its tone
+        # window covers the carrier but stops short of the broadband subband
+        self.rf_modulator = None if tunnels else Modulator(
+            rings[0], rf_depth,
             self.plan.channels[0].center_freq - rings[0].effective_resonance
-            + 0.5 * self.digital.edges()[0])
+            + 0.5 * self.digital.edges()[0],
+            max(s.edges()[1] for s in self.payloads), iq_arms("lower"))
         retain = _get(raw, "devices.carrier_retain_fraction", _fraction)
-        self.edge_rings = [overlay_rings(ch, len(self.payloads), retain,
-                                         **ring)
-                           for ch in self.plan.channels] if tunnels else []
+        self.edge_rings = [
+            overlay_rings(ch, [s.edges()[1] for s in self.payloads], rf_depth,
+                          clock_volt, retain, **ring)
+            for ch in self.plan.channels] if tunnels else []
         loss = (_get(raw, "spans.atten_db_per_km", _non_negative),
                 _get(raw, "spans.dispersion_ps_nm_km"))
         self.feeder, self.distribution = (
@@ -484,8 +496,15 @@ class ScenarioConfig:
         if raw["amplifier"]:
             self.amplifier = (_get(raw, "amplifier.gain_db", _non_negative),
                               _get(raw, "amplifier.nf_db"))
+        up_edge = max(s.edges()[1] for s in self.uplink.values())
+        self.detector = PdParams(
+            responsivity=_get(raw, "onu.pd.responsivity", _positive),
+            thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd",
+                                   _non_negative),
+            include_shot=_get(raw, "onu.pd.include_shot", _flag))
         self.onus = self._read_onus(
-            [IqMrmConfig(r, sideband=uplink_sideband) for r in rings])
+            [Modulator(r, up_depth, None, up_edge, iq_arms(uplink_sideband))
+             for r in rings])
         # the burst's record: n_record, grown to hold the walk-off guard
         # and the digital drive at an FFT-friendly length (both cut shipped
         # configs grow); it is carried as one slot record per channel
@@ -503,7 +522,8 @@ class ScenarioConfig:
 
     def _read_onus(self, remodulators: list) -> list:
         """Each channel's network unit with its remodulator: the same
-        filters, which sit relative to the carrier."""
+        filters, which sit relative to the carrier; a filter that fails
+        its checks names the keys that size it."""
         raw = self.raw
         f_s = self.plan.channels[0].rof_subcarrier_offset
         order = _get(raw, "onu.rof_filter_order", _order)
@@ -523,61 +543,61 @@ class ScenarioConfig:
         lo, hi = self.digital.edges()
         if self.transmitters[0].sideband == "lower":
             lo, hi = -hi, -lo
-        unit = dict(
-            broadband_filter=solve_carrier_tap_filter(
-                lo, hi, _get(raw, "onu.carrier_tap_fraction", _fraction),
-                _get(raw, "onu.broadband_order", _order),
-                _get(raw, "onu.broadband_passband_fraction", _fraction)),
-            rof_filters=tuple(filters),
-            uplink_drive_depth=_get(raw, "uplink.drive_depth", _positive),
-            min_residual_carrier_dbm=_get(raw, "onu.min_residual_carrier_dbm"),
-            pd=PdParams(responsivity=_get(raw, "onu.pd.responsivity",
-                                          _positive),
-                        thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd",
-                                               _non_negative),
-                        include_shot=_get(raw, "onu.pd.include_shot", _flag)))
-        return [OnuConfig(channel=c, modulator=m, **unit)
+        broadband = solve_carrier_tap_filter(
+            lo, hi, _get(raw, "onu.carrier_tap_fraction", _fraction),
+            _get(raw, "onu.broadband_order", _order),
+            _get(raw, "onu.broadband_passband_fraction", _fraction))
+        # each filter with the config keys that size it, for its load
+        # errors and its receiver's band in _slot_spans
+        rof = ("onu.rof_filter_bandwidth" if self.style == "subcarrier_tunnels"
+               else "onu.rof_carrier_tap_db", "onu.rof_filter_order")
+        self._drops = [(broadband, ("onu.carrier_tap_fraction",
+                                    "onu.broadband_order",
+                                    "onu.broadband_passband_fraction")),
+                       *((spec, rof) for spec in filters)]
+        for spec, keys in self._drops:
+            try:
+                check_drop(spec, self.plan.channels[0])
+            except ConfigError as exc:
+                raise ConfigError(f"{', '.join(keys)}: {exc}") from None
+        residual = _get(raw, "onu.min_residual_carrier_dbm")
+        return [OnuConfig(c, broadband, m, tuple(filters), residual)
                 for c, m in zip(self.plan.channels, remodulators)]
 
     def _slot_spans(self, k: int) -> list:
         """The absolute bands ``(lo, hi, most, keys)`` channel ``k``'s slot
         record must hold, each with the largest slot division it allows
         (None for any) and the config keys that size it: the slot, the tone
-        window of each of its rings (an IQ modulator's at 3 linewidths plus
-        twice its depth), the generator's window lifted to each subcarrier,
-        and the crop window each of its receivers takes on the plan's
-        record at ``sample_rate``, whose division it must not undercut (the
-        whole record for a single channel's central office)."""
+        window of each of its devices' records (where a record has none, 3
+        linewidths plus twice its depth), the generator's window lifted to
+        each subcarrier, and the crop window each of its receivers takes
+        on the plan's record at ``sample_rate``, whose division it must not
+        undercut (the whole record for a single channel's central
+        office)."""
         ch, onu = self.plan.channels[k], self.onus[k]
         f_c, f_s = ch.center_freq, ch.rof_subcarrier_offset
         spans = [(*ch.slot_edges, None, ("wdm.slot_width",))]
-        windows = [(m.ring, (3.0 + 2.0 * depth) * m.ring.fwhm, (key,))
-                   for m, depth, key in [
-                       (self.transmitters[k], self.drive_depth,
-                        "devices.drive_depth"),
-                       (onu.modulator, onu.uplink_drive_depth,
-                        "uplink.drive_depth")][:2 if k == 0 else 1]]
+        devices = [(self.transmitters[k], ("devices.drive_depth",)),
+                   (onu.modulator, ("uplink.drive_depth",))][:2 if k == 0
+                                                              else 1]
         if self.style == "subcarrier_tunnels" and self.payloads:
-            gen, gen_window, rings = self.edge_rings[k]
+            gen, tunnels = self.edge_rings[k]
             retain = ("devices.carrier_retain_fraction",)
-            windows += [(gen, gen_window, retain), *(
-                (r, w, ("wdm.rof_subcarrier_offset", "wdm.digital_subband"))
-                for r, w in rings)]
-            spans += [(gen.effective_resonance + f - gen_window,
-                       gen.effective_resonance + f + gen_window, None,
+            devices += [(gen, retain), *(
+                (t, ("wdm.rof_subcarrier_offset", "wdm.digital_subband"))
+                for t in tunnels)]
+            spans += [(gen.ring.effective_resonance + f - gen.window,
+                       gen.ring.effective_resonance + f + gen.window, None,
                        ("wdm.rof_subcarrier_offset", *retain, *_LINEWIDTH))
                       for f in (-f_s, f_s)]
         elif self.style == "adjacent_rf":
-            windows.append((self.rf_modulator[0].ring, self.rf_modulator[1],
-                            ("digital.if_freq",)))
-        spans += [(r.effective_resonance - w, r.effective_resonance + w, None,
-                   keys + _LINEWIDTH) for r, w, keys in windows]
-        rof = ("onu.rof_filter_bandwidth" if self.style == "subcarrier_tunnels"
-               else "onu.rof_carrier_tap_db", "onu.rof_filter_order")
-        receivers = [(onu.broadband_filter, ("onu.carrier_tap_fraction",
-                                             "onu.broadband_order",
-                                             "onu.broadband_passband_fraction")),
-                     *((spec, rof) for spec in onu.rof_filters)]
+            devices.append((self.rf_modulator, ("digital.if_freq",)))
+        for device, keys in devices:
+            res, w = device.ring.effective_resonance, device.window
+            if w is None:
+                w = (3.0 + 2.0 * device.depth) * device.ring.fwhm
+            spans.append((res - w, res + w, None, keys + _LINEWIDTH))
+        receivers = list(self._drops)
         if k == 0 and self.intercept is not None:
             receivers.append((self.intercept, ("uplink.intercept_carrier_tap",
                                                "uplink.intercept_order")))
@@ -630,11 +650,8 @@ class ScenarioConfig:
         return min(min(d, most or n) for d, most, _ in held)
 
     def pd(self, seed: int) -> PdParams:
-        return replace(self.onus[0].pd, seed=seed)
-
-    def onu_at(self, k: int, seed: int) -> OnuConfig:
-        """Channel ``k``'s network unit, with its detector seed."""
-        return replace(self.onus[k], pd=self.pd(seed))
+        """The detector with the seed of one burst's receiver."""
+        return replace(self.detector, seed=seed)
 
     def with_seed(self, seed: int) -> ScenarioConfig:
         """The same scenario under another seed."""
@@ -732,13 +749,10 @@ def _detect(stage: str, name: str, signal: _Signal,
 def _analytic_drive(signals, n: int, sample_rate: float,
                     lead: int = 0) -> ComplexWaveform:
     """The analytic drive of each ``(signal, bits)`` of ``signals`` at its
-    IF, ``lead`` samples late: their spectra, made in a fork and summed.
-    Its band edge is the highest of theirs."""
-    signals = list(signals)
+    IF, ``lead`` samples late: their spectra, made in a fork and summed."""
     spectra = fork(*(partial(s.spectrum, bits, n, sample_rate, lead)
                      for s, bits in signals))
-    return analytic(sum(spectra[1:], spectra[0]), n, sample_rate).copy_with(
-        band_edge=max(s.edges()[1] for s, _ in signals))
+    return analytic(sum(spectra[1:], spectra[0]), n, sample_rate)
 
 
 def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
@@ -749,14 +763,11 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
     if cfg.style == "subcarrier_tunnels":
         return _stage("smart_edge_overlay", smart_edge_overlay, link,
                       cfg.plan, cfg.edge_rings, drives, channel=k,
-                      spill=spill,
-                      subcarrier_clock_volt=cfg.subcarrier_clock_volt,
-                      drive_depth=cfg.rf_drive_depth)
+                      spill=spill)
     # one composite radio drive, single-sideband below the carrier
-    modulator, window = cfg.rf_modulator
-    drive = scale_drive_to_depth(drives[0], modulator.ring, cfg.rf_drive_depth)
-    return _stage("smart_edge_overlay", iq_mrm_ssb, link, modulator, drive,
-                  tone_window_hz=window)
+    drive = scale_drive_to_depth(drives[0], cfg.rf_modulator)
+    return _stage("smart_edge_overlay", iq_mrm_ssb, link, cfg.rf_modulator,
+                  drive)
 
 
 def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
@@ -809,8 +820,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                             guard), *payload, *uplink)
         tx = _stage("olt_transmit", olt_transmit, plan, made[0], k,
                     modulators=cfg.transmitters,
-                    power_per_tone_dbm=cfg.tx_power_dbm,
-                    drive_depth=cfg.drive_depth)
+                    power_per_tone_dbm=cfg.tx_power_dbm)
         link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder, centre)
         if cfg.amplifier is not None:
             link = _stage("amplifier", amplify_ase, link, *cfg.amplifier,
@@ -822,8 +832,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     up_drive = launched[-1][2][0]
     spill = [None] * plan.n_channels
     if cfg.style == "subcarrier_tunnels" and cfg.payloads:
-        spill = subcarrier_spill(fields, plan, cfg.edge_rings,
-                                 cfg.subcarrier_clock_volt)
+        spill = subcarrier_spill(fields, plan, cfg.edge_rings)
 
     def edge(k: int, link: ComplexWaveform, drives: list):
         link = _overlay(cfg, link, k, drives, spill[k])
@@ -862,8 +871,9 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         """Slot ``k``'s network unit; channel 0's remodulates its residual
         carrier with the uplink drive, the digital signal and the radio
         one if any, and every other one demodulates its downlink."""
-        onu = cfg.onu_at(k, burst_seed + 100 + k)
-        unit = _stage("onu_receive", onu_receive, link, onu)
+        onu = cfg.onus[k]
+        unit = _stage("onu_receive", onu_receive, link, onu,
+                      cfg.pd(burst_seed + 100 + k))
         if k:
             return fork(*demods(k, unit))
         return unit, _stage("onu_remodulate", onu_remodulate, unit.residual,

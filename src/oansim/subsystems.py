@@ -3,10 +3,12 @@
 Drives in, fields and photocurrents out: every block takes electrical
 drives on the simulation grid (real for a single ring, analytic for an
 IQ modulator) and returns optical fields or real detected photocurrents;
-:mod:`oansim.scenarios` makes and reads every OFDM signal.  A field is one
-WDM channel's slot record, centred on its carrier: the central office and
-the smart edge act on it with the channel's own devices' time-varying
-responses and every other channel's devices' static ones.
+:mod:`oansim.scenarios` makes and reads every OFDM signal, and builds
+every device once: a modulator's record fixes its depth, tone window and
+band edge.  A field is one WDM channel's slot record, centred on its
+carrier: the central office and the smart edge act on it with the
+channel's own devices' time-varying responses and every other channel's
+devices' static ones.
 
 * central-office transmitter: comb source + one IQ microring modulator
   per WDM channel, single-sideband digital drive inside each channel's
@@ -31,15 +33,15 @@ ratio) are computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .channel import PdParams, dc_block, photodetect
-from .devices import (IqMrmConfig, RingParams, apply_mrm, drop_filter,
-                      generate_subcarriers, iq_mrm_ssb, subcarrier_lines,
-                      thermal_tune, undriven_mrm)
+from .devices import (ClockGenerator, Modulator, RingParams, apply_mrm,
+                      drop_filter, generate_subcarriers, iq_mrm_ssb,
+                      subcarrier_lines, thermal_tune, undriven_mrm)
 from .errors import ConfigError, SimulationError
 from .waveform import ComplexWaveform, band_power, combine, crop_to_band
 
@@ -126,14 +128,16 @@ def slope_biased_ring(carrier_freq: float, fsr: float = 5e12,
     return thermal_tune(ring, carrier_freq - slope_fraction * ring.fwhm)
 
 
-def scale_drive_to_depth(drive: ComplexWaveform, ring: RingParams,
-                         depth: float) -> ComplexWaveform:
+def scale_drive_to_depth(drive: ComplexWaveform,
+                         modulator: Modulator) -> ComplexWaveform:
     """Scale a drive so the peak resonance excursion of its real part is
-    depth x FWHM; an analytic drive's imaginary part scales with it."""
+    the modulator's depth times its ring's FWHM; an analytic drive's
+    imaginary part scales with it."""
     peak = float(np.max(np.abs(drive.samples.real)))
     if peak == 0.0:
         return drive.copy_with()
-    target_volt = depth * ring.fwhm / ring.mod_efficiency
+    ring = modulator.ring
+    target_volt = modulator.depth * ring.fwhm / ring.mod_efficiency
     return drive.scaled(target_volt / peak)
 
 
@@ -190,32 +194,35 @@ def solve_carrier_tap_filter(band_lo: float, band_hi: float, tap: float,
 @dataclass
 class OnuConfig:
     """The network unit on ``channel``: its drop filters, relative to the
-    carrier, and ``modulator``, which puts the uplink on its sideband."""
+    carrier, and ``modulator``, the IQ pair that puts the uplink on its
+    sideband."""
     channel: WdmChannel
     broadband_filter: FilterSpec
-    modulator: IqMrmConfig
+    modulator: Modulator
     rof_filters: tuple = ()
-    uplink_drive_depth: float = 0.2
     min_residual_carrier_dbm: float = -35.0
-    pd: PdParams = field(default_factory=PdParams)
 
     def __post_init__(self):
         for spec in (self.broadband_filter, *self.rof_filters):
-            if abs(spec.center_offset) + spec.bandwidth / 2.0 \
-                    > self.channel.slot_width / 2.0:
-                raise ConfigError(
-                    f"filter at offset {spec.center_offset/1e9:+.2f} GHz "
-                    f"extends beyond the ONU slot")
-            # downlink left on the bus masks the uplink: a signal in its band's
-            # central half leaks by at most 1 / (1 + 4^order), at u = 1/2
-            suppression_db = 10.0 * (spec.order * np.log10(4.0)
-                                     + np.log10(1.0 + 0.25 ** spec.order))
-            if suppression_db < UPLINK_RATIO_TARGET_DB:
-                raise ConfigError(
-                    f"drop filter at {spec.center_offset/1e9:+.2f} GHz "
-                    f"(order {spec.order}) suppresses the downlink by only "
-                    f"{suppression_db:.1f} dB; uplink target is "
-                    f"{UPLINK_RATIO_TARGET_DB:.1f} dB")
+            check_drop(spec, self.channel)
+
+
+def check_drop(spec: FilterSpec, ch: WdmChannel) -> None:
+    """Raise ConfigError unless a network unit's drop filter ``spec`` fits
+    the slot of ``ch`` and suppresses the downlink enough for the uplink."""
+    if abs(spec.center_offset) + spec.bandwidth / 2.0 > ch.slot_width / 2.0:
+        raise ConfigError(f"filter at offset {spec.center_offset/1e9:+.2f} "
+                          f"GHz extends beyond the ONU slot")
+    # downlink left on the bus masks the uplink: a signal in its band's
+    # central half leaks by at most 1 / (1 + 4^order), at u = 1/2
+    suppression_db = 10.0 * (spec.order * np.log10(4.0)
+                             + np.log10(1.0 + 0.25 ** spec.order))
+    if suppression_db < UPLINK_RATIO_TARGET_DB:
+        raise ConfigError(
+            f"drop filter at {spec.center_offset/1e9:+.2f} GHz (order "
+            f"{spec.order}) suppresses the downlink by only "
+            f"{suppression_db:.1f} dB; uplink target is "
+            f"{UPLINK_RATIO_TARGET_DB:.1f} dB")
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +230,17 @@ class OnuConfig:
 
 
 def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
-                 modulators, power_per_tone_dbm: float = 0.0,
-                 drive_depth: float = 0.25) -> ComplexWaveform:
+                 modulators,
+                 power_per_tone_dbm: float = 0.0) -> ComplexWaveform:
     """The central office's output in the slot of ``plan.channels[channel]``.
 
     The slot record is the grid of ``drive``, centred on the channel's
     carrier: its comb line sits on bin 0.  ``drive`` is the channel's
     analytic electrical drive (see :func:`~oansim.devices.iq_mrm_ssb`) at
-    its IF; it is scaled to ``drive_depth`` and placed next to the carrier
-    on the sideband of the channel's IQ modulator in ``modulators``, which
-    holds one per channel of the plan.  Every other channel's modulator
+    its IF; the channel's IQ modulator in ``modulators``, which holds one
+    per channel of the plan, scales it to its depth and places it next to
+    the carrier on its sideband, in its tone window.  Every other channel's
+    modulator
     acts on the slot by its static response
     (:func:`~oansim.devices.undriven_mrm`), in the order of the plan.
     Returns the slot's field, of the drive's length.
@@ -251,10 +259,9 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
                           spectrum=comb)
     for j, config in enumerate(modulators):
         if j == channel:
-            out = iq_mrm_ssb(out, config, scale_drive_to_depth(
-                drive, config.ring, drive_depth))
+            out = iq_mrm_ssb(out, config, scale_drive_to_depth(drive, config))
         else:
-            out = undriven_mrm(out, config.ring, sum(config.weights))
+            out = undriven_mrm(out, config.ring, sum(config.arms))
         out = out.scaled(_BUS_GAIN)
     return out
 
@@ -263,16 +270,15 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
 # Smart edge
 
 
-def overlay_rings(ch: WdmChannel, tunnels: int,
-                  carrier_retain_fraction: float = 0.6, **ring) -> tuple:
-    """The smart edge's rings on channel ``ch`` with ``tunnels`` radio
-    tunnels, each with the half-width of its tone window around its
-    resonance: the clock-driven generator, biased off the null so that
-    ``carrier_retain_fraction`` of the carrier survives for the digital
-    subband, and one slope-biased ring per tunnel on the +f_s, then the
-    -f_s subcarrier, each of the ``ring`` values of
-    :func:`slope_biased_ring`.  Returns ``(generator, window, [(ring,
-    window)])``."""
+def overlay_rings(ch: WdmChannel, band_edges, depth: float,
+                  clock_volt: float, carrier_retain_fraction: float,
+                  **ring) -> tuple:
+    """The smart edge's rings on channel ``ch``, of the ``ring`` values of
+    :func:`slope_biased_ring`, as ``(generator, [modulator])``: the clock
+    generator, its clock at f_s of ``clock_volt``, biased off the null so
+    that ``carrier_retain_fraction`` of the carrier survives, and one ring
+    per entry of ``band_edges`` (its drive's), on the +f_s then the -f_s
+    subcarrier, driven to ``depth``."""
     f_s = ch.rof_subcarrier_offset
     gen = slope_biased_ring(ch.center_freq,
                             slope_fraction=_null_offset_fraction(
@@ -280,35 +286,37 @@ def overlay_rings(ch: WdmChannel, tunnels: int,
                             **ring)
     # quasi-static window: just the carrier line; anything wider would
     # pull the digital subband into the time-varying path
-    gen_window = ch.center_freq - gen.effective_resonance + CARRIER_WINDOW_HZ
+    generator = ClockGenerator(
+        gen, ch.center_freq - gen.effective_resonance + CARRIER_WINDOW_HZ,
+        f_s, clock_volt)
     gap = f_s - ch.digital_subband / 2.0
     rings = []
-    for sign in (+1.0, -1.0)[:tunnels]:
+    for sign, edge in zip((+1.0, -1.0), band_edges):
         tuned = slope_biased_ring(ch.center_freq + sign * f_s, **ring)
         # cover the subcarrier line but stay clear of the digital subband
         # edge on the carrier side
         ring_off = abs(ch.center_freq + sign * f_s - tuned.effective_resonance)
-        rings.append((tuned, ring_off + 0.5 * (gap - ring_off)))
-    return gen, gen_window, rings
+        rings.append(Modulator(tuned, depth, ring_off + 0.5 * (gap - ring_off),
+                               edge))
+    return generator, rings
 
 
 def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
-                       rof_payloads, channel: int = 0, spill=None,
-                       subcarrier_clock_volt: float = 0.4,
-                       drive_depth: float = 0.25) -> ComplexWaveform:
+                       rof_payloads, channel: int = 0,
+                       spill=None) -> ComplexWaveform:
     """Overlay analog radio tunnels on the slot of ``plan.channels[channel]``.
 
     ``rings`` holds, per channel of the plan, its smart edge's rings as
     :func:`overlay_rings` builds them (read only when there are payloads).
     Per channel, in order: the clock-driven generator splits part of the
     carrier into +/-f_s subcarriers, then one slope-biased ring per tunnel
-    modulates the +f_s and -f_s subcarriers with the radio payloads.
-    ``rof_payloads`` holds the slot's own channel's up to two real
-    electrical waveforms, already centered at their radio IF, as long as
-    the field; every channel has as many tunnels.  The other channels'
-    rings act by their static responses, and after each other generator
-    its lines in this slot, ``spill[j]`` of :func:`subcarrier_spill`, are
-    added.
+    modulates the +f_s and -f_s subcarriers with the radio payloads, each
+    scaled to its ring's depth.  ``rof_payloads`` holds the slot's own
+    channel's up to two real electrical waveforms, already centered at
+    their radio IF, as long as the field; every channel has as many
+    tunnels.  The other channels' rings act by their static responses, and
+    after each other generator its lines in this slot, ``spill[j]`` of
+    :func:`subcarrier_spill`, are added.
     """
     if len(rof_payloads) > 2:
         raise ConfigError("at most two radio tunnels per channel")
@@ -318,7 +326,7 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
             # undriven stages still cost bus insertion loss
             out = out.scaled(_BUS_GAIN ** 3)
             continue
-        gen, gen_window, tunnels = rings[j]
+        gen, tunnels = rings[j]
         if j == channel:
             carrier_ok = band_power(
                 out, ch.center_freq - CARRIER_WINDOW_HZ,
@@ -327,27 +335,23 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
                 raise SimulationError(
                     f"no carrier found at {ch.center_freq/1e12:.4f} THz"
                 )
-            out = generate_subcarriers(
-                out, gen, clock_freq=ch.rof_subcarrier_offset,
-                clock_amplitude_volt=subcarrier_clock_volt,
-                tone_window_hz=gen_window)
+            out = generate_subcarriers(out, gen)
         else:
-            out = undriven_mrm(out, gen)
+            out = undriven_mrm(out, gen.ring)
             if spill is not None and spill[j] is not None:
                 out = out.copy_with(spectrum=out.spectrum + spill[j])
         out = out.scaled(_BUS_GAIN)
-        for (ring, window), payload in zip(tunnels, rof_payloads):
+        for tunnel, payload in zip(tunnels, rof_payloads):
             if j == channel:
-                drive = scale_drive_to_depth(payload, ring, drive_depth)
-                out = apply_mrm(out, ring, drive, tone_window_hz=window)
+                out = apply_mrm(out, tunnel,
+                                scale_drive_to_depth(payload, tunnel))
             else:
-                out = undriven_mrm(out, ring)
+                out = undriven_mrm(out, tunnel.ring)
             out = out.scaled(_BUS_GAIN)
     return out
 
 
-def subcarrier_spill(fields, plan: WdmPlan, rings,
-                     subcarrier_clock_volt: float = 0.4) -> list:
+def subcarrier_spill(fields, plan: WdmPlan, rings) -> list:
     """The lines each channel's clock generator lifts into the other slots.
 
     ``fields`` are the slot records, one per channel, as they enter the
@@ -360,23 +364,20 @@ def subcarrier_spill(fields, plan: WdmPlan, rings,
     passes the earlier channels' rings by their static responses and
     gains their generators' lines, as in the overlay.
     """
-    inputs = [crop_to_band(f, gen.effective_resonance - w,
-                           gen.effective_resonance + w)
-              for f, (gen, w, _) in zip(fields, rings)]
+    inputs = [crop_to_band(f, gen.ring.effective_resonance - gen.window,
+                           gen.ring.effective_resonance + gen.window)
+              for f, (gen, _) in zip(fields, rings)]
     spill = [[None] * plan.n_channels for _ in fields]
-    for j, (ch, (gen, window, tunnels)) in enumerate(zip(plan.channels,
-                                                         rings)):
-        lines = partial(subcarrier_lines, inputs[j], gen,
-                        ch.rof_subcarrier_offset, subcarrier_clock_volt,
-                        window)
+    for j, (gen, tunnels) in enumerate(rings):
+        lines = partial(subcarrier_lines, inputs[j], gen)
         for k, field in enumerate(fields):
             if k != j:
                 spill[k][j] = lines(field)
         for i in range(j + 1, plan.n_channels):
-            x = undriven_mrm(inputs[i], gen)
+            x = undriven_mrm(inputs[i], gen.ring)
             x = x.copy_with(spectrum=x.spectrum + lines(x)).scaled(_BUS_GAIN)
-            for ring, _ in tunnels:
-                x = undriven_mrm(x, ring).scaled(_BUS_GAIN)
+            for tunnel in tunnels:
+                x = undriven_mrm(x, tunnel.ring).scaled(_BUS_GAIN)
             inputs[i] = x
     return spill
 
@@ -457,13 +458,14 @@ class OnuReceiveResult:
     carrier_residual_dbm: float
 
 
-def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
+def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
+                pd: PdParams) -> OnuReceiveResult:
     """Strip the broadband subband and radio tunnels off the bus.
 
     The broadband drop taps the carrier share its filter was solved for;
-    it and each radio drop are direct-detected and their photocurrents
-    returned.  The residual field (including the remaining carrier) is
-    returned for remodulation.
+    it and each radio drop are direct-detected by ``pd``, the burst's
+    seeded detector, and their photocurrents returned.  The residual field
+    (including the remaining carrier) is returned for remodulation.
     """
     f_c = cfg.channel.center_freq
     if band_power(field_in, *cfg.channel.slot_edges) <= 0.0:
@@ -478,7 +480,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
     # direct detection beats the SSB content against the tapped carrier,
     # recovering the real IF signal regardless of which optical sideband
     # carried it, so no spectral flip is ever needed here
-    broadband = detect_drop(dropped, f_c, spec, cfg.pd)
+    broadband = detect_drop(dropped, f_c, spec, pd)
 
     carrier_bb = _carrier_dbm(bus, f_c)
     rof_out = []
@@ -486,7 +488,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig) -> OnuReceiveResult:
         rdrop, bus = drop_filter(bus, f_c + rspec.center_offset,
                                  rspec.bandwidth, rspec.order)
         bus = bus.scaled(_BUS_GAIN)
-        rof_out.append(detect_drop(rdrop, f_c, rspec, cfg.pd))
+        rof_out.append(detect_drop(rdrop, f_c, rspec, pd))
     carrier_res = _carrier_dbm(bus, f_c)
     return OnuReceiveResult(broadband, rof_out, bus, carrier_in, carrier_bb,
                             carrier_res)
@@ -505,8 +507,8 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
     The uplink drive is the sum of ``drives``, at least one analytic
     electrical waveform at its IF on the residual's grid and of its length
     (see :func:`~oansim.devices.iq_mrm_ssb`), which ``cfg.modulator``
-    puts on its sideband.  Reports the ratio of uplink power to the
-    residual downlink power on the bus.
+    scales to its depth and puts on its sideband.  Reports the ratio of
+    uplink power to the residual downlink power on the bus.
     """
     if not drives:
         raise ConfigError("the uplink needs at least one drive")
@@ -520,8 +522,7 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
 
     up_side = cfg.modulator.sideband
     down_side = "lower" if up_side == "upper" else "upper"
-    drive = scale_drive_to_depth(combine(drives), cfg.modulator.ring,
-                                 cfg.uplink_drive_depth)
+    drive = scale_drive_to_depth(combine(drives), cfg.modulator)
     out = iq_mrm_ssb(residual, cfg.modulator, drive)
 
     p_up = _side(out, cfg.channel, up_side)

@@ -49,20 +49,17 @@ class ComplexWaveform:
 
     Give ``samples``, ``spectrum`` or both; when both are given they must
     be each other's transform.  The arrays are held, not copied, so the
-    caller must not write to them afterwards.  ``band_edge`` is the highest
-    frequency (Hz) of a drive's band where its maker knows it (an OFDM
-    signal's band, a clock's frequency), None where it does not.
+    caller must not write to them afterwards.
     """
 
     def __init__(self, samples, sample_rate: float, ref_freq: float = 0.0,
-                 spectrum=None, band_edge: float | None = None):
+                 spectrum=None):
         if samples is None and spectrum is None:
             raise ConfigError("waveform needs samples or a spectrum")
         self._samples = None if samples is None else _read_only(samples)
         self._spectrum = None if spectrum is None else _read_only(spectrum)
         self.sample_rate = sample_rate
         self.ref_freq = ref_freq
-        self.band_edge = band_edge
         self._power = None
         if self.sample_rate <= 0:
             raise ConfigError("sample_rate must be > 0")
@@ -121,11 +118,10 @@ class ComplexWaveform:
         """A copy with new content or attributes.
 
         New ``samples`` or a new ``spectrum`` replace both representations;
-        without either the copy shares this waveform's arrays and band edge.
+        without either the copy shares this waveform's arrays.
         """
         if samples is None and spectrum is None:
             samples, spectrum = self._samples, self._spectrum
-            attrs.setdefault("band_edge", self.band_edge)
         kwargs = {"sample_rate": self.sample_rate, "ref_freq": self.ref_freq,
                   **attrs}
         return ComplexWaveform(samples, spectrum=spectrum, **kwargs)
@@ -134,8 +130,7 @@ class ComplexWaveform:
         """This waveform times ``gain``, in each representation it holds."""
         return self.copy_with(
             samples=None if self._samples is None else self._samples * gain,
-            spectrum=None if self._spectrum is None else self._spectrum * gain,
-            band_edge=self.band_edge)
+            spectrum=None if self._spectrum is None else self._spectrum * gain)
 
 
 def psd(wf: ComplexWaveform):
@@ -310,7 +305,5 @@ def combine(waveforms: list[ComplexWaveform]) -> ComplexWaveform:
             raise ConfigError("combine: waveform grids differ")
         if wf.n != first.n:
             raise ConfigError("combine: waveform lengths differ")
-    edges = [wf.band_edge for wf in waveforms]
     return first.copy_with(samples=sum((wf.samples for wf in waveforms[1:]),
-                                       first.samples),
-                           band_edge=None if None in edges else max(edges))
+                                       first.samples))

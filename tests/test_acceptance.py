@@ -19,9 +19,9 @@ from oansim.budget import (FRONTHAUL_PRESETS, comp_feasibility,
 from oansim.budget import LinkSpec, NodeSpec, TopologySpec
 from oansim.channel import (FiberParams, PdParams, dc_block, photodetect,
                             propagate_fiber)
-from oansim.devices import (IqMrmConfig, RingParams, apply_mrm,
-                            drop_filter, generate_subcarriers, iq_mrm_ssb,
-                            ring_response)
+from oansim.devices import (ClockGenerator, Modulator, RingParams,
+                            drop_filter, generate_subcarriers, iq_arms,
+                            iq_mrm_ssb, ring_response)
 from oansim.metrics import analytic_awgn_ber, ber_evm_metrics
 from oansim.ofdm import OfdmConfig, add_awgn, demodulate_ofdm, generate_ofdm
 from oansim.scenarios import builtin_config_path, load_config, run_scenario
@@ -99,6 +99,15 @@ def test_criterion_3_comp_feasibility():
 # 4. Single-sideband quality
 
 
+def _iq_pair(ring, drive, branch_phase=np.pi / 2):
+    """``ring`` as an upper-sideband IQ pair whose tone window holds the
+    swing of ``drive``: 3 linewidths plus half its peak-to-peak detuning."""
+    x = drive.samples
+    window = 3.0 * ring.fwhm + ring.mod_efficiency * max(
+        np.ptp(x.real), np.ptp(x.imag)) / 2.0
+    return Modulator(ring, 1.0, window, arms=iq_arms("upper", branch_phase))
+
+
 def _irr_db(branch_phase):
     field = carrier()
     ring = slope_biased_ring(F0)
@@ -106,8 +115,7 @@ def _irr_db(branch_phase):
     t = np.arange(N) / FS
     # the analytic drive: cosine on the I ring, its Hilbert pair on the Q
     drive = ComplexWaveform(0.05 * np.exp(2j * np.pi * f_m * t), FS)
-    cfg = IqMrmConfig(ring, branch_phase=branch_phase, sideband="upper")
-    out = iq_mrm_ssb(field, cfg, drive)
+    out = iq_mrm_ssb(field, _iq_pair(ring, drive, branch_phase), drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
     dn = band_power(out, F0 - f_m - 1e9, F0 - f_m + 1e9)
     return 10.0 * np.log10(up / dn)
@@ -147,7 +155,7 @@ def test_criterion_4_ssb_quality():
     field = carrier()
     ring = slope_biased_ring(F0)
     drive = ComplexWaveform(0.05 * np.exp(2j * np.pi * null * t), FS)
-    ssb = iq_mrm_ssb(field, IqMrmConfig(ring, sideband="upper"), drive)
+    ssb = iq_mrm_ssb(field, _iq_pair(ring, drive), drive)
     faded = propagate_fiber(ssb, fiber)
     dip = 10.0 * np.log10(_rf_power_after(faded, null)
                           / _rf_power_after(ssb, null))
@@ -169,8 +177,8 @@ def test_criterion_5_subcarrier_generation():
     bin_hz = FS / N
     suppressions = {}
     for f_clk in (10e9, 15e9, 20e9):
-        out = generate_subcarriers(carrier(), ring, f_clk,
-                                   clock_amplitude_volt=0.25)
+        out = generate_subcarriers(carrier(), ClockGenerator(
+            ring, max(3.0 * ring.fwhm, 0.4 * f_clk), f_clk, 0.25))
         spec2 = np.abs(np.fft.fft(out.samples)) ** 2
         f = out.baseband_freqs()
         for sign in (+1, -1):

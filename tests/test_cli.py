@@ -90,8 +90,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 2
 
 
-def _scenario_b_cut():
-    raw = yaml.safe_load(builtin_config_path("scenario_b").read_text())
+def _shipped_cut(style):
+    """The shipped config of an overlay style, cut to a short burst."""
+    name = {"adjacent_rf": "scenario_b", "subcarrier_tunnels": "scenario_a"}
+    raw = yaml.safe_load(builtin_config_path(name[style]).read_text())
     raw["sweep"] = {"rx_power_dbm": [-4.0], "bits_per_point": 100,
                     "top_bits": 100, "burst_symbols": 50}
     return raw
@@ -198,10 +200,24 @@ NAN, INF = float("nan"), float("inf")
     ("mini", ["devices", "drive_depth"], 1e30, "devices.drive_depth"),
     ("mini", ["uplink", "drive_depth"], 1e30, "uplink.drive_depth"),
     ("mini", ["devices", "ring", "fsr"], 1e30, "devices.ring.fsr"),
+    # counts, rates and levels past what the arithmetic holds: each ended
+    # in a traceback
+    ("mini", ["digital", "pilot_spacing"], 1e30, "digital.pilot_spacing"),
+    ("mini", ["digital", "oversampling"], 1e30, "digital.oversampling"),
+    ("mini", ["digital", "occupied_bandwidth"], 1e30,
+     "digital.occupied_bandwidth"),
+    ("mini", ["devices", "tx_power_dbm"], 1e30, "devices.tx_power_dbm"),
+    ("mini", ["sweep", "burst_symbols"], 1e30, "sweep.burst_symbols"),
+    ("mini", ["sample_rate"], 1e30, "sample_rate"),
+    # a network unit's filter that fails its checks names the keys that
+    # size it
+    ("mini", ["onu", "broadband_order"], 2, "onu.broadband_order"),
+    ("subcarrier_tunnels", ["onu", "rof_filter_bandwidth"], 1e30,
+     "onu.rof_filter_bandwidth"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):
-    raw = copy.deepcopy(MINI) if base == "mini" else _scenario_b_cut()
+    raw = copy.deepcopy(MINI) if base == "mini" else _shipped_cut(base)
     section = raw
     for name in path[:-1]:
         section = section.setdefault(name, {})

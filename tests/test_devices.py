@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,11 @@ from hypothesis import strategies as st
 from scipy.signal import hilbert
 
 import oansim.devices
-from oansim.devices import (IqMrmConfig, RingParams, _drop_pair,
-                            _through_detuned, apply_mrm, drop_filter,
-                            generate_subcarriers, iq_mrm_ssb,
-                            ring_response, subcarrier_lines, thermal_tune)
+from oansim.devices import (ClockGenerator, Modulator, RingParams,
+                            _drop_pair, _through_detuned, apply_mrm,
+                            drop_filter, generate_subcarriers, iq_arms,
+                            iq_mrm_ssb, ring_response, subcarrier_lines,
+                            thermal_tune)
 from oansim.errors import ConfigError, SimulationError
 from oansim.scenarios import _analytic_drive, builtin_config_path, load_config
 from oansim.subsystems import (_null_offset_fraction, scale_drive_to_depth,
@@ -32,6 +35,30 @@ def carrier(power_w=1e-3, n=65536, fs=FS, ref=F0):
 def add_drop_ring(t=0.98, a=0.995, res=F0, fsr=5e12):
     return RingParams(resonance_freq=res, fsr=fsr, self_coupling_t1=t,
                       self_coupling_t2=t, roundtrip_amplitude_a=a)
+
+
+def tone_window(ring, *drives):
+    """3 linewidths plus half the larger peak-to-peak detuning of the
+    drives' sample arrays: a tone window that holds the drives' swing."""
+    return 3.0 * ring.fwhm + ring.mod_efficiency * max(map(np.ptp,
+                                                           drives)) / 2.0
+
+
+def one_ring(ring, drive=None, window=None):
+    """``ring`` as a payload ring's record, its tone window ``window`` or
+    that :func:`tone_window` sets for ``drive``; the device functions do
+    not read its depth."""
+    if window is None:
+        window = tone_window(ring, drive.samples.real)
+    return Modulator(ring, 1.0, window)
+
+
+def clock(ring, f_clk, volt=1.0, window=None):
+    """``ring`` driven by a clock at ``f_clk`` of ``volt`` amplitude, its
+    tone window ``window`` or 3 linewidths and at least 0.4 clocks."""
+    if window is None:
+        window = max(3.0 * ring.fwhm, 0.4 * f_clk)
+    return ClockGenerator(ring, window, f_clk, volt)
 
 
 # ---------------------------------------------------------------- response
@@ -123,7 +150,7 @@ def test_mrm_zero_drive_is_static_filter():
     ring = slope_biased_ring(F0)
     field = carrier()
     drive = ComplexWaveform(np.zeros(field.n), FS)
-    out = apply_mrm(field, ring, drive)
+    out = apply_mrm(field, one_ring(ring, drive), drive)
     expected, _ = ring_response(ring, F0)
     # the static path meets the closed form to round-off (2.3e-13 here)
     assert out.power() == pytest.approx(abs(expected) ** 2 * field.power(),
@@ -135,7 +162,7 @@ def test_mrm_far_detuned_carrier_passes():
     field = carrier()
     drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2e9 * field.times()),
                             FS)
-    out = apply_mrm(field, ring, drive)
+    out = apply_mrm(field, one_ring(ring, drive), drive)
     loss_db = field.power_dbm() - out.power_dbm()
     assert loss_db < 0.1
 
@@ -146,7 +173,7 @@ def test_mrm_creates_symmetric_sidebands():
     f_m = 5e9
     drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * f_m * field.times()),
                             FS)
-    out = apply_mrm(field, ring, drive)
+    out = apply_mrm(field, one_ring(ring, drive), drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
     dn = band_power(out, F0 - f_m - 1e9, F0 - f_m + 1e9)
     assert up > 1e-9 * field.power()
@@ -155,7 +182,7 @@ def test_mrm_creates_symmetric_sidebands():
 
 
 def test_mrm_rejects_bad_drive():
-    ring = slope_biased_ring(F0)
+    ring = one_ring(slope_biased_ring(F0), window=8e9)
     field = carrier(n=4096)
     complex_drive = field.copy_with(
         samples=1j * np.ones(field.n), ref_freq=0.0)
@@ -221,7 +248,7 @@ def test_block_and_tone_methods_agree():
     drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2.5e9 * field.times()),
                             FS)
     a = block_mrm(field, ring, drive)
-    b = apply_mrm(field, ring, drive, tone_window_hz=20e9)
+    b = apply_mrm(field, one_ring(ring, window=20e9), drive)
     # compare in the modulated band only
     pa = band_power(a, F0 - 10e9, F0 + 10e9)
     pb = band_power(b, F0 - 10e9, F0 + 10e9)
@@ -234,9 +261,11 @@ def test_block_and_tone_methods_agree():
 def ssb_setup(branch_phase=np.pi / 2, f_m=5e9, depth=0.05):
     field = carrier()
     ring = slope_biased_ring(F0)
-    cfg = IqMrmConfig(ring=ring, branch_phase=branch_phase, sideband="upper")
     drive = ComplexWaveform(
         depth * np.exp(2j * np.pi * f_m * field.times()), FS)
+    x = drive.samples
+    cfg = Modulator(ring, 1.0, tone_window(ring, x.real, x.imag),
+                    arms=iq_arms("upper", branch_phase))
     out = iq_mrm_ssb(field, cfg, drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
     dn = band_power(out, F0 - f_m - 1e9, F0 - f_m + 1e9)
@@ -267,7 +296,7 @@ def test_hilbert_pair_quadrature():
 
 def test_iq_ssb_needs_an_analytic_drive():
     field = carrier(n=4096)
-    cfg = IqMrmConfig(ring=slope_biased_ring(F0))
+    cfg = Modulator(slope_biased_ring(F0), 1.0, 8e9, arms=iq_arms())
     for samples in (np.zeros(field.n), np.ones(field.n, dtype=complex)):
         with pytest.raises(ConfigError, match="analytic"):
             iq_mrm_ssb(field, cfg, ComplexWaveform(samples, FS))
@@ -280,7 +309,7 @@ def test_subcarrier_zero_clock_is_static():
     ring = RingParams(resonance_freq=F0, fsr=5e12, self_coupling_t1=0.995,
                      self_coupling_t2=1.0, roundtrip_amplitude_a=0.995)
     field = carrier()
-    out = generate_subcarriers(field, ring, 20e9, clock_amplitude_volt=0.0)
+    out = generate_subcarriers(field, clock(ring, 20e9, volt=0.0))
     # on-resonance critically coupled: the carrier is killed
     assert out.power() < 1e-6 * field.power()
 
@@ -288,13 +317,13 @@ def test_subcarrier_zero_clock_is_static():
 def test_subcarrier_needs_a_tone():
     ring = thermal_tune(add_drop_ring(), F0 + 1e12)
     with pytest.raises(SimulationError):
-        generate_subcarriers(carrier(), ring, 20e9)
+        generate_subcarriers(carrier(), clock(ring, 20e9))
 
 
 def test_subcarrier_nyquist_guard():
     ring = add_drop_ring()
     with pytest.raises(ConfigError):
-        generate_subcarriers(carrier(), ring, FS)
+        generate_subcarriers(carrier(), clock(ring, FS))
 
 
 # ---------------------------------------------------------------- drop filter
@@ -418,7 +447,7 @@ def test_static_ring_filter_matches_the_fft_round_trip():
     for volt in (0.0, 0.3):
         flat = cos_drive(field, depth=0.0, mean=volt)
         h = static_through(ring, field, ring.mod_efficiency * volt)
-        assert_round_off(apply_mrm(field, ring, flat).samples,
+        assert_round_off(apply_mrm(field, one_ring(ring, flat), flat).samples,
                          np.fft.ifft(np.fft.fft(field.samples) * h))
 
 
@@ -427,40 +456,35 @@ def test_tone_mrm_matches_the_fft_round_trip():
     field = two_tone_field()
     for mean in (0.0, 0.02):
         drive = cos_drive(field, mean=mean)
-        window = 3.0 * ring.fwhm + ring.mod_efficiency * np.ptp(
-            drive.samples.real) / 2.0
-        got = apply_mrm(field, ring, drive)
+        window = tone_window(ring, drive.samples)
+        got = apply_mrm(field, one_ring(ring, window=window), drive)
         assert_round_off(got.samples,
                          round_trip_tone(field, ring, drive, window))
 
 
 def test_iq_ssb_matches_the_fft_round_trip():
-    """Both arms share one tone window: the given one, or by default 3
-    linewidths plus half the larger peak-to-peak detuning."""
+    """Both arms share the record's tone window."""
     ring = slope_biased_ring(F0)
     field = two_tone_field()
     i = cos_drive(field)
     q = cos_drive(field, depth=0.08).copy_with(
         samples=0.08 * np.sin(2 * np.pi * 5e9 * field.times()))
     drive = ComplexWaveform(i.samples + 1j * q.samples, FS)
-    cfg = IqMrmConfig(ring, sideband="lower")
-    for window in (8e9, None):
-        got = iq_mrm_ssb(field, cfg, drive, tone_window_hz=window)
-        if window is None:
-            window = 3.0 * ring.fwhm + ring.mod_efficiency * np.ptp(
-                q.samples) / 2.0
-        want = 0.5 * (round_trip_tone(field, ring, i, window)
-                      + np.exp(-1j * np.pi / 2)
-                      * round_trip_tone(field, ring, q, window))
-        assert_round_off(got.samples, want)
+    window = 8e9
+    cfg = Modulator(ring, 1.0, window, arms=iq_arms("lower"))
+    got = iq_mrm_ssb(field, cfg, drive)
+    want = 0.5 * (round_trip_tone(field, ring, i, window)
+                  + np.exp(-1j * np.pi / 2)
+                  * round_trip_tone(field, ring, q, window))
+    assert_round_off(got.samples, want)
 
 
 # ------------------------------------------- band-rate and spectral products
 #
-# A drive that knows its band edge has its line's product taken at a
-# fraction of the rate; a clock whose sampled period divides the record has
-# it taken as a spectrum.  Both are checked against the full-rate
-# round_trip_tone.
+# A modulator whose record knows its drive's band edge takes its line's
+# product at a fraction of the rate; a clock whose sampled period divides
+# the record has it taken as a spectrum.  Both are checked against the
+# full-rate round_trip_tone.
 
 
 def line_lengths(monkeypatch):
@@ -484,10 +508,11 @@ def relative_error(got, want):
 def test_band_rate_product_matches_the_full_rate_tone(case, monkeypatch):
     """Scenario A's modulators on channel 0, as its config builds them, on
     its 160 GS/s grid, each with a drive the pipeline makes: the digital
-    transmitter at depth 0.12, the uplink at depth 0.5 and a tunnel ring
-    with its tone window.  With the drive's band edge the product is taken
-    at a fraction of the rate within -60 dB of the full-rate tone path;
-    with the edge unknown it is that path, to round-off."""
+    transmitter at depth 0.12, the uplink at depth 0.5 and a tunnel ring,
+    each with its record's tone window.  With the record's band edge, that
+    of the drive, the product is taken at a fraction of the rate within
+    -60 dB of the full-rate tone path; with the edge unknown it is that
+    path, to round-off."""
     cfg = load_config(builtin_config_path("scenario_a"))
     fs, n = cfg.sample_rate, 1 << 16
     f0 = cfg.plan.channels[0].center_freq
@@ -501,45 +526,36 @@ def test_band_rate_product_matches_the_full_rate_tone(case, monkeypatch):
     if case == "tunnel":
         # the +f_s ring and the overlay's window: the subcarrier, clear of
         # the digital band
-        _, _, ((ring, window), _) = cfg.edge_rings[0]
+        _, (modulator, _) = cfg.edge_rings[0]
         ((signal, bits),) = signals
-        drive = scale_drive_to_depth(signal.drive(bits, n, fs), ring,
-                                     cfg.rf_drive_depth)
+        drive = scale_drive_to_depth(signal.drive(bits, n, fs), modulator)
         field = ComplexWaveform(1e-2 * (1.0 + np.exp(2j * np.pi * 20e9 * t)),
                                 fs, ref_freq=f0)
-
-        def modulate(drive):
-            return apply_mrm(field, ring, drive, tone_window_hz=window)
-
-        want = round_trip_tone(field, ring, drive, window)
+        modulate = partial(apply_mrm, field)
+        want = round_trip_tone(field, modulator.ring, drive, modulator.window)
     else:
-        modulator, depth, phase = (
-            (cfg.transmitters[0], cfg.drive_depth, np.pi / 2)
-            if case == "transmitter" else
-            (cfg.onus[0].modulator, cfg.onus[0].uplink_drive_depth,
-             -np.pi / 2))
+        modulator, phase = (
+            (cfg.transmitters[0], np.pi / 2) if case == "transmitter" else
+            (cfg.onus[0].modulator, -np.pi / 2))
         ring = modulator.ring
-        drive = scale_drive_to_depth(_analytic_drive(signals, n, fs), ring,
-                                     depth)
+        drive = scale_drive_to_depth(_analytic_drive(signals, n, fs),
+                                     modulator)
         field = ComplexWaveform(
             1e-2 * (1.0 + 0.1 * np.exp(2j * np.pi * 25e9 * t)), fs,
             ref_freq=f0)
         i = ComplexWaveform(drive.samples.real, fs)
         q = ComplexWaveform(drive.samples.imag, fs)
-        window = 3.0 * ring.fwhm + ring.mod_efficiency * max(
-            np.ptp(i.samples), np.ptp(q.samples)) / 2.0
-
-        def modulate(drive):
-            return iq_mrm_ssb(field, modulator, drive)
-
+        window = modulator.window or tone_window(ring, i.samples, q.samples)
+        modulate = partial(iq_mrm_ssb, field)
         want = 0.5 * (round_trip_tone(field, ring, i, window)
                       + np.exp(1j * phase) * round_trip_tone(field, ring, q,
                                                              window))
-    assert drive.band_edge == max(s.edges()[1] for s, _ in signals)
+    assert modulator.band_edge == max(s.edges()[1] for s, _ in signals)
     lengths = line_lengths(monkeypatch)
-    assert relative_error(modulate(drive).samples, want) < 1e-6
+    assert relative_error(modulate(modulator, drive).samples, want) < 1e-6
     assert lengths[-1] < n
-    assert_round_off(modulate(drive.copy_with(band_edge=None)).samples, want)
+    assert_round_off(modulate(replace(modulator, band_edge=None),
+                              drive).samples, want)
     assert lengths[-1] == n
 
 
@@ -564,12 +580,12 @@ def exact_through(ring, f, detune):
 def sampled_clock_product(field, ring, f_clk, through=exact_through,
                           volt=0.25):
     """The generator's product on every sample of the record."""
-    clock = ComplexWaveform(
+    drive = ComplexWaveform(
         volt * np.cos(2.0 * np.pi * f_clk / field.sample_rate
                       * np.arange(field.n)),
         field.sample_rate)
-    window = max(3.0 * ring.fwhm, 0.4 * f_clk)
-    return round_trip_tone(field, ring, clock, window, through)
+    return round_trip_tone(field, ring, drive, clock(ring, f_clk).window,
+                           through)
 
 
 def oversampled_clock_product(field, ring, f_clk, volt, up=8):
@@ -599,8 +615,7 @@ def test_spectral_generator_equals_the_sampled_product(f_clk, monkeypatch):
     for ring, volt in ((criterion_5_ring(), 0.25), (gen, 1.2)):
         field = two_tone_field(1 << 14)
         lengths = line_lengths(monkeypatch)
-        got = generate_subcarriers(field, ring, f_clk,
-                                   clock_amplitude_volt=volt)
+        got = generate_subcarriers(field, clock(ring, f_clk, volt))
         assert lengths == []
         want = oversampled_clock_product(field, ring, f_clk, volt)
         assert relative_error(got.samples, want) < 1e-6
@@ -622,7 +637,7 @@ def test_clock_cycle_is_sampled_until_its_harmonics_fade(monkeypatch):
     for volt in (0.25, 20.0):
         sizes.clear()
         field = two_tone_field(1 << 14)
-        got = generate_subcarriers(field, ring, 1e9, clock_amplitude_volt=volt)
+        got = generate_subcarriers(field, clock(ring, 1e9, volt))
         assert sizes[0] == 16 and sizes == [16 << i for i in range(len(sizes))]
         want = oversampled_clock_product(field, ring, 1e9, volt, up=2)
         assert relative_error(got.samples, want) < 1e-6
@@ -637,7 +652,7 @@ def test_off_bin_clock_sits_on_its_nearest_bin():
     ring = criterion_5_ring()
     field = two_tone_field(1 << 14)
     f_bin = round(9.9e9 * field.n / FS) * FS / field.n
-    got = generate_subcarriers(field, ring, 9.9e9, clock_amplitude_volt=0.25)
+    got = generate_subcarriers(field, clock(ring, 9.9e9, 0.25))
     want = oversampled_clock_product(field, ring, f_bin, 0.25)
     assert relative_error(got.samples, want) < 1e-6
 
@@ -652,10 +667,9 @@ def test_lines_lifted_into_the_next_slot_match_one_wide_record(f_clk):
     n, fs, half, volt = 1 << 13, 64e9, 32e9, 1.2
     gen = slope_biased_ring(F0 - half,
                             slope_fraction=_null_offset_fraction(0.6))
-    window = max(3.0 * gen.fwhm, 0.4 * f_clk)
     slot = carrier(n=n, fs=fs, ref=F0 - half)
     neighbour = carrier(n=n, fs=fs, ref=F0 + half)
-    lines = subcarrier_lines(slot, gen, f_clk, volt, window, neighbour)
+    lines = subcarrier_lines(slot, clock(gen, f_clk, volt), neighbour)
     # the wide record's carrier sits on its bin -n/2, the next slot's
     # bins -n/2 .. n/2 - 1 are its bins 0 .. n - 1
     spec = np.zeros(2 * n, dtype=np.complex128)

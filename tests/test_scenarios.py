@@ -19,11 +19,13 @@ import oansim.scenarios
 import oansim.subsystems
 import oansim.waveform
 from oansim.channel import PdParams
+from oansim.devices import ClockGenerator, Modulator
 from oansim.errors import ConfigError
 from oansim.metrics import DEFAULT_FEC_THRESHOLD, BerReport
 from oansim.ofdm import generate_ofdm
 from oansim.scenarios import (ScenarioConfig, builtin_config_path,
                               emit_reports, load_config, run_scenario)
+from oansim.subsystems import OnuConfig
 from oansim.waveform import ComplexWaveform, _if_bins, from_if
 
 MINI = {
@@ -264,8 +266,12 @@ def test_both_overlay_styles_run_reproducibly(name, signals):
 def test_bursts_reuse_the_smart_edge_built_at_load(name, monkeypatch):
     """Every device is built once, with the config: the transmitters, the
     smart edge's rings and uplink drop, and the network units with their
-    remodulators.  A burst builds none again: each device constructor is
-    refused in every module of the package that binds it."""
+    remodulators, each modulator a record of its depth, tone window and
+    band edge.  A burst builds none again: each device constructor is
+    refused in every module of the package that binds it, each record's
+    class refuses to be made, and a network unit refuses its checks,
+    which ``dataclasses.replace`` runs through the class, not a module's
+    name."""
     cfg = _shipped_top(name)
 
     def refused(*args, **kwargs):
@@ -276,13 +282,18 @@ def test_bursts_reuse_the_smart_edge_built_at_load(name, monkeypatch):
         if getattr(module, "__name__", "").split(".")[0] != "oansim":
             continue
         for constructor in ("slope_biased_ring", "overlay_rings",
-                            "solve_carrier_tap_filter", "IqMrmConfig"):
+                            "solve_carrier_tap_filter", "iq_arms",
+                            "Modulator", "ClockGenerator"):
             if hasattr(module, constructor):
                 monkeypatch.setattr(module, constructor, refused)
                 bound.add((module.__name__, constructor))
     assert {("oansim.scenarios", "slope_biased_ring"),
-            ("oansim.subsystems", "IqMrmConfig"),
-            ("oansim.devices", "IqMrmConfig")} <= bound
+            ("oansim.scenarios", "Modulator"),
+            ("oansim.subsystems", "ClockGenerator"),
+            ("oansim.devices", "Modulator")} <= bound
+    for record in (Modulator, ClockGenerator):
+        monkeypatch.setattr(record, "__init__", refused)
+    monkeypatch.setattr(OnuConfig, "__post_init__", refused)
     assert run_scenario(cfg)["points"][0]["bursts"] == 1
 
 

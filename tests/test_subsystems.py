@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oansim.channel import PdParams
-from oansim.devices import IqMrmConfig, drop_filter, ring_response
+from oansim.devices import Modulator, drop_filter, iq_arms, ring_response
 from oansim.errors import ConfigError, SimulationError
 from oansim.metrics import ber_over_sent_bits
 from oansim.ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
@@ -33,17 +33,19 @@ def ofdm_cfg(seed=1):
                       seed=seed)
 
 
-def modulators(plan):
-    """One upper-sideband IQ modulator per channel of ``plan``."""
-    return [IqMrmConfig(slope_biased_ring(ch.center_freq))
-            for ch in plan.channels]
+def modulators(plan, depth=0.25, sideband="upper"):
+    """One IQ modulator per channel of ``plan``, driven to ``depth`` on
+    ``sideband``, its tone window 3 linewidths plus its depth's."""
+    rings = [slope_biased_ring(ch.center_freq) for ch in plan.channels]
+    return [Modulator(r, depth, (3.0 + depth) * r.fwhm, arms=iq_arms(sideband))
+            for r in rings]
 
 
-def onu_cfg(center=F0, **kw):
+def onu_cfg(center=F0, depth=0.2, **kw):
     broadband = solve_carrier_tap_filter(4e9, 10e9, 0.25, order=3,
                                          passband_fraction=0.995)
     defaults = dict(channel=WdmChannel(center), broadband_filter=broadband,
-                    modulator=modulators(single_plan(center))[0])
+                    modulator=modulators(single_plan(center), depth)[0])
     defaults.update(kw)
     return OnuConfig(**defaults)
 
@@ -73,10 +75,11 @@ def payload_for(cfg, bits, f_if, fs=FS):
     return ComplexWaveform(np.fft.irfft(half, n), fs)
 
 
-def transmit(plan, cfg, payloads, fs=FS, **kw):
-    """The central office's slot fields for one bit array per channel."""
+def transmit(plan, cfg, payloads, fs=FS, depth=0.25, **kw):
+    """The central office's slot fields for one bit array per channel,
+    each driven to ``depth``."""
     return [olt_transmit(plan, drive_for(cfg, bits, fs=fs), k,
-                         modulators(plan), **kw)
+                         modulators(plan, depth), **kw)
             for k, bits in enumerate(payloads)]
 
 
@@ -153,7 +156,8 @@ def test_carrier_tap_filter_validation():
 
 def test_onu_config_validation():
     with pytest.raises(ConfigError):  # no such sideband
-        onu_cfg(modulator=IqMrmConfig(slope_biased_ring(F0), sideband="both"))
+        onu_cfg(modulator=Modulator(slope_biased_ring(F0), 0.2, 8e9,
+                                    arms=iq_arms("both")))
     with pytest.raises(ConfigError):  # filter beyond the slot
         onu_cfg(broadband_filter=FilterSpec(24e9, 5e9, 3))
     with pytest.raises(ConfigError):  # order-1 skirt cannot hold 13 dB
@@ -179,8 +183,8 @@ def test_olt_to_onu_loopback_error_free():
     cfg = ofdm_cfg()
     tx = bits_for(cfg, 30)
     (field,) = transmit(plan, cfg, [tx], power_per_tone_dbm=3.0,
-                        drive_depth=0.12)
-    res = onu_receive(field, onu_cfg())
+                        depth=0.12)
+    res = onu_receive(field, onu_cfg(), PdParams())
     report = demodulated(cfg, res.broadband, tx)
     assert report.bit_errors == 0
     assert report.evm_rms < 0.1
@@ -192,7 +196,7 @@ def test_olt_spectral_containment():
     plan = single_plan()
     cfg = ofdm_cfg()
     (field,) = transmit(plan, cfg, [bits_for(cfg, 20)],
-                        power_per_tone_dbm=0.0, drive_depth=0.12)
+                        power_per_tone_dbm=0.0, depth=0.12)
     in_slot = band_power(field, F0 - 25e9, F0 + 25e9)
     out_slot = field.power() - in_slot
     assert 10 * np.log10(out_slot / in_slot) < -30.0
@@ -211,7 +215,7 @@ def test_comb_lines_sit_on_their_record_bins(n, k, monkeypatch):
                         lambda field, config, drive: seen.append(field)
                         or field)
     monkeypatch.setattr(oansim.subsystems, "scale_drive_to_depth",
-                        lambda drive, ring, depth: drive)
+                        lambda drive, modulator: drive)
     monkeypatch.setattr(oansim.subsystems, "undriven_mrm",
                         lambda field, ring, gain=1.0: field)
     drive = ComplexWaveform(np.zeros(n, dtype=complex), fs)
@@ -238,7 +242,7 @@ def test_olt_payload_count_mismatch():
 def test_overlay_empty_payloads_only_insertion_loss():
     plan = single_plan()
     cfg = ofdm_cfg()
-    (field,) = transmit(plan, cfg, [bits_for(cfg, 10)], drive_depth=0.12)
+    (field,) = transmit(plan, cfg, [bits_for(cfg, 10)], depth=0.12)
     out = smart_edge_overlay(field, plan, [], [])
     assert field.power_dbm() - out.power_dbm() == pytest.approx(0.3, abs=0.02)
 
@@ -247,14 +251,14 @@ def test_overlay_creates_subcarriers():
     plan = single_plan()
     cfg = ofdm_cfg()
     (field,) = transmit(plan, cfg, [bits_for(cfg, 10)],
-                        power_per_tone_dbm=3.0, drive_depth=0.12)
+                        power_per_tone_dbm=3.0, depth=0.12)
     rof_cfg = OfdmConfig(occupied_bandwidth=2e9, qam_order=4, pilot_spacing=16,
                          seed=9)
     payload = payload_for(rof_cfg, bits_for(rof_cfg, 10, 5), f_if=3e9)
     payload = payload.scaled(0.1)
-    rings = [overlay_rings(ch, 1) for ch in plan.channels]
-    out = smart_edge_overlay(field, plan, rings, [payload],
-                             subcarrier_clock_volt=1.2, drive_depth=0.25)
+    rings = [overlay_rings(ch, [None], 0.25, 1.2, 0.6)
+             for ch in plan.channels]
+    out = smart_edge_overlay(field, plan, rings, [payload])
     up = band_power(out, F0 + 15e9, F0 + 25e9)
     dn = band_power(out, F0 - 25e9, F0 - 15e9)
     carrier = band_power(out, F0 - 1e9, F0 + 1e9)
@@ -267,7 +271,9 @@ def test_overlay_rejects_three_tunnels():
     cfg = ofdm_cfg()
     field = transmit(plan, cfg, [bits_for(cfg, 5)])[0]
     with pytest.raises(ConfigError):
-        smart_edge_overlay(field, plan, [overlay_rings(plan.channels[0], 2)],
+        smart_edge_overlay(field, plan,
+                           [overlay_rings(plan.channels[0], [None] * 2, 0.25,
+                                          0.4, 0.6)],
                            [field, field, field])
 
 
@@ -278,9 +284,9 @@ def uplink_setup(n_symbols=25):
     plan = single_plan()
     cfg = ofdm_cfg()
     (field,) = transmit(plan, cfg, [bits_for(cfg, n_symbols)],
-                        power_per_tone_dbm=3.0, drive_depth=0.12)
-    ocfg = onu_cfg(uplink_drive_depth=0.5)
-    res = onu_receive(field, ocfg)
+                        power_per_tone_dbm=3.0, depth=0.12)
+    ocfg = onu_cfg(depth=0.5)
+    res = onu_receive(field, ocfg, PdParams())
     return plan, cfg, ocfg, res
 
 
@@ -356,11 +362,12 @@ def test_colorless_onu_retunes_across_channels():
     cfg = ofdm_cfg()
     tx0, tx1 = bits_for(cfg, 20, 1), bits_for(cfg, 20, 2)
     fields = transmit(plan, cfg, [tx0, tx1], fs=160e9, power_per_tone_dbm=3.0,
-                      drive_depth=0.12)
+                      depth=0.12)
     base = onu_cfg(center=F0 - 50e9)
     for field, center, tx in zip(fields, (F0 - 50e9, F0 + 50e9), (tx0, tx1)):
         ch_field, _ = drop_filter(field, center, 45e9, order=4)
-        res = onu_receive(ch_field, replace(base, channel=WdmChannel(center)))
+        res = onu_receive(ch_field, replace(base, channel=WdmChannel(center)),
+                          PdParams())
         assert demodulated(cfg, res.broadband, tx).bit_errors == 0
 
 
@@ -370,4 +377,4 @@ def test_onu_receive_needs_power_in_slot():
     field = transmit(plan, cfg, [bits_for(cfg, 5)])[0]
     empty = field.copy_with(samples=np.zeros(field.n, dtype=np.complex128))
     with pytest.raises(SimulationError):
-        onu_receive(empty, onu_cfg())
+        onu_receive(empty, onu_cfg(), PdParams())

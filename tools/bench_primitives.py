@@ -10,11 +10,14 @@ the best of ``--repeat`` wall times is kept.  The results are merged into
 the JSON file under ``--label``, next to the other labels already there,
 so that one file holds the figures of two trees measured on one machine.
 A primitive that the imported package does not have is recorded as null.
+Each device is built as the record the pipeline builds at load, which
+fixes its tone window and band edge.
 
 Primitives:
 
-* ``apply_mrm``: one ring on the tone path, a carrier driven by a 5 GHz
-  tone;
+* ``apply_mrm``: one ring on the tone path at the full rate (no band
+  edge), a carrier driven by a 5 GHz tone, its tone window 3 linewidths
+  plus half the tone's peak-to-peak detuning;
 * ``generate_subcarriers``: the overlay's clock-driven ring splitting a
   carrier with a 20 GHz clock, its tone window the carrier line;
 * ``drop_filter``: a third-order 12 GHz drop of a noise field;
@@ -28,8 +31,9 @@ Primitives:
 * ``real_drive``: the same signal as a real drive (``if_spectrum`` and
   ``irfft``);
 * ``iq_mrm_ssb``: the transmitter's IQ modulator on a carrier, driven at
-  depth 0.12 by the analytic drive of ``iq_drive``, which carries the
-  band edge a pipeline drive of that signal carries;
+  depth 0.12 by the analytic drive of ``iq_drive``; its record holds the
+  tone window of that depth and the band edge of that signal, as the
+  pipeline's does;
 * ``receive``: the modem waveform read back from a photocurrent at half
   the record's rate (``from_if``);
 * ``crop_to_band``: a receiver's crop of the noise field to the carrier
@@ -60,6 +64,7 @@ def primitives(n: int) -> dict:
     import oansim
     from oansim import waveform
     from oansim.channel import FiberParams, PdParams
+    from oansim.devices import ClockGenerator, Modulator, iq_arms
     from oansim.ofdm import OfdmConfig, bandwidth_for_bit_rate
     from oansim.subsystems import scale_drive_to_depth, slope_biased_ring
 
@@ -69,7 +74,11 @@ def primitives(n: int) -> dict:
                                      FS, ref_freq=F0)
     tone = oansim.ComplexWaveform(0.05 * np.cos(2 * np.pi * 5e9 * t), FS)
     ring = slope_biased_ring(F0)
+    tone_ring = Modulator(ring, 0.12, 3.0 * ring.fwhm + ring.mod_efficiency
+                          * np.ptp(tone.samples) / 2.0)
     gen = slope_biased_ring(F0, slope_fraction=0.6)
+    generator = ClockGenerator(gen, F0 - gen.effective_resonance + 0.5e9,
+                               20e9, 1.2)
     noise = oansim.ComplexWaveform(
         1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n)), FS,
         ref_freq=F0)
@@ -88,7 +97,7 @@ def primitives(n: int) -> dict:
     fiber = FiberParams(20.0)
     pd = PdParams(thermal_noise_psd=5e-24, include_shot=True, seed=3)
     found = {
-        "apply_mrm": lambda: oansim.apply_mrm(carrier, ring, tone),
+        "apply_mrm": lambda: oansim.apply_mrm(carrier, tone_ring, tone),
         "drop_filter": lambda: oansim.drop_filter(noise, F0 + IF, 12e9, 3),
         "propagate_fiber": lambda: oansim.propagate_fiber(noise, fiber),
         "amplify_ase": lambda: oansim.amplify_ase(noise, 4.0, 4.5, seed=2),
@@ -96,22 +105,19 @@ def primitives(n: int) -> dict:
         "demodulate_ofdm": lambda: oansim.demodulate_ofdm(ofdm, long),
         "crop_to_band": lambda: waveform.crop_to_band(noise, F0, F0 + 15e9),
         "generate_subcarriers": lambda: oansim.generate_subcarriers(
-            carrier, gen, 20e9, clock_amplitude_volt=1.2,
-            tone_window_hz=F0 - gen.effective_resonance + 0.5e9),
+            carrier, generator),
         "iq_drive": None, "real_drive": None, "receive": None,
         "iq_mrm_ssb": None,
     }
     if hasattr(waveform, "if_spectrum"):
         current = oansim.ComplexWaveform(np.fft.irfft(
             waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2), FS / 2)
-        iq = waveform.analytic(waveform.if_spectrum(drive, IF, n, FS), n, FS)
-        # the upper edge of the signal's band; a tree without band edges
-        # ignores it
-        iq.band_edge = IF + 0.55 * ofdm.occupied_bandwidth
-        iq = scale_drive_to_depth(iq, ring, 0.12)
+        iq_pair = Modulator(ring, 0.12, (3.0 + 0.12) * ring.fwhm,
+                            IF + 0.55 * ofdm.occupied_bandwidth, iq_arms())
+        iq = scale_drive_to_depth(waveform.analytic(
+            waveform.if_spectrum(drive, IF, n, FS), n, FS), iq_pair)
         found.update(
-            iq_mrm_ssb=lambda: oansim.iq_mrm_ssb(carrier,
-                                                 oansim.IqMrmConfig(ring), iq),
+            iq_mrm_ssb=lambda: oansim.iq_mrm_ssb(carrier, iq_pair, iq),
             iq_drive=lambda: waveform.analytic(
                 waveform.if_spectrum(drive, IF, n, FS), n, FS),
             real_drive=lambda: fftpack.irfft(
