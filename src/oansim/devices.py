@@ -77,16 +77,15 @@ class Modulator:
     one for a payload ring, two for an IQ pair (:func:`iq_arms`)."""
     ring: RingParams
     depth: float
-    window: float | None
+    window: float
     band_edge: float | None = None
     arms: tuple = (1.0,)
 
     @property
     def sideband(self) -> str:
-        """The sideband an IQ pair puts its drive on: the upper one where
-        its Q arm leads its I arm."""
-        return "upper" if np.angle(self.arms[-1] / self.arms[0]) > 0 else \
-            "lower"
+        """The side an IQ pair puts its drive on: upper if Q leads I."""
+        return "upper" if np.angle(self.arms[-1] / self.arms[0]) > 0 \
+            else "lower"
 
 
 def iq_arms(sideband: str = "upper", branch_phase: float = np.pi / 2):
@@ -100,9 +99,8 @@ def iq_arms(sideband: str = "upper", branch_phase: float = np.pi / 2):
 
 @dataclass(frozen=True)
 class ClockGenerator:
-    """A ring driven by a cosine clock: its ring, the half-width (Hz) of
-    its tone window about the biased resonance, and the clock's frequency
-    (Hz) and amplitude (V)."""
+    """A ring driven by a cosine clock: its ring, its tone window's
+    half-width (Hz) about the resonance, clock frequency (Hz) and volts."""
     ring: RingParams
     window: float
     clock_freq: float
@@ -270,12 +268,10 @@ def _modulate(field: ComplexWaveform, modulator: Modulator,
               drives) -> ComplexWaveform:
     """The sum over the modulator's arms of the arm's weight times the
     field through its ring shifted by ``mod_efficiency`` times the arm's
-    drive (V).  The arms share the record's tone window at their mean bias
-    (where the record has none, 3 linewidths plus half the larger
-    peak-to-peak detuning): its line sees each arm's instantaneous
-    response and the rest each arm's static response at its bias, as does
-    all of the field under constant drives or when the window holds no
-    power.
+    drive (V).  The arms share the record's tone window at their mean
+    bias: its line sees each arm's instantaneous response and the rest
+    each arm's static response at its bias, as does all of the field under
+    constant drives or when the window holds no power.
 
     ``drives`` cover the record.  The product is taken on ``n/d`` bins
     centred on bin ``k0`` mid-window, ``d`` the division of
@@ -288,19 +284,15 @@ def _modulate(field: ComplexWaveform, modulator: Modulator,
     """
     params, weights = modulator.ring, modulator.arms
     if len(drives) != len(weights):
-        raise ConfigError(f"{len(drives)} drives for a modulator of "
-                          f"{len(weights)} arms")
+        raise ConfigError(f"{len(drives)} drives for {len(weights)} arms")
     n = field.n
     spec = field.spectrum
     eff = params.mod_efficiency
     biases = [eff * float(np.mean(x)) for x in drives]
-    ptp = eff * max(map(np.ptp, drives))
-    window_hz = modulator.window
-    if window_hz is None:
-        window_hz = 3.0 * params.fwhm + ptp / 2.0
     window, spans, p_res, f_tone = _tone(
-        field, params.effective_resonance + np.mean(biases), window_hz)
-    static = ptp == 0.0 or p_res <= 1e-15 * n**2 * field.power()
+        field, params.effective_resonance + np.mean(biases), modulator.window)
+    static = (not any(map(np.ptp, drives))
+              or p_res <= 1e-15 * n**2 * field.power())
     d, k0, step = 0, (window.start + window.stop) // 2, field.sample_rate / n
     if modulator.band_edge is not None:
         reach = int(np.ceil(2.0 * modulator.band_edge / step))
@@ -416,7 +408,7 @@ def generate_subcarriers(field: ComplexWaveform,
     The output is built as a spectrum, with the clock on its nearest
     record bin: the field outside the record's tone window sees the ring's
     static response, and the window's line is replaced by the harmonic
-    lines of :func:`_clock_lines`.
+    lines of :func:`subcarrier_lines`.
     """
     params = generator.ring
     if generator.clock_freq >= field.sample_rate / 2.0:
@@ -427,45 +419,34 @@ def generate_subcarriers(field: ComplexWaveform,
         raise SimulationError(
             "no tone found within one linewidth of the ring resonance"
         )
-    window, spans, _, f_tone = _tone(field, res, generator.window)
     out = _through_static_grid(params, field, 0.0)
     np.multiply(field.spectrum, out, out=out)
-    for s in spans:
+    for s in _tone(field, res, generator.window)[1]:
         out[s] = 0.0
-    _clock_lines(out, field, generator, window, f_tone)
+    out += subcarrier_lines(field, generator, field)
     return field.copy_with(spectrum=out)
-
-
-def _clock_lines(out: np.ndarray, field: ComplexWaveform,
-                 generator: ClockGenerator, window: range, f_tone: float,
-                 shift: int = 0) -> None:
-    """Add to the spectrum ``out``, a record of ``field``'s bin spacing
-    whose bins lie ``shift`` bins below ``field``'s, the lines that the
-    generator's clock lifts from the line in ``window`` (at ``f_tone``;
-    none if the window is empty): the line times each ``c_j`` of
-    :func:`_harmonics`, moved by ``j`` clocks on the nearest record bin,
-    where it lands in ``out``'s record."""
-    line = field.spectrum[np.arange(window.start, window.stop)]
-    if not line.any():
-        return
-    step = round(generator.clock_freq * field.n / field.sample_rate)
-    _land(out, line * (out.size / field.n), window.start + shift, step,
-          _harmonics(generator.ring, f_tone, generator.clock_volt))
 
 
 def subcarrier_lines(field: ComplexWaveform, generator: ClockGenerator,
                      grid: ComplexWaveform) -> np.ndarray:
-    """The spectrum, on the bins of ``grid``'s record, of the harmonic
-    lines that :func:`generate_subcarriers` lifts from ``field``'s tone
-    window when they land there: ``grid`` is another record of the same
-    bin spacing, whose bins lie a whole number of bins off ``field``'s (the
-    nearest, if not)."""
+    """The spectrum, on the bins of ``grid``'s record, of the lines the
+    generator's clock lifts from the line in ``field``'s tone window (none
+    if it is empty): the line times each ``c_j`` of :func:`_harmonics` at
+    its power-weighted frequency, moved by ``j`` clocks on the nearest
+    record bin, where it lands in ``grid``'s record.  ``grid`` is a record
+    of ``field``'s bin spacing (``field`` itself for
+    :func:`generate_subcarriers`), whose bins lie a whole number of bins
+    off ``field``'s (the nearest, if not)."""
     out = np.zeros(grid.n, dtype=np.complex128)
     window, _, _, f_tone = _tone(field, generator.ring.effective_resonance,
                                  generator.window)
-    shift = round((field.ref_freq - grid.ref_freq) * field.n
-                  / field.sample_rate)
-    _clock_lines(out, field, generator, window, f_tone, shift)
+    line = field.spectrum[np.arange(window.start, window.stop)]
+    if line.any():
+        n, fs = field.n, field.sample_rate
+        shift = round((field.ref_freq - grid.ref_freq) * n / fs)
+        _land(out, line * (grid.n / n), window.start + shift,
+              round(generator.clock_freq * n / fs),
+              _harmonics(generator.ring, f_tone, generator.clock_volt))
     return out
 
 

@@ -328,13 +328,14 @@ class ScenarioConfig:
     ``raw`` is the resolved YAML and the report's manifest.  The other
     attributes are its values, converted, and what the bursts need that
     does not depend on the burst seed, built once: the plan, the signals,
-    the fibers, the burst geometry and every device.  Per channel,
-    ``transmitters`` holds its central-office IQ modulator, ``edge_rings``
-    its smart-edge rings and their tone windows (tunnels) and ``onus`` its
-    network unit, whose remodulator shares the transmitter's ring;
-    ``rf_modulator`` is the radio channels' IQ modulator and its tone
-    window (``adjacent_rf``, else None); ``intercept`` and ``demux`` are
-    the uplink drops.
+    the fibers, the burst geometry and every device, each modulator a
+    record that decides its depth, tone window and band edge.  Per
+    channel, ``transmitters`` holds its central-office IQ modulator,
+    ``edge_rings`` its smart-edge generator and tunnel rings (tunnels) and
+    ``onus`` its network unit, whose remodulator shares the transmitter's
+    ring; ``rf_modulator`` is the radio channels' IQ modulator
+    (``adjacent_rf``, else None); ``intercept`` and ``demux`` are the
+    uplink drops and ``detector`` the receivers' unseeded detector.
     """
     raw: dict
 
@@ -469,12 +470,14 @@ class ScenarioConfig:
         # every device is built here once, for the slot check and every
         # burst, as a record that fixes its drive depth, tone window and
         # band edge: each channel's modulator ring, under its transmitter
-        # and its network unit's remodulator
+        # and its network unit's remodulator, whose tone windows reach 3
+        # linewidths plus the drive's peak excursion, its depth, past the bias
         rings = [slope_biased_ring(ch.center_freq, **ring)
                  for ch in self.plan.channels]
         self.transmitters = [
-            Modulator(r, depth, None, self.digital.edges()[1],
-                      iq_arms(digital_sideband)) for r in rings]
+            Modulator(r, depth, (3.0 + depth) * r.fwhm,
+                      self.digital.edges()[1], iq_arms(digital_sideband))
+            for r in rings]
         # the radio channels' IQ pair, on a ring like channel 0's; its tone
         # window covers the carrier but stops short of the broadband subband
         self.rf_modulator = None if tunnels else Modulator(
@@ -503,8 +506,8 @@ class ScenarioConfig:
                                    _non_negative),
             include_shot=_get(raw, "onu.pd.include_shot", _flag))
         self.onus = self._read_onus(
-            [Modulator(r, up_depth, None, up_edge, iq_arms(uplink_sideband))
-             for r in rings])
+            [Modulator(r, up_depth, (3.0 + up_depth) * r.fwhm, up_edge,
+                       iq_arms(uplink_sideband)) for r in rings])
         # the burst's record: n_record, grown to hold the walk-off guard
         # and the digital drive at an FFT-friendly length (both cut shipped
         # configs grow); it is carried as one slot record per channel
@@ -568,12 +571,11 @@ class ScenarioConfig:
         """The absolute bands ``(lo, hi, most, keys)`` channel ``k``'s slot
         record must hold, each with the largest slot division it allows
         (None for any) and the config keys that size it: the slot, the tone
-        window of each of its devices' records (where a record has none, 3
-        linewidths plus twice its depth), the generator's window lifted to
-        each subcarrier, and the crop window each of its receivers takes
-        on the plan's record at ``sample_rate``, whose division it must not
-        undercut (the whole record for a single channel's central
-        office)."""
+        window each of its devices' records sets, the generator's window
+        lifted to each subcarrier, and the crop window each of its
+        receivers takes on the plan's record at ``sample_rate``, whose
+        division it must not undercut (the whole record for a single
+        channel's central office)."""
         ch, onu = self.plan.channels[k], self.onus[k]
         f_c, f_s = ch.center_freq, ch.rof_subcarrier_offset
         spans = [(*ch.slot_edges, None, ("wdm.slot_width",))]
@@ -592,11 +594,9 @@ class ScenarioConfig:
                       for f in (-f_s, f_s)]
         elif self.style == "adjacent_rf":
             devices.append((self.rf_modulator, ("digital.if_freq",)))
-        for device, keys in devices:
-            res, w = device.ring.effective_resonance, device.window
-            if w is None:
-                w = (3.0 + 2.0 * device.depth) * device.ring.fwhm
-            spans.append((res - w, res + w, None, keys + _LINEWIDTH))
+        spans += [(d.ring.effective_resonance - d.window,
+                   d.ring.effective_resonance + d.window, None,
+                   keys + _LINEWIDTH) for d, keys in devices]
         receivers = list(self._drops)
         if k == 0 and self.intercept is not None:
             receivers.append((self.intercept, ("uplink.intercept_carrier_tap",

@@ -240,8 +240,7 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
     its IF; the channel's IQ modulator in ``modulators``, which holds one
     per channel of the plan, scales it to its depth and places it next to
     the carrier on its sideband, in its tone window.  Every other channel's
-    modulator
-    acts on the slot by its static response
+    modulator acts on the slot by its static response
     (:func:`~oansim.devices.undriven_mrm`), in the order of the plan.
     Returns the slot's field, of the drive's length.
     """
@@ -471,27 +470,18 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     if band_power(field_in, *cfg.channel.slot_edges) <= 0.0:
         raise SimulationError("ONU slot not present in the input field")
     carrier_in = _carrier_dbm(field_in, f_c)
-
-    spec = cfg.broadband_filter
-    dropped, bus = drop_filter(field_in, f_c + spec.center_offset,
-                               spec.bandwidth, spec.order)
-    bus = bus.scaled(_BUS_GAIN)
-
     # direct detection beats the SSB content against the tapped carrier,
     # recovering the real IF signal regardless of which optical sideband
     # carried it, so no spectral flip is ever needed here
-    broadband = detect_drop(dropped, f_c, spec, pd)
-
-    carrier_bb = _carrier_dbm(bus, f_c)
-    rof_out = []
-    for rspec in cfg.rof_filters:
-        rdrop, bus = drop_filter(bus, f_c + rspec.center_offset,
-                                 rspec.bandwidth, rspec.order)
+    bus, detected, carriers = field_in, [], []
+    for spec in (cfg.broadband_filter, *cfg.rof_filters):
+        dropped, bus = drop_filter(bus, f_c + spec.center_offset,
+                                   spec.bandwidth, spec.order)
         bus = bus.scaled(_BUS_GAIN)
-        rof_out.append(detect_drop(rdrop, f_c, rspec, pd))
-    carrier_res = _carrier_dbm(bus, f_c)
-    return OnuReceiveResult(broadband, rof_out, bus, carrier_in, carrier_bb,
-                            carrier_res)
+        detected.append(detect_drop(dropped, f_c, spec, pd))
+        carriers.append(_carrier_dbm(bus, f_c))
+    return OnuReceiveResult(detected[0], detected[1:], bus, carrier_in,
+                            carriers[0], carriers[-1])
 
 
 @dataclass

@@ -297,6 +297,25 @@ def test_bursts_reuse_the_smart_edge_built_at_load(name, monkeypatch):
     assert run_scenario(cfg)["points"][0]["bursts"] == 1
 
 
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_slot_check_holds_the_windows_the_bursts_use(name):
+    """Each modulator's band in ``_slot_spans`` is exactly its resonance
+    -/+ the tone window of its record, the one its bursts modulate in; the
+    transmitter's and the remodulator's are 3 linewidths plus the depth."""
+    cfg = load_config(builtin_config_path(name))
+    for k in range(cfg.plan.n_channels):
+        bands = {(lo, hi) for lo, hi, _, _ in cfg._slot_spans(k)}
+        iq_pairs = [cfg.transmitters[k]] + ([cfg.onus[0].modulator]
+                                            if k == 0 else [])
+        records = iq_pairs + ([cfg.rf_modulator] if cfg.rf_modulator else
+                              [cfg.edge_rings[k][0], *cfg.edge_rings[k][1]])
+        for m in records:
+            res = m.ring.effective_resonance
+            assert (res - m.window, res + m.window) in bands
+        for m in iq_pairs:
+            assert m.window == (3.0 + m.depth) * m.ring.fwhm
+
+
 @pytest.mark.parametrize("name, n", [("scenario_a", 524_880),
                                      ("scenario_b", 262_440)])
 def test_burst_sizes_the_record(name, n, monkeypatch):

@@ -11,7 +11,8 @@ the JSON file under ``--label``, next to the other labels already there,
 so that one file holds the figures of two trees measured on one machine.
 A primitive that the imported package does not have is recorded as null.
 Each device is built as the record the pipeline builds at load, which
-fixes its tone window and band edge.
+fixes its tone window and band edge; a tree without those records is
+timed with its own copy of this tool.
 
 Primitives:
 
