@@ -40,7 +40,6 @@ from .waveform import (
     ComplexWaveform,
     analytic,
     band_power,
-    combine,
     from_if,
     if_spectrum,
     psd,

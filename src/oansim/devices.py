@@ -6,7 +6,8 @@ resonance linearly and the field sees the instantaneous through response.
 Cavity-lifetime dynamics are out of scope.
 
 A modulator is one record (:class:`Modulator`, :class:`ClockGenerator`)
-that alone decides what it does to a field; the drive carries the signal.
+that alone decides what it does to a field; the drive carries the signal,
+which a modulator scales to its record's depth.
 
 Modulation follows the exact limit of a short-block evaluation when the
 near-resonance content is a single spectral line: the line in the
@@ -70,11 +71,12 @@ class RingParams:
 
 @dataclass(frozen=True)
 class Modulator:
-    """A ring modulator: its ring, the drive depth (peak resonance
-    excursion of the drive's real part, in linewidths), the half-width
-    (Hz) of its tone window about the biased resonance, the top (Hz) of
-    its drive's band (None where unknown) and each arm's combining weight:
-    one for a payload ring, two for an IQ pair (:func:`iq_arms`)."""
+    """A ring modulator: its ring, the drive depth (the peak resonance
+    excursion, in linewidths, that it scales its drive's real part to;
+    see :func:`_modulate`), the half-width (Hz) of its tone window about
+    the biased resonance, the top (Hz) of its drive's band (None where
+    unknown) and each arm's combining weight: one for a payload ring, two
+    for an IQ pair (:func:`iq_arms`)."""
     ring: RingParams
     depth: float
     window: float
@@ -268,10 +270,13 @@ def _modulate(field: ComplexWaveform, modulator: Modulator,
               drives) -> ComplexWaveform:
     """The sum over the modulator's arms of the arm's weight times the
     field through its ring shifted by ``mod_efficiency`` times the arm's
-    drive (V).  The arms share the record's tone window at their mean
-    bias: its line sees each arm's instantaneous response and the rest
-    each arm's static response at its bias, as does all of the field under
-    constant drives or when the window holds no power.
+    drive, every drive scaled by the one gain that takes the first arm's
+    peak magnitude to the record's depth times its ring's linewidth (an
+    all-zero drive is left as it is).  The arms share the record's tone
+    window at their mean bias: its line sees each arm's instantaneous
+    response and the rest each arm's static response at its bias, as does
+    all of the field under constant drives or when the window holds no
+    power.
 
     ``drives`` cover the record.  The product is taken on ``n/d`` bins
     centred on bin ``k0`` mid-window, ``d`` the division of
@@ -288,6 +293,10 @@ def _modulate(field: ComplexWaveform, modulator: Modulator,
     n = field.n
     spec = field.spectrum
     eff = params.mod_efficiency
+    peak = float(np.max(np.abs(drives[0])))
+    if peak:
+        gain = modulator.depth * params.fwhm / eff / peak
+        drives = [x * gain for x in drives]
     biases = [eff * float(np.mean(x)) for x in drives]
     window, spans, p_res, f_tone = _tone(
         field, params.effective_resonance + np.mean(biases), modulator.window)
@@ -345,10 +354,12 @@ def apply_mrm(field: ComplexWaveform, modulator: Modulator,
               drive: ComplexWaveform) -> ComplexWaveform:
     """Modulate an optical field with one microring modulator.
 
-    The resonance is shifted by ``mod_efficiency * drive(t)`` and the field
-    is filtered by the time-varying through response, inside the tone
-    window that ``modulator`` sets.  The drive must be a real electrical
-    waveform on the same sample grid and of the same length.
+    The drive, scaled so that its peak shifts the resonance by the
+    record's depth in linewidths, shifts the resonance by
+    ``mod_efficiency`` times itself, and the field is filtered by the
+    time-varying through response, inside the tone window that
+    ``modulator`` sets.  The drive must be a real electrical waveform on
+    the same sample grid and of the same length.
     """
     _check_grid(field, drive)
     if not drive.is_real():
@@ -380,9 +391,11 @@ def iq_mrm_ssb(field: ComplexWaveform, modulator: Modulator,
     ``drive`` is analytic: its real part drives the I ring and its
     imaginary part, the Hilbert transform of the real part, the Q ring, so
     the data sidebands land predominantly on ``modulator.sideband``; the
-    carrier is partially retained per the ring bias points.  The rings
-    share the record's tone window.  The 50/50 split/combine carries the
-    inherent 3 dB loss of single-output IQ recombination.
+    carrier is partially retained per the ring bias points.  Both parts
+    scale by the gain that takes the real part's peak to the record's
+    depth, and the rings share the record's tone window.  The 50/50
+    split/combine carries the inherent 3 dB loss of single-output IQ
+    recombination.
     """
     _check_grid(field, drive)
     x = drive.samples
@@ -423,31 +436,29 @@ def generate_subcarriers(field: ComplexWaveform,
     np.multiply(field.spectrum, out, out=out)
     for s in _tone(field, res, generator.window)[1]:
         out[s] = 0.0
-    out += subcarrier_lines(field, generator, field)
+    subcarrier_lines(field, generator, out, field.ref_freq)
     return field.copy_with(spectrum=out)
 
 
 def subcarrier_lines(field: ComplexWaveform, generator: ClockGenerator,
-                     grid: ComplexWaveform) -> np.ndarray:
-    """The spectrum, on the bins of ``grid``'s record, of the lines the
-    generator's clock lifts from the line in ``field``'s tone window (none
-    if it is empty): the line times each ``c_j`` of :func:`_harmonics` at
-    its power-weighted frequency, moved by ``j`` clocks on the nearest
-    record bin, where it lands in ``grid``'s record.  ``grid`` is a record
-    of ``field``'s bin spacing (``field`` itself for
-    :func:`generate_subcarriers`), whose bins lie a whole number of bins
-    off ``field``'s (the nearest, if not)."""
-    out = np.zeros(grid.n, dtype=np.complex128)
+                     out: np.ndarray, ref_freq: float) -> None:
+    """Add to ``out`` the lines the generator's clock lifts from the line
+    in ``field``'s tone window (none if it is empty): the line times each
+    ``c_j`` of :func:`_harmonics` at its power-weighted frequency, moved by
+    ``j`` clocks on the nearest record bin, where it lands in ``out``.
+    ``out`` is the spectrum of a record of ``field``'s bin spacing whose
+    bin 0 sits at ``ref_freq`` (``field``'s own for
+    :func:`generate_subcarriers`), a whole number of bins off ``field``'s
+    (the nearest, if not)."""
     window, _, _, f_tone = _tone(field, generator.ring.effective_resonance,
                                  generator.window)
     line = field.spectrum[np.arange(window.start, window.stop)]
     if line.any():
         n, fs = field.n, field.sample_rate
-        shift = round((field.ref_freq - grid.ref_freq) * n / fs)
-        _land(out, line * (grid.n / n), window.start + shift,
+        shift = round((field.ref_freq - ref_freq) * n / fs)
+        _land(out, line * (out.size / n), window.start + shift,
               round(generator.clock_freq * n / fs),
               _harmonics(generator.ring, f_tone, generator.clock_volt))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,9 @@ from .ofdm import OfdmConfig, bandwidth_for_bit_rate, demodulate_ofdm, generate_
 from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
                          check_drop, detect_band, detect_drop, olt_transmit,
                          onu_receive, onu_remodulate, overlay_rings,
-                         scale_drive_to_depth, slope_biased_ring,
-                         smart_edge_intercept_uplink, smart_edge_overlay,
-                         solve_carrier_tap_filter, subcarrier_spill)
+                         slope_biased_ring, smart_edge_intercept_uplink,
+                         smart_edge_overlay, solve_carrier_tap_filter,
+                         subcarrier_spill)
 from .devices import Modulator, drop_filter, iq_arms, iq_mrm_ssb
 from .waveform import (ComplexWaveform, _division, analytic, band_power,
                        crop_window, from_if, if_spectrum, psd, scale_db)
@@ -515,6 +515,11 @@ class ScenarioConfig:
         self.n_burst = fftpack.next_fast_len(max(
             self.n_record,
             guard + self.digital.record_samples(self.sample_rate)))
+        if self.n_burst > 1 << 24:  # the full scenario A takes 2^22
+            raise ConfigError(
+                "sample_rate, sweep.burst_symbols, digital.occupied_bandwidth,"
+                " digital.bit_rate, digital.n_subcarriers, digital.cp_fraction:"
+                f" a burst's record of {self.n_burst} samples is past 2^24")
         self.d_slot = self._slot_division()
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):
@@ -609,9 +614,7 @@ class ScenarioConfig:
             lo, hi = (f_c, f_c) if spec is None else detect_band(f_c, spec)
             found = None if spec is None else crop_window(n, fs, ref, lo, hi)
             if found is not None:
-                (most, k0), w = found, n // (2 * found[0])
-                lo = ref + (k0 - w // 2) * fs / n
-                hi = lo + (w - 1) * fs / n
+                most, _, lo, hi = found
             spans.append((lo, hi, 1 if found is None else most, keys))
         return spans
 
@@ -765,9 +768,8 @@ def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
                       cfg.plan, cfg.edge_rings, drives, channel=k,
                       spill=spill)
     # one composite radio drive, single-sideband below the carrier
-    drive = scale_drive_to_depth(drives[0], cfg.rf_modulator)
     return _stage("smart_edge_overlay", iq_mrm_ssb, link, cfg.rf_modulator,
-                  drive)
+                  drives[0])
 
 
 def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
@@ -832,7 +834,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     up_drive = launched[-1][2][0]
     spill = [None] * plan.n_channels
     if cfg.style == "subcarrier_tunnels" and cfg.payloads:
-        spill = subcarrier_spill(fields, plan, cfg.edge_rings)
+        spill = subcarrier_spill(fields, cfg.edge_rings)
 
     def edge(k: int, link: ComplexWaveform, drives: list):
         link = _overlay(cfg, link, k, drives, spill[k])
@@ -877,7 +879,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         if k:
             return fork(*demods(k, unit))
         return unit, _stage("onu_remodulate", onu_remodulate, unit.residual,
-                            onu, [up_drive])
+                            onu, up_drive)
 
     (res, rem), *received = fork(*(partial(receive, k, link)
                                    for k, link in enumerate(links)))

@@ -4,11 +4,11 @@ Drives in, fields and photocurrents out: every block takes electrical
 drives on the simulation grid (real for a single ring, analytic for an
 IQ modulator) and returns optical fields or real detected photocurrents;
 :mod:`oansim.scenarios` makes and reads every OFDM signal, and builds
-every device once: a modulator's record fixes its depth, tone window and
-band edge.  A field is one WDM channel's slot record, centred on its
-carrier: the central office and the smart edge act on it with the
-channel's own devices' time-varying responses and every other channel's
-devices' static ones.
+every device once: a modulator's record fixes its depth, to which it
+scales each drive, its tone window and its band edge.  A field is one
+WDM channel's slot record, centred on its carrier: the central office
+and the smart edge act on it with the channel's own devices'
+time-varying responses and every other channel's devices' static ones.
 
 * central-office transmitter: comb source + one IQ microring modulator
   per WDM channel, single-sideband digital drive inside each channel's
@@ -43,7 +43,7 @@ from .devices import (ClockGenerator, Modulator, RingParams, apply_mrm,
                       drop_filter, generate_subcarriers, iq_mrm_ssb,
                       subcarrier_lines, thermal_tune, undriven_mrm)
 from .errors import ConfigError, SimulationError
-from .waveform import ComplexWaveform, band_power, combine, crop_to_band
+from .waveform import ComplexWaveform, band_power, crop_to_band
 
 #: Per-device passband insertion loss along an add/drop bus (dB).
 BUS_LOSS_DB_PER_STAGE = 0.1
@@ -108,7 +108,7 @@ class WdmPlan:
 
 
 # ---------------------------------------------------------------------------
-# Ring construction and drive conditioning
+# Ring construction
 
 
 def slope_biased_ring(carrier_freq: float, fsr: float = 5e12,
@@ -126,19 +126,6 @@ def slope_biased_ring(carrier_freq: float, fsr: float = 5e12,
                       roundtrip_amplitude_a=amplitude,
                       mod_efficiency=mod_efficiency)
     return thermal_tune(ring, carrier_freq - slope_fraction * ring.fwhm)
-
-
-def scale_drive_to_depth(drive: ComplexWaveform,
-                         modulator: Modulator) -> ComplexWaveform:
-    """Scale a drive so the peak resonance excursion of its real part is
-    the modulator's depth times its ring's FWHM; an analytic drive's
-    imaginary part scales with it."""
-    peak = float(np.max(np.abs(drive.samples.real)))
-    if peak == 0.0:
-        return drive.copy_with()
-    ring = modulator.ring
-    target_volt = modulator.depth * ring.fwhm / ring.mod_efficiency
-    return drive.scaled(target_volt / peak)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +225,7 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
     carrier: its comb line sits on bin 0.  ``drive`` is the channel's
     analytic electrical drive (see :func:`~oansim.devices.iq_mrm_ssb`) at
     its IF; the channel's IQ modulator in ``modulators``, which holds one
-    per channel of the plan, scales it to its depth and places it next to
+    per channel of the plan, drives it to its depth and places it next to
     the carrier on its sideband, in its tone window.  Every other channel's
     modulator acts on the slot by its static response
     (:func:`~oansim.devices.undriven_mrm`), in the order of the plan.
@@ -258,7 +245,7 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
                           spectrum=comb)
     for j, config in enumerate(modulators):
         if j == channel:
-            out = iq_mrm_ssb(out, config, scale_drive_to_depth(drive, config))
+            out = iq_mrm_ssb(out, config, drive)
         else:
             out = undriven_mrm(out, config.ring, sum(config.arms))
         out = out.scaled(_BUS_GAIN)
@@ -310,7 +297,7 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
     Per channel, in order: the clock-driven generator splits part of the
     carrier into +/-f_s subcarriers, then one slope-biased ring per tunnel
     modulates the +f_s and -f_s subcarriers with the radio payloads, each
-    scaled to its ring's depth.  ``rof_payloads`` holds the slot's own
+    driven to its ring's depth.  ``rof_payloads`` holds the slot's own
     channel's up to two real electrical waveforms, already centered at
     their radio IF, as long as the field; every channel has as many
     tunnels.  The other channels' rings act by their static responses, and
@@ -342,15 +329,14 @@ def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
         out = out.scaled(_BUS_GAIN)
         for tunnel, payload in zip(tunnels, rof_payloads):
             if j == channel:
-                out = apply_mrm(out, tunnel,
-                                scale_drive_to_depth(payload, tunnel))
+                out = apply_mrm(out, tunnel, payload)
             else:
                 out = undriven_mrm(out, tunnel.ring)
             out = out.scaled(_BUS_GAIN)
     return out
 
 
-def subcarrier_spill(fields, plan: WdmPlan, rings) -> list:
+def subcarrier_spill(fields, rings) -> list:
     """The lines each channel's clock generator lifts into the other slots.
 
     ``fields`` are the slot records, one per channel, as they enter the
@@ -366,15 +352,18 @@ def subcarrier_spill(fields, plan: WdmPlan, rings) -> list:
     inputs = [crop_to_band(f, gen.ring.effective_resonance - gen.window,
                            gen.ring.effective_resonance + gen.window)
               for f, (gen, _) in zip(fields, rings)]
-    spill = [[None] * plan.n_channels for _ in fields]
+    spill = [[None] * len(fields) for _ in fields]
     for j, (gen, tunnels) in enumerate(rings):
         lines = partial(subcarrier_lines, inputs[j], gen)
         for k, field in enumerate(fields):
             if k != j:
-                spill[k][j] = lines(field)
-        for i in range(j + 1, plan.n_channels):
+                spill[k][j] = np.zeros(field.n, dtype=np.complex128)
+                lines(spill[k][j], field.ref_freq)
+        for i in range(j + 1, len(fields)):
             x = undriven_mrm(inputs[i], gen.ring)
-            x = x.copy_with(spectrum=x.spectrum + lines(x)).scaled(_BUS_GAIN)
+            spec = np.array(x.spectrum)
+            lines(spec, x.ref_freq)
+            x = x.copy_with(spectrum=spec).scaled(_BUS_GAIN)
             for tunnel in tunnels:
                 x = undriven_mrm(x, tunnel.ring).scaled(_BUS_GAIN)
             inputs[i] = x
@@ -491,17 +480,15 @@ class RemodResult:
 
 
 def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
-                   drives) -> RemodResult:
+                   drive: ComplexWaveform) -> RemodResult:
     """Remodulate the residual carrier with the uplink, opposite sideband.
 
-    The uplink drive is the sum of ``drives``, at least one analytic
-    electrical waveform at its IF on the residual's grid and of its length
-    (see :func:`~oansim.devices.iq_mrm_ssb`), which ``cfg.modulator``
-    scales to its depth and puts on its sideband.  Reports the ratio of
-    uplink power to the residual downlink power on the bus.
+    The uplink ``drive`` is an analytic electrical waveform at its IF on
+    the residual's grid and of its length (see
+    :func:`~oansim.devices.iq_mrm_ssb`), which ``cfg.modulator`` drives to
+    its depth and puts on its sideband.  Reports the ratio of uplink power
+    to the residual downlink power on the bus.
     """
-    if not drives:
-        raise ConfigError("the uplink needs at least one drive")
     f_c = cfg.channel.center_freq
     carrier_dbm = _carrier_dbm(residual, f_c)
     if carrier_dbm < cfg.min_residual_carrier_dbm:
@@ -512,7 +499,6 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
 
     up_side = cfg.modulator.sideband
     down_side = "lower" if up_side == "upper" else "upper"
-    drive = scale_drive_to_depth(combine(drives), cfg.modulator)
     out = iq_mrm_ssb(residual, cfg.modulator, drive)
 
     p_up = _side(out, cfg.channel, up_side)

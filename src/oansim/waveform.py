@@ -213,15 +213,20 @@ def _runs(bins: range, n: int, m: int, shift: int):
 
 def crop_window(n: int, sample_rate: float, ref_freq: float, f_lo: float,
                 f_hi: float):
-    """``(d, k0)`` of :func:`crop_to_band` on a record of ``n`` samples:
-    ``k0`` the signed bin nearest the band's middle and ``d`` the
-    division of :func:`_division` whose half window, ``n / (2 d)`` bins
-    centred on ``k0``, holds [f_lo, f_hi]; None when even half the record
-    does not."""
+    """``(d, k0, lo, hi)`` of :func:`crop_to_band` on a record of ``n``
+    samples: ``k0`` the signed bin nearest the band's middle, ``d`` the
+    division of :func:`_division` whose half window, ``w = n / (2 d)``
+    bins centred on ``k0``, holds [f_lo, f_hi], and [lo, hi] the absolute
+    frequencies of the window's first and last bins; None when even half
+    the record does not hold the band."""
     df = sample_rate / n
     k0 = int(round(((f_lo + f_hi) / 2.0 - ref_freq) / df))
     d = _division(n, df, k0, f_lo - ref_freq, f_hi - ref_freq, 2)
-    return (d, k0) if d else None
+    if not d:
+        return None
+    w = n // (2 * d)
+    lo = ref_freq + (k0 - w // 2) * sample_rate / n
+    return d, k0, lo, lo + (w - 1) * sample_rate / n
 
 
 def crop_to_band(wf: ComplexWaveform, f_lo: float,
@@ -240,7 +245,7 @@ def crop_to_band(wf: ComplexWaveform, f_lo: float,
     found = crop_window(wf.n, wf.sample_rate, wf.ref_freq, f_lo, f_hi)
     if found is None:
         return wf.copy_with()
-    (d, k0), n = found, wf.n
+    (d, k0, _, _), n = found, wf.n
     m = n // d
     spec = np.zeros(m, dtype=np.complex128)
     for i, j in _runs(range(k0 - m // 4, k0 - m // 4 + m // 2), n, m, k0):
@@ -295,15 +300,3 @@ def from_if(wf: ComplexWaveform, if_freq: float,
     x = np.zeros(length, dtype=np.complex128)
     x[j] = fftpack.rfft(wf.samples)[k] * (np.sqrt(2.0) * length / wf.n)
     return ComplexWaveform(fftpack.ifft(x, overwrite_x=True), rate)
-
-
-def combine(waveforms: list[ComplexWaveform]) -> ComplexWaveform:
-    """Sum waveforms sharing the same grid (rate, ref_freq, length)."""
-    first = waveforms[0]
-    for wf in waveforms:
-        if wf.sample_rate != first.sample_rate or wf.ref_freq != first.ref_freq:
-            raise ConfigError("combine: waveform grids differ")
-        if wf.n != first.n:
-            raise ConfigError("combine: waveform lengths differ")
-    return first.copy_with(samples=sum((wf.samples for wf in waveforms[1:]),
-                                       first.samples))

@@ -100,12 +100,15 @@ def test_criterion_3_comp_feasibility():
 
 
 def _iq_pair(ring, drive, branch_phase=np.pi / 2):
-    """``ring`` as an upper-sideband IQ pair whose tone window holds the
-    swing of ``drive``: 3 linewidths plus half its peak-to-peak detuning."""
+    """``ring`` as an upper-sideband IQ pair driven by ``drive`` as it is,
+    in volts: its depth is the peak excursion of the drive's real part,
+    and its tone window holds the drive's swing, 3 linewidths plus half
+    its peak-to-peak detuning."""
     x = drive.samples
+    depth = ring.mod_efficiency * np.max(np.abs(x.real)) / ring.fwhm
     window = 3.0 * ring.fwhm + ring.mod_efficiency * max(
         np.ptp(x.real), np.ptp(x.imag)) / 2.0
-    return Modulator(ring, 1.0, window, arms=iq_arms("upper", branch_phase))
+    return Modulator(ring, depth, window, arms=iq_arms("upper", branch_phase))
 
 
 def _irr_db(branch_phase):

@@ -214,6 +214,10 @@ NAN, INF = float("nan"), float("inf")
     ("mini", ["onu", "broadband_order"], 2, "onu.broadband_order"),
     ("subcarrier_tunnels", ["onu", "rof_filter_bandwidth"], 1e30,
      "onu.rof_filter_bandwidth"),
+    # keys in range whose burst's record is not: 2^58 and 2^32 samples
+    ("mini", ["digital", "occupied_bandwidth"], 1e-3,
+     "digital.occupied_bandwidth"),
+    ("mini", ["sweep", "burst_symbols"], 1e6, "sweep.burst_symbols"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):

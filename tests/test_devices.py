@@ -18,8 +18,7 @@ from oansim.devices import (ClockGenerator, Modulator, RingParams,
                             thermal_tune)
 from oansim.errors import ConfigError, SimulationError
 from oansim.scenarios import _analytic_drive, builtin_config_path, load_config
-from oansim.subsystems import (_null_offset_fraction, scale_drive_to_depth,
-                               slope_biased_ring)
+from oansim.subsystems import _null_offset_fraction, slope_biased_ring
 from oansim.waveform import (ComplexWaveform, analytic, band_power,
                              if_spectrum, psd)
 
@@ -44,13 +43,29 @@ def tone_window(ring, *drives):
                                                            drives)) / 2.0
 
 
-def one_ring(ring, drive=None, window=None):
-    """``ring`` as a payload ring's record, its tone window ``window`` or
-    that :func:`tone_window` sets for ``drive``; the device functions do
-    not read its depth."""
-    if window is None:
-        window = tone_window(ring, drive.samples.real)
-    return Modulator(ring, 1.0, window)
+def own_depth(ring, x):
+    """The peak resonance excursion of the drive samples ``x`` on
+    ``ring``, in linewidths: as a record's depth, it leaves the drive as
+    it is to within an ulp."""
+    return ring.mod_efficiency * float(np.max(np.abs(x))) / ring.fwhm
+
+
+def one_ring(ring, drive, window=None):
+    """``ring`` as a payload ring's record driven by ``drive`` as it is,
+    in volts (the device scales a drive to its record's depth, here the
+    drive's own), its tone window ``window`` or that :func:`tone_window`
+    sets for ``drive``."""
+    x = drive.samples.real
+    return Modulator(ring, own_depth(ring, x),
+                     tone_window(ring, x) if window is None else window)
+
+
+def at_depth(drive, modulator):
+    """``drive`` scaled as ``modulator`` scales it: the peak resonance
+    excursion of its real part is the record's depth in linewidths."""
+    ring = modulator.ring
+    return drive.scaled(modulator.depth * ring.fwhm / ring.mod_efficiency
+                        / float(np.max(np.abs(drive.samples.real))))
 
 
 def clock(ring, f_clk, volt=1.0, window=None):
@@ -182,8 +197,9 @@ def test_mrm_creates_symmetric_sidebands():
 
 
 def test_mrm_rejects_bad_drive():
-    ring = one_ring(slope_biased_ring(F0), window=8e9)
     field = carrier(n=4096)
+    ring = one_ring(slope_biased_ring(F0),
+                    ComplexWaveform(np.zeros(field.n), FS), window=8e9)
     complex_drive = field.copy_with(
         samples=1j * np.ones(field.n), ref_freq=0.0)
     with pytest.raises(ConfigError):
@@ -248,7 +264,7 @@ def test_block_and_tone_methods_agree():
     drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2.5e9 * field.times()),
                             FS)
     a = block_mrm(field, ring, drive)
-    b = apply_mrm(field, one_ring(ring, window=20e9), drive)
+    b = apply_mrm(field, one_ring(ring, drive, window=20e9), drive)
     # compare in the modulated band only
     pa = band_power(a, F0 - 10e9, F0 + 10e9)
     pb = band_power(b, F0 - 10e9, F0 + 10e9)
@@ -264,7 +280,8 @@ def ssb_setup(branch_phase=np.pi / 2, f_m=5e9, depth=0.05):
     drive = ComplexWaveform(
         depth * np.exp(2j * np.pi * f_m * field.times()), FS)
     x = drive.samples
-    cfg = Modulator(ring, 1.0, tone_window(ring, x.real, x.imag),
+    cfg = Modulator(ring, own_depth(ring, x.real),
+                    tone_window(ring, x.real, x.imag),
                     arms=iq_arms("upper", branch_phase))
     out = iq_mrm_ssb(field, cfg, drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
@@ -452,18 +469,24 @@ def test_static_ring_filter_matches_the_fft_round_trip():
 
 
 def test_tone_mrm_matches_the_fft_round_trip():
+    """The record decides the depth: a drive scaled by 3.7 modulates as
+    the drive whose peak the record's depth is."""
     ring = slope_biased_ring(F0)
     field = two_tone_field()
     for mean in (0.0, 0.02):
         drive = cos_drive(field, mean=mean)
         window = tone_window(ring, drive.samples)
-        got = apply_mrm(field, one_ring(ring, window=window), drive)
-        assert_round_off(got.samples,
-                         round_trip_tone(field, ring, drive, window))
+        modulator = one_ring(ring, drive, window)
+        want = round_trip_tone(field, ring, drive, window)
+        for gain in (1.0, 3.7):
+            got = apply_mrm(field, modulator, drive.scaled(gain))
+            assert_round_off(got.samples, want)
 
 
 def test_iq_ssb_matches_the_fft_round_trip():
-    """Both arms share the record's tone window."""
+    """Both arms share the record's tone window and scale by one gain,
+    which the record's depth and the I arm's peak set: a drive scaled by
+    3.7 modulates as the drive whose I peak the record's depth is."""
     ring = slope_biased_ring(F0)
     field = two_tone_field()
     i = cos_drive(field)
@@ -471,12 +494,14 @@ def test_iq_ssb_matches_the_fft_round_trip():
         samples=0.08 * np.sin(2 * np.pi * 5e9 * field.times()))
     drive = ComplexWaveform(i.samples + 1j * q.samples, FS)
     window = 8e9
-    cfg = Modulator(ring, 1.0, window, arms=iq_arms("lower"))
-    got = iq_mrm_ssb(field, cfg, drive)
+    cfg = Modulator(ring, own_depth(ring, i.samples), window,
+                    arms=iq_arms("lower"))
     want = 0.5 * (round_trip_tone(field, ring, i, window)
                   + np.exp(-1j * np.pi / 2)
                   * round_trip_tone(field, ring, q, window))
-    assert_round_off(got.samples, want)
+    for gain in (1.0, 3.7):
+        assert_round_off(iq_mrm_ssb(field, cfg, drive.scaled(gain)).samples,
+                         want)
 
 
 # ------------------------------------------- band-rate and spectral products
@@ -528,23 +553,24 @@ def test_band_rate_product_matches_the_full_rate_tone(case, monkeypatch):
         # the digital band
         _, (modulator, _) = cfg.edge_rings[0]
         ((signal, bits),) = signals
-        drive = scale_drive_to_depth(signal.drive(bits, n, fs), modulator)
+        drive = signal.drive(bits, n, fs)
         field = ComplexWaveform(1e-2 * (1.0 + np.exp(2j * np.pi * 20e9 * t)),
                                 fs, ref_freq=f0)
         modulate = partial(apply_mrm, field)
-        want = round_trip_tone(field, modulator.ring, drive, modulator.window)
+        want = round_trip_tone(field, modulator.ring,
+                               at_depth(drive, modulator), modulator.window)
     else:
         modulator, phase = (
             (cfg.transmitters[0], np.pi / 2) if case == "transmitter" else
             (cfg.onus[0].modulator, -np.pi / 2))
         ring = modulator.ring
-        drive = scale_drive_to_depth(_analytic_drive(signals, n, fs),
-                                     modulator)
+        drive = _analytic_drive(signals, n, fs)
         field = ComplexWaveform(
             1e-2 * (1.0 + 0.1 * np.exp(2j * np.pi * 25e9 * t)), fs,
             ref_freq=f0)
-        i = ComplexWaveform(drive.samples.real, fs)
-        q = ComplexWaveform(drive.samples.imag, fs)
+        scaled = at_depth(drive, modulator).samples
+        i = ComplexWaveform(scaled.real, fs)
+        q = ComplexWaveform(scaled.imag, fs)
         window = modulator.window
         modulate = partial(iq_mrm_ssb, field)
         want = 0.5 * (round_trip_tone(field, ring, i, window)
@@ -668,8 +694,8 @@ def test_lines_lifted_into_the_next_slot_match_one_wide_record(f_clk):
     gen = slope_biased_ring(F0 - half,
                             slope_fraction=_null_offset_fraction(0.6))
     slot = carrier(n=n, fs=fs, ref=F0 - half)
-    neighbour = carrier(n=n, fs=fs, ref=F0 + half)
-    lines = subcarrier_lines(slot, clock(gen, f_clk, volt), neighbour)
+    lines = np.zeros(n, dtype=np.complex128)
+    subcarrier_lines(slot, clock(gen, f_clk, volt), lines, F0 + half)
     # the wide record's carrier sits on its bin -n/2, the next slot's
     # bins -n/2 .. n/2 - 1 are its bins 0 .. n - 1
     spec = np.zeros(2 * n, dtype=np.complex128)

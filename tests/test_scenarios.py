@@ -520,7 +520,7 @@ def test_crops_lie_inside_their_slot_records(monkeypatch):
     monkeypatch.setattr(oansim.subsystems, "crop_to_band", recorded)
     run_scenario(cfg)
     assert len(crops) == 10  # eight receivers and two generators' inputs
-    for d, k0, n in crops:
+    for d, k0, _, _, n in crops:
         w = n // (2 * d)
         assert -(n // 2) <= k0 - w // 2 and k0 - w // 2 + w <= (n + 1) // 2
 

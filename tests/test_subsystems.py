@@ -214,8 +214,6 @@ def test_comb_lines_sit_on_their_record_bins(n, k, monkeypatch):
     monkeypatch.setattr(oansim.subsystems, "iq_mrm_ssb",
                         lambda field, config, drive: seen.append(field)
                         or field)
-    monkeypatch.setattr(oansim.subsystems, "scale_drive_to_depth",
-                        lambda drive, modulator: drive)
     monkeypatch.setattr(oansim.subsystems, "undriven_mrm",
                         lambda field, ring, gain=1.0: field)
     drive = ComplexWaveform(np.zeros(n, dtype=complex), fs)
@@ -293,28 +291,33 @@ def uplink_setup(n_symbols=25):
 def test_remodulate_reports_sideband_ratio():
     plan, cfg, ocfg, res = uplink_setup()
     up = drive_for(cfg, bits_for(cfg, 25, seed=7))
-    remod = onu_remodulate(res.residual, ocfg, [up])
+    remod = onu_remodulate(res.residual, ocfg, up)
     assert remod.uplink_to_residual_db is not None
     assert remod.uplink_to_residual_db >= 13.0
 
 
 def test_remodulate_needs_a_drive():
+    """An analytic drive on the residual's grid: neither a real one nor
+    one of another length."""
     plan, cfg, ocfg, res = uplink_setup(n_symbols=10)
-    with pytest.raises(ConfigError, match="drive"):
-        onu_remodulate(res.residual, ocfg, [])
+    drive = drive_for(cfg, bits_for(cfg, 10))
+    for wrong in (ComplexWaveform(drive.samples.real, drive.sample_rate),
+                  drive.copy_with(samples=drive.samples[:-1])):
+        with pytest.raises(ConfigError, match="drive"):
+            onu_remodulate(res.residual, ocfg, wrong)
 
 
 def test_remodulate_requires_carrier():
     plan, cfg, ocfg, res = uplink_setup(n_symbols=10)
     starved = res.residual.copy_with(samples=res.residual.samples * 1e-6)
     with pytest.raises(SimulationError):
-        onu_remodulate(starved, ocfg, [drive_for(cfg, bits_for(cfg, 10))])
+        onu_remodulate(starved, ocfg, drive_for(cfg, bits_for(cfg, 10)))
 
 
 def test_intercept_returns_uplink_band():
     plan, cfg, ocfg, res = uplink_setup()
     remod = onu_remodulate(res.residual, ocfg,
-                           [drive_for(cfg, bits_for(cfg, 25, seed=7))])
+                           drive_for(cfg, bits_for(cfg, 25, seed=7)))
     # uplink is on the upper sideband here, so intercept the upper band
     spec = solve_carrier_tap_filter(1e9, 3e9, 0.25, order=4)
     result = smart_edge_intercept_uplink(remod.waveform, plan.channels[0],

@@ -8,7 +8,7 @@ from scipy import signal as sig
 
 from oansim.errors import ConfigError
 from oansim.waveform import (ComplexWaveform, _bins, _division, _if_bins,
-                             _spans, band_power, combine, crop_to_band,
+                             _spans, band_power, crop_to_band, crop_window,
                              from_if, if_spectrum, psd, scale_db,
                              set_power_dbm)
 
@@ -142,7 +142,6 @@ def test_real_samples_stay_real():
     wf = ComplexWaveform(np.cos(np.arange(64.0)), FS)
     assert wf.samples.dtype == np.float64 and wf.is_real()
     assert wf.scaled(2.0).is_real()
-    assert combine([wf, wf]).is_real()
     assert not ComplexWaveform(np.exp(1j * np.arange(64.0)), FS).is_real()
     # a spectrum alone says nothing of realness: its samples are complex
     assert not ComplexWaveform(None, FS, spectrum=wf.spectrum).is_real()
@@ -209,16 +208,6 @@ def test_upconvert_alias_guard():
         if_spectrum(modem_noise(300), 1e9, n, FS)
 
 
-def test_combine_adds_and_validates():
-    a, b = tone(1e9, amp=0.5), tone(1e9, amp=0.5)
-    s = combine([a, b])
-    assert s.power() == pytest.approx(4 * a.power(), rel=1e-12)
-    with pytest.raises(ConfigError):
-        combine([a, b.copy_with(sample_rate=2 * FS)])
-    with pytest.raises(ConfigError):
-        combine([a, b.copy_with(samples=b.samples[:-1])])
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 11), st.integers(0, 4), st.floats(-1.0, 1.0),
        st.floats(0.0, 0.9))
@@ -246,6 +235,14 @@ def test_cropped_window_holds_the_band(twos, odd, where, width):
         assert np.all(np.abs(out.baseband_freqs()[held]) <= FS / d / 4.0)
     # and a window half as wide would not surely hold the band
     assert not (n % (2 * d) == 0 and hi - lo <= (n // (4 * d) - 3) * df)
+    found = crop_window(n, FS, ref, lo, hi)
+    if found is not None:
+        # the band crop_window names: the kept window's first and last bins
+        _, _, first, last = found
+        assert first <= lo and hi <= last
+        assert first == pytest.approx(out.ref_freq - out.n // 4 * df,
+                                      abs=1e-3 * df)
+        assert round((last - first) / df) == out.n // 2 - 1
 
 
 @settings(max_examples=300, deadline=None)

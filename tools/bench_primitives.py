@@ -9,16 +9,15 @@ holding their spectrum, as a field does between the pipeline's stages;
 the best of ``--repeat`` wall times is kept.  The results are merged into
 the JSON file under ``--label``, next to the other labels already there,
 so that one file holds the figures of two trees measured on one machine.
-A primitive that the imported package does not have is recorded as null.
 Each device is built as the record the pipeline builds at load, which
-fixes its tone window and band edge; a tree without those records is
-timed with its own copy of this tool.
+fixes its depth, tone window and band edge, and is given a raw drive that
+it scales to its depth itself.
 
 Primitives:
 
 * ``apply_mrm``: one ring on the tone path at the full rate (no band
-  edge), a carrier driven by a 5 GHz tone, its tone window 3 linewidths
-  plus half the tone's peak-to-peak detuning;
+  edge), a carrier driven by a 5 GHz tone at depth 0.12, its tone window
+  3 linewidths plus that depth;
 * ``generate_subcarriers``: the overlay's clock-driven ring splitting a
   carrier with a 20 GHz clock, its tone window the carrier line;
 * ``drop_filter``: a third-order 12 GHz drop of a noise field;
@@ -61,13 +60,13 @@ IF = 7e9
 
 def primitives(n: int) -> dict:
     """Zero-argument callables, by name, each timing one primitive on a
-    record of ``n`` samples; None where the package lacks it."""
+    record of ``n`` samples."""
     import oansim
     from oansim import waveform
     from oansim.channel import FiberParams, PdParams
     from oansim.devices import ClockGenerator, Modulator, iq_arms
     from oansim.ofdm import OfdmConfig, bandwidth_for_bit_rate
-    from oansim.subsystems import scale_drive_to_depth, slope_biased_ring
+    from oansim.subsystems import slope_biased_ring
 
     rng = np.random.default_rng(1)
     t = np.arange(n) / FS
@@ -75,8 +74,7 @@ def primitives(n: int) -> dict:
                                      FS, ref_freq=F0)
     tone = oansim.ComplexWaveform(0.05 * np.cos(2 * np.pi * 5e9 * t), FS)
     ring = slope_biased_ring(F0)
-    tone_ring = Modulator(ring, 0.12, 3.0 * ring.fwhm + ring.mod_efficiency
-                          * np.ptp(tone.samples) / 2.0)
+    tone_ring = Modulator(ring, 0.12, (3.0 + 0.12) * ring.fwhm)
     gen = slope_biased_ring(F0, slope_fraction=0.6)
     generator = ClockGenerator(gen, F0 - gen.effective_resonance + 0.5e9,
                                20e9, 1.2)
@@ -85,6 +83,8 @@ def primitives(n: int) -> dict:
         ref_freq=F0)
     ofdm = OfdmConfig(occupied_bandwidth=bandwidth_for_bit_rate(10e9),
                       pilot_spacing=16)
+    iq_pair = Modulator(ring, 0.12, (3.0 + 0.12) * ring.fwhm,
+                        IF + 0.55 * ofdm.occupied_bandwidth, iq_arms())
 
     def modem(samples: int):
         """A waveform of at most ``samples`` modem samples."""
@@ -94,10 +94,13 @@ def primitives(n: int) -> dict:
 
     long = modem(n)
     drive = modem(int(n * ofdm.sample_rate / FS))
+    iq = waveform.analytic(waveform.if_spectrum(drive, IF, n, FS), n, FS)
+    current = oansim.ComplexWaveform(np.fft.irfft(
+        waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2), FS / 2)
     carrier.spectrum, noise.spectrum
     fiber = FiberParams(20.0)
     pd = PdParams(thermal_noise_psd=5e-24, include_shot=True, seed=3)
-    found = {
+    return {
         "apply_mrm": lambda: oansim.apply_mrm(carrier, tone_ring, tone),
         "drop_filter": lambda: oansim.drop_filter(noise, F0 + IF, 12e9, 3),
         "propagate_fiber": lambda: oansim.propagate_fiber(noise, fiber),
@@ -107,24 +110,13 @@ def primitives(n: int) -> dict:
         "crop_to_band": lambda: waveform.crop_to_band(noise, F0, F0 + 15e9),
         "generate_subcarriers": lambda: oansim.generate_subcarriers(
             carrier, generator),
-        "iq_drive": None, "real_drive": None, "receive": None,
-        "iq_mrm_ssb": None,
+        "iq_drive": lambda: waveform.analytic(
+            waveform.if_spectrum(drive, IF, n, FS), n, FS),
+        "real_drive": lambda: fftpack.irfft(
+            waveform.if_spectrum(drive, IF, n, FS), n),
+        "iq_mrm_ssb": lambda: oansim.iq_mrm_ssb(carrier, iq_pair, iq),
+        "receive": lambda: waveform.from_if(current, IF, ofdm.sample_rate),
     }
-    if hasattr(waveform, "if_spectrum"):
-        current = oansim.ComplexWaveform(np.fft.irfft(
-            waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2), FS / 2)
-        iq_pair = Modulator(ring, 0.12, (3.0 + 0.12) * ring.fwhm,
-                            IF + 0.55 * ofdm.occupied_bandwidth, iq_arms())
-        iq = scale_drive_to_depth(waveform.analytic(
-            waveform.if_spectrum(drive, IF, n, FS), n, FS), iq_pair)
-        found.update(
-            iq_mrm_ssb=lambda: oansim.iq_mrm_ssb(carrier, iq_pair, iq),
-            iq_drive=lambda: waveform.analytic(
-                waveform.if_spectrum(drive, IF, n, FS), n, FS),
-            real_drive=lambda: fftpack.irfft(
-                waveform.if_spectrum(drive, IF, n, FS), n),
-            receive=lambda: waveform.from_if(current, IF, ofdm.sample_rate))
-    return found
 
 
 def best_of(fn, repeat: int) -> float:
@@ -149,8 +141,7 @@ def main(argv=None) -> int:
     seconds = {}
     for k in args.sizes:
         fns = primitives(1 << k)
-        seconds[f"2^{k}"] = {name: None if fn is None
-                             else round(best_of(fn, args.repeat), 4)
+        seconds[f"2^{k}"] = {name: round(best_of(fn, args.repeat), 4)
                              for name, fn in fns.items()}
         print(f"2^{k}: {seconds[f'2^{k}']}", flush=True)
     report["runs"][args.label] = {
