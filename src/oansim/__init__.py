@@ -44,7 +44,6 @@ from .waveform import (
     if_spectrum,
     psd,
     scale_db,
-    set_power_dbm,
 )
 from .ofdm import (
     OfdmConfig,

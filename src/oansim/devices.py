@@ -461,6 +461,18 @@ def subcarrier_lines(field: ComplexWaveform, generator: ClockGenerator,
               _harmonics(generator.ring, f_tone, generator.clock_volt))
 
 
+def undriven_generator(field: ComplexWaveform, generator: ClockGenerator,
+                       source: ComplexWaveform | None) -> ComplexWaveform:
+    """The field through a clock generator's ring at rest, plus the lines
+    its clock lifts from its own input ``source``, held in another record
+    (:func:`subcarrier_lines`; none if ``source`` is None)."""
+    out = _through_static_grid(generator.ring, field, 0.0)
+    out *= field.spectrum
+    if source is not None:
+        subcarrier_lines(source, generator, out, field.ref_freq)
+    return field.copy_with(spectrum=out)
+
+
 # ---------------------------------------------------------------------------
 # Higher-order drop filter
 

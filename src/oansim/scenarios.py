@@ -19,15 +19,15 @@ the plan's centre.  The slots meet twice: the clock generators hand each
 other the harmonics they lift into other slots, and the received power
 is set over the slots' summed power, the one join before the network
 units.  Channel 0's slot alone carries the uplink.  One burst pipeline
-serves both overlay styles, which differ in two steps only:
-
-* the overlay: ``subcarrier_tunnels`` puts radio payloads on +/-f_s
-  subcarriers generated from each channel's carrier; ``adjacent_rf``
-  modulates narrow radio channels single-sideband next to the carrier of
-  its single channel;
-* where the uplink is detected: for tunnels the smart edge intercepts the
-  radio uplink, if any, and the central office the digital uplink; under
-  ``adjacent_rf`` the smart edge intercepts the digital uplink.
+serves both overlay styles.  Each channel's smart edge is one record
+built at load, run the same way for both: ``subcarrier_tunnels`` puts
+radio payloads on +/-f_s subcarriers that a clock-driven ring generates
+from each channel's carrier, and ``adjacent_rf`` modulates narrow radio
+channels single-sideband next to the carrier of its single channel with
+one IQ pair.  The styles differ only in where the uplink is detected:
+for tunnels the smart edge intercepts the radio uplink, if any, and the
+central office the digital uplink; under ``adjacent_rf`` the smart edge
+intercepts the digital uplink.
 
 A :class:`ScenarioConfig` reads and checks the YAML once, when built.
 Reports are plain dicts (JSON/CSV serializable, stable ordering) carrying
@@ -56,12 +56,12 @@ from .forkjoin import branch_threads, fork
 from .metrics import DEFAULT_FEC_THRESHOLD, BerReport, ber_over_sent_bits
 from .ofdm import OfdmConfig, bandwidth_for_bit_rate, demodulate_ofdm, generate_ofdm
 from .subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
-                         check_drop, detect_band, detect_drop, olt_transmit,
-                         onu_receive, onu_remodulate, overlay_rings,
-                         slope_biased_ring, smart_edge_intercept_uplink,
-                         smart_edge_overlay, solve_carrier_tap_filter,
-                         subcarrier_spill)
-from .devices import Modulator, drop_filter, iq_arms, iq_mrm_ssb
+                         check_drop, detect_band, detect_drop,
+                         generator_inputs, olt_transmit, onu_receive,
+                         onu_remodulate, overlay_rings, slope_biased_ring,
+                         smart_edge_intercept_uplink, smart_edge_overlay,
+                         solve_carrier_tap_filter)
+from .devices import Modulator, drop_filter, iq_arms
 from .waveform import (ComplexWaveform, _division, analytic, band_power,
                        crop_window, from_if, if_spectrum, psd, scale_db)
 
@@ -284,8 +284,8 @@ def _ofdm(raw: dict, key: str, seed: int) -> OfdmConfig:
 
 class _Signal(NamedTuple):
     """One OFDM signal of a burst: its modem, radio IF and symbol count.
-    Its drives are made from its modem-rate spectrum on the record's bins,
-    and :func:`_detect` reads it back from the same bins."""
+    :func:`_drive` makes it from its spectrum on the record's bins, and
+    :func:`_detect` reads it back from the same bins."""
     ofdm: OfdmConfig
     if_freq: float
     symbols: int
@@ -315,11 +315,6 @@ class _Signal(NamedTuple):
         return if_spectrum(generate_ofdm(self.ofdm, bits), self.if_freq, n,
                            sample_rate, lead)
 
-    def drive(self, bits, n: int, sample_rate: float) -> ComplexWaveform:
-        """The real signal of ``bits`` at its IF on the record."""
-        return ComplexWaveform(
-            fftpack.irfft(self.spectrum(bits, n, sample_rate), n), sample_rate)
-
 
 @dataclass
 class ScenarioConfig:
@@ -331,11 +326,15 @@ class ScenarioConfig:
     the fibers, the burst geometry and every device, each modulator a
     record that decides its depth, tone window and band edge.  Per
     channel, ``transmitters`` holds its central-office IQ modulator,
-    ``edge_rings`` its smart-edge generator and tunnel rings (tunnels) and
-    ``onus`` its network unit, whose remodulator shares the transmitter's
-    ring; ``rf_modulator`` is the radio channels' IQ modulator
-    (``adjacent_rf``, else None); ``intercept`` and ``demux`` are the
-    uplink drops and ``detector`` the receivers' unseeded detector.
+    ``edge_rings`` its smart edge as ``(generator or None, [modulator])``
+    (:func:`~oansim.subsystems.smart_edge_overlay`) and ``onus`` its
+    network unit, whose remodulator shares the transmitter's ring.  The
+    smart edge is the clock generator and one ring per tunnel
+    (``subcarrier_tunnels``; ``(None, [])`` without tunnels) or the radio
+    channels' IQ pair (``adjacent_rf``); ``edge_payloads`` holds, per
+    smart-edge modulator, the indices of the ``payloads`` whose spectra
+    its drive sums.  ``intercept`` and ``demux`` are the uplink drops and
+    ``detector`` the receivers' unseeded detector.
     """
     raw: dict
 
@@ -478,18 +477,27 @@ class ScenarioConfig:
             Modulator(r, depth, (3.0 + depth) * r.fwhm,
                       self.digital.edges()[1], iq_arms(digital_sideband))
             for r in rings]
-        # the radio channels' IQ pair, on a ring like channel 0's; its tone
-        # window covers the carrier but stops short of the broadband subband
-        self.rf_modulator = None if tunnels else Modulator(
-            rings[0], rf_depth,
-            self.plan.channels[0].center_freq - rings[0].effective_resonance
-            + 0.5 * self.digital.edges()[0],
-            max(s.edges()[1] for s in self.payloads), iq_arms("lower"))
+        # each channel's smart edge, with each modulator's payloads and the
+        # keys that size their tone windows: the generator and one ring per
+        # tunnel, or the radio channels' IQ pair on a ring like channel 0's,
+        # its window over the carrier but short of the broadband subband
         retain = _get(raw, "devices.carrier_retain_fraction", _fraction)
-        self.edge_rings = [
-            overlay_rings(ch, [s.edges()[1] for s in self.payloads], rf_depth,
-                          clock_volt, retain, **ring)
-            for ch in self.plan.channels] if tunnels else []
+        edges = [s.edges()[1] for s in self.payloads]
+        if tunnels:
+            self.edge_rings = [
+                overlay_rings(ch, edges, rf_depth, clock_volt, retain, **ring)
+                if edges else (None, []) for ch in self.plan.channels]
+            self.edge_payloads = self.groups
+            self._edge_keys = ("wdm.rof_subcarrier_offset",
+                               "wdm.digital_subband")
+        else:
+            window = (self.plan.channels[0].center_freq
+                      - rings[0].effective_resonance
+                      + 0.5 * self.digital.edges()[0])
+            self.edge_rings = [(None, [Modulator(
+                rings[0], rf_depth, window, max(edges), iq_arms("lower"))])]
+            self.edge_payloads = [list(range(len(edges)))]
+            self._edge_keys = ("digital.if_freq",)
         loss = (_get(raw, "spans.atten_db_per_km", _non_negative),
                 _get(raw, "spans.dispersion_ps_nm_km"))
         self.feeder, self.distribution = (
@@ -524,9 +532,15 @@ class ScenarioConfig:
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):
             raise ConfigError("sweep.rx_power_dbm must be ascending")
-        self.bits_per_point = _get(raw, "sweep.bits_per_point", _count)
-        self.top_bits = _get(raw, "sweep.top_bits", _count)
-        self.full_bits = _get(raw, "sweep.full_bits", _count)
+        # at most 10,000 bursts of the least-counted signal per bit target
+        least = min(s.n_bits for s in (self.digital, *self.payloads,
+                                       *self.uplink.values()))
+        for key in ("bits_per_point", "top_bits", "full_bits"):
+            bits = _get(raw, f"sweep.{key}", _count)
+            if bits > 10_000 * least:
+                raise ConfigError(f"sweep.{key}: {bits} bits take more than "
+                                  f"10,000 bursts of {least} bits")
+            setattr(self, key, bits)
 
     def _read_onus(self, remodulators: list) -> list:
         """Each channel's network unit with its remodulator: the same
@@ -584,21 +598,17 @@ class ScenarioConfig:
         ch, onu = self.plan.channels[k], self.onus[k]
         f_c, f_s = ch.center_freq, ch.rof_subcarrier_offset
         spans = [(*ch.slot_edges, None, ("wdm.slot_width",))]
-        devices = [(self.transmitters[k], ("devices.drive_depth",)),
-                   (onu.modulator, ("uplink.drive_depth",))][:2 if k == 0
-                                                              else 1]
-        if self.style == "subcarrier_tunnels" and self.payloads:
-            gen, tunnels = self.edge_rings[k]
+        gen, modulators = self.edge_rings[k]
+        uplink = [(onu.modulator, ("uplink.drive_depth",))] if k == 0 else []
+        devices = [(self.transmitters[k], ("devices.drive_depth",)), *uplink,
+                   *((m, self._edge_keys) for m in modulators)]
+        if gen is not None:
             retain = ("devices.carrier_retain_fraction",)
-            devices += [(gen, retain), *(
-                (t, ("wdm.rof_subcarrier_offset", "wdm.digital_subband"))
-                for t in tunnels)]
+            devices.append((gen, retain))
             spans += [(gen.ring.effective_resonance + f - gen.window,
                        gen.ring.effective_resonance + f + gen.window, None,
                        ("wdm.rof_subcarrier_offset", *retain, *_LINEWIDTH))
                       for f in (-f_s, f_s)]
-        elif self.style == "adjacent_rf":
-            devices.append((self.rf_modulator, ("digital.if_freq",)))
         spans += [(d.ring.effective_resonance - d.window,
                    d.ring.effective_resonance + d.window, None,
                    keys + _LINEWIDTH) for d, keys in devices]
@@ -749,27 +759,18 @@ def _detect(stage: str, name: str, signal: _Signal,
     return name, ber_over_sent_bits(tx_bits, rx_bits, evm)
 
 
-def _analytic_drive(signals, n: int, sample_rate: float,
-                    lead: int = 0) -> ComplexWaveform:
-    """The analytic drive of each ``(signal, bits)`` of ``signals`` at its
-    IF, ``lead`` samples late: their spectra, made in a fork and summed."""
+def _drive(modulator: Modulator, signals, n: int, sample_rate: float,
+           lead: int = 0) -> ComplexWaveform:
+    """The drive of ``modulator`` carrying each ``(signal, bits)`` of
+    ``signals`` at its IF, ``lead`` samples late: their spectra, made in a
+    fork and summed, as a real signal for a single ring and an analytic
+    one for an IQ pair."""
     spectra = fork(*(partial(s.spectrum, bits, n, sample_rate, lead)
                      for s, bits in signals))
-    return analytic(sum(spectra[1:], spectra[0]), n, sample_rate)
-
-
-def _overlay(cfg: ScenarioConfig, link: ComplexWaveform, k: int,
-             drives: list, spill) -> ComplexWaveform:
-    """The smart edge's radio overlay on slot ``k``, the first of the two
-    steps where the styles differ: one real drive per tunnel of the slot's
-    channel, or one composite analytic drive of the radio channels."""
-    if cfg.style == "subcarrier_tunnels":
-        return _stage("smart_edge_overlay", smart_edge_overlay, link,
-                      cfg.plan, cfg.edge_rings, drives, channel=k,
-                      spill=spill)
-    # one composite radio drive, single-sideband below the carrier
-    return _stage("smart_edge_overlay", iq_mrm_ssb, link, cfg.rf_modulator,
-                  drives[0])
+    half = sum(spectra[1:], spectra[0])
+    if len(modulator.arms) == 1:
+        return ComplexWaveform(fftpack.irfft(half, n), sample_rate)
+    return analytic(half, n, sample_rate)
 
 
 def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
@@ -781,7 +782,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     through the central office, the feeder, the amplifier, the smart edge
     and the distribution fiber; between the amplifier and the smart edge
     the slots hand each other the lines their clock generators lift into
-    them (:func:`subcarrier_spill`).  The received power is then set over
+    them (:func:`generator_inputs`).  The received power is then set over
     the slots' summed WDM slot power, the one join before the network
     units, and each slot's network unit receives in its own branch;
     channel 0's slot alone carries the uplink.
@@ -808,18 +809,16 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     last = plan.n_channels - 1
 
     def launch(k: int):
-        payload = ([partial(s.drive, bits, n, rate)
-                    for s, bits in zip(cfg.payloads, payload_bits[k])]
-                   if cfg.style == "subcarrier_tunnels" else
-                   [partial(_analytic_drive,
-                            zip(cfg.payloads, payload_bits[0]), n, rate)])
-        uplink = ([partial(_analytic_drive,
+        payload = [partial(_drive, m, [(cfg.payloads[i], payload_bits[k][i])
+                                       for i in idx], n, rate)
+                   for m, idx in zip(cfg.edge_rings[k][1], cfg.edge_payloads)]
+        uplink = ([partial(_drive, cfg.onus[0].modulator,
                            [(cfg.uplink[kind], bits)
                             for kind, bits in up_bits.items()],
                            n, rate, guard)]
                   if k == last else [])
-        made = fork(partial(_analytic_drive, [(dig, dig_bits[k])], n, rate,
-                            guard), *payload, *uplink)
+        made = fork(partial(_drive, cfg.transmitters[k], [(dig, dig_bits[k])],
+                            n, rate, guard), *payload, *uplink)
         tx = _stage("olt_transmit", olt_transmit, plan, made[0], k,
                     modulators=cfg.transmitters,
                     power_per_tone_dbm=cfg.tx_power_dbm)
@@ -832,12 +831,11 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     launched = fork(*(partial(launch, k) for k in range(plan.n_channels)))
     fields = [link for link, _, _ in launched]
     up_drive = launched[-1][2][0]
-    spill = [None] * plan.n_channels
-    if cfg.style == "subcarrier_tunnels" and cfg.payloads:
-        spill = subcarrier_spill(fields, cfg.edge_rings)
+    inputs = generator_inputs(fields, cfg.edge_rings)
 
     def edge(k: int, link: ComplexWaveform, drives: list):
-        link = _overlay(cfg, link, k, drives, spill[k])
+        link = _stage("smart_edge_overlay", smart_edge_overlay, link,
+                      cfg.edge_rings, drives, channel=k, inputs=inputs)
         overlaid = link if want_spectrum else None
         link = _stage("distribution_fiber", propagate_fiber, link,
                       cfg.distribution, centre)
@@ -845,7 +843,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
 
     edged = fork(*(partial(edge, k, fields[k], launched[k][1])
                    for k in range(plan.n_channels)))
-    del launched, fields, spill
+    del launched, fields, inputs
     spectrum = _spectrum([wf for _, wf in edged]) if want_spectrum else None
     # the received power is that of the WDM slots: what the records hold
     # between and past them (ASE, far clock harmonics) is left out

@@ -13,10 +13,11 @@ time-varying responses and every other channel's devices' static ones.
 * central-office transmitter: comb source + one IQ microring modulator
   per WDM channel, single-sideband digital drive inside each channel's
   reserved digital subband;
-* smart-edge overlay unit: per channel, one ring splits the carrier into
-  +/-f_s subcarriers and two further rings modulate those subcarriers
-  with analog radio payloads; a drop ring intercepts the radio uplink on
-  the return path;
+* smart-edge overlay unit: per channel, the devices that add analog
+  radio, run one way for both overlay styles: a clock-driven ring that
+  splits the carrier into +/-f_s subcarriers and one ring per radio
+  tunnel on them, or one IQ pair that puts radio channels next to the
+  carrier; a drop ring intercepts the radio uplink on the return path;
 * optical network unit: cascade of higher-order drop filters that strips
   the broadband subband (with a calibrated portion of the carrier) and
   the radio subcarriers, then remodulates the residual carrier with the
@@ -34,14 +35,13 @@ ratio) are computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .channel import PdParams, dc_block, photodetect
 from .devices import (ClockGenerator, Modulator, RingParams, apply_mrm,
                       drop_filter, generate_subcarriers, iq_mrm_ssb,
-                      subcarrier_lines, thermal_tune, undriven_mrm)
+                      thermal_tune, undriven_generator, undriven_mrm)
 from .errors import ConfigError, SimulationError
 from .waveform import ComplexWaveform, band_power, crop_to_band
 
@@ -287,87 +287,65 @@ def overlay_rings(ch: WdmChannel, band_edges, depth: float,
     return generator, rings
 
 
-def smart_edge_overlay(field_in: ComplexWaveform, plan: WdmPlan, rings,
-                       rof_payloads, channel: int = 0,
-                       spill=None) -> ComplexWaveform:
-    """Overlay analog radio tunnels on the slot of ``plan.channels[channel]``.
+def smart_edge_overlay(field_in: ComplexWaveform, rings, drives,
+                       channel: int = 0, inputs=None) -> ComplexWaveform:
+    """Overlay analog radio on the slot of WDM channel ``channel``.
 
-    ``rings`` holds, per channel of the plan, its smart edge's rings as
-    :func:`overlay_rings` builds them (read only when there are payloads).
-    Per channel, in order: the clock-driven generator splits part of the
-    carrier into +/-f_s subcarriers, then one slope-biased ring per tunnel
-    modulates the +f_s and -f_s subcarriers with the radio payloads, each
-    driven to its ring's depth.  ``rof_payloads`` holds the slot's own
-    channel's up to two real electrical waveforms, already centered at
-    their radio IF, as long as the field; every channel has as many
-    tunnels.  The other channels' rings act by their static responses, and
-    after each other generator its lines in this slot, ``spill[j]`` of
-    :func:`subcarrier_spill`, are added.
+    ``rings`` holds, per channel, its smart edge as ``(generator or None,
+    [modulator])``: the clock generator that splits part of the carrier
+    into +/-f_s subcarriers and one ring per tunnel on them
+    (:func:`overlay_rings`), or the radio channels' IQ pair.  The slot's
+    own channel runs its generator, if any, and each modulator on its
+    drive in ``drives`` (real for a ring, analytic for an IQ pair); every
+    other channel's smart edge is at rest, its generator adding the lines
+    it lifts from its input ``inputs[j]`` (:func:`generator_inputs`).
+    Every device costs one bus insertion loss.
     """
-    if len(rof_payloads) > 2:
-        raise ConfigError("at most two radio tunnels per channel")
+    if len(drives) != len(rings[channel][1]):
+        raise ConfigError(
+            f"{len(drives)} drives for the {len(rings[channel][1])} "
+            f"smart-edge modulators of channel {channel}")
     out = field_in
-    for j, ch in enumerate(plan.channels):
-        if not rof_payloads:
-            # undriven stages still cost bus insertion loss
-            out = out.scaled(_BUS_GAIN ** 3)
+    for j, (gen, modulators) in enumerate(rings):
+        if j != channel:
+            out = _edge_at_rest(out, gen, modulators, inputs and inputs[j])
             continue
-        gen, tunnels = rings[j]
-        if j == channel:
-            carrier_ok = band_power(
-                out, ch.center_freq - CARRIER_WINDOW_HZ,
-                ch.center_freq + CARRIER_WINDOW_HZ)
-            if carrier_ok <= 0.0:
-                raise SimulationError(
-                    f"no carrier found at {ch.center_freq/1e12:.4f} THz"
-                )
-            out = generate_subcarriers(out, gen)
-        else:
-            out = undriven_mrm(out, gen.ring)
-            if spill is not None and spill[j] is not None:
-                out = out.copy_with(spectrum=out.spectrum + spill[j])
-        out = out.scaled(_BUS_GAIN)
-        for tunnel, payload in zip(tunnels, rof_payloads):
-            if j == channel:
-                out = apply_mrm(out, tunnel, payload)
-            else:
-                out = undriven_mrm(out, tunnel.ring)
-            out = out.scaled(_BUS_GAIN)
+        if gen is not None:
+            out = generate_subcarriers(out, gen).scaled(_BUS_GAIN)
+        for m, drive in zip(modulators, drives):
+            modulate = apply_mrm if len(m.arms) == 1 else iq_mrm_ssb
+            out = modulate(out, m, drive).scaled(_BUS_GAIN)
     return out
 
 
-def subcarrier_spill(fields, rings) -> list:
-    """The lines each channel's clock generator lifts into the other slots.
+def _edge_at_rest(field: ComplexWaveform, generator, modulators,
+                  source) -> ComplexWaveform:
+    """``field`` through a smart edge at rest: each device by its static
+    response and one bus loss, a generator adding the lines it lifts from
+    its own input ``source``."""
+    if generator is not None:
+        field = undriven_generator(field, generator, source).scaled(_BUS_GAIN)
+    for m in modulators:
+        field = undriven_mrm(field, m.ring, sum(m.arms)).scaled(_BUS_GAIN)
+    return field
 
-    ``fields`` are the slot records, one per channel, as they enter the
-    smart edge, and ``rings`` each channel's rings, as for
-    :func:`smart_edge_overlay`.  Returns ``spill[k][j]``: the spectrum, on
-    slot ``k``'s bins, of the harmonics of channel ``j``'s generator that
-    land in slot ``k``'s record (None for ``j == k``), for
-    :func:`smart_edge_overlay`.  Each generator's input, its tone window
-    cut from its slot (:func:`~oansim.waveform.crop_to_band`), first
-    passes the earlier channels' rings by their static responses and
-    gains their generators' lines, as in the overlay.
-    """
-    inputs = [crop_to_band(f, gen.ring.effective_resonance - gen.window,
-                           gen.ring.effective_resonance + gen.window)
-              for f, (gen, _) in zip(fields, rings)]
-    spill = [[None] * len(fields) for _ in fields]
-    for j, (gen, tunnels) in enumerate(rings):
-        lines = partial(subcarrier_lines, inputs[j], gen)
-        for k, field in enumerate(fields):
-            if k != j:
-                spill[k][j] = np.zeros(field.n, dtype=np.complex128)
-                lines(spill[k][j], field.ref_freq)
-        for i in range(j + 1, len(fields)):
-            x = undriven_mrm(inputs[i], gen.ring)
-            spec = np.array(x.spectrum)
-            lines(spec, x.ref_freq)
-            x = x.copy_with(spectrum=spec).scaled(_BUS_GAIN)
-            for tunnel in tunnels:
-                x = undriven_mrm(x, tunnel.ring).scaled(_BUS_GAIN)
-            inputs[i] = x
-    return spill
+
+def generator_inputs(fields, rings) -> list:
+    """Each channel's clock generator's input (None without one), whose
+    lines :func:`smart_edge_overlay` lands in the other slots: its tone
+    window cut from its slot record in ``fields`` as it enters the smart
+    edge (:func:`~oansim.waveform.crop_to_band`), then walked through the
+    earlier channels' smart edges in ``rings`` at rest."""
+    inputs = []
+    for field, (gen, _) in zip(fields, rings):
+        x = None
+        if gen is not None:
+            res = gen.ring.effective_resonance
+            x = crop_to_band(field, res - gen.window, res + gen.window)
+            for (g, modulators), source in zip(rings, inputs):
+                x = _edge_at_rest(x, g, modulators, source)
+        inputs.append(x)
+    return inputs
 
 
 def _null_offset_fraction(retain: float) -> float:

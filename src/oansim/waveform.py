@@ -105,10 +105,6 @@ class ComplexWaveform:
     def power_dbm(self) -> float:
         return 10.0 * np.log10(self.power() * 1e3)
 
-    def energy(self) -> float:
-        """Total energy in J: sum |s|^2 / sample_rate."""
-        return float(np.sum(np.abs(self.samples) ** 2) / self.sample_rate)
-
     def is_real(self) -> bool:
         """Whether the samples are held as real numbers."""
         return self.samples.dtype == np.float64
@@ -176,10 +172,6 @@ def band_power(wf: ComplexWaveform, f_lo: float, f_hi: float) -> float:
 
 def scale_db(wf: ComplexWaveform, gain_db: float) -> ComplexWaveform:
     return wf.scaled(10.0 ** (gain_db / 20.0))
-
-
-def set_power_dbm(wf: ComplexWaveform, target_dbm: float) -> ComplexWaveform:
-    return scale_db(wf, target_dbm - wf.power_dbm())
 
 
 def _division(n: int, df: float, k0: int, f_lo: float, f_hi: float,

@@ -218,6 +218,10 @@ NAN, INF = float("nan"), float("inf")
     ("mini", ["digital", "occupied_bandwidth"], 1e-3,
      "digital.occupied_bandwidth"),
     ("mini", ["sweep", "burst_symbols"], 1e6, "sweep.burst_symbols"),
+    # bit targets no run reaches: each ran without end
+    ("mini", ["sweep", "bits_per_point"], 1e30, "sweep.bits_per_point"),
+    ("mini", ["sweep", "top_bits"], 1e30, "sweep.top_bits"),
+    ("mini", ["sweep", "full_bits"], 1e30, "sweep.full_bits"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):

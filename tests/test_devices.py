@@ -17,7 +17,7 @@ from oansim.devices import (ClockGenerator, Modulator, RingParams,
                             iq_mrm_ssb, ring_response, subcarrier_lines,
                             thermal_tune)
 from oansim.errors import ConfigError, SimulationError
-from oansim.scenarios import _analytic_drive, builtin_config_path, load_config
+from oansim.scenarios import _drive, builtin_config_path, load_config
 from oansim.subsystems import _null_offset_fraction, slope_biased_ring
 from oansim.waveform import (ComplexWaveform, analytic, band_power,
                              if_spectrum, psd)
@@ -552,8 +552,7 @@ def test_band_rate_product_matches_the_full_rate_tone(case, monkeypatch):
         # the +f_s ring and the overlay's window: the subcarrier, clear of
         # the digital band
         _, (modulator, _) = cfg.edge_rings[0]
-        ((signal, bits),) = signals
-        drive = signal.drive(bits, n, fs)
+        drive = _drive(modulator, signals, n, fs)
         field = ComplexWaveform(1e-2 * (1.0 + np.exp(2j * np.pi * 20e9 * t)),
                                 fs, ref_freq=f0)
         modulate = partial(apply_mrm, field)
@@ -564,7 +563,7 @@ def test_band_rate_product_matches_the_full_rate_tone(case, monkeypatch):
             (cfg.transmitters[0], np.pi / 2) if case == "transmitter" else
             (cfg.onus[0].modulator, -np.pi / 2))
         ring = modulator.ring
-        drive = _analytic_drive(signals, n, fs)
+        drive = _drive(modulator, signals, n, fs)
         field = ComplexWaveform(
             1e-2 * (1.0 + 0.1 * np.exp(2j * np.pi * 25e9 * t)), fs,
             ref_freq=f0)

@@ -19,14 +19,15 @@ import oansim.scenarios
 import oansim.subsystems
 import oansim.waveform
 from oansim.channel import PdParams
-from oansim.devices import ClockGenerator, Modulator
+from oansim.devices import (ClockGenerator, Modulator, subcarrier_lines,
+                            undriven_mrm)
 from oansim.errors import ConfigError
 from oansim.metrics import DEFAULT_FEC_THRESHOLD, BerReport
 from oansim.ofdm import generate_ofdm
 from oansim.scenarios import (ScenarioConfig, builtin_config_path,
                               emit_reports, load_config, run_scenario)
 from oansim.subsystems import OnuConfig
-from oansim.waveform import ComplexWaveform, _if_bins, from_if
+from oansim.waveform import ComplexWaveform, _if_bins, crop_to_band, from_if
 
 MINI = {
     "name": "mini",
@@ -139,6 +140,19 @@ def test_values_checked_in_bursts_are_rejected_at_load(tmp_path, overrides,
                                                        key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         mini_config(tmp_path, **overrides)
+
+
+@pytest.mark.parametrize("key", ["bits_per_point", "top_bits", "full_bits"])
+def test_bit_targets_take_at_most_10000_bursts(tmp_path, key):
+    """A sweep point runs bursts until its least-counted signal reaches
+    the bit target: a target of more than 10,000 bursts fails at load."""
+    cfg = mini_config(tmp_path)
+    most = 10_000 * min(s.n_bits for s in (cfg.digital, *cfg.payloads,
+                                          *cfg.uplink.values()))
+    sweep = {**MINI["sweep"], key: most}
+    assert getattr(mini_config(tmp_path, sweep=sweep), key) == most
+    with pytest.raises(ConfigError, match=f"sweep.{key}"):
+        mini_config(tmp_path, sweep={**sweep, key: most + 1})
 
 
 def test_defaults_echoed_into_manifest(tmp_path):
@@ -307,8 +321,8 @@ def test_slot_check_holds_the_windows_the_bursts_use(name):
         bands = {(lo, hi) for lo, hi, _, _ in cfg._slot_spans(k)}
         iq_pairs = [cfg.transmitters[k]] + ([cfg.onus[0].modulator]
                                             if k == 0 else [])
-        records = iq_pairs + ([cfg.rf_modulator] if cfg.rf_modulator else
-                              [cfg.edge_rings[k][0], *cfg.edge_rings[k][1]])
+        gen, modulators = cfg.edge_rings[k]
+        records = iq_pairs + modulators + ([gen] if gen else [])
         for m in records:
             res = m.ring.effective_resonance
             assert (res - m.window, res + m.window) in bands
@@ -523,6 +537,46 @@ def test_crops_lie_inside_their_slot_records(monkeypatch):
     for d, k0, _, _, n in crops:
         w = n // (2 * d)
         assert -(n // 2) <= k0 - w // 2 and k0 - w // 2 + w <= (n + 1) // 2
+
+
+class _Recorded(Exception):
+    """Ends a burst once a test has what it reads."""
+
+
+def test_generator_inputs_replay_the_smart_edge_before_them(monkeypatch):
+    """Generator 1's input on cut A at seed 1 is slot 1 walked through
+    channel 0's smart edge at rest on the whole slot record, its generator
+    adding the lines it lifts from its own input, then cut to generator
+    1's tone window.  The replay cuts first and walks the short record; the
+    two agree to round-off (-297.6 dB measured, bound -270 dB)."""
+    cfg = _shipped_top("scenario_a").with_seed(1)
+    seen = []
+    replay = oansim.scenarios.generator_inputs
+
+    def recorded(fields, rings):
+        seen.append((fields, replay(fields, rings)))
+        raise _Recorded
+
+    monkeypatch.setattr(oansim.scenarios, "generator_inputs", recorded)
+    with pytest.raises(_Recorded):
+        run_scenario(cfg)
+    ((fields, inputs),) = seen
+    (gen0, tunnels0), (gen1, _) = cfg.edge_rings
+    gain = 10.0 ** (-oansim.subsystems.BUS_LOSS_DB_PER_STAGE / 20.0)
+    walked = undriven_mrm(fields[1], gen0.ring)
+    lines = np.array(walked.spectrum)
+    subcarrier_lines(inputs[0], gen0, lines, walked.ref_freq)
+    walked = walked.copy_with(spectrum=lines).scaled(gain)
+    for tunnel in tunnels0:
+        walked = undriven_mrm(walked, tunnel.ring).scaled(gain)
+    res = gen1.ring.effective_resonance
+    want = crop_to_band(walked, res - gen1.window, res + gen1.window)
+    got = inputs[1]
+    assert (got.n, got.sample_rate, got.ref_freq) == (
+        want.n, want.sample_rate, want.ref_freq)
+    err = (np.sum(np.abs(got.spectrum - want.spectrum) ** 2)
+           / np.sum(np.abs(want.spectrum) ** 2))
+    assert err < 10.0 ** (-270.0 / 10.0), 10.0 * np.log10(err)
 
 
 def test_neighbour_slot_leaks_through_an_onu_drop_below_its_bound():

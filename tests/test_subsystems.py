@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from oansim.channel import PdParams
-from oansim.devices import Modulator, drop_filter, iq_arms, ring_response
+from oansim.devices import (Modulator, drop_filter, iq_arms, ring_response,
+                            undriven_mrm)
 from oansim.errors import ConfigError, SimulationError
 from oansim.metrics import ber_over_sent_bits
 from oansim.ofdm import OfdmConfig, demodulate_ofdm, generate_ofdm
 import oansim.subsystems
-from oansim.subsystems import (FilterSpec, OnuConfig, WdmChannel, WdmPlan,
-                               detect_drop, olt_transmit, onu_receive,
-                               onu_remodulate, overlay_rings,
+from oansim.subsystems import (BUS_LOSS_DB_PER_STAGE, FilterSpec, OnuConfig,
+                               WdmChannel, WdmPlan, detect_drop, olt_transmit,
+                               onu_receive, onu_remodulate, overlay_rings,
                                slope_biased_ring, smart_edge_intercept_uplink,
                                smart_edge_overlay, solve_carrier_tap_filter)
 from oansim.waveform import (ComplexWaveform, analytic, band_power, from_if,
@@ -237,12 +238,26 @@ def test_olt_payload_count_mismatch():
                      modulators(single_plan()))
 
 
-def test_overlay_empty_payloads_only_insertion_loss():
-    plan = single_plan()
+def test_overlay_devices_each_cost_the_bus_loss():
+    """A channel with no smart-edge devices passes its slot unchanged; the
+    other channel's generator and two tunnel rings, at rest 100 GHz away,
+    act by their static responses and cost one bus loss each."""
+    plan = WdmPlan([WdmChannel(F0 - 50e9), WdmChannel(F0 + 50e9)])
     cfg = ofdm_cfg()
-    (field,) = transmit(plan, cfg, [bits_for(cfg, 10)], depth=0.12)
-    out = smart_edge_overlay(field, plan, [], [])
-    assert field.power_dbm() - out.power_dbm() == pytest.approx(0.3, abs=0.02)
+    field = transmit(plan, cfg, [bits_for(cfg, 10)], depth=0.12)[0]
+    bare = (None, [])
+    out = smart_edge_overlay(field, [bare, bare], [])
+    assert np.array_equal(out.spectrum, field.spectrum)
+    gen, tunnels = overlay_rings(plan.channels[1], [None] * 2, 0.25, 0.4, 0.6)
+    out = smart_edge_overlay(field, [bare, (gen, tunnels)], [])
+    want = field
+    for ring in (gen.ring, *(t.ring for t in tunnels)):
+        want = undriven_mrm(want, ring).scaled(
+            10.0 ** (-BUS_LOSS_DB_PER_STAGE / 20.0))
+    np.testing.assert_allclose(out.spectrum, want.spectrum, rtol=1e-12,
+                               atol=1e-12 * np.abs(want.spectrum).max())
+    assert field.power_dbm() - out.power_dbm() == pytest.approx(
+        3 * BUS_LOSS_DB_PER_STAGE, abs=0.01)
 
 
 def test_overlay_creates_subcarriers():
@@ -256,7 +271,7 @@ def test_overlay_creates_subcarriers():
     payload = payload.scaled(0.1)
     rings = [overlay_rings(ch, [None], 0.25, 1.2, 0.6)
              for ch in plan.channels]
-    out = smart_edge_overlay(field, plan, rings, [payload])
+    out = smart_edge_overlay(field, rings, [payload])
     up = band_power(out, F0 + 15e9, F0 + 25e9)
     dn = band_power(out, F0 - 25e9, F0 - 15e9)
     carrier = band_power(out, F0 - 1e9, F0 + 1e9)
@@ -265,14 +280,16 @@ def test_overlay_creates_subcarriers():
 
 
 def test_overlay_rejects_three_tunnels():
+    """Three drives for a smart edge of two tunnel rings."""
     plan = single_plan()
     cfg = ofdm_cfg()
     field = transmit(plan, cfg, [bits_for(cfg, 5)])[0]
-    with pytest.raises(ConfigError):
-        smart_edge_overlay(field, plan,
+    drive = payload_for(cfg, bits_for(cfg, 5), f_if=3e9)
+    with pytest.raises(ConfigError, match="3 drives for the 2 smart-edge"):
+        smart_edge_overlay(field,
                            [overlay_rings(plan.channels[0], [None] * 2, 0.25,
                                           0.4, 0.6)],
-                           [field, field, field])
+                           [drive] * 3)
 
 
 # ---------------------------------------------------------------- uplink
