@@ -1,4 +1,7 @@
-"""Fiber propagation, amplification, and photodetection."""
+"""Fiber propagation, amplification, and photodetection.
+
+Each function keeps its field's precision, taking phases and noise in double.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from scipy.constants import e as Q_ELECTRON
 from scipy.constants import h as H_PLANCK
 
 from .errors import ConfigError
-from .waveform import ComplexWaveform
+from .waveform import ComplexWaveform, _phasor
 
 #: One-way group delay used throughout (100 km round trip = 1 ms).
 GROUP_DELAY_US_PER_KM = 5.0
@@ -74,7 +77,8 @@ def propagate_fiber(field: ComplexWaveform, params: FiberParams,
         return field.copy_with()
     amp = 10.0 ** (-params.total_loss_db / 20.0)
     offset = 0.0 if centre is None else field.ref_freq - centre
-    h = np.exp(1j * dispersion_phase(params, field.baseband_freqs() + offset))
+    phase = dispersion_phase(params, field.baseband_freqs() + offset)
+    h = _phasor(phase / (2.0 * np.pi), field.spectrum.dtype)
     h *= amp
     h *= field.spectrum
     return field.copy_with(spectrum=h)
@@ -100,8 +104,8 @@ def amplify_ase(field: ComplexWaveform, gain_db: float, nf_db: float,
     rng = np.random.default_rng(seed)
     # each row one bin's two quadratures
     noise = rng.normal(scale=scale, size=(field.n, 2))
-    noise = noise.view(np.complex128)[:, 0]
-    noise += field.spectrum * np.sqrt(g)
+    noise = noise.view(np.complex128)[:, 0].astype(field.spectrum.dtype)
+    noise += field.spectrum * float(np.sqrt(g))
     return field.copy_with(spectrum=noise)
 
 
@@ -117,13 +121,13 @@ def photodetect(field: ComplexWaveform, params: PdParams) -> ComplexWaveform:
         raise ConfigError("photodetect expects an optical field (ref_freq > 0)")
     rng = np.random.default_rng(params.seed)
     current = params.responsivity * np.abs(field.samples) ** 2
-    bandwidth = field.sample_rate / 2.0
+    bandwidth, real = field.sample_rate / 2.0, current.dtype
     if params.include_shot:
         var = 2.0 * Q_ELECTRON * np.maximum(current, 0.0) * bandwidth
-        current = current + rng.normal(size=field.n) * np.sqrt(var)
+        current += np.sqrt(var) * rng.normal(size=field.n).astype(real)
     if params.thermal_noise_psd > 0:
         sigma = np.sqrt(params.thermal_noise_psd * bandwidth)
-        current = current + rng.normal(scale=sigma, size=field.n)
+        current += rng.normal(scale=sigma, size=field.n).astype(real)
     return ComplexWaveform(current, field.sample_rate)
 
 

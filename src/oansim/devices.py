@@ -18,6 +18,10 @@ its record's band edge.  A clock-driven generator is built as a
 spectrum, its clock on the nearest record bin: each harmonic of the
 clock cycle's response lifts the line by its multiple of the clock, and
 lands only where it falls inside the record.
+
+Every device keeps its field's precision.  Ring phases are reduced in
+double before their cosine and sine are taken in the field's precision;
+tone powers and frequencies, drives and clock harmonics stay double.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from scipy import fft as fftpack
 
 from .errors import ConfigError, SimulationError
 from .forkjoin import fork
-from .waveform import (ComplexWaveform, _bins, _cached_fftfreq, _division,
-                       _runs, _spans, band_power)
+from .waveform import (ComplexWaveform, _band, _cached_fftfreq, _division,
+                       _phasor, _runs, band_power)
 
 # ---------------------------------------------------------------------------
 # Parameter records
@@ -92,11 +96,12 @@ class Modulator:
 
 def iq_arms(sideband: str = "upper", branch_phase: float = np.pi / 2):
     """The I and Q arms' combining weights of an IQ pair: half each, the Q
-    arm's turned by the branch phase, whose sign the sideband sets."""
+    arm's turned by the branch phase, whose sign the sideband sets; Python
+    numbers, which leave a single-precision field single (NEP 50)."""
     if sideband not in ("upper", "lower"):
         raise ConfigError("sideband must be 'upper' or 'lower'")
     phase = branch_phase if sideband == "upper" else -branch_phase
-    return 0.5, 0.5 * np.exp(1j * phase)
+    return 0.5, complex(0.5 * np.exp(1j * phase))
 
 
 @dataclass(frozen=True)
@@ -132,26 +137,12 @@ def ring_response(params: RingParams, freq):
     return through, drop
 
 
-def _through_detuned(params: RingParams, freq, detune):
-    """Through response at frequency ``freq`` with an extra resonance shift."""
-    phi = 2.0 * np.pi * (freq - params.effective_resonance
-                         - np.asarray(detune)) / params.fsr
-    if phi.ndim and phi.size > 4096 and np.ptp(phi) < 0.05:
-        # small-angle fast path: third-order expansion around the mean
-        # phase (error < ptp^4/384 ~ 2e-8), twice as fast as the full exp;
-        # in place where a buffer is dead, in the same operations and order
-        phi0 = float(np.mean(phi))
-        d = np.subtract(phi, phi0, out=phi)
-        d2 = d * d
-        re = 1.0 - 0.5 * d2
-        im = np.multiply(d2, d, out=d2)
-        im = np.subtract(d, np.divide(im, 6.0, out=im), out=im)
-        e = re + 1j * im
-        del phi, d, d2, re, im
-        np.multiply(np.exp(1j * phi0), e, out=e)
-    else:
-        e = np.exp(1j * phi)
-    return _through_from_phasor(params, e)
+def _through_detuned(params: RingParams, freq, detune, dtype=np.complex128):
+    """Through response, as ``dtype``, at frequency ``freq`` with an extra
+    resonance shift."""
+    turns = (freq - params.effective_resonance
+             - np.asarray(detune)) / params.fsr
+    return _through_from_phasor(params, _phasor(turns, dtype))
 
 
 def _through_from_phasor(params: RingParams, e: np.ndarray) -> np.ndarray:
@@ -160,7 +151,7 @@ def _through_from_phasor(params: RingParams, e: np.ndarray) -> np.ndarray:
     t1 = params.self_coupling_t1
     t2 = params.self_coupling_t2
     a = params.roundtrip_amplitude_a
-    num = np.multiply(t2 * a, e)
+    num = np.multiply(t2 * a, e, out=np.empty_like(e))
     np.subtract(t1, num, out=num)
     den = np.multiply(t1 * t2 * a, e, out=e)
     np.subtract(1.0, den, out=den)
@@ -168,11 +159,10 @@ def _through_from_phasor(params: RingParams, e: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _cached_unit_phasor(n: int, dt: float, ref: float, fsr: float):
+def _cached_unit_phasor(n: int, dt: float, ref: float, fsr: float, dtype):
     # whole FSRs off the reference leave the phasor as it is and would
     # only cost phase round-off
-    f = _cached_fftfreq(n, dt) + ref % fsr
-    e = np.exp(2j * np.pi * f / fsr)
+    e = _phasor((_cached_fftfreq(n, dt) + ref % fsr) / fsr, dtype)
     e.setflags(write=False)
     return e
 
@@ -187,8 +177,8 @@ def _through_static_grid(params: RingParams, field: ComplexWaveform,
     """
     shift = (params.effective_resonance + detune) % params.fsr
     e = _cached_unit_phasor(field.n, 1.0 / field.sample_rate,
-                            field.ref_freq, params.fsr) \
-        * np.exp(-2j * np.pi * shift / params.fsr)
+                            field.ref_freq, params.fsr, field.spectrum.dtype) \
+        * field.spectrum.dtype.type(np.exp(-2j * np.pi * shift / params.fsr))
     return _through_from_phasor(params, e)
 
 
@@ -210,7 +200,7 @@ def thermal_tune(params: RingParams, target_freq: float) -> RingParams:
 def _line(spec: np.ndarray, window: range, m: int, k0: int) -> np.ndarray:
     """The window's bins of ``spec``, moved down by ``k0`` bins into a
     spectrum of ``m`` bins, as samples (written over that spectrum)."""
-    line = np.zeros(m, dtype=np.complex128)
+    line = np.zeros(m, dtype=spec.dtype)
     for i, j in _runs(window, spec.size, m, k0):
         line[j] = spec[i]
     return fftpack.ifft(line, overwrite_x=True)
@@ -255,13 +245,10 @@ def _tone(field: ComplexWaveform, centre: float, window_hz: float):
     """The tone window's signed bins around ``centre``, their slices, their
     powers, and the power-weighted mean frequency (nan if they hold
     none)."""
-    spec = field.spectrum
-    window = _bins(field, centre - window_hz, centre + window_hz)
-    spans = _spans(window, field.n)
-    p_line = np.abs(np.concatenate([spec[s] for s in spans])) ** 2
+    window, spans, p_line, f = _band(field, centre - window_hz,
+                                     centre + window_hz)
     p_res = np.sum(p_line)
-    f = np.concatenate([field.baseband_freqs()[s] for s in spans])
-    f_tone = (float(np.sum((f + field.ref_freq) * p_line) / p_res)
+    f_tone = (field.ref_freq + float(np.sum(f * p_line) / p_res)
               if p_res > 0 else float("nan"))
     return window, spans, p_res, f_tone
 
@@ -321,7 +308,7 @@ def _modulate(field: ComplexWaveform, modulator: Modulator,
                 for w, b in zip(weights, biases)]
     if not static:
         branches += [partial(weighted, w, _through_detuned, params, f_tone,
-                             eff * x[::d])
+                             eff * x[::d], spec.dtype)
                      for w, x in zip(weights, drives)]
         branches.append(partial(_line, spec, window, n // d, k0))
     parts = fork(*branches)
@@ -477,10 +464,10 @@ def undriven_generator(field: ComplexWaveform, generator: ClockGenerator,
 # Higher-order drop filter
 
 
-def _drop_pair(field: ComplexWaveform, center: float, bandwidth: float,
+def _drop_pair(freqs: np.ndarray, center: float, bandwidth: float,
                order: int):
-    """Drop and through magnitude responses on a waveform's grid."""
-    u = field.abs_freqs()
+    """Drop and through magnitudes, in double, at ``freqs`` (written over)."""
+    u = freqs
     u -= center
     u *= 2.0
     u /= bandwidth
@@ -517,8 +504,9 @@ def drop_filter(field: ComplexWaveform, center: float, bandwidth: float,
             f"drop band at {center/1e12:.4f} THz falls outside the simulated "
             f"bandwidth"
         )
-    h_drop, h_thru = _drop_pair(field, center, bandwidth, int(order))
     spec = field.spectrum
-    return (field.copy_with(spectrum=spec * h_drop),
-            field.copy_with(spectrum=spec * h_thru))
+    return tuple(field.copy_with(spectrum=np.multiply(spec, h,
+                                                      dtype=spec.dtype))
+                 for h in _drop_pair(field.abs_freqs(), center, bandwidth,
+                                     int(order)))
 

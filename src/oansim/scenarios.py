@@ -250,6 +250,22 @@ _LINEWIDTH = ("devices.ring.fsr", "devices.ring.coupling",
               "devices.ring.amplitude")
 
 
+def _band_keys(raw: dict, key: str) -> tuple:
+    """The keys that set the band of the signal section at ``key``."""
+    section = _get(raw, key, _mapping)
+    rate = "occupied_bandwidth" if "occupied_bandwidth" in section \
+        else "bit_rate"
+    return f"{key}.if_freq", f"{key}.{rate}"
+
+
+def _naming(keys, fn, *args):
+    """``fn(*args)``, its ConfigError naming the config ``keys``."""
+    try:
+        return fn(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{', '.join(keys)}: {exc}") from None
+
+
 def _is_partition(groups, n: int) -> bool:
     """Whether ``groups`` is a list of index lists holding 0..n-1 once each."""
     if not isinstance(groups, list) or not all(isinstance(g, list)
@@ -364,11 +380,8 @@ class ScenarioConfig:
         offsets = _get(raw, keys[0], _floats)
         slot = [_get(raw, key, _positive) for key in keys[1:]]
         slot_width, subband, f_s = slot
-        try:
-            self.plan = WdmPlan([WdmChannel(self.center_freq + off, *slot)
-                                 for off in offsets])
-        except ConfigError as exc:
-            raise ConfigError(f"{', '.join(keys)}: {exc}") from None
+        self.plan = _naming(keys, lambda: WdmPlan(
+            [WdmChannel(self.center_freq + off, *slot) for off in offsets]))
         if not tunnels and self.plan.n_channels != 1:
             raise ConfigError("wdm.channel_offsets: adjacent_rf expects a "
                               "single WDM channel")
@@ -451,7 +464,10 @@ class ScenarioConfig:
         # the smart edge's uplink drop, solved once
         self.intercept = None
         if self.edge_uplink is not None:
-            self.intercept = solve_carrier_tap_filter(
+            section = {"rof": "uplink.rof"}.get(self.edge_uplink, "digital")
+            self.intercept = _naming(
+                ("uplink.intercept_carrier_tap", "uplink.intercept_order",
+                 *_band_keys(raw, section)), solve_carrier_tap_filter,
                 *sided(self.uplink[self.edge_uplink]),
                 _get(raw, "uplink.intercept_carrier_tap", _fraction),
                 _get(raw, "uplink.intercept_order", _order))
@@ -520,14 +536,14 @@ class ScenarioConfig:
         # and the digital drive at an FFT-friendly length (both cut shipped
         # configs grow); it is carried as one slot record per channel
         guard = int(round(_WALKOFF_GUARD_S * self.sample_rate))
-        self.n_burst = fftpack.next_fast_len(max(
-            self.n_record,
-            guard + self.digital.record_samples(self.sample_rate)))
-        if self.n_burst > 1 << 24:  # the full scenario A takes 2^22
+        need = max(self.n_record,
+                   guard + self.digital.record_samples(self.sample_rate))
+        if need > 1 << 24:  # the full scenario A takes 2^22
             raise ConfigError(
                 "sample_rate, sweep.burst_symbols, digital.occupied_bandwidth,"
                 " digital.bit_rate, digital.n_subcarriers, digital.cp_fraction:"
-                f" a burst's record of {self.n_burst} samples is past 2^24")
+                f" a burst's record of {need} samples is past 2^24")
+        self.n_burst = fftpack.next_fast_len(need)
         self.d_slot = self._slot_division()
         self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
         if self.rx_power_dbm != sorted(self.rx_power_dbm):
@@ -549,6 +565,12 @@ class ScenarioConfig:
         raw = self.raw
         f_s = self.plan.channels[0].rof_subcarrier_offset
         order = _get(raw, "onu.rof_filter_order", _order)
+        # each filter's config keys, for its load errors and its
+        # receiver's band in _slot_spans
+        rof = ("onu.rof_filter_bandwidth" if self.style == "subcarrier_tunnels"
+               else "onu.rof_carrier_tap_db", "onu.rof_filter_order")
+        wide = ("onu.carrier_tap_fraction", "onu.broadband_order",
+                "onu.broadband_passband_fraction", *_band_keys(raw, "digital"))
         if self.style == "subcarrier_tunnels":
             bandwidth = _get(raw, "onu.rof_filter_bandwidth", _positive)
             filters = [FilterSpec(sign * f_s, bandwidth, order)
@@ -560,28 +582,19 @@ class ScenarioConfig:
             tap = 1.0 - 10.0 ** (-tap_db / (10.0 * len(self.groups)))
             edges = [[e for k in group for e in self.payloads[k].edges()]
                      for group in self.groups]
-            filters = [solve_carrier_tap_filter(-max(e), -min(e), tap, order)
-                       for e in edges]
+            filters = [_naming(rof, solve_carrier_tap_filter, -max(e),
+                               -min(e), tap, order) for e in edges]
         lo, hi = self.digital.edges()
         if self.transmitters[0].sideband == "lower":
             lo, hi = -hi, -lo
-        broadband = solve_carrier_tap_filter(
-            lo, hi, _get(raw, "onu.carrier_tap_fraction", _fraction),
+        broadband = _naming(
+            wide, solve_carrier_tap_filter, lo, hi,
+            _get(raw, "onu.carrier_tap_fraction", _fraction),
             _get(raw, "onu.broadband_order", _order),
             _get(raw, "onu.broadband_passband_fraction", _fraction))
-        # each filter with the config keys that size it, for its load
-        # errors and its receiver's band in _slot_spans
-        rof = ("onu.rof_filter_bandwidth" if self.style == "subcarrier_tunnels"
-               else "onu.rof_carrier_tap_db", "onu.rof_filter_order")
-        self._drops = [(broadband, ("onu.carrier_tap_fraction",
-                                    "onu.broadband_order",
-                                    "onu.broadband_passband_fraction")),
-                       *((spec, rof) for spec in filters)]
+        self._drops = [(broadband, wide), *((spec, rof) for spec in filters)]
         for spec, keys in self._drops:
-            try:
-                check_drop(spec, self.plan.channels[0])
-            except ConfigError as exc:
-                raise ConfigError(f"{', '.join(keys)}: {exc}") from None
+            _naming(keys, check_drop, spec, self.plan.channels[0])
         residual = _get(raw, "onu.min_residual_carrier_dbm")
         return [OnuConfig(c, broadband, m, tuple(filters), residual)
                 for c, m in zip(self.plan.channels, remodulators)]

@@ -39,11 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PdParams, dc_block, photodetect
-from .devices import (ClockGenerator, Modulator, RingParams, apply_mrm,
-                      drop_filter, generate_subcarriers, iq_mrm_ssb,
-                      thermal_tune, undriven_generator, undriven_mrm)
+from .devices import (ClockGenerator, Modulator, RingParams, _drop_pair,
+                      apply_mrm, drop_filter, generate_subcarriers,
+                      iq_mrm_ssb, thermal_tune, undriven_generator,
+                      undriven_mrm)
 from .errors import ConfigError, SimulationError
-from .waveform import ComplexWaveform, band_power, crop_to_band
+from .waveform import ComplexWaveform, _band, band_power, crop_to_band
 
 #: Per-device passband insertion loss along an add/drop bus (dB).
 BUS_LOSS_DB_PER_STAGE = 0.1
@@ -239,7 +240,7 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
     if ch.slot_width > drive.sample_rate:
         raise ConfigError("the slot record does not hold the slot")
     n = drive.n
-    comb = np.zeros(n, dtype=np.complex128)
+    comb = np.zeros(n, dtype=np.complex64)
     comb[0] = np.sqrt(10.0 ** (power_per_tone_dbm / 10.0) * 1e-3) * n
     out = ComplexWaveform(None, drive.sample_rate, ref_freq=ch.center_freq,
                           spectrum=comb)
@@ -436,19 +437,19 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     f_c = cfg.channel.center_freq
     if band_power(field_in, *cfg.channel.slot_edges) <= 0.0:
         raise SimulationError("ONU slot not present in the input field")
-    carrier_in = _carrier_dbm(field_in, f_c)
+    filters = (cfg.broadband_filter, *cfg.rof_filters)
     # direct detection beats the SSB content against the tapped carrier,
     # recovering the real IF signal regardless of which optical sideband
     # carried it, so no spectral flip is ever needed here
-    bus, detected, carriers = field_in, [], []
-    for spec in (cfg.broadband_filter, *cfg.rof_filters):
+    bus, detected = field_in, []
+    for spec in filters:
         dropped, bus = drop_filter(bus, f_c + spec.center_offset,
                                    spec.bandwidth, spec.order)
         bus = bus.scaled(_BUS_GAIN)
         detected.append(detect_drop(dropped, f_c, spec, pd))
-        carriers.append(_carrier_dbm(bus, f_c))
-    return OnuReceiveResult(detected[0], detected[1:], bus, carrier_in,
-                            carriers[0], carriers[-1])
+    carriers = _carrier_dbm(field_in, f_c, filters)
+    return OnuReceiveResult(detected[0], detected[1:], bus, carriers[0],
+                            carriers[1], carriers[-1])
 
 
 @dataclass
@@ -468,7 +469,7 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
     to the residual downlink power on the bus.
     """
     f_c = cfg.channel.center_freq
-    carrier_dbm = _carrier_dbm(residual, f_c)
+    carrier_dbm, = _carrier_dbm(residual, f_c)
     if carrier_dbm < cfg.min_residual_carrier_dbm:
         raise SimulationError(
             f"residual carrier {carrier_dbm:.1f} dBm is below the "
@@ -485,10 +486,18 @@ def onu_remodulate(residual: ComplexWaveform, cfg: OnuConfig,
     return RemodResult(out, float(ratio))
 
 
-def _carrier_dbm(wf: ComplexWaveform, f_c: float) -> float:
-    """Power in the carrier window around ``f_c``, in dBm."""
-    p = band_power(wf, f_c - CARRIER_WINDOW_HZ, f_c + CARRIER_WINDOW_HZ)
-    return 10.0 * np.log10(max(p, 1e-30) * 1e3)
+def _carrier_dbm(wf: ComplexWaveform, f_c: float, filters=()) -> list:
+    """Power in the carrier window around ``f_c``, in dBm, of ``wf`` and
+    after each drop filter of ``filters`` with its bus loss, in double:
+    single-precision bus products move the tap cost by 1e-8 dB."""
+    _, _, p, f = _band(wf, f_c - CARRIER_WINDOW_HZ, f_c + CARRIER_WINDOW_HZ)
+    levels = [np.sum(p)]
+    for spec in filters:
+        h = _drop_pair(f + wf.ref_freq, f_c + spec.center_offset,
+                       spec.bandwidth, spec.order)[1]
+        p = p * (h * _BUS_GAIN) ** 2
+        levels.append(np.sum(p))
+    return [10.0 * np.log10(max(x / wf.n**2, 1e-30) * 1e3) for x in levels]
 
 
 def _side(wf: ComplexWaveform, ch: WdmChannel, side: str) -> float:

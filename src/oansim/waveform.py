@@ -5,7 +5,12 @@ Samples are complex amplitudes in sqrt(W), so ``|s|**2`` is instantaneous
 power in W.  ``ref_freq`` is the absolute frequency of the complex-baseband
 origin (0 for electrical signals).  A record is one burst on its own time
 axis: bulk propagation delay is not carried.  Real signals (drives,
-clocks, photocurrents) are held as real float64 samples and stay real.
+clocks, photocurrents) are held as real samples and stay real.
+
+A waveform keeps its precision: complex64 and float32 stay single, all
+else is held as complex128 or float64.  A burst's fields and photocurrents
+are single, its drives and modem double; phases, absolute frequencies and
+powers are computed in double whatever the precision.
 
 A waveform holds its samples, their spectrum (the unnormalized DFT in
 ``scipy.fft`` bin order) or both.  The missing one is computed through
@@ -38,10 +43,28 @@ def _cached_fftfreq(n: int, dt: float) -> np.ndarray:
 
 
 def _read_only(values) -> np.ndarray:
-    real = not np.iscomplexobj(values)
-    a = np.asarray(values, dtype=np.float64 if real else np.complex128).view()
+    a = np.asarray(values).view()
+    if a.dtype not in (np.float32, np.complex64):
+        a = np.asarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)
     a.flags.writeable = False
     return a
+
+
+def _powers(x) -> np.ndarray:
+    """``|x|^2`` in double, whatever the precision of ``x``: a square in
+    single precision loses its low digits, and underflows below 1e-38."""
+    return np.abs(np.asarray(x, np.promote_types(x.dtype, np.float64))) ** 2
+
+
+def _phasor(turns: np.ndarray, dtype) -> np.ndarray:
+    """``exp(2 pi i turns)`` as ``dtype``: whole turns taken off in double,
+    then the cosine and sine in the precision of ``dtype``."""
+    rest = (turns - np.rint(turns)) * (2.0 * np.pi)
+    phase = rest.astype(np.finfo(dtype).dtype, copy=False)
+    e = np.empty(phase.shape, dtype)
+    np.cos(phase, out=e.real)
+    np.sin(phase, out=e.imag)
+    return e
 
 
 class ComplexWaveform:
@@ -49,7 +72,8 @@ class ComplexWaveform:
 
     Give ``samples``, ``spectrum`` or both; when both are given they must
     be each other's transform.  The arrays are held, not copied, so the
-    caller must not write to them afterwards.
+    caller must not write to them afterwards.  Single-precision arrays
+    stay single, others are held in double, and the transforms keep it.
     """
 
     def __init__(self, samples, sample_rate: float, ref_freq: float = 0.0,
@@ -83,9 +107,6 @@ class ComplexWaveform:
     def n(self) -> int:
         return (self._spectrum if self._samples is None else self._samples).size
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n) * (1.0 / self.sample_rate)
-
     def baseband_freqs(self) -> np.ndarray:
         return _cached_fftfreq(self.n, 1.0 / self.sample_rate)
 
@@ -97,17 +118,14 @@ class ComplexWaveform:
         summed once per waveform."""
         if self._power is None:
             self._power = float(
-                np.sum(np.abs(self._spectrum) ** 2) / self.n**2
+                np.sum(_powers(self._spectrum)) / self.n**2
                 if self._samples is None
-                else np.mean(np.abs(self._samples) ** 2))
+                else np.mean(_powers(self._samples)))
         return self._power
-
-    def power_dbm(self) -> float:
-        return 10.0 * np.log10(self.power() * 1e3)
 
     def is_real(self) -> bool:
         """Whether the samples are held as real numbers."""
-        return self.samples.dtype == np.float64
+        return not np.iscomplexobj(self.samples)
 
     def copy_with(self, samples=None, spectrum=None,
                   **attrs) -> ComplexWaveform:
@@ -135,7 +153,7 @@ def psd(wf: ComplexWaveform):
     Returns (freqs, psd) with freqs absolute (ref_freq added) and psd in
     W/Hz, both sorted by frequency.
     """
-    p = np.abs(wf.spectrum) ** 2 / (wf.sample_rate * wf.n)
+    p = _powers(wf.spectrum) / (wf.sample_rate * wf.n)
     return (np.fft.fftshift(wf.baseband_freqs()) + wf.ref_freq,
             np.fft.fftshift(p))
 
@@ -162,16 +180,24 @@ def _spans(bins: range, n: int) -> list:
     return [slice(0, bins.stop), slice(bins.start + n, n)]
 
 
+def _band(wf: ComplexWaveform, f_lo: float, f_hi: float) -> tuple:
+    """The signed bins in [f_lo, f_hi] (absolute Hz), their spectrum's
+    slices, their powers ``|X_k|^2`` in double and baseband frequencies."""
+    window = _bins(wf, f_lo, f_hi)
+    spans = _spans(window, wf.n)
+    return (window, spans,
+            _powers(np.concatenate([wf.spectrum[s] for s in spans])),
+            np.concatenate([wf.baseband_freqs()[s] for s in spans]))
+
+
 def band_power(wf: ComplexWaveform, f_lo: float, f_hi: float) -> float:
     """Mean power (W) contained in [f_lo, f_hi], absolute frequencies."""
-    spec = wf.spectrum
-    line = np.concatenate([spec[s] for s in _spans(_bins(wf, f_lo, f_hi),
-                                                   wf.n)])
-    return float(np.sum(np.abs(line) ** 2) / wf.n**2)
+    return float(np.sum(_band(wf, f_lo, f_hi)[2]) / wf.n**2)
 
 
 def scale_db(wf: ComplexWaveform, gain_db: float) -> ComplexWaveform:
-    return wf.scaled(10.0 ** (gain_db / 20.0))
+    # a Python float keeps a single-precision waveform single (NEP 50)
+    return wf.scaled(float(10.0 ** (gain_db / 20.0)))
 
 
 def _division(n: int, df: float, k0: int, f_lo: float, f_hi: float,
@@ -239,7 +265,7 @@ def crop_to_band(wf: ComplexWaveform, f_lo: float,
         return wf.copy_with()
     (d, k0, _, _), n = found, wf.n
     m = n // d
-    spec = np.zeros(m, dtype=np.complex128)
+    spec = np.zeros(m, dtype=wf.spectrum.dtype)
     for i, j in _runs(range(k0 - m // 4, k0 - m // 4 + m // 2), n, m, k0):
         np.multiply(wf.spectrum[i], 1.0 / d, out=spec[j])
     return wf.copy_with(spectrum=spec, sample_rate=wf.sample_rate / d,

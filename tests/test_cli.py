@@ -222,6 +222,18 @@ NAN, INF = float("nan"), float("inf")
     ("mini", ["sweep", "bits_per_point"], 1e30, "sweep.bits_per_point"),
     ("mini", ["sweep", "top_bits"], 1e30, "sweep.top_bits"),
     ("mini", ["sweep", "full_bits"], 1e30, "sweep.full_bits"),
+    # a record past 2^24 samples, sized before its FFT length: each ended
+    # in a traceback (2^64 samples at 50 symbols a burst; 1e-3 takes 200)
+    ("subcarrier_tunnels", ["digital", "bit_rate"], 1e-4, "digital.bit_rate"),
+    ("adjacent_rf", ["digital", "bit_rate"], 1e-4, "digital.bit_rate"),
+    # a solved drop filter that fails names the keys that size it
+    ("adjacent_rf", ["onu", "rof_carrier_tap_db"], 1e3,
+     "onu.rof_carrier_tap_db"),
+    ("subcarrier_tunnels", ["uplink", "rof", "if_freq"], 1e30,
+     "uplink.rof.if_freq"),
+    ("subcarrier_tunnels", ["uplink", "rof", "occupied_bandwidth"], 1e-30,
+     "uplink.rof.occupied_bandwidth"),
+    ("subcarrier_tunnels", ["digital", "bit_rate"], 1e-30, "digital.bit_rate"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):

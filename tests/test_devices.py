@@ -21,6 +21,7 @@ from oansim.scenarios import _drive, builtin_config_path, load_config
 from oansim.subsystems import _null_offset_fraction, slope_biased_ring
 from oansim.waveform import (ComplexWaveform, analytic, band_power,
                              if_spectrum, psd)
+from waves import power_dbm, times
 
 F0 = 193.4e12
 FS = 64e9
@@ -175,10 +176,10 @@ def test_mrm_zero_drive_is_static_filter():
 def test_mrm_far_detuned_carrier_passes():
     ring = thermal_tune(add_drop_ring(), F0 + 2.4e12)
     field = carrier()
-    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2e9 * field.times()),
+    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2e9 * times(field)),
                             FS)
     out = apply_mrm(field, one_ring(ring, drive), drive)
-    loss_db = field.power_dbm() - out.power_dbm()
+    loss_db = power_dbm(field) - power_dbm(out)
     assert loss_db < 0.1
 
 
@@ -186,7 +187,7 @@ def test_mrm_creates_symmetric_sidebands():
     ring = slope_biased_ring(F0)
     field = carrier()
     f_m = 5e9
-    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * f_m * field.times()),
+    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * f_m * times(field)),
                             FS)
     out = apply_mrm(field, one_ring(ring, drive), drive)
     up = band_power(out, F0 + f_m - 1e9, F0 + f_m + 1e9)
@@ -261,7 +262,7 @@ def block_mrm(field, params, drive):
 def test_block_and_tone_methods_agree():
     ring = slope_biased_ring(F0)
     field = carrier(n=32768)
-    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2.5e9 * field.times()),
+    drive = ComplexWaveform(0.05 * np.cos(2 * np.pi * 2.5e9 * times(field)),
                             FS)
     a = block_mrm(field, ring, drive)
     b = apply_mrm(field, one_ring(ring, drive, window=20e9), drive)
@@ -278,7 +279,7 @@ def ssb_setup(branch_phase=np.pi / 2, f_m=5e9, depth=0.05):
     field = carrier()
     ring = slope_biased_ring(F0)
     drive = ComplexWaveform(
-        depth * np.exp(2j * np.pi * f_m * field.times()), FS)
+        depth * np.exp(2j * np.pi * f_m * times(field)), FS)
     x = drive.samples
     cfg = Modulator(ring, own_depth(ring, x.real),
                     tone_window(ring, x.real, x.imag),
@@ -367,7 +368,7 @@ def test_drop_filter_white_input_fraction():
 def test_drop_filter_far_tone_untouched():
     field = carrier()
     _, through = drop_filter(field, F0 + 20e9, 2e9, order=3)
-    assert field.power_dbm() - through.power_dbm() < 0.05
+    assert power_dbm(field) - power_dbm(through) < 0.05
 
 
 def test_drop_filter_order_sharpens_skirts():
@@ -383,7 +384,7 @@ def test_drop_pair_by_multiplies_matches_the_pow_form(order):
     u = 2.0 * (np.fft.fftfreq(n, dt) + F0 - center) / bandwidth
     p = u ** (2 * order)
     field = ComplexWaveform(np.zeros(n, dtype=np.complex128), FS, ref_freq=F0)
-    h_drop, h_thru = _drop_pair(field, center, bandwidth, order)
+    h_drop, h_thru = _drop_pair(field.abs_freqs(), center, bandwidth, order)
     np.testing.assert_allclose(h_drop, np.sqrt(1.0 / (1.0 + p)),
                                rtol=1e-14, atol=0)
     np.testing.assert_allclose(h_thru, np.sqrt(p / (1.0 + p)),
@@ -417,7 +418,7 @@ def two_tone_field(n=65536):
 
 def cos_drive(field, f_m=5e9, depth=0.05, mean=0.0):
     return ComplexWaveform(
-        mean + depth * np.cos(2 * np.pi * f_m * field.times()), FS)
+        mean + depth * np.cos(2 * np.pi * f_m * times(field)), FS)
 
 
 def assert_round_off(got, want):
@@ -491,7 +492,7 @@ def test_iq_ssb_matches_the_fft_round_trip():
     field = two_tone_field()
     i = cos_drive(field)
     q = cos_drive(field, depth=0.08).copy_with(
-        samples=0.08 * np.sin(2 * np.pi * 5e9 * field.times()))
+        samples=0.08 * np.sin(2 * np.pi * 5e9 * times(field)))
     drive = ComplexWaveform(i.samples + 1j * q.samples, FS)
     window = 8e9
     cfg = Modulator(ring, own_depth(ring, i.samples), window,
@@ -593,8 +594,7 @@ def criterion_5_ring():
 
 def exact_through(ring, f, detune):
     """The closed-form through response at ``f`` of the ring shifted by
-    ``detune``, in the phase order of the pipeline's: the small-angle
-    expansion of long records is off by 7e-12 at null bias."""
+    ``detune``."""
     e = np.exp(2j * np.pi * (f - ring.effective_resonance - detune)
                / ring.fsr)
     t1, t2a = ring.self_coupling_t1, (ring.self_coupling_t2

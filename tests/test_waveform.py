@@ -10,6 +10,7 @@ from oansim.errors import ConfigError
 from oansim.waveform import (ComplexWaveform, _bins, _division, _if_bins,
                              _spans, band_power, crop_to_band, crop_window,
                              from_if, if_spectrum, psd, scale_db)
+from waves import power_dbm
 
 FS = 16e9
 
@@ -22,7 +23,7 @@ def tone(freq, n=4096, fs=FS, amp=1.0, ref=0.0):
 def test_power_of_unit_tone():
     wf = tone(1e9, amp=1.0)
     assert wf.power() == pytest.approx(1.0, rel=1e-12)
-    assert wf.power_dbm() == pytest.approx(30.0, abs=1e-9)
+    assert power_dbm(wf) == pytest.approx(30.0, abs=1e-9)
 
 
 def test_empty_and_bad_rate_rejected():

@@ -1,17 +1,24 @@
 """Time the pipeline's primitives at fixed record sizes.
 
-    PYTHONPATH=src python3 tools/bench_primitives.py [--sizes 20 22]
-        [--repeat 3] [--label change] [--out BENCH_primitives.json]
+    PYTHONPATH=src python3 tools/bench_primitives.py [--parent DIR]
+        [--sizes 20 22] [--repeat 5] [--label change]
+        [--out BENCH_primitives.json]
 
 Each primitive runs on a record of 2^k samples (k from ``--sizes``) at
 scenario A's 160 GS/s, with inputs built once outside the timing and
-holding their spectrum, as a field does between the pipeline's stages;
-the best of ``--repeat`` wall times is kept.  The results are merged into
-the JSON file under ``--label``, next to the other labels already there,
-so that one file holds the figures of two trees measured on one machine.
-Each device is built as the record the pipeline builds at load, which
-fixes its depth, tone window and band edge, and is given a raw drive that
-it scales to its depth itself.
+holding their spectrum, as a field does between the pipeline's stages.
+The fields are single precision (complex64, the photocurrent float32),
+as a burst carries them, and the drives double.  Each tree runs in its
+own worker process, which imports ``oansim`` from that tree's ``src``
+and builds the inputs of one size once: this tree under ``--label`` and,
+with ``--parent``, the checkout ``DIR`` under ``parent``.  The two
+workers take turns on each primitive, ``--repeat`` rounds, the first to
+run alternating from round to round, and each keeps its best wall time,
+so that a drift of the machine falls on both alike.  The results are
+merged into the JSON file under their labels, next to the other labels
+already there.  Each device is built as the record the pipeline builds
+at load, which fixes its depth, tone window and band edge, and is given
+a raw drive that it scales to its depth itself.
 
 Primitives:
 
@@ -46,6 +53,8 @@ import argparse
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -53,6 +62,7 @@ import numpy as np
 import scipy
 from scipy import fft as fftpack
 
+ROOT = Path(__file__).resolve().parents[1]
 FS = 160e9
 F0 = 193.4e12
 IF = 7e9
@@ -70,7 +80,7 @@ def primitives(n: int) -> dict:
 
     rng = np.random.default_rng(1)
     t = np.arange(n) / FS
-    carrier = oansim.ComplexWaveform(np.full(n, 1e-2, dtype=np.complex128),
+    carrier = oansim.ComplexWaveform(np.full(n, 1e-2, dtype=np.complex64),
                                      FS, ref_freq=F0)
     tone = oansim.ComplexWaveform(0.05 * np.cos(2 * np.pi * 5e9 * t), FS)
     ring = slope_biased_ring(F0)
@@ -79,8 +89,8 @@ def primitives(n: int) -> dict:
     generator = ClockGenerator(gen, F0 - gen.effective_resonance + 0.5e9,
                                20e9, 1.2)
     noise = oansim.ComplexWaveform(
-        1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n)), FS,
-        ref_freq=F0)
+        (1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))).astype(
+            np.complex64), FS, ref_freq=F0)
     ofdm = OfdmConfig(occupied_bandwidth=bandwidth_for_bit_rate(10e9),
                       pilot_spacing=16)
     iq_pair = Modulator(ring, 0.12, (3.0 + 0.12) * ring.fwhm,
@@ -96,7 +106,8 @@ def primitives(n: int) -> dict:
     drive = modem(int(n * ofdm.sample_rate / FS))
     iq = waveform.analytic(waveform.if_spectrum(drive, IF, n, FS), n, FS)
     current = oansim.ComplexWaveform(np.fft.irfft(
-        waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2), FS / 2)
+        waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2).astype(
+            np.float32), FS / 2)
     carrier.spectrum, noise.spectrum
     fiber = FiberParams(20.0)
     pd = PdParams(thermal_noise_psd=5e-24, include_shot=True, seed=3)
@@ -119,36 +130,89 @@ def primitives(n: int) -> dict:
     }
 
 
-def best_of(fn, repeat: int) -> float:
-    times = []
-    for _ in range(repeat):
+def _worker(k: int) -> int:
+    """Build the inputs of 2^k samples, write their primitives' names on
+    one line, then time each primitive named on stdin once."""
+    fns = primitives(1 << k)
+    print(" ".join(fns), flush=True)
+    for line in sys.stdin:
+        fn = fns[line.strip()]
         start = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+        print(time.perf_counter() - start, flush=True)
+    return 0
+
+
+class _Tree:
+    """A worker process timing the primitives of the tree at ``src``."""
+
+    def __init__(self, src: Path, k: int):
+        self.proc = subprocess.Popen(
+            [sys.executable, __file__, "--worker", str(k)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        self.names = self.proc.stdout.readline().split()
+
+    def time(self, name: str) -> float:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        return float(self.proc.stdout.readline())
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def best_of(trees: dict, k: int, repeat: int) -> dict:
+    """Per label of ``trees`` (its ``src``), the best of ``repeat`` wall
+    times of each primitive at 2^k samples, the trees taking turns."""
+    workers = {}
+    try:
+        for label, src in trees.items():
+            workers[label] = _Tree(src, k)
+        best = {label: {} for label in workers}
+        for name in next(iter(workers.values())).names:
+            for r in range(repeat):
+                for label in list(workers)[::1 if r % 2 == 0 else -1]:
+                    t = workers[label].time(name)
+                    best[label][name] = min(best[label].get(name, t), t)
+        return best
+    finally:
+        for worker in workers.values():
+            worker.close()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[20, 22],
                         help="record sizes as powers of two")
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--label", default="change")
+    parser.add_argument("--parent", help="a checkout to time alongside")
     parser.add_argument("--out", default="BENCH_primitives.json")
+    parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.worker is not None:
+        return _worker(args.worker)
+    trees = {args.label: ROOT / "src"}
+    if args.parent:
+        trees["parent"] = Path(args.parent).resolve() / "src"
     out = Path(args.out)
     report = json.loads(out.read_text()) if out.exists() else {"runs": {}}
-    seconds = {}
+    seconds = {label: {} for label in trees}
     for k in args.sizes:
-        fns = primitives(1 << k)
-        seconds[f"2^{k}"] = {name: round(best_of(fn, args.repeat), 4)
-                             for name, fn in fns.items()}
-        print(f"2^{k}: {seconds[f'2^{k}']}", flush=True)
-    report["runs"][args.label] = {
-        "seconds_best_of": args.repeat, "sample_rate": FS,
-        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "scipy": scipy.__version__},
-        "seconds": seconds}
+        for label, best in best_of(trees, k, args.repeat).items():
+            seconds[label][f"2^{k}"] = {name: round(t, 4)
+                                       for name, t in best.items()}
+            print(f"{label} 2^{k}: {seconds[label][f'2^{k}']}", flush=True)
+    for label in trees:
+        report["runs"][label] = {
+            "seconds_best_of": args.repeat, "sample_rate": FS,
+            "alternated": sorted(trees),
+            "machine": {"cpus": os.cpu_count(),
+                        "python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__},
+            "seconds": seconds[label]}
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
