@@ -25,16 +25,18 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .budget import (FRONTHAUL_PRESETS, SERVICE_CATALOG, FronthaulSpec,
-                     LinkSpec, NodeSpec, ServiceRequirement, TopologySpec,
+from .budget import (COUPLING_DB_PER_FACET, FRONTHAUL_PRESETS, NODE_KINDS,
+                     SERVICE_CATALOG, FronthaulSpec, LinkSpec, NodeSpec,
+                     ServiceRequirement, TopologySpec,
                      comp_feasibility, fronthaul_dimension, latency_budget,
                      power_budget)
 from .channel import FiberParams
 from .devices import ring_response
 from .errors import ConfigError, SimulationError
-from .scenarios import (ScenarioConfig, _flag, _get, _number, _whole,
-                        builtin_config_path, emit_reports, load_config,
-                        run_scenario)
+from .scenarios import (ScenarioConfig, _choice, _flag, _naming,
+                        _non_negative, _number, _positive, _ranged, _resolve,
+                        _Values, _whole, builtin_config_path, emit_reports,
+                        load_config, run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,110 +95,107 @@ def _cmd_sweep(args) -> int:
 # budget subcommand
 
 
-def _reader(raw: dict, key: str):
-    """``get(name, convert=_number, default=None)``: the value at
-    key.name."""
-    return lambda name, convert=_number, default=None: _get(
-        raw, f"{key}.{name}", convert, default)
-
-
-def _entries(raw: dict, key: str) -> list:
-    """A reader of each item of the optional list at ``key``."""
-    return [_reader(raw, f"{key}.{i}")
-            for i in range(len(_get(raw, key, list, [])))]
-
-
 def _components(val) -> tuple:
     return tuple((str(label), _number(db)) for label, db in val)
 
 
-def _budget_topology(raw: dict) -> TopologySpec:
-    nodes = [NodeSpec(get("id", str), get("kind", str),
-                      get("processing_delay_us", default=0.0),
-                      get("sync_compensation", _flag, False))
-             for get in _entries(raw, "nodes")]
-    links = [LinkSpec(get("from", str), get("to", str),
-                      FiberParams(get("length_km"),
-                                  get("atten_db_per_km", default=0.2),
-                                  get("dispersion_ps_nm_km", default=17.0)),
-                      get("components", _components, ()))
-             for get in _entries(raw, "links")]
-    return TopologySpec(nodes, links)
+_list = _ranged(lambda x: x, lambda x: isinstance(x, list), "a list")
+# a budget config's keys, laid out as scenarios._KEYS; a service and a
+# fronthaul entry are a shipped name or a mapping of _SERVICE or _FRONTHAUL
+_SERVICE = {"name": (str,), "one_way_latency_limit_ms": (_positive,),
+            "dl_rate_bps": (_number, 0.0), "ul_rate_bps": (_number, 0.0)}
+_FRONTHAUL = {"kind": (_choice("CPRI", "eCPRI", "ARoF"),),
+              "rf_bandwidth": (_positive,), "sample_rate": (_number, 0.0),
+              "bit_width": (_whole, 0), "n_antenna_streams": (_whole, 1),
+              "ecpri_split_factor": (_number, 1.0), "guard": (_number, 0.0)}
+_NODE = {"id": (str,), "kind": (_choice(*NODE_KINDS),),
+         "processing_delay_us": (_number, 0.0),
+         "sync_compensation": (_flag, False)}
+_LINK = {"from": (str,), "to": (str,), "length_km": (_non_negative,),
+         "atten_db_per_km": (_non_negative, 0.2),
+         "dispersion_ps_nm_km": (_number, 17.0),
+         "components": (_components, ())}
+_LATENCY = {"path": (_list,), "service": (lambda entry: entry,)}
+_COMP = {"rus": (_list,), "controller": (str,),
+         "max_one_way_us": (_number, 150.0), "max_skew_us": (_number, 1.5)}
+_POWER = {"path": (_list,), "tx_power_dbm": (_number, 0.0),
+          "coupling": (_choice(*COUPLING_DB_PER_FACET), "packaged"),
+          "n_facets": (_whole, 2), "bus_stages": (_whole, 0),
+          "bus_loss_db_per_stage": (_number, 0.1),
+          "rx_sensitivity_dbm": (_number, -20.0)}
+_BUDGET = {"name": (str, "budget"), "nodes": [_NODE], "links": [_LINK],
+           "latency": [_LATENCY], "comp": [_COMP], "fronthaul": (_list, []),
+           "power": [_POWER]}
 
 
-def _budget_service(get) -> ServiceRequirement:
-    entry = get("service", lambda v: v)
+def _items(values: _Values, key: str) -> list:
+    """The values of each item of the list ``key`` of a budget config, by
+    their names in its table."""
+    return [{name: values[f"{key}.{i}.{name}"] for name in _BUDGET[key][0]}
+            for i in range(len(values[key]))]
+
+
+def _named(entry, key: str, catalog: dict, table: dict, values: _Values,
+           spec):
+    """The ``spec`` of the entry at ``key``: a name of ``catalog``, or a
+    mapping of the keys of ``table``, its fields, read into ``values``."""
     if isinstance(entry, str):
-        if entry not in SERVICE_CATALOG:
+        if entry not in catalog:
             raise ConfigError(
-                f"unknown service '{entry}'; catalog: {sorted(SERVICE_CATALOG)}")
-        return SERVICE_CATALOG[entry]
-    return ServiceRequirement(
-        get("service.name", str), get("service.one_way_latency_limit_ms"),
-        get("service.dl_rate_bps", default=0.0),
-        get("service.ul_rate_bps", default=0.0))
-
-
-def _budget_fronthaul(entry, get) -> FronthaulSpec:
-    if isinstance(entry, str):
-        if entry not in FRONTHAUL_PRESETS:
-            raise ConfigError(f"unknown fronthaul preset '{entry}'; "
-                              f"presets: {sorted(FRONTHAUL_PRESETS)}")
-        return FRONTHAUL_PRESETS[entry]
-    return FronthaulSpec(
-        get("kind", str), get("rf_bandwidth"),
-        sample_rate=get("sample_rate", default=0.0),
-        bit_width=get("bit_width", _whole, 0),
-        n_antenna_streams=get("n_antenna_streams", _whole, 1),
-        ecpri_split_factor=get("ecpri_split_factor", default=1.0),
-        guard=get("guard", default=0.0))
+                f"{key}: '{entry}' is not one of {sorted(catalog)}")
+        return catalog[entry]
+    _resolve(entry, table, key + ".", values)
+    return _naming([f"{key}.{name}" for name in table], spec,
+                   **{name: values[f"{key}.{name}"] for name in table})
 
 
 def run_budget(raw: dict) -> dict:
     """Evaluate every budget request in a topology config; returns a dict.
 
-    A missing or malformed value raises ConfigError naming its dotted key.
+    A missing, malformed or unknown key raises ConfigError naming it, and
+    a request that fails names its keys, or for the tree its sections.
     """
     if not isinstance(raw, dict):
         raise ConfigError("budget config is empty or not a mapping")
-    topo = _budget_topology(raw)
-    report: dict = {"name": _get(raw, "name", str, "budget")}
+    values = _Values()
+    _resolve(raw, _BUDGET, "", values)
+    links = [LinkSpec(item["from"], item["to"], FiberParams(
+        item["length_km"], item["atten_db_per_km"],
+        item["dispersion_ps_nm_km"]), item["components"])
+        for item in _items(values, "links")]
+    topo = _naming(("nodes", "links"), TopologySpec, [
+        NodeSpec(**item) for item in _items(values, "nodes")], links)
+    report: dict = {"name": values["name"]}
 
     report["latency"] = []
-    for get in _entries(raw, "latency"):
-        svc, path = _budget_service(get), get("path", list)
-        report["latency"].append({"path": path, "service": svc.name,
-                                  **latency_budget(topo, path, svc).to_dict()})
+    for i, item in enumerate(_items(values, "latency")):
+        svc = _named(item["service"], f"latency.{i}.service",
+                     SERVICE_CATALOG, _SERVICE, values, ServiceRequirement)
+        rep = _naming((f"latency.{i}.path",), latency_budget, topo,
+                      item["path"], svc)
+        report["latency"].append({"path": item["path"], "service": svc.name,
+                                  **rep.to_dict()})
 
     report["comp"] = []
-    for get in _entries(raw, "comp"):
-        rep = comp_feasibility(
-            topo, get("rus", list), get("controller", str),
-            max_one_way_us=get("max_one_way_us", default=150.0),
-            max_skew_us=get("max_skew_us", default=1.5))
-        report["comp"].append({"controller": get("controller", str),
-                               "rus": sorted(get("rus", list)),
-                               **rep.to_dict()})
+    for i, item in enumerate(_items(values, "comp")):
+        rep = _naming((f"comp.{i}.rus", f"comp.{i}.controller"),
+                      comp_feasibility, topo, item["rus"], item["controller"],
+                      item["max_one_way_us"], item["max_skew_us"])
+        report["comp"].append({"controller": item["controller"],
+                               "rus": sorted(item["rus"]), **rep.to_dict()})
 
     report["fronthaul"] = []
-    for i, get in enumerate(_entries(raw, "fronthaul")):
-        entry = raw["fronthaul"][i]
-        spec = _budget_fronthaul(entry, get)
+    for i, entry in enumerate(values["fronthaul"]):
+        spec = _named(entry, f"fronthaul.{i}", FRONTHAUL_PRESETS, _FRONTHAUL,
+                      values, FronthaulSpec)
         dim = fronthaul_dimension(spec)
         dim["preset"] = entry if isinstance(entry, str) else spec.kind
         report["fronthaul"].append(dim)
 
     report["power"] = []
-    for get in _entries(raw, "power"):
-        rep = power_budget(
-            topo, get("path", list),
-            tx_power_dbm=get("tx_power_dbm", default=0.0),
-            coupling=get("coupling", str, "packaged"),
-            n_facets=get("n_facets", _whole, 2),
-            bus_stages=get("bus_stages", _whole, 0),
-            bus_loss_db_per_stage=get("bus_loss_db_per_stage", default=0.1),
-            rx_sensitivity_dbm=get("rx_sensitivity_dbm", default=-20.0))
-        report["power"].append({"path": get("path", list), **rep.to_dict()})
+    for i, item in enumerate(_items(values, "power")):
+        rep = _naming((f"power.{i}.path",), power_budget, topo, **item)
+        report["power"].append({"path": item["path"], **rep.to_dict()})
     return report
 
 

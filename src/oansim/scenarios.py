@@ -29,7 +29,9 @@ for tunnels the smart edge intercepts the radio uplink, if any, and the
 central office the digital uplink; under ``adjacent_rf`` the smart edge
 intercepts the digital uplink.
 
-A :class:`ScenarioConfig` reads and checks the YAML once, when built.
+A :class:`ScenarioConfig` reads and checks the YAML once, when built,
+against ``_KEYS``: the one list of a config's valid keys, each with its
+converter and default.
 Reports are plain dicts (JSON/CSV serializable, stable ordering) carrying
 the fully resolved configuration as a reproducibility manifest.
 """
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import difflib
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -70,83 +73,7 @@ from .waveform import (ComplexWaveform, _division, analytic, band_power,
 # the start of the simulation record
 _WALKOFF_GUARD_S = 2e-9
 
-_DEFAULTS = {
-    "fec_threshold": DEFAULT_FEC_THRESHOLD,
-    "overlay_style": "subcarrier_tunnels",
-    "wdm": {
-        "slot_width": 50e9,
-        "digital_subband": 20e9,
-        "rof_subcarrier_offset": 20e9,
-    },
-    "digital": {
-        "qam_order": 4,
-        "n_subcarriers": 64,
-        "pilot_spacing": 16,
-        "cp_fraction": 1.0 / 16.0,
-        "oversampling": 4,
-        "sideband": "upper",
-        "if_freq": 7e9,
-    },
-    "tunnels": [],
-    "rf_channels": [],
-    "rf_groups": [],
-    "uplink": {
-        "sideband": "lower",
-        "drive_depth": 0.2,
-        "intercept_carrier_tap": 0.25,
-        "intercept_order": 4,
-        "rof": None,
-    },
-    "devices": {
-        "ring": {"fsr": 5e12, "coupling": 0.9987, "amplitude": 0.9987,
-                 "mod_efficiency": 2e9},
-        "drive_depth": 0.25,
-        "subcarrier_clock_volt": 0.4,
-        "carrier_retain_fraction": 0.6,
-        "tx_power_dbm": 3.0,
-        "rf_drive_depth": 0.25,
-    },
-    "spans": {
-        "feeder_km": 20.0,
-        "distribution_km": 5.0,
-        "atten_db_per_km": 0.2,
-        "dispersion_ps_nm_km": 17.0,
-    },
-    "amplifier": None,
-    "onu": {
-        "carrier_tap_fraction": 0.25,
-        "broadband_order": 3,
-        "broadband_passband_fraction": 0.97,
-        "rof_filter_bandwidth": 9e9,
-        "rof_filter_order": 3,
-        "rof_carrier_tap_db": None,
-        "min_residual_carrier_dbm": -35.0,
-        "pd": {"responsivity": 1.0, "thermal_noise_psd": 0.0,
-               "include_shot": False},
-    },
-    "sweep": {
-        "bits_per_point": 2.5e5,
-        "top_bits": 2.0e6,
-        "full_bits": 1.0e7,
-        "burst_symbols": 2000,
-    },
-    "output": "reports",
-}
-
-_REQUIRED = ("name", "seed", "sample_rate", "center_freq", "wdm", "digital",
-             "spans", "onu", "sweep")
-
 DATA_DIR = Path(__file__).parent / "data"
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
 
 
 def builtin_config_path(name: str) -> Path:
@@ -165,40 +92,10 @@ def _number(val) -> float:
     return num
 
 
-def _get(raw: dict, key: str, convert=_number, default=None):
-    """``convert`` of the value at the dotted ``key`` (a number indexes a
-    list); a value that is missing, None or not convertible raises
-    ConfigError naming the key."""
-    val = raw
-    for part in key.split("."):
-        if isinstance(val, list) and part.isdigit():
-            val = val[int(part)]
-        else:
-            val = val.get(part) if isinstance(val, dict) else None
-    if val is None and default is None:
-        raise ConfigError(f"{key} is missing")
-    try:
-        return convert(default if val is None else val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _mapping(val) -> dict:
-    if not isinstance(val, dict):
-        raise ValueError(f"expected a mapping, not {val!r}")
-    return val
-
-
 def _floats(val) -> list:
     if not isinstance(val, list) or not val:
         raise ValueError(f"expected a non-empty list of numbers, not {val!r}")
     return [_number(v) for v in val]
-
-
-def _sideband(val) -> str:
-    if val not in ("upper", "lower"):
-        raise ValueError(f"expected 'upper' or 'lower', not {val!r}")
-    return val
 
 
 def _flag(val) -> bool:
@@ -245,57 +142,176 @@ _modem = _ranged(_whole, lambda x: 2 <= x <= 1024,
                  "a whole number in [2, 1024]")
 _level = _ranged(_number, lambda x: abs(x) <= 100, "a level in [-100, 100] dB")
 _non_negative = _ranged(_number, lambda x: x >= 0.0, "a number >= 0")
+_sweep = _ranged(_floats, lambda x: x == sorted(x), "ascending powers")
+
+
+def _choice(*options):
+    """A converter: the value, which must be one of ``options``."""
+    return _ranged(lambda x: x, lambda x: x in options, f"one of {options}")
+
+
+_sideband = _choice("upper", "lower")
+# a list of lists of indices, each of rf_channels in one of them
+_groups = _ranged(lambda x: x, lambda x: isinstance(x, list) and all(
+    isinstance(g, list) and all(type(i) is int for i in g) for g in x),
+    "a list of lists of indices")
+
+# The one list of a scenario config's keys.  A key maps to ``(convert,)``,
+# read only where the scenario needs it, or to ``(convert, default)``, a
+# default of None leaving it off; a section maps to its own table: a dict
+# for a fixed section, whose defaults the manifest records, ``[table]`` for
+# a list of sections and ``(table, None)`` for a section that may be left
+# off.  List items and optional sections take their defaults when read.
+_MODEM = {"n_subcarriers": (_whole, 64), "qam_order": (_whole, 4),
+          "cp_fraction": (_number, 1.0 / 16.0), "pilot_spacing": (_modem, 16),
+          "oversampling": (_modem, 4)}
+# an OFDM signal: its IF, its band as a bandwidth or a bit rate, its modem
+_SIGNAL = {"if_freq": (_number,), "occupied_bandwidth": (_rate,),
+           "bit_rate": (_rate,), **_MODEM}
+_KEYS = {
+    "name": (_file_name,), "seed": (_count,), "sample_rate": (_rate,),
+    "center_freq": (_positive,),
+    "fec_threshold": (_fraction, DEFAULT_FEC_THRESHOLD),
+    "overlay_style": (_choice("subcarrier_tunnels", "adjacent_rf"),
+                      "subcarrier_tunnels"),
+    "wdm": {"channel_offsets": (_floats,), "slot_width": (_positive, 50e9),
+            "digital_subband": (_positive, 20e9),
+            "rof_subcarrier_offset": (_positive, 20e9)},
+    "digital": {**_SIGNAL, "if_freq": (_number, 7e9),
+                "sideband": (_sideband, "upper")},
+    "tunnels": [_SIGNAL],
+    "rf_channels": [_SIGNAL],
+    "rf_groups": (_groups, []),
+    "uplink": {"sideband": (_sideband, "lower"),
+               "drive_depth": (_positive, 0.2),
+               "intercept_carrier_tap": (_fraction, 0.25),
+               "intercept_order": (_order, 4), "rof": (_SIGNAL, None)},
+    "devices": {
+        "ring": {"fsr": (_positive, 5e12), "coupling": (_unit, 0.9987),
+                 "amplitude": (_unit, 0.9987),
+                 "mod_efficiency": (_positive, 2e9)},
+        "drive_depth": (_positive, 0.25),
+        "subcarrier_clock_volt": (_number, 0.4),
+        "carrier_retain_fraction": (_fraction, 0.6),
+        "tx_power_dbm": (_level, 3.0), "rf_drive_depth": (_positive, 0.25)},
+    "spans": {"feeder_km": (_non_negative, 20.0),
+              "distribution_km": (_non_negative, 5.0),
+              "atten_db_per_km": (_non_negative, 0.2),
+              "dispersion_ps_nm_km": (_number, 17.0)},
+    "amplifier": ({"gain_db": (_non_negative,), "nf_db": (_number,)}, None),
+    "onu": {
+        "carrier_tap_fraction": (_fraction, 0.25),
+        "broadband_order": (_order, 3),
+        "broadband_passband_fraction": (_fraction, 0.97),
+        "rof_filter_bandwidth": (_positive, 9e9),
+        "rof_filter_order": (_order, 3),
+        "rof_carrier_tap_db": (_positive, None),
+        "min_residual_carrier_dbm": (_number, -35.0),
+        "pd": {"responsivity": (_positive, 1.0),
+               "thermal_noise_psd": (_non_negative, 0.0),
+               "include_shot": (_flag, False)}},
+    "sweep": {"rx_power_dbm": (_sweep,), "bits_per_point": (_count, 2.5e5),
+              "top_bits": (_count, 2.0e6), "full_bits": (_count, 1.0e7),
+              "burst_symbols": (_burst, 2000)},
+    "output": (str, "reports"),
+}
 # the config keys of a ring's linewidth, which sizes its tone windows
 _LINEWIDTH = ("devices.ring.fsr", "devices.ring.coupling",
               "devices.ring.amplitude")
 
 
-def _band_keys(raw: dict, key: str) -> tuple:
-    """The keys that set the band of the signal section at ``key``."""
-    section = _get(raw, key, _mapping)
-    rate = "occupied_bandwidth" if "occupied_bandwidth" in section \
-        else "bit_rate"
-    return f"{key}.if_freq", f"{key}.{rate}"
+class _Values(dict):
+    """A config's converted values by dotted key (a number indexes a
+    list); a key left off or null, with no default, is missing."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"{key} is missing")
 
 
-def _naming(keys, fn, *args):
-    """``fn(*args)``, its ConfigError naming the config ``keys``."""
+def _convert(key: str, val, convert):
+    """``convert`` of ``val``, its error naming the config ``key``."""
     try:
-        return fn(*args)
+        return convert(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _resolve(raw, table: dict, key: str, values: _Values,
+             fill: bool = False):
+    """Check the section ``raw`` at the dotted prefix ``key`` against
+    ``table`` and put its values, converted, in ``values``; ``fill``
+    writes the defaults of its keys and of its fixed sections into
+    ``raw``.  Null is the same as absent.  An unknown key raises
+    ConfigError naming it and the nearest known key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key[:-1]}: expected a mapping, not {raw!r}")
+    unknown = [name for name in raw if name not in table]
+    if unknown:
+        near = difflib.get_close_matches(str(unknown[0]), table, 1)
+        raise ConfigError(f"{key}{unknown[0]}: unknown key" + "".join(
+            f"; did you mean {key}{name}?" for name in near))
+    for name, spec in table.items():
+        sub, val = key + name, raw.get(name)
+        if isinstance(spec, dict):
+            val = {} if val is None else val
+            _resolve(val, spec, sub + ".", values, fill)
+        elif isinstance(spec, list):
+            val = values[sub] = [] if val is None else val
+            if not isinstance(val, list):
+                raise ConfigError(f"{sub}: expected a list, not {val!r}")
+            for i, item in enumerate(val):
+                _resolve(item, spec[0], f"{sub}.{i}.", values)
+        else:
+            convert, *default = spec
+            if val is None and not default:
+                continue
+            val = copy.deepcopy(default[0]) if val is None else val
+            if isinstance(convert, dict) and val is not None:
+                _resolve(val, convert, sub + ".", values)
+                values[sub] = val
+            elif val is not None:
+                values[sub] = _convert(sub, val, convert)
+        if fill:
+            raw[name] = val
+
+
+def _required(table: dict) -> list:
+    """The keys of ``table`` that hold a key without a default."""
+    return [name for name, spec in table.items()
+            if isinstance(spec, dict) and _required(spec)
+            or isinstance(spec, tuple) and len(spec) == 1]
+
+
+def _band_keys(values: _Values, key: str) -> tuple:
+    """The keys that set the band of the signal section at ``key``: its IF
+    and its occupied bandwidth, or its bit rate and the modem keys that
+    turn that into a bandwidth."""
+    if f"{key}.occupied_bandwidth" in values:
+        return f"{key}.if_freq", f"{key}.occupied_bandwidth"
+    return (f"{key}.if_freq", f"{key}.bit_rate",
+            *(f"{key}.{name}" for name in _MODEM))
+
+
+def _naming(keys, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its ConfigError naming the config ``keys``."""
+    try:
+        return fn(*args, **kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{', '.join(keys)}: {exc}") from None
 
 
-def _is_partition(groups, n: int) -> bool:
-    """Whether ``groups`` is a list of index lists holding 0..n-1 once each."""
-    if not isinstance(groups, list) or not all(isinstance(g, list)
-                                               for g in groups):
-        return False
-    flat = [i for g in groups for i in g]
-    return all(type(i) is int for i in flat) and sorted(flat) == list(range(n))
-
-
-def _ofdm(raw: dict, key: str, seed: int) -> OfdmConfig:
+def _ofdm(values: _Values, key: str, seed: int) -> OfdmConfig:
     """Modem geometry of the signal section at ``key``."""
-    section = _get(raw, key, _mapping)
-    n_sub = _get(raw, f"{key}.n_subcarriers", _whole, 64)
-    qam = _get(raw, f"{key}.qam_order", _whole, 4)
-    cp = _get(raw, f"{key}.cp_fraction", _number, 1.0 / 16.0)
-    pilots = _get(raw, f"{key}.pilot_spacing", _modem, 16)
-    oversampling = _get(raw, f"{key}.oversampling", _modem, 4)
-    if "occupied_bandwidth" not in section and "bit_rate" not in section:
-        raise ConfigError(f"{key} needs occupied_bandwidth or bit_rate")
-    try:
-        bw = (_get(raw, f"{key}.occupied_bandwidth", _rate)
-              if "occupied_bandwidth" in section
-              else bandwidth_for_bit_rate(
-                  _get(raw, f"{key}.bit_rate", _rate), qam_order=qam,
-                  cp_fraction=cp, pilot_spacing=pilots, n_subcarriers=n_sub))
-        return OfdmConfig(n_subcarriers=n_sub, qam_order=qam, cp_fraction=cp,
-                          occupied_bandwidth=bw, pilot_spacing=pilots,
-                          oversampling=oversampling, seed=seed)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    keys = [f"{key}.{name}" for name in _MODEM]
+    n_sub, qam, cp, pilots, oversampling = (values[k] for k in keys)
+    band = _band_keys(values, key)[1]
+    if band not in values:
+        raise ConfigError(
+            f"{key}.occupied_bandwidth or {key}.bit_rate is missing")
+    return _naming(keys + [band], lambda: OfdmConfig(
+        n_sub, qam, cp, values[band] if band.endswith("bandwidth")
+        else bandwidth_for_bit_rate(values[band], qam, cp, pilots, n_sub),
+        pilots, seed, oversampling))
 
 
 class _Signal(NamedTuple):
@@ -336,7 +352,8 @@ class _Signal(NamedTuple):
 class ScenarioConfig:
     """A scenario, read and checked once.
 
-    ``raw`` is the resolved YAML and the report's manifest.  The other
+    ``raw`` is the YAML, resolved against ``_KEYS``, the one list of
+    valid keys, and the report's manifest.  The other
     attributes are its values, converted, and what the bursts need that
     does not depend on the burst seed, built once: the plan, the signals,
     the fibers, the burst geometry and every device, each modulator a
@@ -355,30 +372,27 @@ class ScenarioConfig:
     raw: dict
 
     def __post_init__(self):
-        raw = self.raw
-        missing = [k for k in _REQUIRED if k not in raw]
-        if missing:
-            raise ConfigError(f"config missing required sections: {missing}")
-        if type(raw["seed"]) is not int or raw["seed"] < 0:
-            raise ConfigError("seed must be a whole number >= 0")
-        self.name = _get(raw, "name", _file_name)
-        self.seed = raw["seed"]
-        self.style = raw["overlay_style"]
-        if self.style not in ("subcarrier_tunnels", "adjacent_rf"):
-            raise ConfigError(f"unknown overlay_style '{self.style}'")
+        if not isinstance(self.raw, dict):
+            raise ConfigError(
+                f"a scenario config is a mapping, not {self.raw!r}; required "
+                f"sections: {_required(_KEYS)}")
+        self.raw = copy.deepcopy(self.raw)
+        self._values = v = _Values()
+        _resolve(self.raw, _KEYS, "", v, fill=True)
+        self.name, self.seed, self.style = (
+            v[key] for key in ("name", "seed", "overlay_style"))
         tunnels = self.style == "subcarrier_tunnels"
-        for key in ("rf_channels", "rf_groups") if tunnels else ("tunnels",):
-            if raw[key]:
-                raise ConfigError(f"{key} is not used by {self.style}")
-        self.sample_rate = _get(raw, "sample_rate", _rate)
-        self.center_freq = _get(raw, "center_freq", _positive)
-        self.fec_threshold = _get(raw, "fec_threshold", _fraction)
-        self.output = _get(raw, "output", str)
+        for key in (("rf_channels", "rf_groups") if tunnels
+                    else ("tunnels", "uplink.rof")):
+            if v.get(key):
+                raise ConfigError(
+                    f"{key} is not used by overlay_style {self.style}")
+        self.sample_rate, self.center_freq = v["sample_rate"], v["center_freq"]
+        self.fec_threshold, self.output = v["fec_threshold"], v["output"]
 
         keys = [f"wdm.{key}" for key in ("channel_offsets", "slot_width",
                                          "digital_subband", "rof_subcarrier_offset")]
-        offsets = _get(raw, keys[0], _floats)
-        slot = [_get(raw, key, _positive) for key in keys[1:]]
+        offsets, *slot = (v[key] for key in keys)
         slot_width, subband, f_s = slot
         self.plan = _naming(keys, lambda: WdmPlan(
             [WdmChannel(self.center_freq + off, *slot) for off in offsets]))
@@ -396,31 +410,32 @@ class ScenarioConfig:
         # symbols as fit in it.  _run_burst grows a burst's record past
         # this, to the next FFT-friendly length, when the walk-off guard
         # and the digital drive do not fit in it (both cut shipped configs)
-        burst_symbols = _get(raw, "sweep.burst_symbols", _burst)
-        frame = _ofdm(raw, "digital", self.seed).frame_duration()
+        burst_symbols = v["sweep.burst_symbols"]
+        frame = _ofdm(v, "digital", self.seed).frame_duration()
         self.n_record = 1 << int(np.ceil(np.log2(
             (1 + burst_symbols) * frame * self.sample_rate)))
         window = self.n_record / self.sample_rate
 
         def signal(key: str, seed_offset: int) -> _Signal:
-            ofdm = _ofdm(raw, key, self.seed + seed_offset)
-            sig = _Signal(ofdm, _get(raw, f"{key}.if_freq"),
+            ofdm = _ofdm(v, key, self.seed + seed_offset)
+            sig = _Signal(ofdm, v[f"{key}.if_freq"],
                           max(1, int(window / ofdm.frame_duration()) - 1))
             if sig.edges()[0] <= 0.0:
                 raise ConfigError(
-                    f"{key}.if_freq: the band reaches {sig.edges()[0]/1e9:.2f}"
-                    f" GHz; it must lie above 0 Hz")
+                    f"{', '.join(_band_keys(v, key))}: the band reaches "
+                    f"{sig.edges()[0]/1e9:.2f} GHz; it must lie above 0 Hz")
             return sig
 
         self.digital = signal("digital", 1)
         if (self.digital.if_freq + self.digital.ofdm.occupied_bandwidth / 2.0
                 > subband / 2.0):
-            raise ConfigError("digital.if_freq: the digital payload does not "
-                              "fit in the digital subband")
-        digital_sideband = _get(raw, "digital.sideband", _sideband)
+            raise ConfigError(
+                f"{', '.join(_band_keys(v, 'digital'))}, wdm.digital_subband:"
+                f" the digital payload does not fit in the digital subband")
+        digital_sideband = v["digital.sideband"]
         key, seed_offset = ("tunnels", 10) if tunnels else ("rf_channels", 30)
         self.payloads = [signal(f"{key}.{i}", seed_offset + i)
-                         for i in range(len(_get(raw, key, list)))]
+                         for i in range(len(v[key]))]
         if tunnels:
             if len(self.payloads) > 2:
                 raise ConfigError("tunnels: at most two, on the +f_s and "
@@ -430,13 +445,14 @@ class ScenarioConfig:
             for i, tunnel in enumerate(self.payloads):
                 if tunnel.edges()[1] > extent:
                     raise ConfigError(
-                        f"tunnels.{i}: the radio payload spills past "
-                        f"+/-{extent/1e9:.2f} GHz around the subcarrier")
+                        f"{', '.join(_band_keys(v, f'tunnels.{i}'))}: the "
+                        f"radio payload spills past +/-{extent/1e9:.2f} GHz "
+                        f"around the subcarrier")
             self.groups = [[k] for k in range(len(self.payloads))]
         else:
-            self.groups = raw["rf_groups"]
-            if not self.payloads or not _is_partition(self.groups,
-                                                      len(self.payloads)):
+            self.groups = v["rf_groups"]
+            if not self.payloads or sorted(i for g in self.groups for i in g
+                                           ) != list(range(len(self.payloads))):
                 raise ConfigError("adjacent_rf needs rf_channels and "
                                   "rf_groups that partition their indices")
 
@@ -444,14 +460,11 @@ class ScenarioConfig:
         # the digital uplink under adjacent_rf; the central office detects
         # the digital uplink of tunnels
         self.uplink = {"digital": signal("digital", 2)}
-        if _get(raw, "uplink.rof", _mapping, default={}):
-            if not tunnels:
-                raise ConfigError("uplink.rof is not used by adjacent_rf, "
-                                  "whose smart edge detects the digital uplink")
+        if v.get("uplink.rof"):
             self.uplink["rof"] = signal("uplink.rof", 3)
         self.edge_uplink = ("rof" if "rof" in self.uplink
                             else None if tunnels else "digital")
-        uplink_sideband = _get(raw, "uplink.sideband", _sideband)
+        uplink_sideband = v["uplink.sideband"]
 
         def sided(sig: _Signal) -> tuple:  # carrier offsets of its band
             lo, hi = sig.edges()
@@ -467,21 +480,17 @@ class ScenarioConfig:
             section = {"rof": "uplink.rof"}.get(self.edge_uplink, "digital")
             self.intercept = _naming(
                 ("uplink.intercept_carrier_tap", "uplink.intercept_order",
-                 *_band_keys(raw, section)), solve_carrier_tap_filter,
+                 *_band_keys(v, section)), solve_carrier_tap_filter,
                 *sided(self.uplink[self.edge_uplink]),
-                _get(raw, "uplink.intercept_carrier_tap", _fraction),
-                _get(raw, "uplink.intercept_order", _order))
+                v["uplink.intercept_carrier_tap"], v["uplink.intercept_order"])
 
-        ring = {key: _get(raw, f"devices.ring.{key}", convert)
-                for key, convert in (("fsr", _positive), ("coupling", _unit),
-                                     ("amplitude", _unit),
-                                     ("mod_efficiency", _positive))}
-        self.tx_power_dbm = _get(raw, "devices.tx_power_dbm", _level)
-        depth, rf_depth, up_depth = (
-            _get(raw, key, _positive) for key in (
-                "devices.drive_depth", "devices.rf_drive_depth",
-                "uplink.drive_depth"))
-        clock_volt = _get(raw, "devices.subcarrier_clock_volt")
+        ring = {key: v[f"devices.ring.{key}"]
+                for key in ("fsr", "coupling", "amplitude", "mod_efficiency")}
+        self.tx_power_dbm = v["devices.tx_power_dbm"]
+        depth, rf_depth, up_depth = (v[key] for key in (
+            "devices.drive_depth", "devices.rf_drive_depth",
+            "uplink.drive_depth"))
+        clock_volt = v["devices.subcarrier_clock_volt"]
         # every device is built here once, for the slot check and every
         # burst, as a record that fixes its drive depth, tone window and
         # band edge: each channel's modulator ring, under its transmitter
@@ -497,7 +506,7 @@ class ScenarioConfig:
         # keys that size their tone windows: the generator and one ring per
         # tunnel, or the radio channels' IQ pair on a ring like channel 0's,
         # its window over the carrier but short of the broadband subband
-        retain = _get(raw, "devices.carrier_retain_fraction", _fraction)
+        retain = v["devices.carrier_retain_fraction"]
         edges = [s.edges()[1] for s in self.payloads]
         if tunnels:
             self.edge_rings = [
@@ -514,21 +523,16 @@ class ScenarioConfig:
                 rings[0], rf_depth, window, max(edges), iq_arms("lower"))])]
             self.edge_payloads = [list(range(len(edges)))]
             self._edge_keys = ("digital.if_freq",)
-        loss = (_get(raw, "spans.atten_db_per_km", _non_negative),
-                _get(raw, "spans.dispersion_ps_nm_km"))
+        loss = v["spans.atten_db_per_km"], v["spans.dispersion_ps_nm_km"]
         self.feeder, self.distribution = (
-            FiberParams(_get(raw, f"spans.{span}_km", _non_negative), *loss)
+            FiberParams(v[f"spans.{span}_km"], *loss)
             for span in ("feeder", "distribution"))
         self.amplifier = None
-        if raw["amplifier"]:
-            self.amplifier = (_get(raw, "amplifier.gain_db", _non_negative),
-                              _get(raw, "amplifier.nf_db"))
+        if v.get("amplifier"):
+            self.amplifier = v["amplifier.gain_db"], v["amplifier.nf_db"]
         up_edge = max(s.edges()[1] for s in self.uplink.values())
-        self.detector = PdParams(
-            responsivity=_get(raw, "onu.pd.responsivity", _positive),
-            thermal_noise_psd=_get(raw, "onu.pd.thermal_noise_psd",
-                                   _non_negative),
-            include_shot=_get(raw, "onu.pd.include_shot", _flag))
+        self.detector = PdParams(**{key: v[f"onu.pd.{key}"] for key in (
+            "responsivity", "thermal_noise_psd", "include_shot")})
         self.onus = self._read_onus(
             [Modulator(r, up_depth, (3.0 + up_depth) * r.fwhm, up_edge,
                        iq_arms(uplink_sideband)) for r in rings])
@@ -545,57 +549,60 @@ class ScenarioConfig:
                 f" a burst's record of {need} samples is past 2^24")
         self.n_burst = fftpack.next_fast_len(need)
         self.d_slot = self._slot_division()
-        self.rx_power_dbm = _get(raw, "sweep.rx_power_dbm", _floats)
-        if self.rx_power_dbm != sorted(self.rx_power_dbm):
-            raise ConfigError("sweep.rx_power_dbm must be ascending")
+        self.rx_power_dbm = v["sweep.rx_power_dbm"]
         # at most 10,000 bursts of the least-counted signal per bit target
         least = min(s.n_bits for s in (self.digital, *self.payloads,
                                        *self.uplink.values()))
         for key in ("bits_per_point", "top_bits", "full_bits"):
-            bits = _get(raw, f"sweep.{key}", _count)
+            bits = v[f"sweep.{key}"]
             if bits > 10_000 * least:
-                raise ConfigError(f"sweep.{key}: {bits} bits take more than "
-                                  f"10,000 bursts of {least} bits")
+                raise ConfigError(
+                    f"sweep.{key}, sweep.burst_symbols: {bits} bits take more "
+                    f"than 10,000 bursts of {least} bits")
             setattr(self, key, bits)
 
     def _read_onus(self, remodulators: list) -> list:
         """Each channel's network unit with its remodulator: the same
         filters, which sit relative to the carrier; a filter that fails
         its checks names the keys that size it."""
-        raw = self.raw
+        v = self._values
         f_s = self.plan.channels[0].rof_subcarrier_offset
-        order = _get(raw, "onu.rof_filter_order", _order)
+        order = v["onu.rof_filter_order"]
         # each filter's config keys, for its load errors and its
         # receiver's band in _slot_spans
         rof = ("onu.rof_filter_bandwidth" if self.style == "subcarrier_tunnels"
                else "onu.rof_carrier_tap_db", "onu.rof_filter_order")
         wide = ("onu.carrier_tap_fraction", "onu.broadband_order",
-                "onu.broadband_passband_fraction", *_band_keys(raw, "digital"))
+                "onu.broadband_passband_fraction", *_band_keys(v, "digital"))
         if self.style == "subcarrier_tunnels":
-            bandwidth = _get(raw, "onu.rof_filter_bandwidth", _positive)
+            bandwidth = v["onu.rof_filter_bandwidth"]
             filters = [FilterSpec(sign * f_s, bandwidth, order)
                        for sign in (+1.0, -1.0)[:len(self.payloads)]]
+            keys = [rof] * len(filters)
         else:
             # the radio groups ride the lower sideband next to the carrier
             # and together tap rof_carrier_tap_db of it
-            tap_db = _get(raw, "onu.rof_carrier_tap_db", _positive)
+            tap_db = v["onu.rof_carrier_tap_db"]
             tap = 1.0 - 10.0 ** (-tap_db / (10.0 * len(self.groups)))
             edges = [[e for k in group for e in self.payloads[k].edges()]
                      for group in self.groups]
-            filters = [_naming(rof, solve_carrier_tap_filter, -max(e),
-                               -min(e), tap, order) for e in edges]
+            keys = [rof + tuple(key for k in group for key in _band_keys(
+                v, f"rf_channels.{k}")) for group in self.groups]
+            filters = [_naming(names, solve_carrier_tap_filter, -max(e),
+                               -min(e), tap, order)
+                       for e, names in zip(edges, keys)]
         lo, hi = self.digital.edges()
         if self.transmitters[0].sideband == "lower":
             lo, hi = -hi, -lo
         broadband = _naming(
             wide, solve_carrier_tap_filter, lo, hi,
-            _get(raw, "onu.carrier_tap_fraction", _fraction),
-            _get(raw, "onu.broadband_order", _order),
-            _get(raw, "onu.broadband_passband_fraction", _fraction))
-        self._drops = [(broadband, wide), *((spec, rof) for spec in filters)]
+            *(v[f"onu.{key}"] for key in (
+                "carrier_tap_fraction", "broadband_order",
+                "broadband_passband_fraction")))
+        self._drops = [(broadband, wide), *zip(filters, keys)]
         for spec, keys in self._drops:
             _naming(keys, check_drop, spec, self.plan.channels[0])
-        residual = _get(raw, "onu.min_residual_carrier_dbm")
+        residual = v["onu.min_residual_carrier_dbm"]
         return [OnuConfig(c, broadband, m, tuple(filters), residual)
                 for c, m in zip(self.plan.channels, remodulators)]
 
@@ -693,12 +700,7 @@ def load_config(path) -> ScenarioConfig:
         raw = yaml.safe_load(p.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {p}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(
-            f"config {p} is empty or not a mapping; required sections: "
-            f"{list(_REQUIRED)}"
-        )
-    return ScenarioConfig(_deep_merge(_DEFAULTS, raw))
+    return ScenarioConfig(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -974,10 +976,7 @@ def run_scenario(cfg: ScenarioConfig, full: bool = False,
                  sweep_override=None) -> dict:
     """Execute the scenario; returns the metrics report (a plain dict)."""
     powers = (cfg.rx_power_dbm if sweep_override is None
-              else _get({"--rx-power": list(sweep_override)}, "--rx-power",
-                        _floats))
-    if powers != sorted(powers):
-        raise ConfigError("rx_power_dbm sweep must be ascending")
+              else _convert("--rx-power", list(sweep_override), _sweep))
     top_bits = cfg.full_bits if full else cfg.top_bits
 
     points = []

@@ -95,7 +95,7 @@ def _shipped_cut(style):
     name = {"adjacent_rf": "scenario_b", "subcarrier_tunnels": "scenario_a"}
     raw = yaml.safe_load(builtin_config_path(name[style]).read_text())
     raw["sweep"] = {"rx_power_dbm": [-4.0], "bits_per_point": 100,
-                    "top_bits": 100, "burst_symbols": 50}
+                    "top_bits": 100, "full_bits": 100, "burst_symbols": 50}
     return raw
 
 
@@ -234,6 +234,11 @@ NAN, INF = float("nan"), float("inf")
     ("subcarrier_tunnels", ["uplink", "rof", "occupied_bandwidth"], 1e-30,
      "uplink.rof.occupied_bandwidth"),
     ("subcarrier_tunnels", ["digital", "bit_rate"], 1e-30, "digital.bit_rate"),
+    # a misspelt key or section ran on the default without a word
+    ("subcarrier_tunnels", ["spans", "feedr_km"], 99, "spans.feedr_km"),
+    ("subcarrier_tunnels", ["spanz"], {"feeder_km": 99}, "spanz"),
+    # null is absent: a required key is missing
+    ("mini", ["sample_rate"], None, "sample_rate"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):
@@ -320,6 +325,25 @@ def test_malformed_budget_exits_2_naming_the_key(link, key, tmp_path, capsys):
     assert main(["budget", "--config", str(p), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, key", [
+    (["latencyy"], "latencyy"),
+    (["links", 0, "atten_db_per_kmm"], "links.0.atten_db_per_kmm"),
+    (["power", 0, "bus_stagez"], "power.0.bus_stagez"),
+])
+def test_misspelt_budget_key_exits_2_naming_it(path, key, tmp_path, capsys):
+    # each ran without a word: a misspelt section dropped its checks
+    raw = yaml.safe_load(builtin_config_path("budget_example").read_text())
+    section = raw
+    for name in path[:-1]:
+        section = section[name]
+    section[path[-1]] = 5
+    p = tmp_path / "misspelt.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    assert main(["budget", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "did you mean" in err and "Traceback" not in err
 
 
 def test_budget_flag_must_be_a_yaml_boolean(tmp_path, capsys):

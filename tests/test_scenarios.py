@@ -155,6 +155,25 @@ def test_bit_targets_take_at_most_10000_bursts(tmp_path, key):
         mini_config(tmp_path, sweep={**sweep, key: most + 1})
 
 
+@pytest.mark.parametrize("section, key, default", [
+    ("digital", "qam_order", 4), ("spans", "feeder_km", 20.0)])
+def test_null_takes_the_default(tmp_path, section, key, default):
+    """Null is absent: the key takes its default, which the manifest
+    records."""
+    cfg = mini_config(tmp_path, **{section: {**MINI[section], key: None}})
+    assert cfg.raw[section][key] == default
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_config_takes_a_parsed_yaml_dict(name):
+    path = builtin_config_path(name)
+    raw = yaml.safe_load(path.read_text())
+    assert ScenarioConfig(raw).raw == load_config(path).raw
+    assert "fec_threshold" not in raw  # the manifest is a copy
+    with pytest.raises(ConfigError, match="required sections"):
+        ScenarioConfig([raw])
+
+
 def test_defaults_echoed_into_manifest(tmp_path):
     cfg = mini_config(tmp_path)
     # values never mentioned in the file arrive resolved from defaults
