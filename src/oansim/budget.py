@@ -45,31 +45,46 @@ class LinkSpec:
     component_losses: tuple = ()   # (label, dB) pairs
 
 
+class TreeError(ConfigError):
+    """A topology that is not a tree.  ``key`` names the node or link at
+    fault, as a config lays them out: ``nodes.<i>.id``, ``nodes.<i>.kind``,
+    ``links.<i>.from`` or ``links.<i>.to``; None where no one item is."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass
 class TopologySpec:
     nodes: list
     links: list
 
     def __post_init__(self):
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate node ids")
-        self._by_id = {n.id: n for n in self.nodes}
-        roots = [n for n in self.nodes if n.kind == "central_office"]
+        self._by_id = {}
+        for i, node in enumerate(self.nodes):
+            if node.id in self._by_id:
+                raise TreeError(f"duplicate node id '{node.id}'",
+                                f"nodes.{i}.id")
+            self._by_id[node.id] = node
+        roots = [i for i, n in enumerate(self.nodes)
+                 if n.kind == "central_office"]
         if len(roots) != 1:
-            raise ConfigError("topology needs exactly one central_office root")
-        self.root = roots[0]
+            raise TreeError("topology needs exactly one central_office root",
+                            f"nodes.{roots[1]}.kind" if roots else None)
+        self.root = self.nodes[roots[0]]
         self._adj: dict[str, list[LinkSpec]] = {n.id: [] for n in self.nodes}
-        for link in self.links:
-            for end in (link.from_id, link.to_id):
-                if end not in self._by_id:
-                    raise ConfigError(f"link references unknown node '{end}'")
+        for i, link in enumerate(self.links):
+            for end, node in (("from", link.from_id), ("to", link.to_id)):
+                if node not in self._by_id:
+                    raise TreeError(f"link references unknown node '{node}'",
+                                    f"links.{i}.{end}")
             self._adj[link.from_id].append(link)
             self._adj[link.to_id].append(link)
         if len(self.links) != len(self.nodes) - 1:
-            raise ConfigError("topology must be a strict tree (|E| = |V| - 1)")
+            raise TreeError("topology must be a strict tree (|E| = |V| - 1)")
         if len(self._reachable(self.root.id)) != len(self.nodes):
-            raise ConfigError("topology must be connected")
+            raise TreeError("topology must be connected")
 
     def _reachable(self, start: str) -> set:
         seen = {start}

@@ -27,7 +27,7 @@ import yaml
 
 from .budget import (COUPLING_DB_PER_FACET, FRONTHAUL_PRESETS, NODE_KINDS,
                      SERVICE_CATALOG, FronthaulSpec, LinkSpec, NodeSpec,
-                     ServiceRequirement, TopologySpec,
+                     ServiceRequirement, TopologySpec, TreeError,
                      comp_feasibility, fronthaul_dimension, latency_budget,
                      power_budget)
 from .channel import FiberParams
@@ -153,7 +153,8 @@ def run_budget(raw: dict) -> dict:
     """Evaluate every budget request in a topology config; returns a dict.
 
     A missing, malformed or unknown key raises ConfigError naming it, and
-    a request that fails names its keys, or for the tree its sections.
+    a request that fails names its keys; a tree that does not hold names
+    the node or link at fault, or its sections where no one item is.
     """
     if not isinstance(raw, dict):
         raise ConfigError("budget config is empty or not a mapping")
@@ -163,8 +164,11 @@ def run_budget(raw: dict) -> dict:
         item["length_km"], item["atten_db_per_km"],
         item["dispersion_ps_nm_km"]), item["components"])
         for item in _items(values, "links")]
-    topo = _naming(("nodes", "links"), TopologySpec, [
-        NodeSpec(**item) for item in _items(values, "nodes")], links)
+    try:
+        topo = TopologySpec([NodeSpec(**item)
+                             for item in _items(values, "nodes")], links)
+    except TreeError as exc:
+        raise ConfigError(f"{exc.key or 'nodes, links'}: {exc}") from None
     report: dict = {"name": values["name"]}
 
     report["latency"] = []

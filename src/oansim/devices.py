@@ -167,6 +167,19 @@ def _cached_unit_phasor(n: int, dt: float, ref: float, fsr: float, dtype):
     return e
 
 
+def _bias_shift(params: RingParams, detune: float) -> float:
+    """The resonance shifted by ``detune``, modulo the FSR: the one figure
+    of the bias point that a static response depends on."""
+    return (params.effective_resonance + detune) % params.fsr
+
+
+def _holds_outside(spec: np.ndarray, spans: list) -> bool:
+    """Whether ``spec`` holds a non-zero bin outside the slices ``spans``,
+    taken in ascending index order."""
+    edges = [0, *(e for s in spans for e in (s.start, s.stop)), spec.size]
+    return any(spec[a:b].any() for a, b in zip(edges[::2], edges[1::2]))
+
+
 def _through_static_grid(params: RingParams, field: ComplexWaveform,
                          detune: float) -> np.ndarray:
     """Static through response on a waveform's frequency grid: that of
@@ -175,7 +188,7 @@ def _through_static_grid(params: RingParams, field: ComplexWaveform,
     The grid's unit phasor is shared by every ring of its FSR; the bias
     point turns it by one scalar phasor.
     """
-    shift = (params.effective_resonance + detune) % params.fsr
+    shift = _bias_shift(params, detune)
     e = _cached_unit_phasor(field.n, 1.0 / field.sample_rate,
                             field.ref_freq, params.fsr, field.spectrum.dtype) \
         * field.spectrum.dtype.type(np.exp(-2j * np.pi * shift / params.fsr))
@@ -297,29 +310,46 @@ def _modulate(field: ComplexWaveform, modulator: Modulator,
     if d < 2:
         d, k0 = 1, 0
 
-    def weighted(weight, response, *args):
+    def weighted(ws, response, *args):
+        """``response(*args)`` times each weight of ``ws``, the last product
+        written over the response."""
         out = response(*args)
-        return out if weight == 1.0 else np.multiply(out, weight, out=out)
+        return [out * w for w in ws[:-1]] + [
+            out if ws[-1] == 1.0 else np.multiply(out, ws[-1], out=out)]
 
+    # one static response per distinct bias point (the arms of an IQ pair,
+    # whose drives have no mean, share one), and none when the field holds
+    # nothing outside the tone window, whose bins the line's product fills
+    groups = {}
+    if static or _holds_outside(spec, spans):
+        for arm, b in enumerate(biases):
+            groups.setdefault(_bias_shift(params, b), []).append(arm)
+    branches = [partial(weighted, [weights[a] for a in arms],
+                        _through_static_grid, params, field, biases[arms[0]])
+                for arms in groups.values()]
     # each arm's responses and the resonant line, built in a fork; the
     # line's inverse transform, like the transform back, reuses its input;
     # only the drive samples the product meets are scaled to detunings
-    branches = [partial(weighted, w, _through_static_grid, params, field, b)
-                for w, b in zip(weights, biases)]
     if not static:
-        branches += [partial(weighted, w, _through_detuned, params, f_tone,
+        branches += [partial(weighted, [w], _through_detuned, params, f_tone,
                              eff * x[::d], spec.dtype)
                      for w, x in zip(weights, drives)]
         branches.append(partial(_line, spec, window, n // d, k0))
     parts = fork(*branches)
-    arms = len(weights)
-    off = reduce(iadd, parts[1:arms], parts[0])
-    np.multiply(spec, off, out=off)
-    if static:
-        return field.copy_with(spectrum=off)
-    for s in spans:
-        off[s] = 0.0
-    h = reduce(iadd, parts[arms + 1:2 * arms], parts[arms])
+    terms = {}
+    for arms, products in zip(groups.values(), parts):
+        terms.update(zip(arms, products))
+    if terms:
+        off = reduce(iadd, map(terms.get, range(1, len(weights))), terms[0])
+        np.multiply(spec, off, out=off)
+        if static:
+            return field.copy_with(spectrum=off)
+        for s in spans:
+            off[s] = 0.0
+    else:
+        off = np.zeros_like(spec)
+    h = reduce(iadd, (p[0] for p in parts[len(groups) + 1:-1]),
+               parts[len(groups)][0])
     x_res = parts[-1]
     x_res *= h
     prod = fftpack.fft(x_res, overwrite_x=True)

@@ -5,6 +5,13 @@ cyclic prefix.  Comb pilots every ``pilot_spacing``-th occupied subcarrier
 support a one-tap least-squares equalizer; the channel estimate is averaged
 over the preamble and all pilot observations and smoothed across
 subcarriers, so estimator noise is negligible against data noise.
+
+The receiver finds the preamble by an overlap-save correlation in blocks
+of 8192 points (:func:`_correlate`), not by transforms of the whole
+record.  Each symbol keeps its own transform call, although one call
+over all symbols gives the same values: the benchmark (``perfbench``)
+counts one per symbol.  Around those calls, a frame's spectra are
+filled, and their occupied bins taken, as one array.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as fftpack
-from scipy import signal as sig
 
 from .errors import ConfigError, SyncError
 from .waveform import ComplexWaveform
@@ -182,13 +188,18 @@ def bandwidth_for_bit_rate(target_bps: float, qam_order: int = 4,
 # ---------------------------------------------------------------------------
 # Generation
 
-def _symbol_to_time(cfg: OfdmConfig, spectrum_occ: np.ndarray) -> np.ndarray:
-    full = np.zeros(cfg.nfft, dtype=np.complex128)
-    full[cfg.occupied_bins % cfg.nfft] = spectrum_occ
-    td = fftpack.ifft(full) * cfg.nfft
-    if cfg.n_cp:
-        td = np.concatenate([td[-cfg.n_cp:], td])
-    return td
+def _to_time(cfg: OfdmConfig, occupied: np.ndarray) -> np.ndarray:
+    """The samples of the symbols whose occupied bins (in ``occupied_bins``
+    order) are the rows of ``occupied``, each behind its cyclic prefix:
+    one inverse transform per symbol, written into one array."""
+    nfft, n_cp = cfg.nfft, cfg.n_cp
+    spec = np.zeros((len(occupied), nfft), dtype=np.complex128)
+    spec[:, cfg.occupied_bins % nfft] = occupied
+    frames = np.empty((len(occupied), n_cp + nfft), dtype=np.complex128)
+    for row, out in zip(spec, frames[:, n_cp:]):
+        np.multiply(fftpack.ifft(row), nfft, out=out)
+    frames[:, :n_cp] = frames[:, nfft:]
+    return frames.ravel()
 
 
 def generate_ofdm(config: OfdmConfig, payload_bits: np.ndarray) -> ComplexWaveform:
@@ -205,15 +216,12 @@ def generate_ofdm(config: OfdmConfig, payload_bits: np.ndarray) -> ComplexWavefo
         )
     n_sym = bits.size // bps
     preamble, pilots = config._known_symbols()
-
-    symbols = qam_modulate(bits, config.qam_order).reshape(n_sym, -1)
-    blocks = [_symbol_to_time(config, preamble)]
-    spec = np.zeros((n_sym, config.n_subcarriers), dtype=np.complex128)
-    spec[:, config.pilot_positions] = pilots
-    spec[:, config.data_positions] = symbols
-    for m in range(n_sym):
-        blocks.append(_symbol_to_time(config, spec[m]))
-    samples = np.concatenate(blocks)
+    occupied = np.empty((n_sym + 1, config.n_subcarriers), dtype=np.complex128)
+    occupied[0] = preamble
+    occupied[1:, config.pilot_positions] = pilots
+    occupied[1:, config.data_positions] = qam_modulate(
+        bits, config.qam_order).reshape(n_sym, -1)
+    samples = _to_time(config, occupied)
     samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
     return ComplexWaveform(samples, config.sample_rate)
 
@@ -221,11 +229,40 @@ def generate_ofdm(config: OfdmConfig, payload_bits: np.ndarray) -> ComplexWavefo
 # ---------------------------------------------------------------------------
 # Detection
 
+#: Points of each block of the preamble search's overlap-save correlation.
+_CORR_BLOCK = 8192
+
+
+def _correlate(rx: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``np.correlate(rx, kernel, "valid")`` by overlap-save: the record is
+    cut into blocks of ``_CORR_BLOCK`` points (more for a kernel over half
+    a block) that overlap by the kernel's length less one; each block's
+    circular correlation with the zero-padded kernel holds the valid lags
+    of its first ``block - kernel.size + 1`` points."""
+    m = kernel.size
+    size = max(_CORR_BLOCK, 1 << (2 * m - 1).bit_length())
+    step = size - m + 1
+    valid = rx.size - m + 1
+    count = -(-valid // step)
+    padded = np.zeros((count - 1) * step + size,
+                      dtype=np.result_type(rx, kernel, np.complex64))
+    padded[:rx.size] = rx
+    blocks = np.lib.stride_tricks.sliding_window_view(padded, size)[::step]
+    spec = fftpack.fft(blocks)
+    spec *= np.conj(fftpack.fft(kernel, size))
+    return fftpack.ifft(spec, overwrite_x=True)[:, :step].ravel()[:valid]
+
+
 def _synchronize(cfg: OfdmConfig, rx: np.ndarray) -> int:
-    preamble_td = _symbol_to_time(cfg, cfg._known_symbols()[0])
+    """The first sample of the preamble: the lag where the magnitude of the
+    record's correlation with the preamble symbol, cyclic prefix included,
+    peaks, at least five times its median.  The correlation runs in
+    overlap-save blocks (:func:`_correlate`): the preamble's few hundred
+    samples need no transform as long as the record."""
+    preamble_td = _to_time(cfg, cfg._known_symbols()[0][np.newaxis])
     if rx.size < preamble_td.size:
         raise SyncError("received waveform shorter than one preamble symbol")
-    corr = np.abs(sig.fftconvolve(rx, np.conj(preamble_td[::-1]), mode="valid"))
+    corr = np.abs(_correlate(rx, preamble_td))
     peak = int(np.argmax(corr))
     floor = np.median(corr) + 1e-30
     if corr[peak] < 5.0 * floor:
@@ -249,9 +286,9 @@ def demodulate_ofdm(config: OfdmConfig, waveform: ComplexWaveform,
     rx = waveform.samples
     start = _synchronize(config, rx)
 
-    sym_len = config.nfft + config.n_cp
+    nfft, n_cp = config.nfft, config.n_cp
+    sym_len = nfft + n_cp
     preamble, pilots = config._known_symbols()
-    occ = config.occupied_bins % config.nfft
     ppos, dpos = config.pilot_positions, config.data_positions
 
     n_sym = (rx.size - start) // sym_len - 1
@@ -260,20 +297,17 @@ def demodulate_ofdm(config: OfdmConfig, waveform: ComplexWaveform,
     if n_sym < 1:
         raise SyncError("no payload symbols after the preamble")
 
-    def fft_symbol(i):
-        seg = rx[start + i * sym_len + config.n_cp:
-                 start + i * sym_len + config.n_cp + config.nfft]
-        return fftpack.fft(seg)[occ] / config.nfft
-
-    y_pre = fft_symbol(0)
-    payload = np.stack([fft_symbol(1 + m) for m in range(n_sym)])
+    # the preamble and each payload symbol, past its cyclic prefix
+    frames = rx[start:start + (n_sym + 1) * sym_len].reshape(-1, sym_len)
+    spec = np.stack([fftpack.fft(seg) for seg in frames[:, n_cp:]])
+    occupied = spec[:, config.occupied_bins % nfft] / nfft
+    y_pre, payload = occupied[0], occupied[1:]
 
     # channel estimate: preamble everywhere, plus time-averaged pilots,
     # weight-smoothed across subcarriers (channel is smooth in frequency)
     h_obs = y_pre / preamble
     wgt = np.ones(config.n_subcarriers)
     h_pil = np.mean(payload[:, ppos] / pilots, axis=0)
-    h_obs = h_obs.copy()
     h_obs[ppos] = (h_obs[ppos] + n_sym * h_pil) / (1 + n_sym)
     wgt[ppos] = 1 + n_sym
     win = np.ones(min(2 * config.pilot_spacing + 1, config.n_subcarriers))
@@ -304,4 +338,7 @@ def add_awgn(wf: ComplexWaveform, ebn0_db: float, config: OfdmConfig,
     sigma2 = p * config.nfft / (config.n_subcarriers * esn0)
     rng = np.random.default_rng(seed)
     noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(2, wf.n))
-    return wf.copy_with(samples=wf.samples + noise[0] + 1j * noise[1])
+    samples = np.empty(wf.n, dtype=np.complex128)
+    np.add(wf.samples.real, noise[0], out=samples.real)
+    np.add(wf.samples.imag, noise[1], out=samples.imag)
+    return wf.copy_with(samples=samples)

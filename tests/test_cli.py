@@ -346,6 +346,25 @@ def test_misspelt_budget_key_exits_2_naming_it(path, key, tmp_path, capsys):
     assert key in err and "did you mean" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value, key", [
+    (["links", 2, "from"], "splitter", "links.2.from"),
+    (["links", 4, "to"], "ru9", "links.4.to"),
+    (["nodes", 4, "id"], "onu1", "nodes.4.id"),
+    (["nodes", 2, "kind"], "central_office", "nodes.2.kind"),
+    (["links", 4, "to"], "ru1", "nodes, links"),
+])
+def test_budget_tree_fault_names_its_key(path, value, key, tmp_path, capsys):
+    # a fault of one node or link names it; a shape no one key sets (here
+    # a cycle that leaves ru2 unreached) names the sections
+    raw = yaml.safe_load(builtin_config_path("budget_example").read_text())
+    raw[path[0]][path[1]][path[2]] = value
+    p = tmp_path / "tree.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    assert main(["budget", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and "Traceback" not in err
+
+
 def test_budget_flag_must_be_a_yaml_boolean(tmp_path, capsys):
     p = tmp_path / "bad_budget.yaml"
     p.write_text(yaml.safe_dump({

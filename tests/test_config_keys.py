@@ -1,13 +1,15 @@
 """Generative checks over the key tables of the scenario and budget
 configs: every key of a table, replaced by a value of every class or
 misspelt by one letter, is accepted or rejected with a ConfigError that
-names it (a budget's tree, which no one key sets, by its sections), and
-an accepted MINI config runs to an exit code, never a traceback or a
+names it (a budget's tree of a shape that no one key sets by its
+sections, a renamed node by the link that still names it), and an
+accepted MINI config runs to an exit code, never a traceback or a
 hang."""
 
 import copy
 import dataclasses
 import math
+import re
 import signal
 import string
 
@@ -158,6 +160,25 @@ def test_a_drawn_key_loads_or_names_itself(base, data, tmp_path):
     assert code in (0, 2, 3)
 
 
+#: Trees of a shape that no one key sets, named by their sections.
+TREE_SHAPES = ("nodes, links: topology must be a strict tree",
+               "nodes, links: topology must be connected")
+
+
+def _names_the_tree(key: str, message: str) -> bool:
+    """Whether ``message`` rightly names a tree fault other than ``key``:
+    a shape of :data:`TREE_SHAPES`, or, for a node's id, the end of a link
+    that still names the node's id in :data:`BUDGET`."""
+    if message.startswith(TREE_SHAPES):
+        return True
+    section, index, name = (key.split(".") + ["", ""])[:3]
+    if (section, name) != ("nodes", "id"):
+        return False
+    old = re.escape(BUDGET["nodes"][int(index)]["id"])
+    return re.fullmatch(rf"links\.\d+\.(from|to): link references unknown "
+                        rf"node '{old}'", message) is not None
+
+
 @given(data=st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_a_drawn_budget_key_runs_or_names_itself(data):
@@ -165,9 +186,7 @@ def test_a_drawn_budget_key_runs_or_names_itself(data):
     try:
         run_budget(yaml.safe_load(yaml.safe_dump(raw)))
     except ConfigError as exc:
-        # a tree that does not hold is named by its sections
-        tree = "nodes, links:" if key.startswith(("nodes", "links")) else key
-        assert key in str(exc) or str(exc).startswith(tree)
+        assert key in str(exc) or _names_the_tree(key, str(exc))
         return
     assert not unknown, f"{key} was accepted"
 

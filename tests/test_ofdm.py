@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from oansim.channel import FiberParams, propagate_fiber
 from oansim.errors import ConfigError, SyncError
 from oansim.metrics import analytic_awgn_ber, ber_evm_metrics
-from oansim.ofdm import (OfdmConfig, add_awgn, bandwidth_for_bit_rate,
+from oansim.ofdm import (_CORR_BLOCK, OfdmConfig, _correlate, _synchronize,
+                         _to_time, add_awgn, bandwidth_for_bit_rate,
                          demodulate_ofdm, generate_ofdm, qam_demodulate,
                          qam_modulate)
 
@@ -89,6 +92,35 @@ def test_loopback_identity():
     assert evm < 1e-6
 
 
+def _one_symbol_at_a_time(cfg, bits):
+    """The frame of ``bits``, each symbol filled, transformed and given its
+    cyclic prefix on its own: the reference for :func:`generate_ofdm`."""
+    preamble, pilots = cfg._known_symbols()
+    rows = [preamble]
+    for symbols in qam_modulate(bits, cfg.qam_order).reshape(-1, cfg.n_data):
+        row = np.empty(cfg.n_subcarriers, dtype=complex)
+        row[cfg.pilot_positions], row[cfg.data_positions] = pilots, symbols
+        rows.append(row)
+    frame = []
+    for row in rows:
+        full = np.zeros(cfg.nfft, dtype=complex)
+        full[cfg.occupied_bins % cfg.nfft] = row
+        td = scipy.fft.ifft(full) * cfg.nfft
+        frame += [td[cfg.nfft - cfg.n_cp:], td]
+    x = np.concatenate(frame)
+    return x / np.sqrt(np.mean(np.abs(x) ** 2))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"qam_order": 64, "cp_fraction": 0.0, "oversampling": 3},
+    {"n_subcarriers": 16, "qam_order": 16, "cp_fraction": 0.5}])
+def test_frame_equals_the_symbol_by_symbol_reference(kwargs):
+    cfg = OfdmConfig(occupied_bandwidth=2e9, seed=4, **kwargs)
+    bits = bits_for(cfg, 25, seed=8)
+    assert np.array_equal(generate_ofdm(cfg, bits).samples,
+                          _one_symbol_at_a_time(cfg, bits))
+
+
 def test_payload_length_validation():
     cfg = OfdmConfig(occupied_bandwidth=2e9)
     with pytest.raises(ConfigError):
@@ -114,6 +146,54 @@ def test_sync_failure_on_noise():
                          + 1j * rng.normal(size=wf.n))
     with pytest.raises(SyncError):
         demodulate_ofdm(cfg, noise)
+
+
+# ---------------------------------------------------------------- sync
+
+
+def _complex(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_block_correlation_matches_numpy(data):
+    """Overlap-save blocks give ``np.correlate``'s valid lags: on records
+    shorter than a block, of one block and of many blocks with a ragged
+    tail, for preambles from one sample to more than a block."""
+    m = data.draw(st.one_of(*(st.integers(max(1, k - 8), k + 400) for k in (
+        0, _CORR_BLOCK // 2, _CORR_BLOCK))), label="preamble")
+    n = data.draw(st.one_of(
+        st.integers(m, max(m, _CORR_BLOCK - 1)), st.just(max(m, _CORR_BLOCK)),
+        st.integers(3 * _CORR_BLOCK, 5 * _CORR_BLOCK)), label="record")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rx, p = _complex(rng, n), _complex(rng, m)
+    got = _correlate(rx, p)
+    want = np.correlate(rx, p, "valid")
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _fftconvolve_start(cfg, rx):
+    """The preamble start by one whole-record correlation."""
+    preamble = _to_time(cfg, cfg._known_symbols()[0][np.newaxis])
+    return int(np.argmax(np.abs(fftconvolve(rx, np.conj(preamble[::-1]),
+                                            mode="valid"))))
+
+
+@given(st.integers(0, 3000), st.sampled_from([0.0, 4.0, 10.0]),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_sync_matches_a_whole_record_correlation(lead, ebn0, seed):
+    cfg = OfdmConfig(occupied_bandwidth=2e9, pilot_spacing=16, seed=seed)
+    wf = generate_ofdm(cfg, bits_for(cfg, 30, seed))
+    rng = np.random.default_rng(seed)
+    delayed = wf.copy_with(samples=np.concatenate(
+        [0.1 * _complex(rng, lead), wf.samples]))
+    rx = add_awgn(delayed, ebn0, cfg, seed=seed).samples
+    start = _synchronize(cfg, rx)
+    assert start == _fftconvolve_start(cfg, rx)
+    assert start == lead
 
 
 def test_loopback_through_dispersive_fiber():

@@ -1,6 +1,7 @@
 """Package-level checks: version agreement, an import that starts no
-thread, a guard against unused imports (no linter is a dependency of
-the package) and the layering of the modem against the optical layers."""
+thread and leaves out ``scipy.signal``, a guard against unused imports
+(no linter is a dependency of the package) and the layering of the
+modem against the optical layers."""
 
 import ast
 import os
@@ -25,14 +26,24 @@ def test_version_matches_pyproject():
     assert oansim.__version__ == declared.group(1)
 
 
-def test_import_starts_no_thread():
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter on this tree."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import threading, oansim; print(threading.active_count())"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "1"
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120).stdout.strip()
+
+
+def test_import_starts_no_thread():
+    assert _fresh("import threading, oansim; "
+                  "print(threading.active_count())") == "1"
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal alone took about half of the package's import time
+    assert _fresh("import sys, oansim; "
+                  "print('scipy.signal' in sys.modules)") == "False"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -483,6 +483,25 @@ def test_whole_record_transforms_per_burst(name, most, monkeypatch):
     assert sum(whole) / cfg.n_record <= most
 
 
+def test_static_responses_per_burst(monkeypatch):
+    """A modulator builds one static response per distinct bias point and
+    none when its field holds nothing outside its tone window: the
+    central office's IQ transmitters, fed one comb line each, build none,
+    and the network unit's IQ pair, whose drives have no mean, shares
+    one.  A burst of scenario A at its top point builds 18."""
+    built = []
+    original = oansim.devices._through_static_grid
+
+    def counted(params, field, detune):
+        built.append(field.n)
+        return original(params, field, detune)
+
+    monkeypatch.setattr(oansim.devices, "_through_static_grid", counted)
+    report = run_scenario(_shipped_top("scenario_a"))
+    assert report["points"][0]["bursts"] == 1
+    assert len(built) == 18
+
+
 def _demodulated_bands(cfg):
     """The IF bands each receiver of a burst demodulates, by drop filter."""
     bands = {cfg.onus[0].broadband_filter: [cfg.digital.edges()]}

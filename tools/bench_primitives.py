@@ -31,7 +31,9 @@ Primitives:
 * ``propagate_fiber``: 20 km of loss and dispersion;
 * ``amplify_ase``: 4 dB of gain with ASE at a 4.5 dB noise figure;
 * ``photodetect``: square law with shot and thermal noise;
-* ``demodulate_ofdm``: a 10 Gb/s QPSK OFDM waveform of 2^k modem samples;
+* ``generate_ofdm``: a 10 Gb/s QPSK OFDM waveform of 2^k modem samples,
+  made from its bits;
+* ``demodulate_ofdm``: that waveform detected;
 * ``iq_drive``: one analytic drive of that signal at a 7 GHz IF, from a
   modem-rate waveform as long as the record (``if_spectrum`` and
   ``analytic``);
@@ -96,14 +98,14 @@ def primitives(n: int) -> dict:
     iq_pair = Modulator(ring, 0.12, (3.0 + 0.12) * ring.fwhm,
                         IF + 0.55 * ofdm.occupied_bandwidth, iq_arms())
 
-    def modem(samples: int):
-        """A waveform of at most ``samples`` modem samples."""
+    def payload(samples: int):
+        """The bits of a waveform of at most ``samples`` modem samples."""
         symbols = samples // (ofdm.nfft + ofdm.n_cp) - 1
-        return oansim.generate_ofdm(
-            ofdm, rng.integers(0, 2, symbols * ofdm.bits_per_symbol))
+        return rng.integers(0, 2, symbols * ofdm.bits_per_symbol)
 
-    long = modem(n)
-    drive = modem(int(n * ofdm.sample_rate / FS))
+    bits = payload(n)
+    long = oansim.generate_ofdm(ofdm, bits)
+    drive = oansim.generate_ofdm(ofdm, payload(int(n * ofdm.sample_rate / FS)))
     iq = waveform.analytic(waveform.if_spectrum(drive, IF, n, FS), n, FS)
     current = oansim.ComplexWaveform(np.fft.irfft(
         waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2).astype(
@@ -117,6 +119,7 @@ def primitives(n: int) -> dict:
         "propagate_fiber": lambda: oansim.propagate_fiber(noise, fiber),
         "amplify_ase": lambda: oansim.amplify_ase(noise, 4.0, 4.5, seed=2),
         "photodetect": lambda: oansim.photodetect(noise, pd),
+        "generate_ofdm": lambda: oansim.generate_ofdm(ofdm, bits),
         "demodulate_ofdm": lambda: oansim.demodulate_ofdm(ofdm, long),
         "crop_to_band": lambda: waveform.crop_to_band(noise, F0, F0 + 15e9),
         "generate_subcarriers": lambda: oansim.generate_subcarriers(
