@@ -1,17 +1,20 @@
 """Tree-topology latency, synchronization, power, and fronthaul budgeting.
 
 Operates on an immutable topology value; all reports are itemized ledgers
-serializable to dicts.  Delay and loss figures follow the access-network
-anchors: 5 us/km one-way group delay, 0.2 dB/km attenuation, CoMP limits
-of 150 us one-way latency and +/-1.5 us synchronization skew.
+that ``dataclasses.asdict`` serializes.  Delay and loss figures follow the
+access-network anchors: 5 us/km one-way group delay, 0.2 dB/km
+attenuation, CoMP limits of 150 us one-way latency and +/-1.5 us
+synchronization skew.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .channel import GROUP_DELAY_US_PER_KM, FiberParams
+from .channel import FiberParams
 from .errors import ConfigError
+from .subsystems import BUS_LOSS_DB_PER_STAGE
 
 NODE_KINDS = ("central_office", "smart_edge", "splitter", "onu", "ru")
 
@@ -23,6 +26,11 @@ COMP_MAX_SKEW_US = 1.5
 COUPLING_DB_PER_FACET = {"packaged": 2.5, "bare": 6.0}
 
 DEFAULT_RX_SENSITIVITY_DBM = -20.0
+
+#: CPRI's control-word overhead (one word in 16) and 8b/10b line coding,
+#: from the CPRI specification (v7.0, 2015).
+CPRI_CONTROL_OVERHEAD = 16.0 / 15.0
+CPRI_LINE_CODING = 10.0 / 8.0
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,11 @@ class TreeError(ConfigError):
 
 @dataclass
 class TopologySpec:
+    """A tree rooted at its one central office, walked once at
+    construction for each node's parent and the link up to it.  A topology
+    that is not a tree raises :class:`TreeError`: a duplicate id, other
+    than one root, a link to no node, |E| != |V| - 1 or a node the walk
+    does not reach, checked in that order."""
     nodes: list
     links: list
 
@@ -73,30 +86,28 @@ class TopologySpec:
             raise TreeError("topology needs exactly one central_office root",
                             f"nodes.{roots[1]}.kind" if roots else None)
         self.root = self.nodes[roots[0]]
-        self._adj: dict[str, list[LinkSpec]] = {n.id: [] for n in self.nodes}
+        adj: dict[str, list[LinkSpec]] = {n.id: [] for n in self.nodes}
         for i, link in enumerate(self.links):
             for end, node in (("from", link.from_id), ("to", link.to_id)):
                 if node not in self._by_id:
                     raise TreeError(f"link references unknown node '{node}'",
                                     f"links.{i}.{end}")
-            self._adj[link.from_id].append(link)
-            self._adj[link.to_id].append(link)
+            adj[link.from_id].append(link)
+            adj[link.to_id].append(link)
         if len(self.links) != len(self.nodes) - 1:
             raise TreeError("topology must be a strict tree (|E| = |V| - 1)")
-        if len(self._reachable(self.root.id)) != len(self.nodes):
-            raise TreeError("topology must be connected")
-
-    def _reachable(self, start: str) -> set:
-        seen = {start}
-        frontier = [start]
+        # node id -> (parent id, link to the parent); the root's are None
+        self._up = {self.root.id: (None, None)}
+        frontier = [self.root.id]
         while frontier:
             cur = frontier.pop()
-            for link in self._adj[cur]:
+            for link in adj[cur]:
                 nxt = link.to_id if link.from_id == cur else link.from_id
-                if nxt not in seen:
-                    seen.add(nxt)
+                if nxt not in self._up:
+                    self._up[nxt] = (cur, link)
                     frontier.append(nxt)
-        return seen
+        if len(self._up) != len(self.nodes):
+            raise TreeError("topology must be connected")
 
     def node(self, node_id: str) -> NodeSpec:
         try:
@@ -105,31 +116,25 @@ class TopologySpec:
             raise ConfigError(f"unknown node '{node_id}'") from None
 
     def link_between(self, a: str, b: str) -> LinkSpec:
-        for link in self._adj[a]:
-            if {link.from_id, link.to_id} == {a, b}:
-                return link
+        self.node(a), self.node(b)
+        for child, parent in ((a, b), (b, a)):
+            if self._up[child][0] == parent:
+                return self._up[child][1]
         raise ConfigError(f"no link between '{a}' and '{b}'")
 
+    def _ancestors(self, node_id: str) -> list:
+        """``node_id`` and each node above it, up to the root."""
+        chain = [self.node(node_id).id]
+        while self._up[chain[-1]][0] is not None:
+            chain.append(self._up[chain[-1]][0])
+        return chain
+
     def path(self, a: str, b: str) -> list:
-        """Node ids along the unique tree path from a to b."""
-        self.node(a), self.node(b)
-        prev = {a: None}
-        frontier = [a]
-        while frontier:
-            cur = frontier.pop()
-            if cur == b:
-                break
-            for link in self._adj[cur]:
-                nxt = link.to_id if link.from_id == cur else link.from_id
-                if nxt not in prev:
-                    prev[nxt] = cur
-                    frontier.append(nxt)
-        if b not in prev:
-            raise ConfigError(f"no path between '{a}' and '{b}'")
-        out = [b]
-        while prev[out[-1]] is not None:
-            out.append(prev[out[-1]])
-        return out[::-1]
+        """Node ids along the unique tree path from a to b: up from a to
+        the lowest ancestor it shares with b, then down to b."""
+        up_a, up_b = self._ancestors(a), self._ancestors(b)
+        meet = next(node for node in up_a if node in up_b)
+        return up_a[:up_a.index(meet) + 1] + up_b[:up_b.index(meet)][::-1]
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,6 @@ class FronthaulSpec:
     sample_rate: float = 0.0
     bit_width: int = 0
     n_antenna_streams: int = 1
-    control_overhead: float = 16.0 / 15.0
-    line_coding: float = 10.0 / 8.0
     ecpri_split_factor: float = 1.0
     guard: float = 0.0
 
@@ -172,12 +175,9 @@ class FronthaulSpec:
             raise ConfigError(f"unknown fronthaul kind '{self.kind}'")
         if self.rf_bandwidth <= 0:
             raise ConfigError("rf_bandwidth must be > 0")
-        if self.kind in ("CPRI", "eCPRI"):
-            if self.sample_rate <= 0 or self.bit_width <= 0:
-                raise ConfigError(
-                    f"{self.kind} needs sample_rate and bit_width")
-            if self.control_overhead < 1 or self.line_coding < 1:
-                raise ConfigError("overhead ratios must be >= 1")
+        if self.kind != "ARoF" and (self.sample_rate <= 0
+                                    or self.bit_width <= 0):
+            raise ConfigError(f"{self.kind} needs sample_rate and bit_width")
 
 
 #: Standard LTE/NR digitized-fronthaul presets and analog counterparts.
@@ -198,12 +198,12 @@ FRONTHAUL_PRESETS = {
 # Operations
 
 
-def propagation_delay(length_km: float, round_trip: bool = False,
-                      us_per_km: float = GROUP_DELAY_US_PER_KM) -> float:
-    """Fiber group delay in microseconds."""
-    if length_km < 0:
-        raise ConfigError("length must be >= 0")
-    return length_km * us_per_km * (2.0 if round_trip else 1.0)
+def propagation_delay(length_km: float, round_trip: bool = False) -> float:
+    """Group delay in microseconds over ``length_km`` of fiber, one way or
+    there and back: :meth:`FiberParams.one_way_delay_us`, the figure both
+    ledgers charge per link."""
+    return FiberParams(length_km).one_way_delay_us() * (
+        2.0 if round_trip else 1.0)
 
 
 @dataclass
@@ -213,11 +213,6 @@ class LatencyReport:
     limit_us: float
     passes: bool
 
-    def to_dict(self):
-        return {"items": [list(i) for i in self.items],
-                "total_us": self.total_us, "limit_us": self.limit_us,
-                "passes": self.passes}
-
 
 def latency_budget(topology: TopologySpec, path: list,
                    service: ServiceRequirement) -> LatencyReport:
@@ -225,16 +220,11 @@ def latency_budget(topology: TopologySpec, path: list,
 
     Passes when the total is at or below the service limit.
     """
-    items = []
-    for node_id in path:
-        node = topology.node(node_id)
-        if node.processing_delay_us:
-            items.append((f"processing:{node_id}", node.processing_delay_us))
-    for a, b in zip(path, path[1:]):
-        link = topology.link_between(a, b)
-        items.append((f"fiber:{a}->{b}",
-                      propagation_delay(link.fiber.length_km,
-                                        us_per_km=link.fiber.group_delay_us_per_km)))
+    delays = [(node, topology.node(node).processing_delay_us) for node in path]
+    items = [(f"processing:{node}", us) for node, us in delays if us]
+    items += [(f"fiber:{a}->{b}",
+               topology.link_between(a, b).fiber.one_way_delay_us())
+              for a, b in zip(path, path[1:])]
     total = sum(us for _, us in items)
     limit = service.one_way_latency_limit_ms * 1e3
     return LatencyReport(items, total, limit, total <= limit)
@@ -247,13 +237,6 @@ class FeasibilityReport:
     max_skew_us: float
     offending_pairs: list
     compensated: bool
-
-    def to_dict(self):
-        return {"passes": self.passes,
-                "per_ru_latency_us": self.per_ru_latency_us,
-                "max_skew_us": self.max_skew_us,
-                "offending_pairs": [list(p) for p in self.offending_pairs],
-                "compensated": self.compensated}
 
 
 def comp_feasibility(topology: TopologySpec, ru_ids, controller: str,
@@ -270,21 +253,14 @@ def comp_feasibility(topology: TopologySpec, ru_ids, controller: str,
     latency = {}
     for ru in ru_ids:
         path = topology.path(controller, ru)
-        total = 0.0
+        latency[ru] = 0.0
         for a, b in zip(path, path[1:]):
-            link = topology.link_between(a, b)
-            total += propagation_delay(link.fiber.length_km,
-                                       us_per_km=link.fiber.group_delay_us_per_km)
-        latency[ru] = total
+            latency[ru] += topology.link_between(a, b).fiber.one_way_delay_us()
     compensated = topology.node(controller).sync_compensation
-    offending = []
-    max_skew = 0.0
-    for i, a in enumerate(ru_ids):
-        for b in ru_ids[i + 1:]:
-            skew = abs(latency[a] - latency[b])
-            max_skew = max(max_skew, skew)
-            if skew > max_skew_us:
-                offending.append((a, b, skew))
+    skews = [(a, b, abs(latency[a] - latency[b]))
+             for a, b in combinations(ru_ids, 2)]
+    offending = [pair for pair in skews if pair[2] > max_skew_us]
+    max_skew = max((skew for _, _, skew in skews), default=0.0)
     latency_ok = all(v <= max_one_way_us for v in latency.values())
     skew_ok = compensated or not offending
     return FeasibilityReport(latency_ok and skew_ok, latency, max_skew,
@@ -292,23 +268,20 @@ def comp_feasibility(topology: TopologySpec, ru_ids, controller: str,
 
 
 def fronthaul_dimension(spec: FronthaulSpec) -> dict:
-    """Line rate (or occupied optical bandwidth) and RF expansion factor."""
-    if spec.kind == "CPRI":
-        rate = (spec.sample_rate * 2 * spec.bit_width * spec.n_antenna_streams
-                * spec.control_overhead * spec.line_coding)
-        return {"kind": spec.kind, "line_rate_bps": rate,
-                "expansion_factor": rate / spec.rf_bandwidth}
+    """The fiber capacity a fronthaul stream takes, and its expansion
+    factor over the RF band: ARoF its band plus a guard ratio of optical
+    bandwidth; CPRI I and Q samples of ``bit_width`` bits per antenna
+    stream with control words and line coding; eCPRI its split of that."""
+    if spec.kind == "ARoF":
+        bw = spec.rf_bandwidth * (1.0 + spec.guard)
+        return {"kind": spec.kind, "optical_bandwidth_hz": bw,
+                "expansion_factor": bw / spec.rf_bandwidth}
+    rate = (spec.sample_rate * 2 * spec.bit_width * spec.n_antenna_streams
+            * CPRI_CONTROL_OVERHEAD * CPRI_LINE_CODING)
     if spec.kind == "eCPRI":
-        stream = (spec.sample_rate * 2 * spec.bit_width
-                  * spec.n_antenna_streams * spec.control_overhead
-                  * spec.line_coding)
-        rate = stream * spec.ecpri_split_factor
-        return {"kind": spec.kind, "line_rate_bps": rate,
-                "expansion_factor": rate / spec.rf_bandwidth}
-    # ARoF: occupied optical bandwidth with a guard ratio
-    bw = spec.rf_bandwidth * (1.0 + spec.guard)
-    return {"kind": spec.kind, "optical_bandwidth_hz": bw,
-            "expansion_factor": bw / spec.rf_bandwidth}
+        rate *= spec.ecpri_split_factor
+    return {"kind": spec.kind, "line_rate_bps": rate,
+            "expansion_factor": rate / spec.rf_bandwidth}
 
 
 @dataclass
@@ -320,23 +293,19 @@ class PowerReport:
     margin_db: float
     passes: bool
 
-    def to_dict(self):
-        return {"items": [list(i) for i in self.items],
-                "total_db": self.total_db, "received_dbm": self.received_dbm,
-                "sensitivity_dbm": self.sensitivity_dbm,
-                "margin_db": self.margin_db, "passes": self.passes}
-
 
 def power_budget(topology: TopologySpec, path: list,
                  tx_power_dbm: float = 0.0,
                  coupling: str = "packaged", n_facets: int = 2,
-                 bus_stages: int = 0, bus_loss_db_per_stage: float = 0.1,
+                 bus_stages: int = 0,
+                 bus_loss_db_per_stage: float = BUS_LOSS_DB_PER_STAGE,
                  rx_sensitivity_dbm: float = DEFAULT_RX_SENSITIVITY_DBM) -> PowerReport:
     """Itemized optical power ledger along a path.
 
     Includes fiber attenuation, per-link component losses (splitters etc.),
     chip facet coupling (packaged 2.5 dB or bare 6 dB per facet), and bus
-    insertion loss; margin is against the configured receiver sensitivity.
+    insertion loss, by default the loss a burst charges per device; margin
+    is against the configured receiver sensitivity.
     """
     if coupling not in COUPLING_DB_PER_FACET:
         raise ConfigError(f"coupling must be one of {list(COUPLING_DB_PER_FACET)}")

@@ -17,6 +17,8 @@ from .waveform import ComplexWaveform, _phasor
 
 #: One-way group delay used throughout (100 km round trip = 1 ms).
 GROUP_DELAY_US_PER_KM = 5.0
+#: The wavelength the dispersion coefficient is quoted at.
+REF_WAVELENGTH_NM = 1550.0
 
 
 @dataclass(frozen=True)
@@ -24,8 +26,6 @@ class FiberParams:
     length_km: float
     atten_db_per_km: float = 0.2
     dispersion_ps_nm_km: float = 17.0
-    group_delay_us_per_km: float = GROUP_DELAY_US_PER_KM
-    ref_wavelength_nm: float = 1550.0
 
     def __post_init__(self):
         if self.length_km < 0:
@@ -38,7 +38,7 @@ class FiberParams:
         return self.atten_db_per_km * self.length_km
 
     def one_way_delay_us(self) -> float:
-        return self.group_delay_us_per_km * self.length_km
+        return GROUP_DELAY_US_PER_KM * self.length_km
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class PdParams:
 
 def dispersion_phase(fiber: FiberParams, freq_offsets: np.ndarray) -> np.ndarray:
     """All-pass quadratic phase of chromatic dispersion around the carrier."""
-    lam = fiber.ref_wavelength_nm * 1e-9
+    lam = REF_WAVELENGTH_NM * 1e-9
     d = fiber.dispersion_ps_nm_km * 1e-6  # s/m^2
     length = fiber.length_km * 1e3
     return -np.pi * lam**2 * d * length * freq_offsets**2 / C_LIGHT

@@ -19,24 +19,26 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .budget import (COUPLING_DB_PER_FACET, FRONTHAUL_PRESETS, NODE_KINDS,
-                     SERVICE_CATALOG, FronthaulSpec, LinkSpec, NodeSpec,
-                     ServiceRequirement, TopologySpec, TreeError,
-                     comp_feasibility, fronthaul_dimension, latency_budget,
-                     power_budget)
+from .budget import (COMP_MAX_ONE_WAY_US, COMP_MAX_SKEW_US,
+                     COUPLING_DB_PER_FACET, DEFAULT_RX_SENSITIVITY_DBM,
+                     FRONTHAUL_PRESETS, NODE_KINDS, SERVICE_CATALOG,
+                     FronthaulSpec, LinkSpec, NodeSpec, ServiceRequirement,
+                     TopologySpec, TreeError, comp_feasibility,
+                     fronthaul_dimension, latency_budget, power_budget)
 from .channel import FiberParams
 from .devices import ring_response
 from .errors import ConfigError, SimulationError
-from .scenarios import (ScenarioConfig, _choice, _flag, _naming,
-                        _non_negative, _number, _positive, _ranged, _resolve,
-                        _Values, _whole, builtin_config_path, emit_reports,
-                        load_config, run_scenario)
+from .scenarios import (ScenarioConfig, _choice, _file_name, _flag, _name,
+                        _naming, _non_negative, _number, _positive, _ranged,
+                        _resolve, _Values, _whole, builtin_config_path,
+                        emit_reports, load_config, run_scenario)
+from .subsystems import BUS_LOSS_DB_PER_STAGE
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,17 +65,26 @@ def _load_scenario(args) -> ScenarioConfig:
 
 
 def _out_dir(args, cfg: ScenarioConfig | None = None) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    if cfg is not None:
-        return Path(cfg.output)
-    return Path("reports")
+    """The output directory, made: ``--out``, else a scenario's ``output``,
+    else ``reports``; a ConfigError names the one that cannot be made."""
+    if args.out is None and cfg is not None:
+        source, out = "output", Path(cfg.output)
+    else:
+        source, out = "--out", Path("reports" if args.out is None
+                                    else args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot make directory {out}: {exc}"
+                          ) from None
+    return out
 
 
 def _cmd_run(args, sweep_override=None) -> int:
     cfg = _load_scenario(args)
+    out_dir = _out_dir(args, cfg)
     report = run_scenario(cfg, full=args.full, sweep_override=sweep_override)
-    paths = emit_reports(report, _out_dir(args, cfg), _formats(args.format))
+    paths = emit_reports(report, out_dir, _formats(args.format))
     top = report["points"][-1]
     print(f"scenario {report['name']}: seed {report['seed']}, "
           f"{len(report['points'])} sweep point(s)")
@@ -100,30 +111,33 @@ def _components(val) -> tuple:
 
 
 _list = _ranged(lambda x: x, lambda x: isinstance(x, list), "a list")
+_node_list = _ranged(_list, lambda x: all(isinstance(n, str) for n in x),
+                     "a list of node ids")
 # a budget config's keys, laid out as scenarios._KEYS; a service and a
 # fronthaul entry are a shipped name or a mapping of _SERVICE or _FRONTHAUL
-_SERVICE = {"name": (str,), "one_way_latency_limit_ms": (_positive,),
+_SERVICE = {"name": (_name,), "one_way_latency_limit_ms": (_positive,),
             "dl_rate_bps": (_number, 0.0), "ul_rate_bps": (_number, 0.0)}
 _FRONTHAUL = {"kind": (_choice("CPRI", "eCPRI", "ARoF"),),
               "rf_bandwidth": (_positive,), "sample_rate": (_number, 0.0),
               "bit_width": (_whole, 0), "n_antenna_streams": (_whole, 1),
               "ecpri_split_factor": (_number, 1.0), "guard": (_number, 0.0)}
-_NODE = {"id": (str,), "kind": (_choice(*NODE_KINDS),),
+_NODE = {"id": (_name,), "kind": (_choice(*NODE_KINDS),),
          "processing_delay_us": (_number, 0.0),
          "sync_compensation": (_flag, False)}
-_LINK = {"from": (str,), "to": (str,), "length_km": (_non_negative,),
+_LINK = {"from": (_name,), "to": (_name,), "length_km": (_non_negative,),
          "atten_db_per_km": (_non_negative, 0.2),
          "dispersion_ps_nm_km": (_number, 17.0),
          "components": (_components, ())}
-_LATENCY = {"path": (_list,), "service": (lambda entry: entry,)}
-_COMP = {"rus": (_list,), "controller": (str,),
-         "max_one_way_us": (_number, 150.0), "max_skew_us": (_number, 1.5)}
-_POWER = {"path": (_list,), "tx_power_dbm": (_number, 0.0),
+_LATENCY = {"path": (_node_list,), "service": (lambda entry: entry,)}
+_COMP = {"rus": (_node_list,), "controller": (_name,),
+         "max_one_way_us": (_number, COMP_MAX_ONE_WAY_US),
+         "max_skew_us": (_number, COMP_MAX_SKEW_US)}
+_POWER = {"path": (_node_list,), "tx_power_dbm": (_number, 0.0),
           "coupling": (_choice(*COUPLING_DB_PER_FACET), "packaged"),
           "n_facets": (_whole, 2), "bus_stages": (_whole, 0),
-          "bus_loss_db_per_stage": (_number, 0.1),
-          "rx_sensitivity_dbm": (_number, -20.0)}
-_BUDGET = {"name": (str, "budget"), "nodes": [_NODE], "links": [_LINK],
+          "bus_loss_db_per_stage": (_number, BUS_LOSS_DB_PER_STAGE),
+          "rx_sensitivity_dbm": (_number, DEFAULT_RX_SENSITIVITY_DBM)}
+_BUDGET = {"name": (_file_name, "budget"), "nodes": [_NODE], "links": [_LINK],
            "latency": [_LATENCY], "comp": [_COMP], "fronthaul": (_list, []),
            "power": [_POWER]}
 
@@ -178,7 +192,7 @@ def run_budget(raw: dict) -> dict:
         rep = _naming((f"latency.{i}.path",), latency_budget, topo,
                       item["path"], svc)
         report["latency"].append({"path": item["path"], "service": svc.name,
-                                  **rep.to_dict()})
+                                  **asdict(rep)})
 
     report["comp"] = []
     for i, item in enumerate(_items(values, "comp")):
@@ -186,48 +200,43 @@ def run_budget(raw: dict) -> dict:
                       comp_feasibility, topo, item["rus"], item["controller"],
                       item["max_one_way_us"], item["max_skew_us"])
         report["comp"].append({"controller": item["controller"],
-                               "rus": sorted(item["rus"]), **rep.to_dict()})
+                               "rus": sorted(item["rus"]), **asdict(rep)})
 
     report["fronthaul"] = []
     for i, entry in enumerate(values["fronthaul"]):
         spec = _named(entry, f"fronthaul.{i}", FRONTHAUL_PRESETS, _FRONTHAUL,
                       values, FronthaulSpec)
-        dim = fronthaul_dimension(spec)
-        dim["preset"] = entry if isinstance(entry, str) else spec.kind
-        report["fronthaul"].append(dim)
+        report["fronthaul"].append({**fronthaul_dimension(spec), "preset": (
+            entry if isinstance(entry, str) else spec.kind)})
 
     report["power"] = []
     for i, item in enumerate(_items(values, "power")):
         rep = _naming((f"power.{i}.path",), power_budget, topo, **item)
-        report["power"].append({"path": item["path"], **rep.to_dict()})
+        report["power"].append({"path": item["path"], **asdict(rep)})
     return report
 
 
 def _print_budget(report: dict) -> None:
+    verdict = {True: "PASS", False: "FAIL"}
     for entry in report["latency"]:
-        verdict = "PASS" if entry["passes"] else "FAIL"
         print(f"latency {'->'.join(entry['path'])} [{entry['service']}]: "
               f"{entry['total_us']:.1f} us of {entry['limit_us']:.1f} us "
-              f"-> {verdict}")
+              f"-> {verdict[entry['passes']]}")
     for entry in report["comp"]:
-        verdict = "PASS" if entry["passes"] else "FAIL"
         print(f"comp {entry['controller']} <- {','.join(entry['rus'])}: "
               f"max skew {entry['max_skew_us']:.3f} us "
-              f"(compensated={entry['compensated']}) -> {verdict}")
+              f"(compensated={entry['compensated']}) "
+              f"-> {verdict[entry['passes']]}")
     for entry in report["fronthaul"]:
-        if "line_rate_bps" in entry:
-            print(f"fronthaul {entry['preset']} ({entry['kind']}): "
-                  f"{entry['line_rate_bps']/1e9:.4f} Gb/s, "
-                  f"expansion {entry['expansion_factor']:.2f}x")
-        else:
-            print(f"fronthaul {entry['preset']} ({entry['kind']}): "
-                  f"{entry['optical_bandwidth_hz']/1e6:.1f} MHz optical, "
-                  f"expansion {entry['expansion_factor']:.2f}x")
+        size = (f"{entry['line_rate_bps']/1e9:.4f} Gb/s"
+                if "line_rate_bps" in entry else
+                f"{entry['optical_bandwidth_hz']/1e6:.1f} MHz optical")
+        print(f"fronthaul {entry['preset']} ({entry['kind']}): {size}, "
+              f"expansion {entry['expansion_factor']:.2f}x")
     for entry in report["power"]:
-        verdict = "PASS" if entry["passes"] else "FAIL"
         print(f"power {'->'.join(entry['path'])}: received "
               f"{entry['received_dbm']:.1f} dBm, margin "
-              f"{entry['margin_db']:.1f} dB -> {verdict}")
+              f"{entry['margin_db']:.1f} dB -> {verdict[entry['passes']]}")
 
 
 def _cmd_budget(args) -> int:
@@ -237,10 +246,8 @@ def _cmd_budget(args) -> int:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     report = run_budget(raw)
+    out = _out_dir(args) / f"{report['name']}_budget.json"
     _print_budget(report)
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"{report['name']}_budget.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
@@ -265,9 +272,7 @@ def _cmd_devices(args) -> int:
     span = args.span if args.span is not None else 10.0 * ring.fwhm
     freqs = center + np.linspace(-span / 2, span / 2, args.points)
     through, drop = ring_response(ring, freqs)
-    out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"{cfg.name}_ring_response.csv"
+    out = _out_dir(args) / f"{cfg.name}_ring_response.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["freq_hz", "through_db", "drop_db", "phase_rad"])

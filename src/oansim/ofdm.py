@@ -86,11 +86,6 @@ def qam_demodulate(symbols: np.ndarray, order: int) -> np.ndarray:
     return np.concatenate([bi, bq], axis=1).ravel()
 
 
-def qam_decide(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Nearest constellation point for each symbol."""
-    return qam_modulate(qam_demodulate(symbols, order), order)
-
-
 # ---------------------------------------------------------------------------
 # OFDM configuration
 
@@ -317,7 +312,7 @@ def demodulate_ofdm(config: OfdmConfig, waveform: ComplexWaveform,
     eq = payload / h_est[np.newaxis, :]
     data = eq[:, dpos].ravel()
     bits = qam_demodulate(data, config.qam_order)
-    decided = qam_decide(data, config.qam_order)
+    decided = qam_modulate(bits, config.qam_order)   # nearest points
     evm = float(np.sqrt(np.mean(np.abs(data - decided) ** 2)
                         / np.mean(np.abs(decided) ** 2)))
     return bits, evm

@@ -104,9 +104,9 @@ def _flag(val) -> bool:
     return val
 
 
-def _file_name(val):
-    if Path(str(val)).name != str(val):
-        raise ValueError(f"expected a bare file name, not {val!r}")
+def _name(val) -> str:
+    if not isinstance(val, str) or not val:
+        raise ValueError(f"expected a non-empty string, not {val!r}")
     return val
 
 
@@ -127,6 +127,7 @@ def _ranged(convert, accept, expected: str):
     return checked
 
 
+_file_name = _ranged(_name, lambda x: Path(x).name == x, "a bare file name")
 _fraction = _ranged(_number, lambda x: 0.0 < x < 1.0, "a fraction in (0, 1)")
 _unit = _ranged(_number, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
 # an order counts the multiplies raising a filter's skirt u^(2 order) in

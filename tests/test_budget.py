@@ -66,6 +66,38 @@ def test_topology_path_lookup():
     assert topo.link_between("co", "edge").fiber.length_km == 10.0
 
 
+def test_topology_path_meets_the_ancestor_chains():
+    topo = tree()
+    assert topo.path("ru1", "ru2") == ["ru1", "edge", "ru2"]
+    assert topo.path("ru2", "co") == ["ru2", "edge", "co"]
+    assert topo.path("edge", "edge") == ["edge"]
+    assert topo.link_between("ru1", "edge") is topo.link_between("edge", "ru1")
+    for a, b in (("co", "nope"), ("nope", "co"), ("co", "ru1"), ("co", "co")):
+        with pytest.raises(ConfigError):
+            topo.link_between(a, b)
+    with pytest.raises(ConfigError):
+        topo.path("co", "nope")
+
+
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_topology_path_is_the_tree_walk(draws, data):
+    # node i hangs off an earlier node, its link written either way round
+    nodes = [NodeSpec("n0", "central_office"),
+             *(NodeSpec(f"n{i}", "ru") for i in range(1, len(draws) + 1))]
+    links = []
+    for i, draw in enumerate(draws, start=1):
+        ends = (f"n{draw % i}", f"n{i}")[::1 if draw % 2 else -1]
+        links.append(LinkSpec(*ends, FiberParams(1.0)))
+    topo = TopologySpec(nodes, links)
+    a, b = (data.draw(st.sampled_from([n.id for n in nodes])) for _ in "ab")
+    path = topo.path(a, b)
+    assert (path[0], path[-1]) == (a, b) and len(set(path)) == len(path)
+    for x, y in zip(path, path[1:]):
+        link = topo.link_between(x, y)
+        assert {link.from_id, link.to_id} == {x, y}
+
+
 # ---------------------------------------------------------------- latency
 
 

@@ -379,6 +379,60 @@ def test_budget_flag_must_be_a_yaml_boolean(tmp_path, capsys):
     assert "nodes.0.sync_compensation" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value, key", [
+    # node lists: each ended in a traceback, a KeyError or an unhashable
+    # list
+    (["power", 0, "path"], ["nope", "co"], "power.0.path"),
+    (["power", 0, "path"], [["co"], "edge"], "power.0.path"),
+    (["latency", 0, "path"], [["co"], "edge"], "latency.0.path"),
+    (["comp", 0, "rus"], [["ru1"]], "comp.0.rus"),
+    # names: each was taken as its str(), and ../x wrote its report
+    # outside --out
+    (["name"], True, "name"),
+    (["name"], [1.0], "name"),
+    (["name"], "../x", "name"),
+    (["nodes", 0, "id"], True, "nodes.0.id"),
+    (["nodes", 0, "id"], [1.0], "nodes.0.id"),
+    (["latency", 1, "service"], {"name": True, "one_way_latency_limit_ms": 1},
+     "latency.1.service.name"),
+    (["latency", 1, "service"],
+     {"name": [1.0], "one_way_latency_limit_ms": 1}, "latency.1.service.name"),
+])
+def test_budget_names_and_node_lists_exit_2_naming_the_key(
+        path, value, key, tmp_path, capsys):
+    raw = yaml.safe_load(builtin_config_path("budget_example").read_text())
+    section = raw
+    for name in path[:-1]:
+        section = section[name]
+    section[path[-1]] = value
+    p = tmp_path / "bad_budget.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    assert main(["budget", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*_budget.json"))
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--config", "MINI"],
+    ["budget", "--config", "budget_example"],
+    ["devices", "--config", "scenario_b", "--points", "11"],
+])
+def test_an_out_that_is_a_file_exits_2_naming_it(command, mini_path, tmp_path,
+                                                 capsys):
+    # budget and devices ended in a FileExistsError traceback, and run
+    # exited 2 only after its whole run
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    command = [str(mini_path) if arg == "MINI" else arg for arg in command]
+    assert main([*command, "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert "--out: cannot make directory" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert taken.read_text() == ""
+
+
 def test_devices_csv(tmp_path):
     out = tmp_path / "dev"
     assert main(["devices", "--config", "scenario_a", "--out", str(out),

@@ -85,6 +85,9 @@ def _budget_base() -> dict:
 BUDGET = _budget_base()
 BUDGET_KEYS = [*_dotted(_BUDGET), *(f"latency.2.service.{k}" for k in _SERVICE),
                *(f"fronthaul.3.{k}" for k in _FRONTHAUL)]
+#: The budget keys that list node ids, drawn also as a pair of a value of
+#: VALUES and a node of BUDGET.
+NODE_LISTS = ("latency.0.path", "comp.0.rus", "power.0.path")
 
 
 def _names(table):
@@ -115,7 +118,9 @@ def test_every_table_key_is_drawn():
 def _edit(data, base: dict, keys: list, names):
     """``base`` with one drawn change, the dotted key that names it, and
     whether that key is unknown: a value of :data:`VALUES` for a key of
-    ``keys``, or the key's last part misspelt by one letter."""
+    ``keys`` (for a key of :data:`NODE_LISTS`, or that value and a known
+    node as a two-item list, in either order), or the key's last part
+    misspelt by one letter."""
     key = data.draw(st.sampled_from(keys), label="key")
     raw = copy.deepcopy(base)
     section, name = _parent(raw, key), key.rsplit(".", 1)[-1]
@@ -126,7 +131,13 @@ def _edit(data, base: dict, keys: list, names):
             + name[at + 1:]
         section[wrong] = section.pop(name)
         return raw, key[:-len(name)] + wrong, wrong not in names(key)
-    section[name] = data.draw(st.sampled_from(VALUES), label="value")
+    value = data.draw(st.sampled_from(VALUES), label="value")
+    if key in NODE_LISTS and data.draw(st.booleans(), label="paired"):
+        node = data.draw(st.sampled_from([n["id"] for n in BUDGET["nodes"]]),
+                         label="node")
+        value = [value, node] if data.draw(st.booleans(), label="first") \
+            else [node, value]
+    section[name] = value
     return raw, key, False
 
 
@@ -165,14 +176,15 @@ TREE_SHAPES = ("nodes, links: topology must be a strict tree",
                "nodes, links: topology must be connected")
 
 
-def _names_the_tree(key: str, message: str) -> bool:
-    """Whether ``message`` rightly names a tree fault other than ``key``:
-    a shape of :data:`TREE_SHAPES`, or, for a node's id, the end of a link
-    that still names the node's id in :data:`BUDGET`."""
+def _names_the_tree(key: str, value, message: str) -> bool:
+    """Whether ``message`` rightly names a tree fault other than ``key``,
+    drawn as ``value``: a shape of :data:`TREE_SHAPES`, or, for a node's id
+    drawn as a string, the end of a link that still names the node's id in
+    :data:`BUDGET`."""
     if message.startswith(TREE_SHAPES):
         return True
     section, index, name = (key.split(".") + ["", ""])[:3]
-    if (section, name) != ("nodes", "id"):
+    if (section, name) != ("nodes", "id") or not isinstance(value, str):
         return False
     old = re.escape(BUDGET["nodes"][int(index)]["id"])
     return re.fullmatch(rf"links\.\d+\.(from|to): link references unknown "
@@ -186,7 +198,8 @@ def test_a_drawn_budget_key_runs_or_names_itself(data):
     try:
         run_budget(yaml.safe_load(yaml.safe_dump(raw)))
     except ConfigError as exc:
-        assert key in str(exc) or _names_the_tree(key, str(exc))
+        value = _parent(raw, key)[key.rsplit(".", 1)[-1]]
+        assert key in str(exc) or _names_the_tree(key, value, str(exc))
         return
     assert not unknown, f"{key} was accepted"
 

@@ -1,10 +1,10 @@
-"""Print the SHA-256 of the scenario reports that show a change of numbers.
+"""Print the SHA-256 of the reports that show a change of numbers.
 
     python3 tools/report_hashes.py [NAME ...]
 
-Each report is ``run_scenario(cfg)`` hashed as ``json.dumps(report,
-sort_keys=True)``, so two trees with equal hashes give byte-identical
-reports.  The configs, by name (all of them by default):
+Each report is hashed as ``json.dumps(report, sort_keys=True)``, so two
+trees with equal hashes give byte-identical reports.  The reports, by name
+(all of them by default), are ``run_scenario(cfg)`` of the configs
 
 * ``cli_mini`` and ``scenarios_mini``: the MINI configs of
   ``tests/test_cli.py`` and ``tests/test_scenarios.py``, loaded from YAML
@@ -12,7 +12,9 @@ reports.  The configs, by name (all of them by default):
 * ``a_cut`` and ``b_cut``: scenarios A and B cut as the gate cuts them
   (``tests/gate.py``), at seed 1;
 * ``a_top`` and ``b_top``: scenarios A and B at their top point with the
-  benchmark's bit targets (``perfbench/workloads.py``), at seed 101.
+  benchmark's bit targets (``perfbench/workloads.py``), at seed 101;
+
+and ``budget_example``, ``cli.run_budget`` of the shipped budget config.
 
 Everything is imported from this file's tree (``src``, ``tests`` and
 ``perfbench``), so a copy of the tool in another tree hashes that tree.
@@ -56,21 +58,39 @@ def _cut(name: str):
     return gate.scenario_config(name, 1, cut=True)
 
 
-CONFIGS = {
-    "cli_mini": lambda: _mini("test_cli"),
-    "scenarios_mini": lambda: _mini("test_scenarios"),
-    "a_cut": lambda: _cut("scenario_a"),
-    "b_cut": lambda: _cut("scenario_b"),
-    "a_top": lambda: _top("scenario_a_top"),
-    "b_top": lambda: _top("scenario_b_top"),
+def _scenario(config):
+    """The report of a scenario run of ``config()``."""
+    def report():
+        from oansim.scenarios import run_scenario
+
+        return run_scenario(config())
+    return report
+
+
+def _budget():
+    import yaml
+
+    from oansim.cli import run_budget
+    from oansim.scenarios import builtin_config_path
+
+    path = builtin_config_path("budget_example")
+    return run_budget(yaml.safe_load(path.read_text()))
+
+
+REPORTS = {
+    "cli_mini": _scenario(lambda: _mini("test_cli")),
+    "scenarios_mini": _scenario(lambda: _mini("test_scenarios")),
+    "a_cut": _scenario(lambda: _cut("scenario_a")),
+    "b_cut": _scenario(lambda: _cut("scenario_b")),
+    "a_top": _scenario(lambda: _top("scenario_a_top")),
+    "b_top": _scenario(lambda: _top("scenario_b_top")),
+    "budget_example": _budget,
 }
 
 
 def report_hash(name: str) -> str:
-    """The SHA-256 of the report of the config ``name``."""
-    from oansim.scenarios import run_scenario
-
-    report = run_scenario(CONFIGS[name]())
+    """The SHA-256 of the report ``name``."""
+    report = REPORTS[name]()
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()
                           ).hexdigest()
 
@@ -78,14 +98,14 @@ def report_hash(name: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("names", nargs="*", metavar="NAME",
-                        help=f"configs to hash: {', '.join(CONFIGS)}")
+                        help=f"reports to hash: {', '.join(REPORTS)}")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.names) - set(CONFIGS))
+    unknown = sorted(set(args.names) - set(REPORTS))
     if unknown:
-        parser.error(f"unknown configs {unknown}; known: {list(CONFIGS)}")
+        parser.error(f"unknown reports {unknown}; known: {list(REPORTS)}")
     for part in ("perfbench", "tests", "src"):
         sys.path.insert(0, str(ROOT / part))
-    for name in args.names or CONFIGS:
+    for name in args.names or REPORTS:
         print(f"{name} {report_hash(name)}", flush=True)
     return 0
 
