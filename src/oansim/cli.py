@@ -17,28 +17,26 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .budget import (COMP_MAX_ONE_WAY_US, COMP_MAX_SKEW_US,
-                     COUPLING_DB_PER_FACET, DEFAULT_RX_SENSITIVITY_DBM,
-                     FRONTHAUL_PRESETS, NODE_KINDS, SERVICE_CATALOG,
-                     FronthaulSpec, LinkSpec, NodeSpec, ServiceRequirement,
-                     TopologySpec, TreeError, comp_feasibility,
-                     fronthaul_dimension, latency_budget, power_budget)
+from .budget import (COUPLING_DB_PER_FACET, FRONTHAUL_PRESETS, NODE_KINDS,
+                     SERVICE_CATALOG, FronthaulSpec, LinkSpec, NodeSpec,
+                     ServiceRequirement, TopologySpec, TreeError,
+                     comp_feasibility, fronthaul_dimension, latency_budget,
+                     power_budget)
 from .channel import FiberParams
 from .devices import ring_response
 from .errors import ConfigError, SimulationError
 from .scenarios import (ScenarioConfig, _choice, _file_name, _flag, _name,
                         _naming, _non_negative, _number, _positive, _ranged,
                         _resolve, _Values, _whole, builtin_config_path,
-                        emit_reports, load_config, run_scenario)
-from .subsystems import BUS_LOSS_DB_PER_STAGE
+                        emit_reports, load_config, read_yaml, run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,13 +44,12 @@ EXIT_SIMULATION = 3
 
 
 def _resolve_config_path(config: str) -> Path:
-    """Accept either a filesystem path or a shipped config name."""
+    """Accept either a filesystem path or a shipped config name; a missing
+    file is named where it is read (:func:`~oansim.scenarios.read_yaml`)."""
     p = Path(config)
-    if p.exists():
+    if p.exists() or "/" in config or config.endswith((".yaml", ".yml")):
         return p
-    if "/" not in config and not config.endswith((".yaml", ".yml")):
-        return builtin_config_path(config)
-    raise ConfigError(f"config file not found: {p}")
+    return builtin_config_path(config)
 
 
 def _formats(fmt: str) -> tuple:
@@ -110,33 +107,42 @@ def _components(val) -> tuple:
     return tuple((str(label), _number(db)) for label, db in val)
 
 
+def _fields(source, **converters) -> dict:
+    """A table of the keys ``converters`` names, each with the default of
+    its field of ``source``, a dataclass or a function, if it has one."""
+    params = inspect.signature(source).parameters
+    return {name: (convert,) if params[name].default is inspect.Parameter.empty
+            else (convert, params[name].default)
+            for name, convert in converters.items()}
+
+
 _list = _ranged(lambda x: x, lambda x: isinstance(x, list), "a list")
 _node_list = _ranged(_list, lambda x: all(isinstance(n, str) for n in x),
                      "a list of node ids")
-# a budget config's keys, laid out as scenarios._KEYS; a service and a
-# fronthaul entry are a shipped name or a mapping of _SERVICE or _FRONTHAUL
-_SERVICE = {"name": (_name,), "one_way_latency_limit_ms": (_positive,),
-            "dl_rate_bps": (_number, 0.0), "ul_rate_bps": (_number, 0.0)}
-_FRONTHAUL = {"kind": (_choice("CPRI", "eCPRI", "ARoF"),),
-              "rf_bandwidth": (_positive,), "sample_rate": (_number, 0.0),
-              "bit_width": (_whole, 0), "n_antenna_streams": (_whole, 1),
-              "ecpri_split_factor": (_number, 1.0), "guard": (_number, 0.0)}
-_NODE = {"id": (_name,), "kind": (_choice(*NODE_KINDS),),
-         "processing_delay_us": (_number, 0.0),
-         "sync_compensation": (_flag, False)}
-_LINK = {"from": (_name,), "to": (_name,), "length_km": (_non_negative,),
-         "atten_db_per_km": (_non_negative, 0.2),
-         "dispersion_ps_nm_km": (_number, 17.0),
-         "components": (_components, ())}
+# a budget config's keys, laid out as scenarios._KEYS, each default that
+# of the field it feeds; a service and a fronthaul entry are a shipped
+# name or a mapping of _SERVICE or _FRONTHAUL
+_SERVICE = _fields(ServiceRequirement, name=_name,
+                   one_way_latency_limit_ms=_positive, dl_rate_bps=_number,
+                   ul_rate_bps=_number)
+_FRONTHAUL = _fields(FronthaulSpec, kind=_choice("CPRI", "eCPRI", "ARoF"),
+                     rf_bandwidth=_positive, sample_rate=_number,
+                     bit_width=_whole, n_antenna_streams=_whole,
+                     ecpri_split_factor=_number, guard=_number)
+_NODE = _fields(NodeSpec, id=_name, kind=_choice(*NODE_KINDS),
+                processing_delay_us=_number, sync_compensation=_flag)
+_LINK = {"from": (_name,), "to": (_name,), **_fields(
+    FiberParams, length_km=_non_negative, atten_db_per_km=_non_negative,
+    dispersion_ps_nm_km=_number),
+    "components": (_components, LinkSpec.component_losses)}
 _LATENCY = {"path": (_node_list,), "service": (lambda entry: entry,)}
-_COMP = {"rus": (_node_list,), "controller": (_name,),
-         "max_one_way_us": (_number, COMP_MAX_ONE_WAY_US),
-         "max_skew_us": (_number, COMP_MAX_SKEW_US)}
-_POWER = {"path": (_node_list,), "tx_power_dbm": (_number, 0.0),
-          "coupling": (_choice(*COUPLING_DB_PER_FACET), "packaged"),
-          "n_facets": (_whole, 2), "bus_stages": (_whole, 0),
-          "bus_loss_db_per_stage": (_number, BUS_LOSS_DB_PER_STAGE),
-          "rx_sensitivity_dbm": (_number, DEFAULT_RX_SENSITIVITY_DBM)}
+_COMP = {"rus": (_node_list,), **_fields(
+    comp_feasibility, controller=_name, max_one_way_us=_number,
+    max_skew_us=_number)}
+_POWER = _fields(power_budget, path=_node_list, tx_power_dbm=_number,
+                 coupling=_choice(*COUPLING_DB_PER_FACET), n_facets=_whole,
+                 bus_stages=_whole, bus_loss_db_per_stage=_number,
+                 rx_sensitivity_dbm=_number)
 _BUDGET = {"name": (_file_name, "budget"), "nodes": [_NODE], "links": [_LINK],
            "latency": [_LATENCY], "comp": [_COMP], "fronthaul": (_list, []),
            "power": [_POWER]}
@@ -240,12 +246,7 @@ def _print_budget(report: dict) -> None:
 
 
 def _cmd_budget(args) -> int:
-    path = _resolve_config_path(args.config)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    report = run_budget(raw)
+    report = run_budget(read_yaml(_resolve_config_path(args.config)))
     out = _out_dir(args) / f"{report['name']}_budget.json"
     _print_budget(report)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

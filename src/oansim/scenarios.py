@@ -214,7 +214,7 @@ _KEYS = {
     "sweep": {"rx_power_dbm": (_sweep,), "bits_per_point": (_count, 2.5e5),
               "top_bits": (_count, 2.0e6), "full_bits": (_count, 1.0e7),
               "burst_symbols": (_burst, 2000)},
-    "output": (str, "reports"),
+    "output": (_name, "reports"),
 }
 # the config keys of a ring's linewidth, which sizes its tone windows
 _LINEWIDTH = ("devices.ring.fsr", "devices.ring.coupling",
@@ -367,7 +367,8 @@ class ScenarioConfig:
     (``subcarrier_tunnels``; ``(None, [])`` without tunnels) or the radio
     channels' IQ pair (``adjacent_rf``); ``edge_payloads`` holds, per
     smart-edge modulator, the indices of the ``payloads`` whose spectra
-    its drive sums.  ``intercept`` and ``demux`` are the uplink drops and
+    its drive sums.  ``intercept`` and ``demux`` are the uplink drops, run
+    where ``edge_uplink`` and ``co_uplink`` say the uplink is detected, and
     ``detector`` the receivers' unseeded detector.
     """
     raw: dict
@@ -457,14 +458,16 @@ class ScenarioConfig:
                 raise ConfigError("adjacent_rf needs rf_channels and "
                                   "rf_groups that partition their indices")
 
-        # the smart edge detects the radio uplink of tunnels, if any, and
-        # the digital uplink under adjacent_rf; the central office detects
-        # the digital uplink of tunnels
+        # where the uplink is detected, read by the burst and the slot
+        # check: the smart edge detects the radio uplink of tunnels, if
+        # any, and the digital uplink under adjacent_rf; the central office
+        # detects the digital uplink of tunnels
         self.uplink = {"digital": signal("digital", 2)}
         if v.get("uplink.rof"):
             self.uplink["rof"] = signal("uplink.rof", 3)
         self.edge_uplink = ("rof" if "rof" in self.uplink
                             else None if tunnels else "digital")
+        self.co_uplink = self.edge_uplink != "digital"
         uplink_sideband = v["uplink.sideband"]
 
         def sided(sig: _Signal) -> tuple:  # carrier offsets of its band
@@ -612,10 +615,10 @@ class ScenarioConfig:
         record must hold, each with the largest slot division it allows
         (None for any) and the config keys that size it: the slot, the tone
         window each of its devices' records sets, the generator's window
-        lifted to each subcarrier, and the crop window each of its
-        receivers takes on the plan's record at ``sample_rate``, whose
-        division it must not undercut (the whole record for a single
-        channel's central office)."""
+        lifted to each subcarrier, and the crop window each receiver that
+        a burst runs on it takes on the plan's record at ``sample_rate``,
+        whose division it must not undercut (the whole record for a single
+        channel's central office, where it detects the uplink)."""
         ch, onu = self.plan.channels[k], self.onus[k]
         f_c, f_s = ch.center_freq, ch.rof_subcarrier_offset
         spans = [(*ch.slot_edges, None, ("wdm.slot_width",))]
@@ -637,7 +640,7 @@ class ScenarioConfig:
         if k == 0 and self.intercept is not None:
             receivers.append((self.intercept, ("uplink.intercept_carrier_tap",
                                                "uplink.intercept_order")))
-        if k == 0:
+        if k == 0 and self.co_uplink:
             receivers.append((self.demux if self.plan.n_channels > 1
                               else None, ("wdm.channel_offsets",)))
         n, fs, ref = self.n_burst, self.sample_rate, self.plan.ref_freq()
@@ -692,16 +695,21 @@ class ScenarioConfig:
         return ScenarioConfig({**self.raw, "seed": seed})
 
 
-def load_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario config file, resolving all defaults."""
+def read_yaml(path):
+    """The parsed YAML of a config file; a ConfigError names the file if
+    it is missing or does not parse."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = yaml.safe_load(p.read_text())
+        return yaml.safe_load(p.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {p}: {exc}") from exc
-    return ScenarioConfig(raw)
+
+
+def load_config(path) -> ScenarioConfig:
+    """Parse and validate a scenario config file, resolving all defaults."""
+    return ScenarioConfig(read_yaml(path))
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +786,10 @@ def _detect(stage: str, name: str, signal: _Signal,
 def _drive(modulator: Modulator, signals, n: int, sample_rate: float,
            lead: int = 0) -> ComplexWaveform:
     """The drive of ``modulator`` carrying each ``(signal, bits)`` of
-    ``signals`` at its IF, ``lead`` samples late: their spectra, made in a
-    fork and summed, as a real signal for a single ring and an analytic
-    one for an IQ pair."""
-    spectra = fork(*(partial(s.spectrum, bits, n, sample_rate, lead)
-                     for s, bits in signals))
+    ``signals`` at its IF, ``lead`` samples late: their spectra, summed,
+    as a real signal for a single ring and an analytic one for an IQ
+    pair."""
+    spectra = [s.spectrum(bits, n, sample_rate, lead) for s, bits in signals]
     half = sum(spectra[1:], spectra[0])
     if len(modulator.arms) == 1:
         return ComplexWaveform(fftpack.irfft(half, n), sample_rate)
@@ -875,11 +882,10 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     broadband_name, radio_name, radio_stage = _SIGNAL_NAMES[cfg.style]
 
     def demods(k: int, unit) -> list:
-        """The downlink demodulations of slot ``k``'s network unit."""
-        return [partial(_detect, "broadband_demod",
-                        broadband_name.format(ch=k), dig, unit.broadband,
-                        dig_bits[k])] + [
-            partial(_detect, radio_stage, radio_name.format(ch=k, k=i + 1),
+        """The downlink reports of slot ``k``'s network unit."""
+        return [_detect("broadband_demod", broadband_name.format(ch=k), dig,
+                        unit.broadband, dig_bits[k])] + [
+            _detect(radio_stage, radio_name.format(ch=k, k=i + 1),
                     cfg.payloads[i], rof, payload_bits[k][i])
             for group, rof in zip(cfg.groups, unit.rof) for i in group]
 
@@ -891,29 +897,21 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         unit = _stage("onu_receive", onu_receive, link, onu,
                       cfg.pd(burst_seed + 100 + k))
         if k:
-            return fork(*demods(k, unit))
+            return demods(k, unit)
         return unit, _stage("onu_remodulate", onu_remodulate, unit.residual,
                             onu, up_drive)
 
     (res, rem), *received = fork(*(partial(receive, k, link)
                                    for k, link in enumerate(links)))
     del links, up_drive
-    ledger = {
-        "carrier_in_dbm": res.carrier_in_dbm,
-        "carrier_after_broadband_dbm": res.carrier_after_broadband_dbm,
-        "carrier_residual_dbm": res.carrier_residual_dbm,
-        "rof_tap_cost_db": (res.carrier_after_broadband_dbm
-                            - res.carrier_residual_dbm),
-    }
     # channel 0's downlink is demodulated beside the rest of the uplink
     reports, up_reports = fork(
-        partial(fork, *demods(0, res)),
+        partial(demods, 0, res),
         partial(_uplink, cfg, rem.waveform, up_bits, burst_seed))
-    del res
     for name, report in [*reports, *up_reports,
                          *(r for done in received for r in done)]:
         acc.add(name, report)
-    return rem.uplink_to_residual_db, ledger, spectrum
+    return rem.uplink_to_residual_db, res.ledger, spectrum
 
 
 def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
@@ -923,7 +921,8 @@ def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
     back = _stage("uplink_distribution", propagate_fiber, remodulated,
                   cfg.distribution, plan.ref_freq())
     reports = []
-    # where the uplink is detected, the second step where the styles differ
+    # where the uplink is detected (ScenarioConfig: edge_uplink and
+    # co_uplink), the second step where the styles differ
     kind = cfg.edge_uplink
     if kind is not None:
         icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
@@ -934,7 +933,7 @@ def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
                                up_bits[kind]))
         back = icept.through
         del icept
-    if kind != "digital":
+    if cfg.co_uplink:
         co = _stage("uplink_feeder", propagate_fiber, back, cfg.feeder,
                     plan.ref_freq())
         pd = cfg.pd(burst_seed + 301)

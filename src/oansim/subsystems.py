@@ -6,9 +6,10 @@ IQ modulator) and returns optical fields or real detected photocurrents;
 :mod:`oansim.scenarios` makes and reads every OFDM signal, and builds
 every device once: a modulator's record fixes its depth, to which it
 scales each drive, its tone window and its band edge.  A field is one
-WDM channel's slot record, centred on its carrier: the central office
-and the smart edge act on it with the channel's own devices'
-time-varying responses and every other channel's devices' static ones.
+WDM channel's slot record, centred on its carrier.  The central office
+and the smart edge are each a bus of one site per channel, which a slot
+walks one way (:func:`_bus`): its own channel's devices act by their
+time-varying responses and every other channel's by their static ones.
 
 * central-office transmitter: comb source + one IQ microring modulator
   per WDM channel, single-sideband digital drive inside each channel's
@@ -28,8 +29,8 @@ Every receiver detects its drop at the rate of its band
 filter passes near its demodulated band, at the lowest power-of-two
 fraction of the simulation rate that holds it.
 
-The optical figures of merit (carrier apportioning, uplink-to-residual
-ratio) are computed here.
+The optical figures of merit (the network unit's carrier ledger, the
+uplink-to-residual ratio) are computed here.
 """
 
 from __future__ import annotations
@@ -225,12 +226,11 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
     The slot record is the grid of ``drive``, centred on the channel's
     carrier: its comb line sits on bin 0.  ``drive`` is the channel's
     analytic electrical drive (see :func:`~oansim.devices.iq_mrm_ssb`) at
-    its IF; the channel's IQ modulator in ``modulators``, which holds one
-    per channel of the plan, drives it to its depth and places it next to
-    the carrier on its sideband, in its tone window.  Every other channel's
-    modulator acts on the slot by its static response
-    (:func:`~oansim.devices.undriven_mrm`), in the order of the plan.
-    Returns the slot's field, of the drive's length.
+    its IF.  The comb walks the bus of ``modulators``, one IQ modulator
+    per channel of the plan (:func:`_bus`): the channel's own drives it to
+    its depth and places it next to the carrier on its sideband, in its
+    tone window, and every other one is at rest.  Returns the slot's
+    field, of the drive's length.
     """
     if not 0 <= channel < plan.n_channels == len(modulators):
         raise ConfigError(
@@ -244,13 +244,32 @@ def olt_transmit(plan: WdmPlan, drive: ComplexWaveform, channel: int,
     comb[0] = np.sqrt(10.0 ** (power_per_tone_dbm / 10.0) * 1e-3) * n
     out = ComplexWaveform(None, drive.sample_rate, ref_freq=ch.center_freq,
                           spectrum=comb)
-    for j, config in enumerate(modulators):
-        if j == channel:
-            out = iq_mrm_ssb(out, config, drive)
-        else:
-            out = undriven_mrm(out, config.ring, sum(config.arms))
-        out = out.scaled(_BUS_GAIN)
-    return out
+    return _bus(out, [(None, [m]) for m in modulators], channel, [drive])
+
+
+def _bus(field: ComplexWaveform, sites, channel, drives=(),
+         inputs=None) -> ComplexWaveform:
+    """``field`` along the bus of ``sites``, one per channel in plan order,
+    each ``(generator or None, [modulator])``, each device costing one bus
+    insertion loss.  The site of ``channel`` is driven: its generator makes
+    the subcarriers and each modulator takes its drive of ``drives`` (real
+    for a ring, analytic for an IQ pair).  Every other site is at rest,
+    its generator adding the lines it lifts from its input ``inputs[j]``
+    (:func:`generator_inputs`; none without ``inputs``)."""
+    for j, (gen, modulators) in enumerate(sites):
+        if gen is not None:
+            field = (generate_subcarriers(field, gen) if j == channel
+                     else undriven_generator(field, gen, inputs and inputs[j]))
+            field = field.scaled(_BUS_GAIN)
+        for i, m in enumerate(modulators):
+            if j != channel:
+                field = undriven_mrm(field, m.ring, sum(m.arms))
+            elif len(m.arms) == 1:
+                field = apply_mrm(field, m, drives[i])
+            else:
+                field = iq_mrm_ssb(field, m, drives[i])
+            field = field.scaled(_BUS_GAIN)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +314,16 @@ def smart_edge_overlay(field_in: ComplexWaveform, rings, drives,
     ``rings`` holds, per channel, its smart edge as ``(generator or None,
     [modulator])``: the clock generator that splits part of the carrier
     into +/-f_s subcarriers and one ring per tunnel on them
-    (:func:`overlay_rings`), or the radio channels' IQ pair.  The slot's
-    own channel runs its generator, if any, and each modulator on its
-    drive in ``drives`` (real for a ring, analytic for an IQ pair); every
-    other channel's smart edge is at rest, its generator adding the lines
-    it lifts from its input ``inputs[j]`` (:func:`generator_inputs`).
-    Every device costs one bus insertion loss.
+    (:func:`overlay_rings`), or the radio channels' IQ pair.  The slot
+    walks that bus (:func:`_bus`): its own channel's smart edge runs on
+    ``drives``, one per modulator, and every other channel's is at rest,
+    its generator adding the lines it lifts from ``inputs[j]``.
     """
     if len(drives) != len(rings[channel][1]):
         raise ConfigError(
             f"{len(drives)} drives for the {len(rings[channel][1])} "
             f"smart-edge modulators of channel {channel}")
-    out = field_in
-    for j, (gen, modulators) in enumerate(rings):
-        if j != channel:
-            out = _edge_at_rest(out, gen, modulators, inputs and inputs[j])
-            continue
-        if gen is not None:
-            out = generate_subcarriers(out, gen).scaled(_BUS_GAIN)
-        for m, drive in zip(modulators, drives):
-            modulate = apply_mrm if len(m.arms) == 1 else iq_mrm_ssb
-            out = modulate(out, m, drive).scaled(_BUS_GAIN)
-    return out
-
-
-def _edge_at_rest(field: ComplexWaveform, generator, modulators,
-                  source) -> ComplexWaveform:
-    """``field`` through a smart edge at rest: each device by its static
-    response and one bus loss, a generator adding the lines it lifts from
-    its own input ``source``."""
-    if generator is not None:
-        field = undriven_generator(field, generator, source).scaled(_BUS_GAIN)
-    for m in modulators:
-        field = undriven_mrm(field, m.ring, sum(m.arms)).scaled(_BUS_GAIN)
-    return field
+    return _bus(field_in, rings, channel, drives, inputs)
 
 
 def generator_inputs(fields, rings) -> list:
@@ -336,15 +331,14 @@ def generator_inputs(fields, rings) -> list:
     lines :func:`smart_edge_overlay` lands in the other slots: its tone
     window cut from its slot record in ``fields`` as it enters the smart
     edge (:func:`~oansim.waveform.crop_to_band`), then walked through the
-    earlier channels' smart edges in ``rings`` at rest."""
+    earlier channels' smart edges in ``rings`` at rest (:func:`_bus`)."""
     inputs = []
     for field, (gen, _) in zip(fields, rings):
         x = None
         if gen is not None:
             res = gen.ring.effective_resonance
-            x = crop_to_band(field, res - gen.window, res + gen.window)
-            for (g, modulators), source in zip(rings, inputs):
-                x = _edge_at_rest(x, g, modulators, source)
+            x = _bus(crop_to_band(field, res - gen.window, res + gen.window),
+                     rings[:len(inputs)], None, inputs=inputs)
         inputs.append(x)
     return inputs
 
@@ -420,9 +414,7 @@ class OnuReceiveResult:
     broadband: ComplexWaveform       # photocurrent of the broadband drop
     rof: list                        # photocurrent of each radio drop
     residual: ComplexWaveform
-    carrier_in_dbm: float
-    carrier_after_broadband_dbm: float
-    carrier_residual_dbm: float
+    ledger: dict                     # the carrier ledger, by report entry
 
 
 def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
@@ -432,7 +424,9 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     The broadband drop taps the carrier share its filter was solved for;
     it and each radio drop are direct-detected by ``pd``, the burst's
     seeded detector, and their photocurrents returned.  The residual field
-    (including the remaining carrier) is returned for remodulation.
+    (including the remaining carrier) is returned for remodulation.  The
+    ledger holds the carrier level in, after the broadband drop and left
+    on the bus, in dBm, and what the radio drops cost it, in dB.
     """
     f_c = cfg.channel.center_freq
     if band_power(field_in, *cfg.channel.slot_edges) <= 0.0:
@@ -448,8 +442,11 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
         bus = bus.scaled(_BUS_GAIN)
         detected.append(detect_drop(dropped, f_c, spec, pd))
     carriers = _carrier_dbm(field_in, f_c, filters)
-    return OnuReceiveResult(detected[0], detected[1:], bus, carriers[0],
-                            carriers[1], carriers[-1])
+    return OnuReceiveResult(detected[0], detected[1:], bus, {
+        "carrier_in_dbm": carriers[0],
+        "carrier_after_broadband_dbm": carriers[1],
+        "carrier_residual_dbm": carriers[-1],
+        "rof_tap_cost_db": carriers[1] - carriers[-1]})
 
 
 @dataclass

@@ -10,7 +10,9 @@ import yaml
 
 from oansim.cli import build_parser, main
 from oansim.errors import ConfigError
-from oansim.scenarios import builtin_config_path, load_config
+from oansim.scenarios import (ScenarioConfig, builtin_config_path,
+                              load_config, run_scenario)
+from oansim.subsystems import UPLINK_RATIO_TARGET_DB
 
 MINI = {
     "name": "cli_mini",
@@ -239,6 +241,11 @@ NAN, INF = float("nan"), float("inf")
     ("subcarrier_tunnels", ["spanz"], {"feeder_km": 99}, "spanz"),
     # null is absent: a required key is missing
     ("mini", ["sample_rate"], None, "sample_rate"),
+    # the output folder is a name: each loaded as the text of its value,
+    # and an empty one ran in the working directory
+    ("mini", ["output"], True, "output"),
+    ("mini", ["output"], [1.0], "output"),
+    ("mini", ["output"], "", "output"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):
@@ -257,6 +264,23 @@ def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
     assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+
+def test_mirrored_chain_is_error_free():
+    """The digital downlink on the lower sideband and the uplink on the
+    upper one: the network unit's broadband drop is solved on the mirrored
+    band, and both signals arrive without error above the uplink target
+    (0 of 7,080 bits each and 17.0 dB measured)."""
+    raw = copy.deepcopy(MINI)
+    raw["digital"]["sideband"] = "lower"
+    raw["uplink"]["sideband"] = "upper"
+    cfg = ScenarioConfig(raw)
+    assert cfg.onus[0].broadband_filter.center_offset < 0
+    (point,) = run_scenario(cfg)["points"]
+    assert set(point["signals"]) == {"ch0:digital", "uplink:digital"}
+    assert all(s["errors"] == 0 for s in point["signals"].values())
+    assert point["uplink_to_residual_db"] >= UPLINK_RATIO_TARGET_DB
 
 
 def test_simulation_error_exits_3(tmp_path, capsys):
@@ -295,6 +319,14 @@ def test_budget_builtin_example(tmp_path, capsys):
     assert report["comp"][0]["passes"]
     got = capsys.readouterr().out
     assert "expansion 61.44x" in got
+
+
+def test_budget_parse_error_exits_2_naming_the_file(tmp_path, capsys):
+    p = tmp_path / "bad_budget.yaml"
+    p.write_text("nodes: [unclosed")
+    assert main(["budget", "--config", str(p), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config parse error in {p}" in err and "Traceback" not in err
 
 
 def test_budget_bad_service_exits_2(tmp_path):

@@ -4,12 +4,16 @@ forks complete."""
 
 import json
 import os
+import sys
 import threading
 
 import pytest
 import yaml
 
+import oansim.devices
+import oansim.forkjoin
 import oansim.scenarios
+from gate import scenario_config
 from oansim.cli import main
 from oansim.errors import SimulationError, StageError
 from oansim.forkjoin import branch_threads, fork
@@ -101,3 +105,28 @@ def test_branch_error_names_its_stage(tmp_path, monkeypatch, capsys,
     path.write_text(yaml.safe_dump(cfg.raw))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "onu_receive" in capsys.readouterr().err
+
+
+def test_every_fork_reaches_the_second_thread(two_cores, monkeypatch):
+    """Each call site of fork with two or more branches finds the worker
+    in one burst of cut A or cut B at least: a fork that only ever runs
+    inside a forked branch runs its branches in turn, as plain calls do."""
+    found = {}
+
+    def watched(*branches):
+        if len(branches) > 1:
+            caller = sys._getframe(1)
+            code = caller.f_code
+            site = (f"{os.path.basename(code.co_filename)}:{caller.f_lineno}"
+                    f" {code.co_qualname}")
+            parallel = oansim.forkjoin._WORKER.get() is not None
+            found[site] = found.get(site, False) or parallel
+        return fork(*branches)
+
+    for module in (oansim.scenarios, oansim.devices):
+        monkeypatch.setattr(module, "fork", watched)
+    for name in ("scenario_a", "scenario_b"):
+        (point,) = run_scenario(scenario_config(name, 1, cut=True))["points"]
+        assert point["bursts"] == 1
+    assert found
+    assert all(found.values()), sorted(s for s, ok in found.items() if not ok)

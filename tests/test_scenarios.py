@@ -373,6 +373,19 @@ def test_burst_sizes_the_record(name, n, monkeypatch):
     assert cfg.n_record < n
 
 
+def test_slot_check_reads_only_the_receivers_a_burst_runs():
+    """Under adjacent_rf the smart edge detects the uplink and the central
+    office detects nothing, so its whole-record receiver holds no slot
+    division back: scenario B at 128 GS/s halves its record, as its slot,
+    tone windows and crops allow; the shipped A and B keep theirs."""
+    raw = copy.deepcopy(load_config(builtin_config_path("scenario_b")).raw)
+    raw["sample_rate"] = 128e9
+    cfg = ScenarioConfig(raw)
+    assert cfg.d_slot == 2 and not cfg.co_uplink
+    for name, d in (("scenario_a", 2), ("scenario_b", 1)):
+        assert load_config(builtin_config_path(name)).d_slot == d
+
+
 def _signals(cfg):
     """Each signal type of a scenario with its lead in record samples."""
     guard = int(round(oansim.scenarios._WALKOFF_GUARD_S * cfg.sample_rate))

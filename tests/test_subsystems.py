@@ -191,7 +191,8 @@ def test_olt_to_onu_loopback_error_free():
     assert report.bit_errors == 0
     assert report.evm_rms < 0.1
     # the tap leaves most of the carrier on the bus for remodulation
-    assert res.carrier_residual_dbm > res.carrier_in_dbm - 3.0
+    ledger = res.ledger
+    assert ledger["carrier_residual_dbm"] > ledger["carrier_in_dbm"] - 3.0
 
 
 def test_olt_spectral_containment():
