@@ -11,7 +11,7 @@ point until every signal reaches its bit target.  A burst holds the bus
 as one slot record per WDM channel, at ``sample_rate / d_slot`` and
 centred on the channel's carrier, ``d_slot`` being the largest power of
 two whose record still holds the slot, its rings' tone windows and its
-receivers' crops (2 for scenario A, 1 for a single channel).  Each slot
+receivers' crops (2 for shipped scenario A, 1 for shipped B).  Each slot
 runs in its own fork branch from its comb line to its network unit: a
 device on its channel acts by its time-varying response, every other
 channel's by its static one, and the fiber's dispersion is taken about
@@ -152,10 +152,10 @@ def _choice(*options):
 
 
 _sideband = _choice("upper", "lower")
-# a list of lists of indices, each of rf_channels in one of them
+# a list of non-empty lists of indices, each rf_channels index in one
 _groups = _ranged(lambda x: x, lambda x: isinstance(x, list) and all(
-    isinstance(g, list) and all(type(i) is int for i in g) for g in x),
-    "a list of lists of indices")
+    isinstance(g, list) and g and all(type(i) is int for i in g) for g in x),
+    "a list of non-empty lists of indices")
 
 # The one list of a scenario config's keys.  A key maps to ``(convert,)``,
 # read only where the scenario needs it, or to ``(convert, default)``, a
@@ -349,6 +349,24 @@ class _Signal(NamedTuple):
                            sample_rate, lead)
 
 
+def _sided(lo: float, hi: float, sideband: str) -> tuple:
+    """The carrier offsets of the band [lo, hi] on ``sideband``."""
+    return (-hi, -lo) if sideband == "lower" else (lo, hi)
+
+
+class _Receiver(NamedTuple):
+    """A burst's receiver at ``site`` ("onu", "edge" or "co"): its ``drop``
+    (None: the whole record), the config ``keys`` that size it, its
+    detector's ``seed`` past the burst seed, and the ``stage`` demodulating
+    each of its ``signals``, a ``(report name, signal, key of its bits)``."""
+    site: str
+    drop: FilterSpec | None
+    keys: tuple
+    seed: int
+    stage: str
+    signals: tuple
+
+
 @dataclass
 class ScenarioConfig:
     """A scenario, read and checked once.
@@ -367,9 +385,10 @@ class ScenarioConfig:
     (``subcarrier_tunnels``; ``(None, [])`` without tunnels) or the radio
     channels' IQ pair (``adjacent_rf``); ``edge_payloads`` holds, per
     smart-edge modulator, the indices of the ``payloads`` whose spectra
-    its drive sums.  ``intercept`` and ``demux`` are the uplink drops, run
-    where ``edge_uplink`` and ``co_uplink`` say the uplink is detected, and
-    ``detector`` the receivers' unseeded detector.
+    its drive sums.  ``receivers`` holds, per channel, each receiver a
+    burst runs on its slot (:class:`_Receiver`): its network unit's
+    drops, then on channel 0 the uplink's at the smart edge and at the
+    central office; ``detector`` is their unseeded detector.
     """
     raw: dict
 
@@ -409,9 +428,9 @@ class ScenarioConfig:
         # burst window: the record that holds burst_symbols digital symbols,
         # rounded up to a power of two so that the whole-record FFTs along
         # the chain run on friendly sizes; every signal gets as many
-        # symbols as fit in it.  _run_burst grows a burst's record past
-        # this, to the next FFT-friendly length, when the walk-off guard
-        # and the digital drive do not fit in it (both cut shipped configs)
+        # symbols as fit in it.  n_burst, below, grows it to the next
+        # FFT-friendly length when the walk-off guard and the digital
+        # drive do not fit in it (both cut shipped configs)
         burst_symbols = v["sweep.burst_symbols"]
         frame = _ofdm(v, "digital", self.seed).frame_duration()
         self.n_record = 1 << int(np.ceil(np.log2(
@@ -450,43 +469,36 @@ class ScenarioConfig:
                         f"{', '.join(_band_keys(v, f'tunnels.{i}'))}: the "
                         f"radio payload spills past +/-{extent/1e9:.2f} GHz "
                         f"around the subcarrier")
-            self.groups = [[k] for k in range(len(self.payloads))]
+            groups = [[k] for k in range(len(self.payloads))]
         else:
-            self.groups = v["rf_groups"]
-            if not self.payloads or sorted(i for g in self.groups for i in g
+            groups = v["rf_groups"]
+            if not self.payloads or sorted(i for g in groups for i in g
                                            ) != list(range(len(self.payloads))):
                 raise ConfigError("adjacent_rf needs rf_channels and "
                                   "rf_groups that partition their indices")
 
-        # where the uplink is detected, read by the burst and the slot
-        # check: the smart edge detects the radio uplink of tunnels, if
-        # any, and the digital uplink under adjacent_rf; the central office
-        # detects the digital uplink of tunnels
+        # the uplink's receivers: the smart edge's of the radio uplink of
+        # tunnels, if any, and of the digital uplink under adjacent_rf; the
+        # central office's of the digital uplink of tunnels, through a demux
+        # when other channels share the bus and on the whole record if not
         self.uplink = {"digital": signal("digital", 2)}
         if v.get("uplink.rof"):
             self.uplink["rof"] = signal("uplink.rof", 3)
-        self.edge_uplink = ("rof" if "rof" in self.uplink
-                            else None if tunnels else "digital")
-        self.co_uplink = self.edge_uplink != "digital"
-        uplink_sideband = v["uplink.sideband"]
-
-        def sided(sig: _Signal) -> tuple:  # carrier offsets of its band
-            lo, hi = sig.edges()
-            return (-hi, -lo) if uplink_sideband == "lower" else (lo, hi)
-
-        # the central office's demux passes the returning channel; its drop
-        # is demodulated over the digital uplink's band
-        self.demux = FilterSpec(0.0, 0.9 * slot_width, 5,
-                                sided(self.uplink["digital"]))
-        # the smart edge's uplink drop, solved once
-        self.intercept = None
-        if self.edge_uplink is not None:
-            section = {"rof": "uplink.rof"}.get(self.edge_uplink, "digital")
-            self.intercept = _naming(
-                ("uplink.intercept_carrier_tap", "uplink.intercept_order",
-                 *_band_keys(v, section)), solve_carrier_tap_filter,
-                *sided(self.uplink[self.edge_uplink]),
-                v["uplink.intercept_carrier_tap"], v["uplink.intercept_order"])
+        up_side = v["uplink.sideband"]
+        edge = "rof" if v.get("uplink.rof") else None if tunnels else "digital"
+        returns = []
+        if edge is not None:
+            keys = ("uplink.intercept_carrier_tap", "uplink.intercept_order")
+            section = {"rof": "uplink.rof"}.get(edge, "digital")
+            returns.append(("edge", edge, 300, keys, _naming(
+                keys + _band_keys(v, section), solve_carrier_tap_filter,
+                *_sided(*self.uplink[edge].edges(), up_side),
+                *(v[key] for key in keys))))
+        if edge != "digital":
+            returns.append(("co", "digital", 301, ("wdm.channel_offsets",),
+                            FilterSpec(0.0, 0.9 * slot_width, 5, _sided(
+                                *self.uplink["digital"].edges(), up_side))
+                            if self.plan.n_channels > 1 else None))
 
         ring = {key: v[f"devices.ring.{key}"]
                 for key in ("fsr", "coupling", "amplitude", "mod_efficiency")}
@@ -516,7 +528,7 @@ class ScenarioConfig:
             self.edge_rings = [
                 overlay_rings(ch, edges, rf_depth, clock_volt, retain, **ring)
                 if edges else (None, []) for ch in self.plan.channels]
-            self.edge_payloads = self.groups
+            self.edge_payloads = groups
             self._edge_keys = ("wdm.rof_subcarrier_offset",
                                "wdm.digital_subband")
         else:
@@ -537,9 +549,13 @@ class ScenarioConfig:
         up_edge = max(s.edges()[1] for s in self.uplink.values())
         self.detector = PdParams(**{key: v[f"onu.pd.{key}"] for key in (
             "responsivity", "thermal_noise_psd", "include_shot")})
-        self.onus = self._read_onus(
-            [Modulator(r, up_depth, (3.0 + up_depth) * r.fwhm, up_edge,
-                       iq_arms(uplink_sideband)) for r in rings])
+        self.onus, self.receivers = self._read_onus(groups, [
+            Modulator(r, up_depth, (3.0 + up_depth) * r.fwhm, up_edge,
+                      iq_arms(up_side)) for r in rings])
+        self.receivers[0] += [
+            _Receiver(site, drop, keys, seed, f"uplink_{kind}_demod",
+                      ((f"uplink:{kind}", self.uplink[kind], kind),))
+            for site, kind, seed, keys, drop in returns]
         # the burst's record: n_record, grown to hold the walk-off guard
         # and the digital drive at an FFT-friendly length (both cut shipped
         # configs grow); it is carried as one slot record per channel
@@ -565,20 +581,22 @@ class ScenarioConfig:
                     f"than 10,000 bursts of {least} bits")
             setattr(self, key, bits)
 
-    def _read_onus(self, remodulators: list) -> list:
-        """Each channel's network unit with its remodulator: the same
-        filters, which sit relative to the carrier; a filter that fails
-        its checks names the keys that size it."""
+    def _read_onus(self, groups: list, remodulators: list) -> tuple:
+        """Each channel's network unit with its remodulator, and the
+        receivers of its drops, of the digital signal and of each of
+        ``groups`` of the payloads: the same filters, which sit relative to
+        the carrier; a failing filter names the keys that size it."""
         v = self._values
+        tunnels = self.style == "subcarrier_tunnels"
         f_s = self.plan.channels[0].rof_subcarrier_offset
         order = v["onu.rof_filter_order"]
         # each filter's config keys, for its load errors and its
         # receiver's band in _slot_spans
-        rof = ("onu.rof_filter_bandwidth" if self.style == "subcarrier_tunnels"
+        rof = ("onu.rof_filter_bandwidth" if tunnels
                else "onu.rof_carrier_tap_db", "onu.rof_filter_order")
         wide = ("onu.carrier_tap_fraction", "onu.broadband_order",
                 "onu.broadband_passband_fraction", *_band_keys(v, "digital"))
-        if self.style == "subcarrier_tunnels":
+        if tunnels:
             bandwidth = v["onu.rof_filter_bandwidth"]
             filters = [FilterSpec(sign * f_s, bandwidth, order)
                        for sign in (+1.0, -1.0)[:len(self.payloads)]]
@@ -587,38 +605,48 @@ class ScenarioConfig:
             # the radio groups ride the lower sideband next to the carrier
             # and together tap rof_carrier_tap_db of it
             tap_db = v["onu.rof_carrier_tap_db"]
-            tap = 1.0 - 10.0 ** (-tap_db / (10.0 * len(self.groups)))
+            tap = 1.0 - 10.0 ** (-tap_db / (10.0 * len(groups)))
             edges = [[e for k in group for e in self.payloads[k].edges()]
-                     for group in self.groups]
+                     for group in groups]
             keys = [rof + tuple(key for k in group for key in _band_keys(
-                v, f"rf_channels.{k}")) for group in self.groups]
-            filters = [_naming(names, solve_carrier_tap_filter, -max(e),
-                               -min(e), tap, order)
+                v, f"rf_channels.{k}")) for group in groups]
+            filters = [_naming(names, solve_carrier_tap_filter,
+                               *_sided(min(e), max(e), "lower"), tap, order)
                        for e, names in zip(edges, keys)]
-        lo, hi = self.digital.edges()
-        if self.transmitters[0].sideband == "lower":
-            lo, hi = -hi, -lo
         broadband = _naming(
-            wide, solve_carrier_tap_filter, lo, hi,
+            wide, solve_carrier_tap_filter,
+            *_sided(*self.digital.edges(), self.transmitters[0].sideband),
             *(v[f"onu.{key}"] for key in (
                 "carrier_tap_fraction", "broadband_order",
                 "broadband_passband_fraction")))
-        self._drops = [(broadband, wide), *zip(filters, keys)]
-        for spec, keys in self._drops:
-            _naming(keys, check_drop, spec, self.plan.channels[0])
+        # each drop with its stage and the report names of its signals,
+        # by their index j: 0 for the digital signal, i + 1 for payload i
+        digital, radio, stage = (
+            ("ch{k}:digital", "ch{k}:tunnel{j}", "tunnel_demod") if tunnels
+            else ("broadband", "rf{j}", "rf_demod"))
+        drops = [(broadband, wide, "broadband_demod", [(digital, 0)]), *(
+            (spec, names, stage, [(radio, i + 1) for i in group])
+            for spec, names, group in zip(filters, keys, groups))]
+        for spec, names, _, _ in drops:
+            _naming(names, check_drop, spec, self.plan.channels[0])
+        signals = [self.digital, *self.payloads]
+        receivers = [[_Receiver("onu", spec, names, 100 + k, stage, tuple(
+            (name.format(k=k, j=j), signals[j], (k, j)) for name, j in named))
+            for spec, names, stage, named in drops]
+            for k in range(self.plan.n_channels)]
         residual = v["onu.min_residual_carrier_dbm"]
         return [OnuConfig(c, broadband, m, tuple(filters), residual)
-                for c, m in zip(self.plan.channels, remodulators)]
+                for c, m in zip(self.plan.channels, remodulators)], receivers
 
     def _slot_spans(self, k: int) -> list:
         """The absolute bands ``(lo, hi, most, keys)`` channel ``k``'s slot
         record must hold, each with the largest slot division it allows
         (None for any) and the config keys that size it: the slot, the tone
         window each of its devices' records sets, the generator's window
-        lifted to each subcarrier, and the crop window each receiver that
-        a burst runs on it takes on the plan's record at ``sample_rate``,
-        whose division it must not undercut (the whole record for a single
-        channel's central office, where it detects the uplink)."""
+        lifted to each subcarrier, and the crop window each of its
+        ``receivers`` takes on the plan's record at ``sample_rate``, whose
+        division it must not undercut (the whole record for a receiver
+        without a drop)."""
         ch, onu = self.plan.channels[k], self.onus[k]
         f_c, f_s = ch.center_freq, ch.rof_subcarrier_offset
         spans = [(*ch.slot_edges, None, ("wdm.slot_width",))]
@@ -636,15 +664,8 @@ class ScenarioConfig:
         spans += [(d.ring.effective_resonance - d.window,
                    d.ring.effective_resonance + d.window, None,
                    keys + _LINEWIDTH) for d, keys in devices]
-        receivers = list(self._drops)
-        if k == 0 and self.intercept is not None:
-            receivers.append((self.intercept, ("uplink.intercept_carrier_tap",
-                                               "uplink.intercept_order")))
-        if k == 0 and self.co_uplink:
-            receivers.append((self.demux if self.plan.n_channels > 1
-                              else None, ("wdm.channel_offsets",)))
         n, fs, ref = self.n_burst, self.sample_rate, self.plan.ref_freq()
-        for spec, keys in receivers:
+        for spec, keys in ((rx.drop, rx.keys) for rx in self.receivers[k]):
             lo, hi = (f_c, f_c) if spec is None else detect_band(f_c, spec)
             found = None if spec is None else crop_window(n, fs, ref, lo, hi)
             if found is not None:
@@ -685,10 +706,6 @@ class ScenarioConfig:
                         f"receiver crops, sized by {', '.join(reach)}, reach "
                         f"into channel {j}'s slot")
         return min(min(d, most or n) for d, most, _ in held)
-
-    def pd(self, seed: int) -> PdParams:
-        """The detector with the seed of one burst's receiver."""
-        return replace(self.detector, seed=seed)
 
     def with_seed(self, seed: int) -> ScenarioConfig:
         """The same scenario under another seed."""
@@ -764,23 +781,18 @@ def _stage(name, fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 # Burst pipeline
 
-# report names of each style's broadband and radio signals, and the stage
-# that demodulates a radio signal
-_SIGNAL_NAMES = {
-    "subcarrier_tunnels": ("ch{ch}:digital", "ch{ch}:tunnel{k}", "tunnel_demod"),
-    "adjacent_rf": ("broadband", "rf{k}", "rf_demod"),
-}
-
-
-def _detect(stage: str, name: str, signal: _Signal,
-            electrical: ComplexWaveform, tx_bits) -> tuple:
-    """Demodulate a detected signal at its IF; its name and its report of
-    bit errors."""
-    rx_bits, evm = _stage(stage, demodulate_ofdm, signal.ofdm,
-                          from_if(electrical, signal.if_freq,
-                                  signal.ofdm.sample_rate),
-                          max_symbols=signal.symbols)
-    return name, ber_over_sent_bits(tx_bits, rx_bits, evm)
+def _detect(receiver: _Receiver, electrical: ComplexWaveform,
+            bits: dict) -> list:
+    """Demodulate each signal of ``receiver`` at its IF in its photocurrent
+    ``electrical``; their names and bit-error reports against ``bits``."""
+    reports = []
+    for name, signal, key in receiver.signals:
+        rx_bits, evm = _stage(receiver.stage, demodulate_ofdm, signal.ofdm,
+                              from_if(electrical, signal.if_freq,
+                                      signal.ofdm.sample_rate),
+                              max_symbols=signal.symbols)
+        reports.append((name, ber_over_sent_bits(bits[key], rx_bits, evm)))
+    return reports
 
 
 def _drive(modulator: Modulator, signals, n: int, sample_rate: float,
@@ -817,11 +829,15 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     rng = np.random.default_rng(burst_seed)
     plan = cfg.plan
     dig = cfg.digital
-    dig_bits = [rng.integers(0, 2, dig.n_bits) for _ in plan.channels]
-    payload_bits = [[rng.integers(0, 2, s.n_bits) for s in cfg.payloads]
-                    for _ in plan.channels]
-    up_bits = {kind: rng.integers(0, 2, signal.n_bits)
-               for kind, signal in cfg.uplink.items()}
+    # bits by the key a receiver reads, in draw order: (k, 0) for channel
+    # k's digital signal, (k, i + 1) for its payload i, the uplink's kind
+    channels = range(plan.n_channels)
+    bits = {(k, 0): rng.integers(0, 2, dig.n_bits) for k in channels}
+    bits.update({(k, j): rng.integers(0, 2, s.n_bits) for k in channels
+                 for j, s in enumerate(cfg.payloads, 1)})
+    bits.update({kind: rng.integers(0, 2, signal.n_bits)
+                 for kind, signal in cfg.uplink.items()})
+    units = [[rx for rx in rxs if rx.site == "onu"] for rxs in cfg.receivers]
 
     # every drive is made on the slot record, the digital and uplink ones
     # after the walk-off guard; the last slot makes the uplink's
@@ -829,18 +845,17 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     n = cfg.n_burst // cfg.d_slot
     guard = int(round(_WALKOFF_GUARD_S * rate))
     centre = plan.ref_freq()
-    last = plan.n_channels - 1
 
     def launch(k: int):
-        payload = [partial(_drive, m, [(cfg.payloads[i], payload_bits[k][i])
+        payload = [partial(_drive, m, [(cfg.payloads[i], bits[k, i + 1])
                                        for i in idx], n, rate)
                    for m, idx in zip(cfg.edge_rings[k][1], cfg.edge_payloads)]
         uplink = ([partial(_drive, cfg.onus[0].modulator,
-                           [(cfg.uplink[kind], bits)
-                            for kind, bits in up_bits.items()],
+                           [(signal, bits[kind])
+                            for kind, signal in cfg.uplink.items()],
                            n, rate, guard)]
-                  if k == last else [])
-        made = fork(partial(_drive, cfg.transmitters[k], [(dig, dig_bits[k])],
+                  if k == channels[-1] else [])
+        made = fork(partial(_drive, cfg.transmitters[k], [(dig, bits[k, 0])],
                             n, rate, guard), *payload, *uplink)
         tx = _stage("olt_transmit", olt_transmit, plan, made[0], k,
                     modulators=cfg.transmitters,
@@ -851,7 +866,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                           seed=[burst_seed + 17, k])
         return link, made[1:1 + len(payload)], made[1 + len(payload):]
 
-    launched = fork(*(partial(launch, k) for k in range(plan.n_channels)))
+    launched = fork(*(partial(launch, k) for k in channels))
     fields = [link for link, _, _ in launched]
     up_drive = launched[-1][2][0]
     inputs = generator_inputs(fields, cfg.edge_rings)
@@ -865,7 +880,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
         return link, overlaid
 
     edged = fork(*(partial(edge, k, fields[k], launched[k][1])
-                   for k in range(plan.n_channels)))
+                   for k in channels))
     del launched, fields, inputs
     spectrum = _spectrum([wf for _, wf in edged]) if want_spectrum else None
     # the received power is that of the WDM slots: what the records hold
@@ -879,23 +894,18 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     links = [scale_db(link, gain_db) for link, _ in edged]
     del edged
 
-    broadband_name, radio_name, radio_stage = _SIGNAL_NAMES[cfg.style]
-
     def demods(k: int, unit) -> list:
         """The downlink reports of slot ``k``'s network unit."""
-        return [_detect("broadband_demod", broadband_name.format(ch=k), dig,
-                        unit.broadband, dig_bits[k])] + [
-            _detect(radio_stage, radio_name.format(ch=k, k=i + 1),
-                    cfg.payloads[i], rof, payload_bits[k][i])
-            for group, rof in zip(cfg.groups, unit.rof) for i in group]
+        return [report for rx, current in zip(units[k], unit.detected)
+                for report in _detect(rx, current, bits)]
 
     def receive(k: int, link: ComplexWaveform):
         """Slot ``k``'s network unit; channel 0's remodulates its residual
         carrier with the uplink drive, the digital signal and the radio
         one if any, and every other one demodulates its downlink."""
         onu = cfg.onus[k]
-        unit = _stage("onu_receive", onu_receive, link, onu,
-                      cfg.pd(burst_seed + 100 + k))
+        unit = _stage("onu_receive", onu_receive, link, onu, replace(
+            cfg.detector, seed=burst_seed + units[k][0].seed))
         if k:
             return demods(k, unit)
         return unit, _stage("onu_remodulate", onu_remodulate, unit.residual,
@@ -907,7 +917,7 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     # channel 0's downlink is demodulated beside the rest of the uplink
     reports, up_reports = fork(
         partial(demods, 0, res),
-        partial(_uplink, cfg, rem.waveform, up_bits, burst_seed))
+        partial(_uplink, cfg, rem.waveform, bits, burst_seed))
     for name, report in [*reports, *up_reports,
                          *(r for done in received for r in done)]:
         acc.add(name, report)
@@ -915,41 +925,32 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
 
 
 def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
-            up_bits: dict, burst_seed: int) -> list:
-    """The reports of the uplink signals in the remodulated field."""
-    plan = cfg.plan
+            bits: dict, burst_seed: int) -> list:
+    """The reports of the uplink signals in the remodulated field, from
+    its receivers in turn: the smart edge's, then the central office's."""
+    ch, centre = cfg.plan.channels[0], cfg.plan.ref_freq()
     back = _stage("uplink_distribution", propagate_fiber, remodulated,
-                  cfg.distribution, plan.ref_freq())
+                  cfg.distribution, centre)
     reports = []
-    # where the uplink is detected (ScenarioConfig: edge_uplink and
-    # co_uplink), the second step where the styles differ
-    kind = cfg.edge_uplink
-    if kind is not None:
-        icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
-                       back, plan.channels[0], cfg.intercept,
-                       pd=cfg.pd(burst_seed + 300))
-        reports.append(_detect(f"uplink_{kind}_demod", f"uplink:{kind}",
-                               cfg.uplink[kind], icept.rof_electrical,
-                               up_bits[kind]))
-        back = icept.through
-        del icept
-    if cfg.co_uplink:
-        co = _stage("uplink_feeder", propagate_fiber, back, cfg.feeder,
-                    plan.ref_freq())
-        pd = cfg.pd(burst_seed + 301)
-        if plan.n_channels > 1:
-            # central-office demux: select the returning channel so the other
-            # WDM channels' carrier/sideband beats stay out of the uplink IF
-            ch = plan.channels[0]
-            co, _ = _stage("co_demux", drop_filter, co, ch.center_freq,
-                           cfg.demux.bandwidth, cfg.demux.order)
-            co_el = _stage("co_detect", detect_drop, co, ch.center_freq,
-                           cfg.demux, pd)
+    for rx in [rx for rx in cfg.receivers[0] if rx.site != "onu"]:
+        pd = replace(cfg.detector, seed=burst_seed + rx.seed)
+        if rx.site == "edge":
+            icept = _stage("smart_edge_intercept", smart_edge_intercept_uplink,
+                           back, ch, rx.drop, pd=pd)
+            back, current = icept.through, icept.rof_electrical
         else:
-            co_el = dc_block(_stage("co_detect", photodetect, co, pd))
-        reports.append(_detect("uplink_digital_demod", "uplink:digital",
-                               cfg.uplink["digital"], co_el,
-                               up_bits["digital"]))
+            co = _stage("uplink_feeder", propagate_fiber, back, cfg.feeder,
+                        centre)
+            if rx.drop is None:
+                current = dc_block(_stage("co_detect", photodetect, co, pd))
+            else:
+                # central-office demux: the returning channel, without the
+                # other WDM channels' carrier/sideband beats in the uplink IF
+                co, _ = _stage("co_demux", drop_filter, co, ch.center_freq,
+                               rx.drop.bandwidth, rx.drop.order)
+                current = _stage("co_detect", detect_drop, co,
+                                 ch.center_freq, rx.drop, pd)
+        reports += _detect(rx, current, bits)
     return reports
 
 

@@ -411,8 +411,7 @@ def smart_edge_intercept_uplink(field_in: ComplexWaveform, ch: WdmChannel,
 
 @dataclass
 class OnuReceiveResult:
-    broadband: ComplexWaveform       # photocurrent of the broadband drop
-    rof: list                        # photocurrent of each radio drop
+    detected: list                   # photocurrent of each drop, in order
     residual: ComplexWaveform
     ledger: dict                     # the carrier ledger, by report entry
 
@@ -442,7 +441,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
         bus = bus.scaled(_BUS_GAIN)
         detected.append(detect_drop(dropped, f_c, spec, pd))
     carriers = _carrier_dbm(field_in, f_c, filters)
-    return OnuReceiveResult(detected[0], detected[1:], bus, {
+    return OnuReceiveResult(detected, bus, {
         "carrier_in_dbm": carriers[0],
         "carrier_after_broadband_dbm": carriers[1],
         "carrier_residual_dbm": carriers[-1],

@@ -246,6 +246,10 @@ NAN, INF = float("nan"), float("inf")
     ("mini", ["output"], True, "output"),
     ("mini", ["output"], [1.0], "output"),
     ("mini", ["output"], "", "output"),
+    # each radio group is one receiver's drop: an empty one passed the
+    # partition check and ended in a traceback
+    ("adjacent_rf", ["rf_groups"], [[0, 1, 2], [3, 4], []], "rf_groups"),
+    ("adjacent_rf", ["rf_groups"], [[], [0, 1, 2, 3, 4]], "rf_groups"),
 ])
 def test_malformed_config_exits_2_naming_the_key(base, path, value, key,
                                                  tmp_path, capsys):

@@ -32,7 +32,7 @@ def test_a_burst_carries_single_precision_fields(monkeypatch):
             out = fn(*args, **kwargs)
             if isinstance(out, OnuReceiveResult):
                 fields.append(out.residual)
-                currents.extend([out.broadband, *out.rof])
+                currents.extend(out.detected)
             else:
                 fields.append(out)
             return out

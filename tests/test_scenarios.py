@@ -4,6 +4,7 @@ import copy
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,8 +27,9 @@ from oansim.metrics import DEFAULT_FEC_THRESHOLD, BerReport
 from oansim.ofdm import generate_ofdm
 from oansim.scenarios import (ScenarioConfig, builtin_config_path,
                               emit_reports, load_config, run_scenario)
-from oansim.subsystems import OnuConfig
+from oansim.subsystems import FilterSpec, OnuConfig
 from oansim.waveform import ComplexWaveform, _if_bins, crop_to_band, from_if
+from test_cli import MINI as CLI_MINI
 
 MINI = {
     "name": "mini",
@@ -381,7 +383,8 @@ def test_slot_check_reads_only_the_receivers_a_burst_runs():
     raw = copy.deepcopy(load_config(builtin_config_path("scenario_b")).raw)
     raw["sample_rate"] = 128e9
     cfg = ScenarioConfig(raw)
-    assert cfg.d_slot == 2 and not cfg.co_uplink
+    assert cfg.d_slot == 2
+    assert [rx.site for rx in cfg.receivers[0] if rx.site != "onu"] == ["edge"]
     for name, d in (("scenario_a", 2), ("scenario_b", 1)):
         assert load_config(builtin_config_path(name)).d_slot == d
 
@@ -517,37 +520,65 @@ def test_static_responses_per_burst(monkeypatch):
 
 def _demodulated_bands(cfg):
     """The IF bands each receiver of a burst demodulates, by drop filter."""
-    bands = {cfg.onus[0].broadband_filter: [cfg.digital.edges()]}
-    for spec, group in zip(cfg.onus[0].rof_filters, cfg.groups):
-        bands[spec] = [cfg.payloads[k].edges() for k in group]
-    if cfg.intercept is not None:
-        bands[cfg.intercept] = [cfg.uplink[cfg.edge_uplink].edges()]
-    bands[cfg.demux] = [cfg.uplink["digital"].edges()]
-    return bands
+    return {rx.drop: [signal.edges() for _, signal, _ in rx.signals]
+            for receivers in cfg.receivers for rx in receivers}
 
 
 @pytest.mark.parametrize("name, divisors", [
     ("scenario_a", [1, 1, 1, 1, 1, 1, 1, 4]),
     ("scenario_b", [2, 2, 8, 8]),
+    ("cli_mini", [2]),
 ])
 def test_receivers_match_full_rate_detection(name, divisors, monkeypatch):
     """With detector noise off, each receiver's photocurrent in the bands
-    it demodulates matches full-rate detection to within -40 dB."""
-    cfg = _shipped_top(name)
-    calls = []
+    it demodulates matches full-rate detection to within -40 dB.  The
+    drops a burst detects are those of the config's receivers, each with
+    its detector seed past the burst seed, and loading builds no other:
+    the single channel of MINI detects its uplink at the central office
+    on the whole record, without a demux."""
+    built = []
+    post_init = FilterSpec.__post_init__
+
+    def made(spec):
+        built.append(spec)
+        post_init(spec)
+
+    with monkeypatch.context() as m:
+        m.setattr(FilterSpec, "__post_init__", made)
+        cfg = (ScenarioConfig(copy.deepcopy(CLI_MINI)) if name == "cli_mini"
+               else _shipped_top(name))
+    receivers = [rx for rxs in cfg.receivers for rx in rxs]
+    assert set(built) == {rx.drop for rx in receivers} - {None}
+    assert [(rx.site, rx.drop is not None) for rx in cfg.receivers[0]
+            if rx.site != "onu"] == {
+        "scenario_a": [("edge", True), ("co", True)],
+        "scenario_b": [("edge", True)],
+        "cli_mini": [("co", False)]}[name]
+    calls, seeds = [], []
     detect = oansim.subsystems.detect_drop
+    burst = oansim.scenarios._run_burst
 
     def recorded(dropped, f_c, spec, pd):
-        calls.append((dropped, f_c, spec))
+        calls.append((dropped, f_c, spec, pd.seed))
         return detect(dropped, f_c, spec, pd)
+
+    def seeded(cfg, power, burst_seed, *args):
+        seeds.append(burst_seed)
+        return burst(cfg, power, burst_seed, *args)
 
     monkeypatch.setattr(oansim.subsystems, "detect_drop", recorded)
     monkeypatch.setattr(oansim.scenarios, "detect_drop", recorded)
+    monkeypatch.setattr(oansim.scenarios, "_run_burst", seeded)
     run_scenario(cfg)
+    # the network units detect in two threads, so the calls are compared
+    # as a multiset
+    (seed,) = seeds
+    assert Counter((spec, s - seed) for *_, spec, s in calls) == Counter(
+        (rx.drop, rx.seed) for rx in receivers if rx.drop is not None)
     bands = _demodulated_bands(cfg)
     quiet = PdParams()
     found = []
-    for dropped, f_c, spec in calls:
+    for dropped, f_c, spec, _ in calls:
         fast = detect(dropped, f_c, spec, quiet)
         with monkeypatch.context() as m:
             m.setattr(oansim.subsystems, "crop_to_band",
@@ -565,6 +596,29 @@ def test_receivers_match_full_rate_detection(name, divisors, monkeypatch):
             err = np.sum(np.abs(got - want) ** 2) / np.sum(np.abs(want) ** 2)
             assert err <= 1e-4, (spec, d, err)
     assert sorted(found) == divisors
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP finding: every receiver of one network unit draws the same "
+    "noise, its drops sharing the detector seed burst + 100 + k; direction "
+    "4 gives each receiver its own seed"))
+def test_no_two_detectors_of_a_burst_share_their_noise(monkeypatch):
+    """Each receiver is its own photodiode: no two ``photodetect`` calls
+    of one scenario A burst draw with the same seed on records of the
+    same length, which would make their shot and thermal noise one
+    sequence."""
+    draws = []
+    detect = oansim.subsystems.photodetect
+
+    def recorded(field, pd):
+        draws.append((pd.seed, field.n))
+        return detect(field, pd)
+
+    monkeypatch.setattr(oansim.subsystems, "photodetect", recorded)
+    monkeypatch.setattr(oansim.scenarios, "photodetect", recorded)
+    assert run_scenario(_shipped_top("scenario_a"))["points"][0]["bursts"] == 1
+    assert len(draws) == 8
+    assert len(set(draws)) == len(draws), draws
 
 
 def test_crops_lie_inside_their_slot_records(monkeypatch):

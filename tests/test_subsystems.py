@@ -187,7 +187,7 @@ def test_olt_to_onu_loopback_error_free():
     (field,) = transmit(plan, cfg, [tx], power_per_tone_dbm=3.0,
                         depth=0.12)
     res = onu_receive(field, onu_cfg(), PdParams())
-    report = demodulated(cfg, res.broadband, tx)
+    report = demodulated(cfg, res.detected[0], tx)
     assert report.bit_errors == 0
     assert report.evm_rms < 0.1
     # the tap leaves most of the carrier on the bus for remodulation
@@ -393,7 +393,7 @@ def test_colorless_onu_retunes_across_channels():
         ch_field, _ = drop_filter(field, center, 45e9, order=4)
         res = onu_receive(ch_field, replace(base, channel=WdmChannel(center)),
                           PdParams())
-        assert demodulated(cfg, res.broadband, tx).bit_errors == 0
+        assert demodulated(cfg, res.detected[0], tx).bit_errors == 0
 
 
 def test_onu_receive_needs_power_in_slot():
