@@ -251,15 +251,16 @@ def _correlate(rx: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def _synchronize(cfg: OfdmConfig, rx: np.ndarray) -> int:
     """The first sample of the preamble: the lag where the magnitude of the
     record's correlation with the preamble symbol, cyclic prefix included,
-    peaks, at least five times its median.  The correlation runs in
-    overlap-save blocks (:func:`_correlate`): the preamble's few hundred
-    samples need no transform as long as the record."""
+    peaks, at least five times its mean, a floor found in one pass.  The
+    correlation runs in overlap-save blocks (:func:`_correlate`): the
+    preamble's few hundred samples need no transform as long as the
+    record."""
     preamble_td = _to_time(cfg, cfg._known_symbols()[0][np.newaxis])
     if rx.size < preamble_td.size:
         raise SyncError("received waveform shorter than one preamble symbol")
     corr = np.abs(_correlate(rx, preamble_td))
     peak = int(np.argmax(corr))
-    floor = np.median(corr) + 1e-30
+    floor = np.mean(corr) + 1e-30
     if corr[peak] < 5.0 * floor:
         raise SyncError("preamble not found (correlation peak below threshold)")
     return peak

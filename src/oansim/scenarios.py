@@ -7,7 +7,9 @@ A scenario runs the downlink/uplink chain
     -> smart-edge intercept -> central-office uplink detection
 
 as independent seeded bursts whose bit errors are accumulated per sweep
-point until every signal reaches its bit target.  A burst holds the bus
+point until every signal reaches its bit target; within a burst each
+stage runs in a fork branch as soon as its inputs exist
+(:func:`_run_burst`).  A burst holds the bus
 as one slot record per WDM channel, at ``sample_rate / d_slot`` and
 centred on the channel's carrier, ``d_slot`` being the largest power of
 two whose record still holds the slot, its rings' tone windows and its
@@ -813,14 +815,19 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     """One burst of the pipeline, carried as one slot record per channel.
 
     Each slot, ``n_burst / d_slot`` samples at ``sample_rate / d_slot``
-    centred on its carrier, runs in its own fork branch from its comb line
-    through the central office, the feeder, the amplifier, the smart edge
-    and the distribution fiber; between the amplifier and the smart edge
-    the slots hand each other the lines their clock generators lift into
-    them (:func:`generator_inputs`).  The received power is then set over
-    the slots' summed WDM slot power, the one join before the network
-    units, and each slot's network unit receives in its own branch;
-    channel 0's slot alone carries the uplink.
+    centred on its carrier, runs in its own fork branch, and each stage
+    starts once its inputs exist.  A slot's chain (its digital drive, the
+    central office, the feeder and the amplifier) runs beside its smart
+    edge's drives, and the slots beside the uplink's drive.  Between the
+    amplifier and the smart edge the slots hand each other the lines their
+    clock generators lift into them (:func:`generator_inputs`); then each
+    runs its smart edge and distribution fiber.  The received power is set
+    over the slots' summed WDM slot power, the one join before the network
+    units.  Each slot's network unit then receives in its own branch,
+    beside the report's spectrum, and detects its drops in one fork; its
+    receivers demodulate one branch each.  Channel 0's slot alone carries
+    the uplink: its downlink is demodulated beside the remodulation and
+    the return path.
 
     Returns the uplink-to-residual ratio, the carrier ledger of channel 0's
     network unit and, if wanted, the report's spectrum after the overlay.
@@ -840,35 +847,38 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     units = [[rx for rx in rxs if rx.site == "onu"] for rxs in cfg.receivers]
 
     # every drive is made on the slot record, the digital and uplink ones
-    # after the walk-off guard; the last slot makes the uplink's
+    # after the walk-off guard
     rate = cfg.sample_rate / cfg.d_slot
     n = cfg.n_burst // cfg.d_slot
     guard = int(round(_WALKOFF_GUARD_S * rate))
     centre = plan.ref_freq()
 
-    def launch(k: int):
-        payload = [partial(_drive, m, [(cfg.payloads[i], bits[k, i + 1])
-                                       for i in idx], n, rate)
-                   for m, idx in zip(cfg.edge_rings[k][1], cfg.edge_payloads)]
-        uplink = ([partial(_drive, cfg.onus[0].modulator,
-                           [(signal, bits[kind])
-                            for kind, signal in cfg.uplink.items()],
-                           n, rate, guard)]
-                  if k == channels[-1] else [])
-        made = fork(partial(_drive, cfg.transmitters[k], [(dig, bits[k, 0])],
-                            n, rate, guard), *payload, *uplink)
-        tx = _stage("olt_transmit", olt_transmit, plan, made[0], k,
+    def chain(k: int) -> ComplexWaveform:
+        """Slot ``k`` from its digital drive to the feeder's far end."""
+        drive = _drive(cfg.transmitters[k], [(dig, bits[k, 0])], n, rate,
+                       guard)
+        tx = _stage("olt_transmit", olt_transmit, plan, drive, k,
                     modulators=cfg.transmitters,
                     power_per_tone_dbm=cfg.tx_power_dbm)
         link = _stage("feeder_fiber", propagate_fiber, tx, cfg.feeder, centre)
         if cfg.amplifier is not None:
             link = _stage("amplifier", amplify_ase, link, *cfg.amplifier,
                           seed=[burst_seed + 17, k])
-        return link, made[1:1 + len(payload)], made[1 + len(payload):]
+        return link
 
-    launched = fork(*(partial(launch, k) for k in channels))
-    fields = [link for link, _, _ in launched]
-    up_drive = launched[-1][2][0]
+    def launch(k: int) -> list:
+        """Slot ``k``'s chain beside its smart edge's drives."""
+        return fork(partial(chain, k), *(
+            partial(_drive, m, [(cfg.payloads[i], bits[k, i + 1])
+                                for i in idx], n, rate)
+            for m, idx in zip(cfg.edge_rings[k][1], cfg.edge_payloads)))
+
+    *launched, up_drive = fork(
+        *(partial(launch, k) for k in channels),
+        partial(_drive, cfg.onus[0].modulator,
+                [(signal, bits[kind]) for kind, signal in cfg.uplink.items()],
+                n, rate, guard))
+    fields = [link for link, *_ in launched]
     inputs = generator_inputs(fields, cfg.edge_rings)
 
     def edge(k: int, link: ComplexWaveform, drives: list):
@@ -879,10 +889,9 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                       cfg.distribution, centre)
         return link, overlaid
 
-    edged = fork(*(partial(edge, k, fields[k], launched[k][1])
+    edged = fork(*(partial(edge, k, fields[k], launched[k][1:])
                    for k in channels))
     del launched, fields, inputs
-    spectrum = _spectrum([wf for _, wf in edged]) if want_spectrum else None
     # the received power is that of the WDM slots: what the records hold
     # between and past them (ASE, far clock harmonics) is left out
     slots = sum(band_power(link, *ch.slot_edges)
@@ -892,44 +901,49 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
                               "power (see spans and amplifier)")
     gain_db = rx_power_dbm - 10.0 * np.log10(slots * 1e3)
     links = [scale_db(link, gain_db) for link, _ in edged]
+    overlaid = [wf for _, wf in edged]
     del edged
 
     def demods(k: int, unit) -> list:
-        """The downlink reports of slot ``k``'s network unit."""
-        return [report for rx, current in zip(units[k], unit.detected)
-                for report in _detect(rx, current, bits)]
+        """The downlink reports of slot ``k``'s network unit, one branch
+        per receiver."""
+        return [report for done in fork(*(
+            partial(_detect, rx, current, bits)
+            for rx, current in zip(units[k], unit.detected)))
+            for report in done]
 
     def receive(k: int, link: ComplexWaveform):
-        """Slot ``k``'s network unit; channel 0's remodulates its residual
-        carrier with the uplink drive, the digital signal and the radio
-        one if any, and every other one demodulates its downlink."""
-        onu = cfg.onus[k]
-        unit = _stage("onu_receive", onu_receive, link, onu, replace(
+        """Slot ``k``'s network unit and its downlink reports; channel 0's
+        are demodulated beside its uplink (:func:`_uplink`)."""
+        unit = _stage("onu_receive", onu_receive, link, cfg.onus[k], replace(
             cfg.detector, seed=burst_seed + units[k][0].seed))
         if k:
             return demods(k, unit)
-        return unit, _stage("onu_remodulate", onu_remodulate, unit.residual,
-                            onu, up_drive)
+        (ratio, up_reports), reports = fork(
+            partial(_uplink, cfg, unit.residual, up_drive, bits, burst_seed),
+            partial(demods, 0, unit))
+        return ratio, unit.ledger, reports + up_reports
 
-    (res, rem), *received = fork(*(partial(receive, k, link)
-                                   for k, link in enumerate(links)))
-    del links, up_drive
-    # channel 0's downlink is demodulated beside the rest of the uplink
-    reports, up_reports = fork(
-        partial(demods, 0, res),
-        partial(_uplink, cfg, rem.waveform, bits, burst_seed))
-    for name, report in [*reports, *up_reports,
-                         *(r for done in received for r in done)]:
+    # the report's spectrum is taken beside the network units, by a thread
+    # that would otherwise wait
+    (ratio, ledger, reports), *received, spectrum = fork(
+        *(partial(receive, k, link) for k, link in enumerate(links)),
+        partial(_spectrum, overlaid) if want_spectrum else lambda: None)
+    for name, report in [*reports, *(r for done in received for r in done)]:
         acc.add(name, report)
-    return rem.uplink_to_residual_db, res.ledger, spectrum
+    return ratio, ledger, spectrum
 
 
-def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
-            bits: dict, burst_seed: int) -> list:
-    """The reports of the uplink signals in the remodulated field, from
-    its receivers in turn: the smart edge's, then the central office's."""
+def _uplink(cfg: ScenarioConfig, residual: ComplexWaveform,
+            drive: ComplexWaveform, bits: dict, burst_seed: int) -> tuple:
+    """Channel 0's ``residual`` carrier remodulated with the uplink
+    ``drive``, the digital signal and the radio one if any: the
+    uplink-to-residual ratio, and the reports of the uplink signals from
+    its receivers in turn, the smart edge's, then the central office's."""
+    rem = _stage("onu_remodulate", onu_remodulate, residual, cfg.onus[0],
+                 drive)
     ch, centre = cfg.plan.channels[0], cfg.plan.ref_freq()
-    back = _stage("uplink_distribution", propagate_fiber, remodulated,
+    back = _stage("uplink_distribution", propagate_fiber, rem.waveform,
                   cfg.distribution, centre)
     reports = []
     for rx in [rx for rx in cfg.receivers[0] if rx.site != "onu"]:
@@ -951,7 +965,7 @@ def _uplink(cfg: ScenarioConfig, remodulated: ComplexWaveform,
                 current = _stage("co_detect", detect_drop, co,
                                  ch.center_freq, rx.drop, pd)
         reports += _detect(rx, current, bits)
-    return reports
+    return rem.uplink_to_residual_db, reports
 
 
 def _spectrum(slots: list) -> dict:
@@ -959,13 +973,11 @@ def _spectrum(slots: list) -> dict:
     records side by side."""
     parts = [psd(wf) for wf in slots]
     freqs = np.concatenate([f for f, _ in parts])
-    order = np.argsort(freqs, kind="stable")
-    freqs, vals = freqs[order], np.concatenate([v for _, v in parts])[order]
-    step = max(1, freqs.size // 4096)
+    kept = np.argsort(freqs, kind="stable")[::max(1, freqs.size // 4096)]
     return {
-        "freq_hz": [float(f) for f in freqs[::step]],
-        "psd_dbm_per_hz": [float(10 * np.log10(max(v, 1e-300) * 1e3))
-                           for v in vals[::step]],
+        "freq_hz": [float(f) for f in freqs[kept]],
+        "psd_dbm_per_hz": [float(10 * np.log10(max(v, 1e-300) * 1e3)) for v
+                           in np.concatenate([v for _, v in parts])[kept]],
     }
 
 

@@ -36,6 +36,7 @@ uplink-to-residual ratio) are computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .devices import (ClockGenerator, Modulator, RingParams, _drop_pair,
                       iq_mrm_ssb, thermal_tune, undriven_generator,
                       undriven_mrm)
 from .errors import ConfigError, SimulationError
+from .forkjoin import fork
 from .waveform import ComplexWaveform, _band, band_power, crop_to_band
 
 #: Per-device passband insertion loss along an add/drop bus (dB).
@@ -421,8 +423,9 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     """Strip the broadband subband and radio tunnels off the bus.
 
     The broadband drop taps the carrier share its filter was solved for;
-    it and each radio drop are direct-detected by ``pd``, the burst's
-    seeded detector, and their photocurrents returned.  The residual field
+    once the bus is walked, it and each radio drop are direct-detected by
+    ``pd``, the burst's seeded detector, in one fork, and their
+    photocurrents returned.  The residual field
     (including the remaining carrier) is returned for remodulation.  The
     ledger holds the carrier level in, after the broadband drop and left
     on the bus, in dBm, and what the radio drops cost it, in dB.
@@ -434,12 +437,14 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     # direct detection beats the SSB content against the tapped carrier,
     # recovering the real IF signal regardless of which optical sideband
     # carried it, so no spectral flip is ever needed here
-    bus, detected = field_in, []
+    bus, dropped = field_in, []
     for spec in filters:
-        dropped, bus = drop_filter(bus, f_c + spec.center_offset,
-                                   spec.bandwidth, spec.order)
+        drop, bus = drop_filter(bus, f_c + spec.center_offset,
+                                spec.bandwidth, spec.order)
         bus = bus.scaled(_BUS_GAIN)
-        detected.append(detect_drop(dropped, f_c, spec, pd))
+        dropped.append(drop)
+    detected = fork(*(partial(detect_drop, drop, f_c, spec, pd)
+                      for drop, spec in zip(dropped, filters)))
     carriers = _carrier_dbm(field_in, f_c, filters)
     return OnuReceiveResult(detected, bus, {
         "carrier_in_dbm": carriers[0],

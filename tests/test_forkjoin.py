@@ -37,15 +37,20 @@ def _in_thread(fn, timeout=60.0):
 
 
 def test_fork_uses_two_threads_only_inside_the_block(two_cores):
-    def idents():
-        return fork(threading.get_ident, threading.get_ident,
-                    threading.get_ident)
+    """Inside the block two branches meet at a barrier, which only a fork
+    that hands one of them to the worker passes; outside it they run in
+    turn on one thread."""
+    assert len(set(fork(threading.get_ident, threading.get_ident,
+                        threading.get_ident))) == 1
+    barrier = threading.Barrier(2, timeout=10.0)
 
-    assert len(set(idents())) == 1
+    def met():
+        barrier.wait()
+        return threading.get_ident()
 
     def threaded():
         with branch_threads():
-            return idents()
+            return fork(met, met)
 
     assert len(set(_in_thread(threaded))) == 2
 
@@ -74,6 +79,55 @@ def test_first_error_in_order_reaches_the_caller(two_cores):
     with branch_threads():
         with pytest.raises(SimulationError, match="branch 1"):
             fork(lambda: 0, fail(1), fail(2), fail(3))
+
+
+def test_a_fork_on_the_worker_hands_a_branch_to_the_waiting_caller(
+        two_cores):
+    """The worker runs the second branch, which the first waits for, and
+    forks there: the caller, done with its branch and waiting on the
+    worker's, takes one of that nested fork's branches, which meet at a
+    barrier."""
+    started, barrier = threading.Event(), threading.Barrier(2, timeout=10.0)
+
+    def first():
+        assert started.wait(10.0)
+        return threading.get_ident()
+
+    def met():
+        barrier.wait()
+        return threading.get_ident()
+
+    def second():
+        started.set()
+        return threading.get_ident(), fork(met, met)
+
+    def threaded():
+        with branch_threads():
+            return fork(first, second)
+
+    caller, (worker, inner) = _in_thread(threaded)
+    assert caller != worker
+    assert set(inner) == {caller, worker}
+
+
+def test_an_error_with_branches_queued_leaves_no_thread(two_cores):
+    """A branch raises while later ones are still queued: the first error
+    in order reaches the caller, and once the block exits no thread of it
+    is left."""
+    def fail(i):
+        def branch():
+            raise SimulationError(f"branch {i}")
+        return branch
+
+    def threaded():
+        before = threading.enumerate()
+        with branch_threads():
+            with pytest.raises(SimulationError, match="branch 2"):
+                fork(lambda: 0, lambda: 1, fail(2), *map(fail, range(3, 9)))
+        return before, threading.enumerate()
+
+    before, after = _in_thread(threaded)
+    assert after == before
 
 
 @pytest.mark.parametrize("name", ["mini", "scenario_a", "scenario_b"])
