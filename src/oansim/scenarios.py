@@ -33,7 +33,11 @@ intercepts the digital uplink.
 
 A :class:`ScenarioConfig` reads and checks the YAML once, when built,
 against ``_KEYS``: the one list of a config's valid keys, each with its
-converter and default.
+converter and default.  It sizes the burst's record from the configured
+modem rates, then fixes each signal's rate, at most 0.2 % up on the
+shipped configs, so that the bins its modem grid spans on that record
+have a fast transform length; every tone window, band edge, drop filter
+and crop is built from that rate.
 Reports are plain dicts (JSON/CSV serializable, stable ordering) carrying
 the fully resolved configuration as a reproducibility manifest.
 """
@@ -320,10 +324,14 @@ def _ofdm(values: _Values, key: str, seed: int) -> OfdmConfig:
 class _Signal(NamedTuple):
     """One OFDM signal of a burst: its modem, radio IF and symbol count.
     :func:`_drive` makes it from its spectrum on the record's bins, and
-    :func:`_detect` reads it back from the same bins."""
+    :func:`_detect` reads it back from the same bins.  ``stretch`` is its
+    configured modem rate over the rate set at load, by which a drive's
+    lead is scaled: a frame then sits where it did on the modem grid,
+    whose fraction of a sample sets the demodulator's EVM floor."""
     ofdm: OfdmConfig
     if_freq: float
     symbols: int
+    stretch: float = 1.0
 
     @property
     def n_bits(self) -> int:
@@ -346,9 +354,10 @@ class _Signal(NamedTuple):
     def spectrum(self, bits, n: int, sample_rate: float,
                  lead: int = 0) -> np.ndarray:
         """``rfft`` bins of the real signal of ``bits`` at its IF on a
-        record of ``n`` samples at ``sample_rate``, ``lead`` samples late."""
+        record of ``n`` samples at ``sample_rate``, ``lead`` samples at its
+        configured rate late."""
         return if_spectrum(generate_ofdm(self.ofdm, bits), self.if_freq, n,
-                           sample_rate, lead)
+                           sample_rate, lead * self.stretch)
 
 
 def _sided(lo: float, hi: float, sideband: str) -> tuple:
@@ -430,25 +439,50 @@ class ScenarioConfig:
         # burst window: the record that holds burst_symbols digital symbols,
         # rounded up to a power of two so that the whole-record FFTs along
         # the chain run on friendly sizes; every signal gets as many
-        # symbols as fit in it.  n_burst, below, grows it to the next
-        # FFT-friendly length when the walk-off guard and the digital
-        # drive do not fit in it (both cut shipped configs)
+        # symbols as fit in it at its configured rate
         burst_symbols = v["sweep.burst_symbols"]
         frame = _ofdm(v, "digital", self.seed).frame_duration()
         self.n_record = 1 << int(np.ceil(np.log2(
             (1 + burst_symbols) * frame * self.sample_rate)))
         window = self.n_record / self.sample_rate
 
-        def signal(key: str, seed_offset: int) -> _Signal:
-            ofdm = _ofdm(v, key, self.seed + seed_offset)
-            sig = _Signal(ofdm, v[f"{key}.if_freq"],
-                          max(1, int(window / ofdm.frame_duration()) - 1))
+        def signal(key: str, seed_offset: int, fast: bool = True) -> _Signal:
+            """The signal of section ``key``, its symbols counted at its
+            configured rate; ``fast`` then moves its modem rate up to the
+            nearest whose grid on the burst's record, which d_slot does not
+            change (:func:`~oansim.waveform.if_spectrum`), has a fast
+            transform length: 0.19 % at most on the shipped configs."""
+            configured = ofdm = _ofdm(v, key, self.seed + seed_offset)
+            symbols = max(1, int(window / ofdm.frame_duration()) - 1)
+            if fast:
+                # a signal narrower than one bin keeps its rate, and its
+                # burst fails as it did
+                df = self.sample_rate / self.n_burst
+                length = round(ofdm.sample_rate / df)
+                ofdm = replace(ofdm, occupied_bandwidth=fftpack.next_fast_len(
+                    length) * df / ofdm.oversampling) if length else ofdm
+            sig = _Signal(ofdm, v[f"{key}.if_freq"], symbols,
+                          configured.sample_rate / ofdm.sample_rate)
             if sig.edges()[0] <= 0.0:
                 raise ConfigError(
                     f"{', '.join(_band_keys(v, key))}: the band reaches "
                     f"{sig.edges()[0]/1e9:.2f} GHz; it must lie above 0 Hz")
             return sig
 
+        # the burst's record: n_record, grown to hold the walk-off guard
+        # and the digital drive at its configured rate at an FFT-friendly
+        # length (both cut shipped configs grow); it is carried as one slot
+        # record per channel.  Every signal's modem rate is then fixed,
+        # before any device, filter or crop reads its band
+        guard = int(round(_WALKOFF_GUARD_S * self.sample_rate))
+        need = max(self.n_record, guard + signal(
+            "digital", 1, fast=False).record_samples(self.sample_rate))
+        if need > 1 << 24:  # the full scenario A takes 2^22
+            raise ConfigError(
+                "sample_rate, sweep.burst_symbols, digital.occupied_bandwidth,"
+                " digital.bit_rate, digital.n_subcarriers, digital.cp_fraction:"
+                f" a burst's record of {need} samples is past 2^24")
+        self.n_burst = fftpack.next_fast_len(need)
         self.digital = signal("digital", 1)
         if (self.digital.if_freq + self.digital.ofdm.occupied_bandwidth / 2.0
                 > subband / 2.0):
@@ -492,12 +526,12 @@ class ScenarioConfig:
         if edge is not None:
             keys = ("uplink.intercept_carrier_tap", "uplink.intercept_order")
             section = {"rof": "uplink.rof"}.get(edge, "digital")
-            returns.append(("edge", edge, 300, keys, _naming(
+            returns.append(("edge", edge, keys, _naming(
                 keys + _band_keys(v, section), solve_carrier_tap_filter,
                 *_sided(*self.uplink[edge].edges(), up_side),
                 *(v[key] for key in keys))))
         if edge != "digital":
-            returns.append(("co", "digital", 301, ("wdm.channel_offsets",),
+            returns.append(("co", "digital", ("wdm.channel_offsets",),
                             FilterSpec(0.0, 0.9 * slot_width, 5, _sided(
                                 *self.uplink["digital"].edges(), up_side))
                             if self.plan.n_channels > 1 else None))
@@ -554,22 +588,13 @@ class ScenarioConfig:
         self.onus, self.receivers = self._read_onus(groups, [
             Modulator(r, up_depth, (3.0 + up_depth) * r.fwhm, up_edge,
                       iq_arms(up_side)) for r in rings])
+        # every receiver is its own photodiode: the network units' drops
+        # take the detector seeds from 100 on, the uplink's the next ones
+        first = 100 + sum(map(len, self.receivers))
         self.receivers[0] += [
-            _Receiver(site, drop, keys, seed, f"uplink_{kind}_demod",
+            _Receiver(site, drop, keys, first + i, f"uplink_{kind}_demod",
                       ((f"uplink:{kind}", self.uplink[kind], kind),))
-            for site, kind, seed, keys, drop in returns]
-        # the burst's record: n_record, grown to hold the walk-off guard
-        # and the digital drive at an FFT-friendly length (both cut shipped
-        # configs grow); it is carried as one slot record per channel
-        guard = int(round(_WALKOFF_GUARD_S * self.sample_rate))
-        need = max(self.n_record,
-                   guard + self.digital.record_samples(self.sample_rate))
-        if need > 1 << 24:  # the full scenario A takes 2^22
-            raise ConfigError(
-                "sample_rate, sweep.burst_symbols, digital.occupied_bandwidth,"
-                " digital.bit_rate, digital.n_subcarriers, digital.cp_fraction:"
-                f" a burst's record of {need} samples is past 2^24")
-        self.n_burst = fftpack.next_fast_len(need)
+            for i, (site, kind, keys, drop) in enumerate(returns)]
         self.d_slot = self._slot_division()
         self.rx_power_dbm = v["sweep.rx_power_dbm"]
         # at most 10,000 bursts of the least-counted signal per bit target
@@ -632,9 +657,11 @@ class ScenarioConfig:
         for spec, names, _, _ in drops:
             _naming(names, check_drop, spec, self.plan.channels[0])
         signals = [self.digital, *self.payloads]
-        receivers = [[_Receiver("onu", spec, names, 100 + k, stage, tuple(
-            (name.format(k=k, j=j), signals[j], (k, j)) for name, j in named))
-            for spec, names, stage, named in drops]
+        receivers = [[_Receiver(
+            "onu", spec, names, 100 + len(drops) * k + i, stage, tuple(
+                (name.format(k=k, j=j), signals[j], (k, j))
+                for name, j in named))
+            for i, (spec, names, stage, named) in enumerate(drops)]
             for k in range(self.plan.n_channels)]
         residual = v["onu.min_residual_carrier_dbm"]
         return [OnuConfig(c, broadband, m, tuple(filters), residual)
@@ -915,8 +942,9 @@ def _run_burst(cfg: ScenarioConfig, rx_power_dbm: float, burst_seed: int,
     def receive(k: int, link: ComplexWaveform):
         """Slot ``k``'s network unit and its downlink reports; channel 0's
         are demodulated beside its uplink (:func:`_uplink`)."""
-        unit = _stage("onu_receive", onu_receive, link, cfg.onus[k], replace(
-            cfg.detector, seed=burst_seed + units[k][0].seed))
+        unit = _stage("onu_receive", onu_receive, link, cfg.onus[k],
+                      [replace(cfg.detector, seed=burst_seed + rx.seed)
+                       for rx in units[k]])
         if k:
             return demods(k, unit)
         (ratio, up_reports), reports = fork(

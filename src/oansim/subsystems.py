@@ -419,13 +419,13 @@ class OnuReceiveResult:
 
 
 def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
-                pd: PdParams) -> OnuReceiveResult:
+                pds) -> OnuReceiveResult:
     """Strip the broadband subband and radio tunnels off the bus.
 
     The broadband drop taps the carrier share its filter was solved for;
-    once the bus is walked, it and each radio drop are direct-detected by
-    ``pd``, the burst's seeded detector, in one fork, and their
-    photocurrents returned.  The residual field
+    once the bus is walked, it and each radio drop are direct-detected,
+    in one fork, each by its own seeded detector of ``pds`` (in the order
+    of the drops), and their photocurrents returned.  The residual field
     (including the remaining carrier) is returned for remodulation.  The
     ledger holds the carrier level in, after the broadband drop and left
     on the bus, in dBm, and what the radio drops cost it, in dB.
@@ -434,6 +434,8 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
     if band_power(field_in, *cfg.channel.slot_edges) <= 0.0:
         raise SimulationError("ONU slot not present in the input field")
     filters = (cfg.broadband_filter, *cfg.rof_filters)
+    if len(pds) != len(filters):
+        raise ConfigError(f"{len(pds)} detectors for {len(filters)} drops")
     # direct detection beats the SSB content against the tapped carrier,
     # recovering the real IF signal regardless of which optical sideband
     # carried it, so no spectral flip is ever needed here
@@ -444,7 +446,7 @@ def onu_receive(field_in: ComplexWaveform, cfg: OnuConfig,
         bus = bus.scaled(_BUS_GAIN)
         dropped.append(drop)
     detected = fork(*(partial(detect_drop, drop, f_c, spec, pd)
-                      for drop, spec in zip(dropped, filters)))
+                      for drop, spec, pd in zip(dropped, filters, pds)))
     carriers = _carrier_dbm(field_in, f_c, filters)
     return OnuReceiveResult(detected, bus, {
         "carrier_in_dbm": carriers[0],

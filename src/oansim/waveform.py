@@ -285,7 +285,7 @@ def _if_bins(n: int, sample_rate: float, rate: float, if_freq: float):
 
 
 def if_spectrum(modem: ComplexWaveform, if_freq: float, n: int,
-                sample_rate: float, lead: int = 0) -> np.ndarray:
+                sample_rate: float, lead: float = 0.0) -> np.ndarray:
     """``rfft`` bins of sqrt(2) Re(x(t) exp(2 pi i f_IF t)) on a record of
     ``n`` samples, x being the modem waveform on the bins of
     :func:`_if_bins`, delayed by ``lead`` samples through a phase ramp.

@@ -421,7 +421,9 @@ def test_drives_match_the_polyphase_oracle(name):
     over its occupied band.  The oracle's record is the shortest that the
     modem grid meets exactly (``L = n r / fs`` whole), so the comparison
     sees the interpolation alone, not the at most half a modem sample by
-    which the rounding of ``L`` stretches a burst."""
+    which the rounding of ``L`` stretches a burst.  The oracle places a
+    drive on a whole record sample, so the drive is asked for the lead
+    that its ``stretch`` takes there."""
     cfg = _shipped_top(name)
     fs = cfg.sample_rate
     rng = np.random.default_rng(1)
@@ -430,7 +432,8 @@ def test_drives_match_the_polyphase_oracle(name):
         step = Fraction(fs / signal.ofdm.sample_rate).limit_denominator(
             1000000).numerator
         n = -(-(lead + signal.record_samples(fs)) // step) * step
-        got = np.fft.rfft(np.fft.irfft(signal.spectrum(bits, n, fs, lead), n))
+        got = np.fft.rfft(np.fft.irfft(
+            signal.spectrum(bits, n, fs, lead / signal.stretch), n))
         want = np.fft.rfft(_polyphase_drive(signal, bits, n, fs, lead))
         f = np.fft.rfftfreq(n, 1.0 / fs)
         band = np.abs(f - signal.if_freq) <= signal.ofdm.occupied_bandwidth / 2
@@ -476,7 +479,9 @@ def test_whole_record_transforms_per_burst(name, most, monkeypatch):
     as two slot records at half its rate.  The transforms at least one
     slot record long, summed by length in units of ``n_record``, stay
     within ``most``; none is longer than a slot record, so A runs none of
-    its whole record's length."""
+    its whole record's length.  Every transform runs on a length that
+    ``next_fast_len`` returns, the modem grids too, so none falls back to
+    Bluestein's algorithm."""
     lengths = []
 
     def counted(transform):
@@ -497,6 +502,8 @@ def test_whole_record_transforms_per_burst(name, most, monkeypatch):
     whole = [n for n in lengths if n >= slot]
     assert max(whole) == slot
     assert sum(whole) / cfg.n_record <= most
+    slow = sorted({n for n in lengths if scipy.fft.next_fast_len(n) != n})
+    assert slow == []
 
 
 def test_static_responses_per_burst(monkeypatch):
@@ -543,10 +550,13 @@ def test_receivers_match_full_rate_detection(name, divisors, monkeypatch):
         built.append(spec)
         post_init(spec)
 
+    # the shipped config is loaded before its cut: each sizes its own
+    # record, which sets its modem rates and so its drops
+    raw = (copy.deepcopy(CLI_MINI) if name == "cli_mini"
+           else _shipped_top(name).raw)
     with monkeypatch.context() as m:
         m.setattr(FilterSpec, "__post_init__", made)
-        cfg = (ScenarioConfig(copy.deepcopy(CLI_MINI)) if name == "cli_mini"
-               else _shipped_top(name))
+        cfg = ScenarioConfig(raw)
     receivers = [rx for rxs in cfg.receivers for rx in rxs]
     assert set(built) == {rx.drop for rx in receivers} - {None}
     assert [(rx.site, rx.drop is not None) for rx in cfg.receivers[0]
@@ -598,10 +608,6 @@ def test_receivers_match_full_rate_detection(name, divisors, monkeypatch):
     assert sorted(found) == divisors
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP finding: every receiver of one network unit draws the same "
-    "noise, its drops sharing the detector seed burst + 100 + k; direction "
-    "4 gives each receiver its own seed"))
 def test_no_two_detectors_of_a_burst_share_their_noise(monkeypatch):
     """Each receiver is its own photodiode: no two ``photodetect`` calls
     of one scenario A burst draw with the same seed on records of the

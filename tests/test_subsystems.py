@@ -186,7 +186,7 @@ def test_olt_to_onu_loopback_error_free():
     tx = bits_for(cfg, 30)
     (field,) = transmit(plan, cfg, [tx], power_per_tone_dbm=3.0,
                         depth=0.12)
-    res = onu_receive(field, onu_cfg(), PdParams())
+    res = onu_receive(field, onu_cfg(), [PdParams()])
     report = demodulated(cfg, res.detected[0], tx)
     assert report.bit_errors == 0
     assert report.evm_rms < 0.1
@@ -306,7 +306,7 @@ def uplink_setup(n_symbols=25):
     (field,) = transmit(plan, cfg, [bits_for(cfg, n_symbols)],
                         power_per_tone_dbm=3.0, depth=0.12)
     ocfg = onu_cfg(depth=0.5)
-    res = onu_receive(field, ocfg, PdParams())
+    res = onu_receive(field, ocfg, [PdParams()])
     return plan, cfg, ocfg, res
 
 
@@ -392,7 +392,7 @@ def test_colorless_onu_retunes_across_channels():
     for field, center, tx in zip(fields, (F0 - 50e9, F0 + 50e9), (tx0, tx1)):
         ch_field, _ = drop_filter(field, center, 45e9, order=4)
         res = onu_receive(ch_field, replace(base, channel=WdmChannel(center)),
-                          PdParams())
+                          [PdParams()])
         assert demodulated(cfg, res.detected[0], tx).bit_errors == 0
 
 
@@ -402,4 +402,4 @@ def test_onu_receive_needs_power_in_slot():
     field = transmit(plan, cfg, [bits_for(cfg, 5)])[0]
     empty = field.copy_with(samples=np.zeros(field.n, dtype=np.complex128))
     with pytest.raises(SimulationError):
-        onu_receive(empty, onu_cfg(), PdParams())
+        onu_receive(empty, onu_cfg(), [PdParams()])

@@ -34,7 +34,8 @@ Primitives:
 * ``generate_ofdm``: a 10 Gb/s QPSK OFDM waveform of 2^k modem samples,
   made from its bits;
 * ``demodulate_ofdm``: that waveform detected;
-* ``iq_drive``: one analytic drive of that signal at a 7 GHz IF, from a
+* ``iq_drive``: one analytic drive at a 7 GHz IF of shipped scenario A's
+  digital signal, on the modem grid its loaded config fixes, from a
   modem-rate waveform as long as the record (``if_spectrum`` and
   ``analytic``);
 * ``real_drive``: the same signal as a real drive (``if_spectrum`` and
@@ -43,7 +44,7 @@ Primitives:
   depth 0.12 by the analytic drive of ``iq_drive``; its record holds the
   tone window of that depth and the band edge of that signal, as the
   pipeline's does;
-* ``receive``: the modem waveform read back from a photocurrent at half
+* ``receive``: that modem waveform read back from a photocurrent at half
   the record's rate (``from_if``);
 * ``crop_to_band``: a receiver's crop of the noise field to the carrier
   and 15 GHz above it, which falls to a quarter of the rate.
@@ -78,6 +79,7 @@ def primitives(n: int) -> dict:
     from oansim.channel import FiberParams, PdParams
     from oansim.devices import ClockGenerator, Modulator, iq_arms
     from oansim.ofdm import OfdmConfig, bandwidth_for_bit_rate
+    from oansim.scenarios import builtin_config_path, load_config
     from oansim.subsystems import slope_biased_ring
 
     rng = np.random.default_rng(1)
@@ -95,17 +97,22 @@ def primitives(n: int) -> dict:
             np.complex64), FS, ref_freq=F0)
     ofdm = OfdmConfig(occupied_bandwidth=bandwidth_for_bit_rate(10e9),
                       pilot_spacing=16)
+    # the drives' modem: scenario A's digital signal at the rate its
+    # loaded config fixes, 160 GS/s like these records
+    modem = load_config(builtin_config_path("scenario_a")).digital.ofdm
     iq_pair = Modulator(ring, 0.12, (3.0 + 0.12) * ring.fwhm,
-                        IF + 0.55 * ofdm.occupied_bandwidth, iq_arms())
+                        IF + 0.55 * modem.occupied_bandwidth, iq_arms())
 
-    def payload(samples: int):
-        """The bits of a waveform of at most ``samples`` modem samples."""
-        symbols = samples // (ofdm.nfft + ofdm.n_cp) - 1
-        return rng.integers(0, 2, symbols * ofdm.bits_per_symbol)
+    def payload(cfg: OfdmConfig, samples: int):
+        """The bits of a waveform of at most ``samples`` samples of the
+        modem ``cfg``."""
+        symbols = samples // (cfg.nfft + cfg.n_cp) - 1
+        return rng.integers(0, 2, symbols * cfg.bits_per_symbol)
 
-    bits = payload(n)
+    bits = payload(ofdm, n)
     long = oansim.generate_ofdm(ofdm, bits)
-    drive = oansim.generate_ofdm(ofdm, payload(int(n * ofdm.sample_rate / FS)))
+    drive = oansim.generate_ofdm(modem, payload(
+        modem, int(n * modem.sample_rate / FS)))
     iq = waveform.analytic(waveform.if_spectrum(drive, IF, n, FS), n, FS)
     current = oansim.ComplexWaveform(np.fft.irfft(
         waveform.if_spectrum(drive, IF, n // 2, FS / 2), n // 2).astype(
@@ -129,7 +136,7 @@ def primitives(n: int) -> dict:
         "real_drive": lambda: fftpack.irfft(
             waveform.if_spectrum(drive, IF, n, FS), n),
         "iq_mrm_ssb": lambda: oansim.iq_mrm_ssb(carrier, iq_pair, iq),
-        "receive": lambda: waveform.from_if(current, IF, ofdm.sample_rate),
+        "receive": lambda: waveform.from_if(current, IF, modem.sample_rate),
     }
 
 
